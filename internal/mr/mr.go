@@ -454,9 +454,10 @@ var ErrReducerOverflow = errors.New("mr: reducer input exceeds configured maximu
 
 // Run executes the job over inputs and returns the reduce outputs together
 // with the round's metrics. Output order is deterministic: reduce keys are
-// processed in a stable sorted order (numeric for the number kinds, byte
-// order for strings, formatted order otherwise), and within a key the
-// outputs appear in emission order. Execution happens on the partitioned
+// processed in the runtime's canonical key order (numeric for numbers,
+// byte order for strings, field-wise for structs and arrays of those —
+// see shuffle.SortKeys), and within a key the outputs appear in
+// emission order. Execution happens on the partitioned
 // shuffle executor; the returned Metrics carry its per-partition profile.
 func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
 	if j.Config.ProcMode {
@@ -560,16 +561,15 @@ func (j *Job[I, K, V, O]) recordWorkerSkew(keys []K, loads []int, met *Metrics) 
 	}
 }
 
-// defaultPartition hashes the key with the runtime's typed maphash fast
-// path (no formatting, boxing, or reflection — unlike the seed's
-// fmt.Sprint + FNV-1a of the formatted key).
+// defaultPartition hashes the key with the shuffle's Hasher: the
+// runtime's typed maphash fast path, or the stable plan hash under
+// shuffle.WithSeed — no formatting, boxing, or reflection either way.
 func defaultPartition[K comparable](k K, nw int) int {
 	return int(shuffle.NewHasher[K]().Hash(k) % uint64(nw))
 }
 
 // sortedKeys returns the map's keys in the runtime's canonical
-// deterministic order: typed fast paths for the number kinds and
-// strings, format-once ordering otherwise (see shuffle.SortKeys).
+// deterministic order (see shuffle.SortKeys).
 func sortedKeys[K comparable, V any](m map[K]V) []K {
 	keys := make([]K, 0, len(m))
 	for k := range m {

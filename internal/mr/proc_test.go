@@ -16,6 +16,9 @@ import (
 func TestMain(m *testing.M) {
 	RegisterProc(procWordcount)
 	RegisterProc(procWordcountNoCombine)
+	RegisterProc(procFloatKeys)
+	RegisterProc(procFloatStructKeys)
+	RegisterProc(procOrderKeys)
 	MaybeProcWorker()
 	os.Exit(m.Run())
 }

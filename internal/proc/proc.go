@@ -365,7 +365,7 @@ func (j *jobImpl[I, K, V, O]) loadInputs(path string) (any, int, error) {
 
 // partition places k on one of p partitions: the explicit Partition
 // func reduced modulo p, or the stable cross-process hash.
-func (j *jobImpl[I, K, V, O]) partition(h *shuffle.StableHasher[K], k K, p int) (int, error) {
+func (j *jobImpl[I, K, V, O]) partition(h shuffle.StableHasher[K], k K, p int) (int, error) {
 	if j.spec.Partition != nil {
 		part := j.spec.Partition(k) % p
 		if part < 0 {
@@ -373,7 +373,8 @@ func (j *jobImpl[I, K, V, O]) partition(h *shuffle.StableHasher[K], k K, p int) 
 		}
 		return part, nil
 	}
-	return h.StablePartition(k, p)
+	hv, err := h.Hash(k)
+	return int(hv % uint64(p)), err
 }
 
 // outGroup is one reduced key's output, as serialized between a reduce

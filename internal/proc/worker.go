@@ -457,10 +457,10 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (M
 		Recorder:         ws.rec,
 	})
 	defer sh.Close()
-	var hasher shuffle.StableHasher[K]
+	hasher := shuffle.NewStableHasher[K](0)
 	var emitErr error
 	sh.SetPartitioner(func(k K) int {
-		p, err := j.partition(&hasher, k, t.Partitions)
+		p, err := j.partition(hasher, k, t.Partitions)
 		if err != nil {
 			if emitErr == nil {
 				emitErr = err
@@ -722,9 +722,9 @@ func mergeSections[I any, K comparable, V, O any](j *jobImpl[I, K, V, O], scs []
 	for len(curs) > 0 {
 		// Select the minimum key by linear scan: the fan-in is the
 		// partition's section count — small next to the decode work per
-		// group — and group membership below is decided by ==, so even
-		// distinct keys the fallback comparator cannot separate gather
-		// correctly.
+		// group. Group membership below is decided by ==, so even keys of
+		// an unplannable kind, which the formatted fallback order can
+		// tie, gather correctly.
 		mi := 0
 		for i := 1; i < len(curs); i++ {
 			if less(curs[i].key, curs[mi].key) {

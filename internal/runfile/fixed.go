@@ -30,13 +30,15 @@ import (
 	"unsafe"
 )
 
-// maxFixedOps caps a plan's flattened operation count so a huge array
-// field cannot produce an absurd plan; such types fall back to gob.
+// maxFixedOps caps a codec plan's flattened operation count so a huge
+// array field cannot produce an absurd plan; such types fall back to gob.
 const maxFixedOps = 256
 
-// fixedOp copies one scalar between Go memory (at offset off from the
-// value's base address) and the canonical little-endian wire form.
-type fixedOp struct {
+// scalarOp addresses one scalar of a composite value: the field at
+// offset off from the value's base address, of the given kind. The
+// codec copies it to and from its canonical little-endian wire form; the
+// key plan (keyplan.go) compares and hashes it in place.
+type scalarOp struct {
 	off  uintptr
 	kind reflect.Kind
 }
@@ -45,7 +47,7 @@ type fixedOp struct {
 // wire length in bytes, ops the field copies in declaration order.
 type fixedPlan struct {
 	size int
-	ops  []fixedOp
+	ops  []scalarOp
 }
 
 // fixedPlans caches one plan per type; a stored nil records that the
@@ -75,72 +77,91 @@ func fixedPlanFor[T any]() *fixedPlan {
 // the plan at encode time, but compiling them is harmless and lets
 // named scalar types (`type NodeID int64`) share the fast path.
 func buildFixedPlan(t reflect.Type) *fixedPlan {
-	p := &fixedPlan{}
-	if !appendFixedOps(t, 0, p) || len(p.ops) == 0 {
+	ops, ok := appendScalarOps(nil, t, 0, false)
+	if !ok || len(ops) == 0 {
 		return nil
+	}
+	p := &fixedPlan{ops: ops}
+	for _, op := range ops {
+		p.size += int(scalarWidth(op.kind))
 	}
 	return p
 }
 
-func appendFixedOps(t reflect.Type, base uintptr, p *fixedPlan) bool {
-	if len(p.ops) >= maxFixedOps {
-		return false
-	}
-	k := t.Kind()
+// scalarWidth is a scalar kind's wire (and, on 64-bit platforms,
+// memory) width in bytes.
+func scalarWidth(k reflect.Kind) uintptr {
 	switch k {
 	case reflect.Bool, reflect.Int8, reflect.Uint8:
-		p.ops = append(p.ops, fixedOp{base, k})
-		p.size++
-		return true
+		return 1
 	case reflect.Int16, reflect.Uint16:
-		p.ops = append(p.ops, fixedOp{base, k})
-		p.size += 2
-		return true
+		return 2
 	case reflect.Int32, reflect.Uint32, reflect.Float32:
-		p.ops = append(p.ops, fixedOp{base, k})
-		p.size += 4
-		return true
-	case reflect.Int64, reflect.Uint64, reflect.Float64, reflect.Complex64:
-		p.ops = append(p.ops, fixedOp{base, k})
-		p.size += 8
-		return true
-	case reflect.Complex128:
-		p.ops = append(p.ops, fixedOp{base, k})
-		p.size += 16
-		return true
+		return 4
+	default:
+		return 8
+	}
+}
+
+// appendScalarOps is the one reflection walk behind both compiled
+// plans: it flattens t, laid out at offset base, into scalar ops in
+// declaration order — through nested structs and arrays, by kind (so
+// named scalars qualify), with a complex number as its real and
+// imaginary floats — and reports false when t has a part it cannot
+// cover. Padding is never addressed: only declared fields produce ops.
+//
+// The codec walk (key false) admits exactly the fixed-width types whose
+// round-trip identity the shuffle requires: no strings, no unexported
+// fields (they keep the gob fallback and its loud rejection through the
+// round-trip gates rather than silently diverging from it), 64-bit
+// words only (Int/Uint/Uintptr travel as 8 wire bytes and the pointer
+// load must be exact), at most maxFixedOps ops. The key walk (key true)
+// reads values in place, so it also takes strings, unexported fields
+// and any word size, and skips blank fields, which == ignores.
+func appendScalarOps(ops []scalarOp, t reflect.Type, base uintptr, key bool) ([]scalarOp, bool) {
+	if !key && len(ops) >= maxFixedOps {
+		return ops, false
+	}
+	switch k := t.Kind(); k {
+	case reflect.Bool,
+		reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		return append(ops, scalarOp{base, k}), true
 	case reflect.Int, reflect.Uint, reflect.Uintptr:
-		// Encoded as 8 wire bytes; requires the in-memory word to be 64
-		// bits too, so the pointer load below is exact.
-		if bits.UintSize != 64 {
-			return false
-		}
-		p.ops = append(p.ops, fixedOp{base, k})
-		p.size += 8
-		return true
+		return append(ops, scalarOp{base, k}), key || bits.UintSize == 64
+	case reflect.String:
+		return append(ops, scalarOp{base, k}), key
+	case reflect.Complex64:
+		return append(ops, scalarOp{base, reflect.Float32}, scalarOp{base + 4, reflect.Float32}), true
+	case reflect.Complex128:
+		return append(ops, scalarOp{base, reflect.Float64}, scalarOp{base + 8, reflect.Float64}), true
 	case reflect.Struct:
 		for i := 0; i < t.NumField(); i++ {
 			f := t.Field(i)
-			if f.PkgPath != "" {
-				// Unexported fields keep the gob fallback (and its loud
-				// rejection through the round-trip gates) rather than
-				// silently diverging from it.
-				return false
+			if key && f.Name == "_" {
+				continue
 			}
-			if !appendFixedOps(f.Type, base+f.Offset, p) {
-				return false
+			if !key && f.PkgPath != "" {
+				return ops, false
+			}
+			var ok bool
+			if ops, ok = appendScalarOps(ops, f.Type, base+f.Offset, key); !ok {
+				return ops, false
 			}
 		}
-		return true
+		return ops, true
 	case reflect.Array:
 		elem := t.Elem()
 		for i := 0; i < t.Len(); i++ {
-			if !appendFixedOps(elem, base+uintptr(i)*elem.Size(), p) {
-				return false
+			var ok bool
+			if ops, ok = appendScalarOps(ops, elem, base+uintptr(i)*elem.Size(), key); !ok {
+				return ops, false
 			}
 		}
-		return true
+		return ops, true
 	default:
-		return false
+		return ops, false
 	}
 }
 
@@ -182,14 +203,6 @@ func (p *fixedPlan) appendTo(dst []byte, src unsafe.Pointer) []byte {
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(*(*uint)(f)))
 		case reflect.Uintptr:
 			dst = binary.LittleEndian.AppendUint64(dst, uint64(*(*uintptr)(f)))
-		case reflect.Complex64:
-			c := *(*complex64)(f)
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(real(c)))
-			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(imag(c)))
-		case reflect.Complex128:
-			c := *(*complex128)(f)
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(real(c)))
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(imag(c)))
 		}
 	}
 	return dst
@@ -247,16 +260,6 @@ func (p *fixedPlan) decodeInto(data []byte, dst unsafe.Pointer) error {
 		case reflect.Uintptr:
 			*(*uintptr)(f) = uintptr(binary.LittleEndian.Uint64(data[pos:]))
 			pos += 8
-		case reflect.Complex64:
-			re := math.Float32frombits(binary.LittleEndian.Uint32(data[pos:]))
-			im := math.Float32frombits(binary.LittleEndian.Uint32(data[pos+4:]))
-			*(*complex64)(f) = complex(re, im)
-			pos += 8
-		case reflect.Complex128:
-			re := math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(data[pos+8:]))
-			*(*complex128)(f) = complex(re, im)
-			pos += 16
 		}
 	}
 	return nil

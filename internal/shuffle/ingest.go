@@ -428,18 +428,39 @@ func (in *Ingester[K, V]) ingestStep(st *partitionState[K, V], allowSwap bool) e
 		st.stageMu.Lock()
 		task := st.minStagedBelow(wm)
 		var sr *stagedRun[K, V]
+		readBack := false
 		if task >= 0 {
 			sr = st.staged[task]
-			delete(st.staged, task)
-			st.stagedPairs -= sr.pairs
+			// A run with swapped sections stays staged while they are read
+			// back, one per iteration: its in-memory blocks — the task's
+			// later flushes — must remain swappable, or the read-back
+			// would raise the live run to the budget next to them.
+			// (A detached run's blocks stay in stagedPairs until
+			// absorbCounted has moved each into the live run.)
+			if readBack = len(sr.swapped) > 0; !readBack {
+				delete(st.staged, task)
+			}
 		}
 		st.stageMu.Unlock()
 		if sr == nil {
 			break
 		}
 		begin()
-		if err := in.absorbStaged(st, sr); err != nil {
-			return err
+		if readBack {
+			if err := in.absorbSwapped(st, sr.swapped[0]); err != nil {
+				return err
+			}
+			st.stageMu.Lock()
+			sr.swapped = sr.swapped[1:]
+			st.stageMu.Unlock()
+			continue
+		}
+		for _, blk := range sr.blocks {
+			err := st.absorbCounted(in.s, blk)
+			in.s.putBlock(blk)
+			if err != nil {
+				return err
+			}
 		}
 	}
 
@@ -490,29 +511,17 @@ func (st *partitionState[K, V]) minStagedBelow(wm int) int {
 	return best
 }
 
-// absorbStaged folds one committed task's staged run (already detached
-// from the staging area) into the partition, swapped sections first —
-// they hold the task's earlier flushes — then the in-memory blocks,
-// all through the regular absorb/seal path. Swapped pairs re-enter in
-// block-sized chunks, so reading a giant swapped task back never
-// spikes residency beyond the ordinary absorb overshoot, and sealing
-// still happens at exactly the budget boundaries the committed stream
-// dictates.
-func (in *Ingester[K, V]) absorbStaged(st *partitionState[K, V], sr *stagedRun[K, V]) error {
-	s := in.s
-	for _, sec := range sr.swapped {
-		if err := in.absorbSwapped(st, sec); err != nil {
-			return err
-		}
-	}
-	for _, blk := range sr.blocks {
-		err := st.absorb(s, blk)
-		s.putBlock(blk)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// absorbCounted folds into the live run a block that stagedPairs still
+// counts, and only then drops it from the count: between the two the
+// block is visible twice to the flush path's lock-free check (live
+// mirror and staged), never not at all — the check may relieve early,
+// it cannot miss resident pairs.
+func (st *partitionState[K, V]) absorbCounted(s *Shuffle[K, V], blk []Pair[K, V]) error {
+	err := st.absorb(s, blk)
+	st.stageMu.Lock()
+	st.stagedPairs -= len(blk)
+	st.stageMu.Unlock()
+	return err
 }
 
 // absorbSwapped reads one pressure-swapped section back from the stash
@@ -570,10 +579,24 @@ func (in *Ingester[K, V]) absorbSwapped(st *partitionState[K, V], sec swapSec) e
 		if len(chunk) == 0 {
 			return nil
 		}
-		// The pairs re-enter shuffle memory chunk by chunk; absorb
-		// copies them into the live run, so the chunk slice is reused.
+		// The pairs re-enter shuffle memory chunk by chunk, next to
+		// whatever later tasks staged here since the swap, and the live
+		// run they grow seals only at the full budget. Make room first —
+		// shed those staged blocks to the stash — or the partition holds
+		// a full live run plus a budget of staged pairs.
+		if budget := s.opts.MaxBufferedPairs; st.livePairs+st.stagedTotal()+len(chunk) > budget {
+			if err := in.swapStaged(st, budget); err != nil {
+				return err
+			}
+		}
+		// The chunk counts as staged while it is absorbed, like any
+		// block; absorb copies the pairs into the live run, so the chunk
+		// slice is reused.
+		st.stageMu.Lock()
+		st.stagedPairs += len(chunk)
+		st.stageMu.Unlock()
 		s.addResident(len(chunk))
-		err := st.absorb(s, chunk)
+		err := st.absorbCounted(s, chunk)
 		chunk = chunk[:0]
 		return err
 	}
@@ -668,9 +691,10 @@ func (in *Ingester[K, V]) swapStaged(st *partitionState[K, V], budget int) (err 
 		}
 		var blocks [][]Pair[K, V]
 		if sr != nil {
+			// stagedPairs drops only once the blocks are written and
+			// released below: until then they are still resident.
 			blocks = sr.blocks
 			sr.blocks, sr.pairs = nil, 0
-			st.stagedPairs -= pairs
 		}
 		st.stageMu.Unlock()
 		if sr == nil {
@@ -697,6 +721,7 @@ func (in *Ingester[K, V]) swapStaged(st *partitionState[K, V], budget int) (err 
 		// run that is still the attempt's.
 		st.stageMu.Lock()
 		sr.swapped = append(sr.swapped, sec)
+		st.stagedPairs -= pairs
 		st.stageMu.Unlock()
 	}
 }

@@ -311,6 +311,59 @@ func TestStreamingPeakResidentBound(t *testing.T) {
 	}
 }
 
+// TestSwapReadBackStaysUnderBound is TestStreamingPeakResidentBound's
+// failure made deterministic — one goroutine, one partition. Task 0
+// outgrows the budget several times over before it commits, so most of
+// it is swapped out while its last flushes (sized here to just miss the
+// next relief) stay in memory. When it commits, reading the swapped
+// sections back raises the live run to the full budget; the blocks
+// staged beside it must be shed first, or the partition holds a live
+// run plus most of a budget of staged pairs.
+func TestSwapReadBackStaysUnderBound(t *testing.T) {
+	const budget, blockPairs = 256, 64
+	s := New[int, int](Options{
+		Partitions: 1, MaxBufferedPairs: budget, BlockPairs: blockPairs, SpillDir: t.TempDir(),
+	})
+	defer s.Close()
+	ing := s.NewIngester()
+	older, newer := ing.Task(0, 0), ing.Task(1, 0)
+	want := make(map[int][]int)
+	emit := func(tw *TaskWriter[int, int], n, base int) {
+		for i := 0; i < n; i++ {
+			tw.Emit(i%37, base+i)
+		}
+	}
+	// Task 1's one flushed block shifts the relief points: task 0's
+	// flushes 3, 7, 11 and 15 each swap everything staged, and 16-18
+	// plus the commit's remainder stay in memory.
+	const olderPairs = 18*blockPairs + 40
+	emit(newer, 100, 10000)
+	emit(older, olderPairs, 0)
+	for i := 0; i < olderPairs; i++ {
+		want[i%37] = append(want[i%37], i)
+	}
+	for i := 0; i < 100; i++ {
+		want[i%37] = append(want[i%37], 10000+i)
+	}
+	if s.swapBytes.Load() == 0 {
+		t.Fatal("nothing was swapped; the test exercises nothing")
+	}
+	for _, tw := range []*TaskWriter[int, int]{older, newer} {
+		if err := tw.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ing.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if peak, bound := s.PeakResidentPairs(), int64(budget+blockPairs); peak > bound {
+		t.Errorf("PeakResidentPairs = %d exceeds bound %d (= 1*%d + 1*%d)", peak, bound, budget, blockPairs)
+	}
+	if got := collectGroups(t, s); !reflect.DeepEqual(got, want) {
+		t.Error("grouped values diverge from the emitted stream after swap read-back")
+	}
+}
+
 // TestStreamingStress is the -race workout: many workers flushing
 // concurrently into few partitions with a tiny budget (constant
 // fencing and compaction), injected aborts with retries, and a final

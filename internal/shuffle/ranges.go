@@ -44,34 +44,50 @@ type KeyRange[K comparable] struct {
 	// indexes — the weights range units are scheduled by.
 	Pairs int64
 	Keys  int64
-
-	// Cached formatted bounds for the fallback comparator, computed at
-	// plan time so clamping never re-formats them.
-	loFmt, hiFmt string
 }
 
 // Contains reports whether k falls in the range under the canonical
 // order (the comparator behind SortKeys). Keys order-equal to Lo are
 // inside; keys order-equal to Hi are not.
 func (r KeyRange[K]) Contains(k K) bool {
-	less := nativeLess[K]()
-	if less != nil {
-		if r.HasLo && less(k, r.Lo) {
-			return false
-		}
-		if r.HasHi && !less(k, r.Hi) {
-			return false
-		}
-		return true
+	cmp := orderOf[K]().cmp
+	return !(r.HasLo && cmp(k, r.Lo) < 0) && !(r.HasHi && cmp(k, r.Hi) >= 0)
+}
+
+// rangePlanner cuts a canonically ordered (key, count) stream into
+// class-aligned ranges of roughly target pairs each, at most max of
+// them; the final range absorbs whatever remains.
+type rangePlanner[K comparable] struct {
+	cmp     func(a, b K) int
+	target  int64
+	max     int
+	ranges  []KeyRange[K]
+	cur     KeyRange[K]
+	prev    K
+	started bool
+}
+
+// add feeds the next group. The current range closes at k only when it
+// has reached the target and k starts a new order-equivalence class —
+// strictly greater than the previous group — so groups the comparator
+// cannot separate stay together.
+func (pl *rangePlanner[K]) add(k K, count int64) {
+	if pl.started && pl.cur.Pairs >= pl.target && len(pl.ranges) < pl.max-1 && pl.cmp(pl.prev, k) < 0 {
+		pl.cur.Hi, pl.cur.HasHi = k, true
+		pl.ranges = append(pl.ranges, pl.cur)
+		pl.cur = KeyRange[K]{Lo: k, HasLo: true}
 	}
-	kf := fmt.Sprint(k)
-	if r.HasLo && kf < r.loFmt {
-		return false
+	pl.cur.Pairs += count
+	pl.cur.Keys++
+	pl.prev, pl.started = k, true
+}
+
+// finish returns the planned ranges, or nil when no cut was made.
+func (pl *rangePlanner[K]) finish() []KeyRange[K] {
+	if len(pl.ranges) == 0 {
+		return nil
 	}
-	if r.HasHi && !(kf < r.hiFmt) {
-		return false
-	}
-	return true
+	return append(pl.ranges, pl.cur)
 }
 
 // PlanReduceRanges cuts the partition into class-aligned key ranges of
@@ -86,48 +102,15 @@ func (p Partition[K, V]) PlanReduceRanges(targetPairs int64, maxRanges int) []Ke
 	if targetPairs <= 0 || maxRanges <= 1 {
 		return nil
 	}
-	less := nativeLess[K]()
-	var ranges []KeyRange[K]
-	var cur KeyRange[K]
-	var curPairs, curKeys int64
-	var prev K
-	var prevFmt string
-	started := false
+	pl := rangePlanner[K]{cmp: orderOf[K]().cmp, target: targetPairs, max: maxRanges}
 	err := p.forEachGroup(false, false, func(k K, count int, _ []V) error {
-		var kf string
-		if less == nil {
-			kf = fmt.Sprint(k)
-		}
-		if started && curPairs >= targetPairs && len(ranges) < maxRanges-1 {
-			// Close the current range here only if k starts a new
-			// order-equivalence class: strictly greater than the previous
-			// group under the comparator. Groups the comparator cannot
-			// separate stay together.
-			classStart := false
-			if less != nil {
-				classStart = less(prev, k)
-			} else {
-				classStart = prevFmt < kf
-			}
-			if classStart {
-				cur.Hi, cur.HasHi, cur.hiFmt = k, true, kf
-				cur.Pairs, cur.Keys = curPairs, curKeys
-				ranges = append(ranges, cur)
-				cur = KeyRange[K]{Lo: k, HasLo: true, loFmt: kf}
-				curPairs, curKeys = 0, 0
-			}
-		}
-		curPairs += int64(count)
-		curKeys++
-		prev, prevFmt, started = k, kf, true
+		pl.add(k, int64(count))
 		return nil
 	})
-	if err != nil || !started || len(ranges) == 0 {
+	if err != nil {
 		return nil
 	}
-	cur.Pairs, cur.Keys = curPairs, curKeys
-	ranges = append(ranges, cur)
-	return ranges
+	return pl.finish()
 }
 
 // PlanRangesFromCounts cuts a sorted distinct-key sequence with per-key
@@ -138,73 +121,34 @@ func (p Partition[K, V]) PlanReduceRanges(targetPairs int64, maxRanges int) []Ke
 // order (SortKeys). Returns nil when splitting is disabled or the
 // sequence fits a single range.
 func PlanRangesFromCounts[K comparable](keys []K, counts []int64, targetPairs int64, maxRanges int) []KeyRange[K] {
-	if targetPairs <= 0 || maxRanges <= 1 || len(keys) == 0 {
+	if targetPairs <= 0 || maxRanges <= 1 {
 		return nil
 	}
-	less := nativeLess[K]()
-	var ranges []KeyRange[K]
-	var cur KeyRange[K]
-	var curPairs, curKeys int64
-	var prevFmt string
+	pl := rangePlanner[K]{cmp: orderOf[K]().cmp, target: targetPairs, max: maxRanges}
 	for i, k := range keys {
-		var kf string
-		if less == nil {
-			kf = fmt.Sprint(k)
-		}
-		if i > 0 && curPairs >= targetPairs && len(ranges) < maxRanges-1 {
-			classStart := false
-			if less != nil {
-				classStart = less(keys[i-1], k)
-			} else {
-				classStart = prevFmt < kf
-			}
-			if classStart {
-				cur.Hi, cur.HasHi, cur.hiFmt = k, true, kf
-				cur.Pairs, cur.Keys = curPairs, curKeys
-				ranges = append(ranges, cur)
-				cur = KeyRange[K]{Lo: k, HasLo: true, loFmt: kf}
-				curPairs, curKeys = 0, 0
-			}
-		}
-		curPairs += counts[i]
-		curKeys++
-		prevFmt = kf
+		pl.add(k, counts[i])
 	}
-	if len(ranges) == 0 {
-		return nil
-	}
-	cur.Pairs, cur.Keys = curPairs, curKeys
-	return append(ranges, cur)
+	return pl.finish()
 }
 
 // Clamp resolves the range to the [lo, hi) index window of keys, which
 // must be sorted in canonical order — the exported seek proc reduce
 // workers use to slice their section cursors per range.
 func (r KeyRange[K]) Clamp(keys []K) (lo, hi int) {
-	return clampRange(len(keys), func(i int) K { return keys[i] }, nativeLess[K](), r)
+	return clampRange(len(keys), func(i int) K { return keys[i] }, orderOf[K]().cmp, r)
 }
 
-// lowerBound returns the first i in [0, n) whose key (via keyAt) is not
-// below the bound under the canonical order — the clamp seek shared by
-// the typed and formatted-fallback comparators. boundFmt is the bound's
-// cached formatted form, used when less is nil.
-func lowerBound[K comparable](n int, keyAt func(int) K, less func(a, b K) bool, bound K, boundFmt string) int {
-	if less != nil {
-		return sort.Search(n, func(i int) bool { return !less(keyAt(i), bound) })
-	}
-	return sort.Search(n, func(i int) bool { return !(fmt.Sprint(keyAt(i)) < boundFmt) })
-}
-
-// clampRange resolves a KeyRange to the [lo, hi) index window of a
-// sorted key sequence. The sequence must be sorted in canonical order
-// (it is: run indexes and sorted key slices are written that way).
-func clampRange[K comparable](n int, keyAt func(int) K, less func(a, b K) bool, r KeyRange[K]) (lo, hi int) {
+// clampRange resolves a KeyRange to the [lo, hi) index window of a key
+// sequence sorted in canonical order (run indexes and sorted key slices
+// are written that way): each set bound seeks, by binary search, the
+// first key not below it.
+func clampRange[K comparable](n int, keyAt func(int) K, cmp func(a, b K) int, r KeyRange[K]) (lo, hi int) {
 	lo, hi = 0, n
 	if r.HasLo {
-		lo = lowerBound(n, keyAt, less, r.Lo, r.loFmt)
+		lo = sort.Search(n, func(i int) bool { return cmp(keyAt(i), r.Lo) >= 0 })
 	}
 	if r.HasHi {
-		hi = lowerBound(n, keyAt, less, r.Hi, r.hiFmt)
+		hi = sort.Search(n, func(i int) bool { return cmp(keyAt(i), r.Hi) >= 0 })
 	}
 	if hi < lo {
 		hi = lo
@@ -219,9 +163,9 @@ func clampRange[K comparable](n int, keyAt func(int) K, less func(a, b K) bool, 
 // ForEachGroupRange over their own range. Close releases all of it.
 // The partition must be quiescent (reduce phase): no concurrent writes.
 type RangeReader[K comparable, V any] struct {
-	s    *Shuffle[K, V]
-	st   *partitionState[K, V]
-	less func(a, b K) bool
+	s   *Shuffle[K, V]
+	st  *partitionState[K, V]
+	ord keyOrder[K]
 
 	views    []runView // one per disk run, sharing per-spool handles/mmaps
 	closeAll func()
@@ -243,7 +187,7 @@ func (p Partition[K, V]) OpenRangeReader() (*RangeReader[K, V], error) {
 	if p.s.closed && st.spilledToDisk {
 		return nil, fmt.Errorf("shuffle: partition %d read after Close: spilled runs deleted", p.idx)
 	}
-	rr := &RangeReader[K, V]{s: p.s, st: st, less: nativeLess[K]()}
+	rr := &RangeReader[K, V]{s: p.s, st: st, ord: orderOf[K]()}
 	if len(st.disk) > 0 {
 		rr.hasDisk = true
 		p.s.diskSem <- struct{}{}
@@ -292,17 +236,15 @@ func (rr *RangeReader[K, V]) Close() error {
 // ranges are safe and the concatenation of all planned ranges in order
 // reproduces the whole-partition merge exactly.
 func (rr *RangeReader[K, V]) ForEachGroupRange(r KeyRange[K], reuseValues bool, fn func(k K, vs []V) error) error {
-	fmtKeys := rr.less == nil
-	reuseValues = reuseValues && !fmtKeys
 	var cursors []*groupCursor[K, V]
 	for i, dr := range rr.st.disk {
 		idx := dr.index
-		lo, hi := clampRange(len(idx), func(j int) K { return idx[j].key }, rr.less, r)
+		lo, hi := clampRange(len(idx), func(j int) K { return idx[j].key }, rr.ord.cmp, r)
 		if lo == hi {
 			continue
 		}
 		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: i, fmtKeys: fmtKeys, idx: idx[lo:hi],
+			runIdx: i, idx: idx[lo:hi],
 			file: rr.views[i].file, img: rr.views[i].img, ra: rr.views[i].ra, raOff: rr.views[i].raOff,
 			meter: &rr.s.diskRead,
 		})
@@ -310,15 +252,15 @@ func (rr *RangeReader[K, V]) ForEachGroupRange(r KeyRange[K], reuseValues bool, 
 	base := len(rr.st.disk)
 	for i, run := range rr.memRuns {
 		keys := rr.memKeys[i]
-		lo, hi := clampRange(len(keys), func(j int) K { return keys[j] }, rr.less, r)
+		lo, hi := clampRange(len(keys), func(j int) K { return keys[j] }, rr.ord.cmp, r)
 		if lo == hi {
 			continue
 		}
 		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: base + i, fmtKeys: fmtKeys, mem: run, memKeys: keys[lo:hi],
+			runIdx: base + i, mem: run, memKeys: keys[lo:hi],
 		})
 	}
-	return mergeGroupCursors(cursors, rr.less, true, reuseValues, func(k K, _ int, vs []V) error {
+	return mergeGroupCursors(cursors, rr.ord, true, reuseValues, func(k K, _ int, vs []V) error {
 		return fn(k, vs)
 	})
 }

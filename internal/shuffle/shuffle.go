@@ -31,86 +31,14 @@ package shuffle
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math/bits"
 	"runtime"
-	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/runfile"
 )
-
-// sharedSeed makes every Hasher in the process agree on key placement,
-// so that independently created hashers (for example one per job round)
-// route the same key to the same partition.
-var sharedSeed = maphash.MakeSeed()
-
-// pinnedHash is the WithSeed test hook: when armed, new Hashers place
-// keys with a deterministic FNV-1a over the formatted key instead of
-// the process-random maphash seed, so partition-placement-dependent
-// observations (per-partition profiles, makespan, spill counts) are
-// reproducible across runs and processes.
-var pinnedHash struct {
-	mu   sync.Mutex
-	on   bool
-	seed uint64
-}
-
-// WithSeed pins key placement to a deterministic seed and returns a
-// restore func. Hashers (and therefore Shuffles and engine rounds)
-// created between WithSeed and restore hash the canonical formatted
-// key with seeded FNV-1a — slower, but identical in every process.
-// Intended for tests; do not leave pinned in production paths.
-func WithSeed(seed uint64) (restore func()) {
-	pinnedHash.mu.Lock()
-	prevOn, prevSeed := pinnedHash.on, pinnedHash.seed
-	pinnedHash.on, pinnedHash.seed = true, seed
-	pinnedHash.mu.Unlock()
-	return func() {
-		pinnedHash.mu.Lock()
-		pinnedHash.on, pinnedHash.seed = prevOn, prevSeed
-		pinnedHash.mu.Unlock()
-	}
-}
-
-// Hasher hashes comparable keys with the runtime's typed hash.
-type Hasher[K comparable] struct {
-	seed   maphash.Seed
-	pinned bool
-	pseed  uint64
-}
-
-// NewHasher returns a Hasher using the process-wide seed, or the
-// deterministic pinned hasher when WithSeed is in effect.
-func NewHasher[K comparable]() Hasher[K] {
-	pinnedHash.mu.Lock()
-	on, ps := pinnedHash.on, pinnedHash.seed
-	pinnedHash.mu.Unlock()
-	if on {
-		return Hasher[K]{pinned: true, pseed: ps}
-	}
-	return Hasher[K]{seed: sharedSeed}
-}
-
-// Hash returns a 64-bit hash of the key. This is the typed fast path:
-// maphash.Comparable dispatches to the runtime's native hash for K's
-// memory layout (memhash for fixed-size keys such as ints and structs,
-// strhash for strings) with no formatting, boxing, or reflection.
-func (h Hasher[K]) Hash(k K) uint64 {
-	if h.pinned {
-		const prime = 1099511628211
-		hv := uint64(14695981039346656037) ^ (h.pseed * prime)
-		s := fmt.Sprint(k)
-		for i := 0; i < len(s); i++ {
-			hv = (hv ^ uint64(s[i])) * prime
-		}
-		return hv
-	}
-	return maphash.Comparable(h.seed, k)
-}
 
 // Options configures a Shuffle.
 type Options struct {
@@ -387,6 +315,10 @@ func New[K comparable, V any](opts Options) *Shuffle[K, V] {
 			s.spillTypeErr = fmt.Errorf("key type: %w", err)
 		} else if err := runfile.CanRoundTripFidelity[V](); err != nil {
 			s.spillTypeErr = fmt.Errorf("value type: %w", err)
+		} else if !orderOf[K]().strict {
+			// Every identity-round-trippable kind has a key plan; compaction
+			// (mergeDiskRuns) relies on the strict order that gives it.
+			s.spillTypeErr = fmt.Errorf("key type: %T has no strict canonical order", *new(K))
 		}
 		s.diskSem = make(chan struct{}, diskReadConcurrency)
 	}
@@ -1239,51 +1171,4 @@ func liveRun(livePairs int) int {
 		return 1
 	}
 	return 0
-}
-
-// SortKeys sorts keys in the package's canonical deterministic order:
-// numeric order for the integer and float kinds (slices.Sort — pdqsort
-// on the concrete type, no reflection), byte order for strings and,
-// for every other comparable type, order of the formatted value —
-// computed once per key rather than once per comparison, unlike the
-// seed's fmt-per-comparison fallback.
-func SortKeys[K comparable](keys []K) {
-	switch ks := any(keys).(type) {
-	case []int:
-		slices.Sort(ks)
-	case []int8:
-		slices.Sort(ks)
-	case []int16:
-		slices.Sort(ks)
-	case []int32:
-		slices.Sort(ks)
-	case []int64:
-		slices.Sort(ks)
-	case []uint:
-		slices.Sort(ks)
-	case []uint8:
-		slices.Sort(ks)
-	case []uint16:
-		slices.Sort(ks)
-	case []uint32:
-		slices.Sort(ks)
-	case []uint64:
-		slices.Sort(ks)
-	case []uintptr:
-		slices.Sort(ks)
-	case []float32:
-		slices.Sort(ks)
-	case []float64:
-		slices.Sort(ks)
-	case []string:
-		slices.Sort(ks)
-	default:
-		fm := make(map[K]string, len(keys))
-		for _, k := range keys {
-			if _, ok := fm[k]; !ok {
-				fm[k] = fmt.Sprint(k)
-			}
-		}
-		slices.SortFunc(keys, func(a, b K) int { return strings.Compare(fm[a], fm[b]) })
-	}
 }

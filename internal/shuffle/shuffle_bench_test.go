@@ -796,3 +796,71 @@ func BenchmarkMergeScaling(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkKeyPlan times the three things the data path does with a
+// key — place it (the WithSeed/ProcMode stable hash), sort it (SortKeys
+// at every seal), and advance a merge cursor past it (pop, step, push
+// on the k-way heap) — for an int key, the two-word struct key the
+// paper's problem families use, and a struct key with a string. The
+// hash and merge-advance lanes must not allocate at all and a sort at
+// most once per call; scripts/benchcmp holds allocs/op to that.
+func BenchmarkKeyPlan(b *testing.B) {
+	benchKeyPlan(b, "int", func(i int) int { return i * 7919 % 100003 })
+	benchKeyPlan(b, "struct2", func(i int) keyPair { return keyPair{i % 61, uint64(i*7919%100003) << 20} })
+	benchKeyPlan(b, "struct-string", func(i int) keyNamed {
+		return keyNamed{S: fmt.Sprintf("segment-%05d", i*7919%100003), Hot: i%2 == 0, T: float32(i % 13)}
+	})
+}
+
+var keyPlanSink uint64
+
+func benchKeyPlan[K comparable](b *testing.B, name string, key func(i int) K) {
+	const n = 4096 // distinct keys, in pseudo-random order
+	keys := make([]K, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	b.Run("hash/"+name, func(b *testing.B) {
+		defer WithSeed(42)()
+		h := NewHasher[K]()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			keyPlanSink += h.Hash(keys[i%n])
+		}
+	})
+	b.Run("sort/"+name, func(b *testing.B) {
+		scratch := make([]K, n)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			copy(scratch, keys)
+			SortKeys(scratch)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/key")
+	})
+	b.Run("merge-advance/"+name, func(b *testing.B) {
+		// 16 index-driven cursors over disjoint slices of the sorted key
+		// space; a cursor that runs out rewinds, so the heap never drains.
+		const runs = 16
+		sorted := append([]K(nil), keys...)
+		SortKeys(sorted)
+		h := &cursorHeap[K, int]{cmp: orderOf[K]().cmp}
+		for r := 0; r < runs; r++ {
+			c := &groupCursor[K, int]{runIdx: r}
+			for i := r; i < n; i += runs {
+				c.idx = append(c.idx, keyCount[K]{key: sorted[i], count: 1})
+			}
+			c.next()
+			h.push(c)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := h.pop()
+			if more, _ := c.next(); !more {
+				c.pos = 0
+				c.next()
+			}
+			h.push(c)
+		}
+	})
+}

@@ -374,20 +374,19 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 //
 // The merge order comes entirely from the runs' resident indexes — no
 // key is decoded from disk — and value sections are addressed through
-// those indexes and loaded on demand in fold order (a mapped view or
-// one pread each), so the formatted-key fallback, where a fold can
-// revisit a run's colliding-key groups out of file order, runs the
-// same code as the native key kinds. Groups of the same key that
-// become adjacent in merge order are folded into a single output group
-// whose values concatenate in seal order, preserving the value-order
-// contract; without a combiner each section moves as one raw framed
-// copy, never parsed, while with a combiner the folded values are
-// decoded, re-combined, and re-encoded, shrinking the rewritten bytes
-// toward the post-combine communication cost. Peak memory is one
-// group; peak descriptors maxDiskRunFanIn plus the output file.
+// those indexes and loaded on demand (a mapped view or one pread each).
+// Spillable key kinds all have a strict canonical order (New refuses
+// the rest), and a run holds a key at most once, so the cursors sitting
+// on the heap's minimum key are exactly that key's groups, in seal
+// order: they fold into a single output group whose values concatenate
+// in seal order, preserving the value-order contract. Without a
+// combiner each section moves as one raw framed copy, never parsed,
+// while with a combiner the folded values are decoded, re-combined, and
+// re-encoded, shrinking the rewritten bytes toward the post-combine
+// communication cost. Peak memory is one group; peak descriptors
+// maxDiskRunFanIn plus the output file.
 func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K]) (path string, w *runfile.Writer, keysWritten []K, retErr error) {
-	less := nativeLess[K]()
-	cursors, closeAll, err := openDiskCursors[K, V](s, compacting, less == nil)
+	cursors, closeAll, err := openDiskCursors[K, V](s, compacting)
 	defer closeAll()
 	if err != nil {
 		return "", nil, nil, fmt.Errorf("shuffle: compacting spill runs: %w", err)
@@ -406,51 +405,14 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 	}()
 	w = runfile.NewWriter(out)
 
-	h := &cursorHeap[K, V]{less: less}
+	h := &cursorHeap[K, V]{cmp: orderOf[K]().cmp}
 	if err := primeCursors(h, cursors); err != nil {
 		return "", nil, nil, err
 	}
 
-	// Drain whole order-equivalence classes (see forEachGroup): within a
-	// class, groups of the same actual key are folded into one output
-	// group, values concatenating in seal order. Each drained entry is
-	// just an index record — cursor, key, count, section location — and
-	// the fold loads sections when it writes them.
-	type centry struct {
-		c        *groupCursor[K, V]
-		key      K
-		count    int
-		valBytes int64
-		valOff   int64
-	}
-	var entries []centry
 	var kbuf, vbuf []byte
 	var vals []V // combiner scratch, reused across groups
-	var pivot K
-	var pivotFmt string
-	inClass := func(c *groupCursor[K, V]) bool {
-		if less != nil {
-			return !less(c.key, pivot) && !less(pivot, c.key)
-		}
-		return c.fkey == pivotFmt
-	}
-	drain := func(c *groupCursor[K, V]) error {
-		for {
-			entries = append(entries, centry{c: c, key: c.key, count: c.count, valBytes: c.valBytes, valOff: c.valOff})
-			ok, err := c.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if !inClass(c) {
-				h.push(c)
-				return nil
-			}
-		}
-	}
-	writeGroup := func(k K, srcs []centry) error {
+	writeGroup := func(k K, srcs []*groupCursor[K, V]) error {
 		var err error
 		kbuf, err = runfile.Append(kbuf[:0], k)
 		if err != nil {
@@ -458,20 +420,20 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 		}
 		if s.combiner == nil {
 			total := 0
-			for _, e := range srcs {
-				total += e.count
+			for _, c := range srcs {
+				total += c.count
 			}
 			if err := w.BeginGroup(kbuf, total); err != nil {
 				return fmt.Errorf("shuffle: compacting to %s: %w", out.Name(), err)
 			}
-			for _, e := range srcs {
+			for _, c := range srcs {
 				// One section load (mapped view or pread), one framed
 				// append: the group's values move as raw bytes, never
 				// parsed.
-				if err := e.c.loadSection(e.valOff, e.valBytes, e.count); err != nil {
+				if err := c.loadSection(c.valOff, c.valBytes, c.count); err != nil {
 					return err
 				}
-				if err := w.AppendRawBytes(e.c.batch.Raw(), e.count); err != nil {
+				if err := w.AppendRawBytes(c.batch.Raw(), c.count); err != nil {
 					return fmt.Errorf("shuffle: compacting to %s: %w", out.Name(), err)
 				}
 			}
@@ -484,13 +446,13 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 		// touches it, so a combiner returning a sub-slice of its input is
 		// safe.
 		vals = vals[:0]
-		for _, e := range srcs {
-			if err := e.c.loadSection(e.valOff, e.valBytes, e.count); err != nil {
+		for _, c := range srcs {
+			if err := c.loadSection(c.valOff, c.valBytes, c.count); err != nil {
 				return err
 			}
-			vals, err = runfile.DecodeBatch[V](&e.c.batch, vals)
+			vals, err = runfile.DecodeBatch[V](&c.batch, vals)
 			if err != nil {
-				return fmt.Errorf("shuffle: compacting %s: %w", e.c.file.Name(), err)
+				return fmt.Errorf("shuffle: compacting %s: %w", c.file.Name(), err)
 			}
 		}
 		combined := s.combiner(k, vals)
@@ -512,33 +474,23 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 		keysWritten = append(keysWritten, k)
 		return nil
 	}
-	var group []centry
+	var group []*groupCursor[K, V]
 	for len(h.cs) > 0 {
-		top := h.pop()
-		pivot, pivotFmt = top.key, top.fkey
-		entries = entries[:0]
-		if err := drain(top); err != nil {
+		group = append(group[:0], h.pop())
+		k := group[0].key
+		for len(h.cs) > 0 && h.cs[0].key == k {
+			group = append(group, h.pop())
+		}
+		if err := writeGroup(k, group); err != nil {
 			return "", nil, nil, err
 		}
-		for len(h.cs) > 0 && inClass(h.cs[0]) {
-			if err := drain(h.pop()); err != nil {
+		for _, c := range group {
+			more, err := c.next()
+			if err != nil {
 				return "", nil, nil, err
 			}
-		}
-		for i := range entries {
-			if entries[i].count < 0 {
-				continue // folded into an earlier group of the same key
-			}
-			k := entries[i].key
-			group = append(group[:0], entries[i])
-			for j := i + 1; j < len(entries); j++ {
-				if entries[j].count >= 0 && entries[j].key == k {
-					group = append(group, entries[j])
-					entries[j].count = -1
-				}
-			}
-			if err := writeGroup(k, group); err != nil {
-				return "", nil, nil, err
+			if more {
+				h.push(c)
 			}
 		}
 	}
@@ -632,7 +584,7 @@ func openRunViews[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K]) ([]r
 // openRunViews for the mapped-view/pread split). The legacy perValue
 // hook additionally keeps a sequential reader per run so the pre-batch
 // decode loop stays measurable.
-func openDiskCursors[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K], fmtKeys bool) ([]*groupCursor[K, V], func(), error) {
+func openDiskCursors[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K]) ([]*groupCursor[K, V], func(), error) {
 	views, closeAll, err := openRunViews(s, runs)
 	if err != nil {
 		return nil, closeAll, err
@@ -640,7 +592,7 @@ func openDiskCursors[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K], f
 	cursors := make([]*groupCursor[K, V], 0, len(runs))
 	for i, dr := range runs {
 		c := &groupCursor[K, V]{
-			runIdx: i, fmtKeys: fmtKeys, perValue: s.perValue, idx: dr.index,
+			runIdx: i, perValue: s.perValue, idx: dr.index,
 			file: views[i].file, img: views[i].img, ra: views[i].ra, raOff: views[i].raOff,
 			meter: &s.diskRead,
 		}
@@ -738,7 +690,6 @@ func (s *Shuffle[K, V]) Close() error {
 // are being read.
 type groupCursor[K comparable, V any] struct {
 	runIdx   int  // seal order; the live run is last
-	fmtKeys  bool // cache fmt.Sprint of each key (formatted-order kinds)
 	perValue bool // legacy per-value decode (bench/test comparison hook)
 
 	// in-memory source
@@ -764,7 +715,6 @@ type groupCursor[K comparable, V any] struct {
 
 	// current group
 	key      K
-	fkey     string // formatted key, when fmtKeys; computed once per group
 	count    int
 	valBytes int64 // value-section length (spilled source)
 	valOff   int64 // value-section offset within the run (spilled source)
@@ -788,9 +738,6 @@ func (c *groupCursor[K, V]) next() (bool, error) {
 		e := c.idx[c.pos]
 		c.key, c.count, c.valBytes, c.valOff = e.key, int(e.count), e.valBytes, e.valOff
 		c.pos++
-	}
-	if c.fmtKeys {
-		c.fkey = fmt.Sprint(c.key)
 	}
 	return true, nil
 }
@@ -879,27 +826,16 @@ func (c *groupCursor[K, V]) values(reuse bool) ([]V, error) {
 
 // cursorHeap is a binary min-heap of cursors ordered by (current key,
 // seal order), so equal keys pop in seal order and the concatenated
-// values respect the package's value-order contract. less is the
-// native typed order; when nil (formatted-order kinds) the cursors'
-// cached fkey strings are compared instead, so fmt runs once per group
-// advance, not once per heap comparison.
+// values respect the package's value-order contract. cmp is K's
+// canonical order (orderOf).
 type cursorHeap[K comparable, V any] struct {
-	cs   []*groupCursor[K, V]
-	less func(a, b K) bool
+	cs  []*groupCursor[K, V]
+	cmp func(a, b K) int
 }
 
 func (h *cursorHeap[K, V]) before(a, b *groupCursor[K, V]) bool {
-	if h.less != nil {
-		if h.less(a.key, b.key) {
-			return true
-		}
-		if h.less(b.key, a.key) {
-			return false
-		}
-		return a.runIdx < b.runIdx
-	}
-	if a.fkey != b.fkey {
-		return a.fkey < b.fkey
+	if c := h.cmp(a.key, b.key); c != 0 {
+		return c < 0
 	}
 	return a.runIdx < b.runIdx
 }
@@ -950,8 +886,9 @@ func (h *cursorHeap[K, V]) pop() *groupCursor[K, V] {
 // then receives a nil slice and the group's size in count. With
 // reuseValues set (ForEachGroupBatch) each disk cursor decodes into a
 // scratch slice that its next group overwrites, so fn must not retain
-// the slice; the mode is disabled under the formatted-key fallback,
-// where a class can drain several groups of one cursor before fn runs.
+// the slice (mergeGroupCursors drops the mode for the unplannable key
+// kinds, whose tie classes can drain several groups of one cursor before
+// fn runs).
 func (p Partition[K, V]) forEachGroup(withValues, reuseValues bool, fn func(k K, count int, vs []V) error) (retErr error) {
 	st := &p.s.parts[p.idx]
 	if p.s.closed && st.spilledToDisk {
@@ -973,9 +910,6 @@ func (p Partition[K, V]) forEachGroup(withValues, reuseValues bool, fn func(k K,
 		return nil
 	}
 
-	less := nativeLess[K]()
-	fmtKeys := less == nil
-	reuseValues = reuseValues && !fmtKeys
 	var cursors []*groupCursor[K, V]
 	if withValues && len(st.disk) > 0 {
 		// Bound concurrent open run files across all value readers
@@ -990,7 +924,7 @@ func (p Partition[K, V]) forEachGroup(withValues, reuseValues bool, fn func(k K,
 		defer func() { st.lane.End(obs.OpReduceMerge, 0, errFlag(retErr)) }()
 		var closeAll func()
 		var err error
-		cursors, closeAll, err = openDiskCursors[K, V](p.s, st.disk, fmtKeys)
+		cursors, closeAll, err = openDiskCursors[K, V](p.s, st.disk)
 		defer closeAll()
 		if err != nil {
 			return err
@@ -999,22 +933,22 @@ func (p Partition[K, V]) forEachGroup(withValues, reuseValues bool, fn func(k K,
 		// Counting mode walks the resident indexes: memory-only.
 		for _, dr := range st.disk {
 			cursors = append(cursors, &groupCursor[K, V]{
-				runIdx: len(cursors), fmtKeys: fmtKeys, idx: dr.index,
+				runIdx: len(cursors), idx: dr.index,
 			})
 		}
 	}
 	for _, run := range st.runs {
 		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: len(cursors), fmtKeys: fmtKeys, mem: run, memKeys: sortedMapKeys(run),
+			runIdx: len(cursors), mem: run, memKeys: sortedMapKeys(run),
 		})
 	}
 	if len(st.live) > 0 {
 		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: len(cursors), fmtKeys: fmtKeys, mem: st.live, memKeys: sortedMapKeys(st.live),
+			runIdx: len(cursors), mem: st.live, memKeys: sortedMapKeys(st.live),
 		})
 	}
 
-	return mergeGroupCursors(cursors, less, withValues, reuseValues, fn)
+	return mergeGroupCursors(cursors, orderOf[K](), withValues, reuseValues, fn)
 }
 
 // mergeGroupCursors runs the k-way heap merge over an already-built
@@ -1022,18 +956,19 @@ func (p Partition[K, V]) forEachGroup(withValues, reuseValues bool, fn func(k K,
 // of forEachGroup and the clamped range merges (RangeReader). Cursors
 // must be ordered by runIdx ascending (seal order, live run last) so
 // the value-order contract holds.
-func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], less func(a, b K) bool, withValues, reuseValues bool, fn func(k K, count int, vs []V) error) error {
-	h := &cursorHeap[K, V]{less: less}
+func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], ord keyOrder[K], withValues, reuseValues bool, fn func(k K, count int, vs []V) error) error {
+	reuseValues = reuseValues && ord.strict
+	h := &cursorHeap[K, V]{cmp: ord.cmp}
 	if err := primeCursors(h, cursors); err != nil {
 		return err
 	}
 
-	// Pop whole order-equivalence classes of the minimum key. For the
-	// native key kinds order-equality is equality, so a class is one
-	// key; for the formatted fallback, distinct keys can collide in
-	// sort order (and each run may hold several of them in arbitrary
-	// relative order), so the class is drained entirely and regrouped
-	// by actual key before emitting — one group per key, always.
+	// Pop whole order-equivalence classes of the minimum key. Under a
+	// strict order (every planned key kind) a class is one key; under the
+	// formatted fallback distinct keys can tie (and each run may hold
+	// several of them in arbitrary relative order), so the class is
+	// drained entirely and regrouped by actual key before emitting — one
+	// group per key, always.
 	type entry struct {
 		key   K
 		count int
@@ -1041,13 +976,7 @@ func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], less f
 	}
 	var entries []entry
 	var pivot K
-	var pivotFmt string
-	inClass := func(c *groupCursor[K, V]) bool {
-		if less != nil {
-			return !less(c.key, pivot) && !less(pivot, c.key)
-		}
-		return c.fkey == pivotFmt
-	}
+	inClass := func(c *groupCursor[K, V]) bool { return ord.cmp(c.key, pivot) == 0 }
 	drain := func(c *groupCursor[K, V]) error {
 		// Record the cursor's groups through the end of the class;
 		// cursors are drained in seal order (the heap tie-breaks equal
@@ -1077,7 +1006,7 @@ func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], less f
 	}
 	for len(h.cs) > 0 {
 		top := h.pop()
-		pivot, pivotFmt = top.key, top.fkey
+		pivot = top.key
 		entries = entries[:0]
 		if err := drain(top); err != nil {
 			return err
@@ -1132,59 +1061,4 @@ func sortedMapKeys[K comparable, V any](m map[K][]V) []K {
 	}
 	SortKeys(keys)
 	return keys
-}
-
-// KeyLess returns the canonical strict order on K — the comparator
-// behind SortKeys, exported for external k-way merges (internal/proc's
-// reduce workers order their section-cursor heap with it). Native
-// kinds compare directly; every other comparable kind falls back to
-// comparing formatted values, matching SortKeys' formatted fallback
-// (callers doing many comparisons should cache the formatted strings).
-func KeyLess[K comparable]() func(a, b K) bool {
-	if lt := nativeLess[K](); lt != nil {
-		return lt
-	}
-	return func(a, b K) bool { return fmt.Sprint(a) < fmt.Sprint(b) }
-}
-
-// nativeLess returns the typed strict order underlying SortKeys —
-// numeric for the number kinds, byte order for strings — or nil for
-// every other kind, which the merge then orders by cached formatted
-// keys, matching SortKeys' formatted fallback. It must agree with the
-// order runs were written in, i.e. with SortKeys; the test
-// TestNativeLessAgreesWithSortKeys pins that invariant.
-func nativeLess[K comparable]() func(a, b K) bool {
-	var zero K
-	switch any(zero).(type) {
-	case int:
-		return func(a, b K) bool { return any(a).(int) < any(b).(int) }
-	case int8:
-		return func(a, b K) bool { return any(a).(int8) < any(b).(int8) }
-	case int16:
-		return func(a, b K) bool { return any(a).(int16) < any(b).(int16) }
-	case int32:
-		return func(a, b K) bool { return any(a).(int32) < any(b).(int32) }
-	case int64:
-		return func(a, b K) bool { return any(a).(int64) < any(b).(int64) }
-	case uint:
-		return func(a, b K) bool { return any(a).(uint) < any(b).(uint) }
-	case uint8:
-		return func(a, b K) bool { return any(a).(uint8) < any(b).(uint8) }
-	case uint16:
-		return func(a, b K) bool { return any(a).(uint16) < any(b).(uint16) }
-	case uint32:
-		return func(a, b K) bool { return any(a).(uint32) < any(b).(uint32) }
-	case uint64:
-		return func(a, b K) bool { return any(a).(uint64) < any(b).(uint64) }
-	case uintptr:
-		return func(a, b K) bool { return any(a).(uintptr) < any(b).(uintptr) }
-	case float32:
-		return func(a, b K) bool { return any(a).(float32) < any(b).(float32) }
-	case float64:
-		return func(a, b K) bool { return any(a).(float64) < any(b).(float64) }
-	case string:
-		return func(a, b K) bool { return any(a).(string) < any(b).(string) }
-	default:
-		return nil
-	}
 }

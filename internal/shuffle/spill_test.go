@@ -370,64 +370,6 @@ func TestReadAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestNativeLessAgreesWithSortKeys pins the invariant the k-way merge
-// rests on: for every kind with a typed fast path, nativeLess must
-// order exactly as SortKeys sorts, and the kinds without one must
-// return nil (formatted fallback) — matching SortKeys' default case.
-func TestNativeLessAgreesWithSortKeys(t *testing.T) {
-	check := func(t *testing.T, name string, test func() (bool, bool)) {
-		t.Helper()
-		hasLess, agrees := test()
-		if !hasLess {
-			t.Fatalf("%s: nativeLess returned nil for a fast-path kind", name)
-		}
-		if !agrees {
-			t.Errorf("%s: nativeLess order disagrees with SortKeys", name)
-		}
-	}
-	check(t, "int", agreeKind([]int{5, -1, 3, 0}))
-	check(t, "int8", agreeKind([]int8{5, -1, 3}))
-	check(t, "int16", agreeKind([]int16{5, -1, 3}))
-	check(t, "int32", agreeKind([]int32{5, -1, 3}))
-	check(t, "int64", agreeKind([]int64{5, -1, 3}))
-	check(t, "uint", agreeKind([]uint{5, 1, 3}))
-	check(t, "uint8", agreeKind([]uint8{5, 1, 3}))
-	check(t, "uint16", agreeKind([]uint16{5, 1, 3}))
-	check(t, "uint32", agreeKind([]uint32{5, 1, 3}))
-	check(t, "uint64", agreeKind([]uint64{5, 1, 3}))
-	check(t, "uintptr", agreeKind([]uintptr{5, 1, 3}))
-	check(t, "float32", agreeKind([]float32{2.5, -1, 0}))
-	check(t, "float64", agreeKind([]float64{2.5, -1, 0}))
-	check(t, "string", agreeKind([]string{"b", "a", "c"}))
-
-	type cell struct{ I, J int }
-	if nativeLess[cell]() != nil {
-		t.Error("struct kind should use the formatted fallback (nil)")
-	}
-	if nativeLess[bool]() != nil {
-		t.Error("bool has no SortKeys fast path; nativeLess must be nil")
-	}
-}
-
-// agreeKind sorts a copy with SortKeys and verifies nativeLess calls
-// it strictly ascending.
-func agreeKind[K comparable](vals []K) func() (bool, bool) {
-	return func() (bool, bool) {
-		less := nativeLess[K]()
-		if less == nil {
-			return false, false
-		}
-		sorted := append([]K(nil), vals...)
-		SortKeys(sorted)
-		for i := 1; i < len(sorted); i++ {
-			if less(sorted[i], sorted[i-1]) || !less(sorted[i-1], sorted[i]) && sorted[i-1] != sorted[i] {
-				return true, false
-			}
-		}
-		return true, true
-	}
-}
-
 // TestSpillRejectsPointerKeys: keys containing pointers decode from
 // disk as fresh allocations that break ==, which would silently split
 // groups — the first seal must fail loudly instead. In-memory sealing

@@ -14,7 +14,9 @@
 #                       values/s and peak-resident-pairs, holds
 #                       proc-peak-resident-pairs under proc-peak-bound,
 #                       range-makespan-pairs under lpt-makespan-pairs,
-#                       and enforces any -floor minimums)
+#                       and enforces any -floor minimums and -ceil
+#                       maximums, e.g. allocs/op == 0 on the
+#                       BenchmarkKeyPlan hash and merge-advance lanes)
 #
 #   BENCH_trace_streaming.json  Chrome trace-event timeline of the
 #                       1M-pair streaming round (BenchmarkStreamingTrace1M
@@ -42,6 +44,17 @@ TRACE=BENCH_trace_streaming.json
 # failed benchmark must fail the script.
 go test -run '^$' -bench 'BenchmarkExternalShuffle|BenchmarkMerge1MPairs|BenchmarkReduceMergeDecode|BenchmarkReduceRangeSkew' \
 	-benchtime "$BENCHTIME" -count "$COUNT" ./internal/shuffle > "$TXT" || {
+	status=$?
+	cat "$TXT"
+	exit "$status"
+}
+
+# The key-plan micro lanes (stable hash, SortKeys, merge-cursor advance
+# per key kind) time single per-key operations, so an iteration-count
+# benchtime would measure nothing: they run time-based. benchcmp holds
+# their allocs/op at zero (-ceil).
+go test -run '^$' -bench 'BenchmarkKeyPlan' \
+	-benchtime 200ms -count "$COUNT" ./internal/shuffle >> "$TXT" || {
 	status=$?
 	cat "$TXT"
 	exit "$status"

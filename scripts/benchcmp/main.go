@@ -5,7 +5,7 @@
 // Usage:
 //
 //	go run ./scripts/benchcmp [-threshold 0.10] [-ns-threshold 0.50] [-peak-threshold 0.10] \
-//	    [-floor 'name:metric:min' ...] old.json new.json
+//	    [-floor 'name:metric:min' ...] [-ceil 'name:metric:max' ...] old.json new.json
 //
 // For every benchmark present in both files it compares the watched
 // metrics:
@@ -41,8 +41,11 @@
 // Repeated -floor name:metric:min flags add absolute minimums checked
 // against the new artifact alone — the CI direction gates, e.g. the
 // streaming values/s floor that pins the range-split read-back's
-// speedup. The name matches with any -<digits> GOMAXPROCS suffix
-// stripped.
+// speedup. Repeated -ceil name:metric:max flags are the same with an
+// absolute maximum — the key-plan lanes' allocs/op == 0 gate. The name
+// matches with any -<digits> GOMAXPROCS suffix stripped, and also names
+// every sub-benchmark beneath it (BenchmarkKeyPlan/hash covers
+// BenchmarkKeyPlan/hash/int-2).
 //
 // The asymmetry is deliberate: spilled bytes and peak residency are
 // (near-)reproducible, while ns/op and values/s from a handful of
@@ -104,10 +107,11 @@ type gate struct {
 	presenceOnly  bool
 }
 
-// floorFlag collects repeated -floor name:metric:min absolute gates.
+// floorFlag is one -floor name:metric:min or -ceil name:metric:max
+// absolute gate; bound is the minimum or the maximum.
 type floorFlag struct {
 	name, metric string
-	min          float64
+	bound        float64
 }
 
 type floorFlags []floorFlag
@@ -117,18 +121,18 @@ func (f *floorFlags) String() string { return fmt.Sprint([]floorFlag(*f)) }
 func (f *floorFlags) Set(v string) error {
 	parts := strings.Split(v, ":")
 	if len(parts) < 3 {
-		return fmt.Errorf("floor %q: want name:metric:min", v)
+		return fmt.Errorf("gate %q: want name:metric:bound", v)
 	}
-	min, err := strconv.ParseFloat(parts[len(parts)-1], 64)
+	bound, err := strconv.ParseFloat(parts[len(parts)-1], 64)
 	if err != nil {
-		return fmt.Errorf("floor %q: bad minimum: %w", v, err)
+		return fmt.Errorf("gate %q: bad bound: %w", v, err)
 	}
 	// The benchmark name itself may contain colons only if quoted oddly;
 	// metric names may not, so split from the right.
 	*f = append(*f, floorFlag{
 		name:   strings.Join(parts[:len(parts)-2], ":"),
 		metric: parts[len(parts)-2],
-		min:    min,
+		bound:  bound,
 	})
 	return nil
 }
@@ -149,8 +153,9 @@ func main() {
 	threshold := flag.Float64("threshold", 0.10, "allowed fractional growth in spilled-MB")
 	nsThreshold := flag.Float64("ns-threshold", 0.50, "allowed fractional regression in ns/op and values/s (loose: point samples are noisy)")
 	peakThreshold := flag.Float64("peak-threshold", 0.10, "allowed fractional growth in peak-resident-pairs")
-	var floors floorFlags
+	var floors, ceils floorFlags
 	flag.Var(&floors, "floor", "absolute minimum gate name:metric:min, checked on the new artifact alone (repeatable)")
+	flag.Var(&ceils, "ceil", "absolute maximum gate name:metric:max, checked on the new artifact alone (repeatable)")
 	flag.Parse()
 	watched := map[string]gate{
 		"spilled-MB":          {limit: *threshold, lowerIsBetter: true},
@@ -236,32 +241,40 @@ func main() {
 			name, "range-makespan", rng, lpt, status)
 	}
 
-	// -floor gates: absolute minimums on the new artifact alone.
-	for _, fl := range floors {
-		found := false
-		for name, now := range cur {
-			if name != fl.name && stripProcs(name) != fl.name {
-				continue
+	// -floor and -ceil gates: absolute bounds on the new artifact alone.
+	checkBounds := func(bounds floorFlags, ceil bool) {
+		kind, rel := "floor", ">="
+		if ceil {
+			kind, rel = "ceil", "<="
+		}
+		for _, fl := range bounds {
+			found := false
+			for name, now := range cur {
+				if base := stripProcs(name); name != fl.name && base != fl.name && !strings.HasPrefix(base, fl.name+"/") {
+					continue
+				}
+				v, ok := now[fl.metric]
+				if !ok {
+					continue
+				}
+				found = true
+				compared++
+				status := "ok"
+				if (!ceil && v < fl.bound) || (ceil && v > fl.bound) {
+					status = "REGRESSION"
+					regressions++
+				}
+				fmt.Printf("%-60s %-20s new=%.4g %s=%.4g (absolute gate: new %s %s) %s\n",
+					name, fl.metric, v, kind, fl.bound, rel, kind, status)
 			}
-			v, ok := now[fl.metric]
-			if !ok {
-				continue
-			}
-			found = true
-			compared++
-			status := "ok"
-			if v < fl.min {
-				status = "REGRESSION"
+			if !found {
+				fmt.Fprintf(os.Stderr, "benchcmp: %s %s:%s matched no benchmark in the new artifact\n", kind, fl.name, fl.metric)
 				regressions++
 			}
-			fmt.Printf("%-60s %-20s new=%.4g floor=%.4g (absolute gate: new >= floor) %s\n",
-				name, fl.metric, v, fl.min, status)
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "benchcmp: floor %s:%s matched no benchmark in the new artifact\n", fl.name, fl.metric)
-			regressions++
 		}
 	}
+	checkBounds(floors, false)
+	checkBounds(ceils, true)
 
 	for name, now := range cur {
 		prev, ok := old[name]
