@@ -114,19 +114,6 @@ type Config struct {
 	// means the worker count.
 	ReduceRangeConcurrency int
 
-	// LegacyMerge opts the round out of streaming shuffle ingestion and
-	// back onto the barrier path: every map task's output is buffered
-	// whole and merged after the map phase ends. Outputs are identical
-	// either way, as are PairsEmitted, Reducers and MaxReducerInput
-	// (the differential suite pins this); only the physical profile —
-	// resident memory, spill timing, run boundaries — differs. With a
-	// Combine func, PairsShuffled (a post-combine count) additionally
-	// depends on where the runtime applied the combiner, which the two
-	// paths do at different points — like spill-on vs spill-off, it is
-	// comparable only within one configuration. Tests and benchmarks
-	// use LegacyMerge to compare the two data paths.
-	LegacyMerge bool
-
 	// Recorder, when non-nil, captures the round's lifecycle as timed
 	// events: phase boundaries on the round lane, map/reduce task
 	// attempts on per-worker lanes, and the shuffle's block flushes,
@@ -268,9 +255,10 @@ type Metrics struct {
 	// MaxLivePairs's per-partition one.
 	PeakResidentPairs int64
 	// SpillOverlapNs is the time the streaming path spent absorbing,
-	// sealing and spilling while map tasks were still running — work
-	// the legacy barrier serialized after the map phase. FinishDrainNs
-	// is the residual post-map drain: the barrier that remains.
+	// sealing and spilling while map tasks were still running — work a
+	// collect-then-merge barrier would serialize after the map phase.
+	// FinishDrainNs is the residual post-map drain: the barrier that
+	// remains.
 	SpillOverlapNs int64
 	FinishDrainNs  int64
 	// ReducerInputLog2 is the log2-bucketed distribution of reducer
@@ -444,24 +432,19 @@ func splitTasks(cfg Config, n int) []mapTask {
 	return tasks
 }
 
-// runMapPhase executes map tasks in parallel. By default each task
-// streams its output into the shuffle as it is produced (block-based
-// ingestion: full blocks flush to their partition, which absorbs,
-// seals and spills concurrently with still-running map tasks); with
-// Config.LegacyMerge every task's output is buffered whole and merged
-// after the map phase ends.
+// runMapPhase executes map tasks in parallel. Each task streams its
+// output into the shuffle as it is produced (block-based ingestion:
+// full blocks flush to their partition, which absorbs, seals and spills
+// concurrently with still-running map tasks).
 func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I, sh *shuffle.Shuffle[K, V], met *Metrics) (retErr error) {
 	cfg := r.Config
 	tasks := splitTasks(cfg, len(inputs))
-	// The map-phase span covers mapping plus (on the streaming path) the
-	// Finish drain, so partition-lane seal/fence spans inside it that
-	// overlap worker map-task spans are exactly SpillOverlapNs.
+	// The map-phase span covers mapping plus the Finish drain, so
+	// partition-lane seal/fence spans inside it that overlap worker
+	// map-task spans are exactly SpillOverlapNs.
 	rlane := cfg.Recorder.Lane(obs.LaneRound, 0)
 	rlane.Begin(obs.OpPhaseMap, int64(len(tasks)), 0)
 	defer func() { rlane.End(obs.OpPhaseMap, met.PairsEmitted, errFlag(retErr)) }()
-	if cfg.LegacyMerge {
-		return runMapPhaseLegacy(r, inputs, tasks, sh, met)
-	}
 
 	ing := sh.NewIngester()
 	emitted := make([]int64, len(tasks))
@@ -480,7 +463,7 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I,
 				attempts := 0
 				for {
 					wlane.Begin(obs.OpMapTask, int64(t.idx), int64(attempts))
-					count, err, fatal := attemptMapTaskStreaming(r, inputs[t.lo:t.hi], ing, t.idx, attempts)
+					count, err, fatal := attemptMapTask(r, inputs[t.lo:t.hi], ing, t.idx, attempts)
 					wlane.End(obs.OpMapTask, count, errFlag(err))
 					if err == nil {
 						emitted[ti] = count
@@ -527,12 +510,12 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I,
 	return nil
 }
 
-// attemptMapTaskStreaming runs one attempt of a map task against the
-// streaming ingester. Injected failures fire after the task emitted
+// attemptMapTask runs one attempt of a map task against the streaming
+// ingester. Injected failures fire after the task emitted
 // (and flushed) its output, so the attempt's staged pairs must be
 // fenced off by Abort and re-emitted by the retry. fatal marks commit
 // errors, which must fail the round rather than retry the task.
-func attemptMapTaskStreaming[I any, K comparable, V, O any](r Round[I, K, V, O], records []I, ing *shuffle.Ingester[K, V], taskIdx, attempt int) (n int64, err error, fatal bool) {
+func attemptMapTask[I any, K comparable, V, O any](r Round[I, K, V, O], records []I, ing *shuffle.Ingester[K, V], taskIdx, attempt int) (n int64, err error, fatal bool) {
 	tw := ing.Task(taskIdx, attempt)
 	count := runMapAttempt(r, records, tw.Emit)
 	if fe := r.Config.FailureEveryN; fe > 0 && attempt == 0 && taskIdx%fe == 0 {
@@ -543,80 +526,6 @@ func attemptMapTaskStreaming[I any, K comparable, V, O any](r Round[I, K, V, O],
 		return 0, err, true
 	}
 	return count, nil, false
-}
-
-// runMapPhaseLegacy is the barrier path: every task's output is
-// buffered whole, then merged with the shuffle's per-partition
-// goroutines after the map phase ends.
-func runMapPhaseLegacy[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I, tasks []mapTask, sh *shuffle.Shuffle[K, V], met *Metrics) error {
-	cfg := r.Config
-	buffers := make([]*shuffle.TaskBuffer[K, V], len(tasks))
-	emitted := make([]int64, len(tasks))
-	retries := make([]int64, len(tasks))
-	errs := make([]error, len(tasks))
-
-	var wg sync.WaitGroup
-	taskCh := make(chan int)
-	for w := 0; w < cfg.workers(); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wlane := cfg.Recorder.Lane(obs.LaneWorker, w)
-			for ti := range taskCh {
-				t := tasks[ti]
-				attempts := 0
-				for {
-					wlane.Begin(obs.OpMapTask, int64(t.idx), int64(attempts))
-					buf, count, err := attemptMapTask(r, inputs[t.lo:t.hi], sh, t.idx, attempts)
-					wlane.End(obs.OpMapTask, count, errFlag(err))
-					if err == nil {
-						buffers[ti], emitted[ti] = buf, count
-						break
-					}
-					attempts++
-					retries[ti]++
-					if attempts > cfg.maxRetries() {
-						errs[ti] = fmt.Errorf("engine: map task %d of round %q failed after %d attempts: %w",
-							t.idx, r.Name, attempts, err)
-						break
-					}
-				}
-			}
-		}(w)
-	}
-	for ti := range tasks {
-		taskCh <- ti
-	}
-	close(taskCh)
-	wg.Wait()
-
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	for ti := range tasks {
-		met.PairsEmitted += emitted[ti]
-		met.MapRetries += retries[ti]
-	}
-	if err := sh.Merge(buffers); err != nil {
-		return fmt.Errorf("engine: shuffle merge of round %q: %w", r.Name, err)
-	}
-	return nil
-}
-
-// attemptMapTask runs one attempt of a map task on the barrier path,
-// returning the task's shuffle buffer and its pre-combine emission
-// count. Like the streaming path, injected failures fire after the
-// task produced its output: the discarded buffer is the legacy
-// equivalent of an aborted streaming attempt.
-func attemptMapTask[I any, K comparable, V, O any](r Round[I, K, V, O], records []I, sh *shuffle.Shuffle[K, V], taskIdx, attempt int) (*shuffle.TaskBuffer[K, V], int64, error) {
-	buf := sh.NewTaskBuffer()
-	count := runMapAttempt(r, records, buf.Emit)
-	if fe := r.Config.FailureEveryN; fe > 0 && attempt == 0 && taskIdx%fe == 0 {
-		return nil, 0, errInjected
-	}
-	return buf, count, nil
 }
 
 // runMapAttempt maps the records into emit, returning the pre-combine
@@ -659,16 +568,17 @@ type partResult[K comparable, O any] struct {
 }
 
 // reduceUnit is one schedulable piece of the reduce phase: a whole
-// partition (rng < 0) or one planned key range of a split partition.
+// partition (rng -1) or one planned key range of a split partition.
 type reduceUnit struct {
 	part int
 	rng  int
 }
 
 // partReader lazily opens one partition's shared RangeReader and
-// refcounts it across the partition's concurrently-executing range
-// units: the first active unit opens (taking the disk-read semaphore
-// slot), the last active one closes. The slot is therefore held only
+// refcounts it across the partition's concurrently-executing units (its
+// planned ranges, or the one whole-partition unit): the first active
+// unit opens (taking the disk-read semaphore slot), the last active one
+// closes. The slot is therefore held only
 // while at least one unit of the partition is actually running, which
 // is what keeps the semaphore deadlock-free under LPT's static
 // per-worker unit queues.
@@ -693,16 +603,13 @@ func (pr *partReader[K, V]) acquire() (*shuffle.RangeReader[K, V], error) {
 	return pr.rr, nil
 }
 
-func (pr *partReader[K, V]) release() error {
+func (pr *partReader[K, V]) release() {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	pr.users--
-	if pr.users > 0 {
-		return nil
+	if pr.users--; pr.users == 0 {
+		pr.rr.Close() // read-only handles: Close cannot fail
+		pr.rr = nil
 	}
-	rr := pr.rr
-	pr.rr = nil
-	return rr.Close()
 }
 
 // runReducePhase schedules reduce units onto workers with the LPT
@@ -820,57 +727,43 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 				if ordinal[p] < 0 {
 					continue
 				}
-				if rng < 0 {
-					part := sh.Partition(p)
-					attempts := 0
-					for {
-						wlane.Begin(obs.OpReduceTask, int64(p), int64(attempts))
-						pr, err := attemptReducePartition(r, part, ordinal[p], attempts)
-						wlane.End(obs.OpReduceTask, int64(len(pr.keys)), errFlag(err))
-						if err == nil {
-							results[p] = pr
-							break
-						}
-						attempts++
-						retries[u]++
-						if attempts > cfg.maxRetries() {
-							errs[u] = fmt.Errorf("engine: reduce partition %d of round %q failed after %d attempts: %w",
-								p, r.Name, attempts, err)
-							break
-						}
-					}
-					continue
+				// A whole-partition unit is the unbounded range of its
+				// partition; only planned ranges get a range lane.
+				var kr shuffle.KeyRange[K]
+				var rlane *obs.Ring
+				if rng >= 0 {
+					kr = ranges[p][rng]
+					rlane = cfg.Recorder.Lane(obs.LaneRange, u)
 				}
 				rr, err := readers[p].acquire()
 				if err != nil {
-					errs[u] = fmt.Errorf("engine: opening partition %d for range reduce of round %q: %w",
-						p, r.Name, err)
+					errs[u] = fmt.Errorf("engine: opening partition %d for reduce of round %q: %w", p, r.Name, err)
 					continue
 				}
-				rlane := cfg.Recorder.Lane(obs.LaneRange, u)
 				attempts := 0
 				for {
 					wlane.Begin(obs.OpReduceTask, int64(p), int64(attempts))
 					rlane.Begin(obs.OpReduceRange, int64(p), int64(rng))
-					pr, err := attemptReduceRange(r, rr, ranges[p][rng], rng == 0, ordinal[p], attempts)
+					pr, err := attemptReduce(r, rr, kr, rng <= 0, ordinal[p], attempts)
 					rlane.End(obs.OpReduceRange, int64(len(pr.keys)), errFlag(err))
 					wlane.End(obs.OpReduceTask, int64(len(pr.keys)), errFlag(err))
 					if err == nil {
-						rangeResults[p][rng] = pr
+						if rng < 0 {
+							results[p] = pr
+						} else {
+							rangeResults[p][rng] = pr
+						}
 						break
 					}
 					attempts++
 					retries[u]++
 					if attempts > cfg.maxRetries() {
-						errs[u] = fmt.Errorf("engine: reduce partition %d range %d of round %q failed after %d attempts: %w",
+						errs[u] = fmt.Errorf("engine: reduce partition %d (range %d) of round %q failed after %d attempts: %w",
 							p, rng, r.Name, attempts, err)
 						break
 					}
 				}
-				if cerr := readers[p].release(); cerr != nil && errs[u] == nil {
-					errs[u] = fmt.Errorf("engine: closing partition %d range reader of round %q: %w",
-						p, r.Name, cerr)
-				}
+				readers[p].release()
 			}
 		}(w, perWorker[w])
 	}
@@ -960,46 +853,22 @@ func collectKeyLoads[K comparable, V any](sh *shuffle.Shuffle[K, V], totalKeys i
 	return allKeys, loads, nil
 }
 
-// attemptReducePartition runs one attempt of a partition's reduce task,
-// streaming the partition's key groups in sorted order through the
-// shuffle's k-way merge: only one group's values are resident per run
-// at a time, so a spilled partition reduces within the memory budget.
-func attemptReducePartition[I any, K comparable, V, O any](r Round[I, K, V, O], part shuffle.Partition[K, V], taskOrdinal, attempt int) (partResult[K, O], error) {
-	if fe := r.Config.FailureEveryN; fe > 0 && attempt == 0 && taskOrdinal%fe == 0 {
-		return partResult[K, O]{}, errInjected
-	}
-	var pr partResult[K, O]
-	reduce, each := r.Reduce, part.ForEachGroup
-	if r.ReduceBatch != nil {
-		// The batch contract: one value-section read and one batch
-		// decode per group, values only valid during the call.
-		reduce, each = r.ReduceBatch, part.ForEachGroupBatch
-	}
-	err := each(func(k K, vs []V) error {
-		pr.keys = append(pr.keys, k)
-		pr.loads = append(pr.loads, len(vs))
-		var outs []O
-		reduce(k, vs, func(o O) { outs = append(outs, o) })
-		pr.outs = append(pr.outs, outs)
-		return nil
-	})
-	if err != nil {
-		return partResult[K, O]{}, err
-	}
-	return pr, nil
-}
-
-// attemptReduceRange runs one attempt of a single key-range unit of a
-// split partition, through the partition's shared RangeReader. Fault
-// injection fires only on the partition's first range (first == true),
-// so a split round injects exactly as many failures as an unsplit one.
-func attemptReduceRange[I any, K comparable, V, O any](r Round[I, K, V, O], rr *shuffle.RangeReader[K, V], kr shuffle.KeyRange[K], first bool, taskOrdinal, attempt int) (partResult[K, O], error) {
+// attemptReduce runs one attempt of a reduce unit — the key range kr of
+// a partition (the unbounded range: the whole partition) — streaming its
+// key groups in sorted order through the partition's RangeReader: the
+// shuffle's k-way merge holds only one group's values at a time, so a
+// spilled partition reduces within the memory budget. Fault injection
+// fires only on a partition's first unit (first == true), so a split
+// round injects exactly as many failures as an unsplit one.
+func attemptReduce[I any, K comparable, V, O any](r Round[I, K, V, O], rr *shuffle.RangeReader[K, V], kr shuffle.KeyRange[K], first bool, taskOrdinal, attempt int) (partResult[K, O], error) {
 	if fe := r.Config.FailureEveryN; fe > 0 && first && attempt == 0 && taskOrdinal%fe == 0 {
 		return partResult[K, O]{}, errInjected
 	}
 	var pr partResult[K, O]
 	reduce, batch := r.Reduce, false
 	if r.ReduceBatch != nil {
+		// The batch contract: one value-section read and one batch
+		// decode per group, values only valid during the call.
 		reduce, batch = r.ReduceBatch, true
 	}
 	err := rr.ForEachGroupRange(kr, batch, func(k K, vs []V) error {

@@ -3,17 +3,20 @@ package mr
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 // Differential testing of the whole data path: for randomized
 // workloads — random key/value types, partition counts, memory
 // budgets, worker counts, chunk sizes, combiner on or off, batch
-// reduce path on or off, streaming versus legacy shuffle ingestion —
-// the executor's outputs and logical metrics must be identical to a
-// naive single-map reference executor, and identical with disk spill
-// forced on versus off. The physical profile (partition placement,
+// reduce path on or off — the executor's outputs and logical metrics
+// must be identical to a naive single-map reference executor, and
+// identical with disk spill forced on versus off. The physical profile (partition placement,
 // makespan, spill boundaries) is allowed to vary; the paper's
 // quantities are not.
 
@@ -48,14 +51,13 @@ func referenceRun[I any, K comparable, V, O any](j *Job[I, K, V, O], inputs []I)
 }
 
 // randomConfig draws execution parameters that must not change
-// results, including the streaming-vs-legacy ingestion toggle.
+// results.
 func randomConfig(rng *rand.Rand) Config {
 	partitions := []int{0, 1, 2, 4, 8, 32}[rng.Intn(6)]
 	return Config{
-		Workers:     1 + rng.Intn(4),
-		MapChunk:    rng.Intn(6), // 0 = automatic
-		Partitions:  partitions,
-		LegacyMerge: rng.Intn(2) == 0,
+		Workers:    1 + rng.Intn(4),
+		MapChunk:   rng.Intn(6), // 0 = automatic
+		Partitions: partitions,
 	}
 }
 
@@ -114,31 +116,6 @@ func checkDifferential[I any, K comparable, V, O any](
 		t.Fatalf("%s: MaxLivePairs %d exceeds budget %d", trial, metS.MaxLivePairs, spillCfg.MemoryBudget)
 	}
 
-	// Streaming vs legacy ingestion on the spilled config: flipping the
-	// data path must change nothing observable — same outputs, same
-	// logical metrics — even though spill boundaries, fencing and run
-	// counts differ wildly between the two. (checkDifferential only
-	// runs combiner-free jobs, so comparing PairsShuffled is sound; a
-	// combiner's post-combine count depends on where the combiner ran,
-	// which legitimately differs between the paths.)
-	flipCfg := spillCfg
-	flipCfg.LegacyMerge = !spillCfg.LegacyMerge
-	outF, metF, err := mk(flipCfg).Run(inputs)
-	if err != nil {
-		t.Fatalf("%s: flipped-ingestion run: %v", trial, err)
-	}
-	if !reflect.DeepEqual(outF, outS) {
-		t.Fatalf("%s: streaming/legacy outputs diverge (legacy=%v)\ngot  %v\nwant %v",
-			trial, flipCfg.LegacyMerge, outF, outS)
-	}
-	if metF.PairsEmitted != metS.PairsEmitted || metF.PairsShuffled != metS.PairsShuffled ||
-		metF.Reducers != metS.Reducers || metF.MaxReducerInput != metS.MaxReducerInput {
-		t.Fatalf("%s: streaming/legacy logical metrics diverge\none %+v\nother %+v", trial, metS, metF)
-	}
-	if metF.MaxLivePairs > spillCfg.MemoryBudget {
-		t.Fatalf("%s: flipped MaxLivePairs %d exceeds budget %d", trial, metF.MaxLivePairs, spillCfg.MemoryBudget)
-	}
-
 	// Range-split reduce on the spilled config: cutting heavy partitions
 	// into concurrent key-range units must change nothing observable —
 	// same outputs in the same order, same logical metrics.
@@ -181,6 +158,111 @@ func checkDifferential[I any, K comparable, V, O any](
 		}
 	}
 	return metS.BytesSpilled
+}
+
+// The batch-reduce twins of the registered ProcMode jobs: the same
+// functions under the no-retain contract.
+var (
+	procOrderKeysBatch = &Job[int, orderKey, int, string]{
+		Name: "mr-proc-order-keys-batch", Map: procOrderKeys.Map, ReduceBatch: procOrderKeys.Reduce,
+	}
+	procWordcountBatch = &Job[string, string, int, procWC]{
+		Name: "mr-proc-wordcount-batch", Map: procWordcount.Map, Combine: procWordcount.Combine, ReduceBatch: procWordcount.Reduce,
+	}
+)
+
+// checkProcDifferential is the ProcMode leg of the differential: the
+// job run across worker processes — every map task spilling mid-task
+// under a tiny budget, reduce workers reading whole partitions
+// (splitPairs 0) or range-split ones — must equal the in-process
+// engine's spilled run of the same job on the same inputs, output for
+// output and in every logical metric. It returns the proc run's range
+// count and whether some map task committed a second section of one
+// partition (Seq >= 1: a mid-task spill).
+func checkProcDifferential[I any, K comparable, V, O any](t *testing.T, job *Job[I, K, V, O], inputs []I, splitPairs int) (ranges int64, midTaskSpill bool) {
+	t.Helper()
+	trial := fmt.Sprintf("%s/split%d", job.Name, splitPairs)
+	cfg := Config{Workers: 2, Partitions: 4, MemoryBudget: 8, ReduceSplitPairs: splitPairs}
+
+	inproc := *job
+	inproc.Config = cfg
+	inproc.Config.SpillDir = t.TempDir()
+	want, wantMet, err := inproc.Run(inputs)
+	if err != nil {
+		t.Fatalf("%s: in-process run: %v", trial, err)
+	}
+	if wantMet.BytesSpilled == 0 {
+		t.Fatalf("%s: in-process run never spilled; the comparison would skip the disk path", trial)
+	}
+
+	pj := *job
+	pj.Config = cfg
+	pj.Config.ProcMode, pj.Config.ProcDir, pj.Config.ProcTimeout = true, t.TempDir(), 90*time.Second
+	got, met, err := pj.Run(inputs)
+	if err != nil {
+		t.Fatalf("%s: ProcMode run: %v", trial, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: ProcMode outputs diverge from the in-process engine's\ngot  %v\nwant %v", trial, got, want)
+	}
+	if met.MapInputs != wantMet.MapInputs || met.PairsEmitted != wantMet.PairsEmitted ||
+		met.Reducers != wantMet.Reducers || met.Outputs != wantMet.Outputs {
+		t.Fatalf("%s: logical metrics diverge\nproc    %+v\ninproc  %+v", trial, met, wantMet)
+	}
+	if job.Combine == nil {
+		// Post-combine counts depend on where the combiner ran; without
+		// one the shuffle is the raw emission stream on both sides.
+		if met.PairsShuffled != wantMet.PairsShuffled || met.MaxReducerInput != wantMet.MaxReducerInput ||
+			met.TotalReducerInput != wantMet.TotalReducerInput {
+			t.Fatalf("%s: shuffled %d/%d, max q %d/%d", trial,
+				met.PairsShuffled, wantMet.PairsShuffled, met.MaxReducerInput, wantMet.MaxReducerInput)
+		}
+	}
+	if met.TaskRetries != 0 || met.WorkerDeaths != 0 {
+		t.Fatalf("%s: clean ProcMode run recorded faults: %+v", trial, met)
+	}
+	manifests, err := filepath.Glob(filepath.Join(pj.Config.ProcDir, "manifest-*.log"))
+	if err != nil || len(manifests) == 0 {
+		t.Fatalf("%s: no worker manifests in ProcDir: %v", trial, err)
+	}
+	for _, m := range manifests {
+		data, err := os.ReadFile(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		midTaskSpill = midTaskSpill || strings.Contains(string(data), `"Seq":1`)
+	}
+	return met.ReduceRanges, midTaskSpill
+}
+
+// TestDifferentialProcMode: ProcMode ≡ in-process, across spill ×
+// range-split (MRPROC_SPLITPAIRS's two CI values) × batch reduce ×
+// combiner, with map tasks that spill mid-task.
+func TestDifferentialProcMode(t *testing.T) {
+	rng := rand.New(rand.NewSource(505))
+	ints := make([]int, 400)
+	for i := range ints {
+		ints[i] = rng.Intn(10000)
+	}
+	lines := procLines(150)
+	for _, split := range []int{0, 48} {
+		var ranges int64
+		spilled := true
+		for _, job := range []*Job[int, orderKey, int, string]{procOrderKeys, procOrderKeysBatch} {
+			r, s := checkProcDifferential(t, job, ints, split)
+			ranges, spilled = ranges+r, spilled && s
+		}
+		for _, job := range []*Job[string, string, int, procWC]{procWordcount, procWordcountBatch, procWordcountNoCombine} {
+			r, s := checkProcDifferential(t, job, lines, split)
+			ranges, spilled = ranges+r, spilled && s
+		}
+		if !spilled {
+			t.Errorf("split %d: a job ran with no section of Seq >= 1; its map tasks never spilled mid-task", split)
+		}
+		if (split > 0) != (ranges > 0) {
+			t.Errorf("split %d: proc reduce workers cut %d ranges", split, ranges)
+		}
+	}
 }
 
 // TestRangeSplitSkewedAndFaulted drives the split path hard on a

@@ -377,22 +377,4 @@ func TestStreamingMemoryBoundThroughJob(t *testing.T) {
 		t.Error("SpillOverlapNs = 0: no shuffle work overlapped the map phase")
 	}
 
-	// The legacy barrier on the same workload: identical outputs, but
-	// no overlapped shuffle work — the whole dataset sits in task
-	// buffers (outside the shuffle's residency metric) until the
-	// post-map merge.
-	legacy := *job
-	legacy.Config.LegacyMerge = true
-	legacy.Config.SpillDir = t.TempDir()
-	outL, metL, err := legacy.Run(docs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(outL, out) {
-		t.Fatalf("legacy outputs diverge: %v vs %v", outL, out)
-	}
-	if metL.SpillOverlapNs != 0 || metL.FinishDrainNs != 0 {
-		t.Errorf("legacy path reported streaming overlap (%d ns overlap, %d ns drain), want 0",
-			metL.SpillOverlapNs, metL.FinishDrainNs)
-	}
 }

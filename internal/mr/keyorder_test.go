@@ -144,8 +144,7 @@ var procOrderKeys = &Job[int, orderKey, int, string]{
 
 // TestDifferentialFieldwiseStructKeys runs a struct key whose formatted
 // and field-wise orders disagree through the whole differential — spill
-// on and off, streaming and legacy ingestion, range-split reduce, batch
-// reduce — and through ProcMode with mid-task spills and range-split
+// on and off, range-split reduce, batch reduce — and through ProcMode with mid-task spills and range-split
 // reduce workers. Every path must emit the groups in field-wise order.
 func TestDifferentialFieldwiseStructKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))

@@ -154,17 +154,6 @@ type Config struct {
 	// Zero means 2 when FailureEveryN is set.
 	MaxRetries int
 
-	// LegacyMerge opts the job out of streaming shuffle ingestion (map
-	// workers flushing blocks into the exchange while mapping) and back
-	// onto the collect-then-merge barrier. Outputs, PairsEmitted,
-	// Reducers and MaxReducerInput are identical either way; only the
-	// physical profile (resident memory, spill timing) differs. With a
-	// Combine func, PairsShuffled — a post-combine count — depends on
-	// where the combiner was applied and, like spill-on vs spill-off,
-	// is comparable only within one configuration. Intended for tests
-	// and benchmarks comparing the two data paths.
-	LegacyMerge bool
-
 	// Recorder, when non-nil, captures the job's round as a timeline:
 	// phase boundaries, per-worker map/reduce task spans, and the
 	// shuffle's seal/fence/compaction/merge activity per partition.
@@ -187,8 +176,8 @@ type Config struct {
 	// residency obeys the same bound the in-process engine proves
 	// (Metrics.PeakResidentPairs reports the worst attempt). Spilling
 	// needs no SpillDir here: the spool files ARE the spill. Remaining
-	// in-process knobs (SpillDir, CompactionConcurrency, LegacyMerge,
-	// FailureEveryN, ...) do not apply in this mode. Outputs are
+	// in-process knobs (SpillDir, CompactionConcurrency, FailureEveryN,
+	// ...) do not apply in this mode. Outputs are
 	// identical either way.
 	ProcMode bool
 	// ProcWorkerCommand is the argv spawned per worker process in
@@ -298,7 +287,7 @@ type Metrics struct {
 	// map worker — the dataset size never enters the bound.
 	// SpillOverlapNs is shuffle absorb/seal/spill work that overlapped
 	// still-running map tasks; FinishDrainNs is the residual post-map
-	// drain. Both are zero under Config.LegacyMerge.
+	// drain.
 	PeakResidentPairs int64
 	SpillOverlapNs    int64
 	FinishDrainNs     int64
@@ -484,7 +473,6 @@ func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
 			RecordKeys:             j.Config.ReduceWorkersHint > 0,
 			FailureEveryN:          j.Config.FailureEveryN,
 			MaxRetries:             j.Config.MaxRetries,
-			LegacyMerge:            j.Config.LegacyMerge,
 			Recorder:               j.Config.Recorder,
 		},
 	}

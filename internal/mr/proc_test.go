@@ -19,6 +19,8 @@ func TestMain(m *testing.M) {
 	RegisterProc(procFloatKeys)
 	RegisterProc(procFloatStructKeys)
 	RegisterProc(procOrderKeys)
+	RegisterProc(procOrderKeysBatch)
+	RegisterProc(procWordcountBatch)
 	MaybeProcWorker()
 	os.Exit(m.Run())
 }

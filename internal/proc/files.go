@@ -75,8 +75,9 @@ func (s *spoolSet) file(part int) (*spoolFile, error) {
 // section is finished (footer + trailer) and its coordinates returned.
 // seq orders the sections one attempt writes for one partition (a task
 // under memory pressure seals the same partition repeatedly). A crash
-// anywhere before the caller's manifest commit leaves only a torn or
-// unreferenced byte range that no reader will ever be handed.
+// or a failed write anywhere before the caller's manifest commit leaves
+// only a torn or unreferenced byte range that no reader will ever be
+// handed.
 func (s *spoolSet) appendSection(task, attempt, part, seq int, write func(w *runfile.Writer) error) (Section, error) {
 	sf, err := s.file(part)
 	if err != nil {
@@ -88,11 +89,20 @@ func (s *spoolSet) appendSection(task, attempt, part, seq int, write func(w *run
 		s.w.Reset(sf.f)
 	}
 	w := s.w
-	if err := write(w); err != nil {
-		return Section{}, err
+	err = write(w)
+	if err == nil {
+		if err = w.Finish(); err != nil {
+			err = fmt.Errorf("proc: finishing spool section: %w", err)
+		}
 	}
-	if err := w.Finish(); err != nil {
-		return Section{}, fmt.Errorf("proc: finishing spool section: %w", err)
+	if err != nil {
+		// Part of the failed section may already be in the file (it is
+		// O_APPEND, and the writer flushes whenever its buffer fills), so
+		// sf.off no longer names the file's end. Drop the handle: the
+		// next section of this partition reopens the spool and sizes it.
+		sf.f.Close()
+		delete(s.files, part)
+		return Section{}, err
 	}
 	sec := Section{
 		Path:       SpoolPath(s.dir, s.worker, part),

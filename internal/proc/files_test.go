@@ -84,6 +84,50 @@ func TestValidateSectionAppended(t *testing.T) {
 	}
 }
 
+// TestAppendSectionAfterFailedWrite is the regression test for the stale
+// spool offset: a section whose callback fails after the writer already
+// flushed part of it into the O_APPEND spool must not leave the next
+// section of that spool recorded short of where its bytes really are.
+func TestAppendSectionAfterFailedWrite(t *testing.T) {
+	dir := t.TempDir()
+	ss := newSpoolSet(dir, "w0")
+	defer ss.closeAll()
+	boom := errors.New("encode failed mid-section")
+	_, err := ss.appendSection(0, 0, 0, 0, func(w *runfile.Writer) error {
+		if err := w.BeginGroup([]byte("big"), 1); err != nil {
+			return err
+		}
+		// Twice the writer's buffer: most of it reaches the file.
+		if err := w.AppendValue(make([]byte, 128<<10)); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed section returned %v, want the callback's error", err)
+	}
+	sec, err := ss.appendSection(1, 0, 0, 0, func(w *runfile.Writer) error {
+		if err := w.BeginGroup([]byte("k"), 1); err != nil {
+			return err
+		}
+		return w.AppendValue([]byte("v"))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(sec.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sec.Offset == 0 || sec.Offset+sec.Length != st.Size() {
+		t.Fatalf("section recorded at [%d,%d) of a %d-byte spool: it must end where the file ends, after the failed section's debris",
+			sec.Offset, sec.Offset+sec.Length, st.Size())
+	}
+	if err := validateSection(runfile.OSFS, sec); err != nil {
+		t.Fatalf("section after a failed write does not load at its recorded range: %v", err)
+	}
+}
+
 // TestValidateSectionTornFooterRecovers: a crash that tears only the
 // section's trailer (body and footer-marker intact) must still
 // validate — LoadIndex falls back to the sequential scan and the

@@ -27,6 +27,14 @@
 // re-executed; map functions are required to be deterministic, so the
 // job's output is byte-identical either way.
 //
+// Both sides of that exchange are the in-process shuffle
+// (internal/shuffle), not a second implementation of it: a map worker
+// streams its task through an Ingester whose seal sink points the
+// shuffle's run encoder at the spool, and a reduce worker adopts its
+// partition's committed sections as borrowed disk runs and reads them
+// through the shuffle's range reader — the same index-planned ranges,
+// heap merge, shared mappings and batch decode an in-process round uses.
+//
 // Because map and reduce run in different processes, key placement
 // cannot use the in-process maphash seed; partitioning uses
 // shuffle.StableHasher (or the job's explicit Partition func), which
@@ -281,8 +289,9 @@ type runnable interface {
 	// streaming shuffle under the task's MemoryBudget, appending each
 	// sealed run to the worker's spools as one fenced section.
 	runMapTask(ws *workerState, inputs any, t Task) (MapReport, error)
-	// runReduceTask merge-reads the task's sections, reduces every
-	// group as it surfaces, and writes the partition's output file.
+	// runReduceTask adopts the task's sections into a shuffle, reduces
+	// every group its reader surfaces, and writes the partition's output
+	// file.
 	runReduceTask(ws *workerState, t Task) (ReduceReport, error)
 }
 

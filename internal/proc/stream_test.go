@@ -146,7 +146,7 @@ func TestWorkerStreamingFaultMarch(t *testing.T) {
 		dir := t.TempDir()
 		ws := &workerState{id: "w0", dir: dir, spools: newSpoolSet(dir, "w0")}
 		defer ws.spools.closeAll()
-		sink := &sectionSink[string, int]{ws: ws, task: 0, attempt: 0, seq: make(map[int]int)}
+		sink := &sectionSink{ws: ws, task: 0, attempt: 0, seq: make(map[int]int)}
 		sh := shuffle.New[string, int](shuffle.Options{
 			Partitions:       4,
 			MaxBufferedPairs: 8,

@@ -1,6 +1,9 @@
 // The worker process: poll the driver for tasks over the unix socket,
 // heartbeat the lease while executing, write map output as fenced spool
-// sections committed through the manifest, and report. Workers are the
+// sections committed through the manifest, reduce a partition by
+// adopting its sections into the shuffle's reader, and report. Both
+// task kinds are clients of internal/shuffle; there is no merge, range
+// planner or run encoder in this package. Workers are the
 // same binary as the driver — the role travels in the environment, so
 // MaybeWorker at the top of main (or TestMain) turns any process into a
 // worker when the driver spawned it as one.
@@ -11,7 +14,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net/rpc"
 	"os"
 	"path/filepath"
@@ -112,9 +114,6 @@ type workerState struct {
 	rec       *obs.Recorder
 	lane      *obs.Ring
 	traceFile string
-
-	// scratch buffers reused across groups.
-	kbuf, vbuf []byte
 }
 
 // rpcBackoff is the worker's policy for transient control-plane
@@ -349,13 +348,15 @@ func isFatal(err error) bool {
 	return errors.As(err, &f)
 }
 
-// sectionSink receives a map-task shuffle's sealed runs and writes each
-// as one fenced spool section — the seam that marries the streaming
-// data path's pressure relief to the per-task section + manifest commit
-// protocol. Seals arrive single-threaded while the task is mapping, but
-// Ingester.Finish drains partitions on parallel workers, so writes are
-// serialized under mu (the spool set shares one runfile.Writer).
-type sectionSink[K comparable, V any] struct {
+// sectionSink is a map task's shuffle.SealSink: every sealed run becomes
+// one fenced spool section — the seam that marries the streaming data
+// path's pressure relief to the per-task section + manifest commit
+// protocol. The shuffle encodes; the sink only supplies the spool's
+// writer and records the section. Seals arrive single-threaded while the
+// task is mapping, but Ingester.Finish drains partitions on parallel
+// workers, so writes are serialized under mu (the spool set shares one
+// runfile.Writer).
+type sectionSink struct {
 	mu      sync.Mutex
 	ws      *workerState
 	task    int
@@ -364,39 +365,24 @@ type sectionSink[K comparable, V any] struct {
 	secs    []Section
 }
 
-// write appends one sealed run (post-combine, keys sorted) as a spool
-// section. The torn-section crash knob arms only inside the task's
-// first section, matching the pre-streaming injection point: the spool
-// gets a headerful of bytes with no footer and no manifest record.
-func (sk *sectionSink[K, V]) write(part int, keys []K, groups map[K][]V) error {
+// write appends one sealed run as a spool section. A fill error the
+// writer did not cause is an encoding failure, which no retry fixes. The
+// torn-section crash knob arms only on the task's first section and
+// fires between its body and its footer: the spool gets a flushed group
+// section with no index and no manifest record.
+func (sk *sectionSink) write(part int, fill func(w *runfile.Writer) error) error {
 	sk.mu.Lock()
 	defer sk.mu.Unlock()
-	ws := sk.ws
 	arm := len(sk.secs) == 0
-	sec, err := ws.spools.appendSection(sk.task, sk.attempt, part, sk.seq[part], func(w *runfile.Writer) error {
-		for gi, k := range keys {
-			kb, err := runfile.Append(ws.kbuf[:0], k)
-			if err != nil {
-				return fatal(fmt.Errorf("proc: encoding key: %w", err))
+	sec, err := sk.ws.spools.appendSection(sk.task, sk.attempt, part, sk.seq[part], func(w *runfile.Writer) error {
+		if err := fill(w); err != nil {
+			if w.Err() == nil {
+				return fatal(err)
 			}
-			ws.kbuf = kb
-			vs := groups[k]
-			if err := w.BeginGroup(kb, len(vs)); err != nil {
-				return err
-			}
-			for _, v := range vs {
-				vb, err := runfile.Append(ws.vbuf[:0], v)
-				if err != nil {
-					return fatal(fmt.Errorf("proc: encoding value: %w", err))
-				}
-				ws.vbuf = vb
-				if err := w.AppendValue(vb); err != nil {
-					return err
-				}
-			}
-			if arm && gi == len(keys)/2 {
-				ws.crashPoint("map-torn", sk.task, func() { w.Flush() })
-			}
+			return err
+		}
+		if arm {
+			sk.ws.crashPoint("map-torn", sk.task, func() { w.Flush() })
 		}
 		return nil
 	})
@@ -411,7 +397,7 @@ func (sk *sectionSink[K, V]) write(part int, keys []K, groups map[K][]V) error {
 // sections returns everything written, in (Part, Seq) order — the
 // parallel Finish drain interleaves partitions nondeterministically,
 // so the manifest must not record arrival order.
-func (sk *sectionSink[K, V]) sections() []Section {
+func (sk *sectionSink) sections() []Section {
 	sort.Slice(sk.secs, func(i, j int) bool {
 		if sk.secs[i].Part != sk.secs[j].Part {
 			return sk.secs[i].Part < sk.secs[j].Part
@@ -472,7 +458,7 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (M
 	if j.spec.Combine != nil {
 		sh.SetCombiner(j.spec.Combine)
 	}
-	sink := &sectionSink[K, V]{ws: ws, task: t.ID, attempt: t.Attempt, seq: make(map[int]int)}
+	sink := &sectionSink{ws: ws, task: t.ID, attempt: t.Attempt, seq: make(map[int]int)}
 	sh.SetSealSink(sink.write)
 
 	// One ingester sub-task per input record, committed in order: the
@@ -520,87 +506,87 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (M
 	}, nil
 }
 
-// runReduceTask streams a k-way merge over the partition's committed
-// sections — each a sorted run, ordered (Task, Attempt, Seq) by the
-// driver — reducing every group in canonical key order as it surfaces
-// and writing the partition's output file (gob: group count, then
-// outGroups). Only the sections' indexes and one decoded group are
-// resident at a time: the memory bound is the merge fan-in plus the
-// largest single group, not the partition size.
-//
-// With Task.ReduceSplitPairs set, the worker first plans class-aligned
-// key ranges from the sections' decoded indexes, slices every section
-// cursor per range, and runs the range merges concurrently — then
-// concatenates their groups in range order, so the output file is
-// byte-identical to the unsplit merge. PeakResident stays the largest
-// single decoded group either way (each range holds at most one), but
-// a split attempt holds up to one group per concurrent range resident
-// at once — the documented residency multiplier of range concurrency.
+// runReduceTask reduces one partition the way the in-process engine
+// does: the committed sections — each a sorted run, ordered (Task,
+// Attempt, Seq) by the driver — are adopted into a one-partition shuffle
+// as borrowed disk runs, and everything after that is the shuffle's own
+// read side. Stats (a counting merge of the adopted indexes, no value
+// read) enforces MaxReducerInput; PlanReduceRanges cuts class-aligned
+// key ranges when Task.ReduceSplitPairs asks for them; one RangeReader
+// holds the spools open (shared handles and mappings) while the ranges
+// run the k-way merge concurrently, reducing every group in canonical
+// key order as it surfaces; the groups, concatenated in range order, go
+// to the partition's output file (gob: group count, then outGroups) —
+// byte-identical whether or not the merge was split. Only the indexes
+// and one decoded group per running range are resident: the memory bound
+// is the largest single group times the range concurrency, not the
+// partition size.
 func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceReport, error) {
 	ws.crashPoint("reduce", t.ID, nil)
-	// One handle per distinct spool file; every cursor reads through it
-	// with positioned reads, no seek state to share.
-	files := make(map[string]*os.File)
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	var scs []*runfile.SectionCursor
-	var bytesRead int64
+	sh := shuffle.New[K, V](shuffle.Options{Partitions: 1, Recorder: ws.rec})
+	defer sh.Close()
 	for _, sec := range t.Sections {
-		f, ok := files[sec.Path]
-		if !ok {
-			var err error
-			f, err = os.Open(sec.Path)
-			if err != nil {
-				return ReduceReport{}, fmt.Errorf("proc: opening spool %s: %w", sec.Path, err)
-			}
-			files[sec.Path] = f
+		if err := sh.AdoptRun(0, sec.Path, sec.Offset, sec.Length); err != nil {
+			return ReduceReport{}, fmt.Errorf("proc: partition %d: %w", t.ID, err)
 		}
-		sc, err := runfile.NewSectionCursor(io.NewSectionReader(f, sec.Offset, sec.Length), sec.Length, sec.DataBytes)
-		if err != nil {
-			return ReduceReport{}, fmt.Errorf("proc: section %s@%d+%d unreadable: %w", sec.Path, sec.Offset, sec.Length, err)
-		}
-		bytesRead += sec.DataBytes
-		scs = append(scs, sc)
+	}
+	st, err := sh.Stats()
+	if err != nil {
+		return ReduceReport{}, fmt.Errorf("proc: profiling partition %d: %w", t.ID, err)
+	}
+	if t.MaxReducerInput > 0 && st.MaxGroup > int64(t.MaxReducerInput) {
+		return ReduceReport{}, fatal(fmt.Errorf(
+			"proc: reducer for a key in partition %d received %d values, limit %d", t.ID, st.MaxGroup, t.MaxReducerInput))
 	}
 
-	var groups []outGroup[K, O]
-	var st mergeStats
-	var nRanges int64
-	if slices := sliceSectionsByRange[K](scs, t.ReduceSplitPairs, t.ReduceRangeConcurrency); slices != nil {
-		nRanges = int64(len(slices))
-		rangeGroups := make([][]outGroup[K, O], len(slices))
-		stats := make([]mergeStats, len(slices))
-		errs := make([]error, len(slices))
-		var wg sync.WaitGroup
-		for r := range slices {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				rangeGroups[r], stats[r], errs[r] = mergeSections(j, slices[r], t)
-			}(r)
+	part := sh.Partition(0)
+	var ranges []shuffle.KeyRange[K]
+	if sp := int64(t.ReduceSplitPairs); sp > 0 && st.Pairs > sp {
+		maxRanges := t.ReduceRangeConcurrency
+		if maxRanges <= 0 {
+			// A split target is an explicit opt-in: keep at least two ranges
+			// even on a single-CPU worker so the requested split happens.
+			maxRanges = max(runtime.GOMAXPROCS(0), 2)
 		}
-		wg.Wait()
-		for r := range slices {
-			if errs[r] != nil {
-				return ReduceReport{}, errs[r]
-			}
+		ranges = part.PlanReduceRanges(sp, maxRanges)
+	}
+	nRanges := int64(len(ranges))
+	if ranges == nil {
+		ranges = []shuffle.KeyRange[K]{{}} // the unbounded range: the whole partition
+	}
+	rr, err := part.OpenRangeReader()
+	if err != nil {
+		return ReduceReport{}, fmt.Errorf("proc: opening partition %d: %w", t.ID, err)
+	}
+	defer rr.Close()
+	rangeGroups := make([][]outGroup[K, O], len(ranges))
+	errs := make([]error, len(ranges))
+	var wg sync.WaitGroup
+	for r := range ranges {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = rr.ForEachGroupRange(ranges[r], j.spec.BatchReduce, func(k K, vs []V) error {
+				g := outGroup[K, O]{Key: k, Load: len(vs)}
+				j.spec.Reduce(k, vs, func(o O) { g.Outs = append(g.Outs, o) })
+				rangeGroups[r] = append(rangeGroups[r], g)
+				return nil
+			})
+		}(r)
+	}
+	wg.Wait()
+	groups := rangeGroups[0]
+	for r := range ranges {
+		if errs[r] != nil {
+			return ReduceReport{}, fmt.Errorf("proc: reducing partition %d: %w", t.ID, errs[r])
+		}
+		if r > 0 {
 			groups = append(groups, rangeGroups[r]...)
-			st.keys += stats[r].keys
-			st.outputs += stats[r].outputs
-			st.pairsIn += stats[r].pairsIn
-			if stats[r].maxGroup > st.maxGroup {
-				st.maxGroup = stats[r].maxGroup
-			}
 		}
-	} else {
-		var err error
-		groups, st, err = mergeSections(j, scs, t)
-		if err != nil {
-			return ReduceReport{}, err
-		}
+	}
+	var outputs int64
+	for i := range groups {
+		outputs += int64(len(groups[i].Outs))
 	}
 	path := outPath(ws.dir, t.ID, t.Attempt)
 	if err := writeOutputs(path, groups); err != nil {
@@ -608,181 +594,10 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 	}
 	return ReduceReport{
 		Worker: ws.id, Part: t.ID, Attempt: t.Attempt, OutPath: path,
-		Keys: st.keys, Outputs: st.outputs, MaxGroup: st.maxGroup,
-		PairsIn: st.pairsIn, BytesRead: bytesRead, PeakResident: st.maxGroup,
+		Keys: st.Keys, Outputs: outputs, MaxGroup: st.MaxGroup,
+		PairsIn: st.Pairs, BytesRead: sh.DiskBytesRead(), PeakResident: st.MaxGroup,
 		Ranges: nRanges,
 	}, nil
-}
-
-// sliceSectionsByRange plans class-aligned key ranges from the
-// sections' resident indexes (decoded keys + counts — no value read)
-// and slices every cursor to each range's [lo, hi) window. nil means
-// run unsplit: splitting disabled, the partition under the target, or
-// an index key that fails to decode (the whole-partition merge decodes
-// the same bytes and surfaces the error fatally).
-func sliceSectionsByRange[K comparable](scs []*runfile.SectionCursor, splitPairs, maxRanges int) [][]*runfile.SectionCursor {
-	if splitPairs <= 0 {
-		return nil
-	}
-	if maxRanges <= 0 {
-		// A split target is an explicit opt-in: keep at least two ranges
-		// even on a single-CPU worker so the requested split happens.
-		maxRanges = runtime.GOMAXPROCS(0)
-		if maxRanges < 2 {
-			maxRanges = 2
-		}
-	}
-	secKeys := make([][]K, len(scs))
-	counts := make(map[K]int64)
-	var total int64
-	for i, sc := range scs {
-		ks := make([]K, sc.Len())
-		for e := 0; e < sc.Len(); e++ {
-			k, err := runfile.Decode[K](sc.KeyAt(e))
-			if err != nil {
-				return nil
-			}
-			ks[e] = k
-			counts[k] += sc.CountAt(e)
-			total += sc.CountAt(e)
-		}
-		secKeys[i] = ks
-	}
-	if total <= int64(splitPairs) {
-		return nil
-	}
-	distinct := make([]K, 0, len(counts))
-	for k := range counts {
-		distinct = append(distinct, k)
-	}
-	shuffle.SortKeys(distinct)
-	loads := make([]int64, len(distinct))
-	for i, k := range distinct {
-		loads[i] = counts[k]
-	}
-	ranges := shuffle.PlanRangesFromCounts(distinct, loads, int64(splitPairs), maxRanges)
-	if ranges == nil {
-		return nil
-	}
-	out := make([][]*runfile.SectionCursor, len(ranges))
-	for r, kr := range ranges {
-		// Slices stay in section (task, attempt, seq) order — the
-		// value-order contract each range merge preserves.
-		for i, sc := range scs {
-			lo, hi := kr.Clamp(secKeys[i])
-			if lo == hi {
-				continue
-			}
-			s, err := sc.Slice(lo, hi)
-			if err != nil {
-				return nil
-			}
-			out[r] = append(out[r], s)
-		}
-	}
-	return out
-}
-
-// mergeStats is one merge's group profile, summed across ranges when
-// the partition was split.
-type mergeStats struct {
-	keys, outputs, maxGroup, pairsIn int64
-}
-
-// mergeSections runs the k-way merge-reduce over the given section
-// cursors (whole sections, or one range's slices) and returns the
-// reduced groups in canonical key order. Each call owns its cursors
-// and decode arena, so disjoint ranges merge concurrently.
-func mergeSections[I any, K comparable, V, O any](j *jobImpl[I, K, V, O], scs []*runfile.SectionCursor, t Task) ([]outGroup[K, O], mergeStats, error) {
-	// mergeCursor is one section's position in the merge. curs stays in
-	// section (task, attempt, seq) order throughout — gathering a key's
-	// values by ascending scan is what preserves the value-order
-	// contract across seal splits.
-	type mergeCursor struct {
-		sc  *runfile.SectionCursor
-		key K
-	}
-	var curs []*mergeCursor
-	for _, sc := range scs {
-		if !sc.Next() {
-			continue
-		}
-		k, err := runfile.Decode[K](sc.Key())
-		if err != nil {
-			return nil, mergeStats{}, fatal(fmt.Errorf("proc: decoding key: %w", err))
-		}
-		curs = append(curs, &mergeCursor{sc: sc, key: k})
-	}
-
-	less := shuffle.KeyLess[K]()
-	var vb runfile.ValueBatch
-	var vals []V
-	var st mergeStats
-	var groups []outGroup[K, O]
-	for len(curs) > 0 {
-		// Select the minimum key by linear scan: the fan-in is the
-		// partition's section count — small next to the decode work per
-		// group. Group membership below is decided by ==, so even keys of
-		// an unplannable kind, which the formatted fallback order can
-		// tie, gather correctly.
-		mi := 0
-		for i := 1; i < len(curs); i++ {
-			if less(curs[i].key, curs[mi].key) {
-				mi = i
-			}
-		}
-		k := curs[mi].key
-		var total int64
-		for _, c := range curs {
-			if c.key == k {
-				total += c.sc.Count()
-			}
-		}
-		if t.MaxReducerInput > 0 && total > int64(t.MaxReducerInput) {
-			return nil, mergeStats{}, fatal(fmt.Errorf(
-				"proc: reducer for a key in partition %d received %d values, limit %d", t.ID, total, t.MaxReducerInput))
-		}
-		if total > st.maxGroup {
-			st.maxGroup = total
-		}
-		if j.spec.BatchReduce {
-			vals = vals[:0] // reduce released the arena; reuse it
-		} else {
-			vals = nil // reduce may retain the slice; give each key its own
-		}
-		for i := 0; i < len(curs); {
-			c := curs[i]
-			if c.key != k {
-				i++
-				continue
-			}
-			if err := c.sc.Values(&vb); err != nil {
-				return nil, mergeStats{}, fmt.Errorf("proc: reading values in partition %d: %w", t.ID, err)
-			}
-			var err error
-			vals, err = runfile.DecodeBatch[V](&vb, vals)
-			if err != nil {
-				return nil, mergeStats{}, fatal(fmt.Errorf("proc: decoding values: %w", err))
-			}
-			st.pairsIn += c.sc.Count()
-			if c.sc.Next() {
-				nk, err := runfile.Decode[K](c.sc.Key())
-				if err != nil {
-					return nil, mergeStats{}, fatal(fmt.Errorf("proc: decoding key: %w", err))
-				}
-				c.key = nk
-				i++
-			} else {
-				curs = append(curs[:i], curs[i+1:]...)
-			}
-		}
-		g := outGroup[K, O]{Key: k, Load: len(vals)}
-		j.spec.Reduce(k, vals, func(o O) { g.Outs = append(g.Outs, o) })
-		st.outputs += int64(len(g.Outs))
-		st.keys++
-		groups = append(groups, g)
-	}
-	return groups, st, nil
 }
 
 // writeOutputs encodes one reduce attempt's groups to its output file:

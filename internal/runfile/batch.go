@@ -147,8 +147,8 @@ func (b *ValueBatch) ReadSectionAt(ra io.ReaderAt, off, byteLen int64, n int) er
 // into b, replacing b's previous contents. When byteLen is
 // non-negative — the group's value-section length, as a footer index
 // records — the section is read with a single ReadFull and the framing
-// split in memory; a negative byteLen (no index, e.g. a version-1
-// file) falls back to per-value reads into the same arena. Either way
+// split in memory; a negative byteLen (no index at hand) falls back to
+// per-value reads into the same arena. Either way
 // the arena and bounds slices are reused across calls, so a streaming
 // consumer allocates only when a group outgrows every previous one.
 func (r *Reader) ReadValueBatch(b *ValueBatch, byteLen int64) error {
@@ -222,7 +222,7 @@ func NewGroupBatch(rd io.Reader, index []IndexEntry) *GroupBatch {
 // fully in memory — typically a mapping returned by Map — with zero
 // copies: each key and value payload aliases data directly. data must
 // start at the file header; iteration ends at the end-of-groups marker
-// (or at the end of data for a version-1 image). index, when non-nil,
+// (or at the end of data for an image that was never Finished). index, when non-nil,
 // is cross-checked exactly as in NewGroupBatch. The aliasing contract
 // is the same as SetView's: key and batch are valid only until the
 // next call, and never after data's mapping is released.
@@ -230,7 +230,7 @@ func NewGroupBatchMapped(data []byte, index []IndexEntry) (*GroupBatch, error) {
 	if len(data) < len(magicPrefix)+1 || string(data[:len(magicPrefix)]) != string(magicPrefix[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if v := data[len(magicPrefix)]; v != Version1 && v != Version2 {
+	if v := data[len(magicPrefix)]; v != Version2 {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
 	return &GroupBatch{data: data, doff: len(magicPrefix) + 1, index: index}, nil
@@ -278,7 +278,7 @@ func (g *GroupBatch) Next() ([]byte, *ValueBatch, error) {
 func (g *GroupBatch) nextMapped() ([]byte, *ValueBatch, error) {
 	rem := g.data[g.doff:]
 	if len(rem) == 0 {
-		// A version-1 image simply ends; version 2 ends at the marker.
+		// An unfinished image simply ends; a finished one ends at the marker.
 		return g.mappedEOF()
 	}
 	klen, m := binary.Uvarint(rem)

@@ -130,24 +130,3 @@ func TestLoadIndexFailureKeepsBothCauses(t *testing.T) {
 		t.Fatalf("footer cause (ErrNoIndex) lost: %v", err)
 	}
 }
-
-// TestLoadIndexV1Fallback: version-1 files have no footer at all;
-// LoadIndex must transparently scan them.
-func TestLoadIndexV1Fallback(t *testing.T) {
-	var buf bytes.Buffer
-	w := newWriter(&buf, Version1)
-	if err := w.WriteGroup([]byte("k"), [][]byte{[]byte("v1"), []byte("v2")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	idx, err := LoadIndex(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatalf("LoadIndex on v1: %v", err)
-	}
-	if len(idx) != 1 || idx[0].Count != 2 || string(idx[0].Key) != "k" {
-		t.Fatalf("v1 index = %+v", idx)
-	}
-}

@@ -12,7 +12,7 @@
 // skip, and fuzz without a schema, while keeping the write path a
 // single buffered pass over each sealed run.
 //
-// Format version 2 adds a footer index. After the last group the writer
+// The file ends in a footer index. After the last group the writer
 // emits an end-of-groups marker (a uvarint no legal key length can
 // reach), then one compact entry per group — key bytes, value count,
 // byte offset of the group, byte length of its value section — and
@@ -24,9 +24,9 @@
 // and each offset as a delta from the previous, SSTable-style, keeping
 // the footer a small fraction of the group data even for short values.
 // A reader holding the index can profile or plan merges over the file
-// with zero value reads. Version 1 files (no footer) still decode: the
-// Reader dispatches on the header's version byte, and ScanIndex
-// reconstructs the same index from a sequential counting pass.
+// with zero value reads; for a file whose writer died before the footer
+// landed, ScanIndex reconstructs the same index from a sequential
+// counting pass.
 //
 // Keys and values are opaque byte strings at this layer; the typed
 // encoding of Go keys and values lives in codec.go.
@@ -40,21 +40,19 @@ import (
 	"io"
 )
 
-// Format versions. NewWriter writes Version2; the Reader accepts both.
-const (
-	Version1 = 1
-	Version2 = 2
-)
+// Version2 is the one format version: the header byte every run file
+// carries. Any other value is ErrCorrupt.
+const Version2 = 2
 
 // magicPrefix starts every run file; the fifth header byte is the
 // format version.
 var magicPrefix = [4]byte{'M', 'R', 'R', 'F'}
 
-// indexMagic ends every version-2 run file, completing the trailer that
+// indexMagic ends every finished run file, completing the trailer that
 // locates the footer index.
 var indexMagic = [4]byte{'M', 'R', 'F', 'I'}
 
-// trailerLen is the fixed byte length of the version-2 trailer: an
+// trailerLen is the fixed byte length of the trailer: an
 // 8-byte little-endian offset of the end-of-groups marker followed by
 // indexMagic.
 const trailerLen = 12
@@ -64,15 +62,15 @@ const trailerLen = 12
 const maxLen = 1 << 30
 
 // footerMarker is the uvarint written where the next group's key length
-// would go, signalling the end of the group section in version-2 files.
+// would go, signalling the end of the group section.
 // It is above maxLen, so no legal key length collides with it.
 const footerMarker = 1 << 31
 
 // ErrCorrupt reports a structurally invalid run file.
 var ErrCorrupt = errors.New("runfile: corrupt run file")
 
-// ErrNoIndex reports a file without a footer index (a version-1 file,
-// or a version-2 file that was never Finished).
+// ErrNoIndex reports a file without a footer index (one that was never
+// Finished).
 var ErrNoIndex = errors.New("runfile: no footer index")
 
 // IndexEntry describes one key group for the footer index.
@@ -96,7 +94,6 @@ type IndexEntry struct {
 // alone to emit a footerless stream.
 type Writer struct {
 	bw       *bufio.Writer
-	version  byte
 	bytes    int64
 	groups   int64
 	pairs    int64
@@ -118,27 +115,20 @@ type Writer struct {
 	keyArena []byte
 }
 
-// NewWriter starts a version-2 run file on w, writing the header
-// immediately.
-func NewWriter(w io.Writer) *Writer { return newWriter(w, Version2) }
-
-// newWriter starts a run file of the given format version; version 1 is
-// kept writable so compatibility tests can produce legacy files.
-func newWriter(w io.Writer, version byte) *Writer {
-	rw := &Writer{bw: bufio.NewWriterSize(w, 1<<16), version: version}
+// NewWriter starts a run file on w, writing the header immediately.
+func NewWriter(w io.Writer) *Writer {
+	rw := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
 	rw.write(magicPrefix[:])
-	rw.write([]byte{version})
+	rw.write([]byte{Version2})
 	return rw
 }
 
-// Reset discards w's state and starts a fresh version-2 run file on
-// out, writing the header immediately. The internal buffer and index
+// Reset discards w's state and starts a fresh run file on out, writing the header immediately. The internal buffer and index
 // storage are reused, so a long-lived writer — the spool's, which
 // appends many runs to one file — allocates per run only what the run's
 // keys need.
 func (w *Writer) Reset(out io.Writer) {
 	w.bw.Reset(out)
-	w.version = Version2
 	w.bytes = 0
 	w.groups = 0
 	w.pairs = 0
@@ -188,7 +178,7 @@ func (w *Writer) sealEntry() {
 }
 
 // BeginGroup starts a group of exactly n values; the caller must follow
-// with n AppendValue calls (or one AppendRaw covering all n). This is
+// with n AppendValue calls (or one AppendRawBytes covering all n). This is
 // the allocation-light path the shuffle's spill writer uses: values are
 // encoded one at a time into a reused scratch buffer instead of a
 // [][]byte.
@@ -196,23 +186,21 @@ func (w *Writer) BeginGroup(key []byte, n int) error {
 	if w.finished {
 		return fmt.Errorf("runfile: BeginGroup after Finish")
 	}
-	if w.version >= Version2 {
-		w.sealEntry()
-		// Copy the caller's (typically reused) key buffer into the
-		// writer's arena: one growing allocation per run instead of one
-		// per group. Arena growth may reallocate, but earlier entries
-		// keep the old backing array alive, so their slices stay valid.
-		var kcopy []byte // empty key stays nil, as append([]byte(nil)) would
-		if len(key) > 0 {
-			w.keyArena = append(w.keyArena, key...)
-			kcopy = w.keyArena[len(w.keyArena)-len(key):]
-		}
-		w.index = append(w.index, IndexEntry{
-			Key:    kcopy,
-			Count:  int64(n),
-			Offset: w.bytes,
-		})
+	w.sealEntry()
+	// Copy the caller's (typically reused) key buffer into the writer's
+	// arena: one growing allocation per run instead of one per group.
+	// Arena growth may reallocate, but earlier entries keep the old
+	// backing array alive, so their slices stay valid.
+	var kcopy []byte // empty key stays nil, as append([]byte(nil)) would
+	if len(key) > 0 {
+		w.keyArena = append(w.keyArena, key...)
+		kcopy = w.keyArena[len(w.keyArena)-len(key):]
 	}
+	w.index = append(w.index, IndexEntry{
+		Key:    kcopy,
+		Count:  int64(n),
+		Offset: w.bytes,
+	})
 	w.writeUvarint(uint64(len(key)))
 	w.write(key)
 	w.writeUvarint(uint64(n))
@@ -233,34 +221,11 @@ func (w *Writer) AppendValue(v []byte) error {
 	return w.err
 }
 
-// AppendRaw copies n already-framed values (byteLen bytes of the value
-// section) from r into the group opened by BeginGroup, without parsing
-// or re-encoding them. The reader must be positioned at the start of a
-// source group's value section with exactly n values pending — the
-// position NextAppend leaves it in. This is the compaction fast path: a
-// whole group moves between run files as one buffered byte copy.
-func (w *Writer) AppendRaw(r *Reader, n int, byteLen int64) error {
-	if w.err != nil {
-		return w.err
-	}
-	if r.pending < n {
-		return fmt.Errorf("%w: AppendRaw of %d values, %d pending", ErrCorrupt, n, r.pending)
-	}
-	copied, err := io.CopyN(w.bw, r.br, byteLen)
-	w.bytes += copied
-	r.pos += copied
-	if err != nil {
-		w.err = corrupt(err)
-		return w.err
-	}
-	r.pending -= n
-	w.pairs += int64(n)
-	return nil
-}
-
 // AppendRawBytes appends n already-framed values held in memory (a raw
-// value section captured with Reader.RawValues) to the group opened by
-// BeginGroup, without parsing or re-encoding them.
+// value section: ValueBatch.Raw, Reader.RawValues) to the group opened
+// by BeginGroup, without parsing or re-encoding them. This is the
+// compaction fast path: a whole group moves between run files as one
+// byte copy.
 func (w *Writer) AppendRawBytes(p []byte, n int) error {
 	if w.err != nil {
 		return w.err
@@ -272,36 +237,33 @@ func (w *Writer) AppendRawBytes(p []byte, n int) error {
 	return w.err
 }
 
-// Finish completes the file: for version 2 it writes the footer index
-// and trailer, then flushes; for version 1 it just flushes. Further
-// group writes after Finish are an error.
+// Finish completes the file: it writes the footer index and trailer,
+// then flushes. Further group writes after Finish are an error.
 func (w *Writer) Finish() error {
 	if w.err != nil || w.finished {
 		return w.err
 	}
-	if w.version >= Version2 {
-		w.sealEntry()
-		footerOff := w.bytes
-		w.footerStart = footerOff
-		w.writeUvarint(footerMarker)
-		w.writeUvarint(uint64(len(w.index)))
-		var prevKey []byte
-		var prevOff int64
-		for _, e := range w.index {
-			lcp := commonPrefix(prevKey, e.Key)
-			w.writeUvarint(uint64(lcp))
-			w.writeUvarint(uint64(len(e.Key) - lcp))
-			w.write(e.Key[lcp:])
-			w.writeUvarint(uint64(e.Count))
-			w.writeUvarint(uint64(e.Offset - prevOff))
-			w.writeUvarint(uint64(e.ValueBytes))
-			prevKey, prevOff = e.Key, e.Offset
-		}
-		var tr [trailerLen]byte
-		binary.LittleEndian.PutUint64(tr[:8], uint64(footerOff))
-		copy(tr[8:], indexMagic[:])
-		w.write(tr[:])
+	w.sealEntry()
+	footerOff := w.bytes
+	w.footerStart = footerOff
+	w.writeUvarint(footerMarker)
+	w.writeUvarint(uint64(len(w.index)))
+	var prevKey []byte
+	var prevOff int64
+	for _, e := range w.index {
+		lcp := commonPrefix(prevKey, e.Key)
+		w.writeUvarint(uint64(lcp))
+		w.writeUvarint(uint64(len(e.Key) - lcp))
+		w.write(e.Key[lcp:])
+		w.writeUvarint(uint64(e.Count))
+		w.writeUvarint(uint64(e.Offset - prevOff))
+		w.writeUvarint(uint64(e.ValueBytes))
+		prevKey, prevOff = e.Key, e.Offset
 	}
+	var tr [trailerLen]byte
+	binary.LittleEndian.PutUint64(tr[:8], uint64(footerOff))
+	copy(tr[8:], indexMagic[:])
+	w.write(tr[:])
 	w.finished = true
 	return w.Flush()
 }
@@ -324,6 +286,11 @@ func (w *Writer) Flush() error {
 	w.err = w.bw.Flush()
 	return w.err
 }
+
+// Err is the first write error the Writer latched, or nil: after a
+// failed group callback it tells an I/O failure (retryable) from an
+// encoding one (the writer took every byte it was given).
+func (w *Writer) Err() error { return w.err }
 
 // Index returns the footer index accumulated so far, one entry per
 // group in write order. Entries are complete (ValueBytes included) only
@@ -353,18 +320,18 @@ func (w *Writer) Groups() int64 { return w.groups }
 // Pairs is the total number of values written across all groups.
 func (w *Writer) Pairs() int64 { return w.pairs }
 
-// Reader streams key groups back from a run file, either version.
+// Reader streams key groups back from a run file.
 //
 // The cursor protocol: Next returns the next group's key and value
 // count, after which Value may be called up to that many times. Values
 // left unread when Next is called again are skipped without allocation.
-// On a version-2 file the group stream ends cleanly (io.EOF) at the
-// footer marker; the footer itself is never surfaced as groups.
+// The group stream ends cleanly (io.EOF) at the footer marker — or, for
+// a file that was never Finished, at the end of its last whole group;
+// the footer itself is never surfaced as groups.
 type Reader struct {
 	br      *bufio.Reader
 	started bool
 	done    bool
-	version byte
 	pending int   // values of the current group not yet read
 	pos     int64 // bytes consumed from the underlying stream
 }
@@ -433,10 +400,9 @@ func (r *Reader) readHeader() error {
 	if [4]byte(hdr[:4]) != magicPrefix {
 		return fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[:])
 	}
-	if hdr[4] != Version1 && hdr[4] != Version2 {
+	if hdr[4] != Version2 {
 		return fmt.Errorf("%w: unsupported format version %d", ErrCorrupt, hdr[4])
 	}
-	r.version = hdr[4]
 	r.started = true
 	return nil
 }
@@ -472,7 +438,7 @@ func (r *Reader) NextAppend(dst []byte) ([]byte, int, error) {
 		}
 		return nil, 0, corrupt(err)
 	}
-	if r.version >= Version2 && x == footerMarker {
+	if x == footerMarker {
 		r.done = true // footer reached: the group section is over
 		return nil, 0, io.EOF
 	}
@@ -599,14 +565,11 @@ func (r *Reader) SkipValues() error {
 // called, the offset of the next group's framing.
 func (r *Reader) Offset() int64 { return r.pos }
 
-// Version is the file's format version, valid after the first Next.
-func (r *Reader) Version() byte { return r.version }
-
-// ReadIndex loads the footer index of a version-2 run file through
-// random access, reading only the trailer and the footer — never group
-// bytes. It returns ErrNoIndex (wrapped) when the file has no trailer
-// (a version-1 file, or one that was never Finished); use ScanIndex to
-// build the index from a sequential pass instead.
+// ReadIndex loads the footer index of a run file through random access,
+// reading only the trailer and the footer — never group bytes. It
+// returns ErrNoIndex (wrapped) when the file has no trailer (it was
+// never Finished); use ScanIndex to build the index from a sequential
+// pass instead.
 func ReadIndex(ra io.ReaderAt, size int64) ([]IndexEntry, error) {
 	if size < int64(len(magicPrefix))+1+trailerLen {
 		return nil, fmt.Errorf("%w: file too small for a trailer", ErrNoIndex)
@@ -695,19 +658,17 @@ func ReadIndex(ra io.ReaderAt, size int64) ([]IndexEntry, error) {
 	return entries, nil
 }
 
-// LoadIndex returns a run file's index, preferring the v2 footer
+// LoadIndex returns a run file's index, preferring the footer
 // (ReadIndex: trailer plus footer, no group bytes) and falling back to
 // a sequential scan of the group section when the footer is missing or
-// torn — a version-1 file, a writer that crashed before Finish, or a
-// truncated trailer. A recoverable footer problem therefore degrades
-// to one extra sequential pass instead of failing the caller's round;
-// only when the group section itself is unreadable does LoadIndex
-// fail, with both the footer error and the scan error in the chain.
-// This is the library-level building block for reopening spill runs
-// whose writer may not have completed; in-process rounds keep their
-// indexes resident and never call it — the intended caller is a future
-// restart/recovery path over a surviving spill dir (the ROADMAP
-// crash-consistency item).
+// torn — a writer that crashed before Finish, or a truncated trailer. A
+// recoverable footer problem therefore degrades to one extra sequential
+// pass instead of failing the caller's round; only when the group
+// section itself is unreadable does LoadIndex fail, with both the
+// footer error and the scan error in the chain. This is how run images
+// whose writer may not have completed are reopened: internal/proc's
+// salvage validation and the shuffle's run adoption both call it
+// (in-process rounds keep their indexes resident and never do).
 func LoadIndex(ra io.ReaderAt, size int64) ([]IndexEntry, error) {
 	idx, err := ReadIndex(ra, size)
 	if err == nil {
@@ -723,10 +684,10 @@ func LoadIndex(ra io.ReaderAt, size int64) ([]IndexEntry, error) {
 	return scanned, nil
 }
 
-// ScanIndex builds the footer index of a run file of either version by
-// a sequential counting pass over its groups (values skipped, not
-// decoded). It is the version-1 fallback for ReadIndex and must agree
-// with the footer a version-2 Finish would have written.
+// ScanIndex builds the footer index of a run file by a sequential
+// counting pass over its groups (values skipped, not decoded). It is
+// the torn-footer fallback for ReadIndex and must agree with the footer
+// Finish would have written.
 func ScanIndex(r io.Reader) ([]IndexEntry, error) {
 	rd := NewReader(r)
 	var entries []IndexEntry

@@ -393,34 +393,30 @@ func TestFooterIndexRoundTrip(t *testing.T) {
 	if _, _, err := r.Next(); err != io.EOF {
 		t.Fatalf("after last group: err = %v, want io.EOF", err)
 	}
-	if r.Version() != Version2 {
-		t.Errorf("Version = %d, want %d", r.Version(), Version2)
-	}
 }
 
-// TestV1FilesStillDecode: version negotiation. A v1 file (no footer)
-// streams exactly as before, ReadIndex reports ErrNoIndex, and
-// ScanIndex rebuilds the same index a v2 Finish would have written.
-func TestV1FilesStillDecode(t *testing.T) {
-	var v1buf, v2buf bytes.Buffer
-	w1 := newWriter(&v1buf, Version1)
+// TestUnfinishedFileStreams: a writer that flushed its groups but never
+// reached Finish (a crash before the footer) leaves a stream that still
+// reads group by group to a clean io.EOF, has no index for ReadIndex
+// (ErrNoIndex), and scans — directly or through LoadIndex's fallback —
+// to exactly the index Finish would have written.
+func TestUnfinishedFileStreams(t *testing.T) {
+	var torn, whole bytes.Buffer
+	w1 := NewWriter(&torn)
 	writeSample(t, w1)
 	if err := w1.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	w2 := NewWriter(&v2buf)
+	w2 := NewWriter(&whole)
 	writeSample(t, w2)
 	if err := w2.Finish(); err != nil {
 		t.Fatal(err)
 	}
 
-	r := NewReader(bytes.NewReader(v1buf.Bytes()))
+	r := NewReader(bytes.NewReader(torn.Bytes()))
 	key, n, err := r.Next()
 	if err != nil || string(key) != "alpha" || n != 3 {
-		t.Fatalf("v1 first group: %q %d %v", key, n, err)
-	}
-	if r.Version() != Version1 {
-		t.Errorf("Version = %d, want %d", r.Version(), Version1)
+		t.Fatalf("first group: %q %d %v", key, n, err)
 	}
 	groups := 1
 	for {
@@ -430,71 +426,58 @@ func TestV1FilesStillDecode(t *testing.T) {
 		groups++
 	}
 	if err != io.EOF || groups != 4 {
-		t.Fatalf("v1 stream: %d groups, final err %v", groups, err)
+		t.Fatalf("unfinished stream: %d groups, final err %v", groups, err)
 	}
 
-	if _, err := ReadIndex(bytes.NewReader(v1buf.Bytes()), int64(v1buf.Len())); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("ReadIndex on v1: err = %v, want ErrNoIndex", err)
+	if _, err := ReadIndex(bytes.NewReader(torn.Bytes()), int64(torn.Len())); !errors.Is(err, ErrNoIndex) {
+		t.Fatalf("ReadIndex on unfinished file: err = %v, want ErrNoIndex", err)
 	}
-
-	// ScanIndex of the v1 file agrees with the v2 footer entry for
-	// entry: both headers are 5 bytes, so offsets line up exactly.
-	scan1, err := ScanIndex(bytes.NewReader(v1buf.Bytes()))
+	scan, err := ScanIndex(bytes.NewReader(torn.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx2, err := ReadIndex(bytes.NewReader(v2buf.Bytes()), int64(v2buf.Len()))
+	idx, err := ReadIndex(bytes.NewReader(whole.Bytes()), int64(whole.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(scan1, idx2) {
-		t.Fatalf("v1 scan diverges from v2 footer:\nv1 %+v\nv2 %+v", scan1, idx2)
+	if !reflect.DeepEqual(scan, idx) {
+		t.Fatalf("scan of unfinished file diverges from footer:\nscan   %+v\nfooter %+v", scan, idx)
+	}
+	if loaded, err := LoadIndex(bytes.NewReader(torn.Bytes()), int64(torn.Len())); err != nil || !reflect.DeepEqual(loaded, idx) {
+		t.Fatalf("LoadIndex of unfinished file = %+v, %v; want the footer's index", loaded, err)
 	}
 }
 
-// TestMixedVersionReads: a consumer holding one v1 and one v2 file
-// (e.g. runs spilled by different binary versions) merges them with
-// the same Reader loop.
-func TestMixedVersionReads(t *testing.T) {
-	var v1buf, v2buf bytes.Buffer
-	w1 := newWriter(&v1buf, Version1)
-	w1.WriteGroup([]byte("a"), [][]byte{[]byte("1")})
-	w1.WriteGroup([]byte("c"), [][]byte{[]byte("3"), []byte("33")})
-	if err := w1.Flush(); err != nil {
+// TestOtherFormatVersionsRejected: the header's version byte must be 2
+// on every read path — the streaming Reader, the index scan, and the
+// mapped image.
+func TestOtherFormatVersionsRejected(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	writeSample(t, w)
+	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	w2 := NewWriter(&v2buf)
-	w2.WriteGroup([]byte("b"), [][]byte{[]byte("2")})
-	w2.WriteGroup([]byte("d"), nil)
-	if err := w2.Finish(); err != nil {
-		t.Fatal(err)
-	}
-
-	got := map[string]int{}
-	for _, data := range [][]byte{v1buf.Bytes(), v2buf.Bytes()} {
-		r := NewReader(bytes.NewReader(data))
-		for {
-			key, n, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			got[string(key)] = n
+	for _, v := range []byte{0, 1, 3} {
+		data := append([]byte(nil), buf.Bytes()...)
+		data[len(magicPrefix)] = v
+		if _, _, err := NewReader(bytes.NewReader(data)).Next(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("version %d: Reader err = %v, want ErrCorrupt", v, err)
+		}
+		if _, err := ScanIndex(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("version %d: ScanIndex err = %v, want ErrCorrupt", v, err)
+		}
+		if _, err := NewGroupBatchMapped(data, nil); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("version %d: NewGroupBatchMapped err = %v, want ErrCorrupt", v, err)
 		}
 	}
-	want := map[string]int{"a": 1, "b": 1, "c": 2, "d": 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged groups = %v, want %v", got, want)
-	}
 }
 
-// TestAppendRawMovesGroups: the compaction fast path — NextAppend to a
-// source group's value section, then AppendRaw into a new file —
+// TestAppendRawBytesMovesGroups: the compaction fast path — a source
+// group's raw value section appended to a new file with AppendRawBytes —
 // round-trips values byte-identically, and the destination's footer
 // geometry matches the source's.
-func TestAppendRawMovesGroups(t *testing.T) {
+func TestAppendRawBytesMovesGroups(t *testing.T) {
 	var src bytes.Buffer
 	w := NewWriter(&src)
 	writeSample(t, w)
@@ -517,7 +500,11 @@ func TestAppendRawMovesGroups(t *testing.T) {
 		if err := w2.BeginGroup(key, n); err != nil {
 			t.Fatal(err)
 		}
-		if err := w2.AppendRaw(r, n, srcIdx[i].ValueBytes); err != nil {
+		raw, err := r.RawValues(nil, srcIdx[i].ValueBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w2.AppendRawBytes(raw, n); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package shuffle
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -94,37 +93,6 @@ func TestForEachGroupBatchArenaAliasing(t *testing.T) {
 	if !diverged {
 		t.Fatal("retained batch slice survived across callbacks intact: " +
 			"the read path is copying per group instead of reusing scratch")
-	}
-}
-
-// TestPerValueDecodeHookMatchesBatch: the legacy per-value decode path
-// (kept for head-to-head benchmarks) must produce the same groups as
-// the default batch decode.
-func TestPerValueDecodeHookMatchesBatch(t *testing.T) {
-	build := func(perValue bool) map[string][]int {
-		s := New[string, int](Options{Partitions: 2, MaxBufferedPairs: 8, SpillDir: t.TempDir()})
-		defer s.Close()
-		s.perValue = perValue
-		buf := s.NewTaskBuffer()
-		for i := 0; i < 300; i++ {
-			buf.Emit(fmt.Sprintf("k%02d", i%17), i)
-		}
-		if err := s.Merge([]*TaskBuffer[string, int]{buf}); err != nil {
-			t.Fatal(err)
-		}
-		got := make(map[string][]int)
-		for p := 0; p < s.NumPartitions(); p++ {
-			if err := s.Partition(p).ForEachGroup(func(k string, vs []int) error {
-				got[k] = vs
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return got
-	}
-	if !reflect.DeepEqual(build(true), build(false)) {
-		t.Fatal("per-value and batch decode paths disagree")
 	}
 }
 

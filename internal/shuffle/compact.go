@@ -1,17 +1,17 @@
 // Asynchronous disk-run compaction.
 //
-// Barrier-mode Merge owns each partition outright and compacts inline
-// on the partition's goroutine; nothing here applies to it. The
-// streaming path used to do the same — a seal that pushed a partition
-// over the run-count bound rewrote all of its disk runs before the
-// seal returned, stalling that partition's ingestion (and, through the
-// global pressure backstop, often the whole round) for the length of a
-// multi-run merge. Here the seal only marks the partition and hands it
-// to a small pool of background workers; the merge then runs
-// concurrently with ingestion, which is safe because sealed runs are
-// immutable and new seals only append to the partition's run list — a
-// compaction plans a window of that list, merges it without the lock,
-// and splices the result back in under the lock.
+// A streaming seal that pushes a partition over the run-count bound
+// does not rewrite the partition's disk runs itself — that would stall
+// the partition's ingestion (and, through the global pressure backstop,
+// often the whole round) for the length of a multi-run merge. The seal
+// only marks the partition and hands it to a small pool of background
+// workers; the merge (mergeDiskRuns, the compaction consumer of the
+// package's one merge loop) then runs concurrently with ingestion, which
+// is safe because sealed runs are immutable and new seals only append to
+// the partition's run list — a compaction plans a window of that list,
+// merges it without the lock, and splices the result back in under the
+// lock. (Barrier-mode Merge owns each partition outright and compacts
+// inline on the partition's goroutine; nothing here applies to it.)
 //
 // Queue discipline: at most one queue entry per partition exists at
 // any time (partitionState.compacting), so a channel with one slot per

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/errfs"
+	"repro/internal/runfile"
 )
 
 // Fault injection over the whole disk data path: every filesystem
@@ -19,8 +20,21 @@ import (
 // faults must select the fallback and leave the output untouched.
 
 // noMmap forces the positioned-read fallback, making OpReadAt ordinals
-// deterministic for the injection cases below.
-func noMmap(o *Options) { o.DisableMmap = true }
+// deterministic for the injection cases below: every file the shuffle
+// opens loses its Mapper capability, so runfile.Map reports ErrNoMmap
+// exactly as on a platform without mmap. Reads and writes still pass
+// through the wrapped (fault-injecting) FS.
+func noMmap(o *Options) { o.FS = unmappableFS{o.FS} }
+
+type unmappableFS struct{ runfile.FS }
+
+func (u unmappableFS) Open(name string) (runfile.File, error) {
+	f, err := u.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return struct{ runfile.File }{f}, nil
+}
 
 // spillWorkload merges pairs pairs of key i%keys into a single-partition
 // shuffle with the given budget over fs, returning the shuffle and the

@@ -814,9 +814,9 @@ func (sp *spool[K, V]) addRunGroups(keys []K, groups map[K][]V, pairs int64) (dr
 		sp.w.Reset(sp.f)
 	}
 	w := sp.w
-	if err := writeGroups(w, sp.f.Name(), keys, groups); err != nil {
+	if err := writeGroups(w, keys, groups); err != nil {
 		sp.broken = true
-		return dr, 0, 0, err
+		return dr, 0, 0, fmt.Errorf("shuffle: spilling to %s %s: %w", sp.kind, sp.f.Name(), err)
 	}
 	if err := w.Finish(); err != nil {
 		sp.broken = true
@@ -824,7 +824,7 @@ func (sp *spool[K, V]) addRunGroups(keys []K, groups map[K][]V, pairs int64) (dr
 	}
 	dr = diskRun[K]{
 		file: sp.rf, off: sp.off, size: w.BytesWritten(), pairs: pairs,
-		index: typedIndex(keys, w.Index(), w.BodyBytes()),
+		index: typedIndex(keys, w.Index()),
 	}
 	sp.off += w.BytesWritten()
 	sp.rf.size.Store(sp.off)

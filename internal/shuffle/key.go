@@ -203,14 +203,6 @@ func typedCmp[K comparable, T cmp.Ordered](a, b K) int {
 	return cmp.Compare(*(*T)(unsafe.Pointer(&a)), *(*T)(unsafe.Pointer(&b)))
 }
 
-// KeyLess returns the canonical strict order on K — the comparator
-// behind SortKeys, exported for external k-way merges (internal/proc's
-// reduce workers order their section cursors with it).
-func KeyLess[K comparable]() func(a, b K) bool {
-	cmp := orderOf[K]().cmp
-	return func(a, b K) bool { return cmp(a, b) < 0 }
-}
-
 // SortKeys sorts keys in the package's canonical deterministic order
 // (see the package comment of this file): slices.Sort on the concrete
 // type for the unnamed number and string kinds (pdqsort, no

@@ -9,7 +9,6 @@ import (
 	"os/exec"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -31,9 +30,9 @@ type (
 )
 
 // checkKeyOrder pins the invariant every sort, merge and range search
-// rests on: SortKeys, a sort by KeyLess and a sort by orderOf's
-// comparison produce the same sequence, and the comparison is zero
-// exactly for == keys when the order claims to be strict.
+// rests on: SortKeys and a sort by orderOf's comparison produce the
+// same sequence, and the comparison is zero exactly for == keys when
+// the order claims to be strict.
 func checkKeyOrder[K comparable](t *testing.T, wantStrict bool, vals []K) {
 	t.Helper()
 	ord := orderOf[K]()
@@ -42,19 +41,16 @@ func checkKeyOrder[K comparable](t *testing.T, wantStrict bool, vals []K) {
 	}
 	bySort := slices.Clone(vals)
 	SortKeys(bySort)
-	byLess := slices.Clone(vals)
-	less := KeyLess[K]()
-	sort.SliceStable(byLess, func(i, j int) bool { return less(byLess[i], byLess[j]) })
 	byCmp := slices.Clone(vals)
 	slices.SortStableFunc(byCmp, ord.cmp)
 	for i := range bySort {
 		// Compare through cmp, not ==: a non-strict order may permute
 		// the keys of one tie class.
-		if ord.cmp(bySort[i], byLess[i]) != 0 || ord.cmp(bySort[i], byCmp[i]) != 0 {
-			t.Fatalf("%T: SortKeys %v, by KeyLess %v, by cmp %v", vals[0], bySort, byLess, byCmp)
+		if ord.cmp(bySort[i], byCmp[i]) != 0 {
+			t.Fatalf("%T: SortKeys %v, by cmp %v", vals[0], bySort, byCmp)
 		}
-		if i > 0 && less(bySort[i], bySort[i-1]) {
-			t.Fatalf("%T: SortKeys output %v descends at %d under KeyLess", vals[0], bySort, i)
+		if i > 0 && ord.cmp(bySort[i], bySort[i-1]) < 0 {
+			t.Fatalf("%T: SortKeys output %v descends at %d under cmp", vals[0], bySort, i)
 		}
 	}
 	if !ord.strict {
@@ -227,20 +223,19 @@ func TestStableHashSpreadsPartitions(t *testing.T) {
 	}
 }
 
-// TestKeyPathDoesNotAllocate: the pinned hash, KeyLess and the
-// comparison behind a struct-key SortKeys sit on the per-pair data
-// path; none may allocate.
+// TestKeyPathDoesNotAllocate: the pinned hash and the comparison behind
+// a struct-key SortKeys and every merge sit on the per-pair data path;
+// neither may allocate.
 func TestKeyPathDoesNotAllocate(t *testing.T) {
 	defer WithSeed(1)()
 	hp, hn := NewHasher[keyPair](), NewHasher[keyNamed]()
-	lp, ln := KeyLess[keyPair](), KeyLess[keyNamed]()
-	cn := orderOf[keyNamed]().cmp
+	cp, cn := orderOf[keyPair]().cmp, orderOf[keyNamed]().cmp
 	p1, p2 := keyPair{3, 1 << 40}, keyPair{3, 1 << 41}
 	n1, n2 := keyNamed{S: "a string key", T: 1}, keyNamed{S: "a string key", T: 2}
 	var sink uint64
 	if n := testing.AllocsPerRun(100, func() {
 		sink += hp.Hash(p1) + hn.Hash(n1) + NewHasher[int]().Hash(7)
-		if lp(p1, p2) && ln(n1, n2) && cn(n1, n2) < 0 {
+		if cp(p1, p2) < 0 && cn(n1, n2) < 0 {
 			sink++
 		}
 	}); n != 0 {

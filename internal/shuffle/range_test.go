@@ -214,38 +214,3 @@ func TestRangeSplitCollidingKeys(t *testing.T) {
 		t.Fatalf("colliding class surfaced %d groups, want 2", seen)
 	}
 }
-
-// TestPlanRangesFromCounts covers the standalone planner and Clamp used
-// by proc reduce workers: class-aligned cuts over an aggregated
-// (key, count) profile, and index windows that tile the key space.
-func TestPlanRangesFromCounts(t *testing.T) {
-	keys := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	counts := []int64{10, 1, 1, 10, 1, 1, 10, 1}
-	ranges := PlanRangesFromCounts(keys, counts, 12, 8)
-	if ranges == nil {
-		t.Fatal("no plan for a 35-pair profile with target 12")
-	}
-	var pairs int64
-	prevHi := 0
-	for i, r := range ranges {
-		pairs += r.Pairs
-		lo, hi := r.Clamp(keys)
-		if lo != prevHi {
-			t.Fatalf("range %d window [%d,%d) does not tile from %d", i, lo, hi, prevHi)
-		}
-		if hi <= lo {
-			t.Fatalf("range %d empty window [%d,%d)", i, lo, hi)
-		}
-		prevHi = hi
-	}
-	if prevHi != len(keys) || pairs != 35 {
-		t.Fatalf("windows end at %d (want %d), pairs %d (want 35)", prevHi, len(keys), pairs)
-	}
-	// Disabled and degenerate cases plan nothing.
-	if PlanRangesFromCounts(keys, counts, 0, 8) != nil ||
-		PlanRangesFromCounts(keys, counts, 12, 1) != nil ||
-		PlanRangesFromCounts(keys, counts, 100, 8) != nil ||
-		PlanRangesFromCounts[int](nil, nil, 12, 8) != nil {
-		t.Fatal("degenerate profiles must not plan a split")
-	}
-}

@@ -11,11 +11,12 @@
 // cannot separate — never straddles two ranges, and the one-reducer-
 // per-group contract survives the split.
 //
-// RangeReader is the concurrent read surface: it opens the partition's
-// spool files and mmaps once (openRunViews — the same shared per-spool
-// mapping the whole-partition merge uses), and each ForEachGroupRange
-// call builds its own clamped cursor set over subslices of the resident
-// indexes, seeked by binary search. Ranges emitted in plan order
+// RangeReader is the read surface, concurrent or not: it opens the
+// partition's spool files and mmaps once (openRunViews), and each
+// ForEachGroupRange call builds its own clamped cursor set over
+// subslices of the resident indexes, seeked by binary search
+// (rangeCursors) — the whole-partition read is simply the unbounded
+// range. Ranges emitted in plan order
 // concatenate to exactly the whole-partition merge's group sequence,
 // value-order contract included, which is the determinism argument: the
 // split changes who reads a group, never what the group is or where it
@@ -103,7 +104,7 @@ func (p Partition[K, V]) PlanReduceRanges(targetPairs int64, maxRanges int) []Ke
 		return nil
 	}
 	pl := rangePlanner[K]{cmp: orderOf[K]().cmp, target: targetPairs, max: maxRanges}
-	err := p.forEachGroup(false, false, func(k K, count int, _ []V) error {
+	err := p.forEachCount(func(k K, count int) error {
 		pl.add(k, int64(count))
 		return nil
 	})
@@ -111,31 +112,6 @@ func (p Partition[K, V]) PlanReduceRanges(targetPairs int64, maxRanges int) []Ke
 		return nil
 	}
 	return pl.finish()
-}
-
-// PlanRangesFromCounts cuts a sorted distinct-key sequence with per-key
-// pair counts into class-aligned ranges of roughly targetPairs pairs —
-// the standalone twin of Partition.PlanReduceRanges for callers that
-// already aggregated their (key, count) profile (proc reduce workers
-// plan from their sections' decoded indexes). keys must be in canonical
-// order (SortKeys). Returns nil when splitting is disabled or the
-// sequence fits a single range.
-func PlanRangesFromCounts[K comparable](keys []K, counts []int64, targetPairs int64, maxRanges int) []KeyRange[K] {
-	if targetPairs <= 0 || maxRanges <= 1 {
-		return nil
-	}
-	pl := rangePlanner[K]{cmp: orderOf[K]().cmp, target: targetPairs, max: maxRanges}
-	for i, k := range keys {
-		pl.add(k, counts[i])
-	}
-	return pl.finish()
-}
-
-// Clamp resolves the range to the [lo, hi) index window of keys, which
-// must be sorted in canonical order — the exported seek proc reduce
-// workers use to slice their section cursors per range.
-func (r KeyRange[K]) Clamp(keys []K) (lo, hi int) {
-	return clampRange(len(keys), func(i int) K { return keys[i] }, orderOf[K]().cmp, r)
 }
 
 // clampRange resolves a KeyRange to the [lo, hi) index window of a key
@@ -156,10 +132,10 @@ func clampRange[K comparable](n int, keyAt func(int) K, cmp func(a, b K) int, r 
 	return lo, hi
 }
 
-// RangeReader reads disjoint key ranges of one partition concurrently.
-// It holds the partition's read surface open once — spool handles and
-// shared mmaps (openRunViews), the disk-read semaphore slot, the
-// reduce-merge span — while any number of goroutines each run
+// RangeReader reads key ranges of one partition — disjoint ones
+// concurrently. It holds the partition's read surface open once — spool
+// handles and shared mmaps (openRunViews), the disk-read semaphore slot,
+// the reduce-merge span — while any number of goroutines each run
 // ForEachGroupRange over their own range. Close releases all of it.
 // The partition must be quiescent (reduce phase): no concurrent writes.
 type RangeReader[K comparable, V any] struct {
@@ -168,28 +144,25 @@ type RangeReader[K comparable, V any] struct {
 	ord keyOrder[K]
 
 	views    []runView // one per disk run, sharing per-spool handles/mmaps
-	closeAll func()
+	closeAll func()    // non-nil when disk runs are held open
 
-	memRuns []map[K][]V // sealed in-memory runs, then the live run
-	memKeys [][]K       // their sorted key slices, computed once
+	mem []memRun[K, V] // sealed in-memory runs, then the live run
 
-	hasDisk   bool
 	closeOnce sync.Once
-	closeErr  error
 }
 
-// OpenRangeReader opens the partition's shared read surface for
-// concurrent range merges. With disk runs it takes a disk-read
-// semaphore slot and opens every spool handle and mapping exactly once,
-// held until Close; the reduce-merge span covers the same window.
+// OpenRangeReader opens the partition's shared read surface. With disk
+// runs it takes a disk-read semaphore slot — at most
+// diskReadConcurrency partitions hold their fan-in open at once — and
+// opens every spool handle and mapping exactly once, held until Close;
+// the reduce-merge span covers the same window.
 func (p Partition[K, V]) OpenRangeReader() (*RangeReader[K, V], error) {
 	st := &p.s.parts[p.idx]
 	if p.s.closed && st.spilledToDisk {
 		return nil, fmt.Errorf("shuffle: partition %d read after Close: spilled runs deleted", p.idx)
 	}
-	rr := &RangeReader[K, V]{s: p.s, st: st, ord: orderOf[K]()}
+	rr := &RangeReader[K, V]{s: p.s, st: st, ord: orderOf[K](), mem: st.memRuns()}
 	if len(st.disk) > 0 {
-		rr.hasDisk = true
 		p.s.diskSem <- struct{}{}
 		st.lane.Begin(obs.OpReduceMerge, int64(len(st.disk)), 0)
 		views, closeAll, err := openRunViews(p.s, st.disk)
@@ -201,66 +174,32 @@ func (p Partition[K, V]) OpenRangeReader() (*RangeReader[K, V], error) {
 		}
 		rr.views, rr.closeAll = views, closeAll
 	}
-	for _, run := range st.runs {
-		rr.memRuns = append(rr.memRuns, run)
-		rr.memKeys = append(rr.memKeys, sortedMapKeys(run))
-	}
-	if len(st.live) > 0 {
-		rr.memRuns = append(rr.memRuns, st.live)
-		rr.memKeys = append(rr.memKeys, sortedMapKeys(st.live))
-	}
 	return rr, nil
 }
 
 // Close releases the reader's handles, mappings, semaphore slot and
 // span. Safe to call more than once; must not race ForEachGroupRange.
+// It cannot fail: the handles were only read.
 func (rr *RangeReader[K, V]) Close() error {
 	rr.closeOnce.Do(func() {
 		if rr.closeAll != nil {
 			rr.closeAll()
-		}
-		if rr.hasDisk {
 			rr.st.lane.End(obs.OpReduceMerge, 0, 0)
 			<-rr.s.diskSem
 		}
 	})
-	return rr.closeErr
+	return nil
 }
 
 // ForEachGroupRange streams the partition's groups inside r, in
-// canonical key order, through fn — the clamped twin of ForEachGroup
-// (reuseValues false) and ForEachGroupBatch (reuseValues true: the
-// slice is scratch, valid only during the call). Every cursor is seeked
-// to the range by binary search over its resident index and reads
-// through the reader's shared views, so concurrent calls with disjoint
-// ranges are safe and the concatenation of all planned ranges in order
+// canonical key order, through fn — ForEachGroup clamped to r
+// (reuseValues false) or ForEachGroupBatch (reuseValues true: the slice
+// is scratch, valid only during the call). Every cursor is seeked to
+// the range by binary search over its resident index and reads through
+// the reader's shared views, so concurrent calls with disjoint ranges
+// are safe and the concatenation of all planned ranges in order
 // reproduces the whole-partition merge exactly.
 func (rr *RangeReader[K, V]) ForEachGroupRange(r KeyRange[K], reuseValues bool, fn func(k K, vs []V) error) error {
-	var cursors []*groupCursor[K, V]
-	for i, dr := range rr.st.disk {
-		idx := dr.index
-		lo, hi := clampRange(len(idx), func(j int) K { return idx[j].key }, rr.ord.cmp, r)
-		if lo == hi {
-			continue
-		}
-		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: i, idx: idx[lo:hi],
-			file: rr.views[i].file, img: rr.views[i].img, ra: rr.views[i].ra, raOff: rr.views[i].raOff,
-			meter: &rr.s.diskRead,
-		})
-	}
-	base := len(rr.st.disk)
-	for i, run := range rr.memRuns {
-		keys := rr.memKeys[i]
-		lo, hi := clampRange(len(keys), func(j int) K { return keys[j] }, rr.ord.cmp, r)
-		if lo == hi {
-			continue
-		}
-		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: base + i, mem: run, memKeys: keys[lo:hi],
-		})
-	}
-	return mergeGroupCursors(cursors, rr.ord, true, reuseValues, func(k K, _ int, vs []V) error {
-		return fn(k, vs)
-	})
+	cursors := rangeCursors(rr.s, rr.st.disk, rr.views, rr.mem, rr.ord.cmp, r)
+	return mergeCursors(cursors, rr.ord, readGroups(reuseValues, fn))
 }

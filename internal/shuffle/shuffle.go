@@ -102,13 +102,6 @@ type Options struct {
 	// disables rotation. Reclaimed bytes are reported in
 	// Stats.BytesReclaimed.
 	SpoolRotateBytes int64
-
-	// DisableMmap forces the positioned-read (pread) fallback for run
-	// file reads even where the platform supports memory mapping. Used
-	// by tests that must exercise the fallback deterministically; the
-	// default (mmap where available, automatic fallback otherwise)
-	// is right for production.
-	DisableMmap bool
 }
 
 // DefaultPartitions is the partition count used when Options.Partitions
@@ -144,9 +137,9 @@ type Pair[K comparable, V any] struct {
 // reduce partitions.
 type Shuffle[K comparable, V any] struct {
 	hasher       Hasher[K]
-	partitioner  func(K) int                                      // optional override; used by tests and schemas
-	combiner     func(K, []V) []V                                 // optional associative pre-aggregation, applied at seal time
-	sealSink     func(part int, keys []K, groups map[K][]V) error // optional seal redirect (SetSealSink)
+	partitioner  func(K) int      // optional override; used by tests and schemas
+	combiner     func(K, []V) []V // optional associative pre-aggregation, applied at seal time
+	sealSink     SealSink         // optional seal redirect (SetSealSink)
 	opts         Options
 	nparts       int
 	mask         uint64
@@ -154,11 +147,11 @@ type Shuffle[K comparable, V any] struct {
 	parts        []partitionState[K, V]
 	mergeMu      sync.Mutex
 	closed       bool
-	spillTypeErr error         // non-nil when K or V cannot survive a disk round trip
-	fs           runfile.FS    // filesystem behind run files (OSFS unless injected)
-	diskSem      chan struct{} // bounds concurrent multi-file disk reads (fd cap)
-	diskRead     atomic.Int64  // bytes read back from spill run files
-	perValue     bool          // test/bench hook: legacy per-value spill decode
+	spillTypeErr error               // non-nil when K or V cannot survive a disk round trip
+	fs           runfile.FS          // filesystem behind run files (OSFS unless injected)
+	diskSem      chan struct{}       // bounds concurrent multi-file disk reads (fd cap)
+	diskRead     atomic.Int64        // bytes read back from spill run files
+	borrowed     map[string]*runFile // adopted files by path (AdoptRun); guarded by mergeMu
 
 	// Async compaction (see compact.go): partitions over their run-count
 	// bound are enqueued on compactCh (at most one entry per partition)
@@ -232,8 +225,8 @@ type partitionState[K comparable, V any] struct {
 	// the slices are dead, so the next fill reuses their capacity
 	// instead of re-growing every key's slice from nil. Slices are
 	// zeroed before harvesting so recycled capacity never pins decoded
-	// values. The in-memory-run and seal-sink paths hand the map itself
-	// away and must not recycle.
+	// values. The in-memory-run path hands the map itself away and must
+	// not recycle.
 	freeVs []([]V)
 	// swapBuf and swapChunk are absorbSwapped's reused section read
 	// buffer and decode staging block (values are copied out by absorb,
@@ -294,6 +287,7 @@ func New[K comparable, V any](opts Options) *Shuffle[K, V] {
 		mask:       uint64(n - 1),
 		blockPairs: blockPairs(opts),
 		parts:      make([]partitionState[K, V], n),
+		diskSem:    make(chan struct{}, diskReadConcurrency),
 	}
 	for i := range s.parts {
 		s.parts[i].idx = i
@@ -320,7 +314,6 @@ func New[K comparable, V any](opts Options) *Shuffle[K, V] {
 			// (mergeDiskRuns) relies on the strict order that gives it.
 			s.spillTypeErr = fmt.Errorf("key type: %T has no strict canonical order", *new(K))
 		}
-		s.diskSem = make(chan struct{}, diskReadConcurrency)
 	}
 	return s
 }
@@ -433,23 +426,29 @@ func (s *Shuffle[K, V]) SetCombiner(fn func(key K, values []V) []V) {
 	s.combiner = fn
 }
 
-// SetSealSink redirects every sealed run to fn instead of the
-// shuffle's own spill path: whenever a partition's live run seals
-// (budget reached, or SealAllLive), fn receives the partition index
-// and the post-combine run — keys in canonical SortKeys order, values
-// in absorption order — and owns writing it somewhere durable. The
-// shuffle keeps nothing: resident pairs drop by the run's size, no
-// disk run is recorded, and compaction never fires, so the sink is the
-// exchange medium. This is how an external executor (internal/proc's
-// map workers) reuses the streaming ingestion path — budget-driven
-// sealing, combiner push-down, swap relief — while keeping its own
-// section/commit protocol. fn runs under the partition lock; it may be
-// called from concurrent goroutines for different partitions (the
-// Finish drain), never concurrently for one partition. Must be set
-// before ingestion starts. A sink requires a SpillDir when pressure
-// swaps should relieve staged memory; the sealed runs themselves never
-// touch the SpillDir.
-func (s *Shuffle[K, V]) SetSealSink(fn func(part int, keys []K, groups map[K][]V) error) {
+// SealSink receives a sealed run in place of the shuffle's own spill
+// path: it supplies the destination — a runfile.Writer positioned
+// wherever the run should land — and calls fill, once and before it
+// returns, which encodes the run onto it (post-combine, keys in
+// canonical SortKeys order, values in absorption order: the bytes the
+// shuffle's own spool would have received). The sink finishes the
+// writer and owns what the bytes become. An error from fill that is not
+// the writer's own (runfile.Writer.Err) is an encoding failure.
+type SealSink func(part int, fill func(w *runfile.Writer) error) error
+
+// SetSealSink redirects every sealed run (budget reached, or
+// SealAllLive) to fn. The shuffle keeps nothing: resident pairs drop by
+// the run's size, no disk run is recorded, and compaction never fires,
+// so the sink is the exchange medium. This is how an external executor
+// (internal/proc's map workers) reuses the streaming ingestion path —
+// budget-driven sealing, combiner push-down, swap relief, and the one
+// run encoder — while keeping its own section/commit protocol. fn runs
+// under the partition lock; it may be called from concurrent goroutines
+// for different partitions (the Finish drain), never concurrently for
+// one partition. Must be set before ingestion starts. A sink requires a
+// SpillDir when pressure swaps should relieve staged memory; the sealed
+// runs themselves never touch the SpillDir.
+func (s *Shuffle[K, V]) SetSealSink(fn SealSink) {
 	s.invalidateStats()
 	s.sealSink = fn
 }
@@ -614,9 +613,10 @@ func (st *partitionState[K, V]) absorb(s *Shuffle[K, V], pairs []Pair[K, V]) err
 
 // recycleLive clears the live map in place — keeping its buckets, so
 // refills never pay rehash growth — and harvests the now-dead value
-// slices' backing arrays for reuse by later absorbs. Only the
-// disk-spill seal path may call this: the groups were synchronously
-// encoded into the spool, so nothing else references the slices. The
+// slices' backing arrays for reuse by later absorbs. Only a seal that
+// encoded the run may call this (to the spool, or onto a seal sink's
+// writer): the encode was synchronous, so nothing else references the
+// slices. The
 // harvest is capped so a round whose key population shifts cannot grow
 // the freelist without bound.
 func (st *partitionState[K, V]) recycleLive() {
@@ -729,21 +729,16 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 	sealing := int64(st.livePairs)
 	st.lane.Begin(obs.OpSeal, sealing, 0)
 	defer func() { st.lane.End(obs.OpSeal, sealing, errFlag(err)) }()
-	if s.sealSink != nil {
+	switch {
+	case s.sealSink != nil:
 		// Sink-directed seal: the run leaves the shuffle entirely. No
 		// disk run, no compaction — the sink's storage is the read side.
-		if err := s.sealSink(st.idx, sortedMapKeys(st.live), st.live); err != nil {
+		keys := sortedMapKeys(st.live)
+		fill := func(w *runfile.Writer) error { return writeGroups(w, keys, st.live) }
+		if err := s.sealSink(st.idx, fill); err != nil {
 			return err
 		}
-		s.addResident(-st.livePairs)
-		st.spillEvents++
-		st.spilledPairs += int64(st.livePairs)
-		st.live = make(map[K][]V)
-		st.livePairs = 0
-		st.syncLive()
-		return nil
-	}
-	if s.opts.SpillDir != "" {
+	case s.opts.SpillDir != "":
 		if s.spillTypeErr != nil {
 			return fmt.Errorf("shuffle: cannot spill: %w", s.spillTypeErr)
 		}
@@ -759,11 +754,13 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 		} else if err := st.spillToDisk(s); err != nil {
 			return err
 		}
-		s.addResident(-st.livePairs) // live pairs now on disk
-		st.recycleLive()
-	} else {
+	default:
 		st.runs = append(st.runs, st.live)
 		st.live = make(map[K][]V)
+	}
+	if s.sealSink != nil || s.opts.SpillDir != "" {
+		s.addResident(-st.livePairs) // the pairs are encoded: on disk, or the sink's
+		st.recycleLive()
 	}
 	st.spillEvents++
 	st.spilledPairs += int64(st.livePairs)
@@ -837,7 +834,7 @@ func (p Partition[K, V]) NumKeys() int {
 		return len(st.live)
 	}
 	n := 0
-	p.forEachGroup(false, false, func(K, int, []V) error { n++; return nil })
+	p.forEachCount(func(K, int) error { n++; return nil })
 	return n
 }
 
@@ -852,7 +849,7 @@ func (p Partition[K, V]) SortedKeys() []K {
 		return sortedMapKeys(st.live)
 	}
 	var keys []K
-	p.forEachGroup(false, false, func(k K, _ int, _ []V) error {
+	p.forEachCount(func(k K, _ int) error {
 		keys = append(keys, k)
 		return nil
 	})
@@ -870,7 +867,7 @@ func (p Partition[K, V]) Values(k K) []V {
 		return st.live[k]
 	}
 	var out []V
-	p.forEachGroup(true, false, func(key K, _ int, vs []V) error {
+	p.forEachValues(false, func(key K, vs []V) error {
 		if key == k {
 			out = vs
 			return errStopIteration
@@ -902,24 +899,20 @@ func (p Partition[K, V]) ForEachSorted(fn func(k K, vs []V)) {
 // sealed run buffers, so treat them as read-only. Use
 // ForEachGroupBatch when fn does not retain them at all.
 func (p Partition[K, V]) ForEachGroup(fn func(k K, vs []V) error) error {
-	return p.forEachGroup(true, false, func(k K, _ int, vs []V) error {
-		return fn(k, vs)
-	})
+	return p.forEachValues(false, fn)
 }
 
 // ForEachGroupBatch is ForEachGroup under the batch arena-reuse
 // contract: the value slice passed to fn is valid only during the
-// call — for spilled runs it is decoded into a per-run scratch slice
-// that the next group reuses, so a full partition streams with one
-// value-section read and one batch decode per group and near-zero
-// per-group allocation. fn must not retain the slice (copy it to keep
+// call — spilled groups are decoded into one scratch slice that the
+// next group reuses, so a full partition streams with one value-section
+// read and one batch decode per group and run, and near-zero per-group
+// allocation. fn must not retain the slice (copy it to keep
 // it). Callers that retain values use ForEachGroup, whose slices stay
 // stable after the call — the two are otherwise identical, key order
 // and value-order contract included.
 func (p Partition[K, V]) ForEachGroupBatch(fn func(k K, vs []V) error) error {
-	return p.forEachGroup(true, true, func(k K, _ int, vs []V) error {
-		return fn(k, vs)
-	})
+	return p.forEachValues(true, fn)
 }
 
 // ForEachGroupCount is ForEachGroup's counting mode: it streams every
@@ -928,9 +921,7 @@ func (p Partition[K, V]) ForEachGroupBatch(fn func(k K, vs []V) error) error {
 // opened, so the pass is pure memory. This is the cheap pass for load
 // profiling and overflow diagnosis.
 func (p Partition[K, V]) ForEachGroupCount(fn func(k K, count int) error) error {
-	return p.forEachGroup(false, false, func(k K, count int, _ []V) error {
-		return fn(k, count)
-	})
+	return p.forEachCount(fn)
 }
 
 // Stats is the realized communication profile of the shuffle.
@@ -1101,7 +1092,7 @@ func (s *Shuffle[K, V]) computeStats() (Stats, error) {
 			}
 			// Spilled partitions merge their resident run indexes with
 			// the in-memory runs: a pure in-memory pass.
-			errs[p] = s.Partition(p).forEachGroup(false, false, func(_ K, count int, _ []V) error {
+			errs[p] = s.Partition(p).forEachCount(func(_ K, count int) error {
 				profiles[p].keys++
 				if g := int64(count); g > profiles[p].maxGroup {
 					profiles[p].maxGroup = g

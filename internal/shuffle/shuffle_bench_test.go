@@ -536,16 +536,13 @@ func BenchmarkExternalShuffle(b *testing.B) {
 	b.Run("streaming-traced", func(b *testing.B) { streamBench(b, true) })
 }
 
-// BenchmarkReduceMergeDecode compares the reduce-side decode paths on
-// a one-million-pair spilled workload (16x the total memory budget):
-// the legacy per-value decode (one framing read and one typed decode
-// per value), the batch decode now behind ForEachGroup (one
-// value-section read and one type dispatch per group), and the full
-// batch contract (ForEachGroupBatch, which additionally reuses the
-// decoded slice). Build and spill are identical untimed setup; only
-// the streaming k-way merge is measured, so values/s compares the
-// decode paths directly. This is the acceptance benchmark for the
-// batch read path: batch must beat per-value.
+// BenchmarkReduceMergeDecode times the reduce-side read paths on a
+// one-million-pair spilled workload (16x the total memory budget): the
+// batch decode behind ForEachGroup (one value-section read and one type
+// dispatch per group and run) and the full batch contract
+// (ForEachGroupBatch, which additionally reuses the decoded slice).
+// Build and spill are identical untimed setup; only the streaming k-way
+// merge is measured, so values/s compares the two directly.
 func BenchmarkReduceMergeDecode(b *testing.B) {
 	const (
 		parts  = 8
@@ -556,10 +553,9 @@ func BenchmarkReduceMergeDecode(b *testing.B) {
 	)
 	tasks := benchPairs(total, nTasks, nKeys)
 
-	build := func(b *testing.B, perValue bool) *Shuffle[string, int] {
+	build := func(b *testing.B) *Shuffle[string, int] {
 		b.Helper()
 		s := New[string, int](Options{Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir()})
-		s.perValue = perValue
 		bufs := make([]*TaskBuffer[string, int], len(tasks))
 		for t, ps := range tasks {
 			buf := s.NewTaskBuffer()
@@ -574,13 +570,13 @@ func BenchmarkReduceMergeDecode(b *testing.B) {
 		return s
 	}
 
-	for _, mode := range []string{"per-value", "batch", "batch-reduce"} {
+	for _, mode := range []string{"batch", "batch-reduce"} {
 		b.Run(mode, func(b *testing.B) {
 			b.ReportAllocs()
 			var streamed int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s := build(b, mode == "per-value")
+				s := build(b)
 				b.StartTimer()
 				var got int64
 				count := func(_ string, vs []int) error {
@@ -856,7 +852,7 @@ func benchKeyPlan[K comparable](b *testing.B, name string, key func(i int) K) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c := h.pop()
-			if more, _ := c.next(); !more {
+			if !c.next() {
 				c.pos = 0
 				c.next()
 			}

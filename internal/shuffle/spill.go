@@ -2,11 +2,11 @@
 // back.
 //
 // A sealed run is written once, in canonical sorted key order, as an
-// internal/runfile run file (format v2: groups plus a footer index of
-// key, count, offset, value-bytes per group). The shuffle keeps each
-// run's index resident in typed form — the keys were in memory at seal
-// time, so the index costs no decode — which splits the read path in
-// two:
+// internal/runfile run file (groups plus a footer index of key, count,
+// offset, value-bytes per group). The shuffle keeps each run's index
+// resident in typed form — the keys were in memory at seal time, so the
+// index costs no decode (an adopted run's are decoded once, see
+// adopt.go) — which splits the read path in two:
 //
 //   - Counting reads (Stats, NumKeys, SortedKeys, ForEachGroupCount,
 //     the engine's overflow diagnosis) merge the in-memory indexes and
@@ -15,6 +15,10 @@
 //     merge — one cursor per run driven by a binary heap ordered by
 //     (key, seal order) — but the indexes drive the key ordering, so
 //     the files supply only value bytes.
+//
+// Both are the same loop (mergeCursors) over the same cursors
+// (rangeCursors) with a different consumer, and compaction is a third
+// consumer of it: there is one k-way merge in this package.
 //
 // Because every run is internally sorted, one pass produces the
 // partition's groups in global sorted order with the package's
@@ -29,14 +33,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/runfile"
 )
 
-// errStopIteration is the internal sentinel for early exit from
-// forEachGroup; it is never returned to callers.
+// errStopIteration is the internal sentinel for early exit from a
+// merge; it is never returned to callers.
 var errStopIteration = errors.New("shuffle: stop iteration")
 
 // maxDiskRunFanIn caps how many distinct run *files* one partition's
@@ -116,10 +121,11 @@ type keyCount[K comparable] struct {
 // it fences, while each task's run stays independently releasable
 // (abort of one task must not delete another's fenced data).
 type runFile struct {
-	path string
-	refs atomic.Int32
-	size atomic.Int64 // bytes written into the file
-	dead atomic.Int64 // bytes of sections already released (rotation trigger)
+	path     string
+	borrowed bool // adopted from its owner (AdoptRun): released like any other, never removed
+	refs     atomic.Int32
+	size     atomic.Int64 // bytes written into the file
+	dead     atomic.Int64 // bytes of sections already released (rotation trigger)
 }
 
 // release drops one reference, removing the file when none remain.
@@ -128,7 +134,7 @@ type runFile struct {
 // spill files is the round ending rather than space coming back to a
 // still-running round).
 func (rf *runFile) release(fs runfile.FS, reclaimed *atomic.Int64) error {
-	if rf.refs.Add(-1) == 0 {
+	if rf.refs.Add(-1) == 0 && !rf.borrowed {
 		if err := fs.Remove(rf.path); err != nil {
 			return err
 		}
@@ -151,22 +157,9 @@ type diskRun[K comparable] struct {
 	index []keyCount[K]
 }
 
-// countingReader meters every byte read from a run file into the
-// shuffle's DiskBytesRead counter.
-type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (c countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-// countingReaderAt is countingReader for the positioned-read fallback:
-// cursors share one handle with no seek state, so every section read
-// is a pread, metered the same way.
+// countingReaderAt meters the positioned-read fallback into the
+// shuffle's DiskBytesRead counter: cursors share one handle with no
+// seek state, so every section read is a pread.
 type countingReaderAt struct {
 	ra io.ReaderAt
 	n  *atomic.Int64
@@ -180,9 +173,8 @@ func (c countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 
 // writeRun encodes one sorted run (keys in sorted order, groups from
 // the map) to a new run file under the spill dir and returns the run
-// with its typed resident index, plus the body and index byte counts.
-// Shared by live-run seals (spillToDisk) and the streaming path's
-// fenced staged spills (ingest.go).
+// with its typed resident index, plus the body and index byte counts:
+// the barrier path's file-per-seal spill.
 func writeRun[K comparable, V any](s *Shuffle[K, V], keys []K, groups map[K][]V, pairs int64) (dr diskRun[K], body, idx int64, retErr error) {
 	f, err := s.fs.CreateTemp(s.opts.SpillDir, "mr-spill-*.run")
 	if err != nil {
@@ -196,8 +188,8 @@ func writeRun[K comparable, V any](s *Shuffle[K, V], keys []K, groups map[K][]V,
 		}
 	}()
 	w := runfile.NewWriter(f)
-	if err := writeGroups(w, f.Name(), keys, groups); err != nil {
-		return dr, 0, 0, err
+	if err := writeGroups(w, keys, groups); err != nil {
+		return dr, 0, 0, fmt.Errorf("shuffle: spilling to %s: %w", f.Name(), err)
 	}
 	if err := w.Finish(); err != nil {
 		return dr, 0, 0, fmt.Errorf("shuffle: flushing spill %s: %w", f.Name(), err)
@@ -209,33 +201,50 @@ func writeRun[K comparable, V any](s *Shuffle[K, V], keys []K, groups map[K][]V,
 	rf := &runFile{path: f.Name()}
 	rf.refs.Store(1)
 	rf.size.Store(w.BytesWritten())
-	dr = diskRun[K]{file: rf, off: 0, size: w.BytesWritten(), pairs: pairs, index: typedIndex(keys, w.Index(), w.BodyBytes())}
+	dr = diskRun[K]{file: rf, off: 0, size: w.BytesWritten(), pairs: pairs, index: typedIndex(keys, w.Index())}
 	return dr, w.BodyBytes(), w.BytesWritten() - w.BodyBytes(), nil
 }
 
-// writeGroups encodes one sorted run onto an already-open writer
-// (shared by writeRun and the fence spool, which appends several
-// complete runs to one file).
-func writeGroups[K comparable, V any](w *runfile.Writer, name string, keys []K, groups map[K][]V) error {
-	var kbuf, vbuf []byte
+// groupEncoder is the one typed group encoder: every key group the
+// shuffle writes — a sealed run's (writeGroups, whatever file, spool or
+// seal sink the writer sits on) or a compacted one — is framed here,
+// through two scratch buffers reused across groups.
+type groupEncoder[K comparable, V any] struct{ kbuf, vbuf []byte }
+
+// begin encodes k and opens its group of n values on w.
+func (e *groupEncoder[K, V]) begin(w *runfile.Writer, k K, n int) error {
 	var err error
+	if e.kbuf, err = runfile.Append(e.kbuf[:0], k); err != nil {
+		return fmt.Errorf("shuffle: encoding key: %w", err)
+	}
+	return w.BeginGroup(e.kbuf, n)
+}
+
+// group writes k's whole group, encoding each value.
+func (e *groupEncoder[K, V]) group(w *runfile.Writer, k K, vs []V) error {
+	if err := e.begin(w, k, len(vs)); err != nil {
+		return err
+	}
+	for _, v := range vs {
+		var err error
+		if e.vbuf, err = runfile.Append(e.vbuf[:0], v); err != nil {
+			return fmt.Errorf("shuffle: encoding value: %w", err)
+		}
+		if err := w.AppendValue(e.vbuf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeGroups encodes one sorted run — keys in canonical order, groups
+// from the map — onto an already-open writer. An error that is not the
+// writer's own (runfile.Writer.Err) is an encoding failure.
+func writeGroups[K comparable, V any](w *runfile.Writer, keys []K, groups map[K][]V) error {
+	var enc groupEncoder[K, V]
 	for _, k := range keys {
-		kbuf, err = runfile.Append(kbuf[:0], k)
-		if err != nil {
-			return fmt.Errorf("shuffle: spilling key: %w", err)
-		}
-		vs := groups[k]
-		if err := w.BeginGroup(kbuf, len(vs)); err != nil {
-			return fmt.Errorf("shuffle: spilling to %s: %w", name, err)
-		}
-		for _, v := range vs {
-			vbuf, err = runfile.Append(vbuf[:0], v)
-			if err != nil {
-				return fmt.Errorf("shuffle: spilling value: %w", err)
-			}
-			if err := w.AppendValue(vbuf); err != nil {
-				return fmt.Errorf("shuffle: spilling to %s: %w", name, err)
-			}
+		if err := enc.group(w, k, groups[k]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -262,27 +271,26 @@ func (st *partitionState[K, V]) spillToDisk(s *Shuffle[K, V]) error {
 	return nil
 }
 
-// typedIndex pairs the writer's footer entries (counts and value-byte
-// lengths, complete after Finish) with the typed keys they were written
-// from, in write order. Each group's value-section offset is derived
-// from where the next group starts (bodyEnd for the last group): the
-// section is the valBytes-long tail of the group's framing.
-func typedIndex[K comparable](keys []K, entries []runfile.IndexEntry, bodyEnd int64) []keyCount[K] {
+// typedIndex pairs a run image's index entries (complete — a writer's
+// after Finish, or loaded from the image) with the typed keys they
+// stand for, in write order.
+func typedIndex[K comparable](keys []K, entries []runfile.IndexEntry) []keyCount[K] {
 	index := make([]keyCount[K], len(keys))
 	for i, k := range keys {
-		end := bodyEnd
-		if i+1 < len(entries) {
-			end = entries[i+1].Offset
-		}
-		index[i] = keyCount[K]{
-			key:      k,
-			count:    entries[i].Count,
-			valBytes: entries[i].ValueBytes,
-			valOff:   end - entries[i].ValueBytes,
-		}
+		e := entries[i]
+		index[i] = keyCount[K]{key: k, count: e.Count, valBytes: e.ValueBytes, valOff: valueOffset(e)}
 	}
 	return index
 }
+
+// valueOffset is where a group's value section starts within its run
+// image: after the group's key and count prefixes.
+func valueOffset(e runfile.IndexEntry) int64 {
+	return e.Offset + int64(uvarintLen(uint64(len(e.Key)))+len(e.Key)+uvarintLen(uint64(e.Count)))
+}
+
+// uvarintLen is the encoded length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // compactionSuffix picks which runs to compact when the fan-in cap is
 // hit: the contiguous suffix of "small" runs (fresh budget-sized
@@ -352,7 +360,7 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 		file:  outRef,
 		size:  w.BytesWritten(),
 		pairs: w.Pairs(),
-		index: typedIndex(keysWritten, w.Index(), w.BodyBytes()),
+		index: typedIndex(keysWritten, w.Index()),
 	}
 	tail := append([]diskRun[K]{merged}, st.disk[from+nIn:]...)
 	st.disk = append(st.disk[:from], tail...)
@@ -372,21 +380,19 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 // inputs — no partition state is read or written, which is what lets
 // the async compactor run it without the partition lock.
 //
-// The merge order comes entirely from the runs' resident indexes — no
-// key is decoded from disk — and value sections are addressed through
-// those indexes and loaded on demand (a mapped view or one pread each).
-// Spillable key kinds all have a strict canonical order (New refuses
-// the rest), and a run holds a key at most once, so the cursors sitting
-// on the heap's minimum key are exactly that key's groups, in seal
-// order: they fold into a single output group whose values concatenate
-// in seal order, preserving the value-order contract. Without a
-// combiner each section moves as one raw framed copy, never parsed,
-// while with a combiner the folded values are decoded, re-combined, and
-// re-encoded, shrinking the rewritten bytes toward the post-combine
-// communication cost. Peak memory is one group; peak descriptors
-// maxDiskRunFanIn plus the output file.
+// It is the merge loop's compaction consumer: mergeCursors delivers each
+// key with the cursors that hold it, in seal order, and they fold into a
+// single output group whose values concatenate in that order, preserving
+// the value-order contract. The merge order comes entirely from the
+// runs' resident indexes — no key is decoded from disk — and value
+// sections are loaded on demand (a mapped view or one pread each).
+// Without a combiner each section moves as one raw framed copy, never
+// parsed, while with a combiner the folded values are decoded,
+// re-combined, and re-encoded, shrinking the rewritten bytes toward the
+// post-combine communication cost. Peak memory is one group; peak
+// descriptors maxDiskRunFanIn plus the output file.
 func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K]) (path string, w *runfile.Writer, keysWritten []K, retErr error) {
-	cursors, closeAll, err := openDiskCursors[K, V](s, compacting)
+	views, closeAll, err := openRunViews(s, compacting)
 	defer closeAll()
 	if err != nil {
 		return "", nil, nil, fmt.Errorf("shuffle: compacting spill runs: %w", err)
@@ -405,36 +411,27 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 	}()
 	w = runfile.NewWriter(out)
 
-	h := &cursorHeap[K, V]{cmp: orderOf[K]().cmp}
-	if err := primeCursors(h, cursors); err != nil {
-		return "", nil, nil, err
-	}
-
-	var kbuf, vbuf []byte
+	var enc groupEncoder[K, V]
 	var vals []V // combiner scratch, reused across groups
-	writeGroup := func(k K, srcs []*groupCursor[K, V]) error {
-		var err error
-		kbuf, err = runfile.Append(kbuf[:0], k)
-		if err != nil {
-			return fmt.Errorf("shuffle: compacting key: %w", err)
-		}
+	ord := orderOf[K]()
+	err = mergeCursors(rangeCursors(s, compacting, views, nil, ord.cmp, KeyRange[K]{}), ord, func(k K, srcs []*groupCursor[K, V]) error {
 		if s.combiner == nil {
 			total := 0
 			for _, c := range srcs {
 				total += c.count
 			}
-			if err := w.BeginGroup(kbuf, total); err != nil {
-				return fmt.Errorf("shuffle: compacting to %s: %w", out.Name(), err)
+			if err := enc.begin(w, k, total); err != nil {
+				return err
 			}
 			for _, c := range srcs {
 				// One section load (mapped view or pread), one framed
 				// append: the group's values move as raw bytes, never
 				// parsed.
-				if err := c.loadSection(c.valOff, c.valBytes, c.count); err != nil {
+				if err := c.loadSection(); err != nil {
 					return err
 				}
 				if err := w.AppendRawBytes(c.batch.Raw(), c.count); err != nil {
-					return fmt.Errorf("shuffle: compacting to %s: %w", out.Name(), err)
+					return err
 				}
 			}
 			keysWritten = append(keysWritten, k)
@@ -447,52 +444,20 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 		// safe.
 		vals = vals[:0]
 		for _, c := range srcs {
-			if err := c.loadSection(c.valOff, c.valBytes, c.count); err != nil {
+			var err error
+			if vals, err = c.appendValues(vals); err != nil {
 				return err
-			}
-			vals, err = runfile.DecodeBatch[V](&c.batch, vals)
-			if err != nil {
-				return fmt.Errorf("shuffle: compacting %s: %w", c.file.Name(), err)
 			}
 		}
 		combined := s.combiner(k, vals)
 		if len(combined) == 0 {
 			return nil // combiner dropped the group entirely
 		}
-		if err := w.BeginGroup(kbuf, len(combined)); err != nil {
-			return fmt.Errorf("shuffle: compacting to %s: %w", out.Name(), err)
-		}
-		for _, v := range combined {
-			vbuf, err = runfile.Append(vbuf[:0], v)
-			if err != nil {
-				return fmt.Errorf("shuffle: compacting value: %w", err)
-			}
-			if err := w.AppendValue(vbuf); err != nil {
-				return fmt.Errorf("shuffle: compacting to %s: %w", out.Name(), err)
-			}
-		}
 		keysWritten = append(keysWritten, k)
-		return nil
-	}
-	var group []*groupCursor[K, V]
-	for len(h.cs) > 0 {
-		group = append(group[:0], h.pop())
-		k := group[0].key
-		for len(h.cs) > 0 && h.cs[0].key == k {
-			group = append(group, h.pop())
-		}
-		if err := writeGroup(k, group); err != nil {
-			return "", nil, nil, err
-		}
-		for _, c := range group {
-			more, err := c.next()
-			if err != nil {
-				return "", nil, nil, err
-			}
-			if more {
-				h.push(c)
-			}
-		}
+		return enc.group(w, k, combined)
+	})
+	if err != nil {
+		return "", nil, nil, fmt.Errorf("shuffle: compacting to %s: %w", out.Name(), err)
 	}
 	if err := w.Finish(); err != nil {
 		return "", nil, nil, fmt.Errorf("shuffle: flushing compacted run: %w", err)
@@ -558,10 +523,8 @@ func openRunViews[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K]) ([]r
 				return views, closeAll, fmt.Errorf("shuffle: opening spill run: %w", err)
 			}
 			of = &openFile{f: f}
-			if !s.opts.DisableMmap {
-				if m, err := runfile.Map(f, mapLen[dr.file]); err == nil {
-					of.mapped = m
-				}
+			if m, err := runfile.Map(f, mapLen[dr.file]); err == nil {
+				of.mapped = m
 			}
 			files[dr.file] = of
 		}
@@ -575,52 +538,6 @@ func openRunViews[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K]) ([]r
 		views = append(views, v)
 	}
 	return views, closeAll, nil
-}
-
-// openDiskCursors opens one cursor per disk run, in seal order, each
-// metered through the shuffle's DiskBytesRead counter. The cursor's
-// key ordering comes from the run's resident index; the file supplies
-// only value-section bytes, addressed directly through the index (see
-// openRunViews for the mapped-view/pread split). The legacy perValue
-// hook additionally keeps a sequential reader per run so the pre-batch
-// decode loop stays measurable.
-func openDiskCursors[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K]) ([]*groupCursor[K, V], func(), error) {
-	views, closeAll, err := openRunViews(s, runs)
-	if err != nil {
-		return nil, closeAll, err
-	}
-	cursors := make([]*groupCursor[K, V], 0, len(runs))
-	for i, dr := range runs {
-		c := &groupCursor[K, V]{
-			runIdx: i, perValue: s.perValue, idx: dr.index,
-			file: views[i].file, img: views[i].img, ra: views[i].ra, raOff: views[i].raOff,
-			meter: &s.diskRead,
-		}
-		if s.perValue {
-			var src io.Reader = views[i].file
-			if dr.off != 0 {
-				src = io.NewSectionReader(views[i].file, dr.off, dr.size)
-			}
-			c.rd = runfile.NewReader(countingReader{src, &s.diskRead})
-		}
-		cursors = append(cursors, c)
-	}
-	return cursors, closeAll, nil
-}
-
-// primeCursors advances every cursor to its first group and pushes the
-// non-empty ones onto the heap.
-func primeCursors[K comparable, V any](h *cursorHeap[K, V], cursors []*groupCursor[K, V]) error {
-	for _, c := range cursors {
-		ok, err := c.next()
-		if err != nil {
-			return err
-		}
-		if ok {
-			h.push(c)
-		}
-	}
-	return nil
 }
 
 // Close deletes the shuffle's spill files; call it once the reduce
@@ -686,30 +603,22 @@ func (s *Shuffle[K, V]) Close() error {
 
 // groupCursor walks one run's groups in canonical key order: an
 // in-memory map run over its sorted key slice, or a spilled run driven
-// by its resident index — with the run file attached only when values
-// are being read.
+// by its resident index — with the run's read surface attached only
+// when values are being read.
 type groupCursor[K comparable, V any] struct {
-	runIdx   int  // seal order; the live run is last
-	perValue bool // legacy per-value decode (bench/test comparison hook)
+	runIdx int // seal order; the live run is last
 
 	// in-memory source
 	mem     map[K][]V
 	memKeys []K
 
 	// spilled source: the resident index drives keys, counts and value
-	// section locations; the file (img view or ReaderAt, both nil on
-	// the counting path) supplies only section bytes.
-	idx   []keyCount[K]
-	file  runfile.File
-	img   []byte             // mapped view of this run's image (zero-copy path)
-	ra    io.ReaderAt        // positioned-read fallback (shared handle)
-	raOff int64              // run's offset within the file (ra path)
-	meter *atomic.Int64      // DiskBytesRead, charged per section load
-	rd    *runfile.Reader    // sequential reader (perValue hook only)
-	kbuf  []byte             // reused key-framing scratch for rd
-	vbuf  []byte             // reused value scratch for rd (per-value path)
-	batch runfile.ValueBatch // reused value-section arena or view (batch path)
-	vals  []V                // reused decoded-values scratch (reuse mode)
+	// section locations; the view (zero on the counting path) supplies
+	// only section bytes.
+	idx []keyCount[K]
+	runView
+	meter *atomic.Int64      // DiskBytesRead, charged per mapped section load
+	batch runfile.ValueBatch // reused value-section arena or view
 
 	pos int
 
@@ -722,106 +631,65 @@ type groupCursor[K comparable, V any] struct {
 
 // next advances to the cursor's next group, returning false at the end
 // of the run. Purely in-memory: spilled cursors step their index; the
-// file is touched only when values() is called.
-func (c *groupCursor[K, V]) next() (bool, error) {
+// file is touched only when values are asked for.
+func (c *groupCursor[K, V]) next() bool {
 	if c.mem != nil {
 		if c.pos >= len(c.memKeys) {
-			return false, nil
+			return false
 		}
 		c.key = c.memKeys[c.pos]
 		c.count = len(c.mem[c.key])
-		c.pos++
 	} else {
 		if c.pos >= len(c.idx) {
-			return false, nil
+			return false
 		}
 		e := c.idx[c.pos]
 		c.key, c.count, c.valBytes, c.valOff = e.key, int(e.count), e.valBytes, e.valOff
-		c.pos++
 	}
-	return true, nil
+	c.pos++
+	return true
 }
 
-// loadSection fills the cursor's batch with the value section at
-// [valOff, valOff+valBytes) of the cursor's run: a zero-copy view when
-// the run is mapped, one positioned read into the reused arena
-// otherwise. The resident index supplies the location and the value
-// count, so no framing is parsed from disk on either path; the
-// section's own internal framing is still validated as the batch
-// splits it (a length overrunning the section is ErrCorrupt).
-func (c *groupCursor[K, V]) loadSection(valOff, valBytes int64, count int) error {
+// loadSection fills the cursor's batch with the current group's value
+// section: a zero-copy view when the run is mapped, one positioned read
+// into the reused arena otherwise. The resident index supplies the
+// location and the value count, so no framing is parsed from disk on
+// either path; the section's own internal framing is still validated as
+// the batch splits it (a length overrunning the section is ErrCorrupt).
+func (c *groupCursor[K, V]) loadSection() error {
 	if c.img != nil {
-		if valOff < 0 || valBytes < 0 || valOff+valBytes > int64(len(c.img)) {
+		if c.valOff < 0 || c.valBytes < 0 || c.valOff+c.valBytes > int64(len(c.img)) {
 			return fmt.Errorf("shuffle: reading spill %s: %w: value section [%d,%d) outside run of %d bytes",
-				c.file.Name(), runfile.ErrCorrupt, valOff, valOff+valBytes, len(c.img))
+				c.file.Name(), runfile.ErrCorrupt, c.valOff, c.valOff+c.valBytes, len(c.img))
 		}
-		c.meter.Add(valBytes)
-		if err := c.batch.SetView(c.img[valOff:valOff+valBytes], count); err != nil {
+		c.meter.Add(c.valBytes)
+		if err := c.batch.SetView(c.img[c.valOff:c.valOff+c.valBytes], c.count); err != nil {
 			return fmt.Errorf("shuffle: reading spill %s: %w", c.file.Name(), err)
 		}
 		return nil
 	}
-	if err := c.batch.ReadSectionAt(c.ra, c.raOff+valOff, valBytes, count); err != nil {
+	if err := c.batch.ReadSectionAt(c.ra, c.raOff+c.valOff, c.valBytes, c.count); err != nil {
 		return fmt.Errorf("shuffle: reading spill %s: %w", c.file.Name(), err)
 	}
 	return nil
 }
 
-// values decodes the current group's values. For a spilled run this is
-// the only point the file is touched: the resident index locates the
-// group's value section, loadSection brings it in (mapped view or one
-// pread — no framing decoded, no intermediate copy), and the batch is
-// decoded with a single type dispatch (runfile.DecodeBatch). With
-// reuse set — the ForEachGroupBatch contract — the decoded slice is
-// the cursor's scratch, overwritten by the next group; otherwise it is
-// freshly owned. The perValue hook restores the pre-batch sequential
-// decode loop so benchmarks can measure the paths head to head.
-func (c *groupCursor[K, V]) values(reuse bool) ([]V, error) {
+// appendValues appends the current group's values to dst. For a spilled
+// run this is the only point the file is touched: loadSection brings the
+// value section in and the batch is decoded with a single type dispatch
+// (runfile.DecodeBatch) straight onto dst — no per-cursor copy.
+func (c *groupCursor[K, V]) appendValues(dst []V) ([]V, error) {
 	if c.mem != nil {
-		return c.mem[c.key], nil
+		return append(dst, c.mem[c.key]...), nil
 	}
-	if c.perValue {
-		kb, n, err := c.rd.NextAppend(c.kbuf[:0])
-		if err != nil {
-			if err == io.EOF {
-				err = fmt.Errorf("file ended before indexed group")
-			}
-			return nil, fmt.Errorf("shuffle: reading spill %s: %w", c.file.Name(), err)
-		}
-		c.kbuf = kb
-		if n != c.count {
-			return nil, fmt.Errorf("shuffle: reading spill %s: group has %d values, index says %d",
-				c.file.Name(), n, c.count)
-		}
-		vs := make([]V, c.count)
-		for i := range vs {
-			vb, err := c.rd.ValueAppend(c.vbuf[:0])
-			if err != nil {
-				return nil, fmt.Errorf("shuffle: reading spill %s: %w", c.file.Name(), err)
-			}
-			c.vbuf = vb
-			vs[i], err = runfile.Decode[V](vb)
-			if err != nil {
-				return nil, fmt.Errorf("shuffle: decoding spill value in %s: %w", c.file.Name(), err)
-			}
-		}
-		return vs, nil
+	if err := c.loadSection(); err != nil {
+		return dst, err
 	}
-	if err := c.loadSection(c.valOff, c.valBytes, c.count); err != nil {
-		return nil, err
-	}
-	dst := c.vals[:0]
-	if !reuse {
-		dst = make([]V, 0, c.count)
-	}
-	vs, err := runfile.DecodeBatch[V](&c.batch, dst)
+	dst, err := runfile.DecodeBatch[V](&c.batch, dst)
 	if err != nil {
-		return nil, fmt.Errorf("shuffle: decoding spill value in %s: %w", c.file.Name(), err)
+		return dst, fmt.Errorf("shuffle: decoding spill value in %s: %w", c.file.Name(), err)
 	}
-	if reuse {
-		c.vals = vs
-	}
-	return vs, nil
+	return dst, nil
 }
 
 // cursorHeap is a binary min-heap of cursors ordered by (current key,
@@ -877,172 +745,202 @@ func (h *cursorHeap[K, V]) pop() *groupCursor[K, V] {
 	return top
 }
 
-// forEachGroup is the streaming core behind every read API: it yields
-// the partition's groups in canonical sorted key order. When
-// withValues is false the walk is a pure in-memory merge of the
-// spilled runs' resident indexes with the live and sealed in-memory
-// runs — no run file is opened, no byte of disk is read (counting
-// mode, used by Stats, NumKeys, SortedKeys and ForEachGroupCount); fn
-// then receives a nil slice and the group's size in count. With
-// reuseValues set (ForEachGroupBatch) each disk cursor decodes into a
-// scratch slice that its next group overwrites, so fn must not retain
-// the slice (mergeGroupCursors drops the mode for the unplannable key
-// kinds, whose tie classes can drain several groups of one cursor before
-// fn runs).
-func (p Partition[K, V]) forEachGroup(withValues, reuseValues bool, fn func(k K, count int, vs []V) error) (retErr error) {
-	st := &p.s.parts[p.idx]
-	if p.s.closed && st.spilledToDisk {
-		return fmt.Errorf("shuffle: partition %d read after Close: spilled runs deleted", p.idx)
-	}
-
-	// Fast path: a single live run needs no merge.
-	if len(st.runs) == 0 && len(st.disk) == 0 {
-		for _, k := range sortedMapKeys(st.live) {
-			vs := st.live[k]
-			arg := vs
-			if !withValues {
-				arg = nil
-			}
-			if err := fn(k, len(vs), arg); err != nil {
-				return stopOK(err)
-			}
-		}
-		return nil
-	}
-
-	var cursors []*groupCursor[K, V]
-	if withValues && len(st.disk) > 0 {
-		// Bound concurrent open run files across all value readers
-		// (reduce workers): at most diskReadConcurrency partitions hold
-		// their fan-in open at once.
-		p.s.diskSem <- struct{}{}
-		defer func() { <-p.s.diskSem }()
-		// The reduce-merge span covers the window the partition's run
-		// files are held open — counting mode never opens files and is
-		// not recorded.
-		st.lane.Begin(obs.OpReduceMerge, int64(len(st.disk)), 0)
-		defer func() { st.lane.End(obs.OpReduceMerge, 0, errFlag(retErr)) }()
-		var closeAll func()
-		var err error
-		cursors, closeAll, err = openDiskCursors[K, V](p.s, st.disk)
-		defer closeAll()
-		if err != nil {
-			return err
-		}
-	} else {
-		// Counting mode walks the resident indexes: memory-only.
-		for _, dr := range st.disk {
-			cursors = append(cursors, &groupCursor[K, V]{
-				runIdx: len(cursors), idx: dr.index,
-			})
-		}
-	}
-	for _, run := range st.runs {
-		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: len(cursors), mem: run, memKeys: sortedMapKeys(run),
-		})
-	}
-	if len(st.live) > 0 {
-		cursors = append(cursors, &groupCursor[K, V]{
-			runIdx: len(cursors), mem: st.live, memKeys: sortedMapKeys(st.live),
-		})
-	}
-
-	return mergeGroupCursors(cursors, orderOf[K](), withValues, reuseValues, fn)
+// memRun is one in-memory run with its keys sorted for the merge.
+type memRun[K comparable, V any] struct {
+	groups map[K][]V
+	keys   []K
 }
 
-// mergeGroupCursors runs the k-way heap merge over an already-built
-// cursor set, yielding groups in canonical key order — the shared core
-// of forEachGroup and the clamped range merges (RangeReader). Cursors
-// must be ordered by runIdx ascending (seal order, live run last) so
-// the value-order contract holds.
-func mergeGroupCursors[K comparable, V any](cursors []*groupCursor[K, V], ord keyOrder[K], withValues, reuseValues bool, fn func(k K, count int, vs []V) error) error {
-	reuseValues = reuseValues && ord.strict
-	h := &cursorHeap[K, V]{cmp: ord.cmp}
-	if err := primeCursors(h, cursors); err != nil {
-		return err
+// memRuns returns the partition's in-memory runs in seal order — sealed
+// runs, then the live run — each with its keys sorted.
+func (st *partitionState[K, V]) memRuns() []memRun[K, V] {
+	runs := make([]memRun[K, V], 0, len(st.runs)+1)
+	for _, run := range st.runs {
+		runs = append(runs, memRun[K, V]{run, sortedMapKeys(run)})
 	}
+	if len(st.live) > 0 {
+		runs = append(runs, memRun[K, V]{st.live, sortedMapKeys(st.live)})
+	}
+	return runs
+}
 
-	// Pop whole order-equivalence classes of the minimum key. Under a
-	// strict order (every planned key kind) a class is one key; under the
-	// formatted fallback distinct keys can tie (and each run may hold
-	// several of them in arbitrary relative order), so the class is
-	// drained entirely and regrouped by actual key before emitting — one
-	// group per key, always.
-	type entry struct {
-		key   K
-		count int
-		vs    []V
+// rangeCursors is the one place runs become merge cursors: one cursor
+// per disk run, then one per in-memory run — seal order, the live run
+// last, which is what the value-order contract needs — each clamped to
+// r by binary search over its sorted keys (the unbounded KeyRange is
+// the whole run). views are the disk runs' opened read surfaces
+// (openRunViews); nil views build index-only cursors, the counting
+// pass, for which no file is ever opened.
+func rangeCursors[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K], views []runView, mem []memRun[K, V], cmp func(a, b K) int, r KeyRange[K]) []*groupCursor[K, V] {
+	cursors := make([]*groupCursor[K, V], 0, len(disk)+len(mem))
+	for i, dr := range disk {
+		idx := dr.index
+		lo, hi := clampRange(len(idx), func(j int) K { return idx[j].key }, cmp, r)
+		if lo == hi {
+			continue
+		}
+		c := &groupCursor[K, V]{runIdx: i, idx: idx[lo:hi], meter: &s.diskRead}
+		if views != nil {
+			c.runView = views[i]
+		}
+		cursors = append(cursors, c)
 	}
-	var entries []entry
-	var pivot K
-	inClass := func(c *groupCursor[K, V]) bool { return ord.cmp(c.key, pivot) == 0 }
-	drain := func(c *groupCursor[K, V]) error {
-		// Record the cursor's groups through the end of the class;
-		// cursors are drained in seal order (the heap tie-breaks equal
-		// keys by runIdx), preserving the value-order contract.
-		for {
-			e := entry{key: c.key, count: c.count}
-			if withValues {
-				vs, err := c.values(reuseValues)
-				if err != nil {
-					return err
-				}
-				e.vs = vs
-			}
-			entries = append(entries, e)
-			ok, err := c.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if !inClass(c) {
-				h.push(c)
-				return nil
-			}
+	for i, run := range mem {
+		lo, hi := clampRange(len(run.keys), func(j int) K { return run.keys[j] }, cmp, r)
+		if lo == hi {
+			continue
+		}
+		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(disk) + i, mem: run.groups, memKeys: run.keys[lo:hi]})
+	}
+	return cursors
+}
+
+// mergeCursors is the package's one k-way merge: a heap over the
+// cursors (which must be in runIdx order) yields each key, in canonical
+// order, together with the cursors currently holding it, in seal order.
+// What a group becomes is the consumer's business — countGroups sums
+// index counts, readGroups decodes and concatenates, compaction
+// (mergeDiskRuns) copies raw sections or re-combines. A consumer reads
+// its cursors' current group only; the loop advances them. An
+// errStopIteration from fn ends the merge cleanly.
+func mergeCursors[K comparable, V any](cursors []*groupCursor[K, V], ord keyOrder[K], fn func(k K, srcs []*groupCursor[K, V]) error) error {
+	if !ord.strict {
+		fn = regroupTies(ord.cmp, fn)
+	}
+	h := &cursorHeap[K, V]{cmp: ord.cmp}
+	for _, c := range cursors {
+		if c.next() {
+			h.push(c)
 		}
 	}
+	var srcs []*groupCursor[K, V]
 	for len(h.cs) > 0 {
-		top := h.pop()
-		pivot = top.key
-		entries = entries[:0]
-		if err := drain(top); err != nil {
-			return err
+		srcs = append(srcs[:0], h.pop())
+		k := srcs[0].key
+		for len(h.cs) > 0 && ord.cmp(h.cs[0].key, k) == 0 {
+			srcs = append(srcs, h.pop())
 		}
-		for len(h.cs) > 0 && inClass(h.cs[0]) {
-			if err := drain(h.pop()); err != nil {
-				return err
-			}
+		if err := fn(k, srcs); err != nil {
+			return stopOK(err)
 		}
-		for i := range entries {
-			if entries[i].count < 0 {
-				continue // folded into an earlier entry of the same key
-			}
-			k, count, vs := entries[i].key, entries[i].count, entries[i].vs
-			copied := false
-			for j := i + 1; j < len(entries); j++ {
-				if entries[j].count >= 0 && entries[j].key == k {
-					if withValues {
-						if !copied {
-							// Copy before extending: a single-run slice
-							// may alias a live map's backing array.
-							vs = append(make([]V, 0, count+entries[j].count), vs...)
-							copied = true
-						}
-						vs = append(vs, entries[j].vs...)
-					}
-					count += entries[j].count
-					entries[j].count = -1
-				}
-			}
-			if err := fn(k, count, vs); err != nil {
-				return stopOK(err)
+		for _, c := range srcs {
+			if c.next() {
+				h.push(c)
 			}
 		}
 	}
 	return nil
+}
+
+// regroupTies adapts a consumer to a non-strict order — the formatted
+// fallback of the unplannable key kinds, which only in-memory runs can
+// hold (New refuses to spill them). Under it the merge loop's "key" is a
+// whole order-equivalence class: distinct keys tie, and one run may hold
+// several of them in any relative order. The adapter walks every cursor
+// through the end of the class, in seal order, snapshotting each group
+// it passes, and hands fn one call per distinct key (by ==, first seen
+// first) with that key's snapshots still in seal order — one group per
+// key, always. It leaves each cursor on its last group of the class for
+// the loop to advance.
+func regroupTies[K comparable, V any](cmp func(a, b K) int, fn func(K, []*groupCursor[K, V]) error) func(K, []*groupCursor[K, V]) error {
+	return func(pivot K, srcs []*groupCursor[K, V]) error {
+		var class []*groupCursor[K, V]
+		for _, c := range srcs {
+			for {
+				snap := *c
+				class = append(class, &snap)
+				if c.pos >= len(c.memKeys) || cmp(c.memKeys[c.pos], pivot) != 0 {
+					break
+				}
+				c.next()
+			}
+		}
+		for i, g := range class {
+			if g == nil {
+				continue // folded into an earlier group of the same key
+			}
+			group := []*groupCursor[K, V]{g}
+			for j := i + 1; j < len(class); j++ {
+				if class[j] != nil && class[j].key == g.key {
+					group, class[j] = append(group, class[j]), nil
+				}
+			}
+			if err := fn(g.key, group); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// countGroups is the merge's counting consumer: a group's size is the
+// sum of its sources' index counts — no value is read.
+func countGroups[K comparable, V any](fn func(k K, count int) error) func(K, []*groupCursor[K, V]) error {
+	return func(k K, srcs []*groupCursor[K, V]) error {
+		n := 0
+		for _, c := range srcs {
+			n += c.count
+		}
+		return fn(k, n)
+	}
+}
+
+// readGroups is the merge's reduce consumer: fn receives each key's
+// values concatenated across its source runs in seal order. A group held
+// by a single in-memory run is passed as is (it aliases the run); any
+// other is decoded source by source into one slice — freshly allocated,
+// or with reuse set (the ForEachGroupBatch contract) a scratch slice
+// that every later group of this merge overwrites.
+func readGroups[K comparable, V any](reuse bool, fn func(k K, vs []V) error) func(K, []*groupCursor[K, V]) error {
+	var scratch []V
+	return func(k K, srcs []*groupCursor[K, V]) error {
+		if len(srcs) == 1 && srcs[0].mem != nil {
+			return fn(k, srcs[0].mem[k])
+		}
+		vs := scratch[:0]
+		if !reuse {
+			total := 0
+			for _, c := range srcs {
+				total += c.count
+			}
+			vs = make([]V, 0, total)
+		}
+		for _, c := range srcs {
+			var err error
+			if vs, err = c.appendValues(vs); err != nil {
+				return err
+			}
+		}
+		if reuse {
+			scratch = vs
+		}
+		return fn(k, vs)
+	}
+}
+
+// forEachCount is the counting core behind Stats, NumKeys, SortedKeys,
+// ForEachGroupCount and range planning: the merge over index-only
+// cursors and the in-memory runs. No run file is opened, no byte of
+// disk is read.
+func (p Partition[K, V]) forEachCount(fn func(k K, count int) error) error {
+	st := &p.s.parts[p.idx]
+	if p.s.closed && st.spilledToDisk {
+		return fmt.Errorf("shuffle: partition %d read after Close: spilled runs deleted", p.idx)
+	}
+	ord := orderOf[K]()
+	return mergeCursors(rangeCursors(p.s, st.disk, nil, st.memRuns(), ord.cmp, KeyRange[K]{}), ord, countGroups[K, V](fn))
+}
+
+// forEachValues is the value-reading core behind ForEachGroup,
+// ForEachGroupBatch and Values: the unbounded range of a RangeReader
+// held open for the one call.
+func (p Partition[K, V]) forEachValues(reuse bool, fn func(k K, vs []V) error) error {
+	rr, err := p.OpenRangeReader()
+	if err != nil {
+		return err
+	}
+	defer rr.Close()
+	return rr.ForEachGroupRange(KeyRange[K]{}, reuse, fn)
 }
 
 // stopOK converts the early-exit sentinel into a clean return.

@@ -231,6 +231,9 @@ func CountEmbeddings(sample, data *graphs.Graph) int64 {
 // Run executes the matcher over a data graph, returning all embeddings
 // (each exactly once) and the round metrics.
 func (m *Matcher) Run(data *graphs.Graph, cfg mr.Config) ([][]int, mr.Metrics, error) {
+	// Reducers on different goroutines all query m.Sample, whose adjacency
+	// is built lazily on first use: build it before they can race on it.
+	m.Sample.Adj(0)
 	job := &mr.Job[graphs.Edge, int, graphs.Edge, string]{
 		Name: fmt.Sprintf("sample-matcher(s=%d,b=%d)", m.Sample.N, m.B),
 		Map: func(e graphs.Edge, emit func(int, graphs.Edge)) {
