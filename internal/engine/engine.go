@@ -56,25 +56,12 @@ type Config struct {
 	// seals its run. With SpillDir set, sealed runs are encoded to
 	// disk and reduce partitions stream a k-way merge over them;
 	// without it sealed runs stay in memory and only spill pressure is
-	// reported. MaxBufferedPairs is the older alias, honored when
-	// MemoryBudget is zero.
-	MemoryBudget     int
-	MaxBufferedPairs int
+	// reported.
+	MemoryBudget int
 
 	// SpillDir is the directory for spill run files (temp files,
 	// deleted when the round finishes). Empty means no disk spill.
 	SpillDir string
-
-	// CompactionConcurrency sizes the shuffle's background compaction
-	// worker pool on the streaming path: zero selects the default pool,
-	// negative compacts inline with sealing (single-threaded, as the
-	// barrier path always does). SpoolRotateBytes bounds how many dead
-	// (compacted or aborted) bytes a streaming spool file accumulates
-	// before it is rotated and its disk reclaimed mid-round: zero
-	// selects the default threshold, negative disables rotation. Both
-	// pass straight through to the shuffle.
-	CompactionConcurrency int
-	SpoolRotateBytes      int64
 
 	// MaxReducerInput, when positive, fails the round before the reduce
 	// phase if any key group exceeds it (the paper's reducer size limit
@@ -133,13 +120,6 @@ func (c Config) workers() int {
 		n = 1
 	}
 	return n
-}
-
-func (c Config) memoryBudget() int {
-	if c.MemoryBudget > 0 {
-		return c.MemoryBudget
-	}
-	return c.MaxBufferedPairs
 }
 
 func (c Config) maxRetries() int {
@@ -308,19 +288,17 @@ var errInjected = errors.New("engine: injected task failure")
 func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Result[K, O], retErr error) {
 	res.Metrics.MapInputs = int64(len(inputs))
 	cfg := r.Config
-	if cfg.SpillDir != "" && cfg.memoryBudget() <= 0 {
+	if cfg.SpillDir != "" && cfg.MemoryBudget <= 0 {
 		return res, fmt.Errorf(
 			"engine: round %q sets SpillDir without a memory budget; set Config.MemoryBudget (pairs per partition) to enable spilling",
 			r.Name)
 	}
 
 	sh := shuffle.New[K, V](shuffle.Options{
-		Partitions:            cfg.Partitions,
-		MaxBufferedPairs:      cfg.memoryBudget(),
-		SpillDir:              cfg.SpillDir,
-		CompactionConcurrency: cfg.CompactionConcurrency,
-		SpoolRotateBytes:      cfg.SpoolRotateBytes,
-		Recorder:              cfg.Recorder,
+		Partitions:       cfg.Partitions,
+		MaxBufferedPairs: cfg.MemoryBudget,
+		SpillDir:         cfg.SpillDir,
+		Recorder:         cfg.Recorder,
 	})
 	defer func() {
 		if err := sh.Close(); err != nil && retErr == nil {

@@ -274,7 +274,7 @@ func TestBoundedMemorySurfacesInMetrics(t *testing.T) {
 	for i := range docs {
 		docs[i] = "w w w w"
 	}
-	res, err := Run(wordCountRound(Config{Partitions: 2, MaxBufferedPairs: 16}), docs)
+	res, err := Run(wordCountRound(Config{Partitions: 2, MemoryBudget: 16}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -132,7 +132,7 @@ func TestBoundedMemoryModeThroughJob(t *testing.T) {
 	for i := range docs {
 		docs[i] = "x y"
 	}
-	job := wordCountJob(Config{Partitions: 2, MaxBufferedPairs: 8})
+	job := wordCountJob(Config{Partitions: 2, MemoryBudget: 8})
 	out, met, err := job.Run(docs)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestPinnedSeedMakesPhysicalProfileDeterministic(t *testing.T) {
 	defer restore()
 
 	docs := []string{"a b c d e f g h i j k l m n o p", "a b c d a b c d"}
-	cfg := Config{Partitions: 4, Workers: 2, MaxBufferedPairs: 4}
+	cfg := Config{Partitions: 4, Workers: 2, MemoryBudget: 4}
 	_, met1, err := wordCountJob(cfg).Run(docs)
 	if err != nil {
 		t.Fatal(err)

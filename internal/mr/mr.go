@@ -91,10 +91,8 @@ type Config struct {
 	// seals its run, so live buffered pairs never exceed the budget.
 	// Together with SpillDir this makes datasets much larger than
 	// memory executable; alone it reports spill pressure with sealed
-	// runs kept in memory. MaxBufferedPairs is the older alias for the
-	// same knob, honored when MemoryBudget is zero.
-	MemoryBudget     int
-	MaxBufferedPairs int
+	// runs kept in memory.
+	MemoryBudget int
 
 	// SpillDir, when set together with MemoryBudget, directs sealed
 	// runs to temp run files under this directory (deleted when the
@@ -104,17 +102,6 @@ type Config struct {
 	// requires a key type whose equality survives an encode/decode
 	// round trip (no pointer, interface or channel fields).
 	SpillDir string
-
-	// CompactionConcurrency sizes the background worker pool that
-	// compacts spill runs while streaming ingestion continues: zero
-	// selects the runtime default, negative compacts inline with
-	// sealing. SpoolRotateBytes bounds how many dead (compacted or
-	// aborted) bytes a spill spool file may accumulate before the
-	// runtime rotates it and reclaims the disk mid-job: zero selects
-	// the default threshold, negative disables rotation. Both are
-	// physical-profile knobs; outputs never depend on them.
-	CompactionConcurrency int
-	SpoolRotateBytes      int64
 
 	// ReduceWorkersHint, when positive, partitions reduce keys into this
 	// many logical reduce workers for the per-worker skew metrics. It does
@@ -176,9 +163,8 @@ type Config struct {
 	// residency obeys the same bound the in-process engine proves
 	// (Metrics.PeakResidentPairs reports the worst attempt). Spilling
 	// needs no SpillDir here: the spool files ARE the spill. Remaining
-	// in-process knobs (SpillDir, CompactionConcurrency, FailureEveryN,
-	// ...) do not apply in this mode. Outputs are
-	// identical either way.
+	// in-process knobs (SpillDir, FailureEveryN, ...) do not apply in
+	// this mode. Outputs are identical either way.
 	ProcMode bool
 	// ProcWorkerCommand is the argv spawned per worker process in
 	// ProcMode. Empty re-executes the current binary.
@@ -462,10 +448,7 @@ func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
 			MapChunk:               j.Config.MapChunk,
 			Partitions:             j.Config.Partitions,
 			MemoryBudget:           j.Config.MemoryBudget,
-			MaxBufferedPairs:       j.Config.MaxBufferedPairs,
 			SpillDir:               j.Config.SpillDir,
-			CompactionConcurrency:  j.Config.CompactionConcurrency,
-			SpoolRotateBytes:       j.Config.SpoolRotateBytes,
 			MaxReducerInput:        j.Config.MaxReducerInput,
 			ReduceSplitPairs:       j.Config.ReduceSplitPairs,
 			ReduceRangeConcurrency: j.Config.ReduceRangeConcurrency,

@@ -681,7 +681,7 @@ func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) (
 		if !ok {
 			return nil, met, fmt.Errorf("proc: partition %d finished without an accepted reduce report", p)
 		}
-		groups, err := readOutputs[K, O](fs, rep.OutPath)
+		groups, err := readOutputs[K, O](fs, rep.OutPath, rep.Keys)
 		if err != nil {
 			return nil, met, err
 		}

@@ -1,10 +1,14 @@
 package proc
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/errfs"
 	"repro/internal/runfile"
@@ -309,5 +313,84 @@ func TestCrashReopenFaultMarch(t *testing.T) {
 				t.Errorf("%s call %d: injected fault lost from chain: %v", op, nth, err)
 			}
 		}
+	}
+}
+
+// TestForgedRecordCountsAreErrors: the leading count of a reduce output
+// file and of the job's input file is bytes on disk. A negative or
+// absurd one must come back as an error naming the file — never size an
+// allocation (a panic or an out-of-memory death in the driver or a
+// worker).
+func TestForgedRecordCountsAreErrors(t *testing.T) {
+	// int64 on the wire is gob's one signed integer: it decodes into the
+	// readers' int, or — where int is 32 bits — fails the decode.
+	for _, n := range []int64{-1, 1 << 40} {
+		path := filepath.Join(t.TempDir(), "forged.gob")
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewEncoder(f).Encode(n); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readOutputs[string, wcOut](runfile.OSFS, path, 3); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("readOutputs(count %d) = %v, want an error naming %s", n, err, path)
+		}
+		job := &jobImpl[string, string, int, wcOut]{}
+		if _, _, err := job.loadInputs(path); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("loadInputs(count %d) = %v, want an error naming %s", n, err, path)
+		}
+	}
+}
+
+// forgedOutputFS hands the driver every reduce output file with its
+// leading group count overwritten by one more than the worker wrote.
+type forgedOutputFS struct{ runfile.FS }
+
+func (fs forgedOutputFS) Open(name string) (runfile.File, error) {
+	if strings.HasPrefix(filepath.Base(name), "out-p") {
+		f, err := os.Open(name)
+		if err != nil {
+			return nil, err
+		}
+		var n int
+		err = gob.NewDecoder(f).Decode(&n)
+		f.Close()
+		if err != nil {
+			return nil, err
+		}
+		var forged bytes.Buffer
+		if err := gob.NewEncoder(&forged).Encode(n + 1); err != nil {
+			return nil, err
+		}
+		if err := os.WriteFile(name, forged.Bytes(), 0o600); err != nil {
+			return nil, err
+		}
+	}
+	return fs.FS.Open(name)
+}
+
+// TestProcOutputCountMismatchFailsCleanly: an output file whose count
+// disagrees with the accepted reduce report fails the job with an error
+// — and the run still cleans up its scratch directory.
+func TestProcOutputCountMismatchFailsCleanly(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	_, _, err := Run[string, string, int, wcOut]("wordcount", genLines(40), Options{
+		Workers: 2, Partitions: 3, Timeout: 90 * time.Second,
+		FS: forgedOutputFS{runfile.OSFS},
+	})
+	if err == nil || !strings.Contains(err.Error(), "accepted report") {
+		t.Fatalf("forged output count = %v, want a count-mismatch error", err)
+	}
+	left, rerr := os.ReadDir(tmp)
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	for _, e := range left {
+		t.Errorf("failed run left %s behind", e.Name())
 	}
 }

@@ -363,11 +363,18 @@ func (j *jobImpl[I, K, V, O]) loadInputs(path string) (any, int, error) {
 	if err := dec.Decode(&n); err != nil {
 		return nil, 0, fmt.Errorf("proc: decoding input count: %w", err)
 	}
-	inputs := make([]I, n)
+	// The count is bytes on disk: it bounds the loop but never sizes an
+	// allocation, so a torn or forged one is an error, not a panic.
+	if n < 0 {
+		return nil, 0, fmt.Errorf("proc: input file %s: negative record count %d", path, n)
+	}
+	var inputs []I
 	for i := 0; i < n; i++ {
-		if err := dec.Decode(&inputs[i]); err != nil {
-			return nil, 0, fmt.Errorf("proc: decoding input %d: %w", i, err)
+		var in I
+		if err := dec.Decode(&in); err != nil {
+			return nil, 0, fmt.Errorf("proc: decoding input %d of %d in %s: %w", i, n, path, err)
 		}
+		inputs = append(inputs, in)
 	}
 	return inputs, n, nil
 }

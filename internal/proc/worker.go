@@ -623,8 +623,11 @@ func writeOutputs[K comparable, O any](path string, groups []outGroup[K, O]) err
 }
 
 // readOutputs decodes one accepted reduce output file through the
-// driver's FS (so reopen faults are injectable).
-func readOutputs[K comparable, O any](fs runfile.FS, path string) ([]outGroup[K, O], error) {
+// driver's FS (so reopen faults are injectable). The file is a worker's
+// bytes on disk, so its leading count is checked against keys — the
+// group count of the accepted report — and never sizes an allocation:
+// a torn or forged count is an error here, not a panic in the driver.
+func readOutputs[K comparable, O any](fs runfile.FS, path string, keys int64) ([]outGroup[K, O], error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("proc: opening reduce output %s: %w", path, err)
@@ -635,11 +638,16 @@ func readOutputs[K comparable, O any](fs runfile.FS, path string) ([]outGroup[K,
 	if err := dec.Decode(&n); err != nil {
 		return nil, fmt.Errorf("proc: decoding output count in %s: %w", path, err)
 	}
-	groups := make([]outGroup[K, O], n)
-	for i := range groups {
-		if err := dec.Decode(&groups[i]); err != nil {
-			return nil, fmt.Errorf("proc: decoding output group in %s: %w", path, err)
+	if int64(n) != keys {
+		return nil, fmt.Errorf("proc: reduce output %s holds %d groups, its accepted report says %d", path, n, keys)
+	}
+	var groups []outGroup[K, O]
+	for i := 0; i < n; i++ {
+		var g outGroup[K, O]
+		if err := dec.Decode(&g); err != nil {
+			return nil, fmt.Errorf("proc: decoding output group %d in %s: %w", i, path, err)
 		}
+		groups = append(groups, g)
 	}
 	return groups, nil
 }

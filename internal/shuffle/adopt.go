@@ -69,8 +69,8 @@ func (s *Shuffle[K, V]) AdoptRun(part int, path string, off, length int64) error
 
 	// Runs adopted from one file share one runFile, hence one handle and
 	// one mapping per merge (openRunViews).
-	s.mergeMu.Lock()
-	defer s.mergeMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	rf := s.borrowed[path]
 	if rf == nil {
 		if s.borrowed == nil {

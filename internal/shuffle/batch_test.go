@@ -16,16 +16,11 @@ func TestForEachGroupBatchMatchesPerGroup(t *testing.T) {
 	}
 	for _, spillDir := range []string{"", t.TempDir()} {
 		s := New[int, pay](Options{Partitions: 4, MaxBufferedPairs: 8, SpillDir: spillDir})
-		bufs := make([]*TaskBuffer[int, pay], 3)
-		for i := range bufs {
-			bufs[i] = s.NewTaskBuffer()
+		pairs := make([]Pair[int, pay], 400)
+		for i := range pairs {
+			pairs[i] = Pair[int, pay]{i % 19, pay{A: int64(i), B: float64(i) / 4}}
 		}
-		for i := 0; i < 400; i++ {
-			bufs[i%3].Emit(i%19, pay{A: int64(i), B: float64(i) / 4})
-		}
-		if err := s.Merge(bufs); err != nil {
-			t.Fatal(err)
-		}
+		streamTasks(t, s, buildBuffers(3, pairs), 3)
 		type group struct {
 			k  int
 			vs []pay
@@ -69,13 +64,7 @@ func TestForEachGroupBatchArenaAliasing(t *testing.T) {
 	// overwrite the previous group's view.
 	s := New[int, int](Options{Partitions: 1, MaxBufferedPairs: 8, SpillDir: t.TempDir()})
 	defer s.Close()
-	buf := s.NewTaskBuffer()
-	for i := 0; i < keys*perKey; i++ {
-		buf.Emit(i%keys, i)
-	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	streamTasks(t, s, [][]Pair[int, int]{modPairs(keys*perKey, keys)}, 1)
 
 	var retained, snapshot []int
 	diverged := false
@@ -97,18 +86,12 @@ func TestForEachGroupBatchArenaAliasing(t *testing.T) {
 }
 
 // TestSetCombinerInvalidatesStatsMemo is the regression test for the
-// memoization bug: Stats results were invalidated only by Merge, so a
-// SetCombiner between a Stats call and the next Merge could serve a
+// memoization bug: Stats results were invalidated only by ingestion, so
+// a SetCombiner between a Stats call and the next round could serve a
 // profile that no longer described the shuffle's sealing behavior.
 func TestSetCombinerInvalidatesStatsMemo(t *testing.T) {
 	s := New[int, int](Options{Partitions: 2})
-	buf := s.NewTaskBuffer()
-	for i := 0; i < 20; i++ {
-		buf.Emit(i%3, i)
-	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	streamTasks(t, s, [][]Pair[int, int]{modPairs(20, 3)}, 1)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)

@@ -13,22 +13,21 @@ import (
 func collidingKeys[K comparable](t *testing.T, s *Shuffle[K, int], colliders [2]K, other func(i int) K) {
 	t.Helper()
 	s.SetPartitioner(func(K) int { return 0 })
-	buf := s.NewTaskBuffer()
+	var task []Pair[K, int]
 	want := make(map[K][]int)
 	// Unequal per-seal group sizes for the two colliders, across enough
-	// seals to force compaction at the fan-in cap when runs go to disk.
-	n := 3 * (2*maxDiskRunFanIn + 5)
+	// seals to force compaction at the run-count bound when runs go to
+	// disk.
+	n := 3 * (maxDiskRunsPerPartition + 5)
 	for i := 0; i < n; i++ {
 		k := colliders[i%3%2] // 2 of every 3 pairs to collider 0, 1 to collider 1
 		if i%7 == 0 {
 			k = other(i % 4)
 		}
-		buf.Emit(k, i)
+		task = append(task, Pair[K, int]{k, i})
 		want[k] = append(want[k], i)
 	}
-	if err := s.Merge([]*TaskBuffer[K, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	streamTasks(t, s, [][]Pair[K, int]{task}, 1)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -36,17 +35,7 @@ func collidingKeys[K comparable](t *testing.T, s *Shuffle[K, int], colliders [2]
 	if st.Keys != int64(len(want)) {
 		t.Errorf("Stats.Keys = %d, want %d", st.Keys, len(want))
 	}
-	got := make(map[K][]int)
-	if err := s.Partition(0).ForEachGroup(func(k K, vs []int) error {
-		if _, dup := got[k]; dup {
-			t.Fatalf("key %+v emitted as two groups", k)
-		}
-		got[k] = append([]int(nil), vs...)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
+	if got := partitionGroups(t, s.Partition(0)); !reflect.DeepEqual(got, want) {
 		t.Fatal("grouped values diverge from reference for keys that format alike")
 	}
 }
@@ -62,7 +51,7 @@ func TestCompactionWithFormatAlikeKeys(t *testing.T) {
 	defer s.Close()
 	collidingKeys(t, s, [2]k2{{"a b", "c"}, {"a", "b c"}}, // both format as "{a b c}"
 		func(i int) k2 { return k2{"z", fmt.Sprint(i)} })
-	if got := len(s.parts[0].disk); got >= maxDiskRunFanIn {
+	if got := len(s.parts[0].disk); got >= maxDiskRunsPerPartition {
 		t.Fatalf("%d disk runs; compaction never triggered", got)
 	}
 }

@@ -10,8 +10,8 @@
 // is safe because sealed runs are immutable and new seals only append to
 // the partition's run list — a compaction plans a window of that list,
 // merges it without the lock, and splices the result back in under the
-// lock. (Barrier-mode Merge owns each partition outright and compacts
-// inline on the partition's goroutine; nothing here applies to it.)
+// lock. (With Options.CompactionConcurrency negative the seal compacts
+// inline instead, and nothing here runs.)
 //
 // Queue discipline: at most one queue entry per partition exists at
 // any time (partitionState.compacting), so a channel with one slot per
@@ -71,8 +71,7 @@ func (s *Shuffle[K, V]) startCompactors() {
 // compactor is one background worker: it takes partition indexes off
 // the queue and compacts until the queue closes (Close). Errors are
 // latched for Ingester.Finish to surface; the partition's compacting
-// mark is cleared either way so a later round (Merge after a failed
-// streaming round is torn down) is not wedged.
+// mark is cleared either way so a later seal can queue it again.
 func (s *Shuffle[K, V]) compactor(lane *obs.Ring) {
 	for p := range s.compactCh {
 		st := &s.parts[p]

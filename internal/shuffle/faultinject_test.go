@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"errors"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -36,24 +37,23 @@ func (u unmappableFS) Open(name string) (runfile.File, error) {
 	return struct{ runfile.File }{f}, nil
 }
 
-// spillWorkload merges pairs pairs of key i%keys into a single-partition
-// shuffle with the given budget over fs, returning the shuffle and the
-// merge error.
+// spillWorkload ingests pairs pairs of key i%keys, as one task on one
+// goroutine, into a single-partition shuffle with the given budget over
+// fs, returning the shuffle and the round's error. Compaction is inline,
+// so the round's filesystem calls come in one fixed order and an
+// injection ordinal names the same call on every run.
 func spillWorkload(t *testing.T, fs *errfs.FS, budget, pairs, keys int, mod ...func(*Options)) (*Shuffle[int, int], error) {
 	t.Helper()
 	opts := Options{
 		Partitions: 1, MaxBufferedPairs: budget,
 		SpillDir: t.TempDir(), FS: fs,
+		CompactionConcurrency: -1,
 	}
 	for _, m := range mod {
 		m(&opts)
 	}
 	s := New[int, int](opts)
-	buf := s.NewTaskBuffer()
-	for i := 0; i < pairs; i++ {
-		buf.Emit(i%keys, i)
-	}
-	return s, s.Merge([]*TaskBuffer[int, int]{buf})
+	return s, ingestTasksErr(s, [][]Pair[int, int]{modPairs(pairs, keys)}, 1)
 }
 
 // groupCounts streams the partition and returns per-key value counts.
@@ -78,9 +78,12 @@ func wantCounts(pairs, keys int) map[int]int {
 	return want
 }
 
-// TestFaultInjectionSpill fails each operation of the seal-to-disk
-// path — create, write, close, and the remove on the cleanup path —
-// and requires Merge to surface the injected error wrapped.
+// TestFaultInjectionSpill fails each operation of the ingest-to-disk
+// path — the swap stash and the seal spool: create, write, the swap
+// read-back, close — and requires the round to surface the injected
+// error wrapped. The workload's one task outgrows the budget before it
+// commits, so its first flush swaps (stash create and write come
+// first); the commit reads the swap back and seals as it absorbs.
 func TestFaultInjectionSpill(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -88,10 +91,14 @@ func TestFaultInjectionSpill(t *testing.T) {
 		nth     int
 		wantMsg string
 	}{
-		{"create-first-run", errfs.OpCreate, 1, "creating spill file"},
-		{"create-later-run", errfs.OpCreate, 3, "creating spill file"},
-		{"write-flush", errfs.OpWrite, 1, "flushing spill"},
-		{"close-after-finish", errfs.OpClose, 1, "closing spill"},
+		{"create-swap-stash", errfs.OpCreate, 1, "creating swap spool"},
+		{"create-seal-spool", errfs.OpCreate, 2, "creating seal spool"},
+		{"write-swap-section", errfs.OpWrite, 1, "writing swap spool"},
+		{"write-first-seal", errfs.OpWrite, 2, "flushing seal spool"},
+		{"write-later-seal", errfs.OpWrite, 4, "flushing seal spool"},
+		{"pread-swap-readback", errfs.OpReadAt, 1, "reading swap spool"},
+		{"close-seal-spool", errfs.OpClose, 1, "closing seal spool"},
+		{"close-swap-stash", errfs.OpClose, 2, "closing swap spool"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -100,7 +107,7 @@ func TestFaultInjectionSpill(t *testing.T) {
 			s, err := spillWorkload(t, fs, 2, 16, 5)
 			defer s.Close()
 			if err == nil {
-				t.Fatal("Merge succeeded despite injected failure")
+				t.Fatal("round succeeded despite injected failure")
 			}
 			if !errors.Is(err, errfs.ErrInjected) {
 				t.Fatalf("injected cause lost from the chain: %v", err)
@@ -111,32 +118,39 @@ func TestFaultInjectionSpill(t *testing.T) {
 		})
 	}
 
-	// A failed spill must not leak its partial run file: the create
-	// succeeds, the write fails, and the cleanup path removes the file
-	// (observed through the remove counter).
+	// A failed spill must not leak its spools: the creates succeed, a
+	// seal's write fails, and once the failed round is closed the spill
+	// directory is empty.
 	fs := errfs.New(nil)
-	fs.FailAt(errfs.OpWrite, 1, nil)
+	fs.FailAt(errfs.OpWrite, 2, nil)
 	s, err := spillWorkload(t, fs, 2, 16, 5)
-	defer s.Close()
 	if err == nil {
-		t.Fatal("Merge succeeded despite injected write failure")
+		t.Fatal("round succeeded despite injected write failure")
 	}
-	if got := fs.Calls(errfs.OpRemove); got == 0 {
-		t.Error("failed spill left its partial run file in place (no remove issued)")
+	if err := s.Close(); err != nil {
+		t.Fatalf("closing the failed round: %v", err)
+	}
+	if left, err := os.ReadDir(s.opts.SpillDir); err != nil || len(left) != 0 {
+		t.Errorf("failed spill left %d files in place (err %v)", len(left), err)
 	}
 }
 
-// TestFaultInjectionCompaction drives a partition past maxDiskRunFanIn
-// seals so compaction runs mid-merge, then fails each of its
-// operations: reopening input runs, the positioned section reads, the
-// output create, and the output flush. The pread fallback is forced so
-// the read ordinals are deterministic; mapping faults get their own
-// fallback test below.
+// TestFaultInjectionCompaction drives a partition to
+// maxDiskRunsPerPartition seals so compaction runs mid-round, then
+// fails each of its operations: reopening the seal spool, the
+// positioned section reads, the output create, and the output flush.
+// A second, longer round reaches the file fan-in bound, where the
+// compaction's inputs span maxDiskRunFanIn files, and fails the first
+// and the last of their opens. The pread fallback is forced so the read
+// ordinals are deterministic; mapping faults get their own fallback
+// test below.
 func TestFaultInjectionCompaction(t *testing.T) {
-	const pairs = maxDiskRunFanIn // budget 1: one seal per pair, compaction at the last
-	// Discovery pass: count the clean run's operations so the write and
-	// create injections can target the compaction output (the last of
-	// each) without hard-coding buffer-dependent ordinals.
+	const pairs = maxDiskRunsPerPartition // budget 1: one seal per pair, compaction at the last
+	// Discovery pass: count the clean run's operations so the injections
+	// can target the compaction (the last create and write; the last
+	// `pairs` positioned reads, one per one-group input run — the earlier
+	// ones are swap read-backs) without hard-coding buffer-dependent
+	// ordinals.
 	probe := errfs.New(nil)
 	s, err := spillWorkload(t, probe, 1, pairs, 7, noMmap)
 	if err != nil {
@@ -144,11 +158,14 @@ func TestFaultInjectionCompaction(t *testing.T) {
 	}
 	s.Close()
 	creates, writes, preads := probe.Calls(errfs.OpCreate), probe.Calls(errfs.OpWrite), probe.Calls(errfs.OpReadAt)
-	if creates != pairs+1 {
-		t.Fatalf("clean run created %d files, want %d spills + 1 compaction output", creates, pairs+1)
+	if creates != 3 {
+		t.Fatalf("clean run created %d files, want 3: swap stash, seal spool, compaction output", creates)
 	}
-	if preads == 0 {
-		t.Fatal("clean run issued no positioned reads: compaction did not happen")
+	if opens := probe.Calls(errfs.OpOpen); opens != 1 {
+		t.Fatalf("clean run opened %d files, want 1: every input run shares the seal spool", opens)
+	}
+	if preads <= pairs {
+		t.Fatalf("clean run issued %d positioned reads, want swap read-backs plus %d compaction sections", preads, pairs)
 	}
 
 	cases := []struct {
@@ -157,10 +174,10 @@ func TestFaultInjectionCompaction(t *testing.T) {
 		nth     int
 		wantMsg string
 	}{
-		{"open-first-input", errfs.OpOpen, 1, "compacting"},
-		{"open-last-input", errfs.OpOpen, pairs, "compacting"},
-		{"pread-first-section", errfs.OpReadAt, 1, "reading spill"},
-		{"pread-mid-section", errfs.OpReadAt, preads / 2, "reading spill"},
+		{"open-spool", errfs.OpOpen, 1, "compacting"},
+		{"pread-first-section", errfs.OpReadAt, preads - pairs + 1, "reading spill"},
+		{"pread-mid-section", errfs.OpReadAt, preads - pairs/2, "reading spill"},
+		{"pread-last-section", errfs.OpReadAt, preads, "reading spill"},
 		{"create-output", errfs.OpCreate, creates, "creating compacted run"},
 		{"write-output-flush", errfs.OpWrite, writes, "compacted run"},
 	}
@@ -171,13 +188,60 @@ func TestFaultInjectionCompaction(t *testing.T) {
 			s, err := spillWorkload(t, fs, 1, pairs, 7, noMmap)
 			defer s.Close()
 			if err == nil {
-				t.Fatal("Merge succeeded despite injected compaction failure")
+				t.Fatal("round succeeded despite injected compaction failure")
 			}
 			if !errors.Is(err, errfs.ErrInjected) {
 				t.Fatalf("injected cause lost from the chain: %v", err)
 			}
 			if !strings.Contains(err.Error(), tc.wantMsg) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.wantMsg)
+			}
+		})
+	}
+
+	// A compaction over several files: the round's last seal makes the
+	// spool file number maxDiskRunFanIn, and the higher-tier merge it
+	// triggers opens every tier-1 output and then the spool. Failing the
+	// first of those opens, and the last — after maxDiskRunFanIn-1
+	// handles are already taken and must be released — fails the round
+	// wrapped, and closing the failed round leaves the spill dir empty.
+	probe = errfs.New(nil)
+	s, err = spillWorkload(t, probe, 1, sealsToFileFanIn, 7, noMmap)
+	if err != nil {
+		t.Fatalf("clean higher-tier run failed: %v", err)
+	}
+	s.Close()
+	opens := probe.Calls(errfs.OpOpen)
+	if want := maxDiskRunFanIn - 1 + maxDiskRunFanIn; opens != want {
+		t.Fatalf("clean higher-tier run opened %d files, want %d: the spool once per tier-1 compaction, then %d inputs",
+			opens, want, maxDiskRunFanIn)
+	}
+	for _, tc := range []struct {
+		name string
+		nth  int
+	}{
+		{"open-first-input", opens - maxDiskRunFanIn + 1},
+		{"open-last-input", opens},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := errfs.New(nil)
+			fs.FailAt(errfs.OpOpen, tc.nth, nil)
+			s, err := spillWorkload(t, fs, 1, sealsToFileFanIn, 7, noMmap)
+			if !errors.Is(err, errfs.ErrInjected) || !strings.Contains(err.Error(), "compacting") {
+				t.Fatalf("err = %v, want the injected open failure wrapped by the compaction", err)
+			}
+			if n := len(s.parts[0].disk); n != maxDiskRunFanIn {
+				t.Fatalf("failed compaction left %d disk runs, want its %d inputs untouched", n, maxDiskRunFanIn)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("closing the failed round: %v", err)
+			}
+			if left, err := os.ReadDir(s.opts.SpillDir); err != nil || len(left) != 0 {
+				t.Errorf("failed compaction left %d files in place (err %v)", len(left), err)
+			}
+			// Every handle taken was given back: the failed open took none.
+			if got, want := fs.Calls(errfs.OpClose), fs.Calls(errfs.OpCreate)+fs.Calls(errfs.OpOpen)-1; got != want {
+				t.Errorf("%d closes for %d handles: the partial open leaked", got, want)
 			}
 		})
 	}
@@ -189,7 +253,7 @@ func TestFaultInjectionCompaction(t *testing.T) {
 // the pread fallback (munmap faults are absorbed at close), and the
 // output must be byte-for-byte the same groups as an unfaulted run.
 func TestFaultInjectionMmapFallback(t *testing.T) {
-	const pairs, keys = maxDiskRunFanIn, 7
+	const pairs, keys = maxDiskRunsPerPartition, 7
 	want := wantCounts(pairs, keys)
 	for _, tc := range []struct {
 		name string
@@ -225,15 +289,16 @@ func TestFaultInjectionMmapFallback(t *testing.T) {
 	}
 }
 
-// TestFaultInjectionReduceMerge spills cleanly, then fails the
-// reduce-time k-way merge's reopens and positioned reads at several
-// points. The counting APIs must keep working through armed read
+// TestFaultInjectionReduceMerge spills cleanly — past one compaction,
+// so the partition's runs live in two files, the compacted run and the
+// seal spool — then fails the reduce-time k-way merge's reopens and
+// positioned reads at several points. The counting APIs must keep working through armed read
 // failures (they are memory-only), the streaming read must surface the
 // wrapped error rather than truncate, and clearing the injection must
 // yield the full dataset — the files were never corrupted. An injected
 // mmap fault, by contrast, must not surface at all.
 func TestFaultInjectionReduceMerge(t *testing.T) {
-	const budget, pairs, keys = 4, 32, 5
+	const budget, pairs, keys = 1, maxDiskRunsPerPartition + 3, 5
 	build := func(fs *errfs.FS, mod ...func(*Options)) *Shuffle[int, int] {
 		s, err := spillWorkload(t, fs, budget, pairs, keys, mod...)
 		if err != nil {
@@ -243,16 +308,17 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 		return s
 	}
 
-	// Discovery: how many opens and section preads does a clean
-	// streaming pass issue under the fallback?
+	// Discovery: how many opens and section preads does a clean streaming
+	// pass issue under the fallback? (One open per file, not per run: the
+	// fresh seals share their spool.)
 	probe := errfs.New(nil)
 	s := build(probe, noMmap)
 	if err := s.Partition(0).ForEachGroup(func(int, []int) error { return nil }); err != nil {
 		t.Fatalf("clean merge: %v", err)
 	}
-	opens, preads := probe.Calls(errfs.OpOpen), probe.Calls(errfs.OpReadAt)
-	if opens < 2 || preads < opens {
-		t.Fatalf("clean merge used %d opens / %d preads; expected a multi-run merge", opens, preads)
+	opens, preads, runs := probe.Calls(errfs.OpOpen), probe.Calls(errfs.OpReadAt), len(s.parts[0].disk)
+	if opens != 2 || runs <= opens || preads < runs {
+		t.Fatalf("clean merge used %d opens / %d preads over %d runs; expected a merge of the compacted run and several spool runs", opens, preads, runs)
 	}
 	s.Close()
 
@@ -261,8 +327,8 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 		op   errfs.Op
 		nth  int
 	}{
-		{"open-first-run", errfs.OpOpen, 1},
-		{"open-last-run", errfs.OpOpen, opens},
+		{"open-first-file", errfs.OpOpen, 1},
+		{"open-last-file", errfs.OpOpen, opens},
 		{"pread-first", errfs.OpReadAt, 1},
 		{"pread-mid-stream", errfs.OpReadAt, preads / 2},
 		{"pread-last", errfs.OpReadAt, preads},
@@ -283,8 +349,9 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 			if st.Pairs != pairs || st.Keys != keys {
 				t.Fatalf("Stats = pairs %d keys %d, want %d and %d", st.Pairs, st.Keys, pairs, keys)
 			}
-			if n := s.Partition(0).NumKeys(); n != keys {
-				t.Fatalf("NumKeys = %d, want %d", n, keys)
+			n := 0
+			if err := s.Partition(0).ForEachGroupCount(func(int, int) error { n++; return nil }); err != nil || n != keys {
+				t.Fatalf("ForEachGroupCount saw %d keys (err %v), want %d", n, err, keys)
 			}
 
 			// The streaming merge hits the injection and must say so.
@@ -347,7 +414,7 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 // semaphore slot released — proven by reopening and re-reading the full
 // dataset — and the concurrent merges must join without leaks (-race).
 func TestFaultInjectionRangeMerge(t *testing.T) {
-	const budget, pairs, keys = 4, 32, 5
+	const budget, pairs, keys = 1, maxDiskRunsPerPartition + 3, 5 // two files, as in the reduce-merge march
 	build := func(fs *errfs.FS, mod ...func(*Options)) *Shuffle[int, int] {
 		s, err := spillWorkload(t, fs, budget, pairs, keys, mod...)
 		if err != nil {
@@ -403,8 +470,8 @@ func TestFaultInjectionRangeMerge(t *testing.T) {
 	}
 	rr.Close()
 	opens, preads := probe.Calls(errfs.OpOpen), probe.Calls(errfs.OpReadAt)
-	if opens < 2 || preads < 2 {
-		t.Fatalf("clean ranged pass used %d opens / %d preads; expected a multi-run merge", opens, preads)
+	if runs := len(s.parts[0].disk); opens != 2 || runs <= opens || preads < runs {
+		t.Fatalf("clean ranged pass used %d opens / %d preads over %d runs; expected a merge of the compacted run and several spool runs", opens, preads, runs)
 	}
 	s.Close()
 
@@ -414,8 +481,8 @@ func TestFaultInjectionRangeMerge(t *testing.T) {
 		name string
 		nth  int
 	}{
-		{"open-first-spool", 1},
-		{"open-last-spool", opens},
+		{"open-first-file", 1},
+		{"open-last-file", opens},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := errfs.New(nil)

@@ -7,21 +7,18 @@ import (
 
 // buildSpilled fills a one-partition shuffle with n pairs over nKeys
 // keys (values i for key i%nKeys) under the given budget and returns
-// it unclosed.
+// it unclosed. Compaction is inline, so the disk-run shapes the
+// compaction tests pin are exact.
 func buildSpilled(t *testing.T, budget, n, nKeys int, combiner func(int, []int) []int) *Shuffle[int, int] {
 	t.Helper()
-	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: budget, SpillDir: t.TempDir()})
+	s := New[int, int](Options{
+		Partitions: 2, MaxBufferedPairs: budget, SpillDir: t.TempDir(), CompactionConcurrency: -1,
+	})
 	s.SetPartitioner(func(int) int { return 0 })
 	if combiner != nil {
 		s.SetCombiner(combiner)
 	}
-	buf := s.NewTaskBuffer()
-	for i := 0; i < n; i++ {
-		buf.Emit(i%nKeys, i)
-	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	streamTasks(t, s, [][]Pair[int, int]{modPairs(n, nKeys)}, 1)
 	return s
 }
 
@@ -41,7 +38,7 @@ func TestCountingPassIsMemoryOnly(t *testing.T) {
 	s := buildSpilled(t, 16, 400, 23, nil)
 	defer s.Close()
 	if got := s.DiskBytesRead(); got != 0 {
-		t.Fatalf("DiskBytesRead = %d after merge without compaction, want 0", got)
+		t.Fatalf("DiskBytesRead = %d after ingestion without compaction, want 0", got)
 	}
 
 	st, err := s.Stats()
@@ -55,21 +52,19 @@ func TestCountingPassIsMemoryOnly(t *testing.T) {
 		t.Fatalf("stats = pairs %d keys %d, want 400 and 23", st.Pairs, st.Keys)
 	}
 	part := s.Partition(0)
-	if got := part.NumKeys(); got != 23 {
-		t.Fatalf("NumKeys = %d, want 23", got)
-	}
-	if got := part.SortedKeys(); len(got) != 23 {
-		t.Fatalf("SortedKeys len = %d, want 23", len(got))
-	}
-	var counted int
+	var counted, keys int
 	if err := part.ForEachGroupCount(func(_ int, count int) error {
 		counted += count
+		keys++
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if counted != 400 {
-		t.Fatalf("ForEachGroupCount saw %d pairs, want 400", counted)
+	if counted != 400 || keys != 23 {
+		t.Fatalf("ForEachGroupCount saw %d pairs in %d groups, want 400 in 23", counted, keys)
+	}
+	if ranges := part.PlanReduceRanges(100, 4); len(ranges) < 2 {
+		t.Fatalf("PlanReduceRanges planned %d ranges, want a split", len(ranges))
 	}
 	if st.DiskBytesRead != 0 || s.DiskBytesRead() != 0 {
 		t.Fatalf("counting pass read %d bytes from disk, want 0", s.DiskBytesRead())
@@ -104,17 +99,11 @@ func TestCountingPassIsMemoryOnly(t *testing.T) {
 }
 
 // TestStatsMemoized: repeat Stats calls are served from the memo until
-// a Merge invalidates it.
+// a new ingestion round invalidates it.
 func TestStatsMemoized(t *testing.T) {
 	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 4, SpillDir: t.TempDir()})
 	defer s.Close()
-	buf := s.NewTaskBuffer()
-	for i := 0; i < 20; i++ {
-		buf.Emit(i%3, i)
-	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	streamTasks(t, s, [][]Pair[int, int]{modPairs(20, 3)}, 1)
 	if s.statsMemo != nil {
 		t.Fatal("memo set before Stats was ever computed")
 	}
@@ -148,48 +137,50 @@ func TestStatsMemoized(t *testing.T) {
 		}
 	}
 
-	buf2 := s.NewTaskBuffer()
-	buf2.Emit(100, 1)
-	if err := s.Merge([]*TaskBuffer[int, int]{buf2}); err != nil {
+	ing := s.NewIngester()
+	if s.statsMemo != nil {
+		t.Fatal("NewIngester did not invalidate the Stats memo")
+	}
+	tw := ing.Task(0, 0)
+	tw.Emit(100, 1)
+	if err := tw.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if s.statsMemo != nil {
-		t.Fatal("Merge did not invalidate the Stats memo")
+	if err := ing.Finish(); err != nil {
+		t.Fatal(err)
 	}
 	st3, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st3.Pairs != st.Pairs+1 || st3.Keys != st.Keys+1 {
-		t.Fatalf("post-merge Stats = pairs %d keys %d, want %d and %d",
+		t.Fatalf("second-round Stats = pairs %d keys %d, want %d and %d",
 			st3.Pairs, st3.Keys, st.Pairs+1, st.Keys+1)
 	}
 }
 
 // TestCompactionFanInBoundaries pins the compaction trigger at the
-// fan-in cap: exactly maxDiskRunFanIn seals collapse to one run, one
-// more seal starts the next tier at two runs — and both shapes stream
-// back the reference grouping.
+// run-count bound (a partition's seals share one spool, so the bound
+// that fires is maxDiskRunsPerPartition): exactly that many seals
+// collapse to one run, one more seal starts the next tier at two runs —
+// and both shapes stream back the reference grouping.
 func TestCompactionFanInBoundaries(t *testing.T) {
-	for _, seals := range []int{maxDiskRunFanIn, maxDiskRunFanIn + 1} {
+	const bound = maxDiskRunsPerPartition
+	for _, seals := range []int{bound, bound + 1} {
 		const budget = 2
 		n := seals * budget
-		want := make(map[int][]int)
-		for i := 0; i < n; i++ {
-			want[i%7] = append(want[i%7], i)
-		}
 		s := buildSpilled(t, budget, n, 7, nil)
 		disk := s.parts[0].disk
 		wantRuns := 1
-		if seals > maxDiskRunFanIn {
+		if seals > bound {
 			wantRuns = 2
 		}
 		if len(disk) != wantRuns {
 			t.Fatalf("%d seals: %d disk runs, want %d", seals, len(disk), wantRuns)
 		}
-		if disk[0].pairs != int64(maxDiskRunFanIn*budget) {
+		if disk[0].pairs != int64(bound*budget) {
 			t.Errorf("%d seals: first run holds %d pairs, want %d",
-				seals, disk[0].pairs, maxDiskRunFanIn*budget)
+				seals, disk[0].pairs, bound*budget)
 		}
 		st, err := s.Stats()
 		if err != nil {
@@ -198,16 +189,7 @@ func TestCompactionFanInBoundaries(t *testing.T) {
 		if st.SpillEvents != int64(seals) || st.Pairs != int64(n) || st.Keys != 7 {
 			t.Errorf("%d seals: stats = %+v", seals, st)
 		}
-		got := make(map[int][]int)
-		if err := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
-			got[k] = vs
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%d seals: compacted grouping diverges from reference", seals)
-		}
+		checkModGroups(t, s.Partition(0), n, 7)
 		s.Close()
 	}
 }
@@ -325,9 +307,9 @@ func TestCombinerRecombinesAcrossCompaction(t *testing.T) {
 	const (
 		budget = 2
 		nKeys  = 2
-		// Each seal holds ~2 combined partials, so this forces > fan-in
-		// seals and at least one compaction.
-		n = 4 * maxDiskRunFanIn * budget
+		// Each seal holds ~2 combined partials, so this forces more seals
+		// than the run-count bound and at least one compaction.
+		n = 4 * maxDiskRunsPerPartition * budget
 	)
 	s := buildSpilled(t, budget, n, nKeys, sumCombiner)
 	defer s.Close()
@@ -335,12 +317,12 @@ func TestCombinerRecombinesAcrossCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SpillEvents < maxDiskRunFanIn {
+	if st.SpillEvents < maxDiskRunsPerPartition {
 		t.Fatalf("only %d seals; compaction never triggered", st.SpillEvents)
 	}
 	disk := s.parts[0].disk
-	if len(disk) >= maxDiskRunFanIn {
-		t.Fatalf("%d disk runs; compaction should cap below %d", len(disk), maxDiskRunFanIn)
+	if len(disk) >= maxDiskRunsPerPartition {
+		t.Fatalf("%d disk runs; compaction should cap below %d", len(disk), maxDiskRunsPerPartition)
 	}
 	// The compacted run re-combined each key to a single partial.
 	if len(disk[0].index) != nKeys {

@@ -1,11 +1,11 @@
-// Streaming shuffle ingestion: the pipelined map→shuffle data path.
+// Streaming shuffle ingestion: the pipelined map→shuffle data path, and
+// the only way pairs are written into a Shuffle.
 //
-// The barrier-mode path (TaskBuffer + Merge) buffers every map task's
-// entire output until the map phase ends, so the memory budget is only
-// honored after the barrier and spill I/O never overlaps map CPU. The
-// Ingester replaces that with block-based streaming: each map worker
-// emits into small per-partition blocks (backed by the shuffle's
-// sync.Pool) and flushes a full block immediately to its partition,
+// Collecting every map task's entire output until the map phase ends
+// would honor the memory budget only after that point and never overlap
+// spill I/O with map CPU. The Ingester streams in blocks instead: each
+// map worker emits into small per-partition blocks (backed by the
+// shuffle's sync.Pool) and flushes a full block immediately to its partition,
 // which absorbs it under a per-partition lock — concurrently with
 // still-running map tasks — sealing, combining and spilling as the
 // budget fills. Sorting, encoding and disk writes therefore overlap
@@ -119,8 +119,8 @@ type Ingester[K comparable, V any] struct {
 	finishNs  atomic.Int64 // wall ns of the Finish drain (the residual barrier)
 }
 
-// NewIngester starts a streaming ingestion round on the shuffle. It
-// must not run concurrently with Merge, reads, or Close.
+// NewIngester starts an ingestion round on the shuffle. It must not run
+// concurrently with another round, reads, AdoptRun, or Close.
 func (s *Shuffle[K, V]) NewIngester() *Ingester[K, V] {
 	s.invalidateStats() // the profile is about to change
 	return &Ingester[K, V]{s: s, done: make(map[int]bool)}
@@ -144,8 +144,8 @@ func (in *Ingester[K, V]) fail(err error) {
 }
 
 // OverlapNs is the time spent absorbing, sealing and spilling while
-// map tasks were still running — work the barrier path would have
-// serialized after the map phase. FinishNs is the wall time of the
+// map tasks were still running — work a collect-then-merge design
+// would serialize after the map phase. FinishNs is the wall time of the
 // Finish drain, the residual barrier.
 func (in *Ingester[K, V]) OverlapNs() int64 { return in.overlapNs.Load() }
 func (in *Ingester[K, V]) FinishNs() int64  { return in.finishNs.Load() }
@@ -408,11 +408,6 @@ func (in *Ingester[K, V]) ingestStep(st *partitionState[K, V], allowSwap bool) e
 			// taken mid-round must not survive it.
 			in.s.invalidateStats()
 		}
-	}
-	if st.pspool == nil && in.s.sealSink == nil {
-		// A seal sink owns sealed-run storage; only sink-less streaming
-		// spools seals itself. (Pressure swaps still use the stash.)
-		st.pspool = &spool[K, V]{s: in.s, pattern: "mr-spool-*.run", kind: "seal spool"}
 	}
 	defer func() {
 		if started && !in.finishing.Load() {

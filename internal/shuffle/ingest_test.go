@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"strings"
@@ -29,10 +30,13 @@ func ingestTasks(nTasks, perTask, keys int) [][]Pair[int, int] {
 	return tasks
 }
 
-// streamTasks drives the tasks through an Ingester with the given
-// number of concurrent workers, committing each task on completion.
-func streamTasks(t testing.TB, s *Shuffle[int, int], tasks [][]Pair[int, int], workers int) {
-	t.Helper()
+// ingestTasksErr drives the tasks through an Ingester with the given
+// number of concurrent workers, committing each task on completion, and
+// returns the round's first error. One worker runs the tasks strictly
+// one after the other, so with CompactionConcurrency: -1 the round's
+// filesystem calls happen in one deterministic order — what the
+// fault-injection marches count ordinals over.
+func ingestTasksErr[K comparable, V any](s *Shuffle[K, V], tasks [][]Pair[K, V], workers int) error {
 	ing := s.NewIngester()
 	var wg sync.WaitGroup
 	taskCh := make(chan int)
@@ -45,10 +49,7 @@ func streamTasks(t testing.TB, s *Shuffle[int, int], tasks [][]Pair[int, int], w
 				for _, p := range tasks[ti] {
 					tw.Emit(p.Key, p.Value)
 				}
-				if err := tw.Commit(); err != nil {
-					t.Error(err)
-					return
-				}
+				_ = tw.Commit() // the round's first error is sticky: Finish returns it
 			}
 		}()
 	}
@@ -57,41 +58,85 @@ func streamTasks(t testing.TB, s *Shuffle[int, int], tasks [][]Pair[int, int], w
 	}
 	close(taskCh)
 	wg.Wait()
-	if err := ing.Finish(); err != nil {
+	return ing.Finish()
+}
+
+// streamTasks is ingestTasksErr for rounds that must succeed. A round
+// that spilled must have left the spill directory holding nothing per
+// seal (checkSpillFiles).
+func streamTasks[K comparable, V any](t testing.TB, s *Shuffle[K, V], tasks [][]Pair[K, V], workers int) {
+	t.Helper()
+	if err := ingestTasksErr(s, tasks, workers); err != nil {
 		t.Fatal(err)
+	}
+	checkSpillFiles(t, s)
+}
+
+// checkSpillFiles requires a finished round's spill directory to hold
+// exactly the files its partitions' disk runs live in: per partition at
+// most one seal spool plus compaction outputs — no file per seal, no
+// leftover swap stash.
+func checkSpillFiles[K comparable, V any](t testing.TB, s *Shuffle[K, V]) {
+	t.Helper()
+	if s.opts.SpillDir == "" {
+		return
+	}
+	want := make(map[string]bool)
+	for p := range s.parts {
+		spools := 0
+		for _, dr := range s.parts[p].disk {
+			name := filepath.Base(dr.file.path)
+			if !want[name] && strings.HasPrefix(name, "mr-spool-") {
+				spools++
+			}
+			want[name] = true
+		}
+		if spools > 1 {
+			t.Errorf("partition %d's runs live in %d seal spools, want at most 1", p, spools)
+		}
+	}
+	entries, err := os.ReadDir(s.opts.SpillDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !want[e.Name()] {
+			t.Errorf("spill dir holds %s, which no disk run references", e.Name())
+		}
+		delete(want, e.Name())
+	}
+	for name := range want {
+		t.Errorf("disk run file %s is missing from the spill dir", name)
 	}
 }
 
 // collectGroups streams every partition's groups into one map.
-func collectGroups(t testing.TB, s *Shuffle[int, int]) map[int][]int {
+func collectGroups[K comparable, V any](t testing.TB, s *Shuffle[K, V]) map[K][]V {
 	t.Helper()
-	got := make(map[int][]int)
+	got := make(map[K][]V)
 	for p := 0; p < s.NumPartitions(); p++ {
-		err := s.Partition(p).ForEachGroup(func(k int, vs []int) error {
-			got[k] = append([]int(nil), vs...)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+		for k, vs := range partitionGroups(t, s.Partition(p)) {
+			if _, dup := got[k]; dup {
+				t.Fatalf("key %v appears in more than one partition", k)
+			}
+			got[k] = vs
 		}
 	}
 	return got
 }
 
-// TestStreamingMatchesMerge pins the streaming path's value-order
-// contract against the barrier path: for the same tasks, every key's
-// concatenated values must be byte-identical — (task order, emission
-// order) — whether the shuffle was fed by concurrent streaming writers
-// or a post-phase Merge, across spill on/off and combiner on/off.
-func TestStreamingMatchesMerge(t *testing.T) {
+// TestStreamingMatchesNaiveReference pins the value-order contract: fed
+// by concurrent streaming writers, every key's concatenated values must
+// be exactly the naive reference's — (task order, emission order) —
+// across spill on/off and combiner on/off.
+func TestStreamingMatchesNaiveReference(t *testing.T) {
 	const nTasks, perTask, keys = 24, 50, 17
 	tasks := ingestTasks(nTasks, perTask, keys)
-	sum := func(_ int, vs []int) []int {
-		total := 0
-		for _, v := range vs {
-			total += v
+	want := make(map[int][]int)
+	for _, ps := range tasks {
+		for _, p := range ps {
+			want[p.Key] = append(want[p.Key], p.Value)
 		}
-		return []int{total}
 	}
 	for _, tc := range []struct {
 		name    string
@@ -107,48 +152,20 @@ func TestStreamingMatchesMerge(t *testing.T) {
 			if tc.spill {
 				opts.SpillDir = t.TempDir()
 			}
-			merged := New[int, int](opts)
-			if tc.combine {
-				merged.SetCombiner(sum)
-			}
-			bufs := make([]*TaskBuffer[int, int], len(tasks))
-			for ti, ps := range tasks {
-				bufs[ti] = merged.NewTaskBuffer()
-				for _, p := range ps {
-					bufs[ti].Emit(p.Key, p.Value)
-				}
-			}
-			if err := merged.Merge(bufs); err != nil {
-				t.Fatal(err)
-			}
-			defer merged.Close()
-
-			if tc.spill {
-				opts.SpillDir = t.TempDir()
-			}
 			streamed := New[int, int](opts)
 			if tc.combine {
-				streamed.SetCombiner(sum)
+				streamed.SetCombiner(sumCombiner)
 			}
 			streamTasks(t, streamed, tasks, 4)
 			defer streamed.Close()
 
-			want := collectGroups(t, merged)
 			got := collectGroups(t, streamed)
 			if tc.combine {
-				// Combine application points differ between the paths
-				// (seal timing vs fence timing), so only the per-key sums
-				// are comparable.
+				// Where the combiner was applied depends on the seal points,
+				// so only the per-key sums are comparable.
 				for k, vs := range want {
-					var ws, gs int
-					for _, v := range vs {
-						ws += v
-					}
-					for _, v := range got[k] {
-						gs += v
-					}
-					if ws != gs {
-						t.Fatalf("key %d: streamed sum %d, merged sum %d", k, gs, ws)
+					if ws, gs := sumCombiner(k, vs)[0], sumCombiner(k, got[k])[0]; ws != gs {
+						t.Fatalf("key %d: streamed sum %d, reference sum %d", k, gs, ws)
 					}
 				}
 				return
@@ -156,10 +173,10 @@ func TestStreamingMatchesMerge(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				for k := range want {
 					if !reflect.DeepEqual(got[k], want[k]) {
-						t.Fatalf("key %d values diverge\nstreamed %v\nmerged   %v", k, got[k], want[k])
+						t.Fatalf("key %d values diverge\nstreamed  %v\nreference %v", k, got[k], want[k])
 					}
 				}
-				t.Fatalf("group sets diverge: %d streamed keys, %d merged", len(got), len(want))
+				t.Fatalf("group sets diverge: %d streamed keys, %d in the reference", len(got), len(want))
 			}
 		})
 	}

@@ -32,12 +32,9 @@ func TestTracingUnderFaultInjection(t *testing.T) {
 			s := New[int, int](Options{
 				Partitions: 1, MaxBufferedPairs: 1, // one seal per pair: compaction runs
 				SpillDir: t.TempDir(), FS: fs, Recorder: rec,
+				CompactionConcurrency: -1, // inline: the ordinals hit the same calls every run
 			})
-			buf := s.NewTaskBuffer()
-			for i := 0; i < maxDiskRunFanIn+2; i++ {
-				buf.Emit(i%5, i)
-			}
-			err := s.Merge([]*TaskBuffer[int, int]{buf})
+			err := ingestTasksErr(s, [][]Pair[int, int]{modPairs(maxDiskRunsPerPartition+2, 5)}, 1)
 			if err == nil {
 				// Exercise the reduce-merge (open/read) path too.
 				err = s.Partition(0).ForEachGroup(func(int, []int) error { return nil })
@@ -125,17 +122,15 @@ func TestStatsGroupSizeLog2(t *testing.T) {
 		t.Helper()
 		s := New[int, int](opts)
 		defer s.Close()
-		buf := s.NewTaskBuffer()
+		var task []Pair[int, int]
 		// Group sizes: key 0 → 1 pair, key 1 → 3, key 2 → 4, key 3 → 9.
 		sizes := []int{1, 3, 4, 9}
 		for k, n := range sizes {
 			for i := 0; i < n; i++ {
-				buf.Emit(k, i)
+				task = append(task, Pair[int, int]{k, i})
 			}
 		}
-		if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-			t.Fatal(err)
-		}
+		streamTasks(t, s, [][]Pair[int, int]{task}, 1)
 		st, err := s.Stats()
 		if err != nil {
 			t.Fatal(err)

@@ -111,17 +111,15 @@ func TestPlanReduceRangesEquivalence(t *testing.T) {
 		}
 		s := New[string, int](opts)
 		s.SetPartitioner(func(string) int { return 0 })
-		buf := s.NewTaskBuffer()
 		nKeys := 1 + rng.Intn(40)
 		nPairs := 1 + rng.Intn(400)
-		for i := 0; i < nPairs; i++ {
+		task := make([]Pair[string, int], nPairs)
+		for i := range task {
 			// Skewed: low key numbers get the bulk of the pairs.
 			k := fmt.Sprintf("k%03d", int(float64(nKeys)*rng.Float64()*rng.Float64()))
-			buf.Emit(k, i)
+			task[i] = Pair[string, int]{k, i}
 		}
-		if err := s.Merge([]*TaskBuffer[string, int]{buf}); err != nil {
-			t.Fatal(err)
-		}
+		streamTasks(t, s, [][]Pair[string, int]{task}, 1)
 		p := s.Partition(0)
 		ref := rangeRef(t, p)
 		target := int64(1 + rng.Intn(nPairs))
@@ -158,19 +156,18 @@ func TestRangeSplitCollidingKeys(t *testing.T) {
 	s := New[keyLoose, int](Options{Partitions: 2, MaxBufferedPairs: 5})
 	defer s.Close()
 	s.SetPartitioner(func(keyLoose) int { return 0 })
-	buf := s.NewTaskBuffer()
+	var task []Pair[keyLoose, int]
 	// The colliding class carries most of the load, so a naive planner
 	// chasing the target would want to cut inside it.
 	for i := 0; i < 120; i++ {
-		buf.Emit(colliders[i%2], i)
+		task = append(task, Pair[keyLoose, int]{colliders[i%2], i})
 	}
 	for i := 0; i < 30; i++ {
-		buf.Emit(keyLoose{fmt.Sprint("0x", i%5)}, i)
-		buf.Emit(keyLoose{fmt.Sprint("zz", i%3)}, i)
+		task = append(task,
+			Pair[keyLoose, int]{keyLoose{fmt.Sprint("0x", i%5)}, i},
+			Pair[keyLoose, int]{keyLoose{fmt.Sprint("zz", i%3)}, i})
 	}
-	if err := s.Merge([]*TaskBuffer[keyLoose, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	streamTasks(t, s, [][]Pair[keyLoose, int]{task}, 1)
 	p := s.Partition(0)
 	ref := rangeRef(t, p)
 	ranges := p.PlanReduceRanges(20, 8)

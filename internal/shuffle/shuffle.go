@@ -6,12 +6,13 @@
 // and how it is divided among reducers (the reducer size q). The seed
 // runtime modeled the boundary as a single global map merged under one
 // goroutine; this package replaces it with a real partitioned exchange:
-// keys are hashed into P partitions, each map task pre-buckets its
-// output by partition, and the merge runs one goroutine per partition
-// with exclusive ownership — no locks on the merge path at all. The
-// per-partition pair counts, key counts and largest key group that the
-// package reports are therefore properties of an actual execution, not
-// post-hoc accounting.
+// keys are hashed into P partitions, each map task's writer pre-buckets
+// its output by partition and streams it in blocks through the Ingester
+// (ingest.go) — the only way pairs enter a Shuffle besides AdoptRun —
+// and each partition absorbs its blocks in task order under its own
+// lock. The per-partition pair counts, key counts and largest key group
+// that the package reports are therefore properties of an actual
+// execution, not post-hoc accounting.
 //
 // Keys are hashed with hash/maphash's typed fast path
 // (maphash.Comparable compiles down to the runtime's native memhash for
@@ -67,13 +68,12 @@ type Options struct {
 	// closes.
 	FS runfile.FS
 
-	// BlockPairs is the streaming-ingestion block budget: the number of
-	// pairs a TaskWriter buffers across its per-partition blocks before
-	// flushing the fullest block to its partition, and the chunk size
-	// of a TaskBuffer's pooled bucket blocks. Zero derives it from
+	// BlockPairs is the ingestion block budget: the number of pairs a
+	// TaskWriter buffers across its per-partition blocks before
+	// flushing the fullest block to its partition. Zero derives it from
 	// MaxBufferedPairs (half the budget, clamped to [16, 8192]; 1024
-	// without a budget). The whole-round resident bound of the
-	// streaming path is P*MaxBufferedPairs + writers*BlockPairs.
+	// without a budget). The whole-round resident bound is
+	// P*MaxBufferedPairs + writers*BlockPairs.
 	BlockPairs int
 
 	// Recorder, when non-nil, receives the shuffle's lifecycle events:
@@ -85,12 +85,12 @@ type Options struct {
 	Recorder *obs.Recorder
 
 	// CompactionConcurrency is the number of background workers that
-	// compact disk runs during streaming ingestion, so a partition whose
-	// run count outgrows the merge fan-in is rewritten off the ingestion
-	// path instead of stalling its seal. Zero selects a small default
-	// (2); negative forces inline compaction (the pre-worker behavior,
-	// useful for deterministic tests). Barrier-mode Merge always
-	// compacts inline on the partition's own goroutine.
+	// compact disk runs during ingestion, so a partition whose run count
+	// outgrows the merge fan-in is rewritten off the ingestion path
+	// instead of stalling its seal. Zero selects a small default (2);
+	// negative forces inline compaction on the sealing goroutine, which
+	// makes a single-goroutine round's I/O order deterministic (the
+	// fault-injection tests march over it).
 	CompactionConcurrency int
 
 	// SpoolRotateBytes bounds how many dead bytes — sections already
@@ -145,13 +145,13 @@ type Shuffle[K comparable, V any] struct {
 	mask         uint64
 	blockPairs   int // per-writer block budget (Options.BlockPairs, defaulted)
 	parts        []partitionState[K, V]
-	mergeMu      sync.Mutex
+	mu           sync.Mutex // guards closed and borrowed
 	closed       bool
 	spillTypeErr error               // non-nil when K or V cannot survive a disk round trip
 	fs           runfile.FS          // filesystem behind run files (OSFS unless injected)
 	diskSem      chan struct{}       // bounds concurrent multi-file disk reads (fd cap)
 	diskRead     atomic.Int64        // bytes read back from spill run files
-	borrowed     map[string]*runFile // adopted files by path (AdoptRun); guarded by mergeMu
+	borrowed     map[string]*runFile // adopted files by path (AdoptRun)
 
 	// Async compaction (see compact.go): partitions over their run-count
 	// bound are enqueued on compactCh (at most one entry per partition)
@@ -180,12 +180,12 @@ type Shuffle[K comparable, V any] struct {
 	peakResident atomic.Int64
 
 	statsMu   sync.Mutex
-	statsMemo *Stats // memoized Stats, invalidated by Merge
+	statsMemo *Stats // memoized Stats (see invalidateStats)
 }
 
-// partitionState is owned by exactly one goroutine during Merge; the
-// streaming ingestion path (Ingester) instead shares it between
-// flushing map workers and draining committers under mu.
+// partitionState is one partition's runs and counters, shared during
+// ingestion between flushing map workers and draining committers under
+// mu.
 type partitionState[K comparable, V any] struct {
 	mu            sync.Mutex   // guards all fields during streaming ingestion
 	idx           int          // this partition's index (compaction enqueue key)
@@ -240,11 +240,11 @@ type partitionState[K comparable, V any] struct {
 	intern    map[string]K
 
 	// pspool is the partition's seal spool: one shared temp file (per
-	// rotation epoch) receiving every run the streaming path seals for
-	// this partition; stash is the swap spool, receiving the raw
-	// pressure-swapped sections of staged tasks (see ingest.go). Both
-	// are closed by Ingester.Finish (Close is the safety net) and
-	// guarded by mu.
+	// rotation epoch) receiving every run sealed to disk for this
+	// partition, opened by the first such seal; stash is the swap spool,
+	// receiving the raw pressure-swapped sections of staged tasks (see
+	// ingest.go). Both are closed by Ingester.Finish (Close is the
+	// safety net) and guarded by mu.
 	pspool *spool[K, V]
 	stash  *spool[K, V]
 
@@ -264,8 +264,7 @@ type partitionState[K comparable, V any] struct {
 
 	// lane is the partition's observability ring (nil when the shuffle
 	// has no Recorder — every emit is then a nil-check no-op). Span
-	// events on it are emitted under mu or by the partition's exclusive
-	// owner, so they nest.
+	// events on it are emitted under mu, so they nest.
 	lane *obs.Ring
 }
 
@@ -340,11 +339,6 @@ func blockPairs(opts Options) int {
 	return bp
 }
 
-// BlockPairs is the effective streaming block budget (see
-// Options.BlockPairs): the number of pairs a TaskWriter buffers before
-// flushing, and the term the resident-memory bound charges per writer.
-func (s *Shuffle[K, V]) BlockPairs() int { return s.blockPairs }
-
 // getBlock takes a block backing array from the pool (or allocates one
 // at the block budget) with length zero.
 func (s *Shuffle[K, V]) getBlock() []Pair[K, V] {
@@ -381,24 +375,22 @@ func (s *Shuffle[K, V]) addResident(n int) {
 	}
 }
 
-// ResidentPairs is the number of pairs currently held in shuffle
-// memory (live runs, staged blocks, in-memory sealed runs);
-// PeakResidentPairs is its whole-round high-water mark.
-func (s *Shuffle[K, V]) ResidentPairs() int64     { return s.resident.Load() }
+// PeakResidentPairs is the whole-round high-water mark of pairs held in
+// shuffle memory at once (live runs, staged blocks, in-memory sealed
+// runs).
 func (s *Shuffle[K, V]) PeakResidentPairs() int64 { return s.peakResident.Load() }
 
 // SetPartitioner overrides hash placement with an explicit key-to-
 // partition function (reduced modulo the partition count). It must be
-// called before any TaskBuffer is created.
+// called before ingestion starts.
 func (s *Shuffle[K, V]) SetPartitioner(fn func(K) int) {
 	s.partitioner = fn
 }
 
 // invalidateStats drops the memoized Stats profile. Every mutation of
-// a partition's runs — seals, swaps, compaction installs, aborts —
-// must route through this (or Merge's inline invalidation) so a
-// profile memoized mid-round is never served after the state it
-// described has changed.
+// a partition's runs — absorbs, seals, swaps, compaction installs,
+// aborts, adoptions — must route through this so a profile memoized
+// mid-round is never served after the state it described has changed.
 func (s *Shuffle[K, V]) invalidateStats() {
 	s.statsMu.Lock()
 	s.statsMemo = nil
@@ -416,12 +408,10 @@ func (s *Shuffle[K, V]) invalidateStats() {
 // reduce(k, combine(vs)) == reduce(k, vs) for any split of vs — since
 // sealing applies it to arbitrary prefixes of a key's values and may
 // re-apply it to already-combined partials. It must be called before
-// Merge.
+// ingestion starts.
 func (s *Shuffle[K, V]) SetCombiner(fn func(key K, values []V) []V) {
 	// The combiner changes what future seals spill, so a Stats profile
-	// memoized before this call must not survive it — invalidating only
-	// on Merge would serve a stale profile to a caller that re-reads
-	// Stats between SetCombiner and the next Merge.
+	// memoized before this call must not survive it.
 	s.invalidateStats()
 	s.combiner = fn
 }
@@ -485,97 +475,6 @@ func (s *Shuffle[K, V]) PartitionOf(k K) int {
 		return p
 	}
 	return int(s.hasher.Hash(k) & s.mask)
-}
-
-// TaskBuffer collects one map task's output, pre-bucketed by partition
-// into pool-backed blocks, so the merge never rehashes a key and the
-// bucket storage never pays append-doubling garbage. A TaskBuffer
-// belongs to a single map task and is not safe for concurrent use.
-// It is the barrier-mode compat layer over the same blocks the
-// streaming Ingester flushes incrementally (see ingest.go).
-type TaskBuffer[K comparable, V any] struct {
-	s      *Shuffle[K, V]
-	blocks [][][]Pair[K, V] // per partition: full blocks, in emission order
-	cur    [][]Pair[K, V]   // per partition: the open block
-	pairs  int64
-}
-
-// NewTaskBuffer creates an empty buffer bound to this shuffle's
-// partitioning.
-func (s *Shuffle[K, V]) NewTaskBuffer() *TaskBuffer[K, V] {
-	return &TaskBuffer[K, V]{
-		s:      s,
-		blocks: make([][][]Pair[K, V], s.nparts),
-		cur:    make([][]Pair[K, V], s.nparts),
-	}
-}
-
-// Emit buffers one pair into its partition's open block, sealing the
-// block into the bucket's block list when it reaches the block budget.
-func (b *TaskBuffer[K, V]) Emit(k K, v V) {
-	p := b.s.PartitionOf(k)
-	blk := b.cur[p]
-	if blk == nil {
-		blk = b.s.getBlock()
-	}
-	blk = append(blk, Pair[K, V]{k, v})
-	if len(blk) >= b.s.blockPairs {
-		b.blocks[p] = append(b.blocks[p], blk)
-		blk = nil
-	}
-	b.cur[p] = blk
-	b.pairs++
-}
-
-// Pairs returns the number of pairs buffered so far.
-func (b *TaskBuffer[K, V]) Pairs() int64 { return b.pairs }
-
-// Merge folds the buffers into the shuffle's partitions, one goroutine
-// per partition with exclusive ownership of its state (lock-free on the
-// merge path). Buffers are processed in slice order, so the values of a
-// key preserve task order and, within a task, emission order — the
-// property the runtime's deterministic output contract rests on. Merge
-// consumes the buffers (their blocks return to the shuffle's pool) and
-// may be called more than once with fresh buffers; calls are
-// serialized. The error is non-nil only when a disk spill fails.
-func (s *Shuffle[K, V]) Merge(buffers []*TaskBuffer[K, V]) error {
-	s.mergeMu.Lock()
-	defer s.mergeMu.Unlock()
-	s.invalidateStats() // the profile is about to change
-	var wg sync.WaitGroup
-	errs := make([]error, s.nparts)
-	for p := 0; p < s.nparts; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			st := &s.parts[p]
-			for _, b := range buffers {
-				if b == nil {
-					continue
-				}
-				for _, blk := range append(b.blocks[p], b.cur[p]) {
-					if len(blk) == 0 {
-						continue
-					}
-					s.addResident(len(blk))
-					err := st.absorb(s, blk)
-					s.putBlock(blk)
-					if err != nil {
-						errs[p] = err
-						return
-					}
-				}
-				b.blocks[p], b.cur[p] = nil, nil
-			}
-		}(p)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // absorb folds one block of pairs (a single task's output for this
@@ -708,11 +607,11 @@ func (st *partitionState[K, V]) absorbPresized(pairs []Pair[K, V]) {
 // shed live pairs under global memory pressure, regardless of how well
 // the combine went.
 //
-// On the streaming path (an open pressure spool) the sealed run is
-// appended to the partition's spool file; a whole round's seals then
-// cost one file per partition instead of one per seal, which on
+// A disk seal appends the run to the partition's seal spool, opening it
+// if this is the partition's first; a whole round's seals then cost one
+// file per partition instead of one per seal, which on
 // syscall-expensive filesystems is most of the spill path's wall
-// clock. The barrier path writes the classic one-file-per-seal run.
+// clock.
 func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 	if st.livePairs == 0 {
 		return nil
@@ -742,18 +641,17 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 		if s.spillTypeErr != nil {
 			return fmt.Errorf("shuffle: cannot spill: %w", s.spillTypeErr)
 		}
-		if st.pspool != nil {
-			dr, body, idx, err := st.pspool.addRunGroups(sortedMapKeys(st.live), st.live, int64(st.livePairs))
-			if err != nil {
-				return err
-			}
-			st.disk = append(st.disk, dr)
-			st.spilledToDisk = true
-			st.bytesSpilled += body
-			st.indexBytes += idx
-		} else if err := st.spillToDisk(s); err != nil {
+		if st.pspool == nil {
+			st.pspool = &spool[K, V]{s: s, pattern: "mr-spool-*.run", kind: "seal spool"}
+		}
+		dr, body, idx, err := st.pspool.addRunGroups(sortedMapKeys(st.live), st.live, int64(st.livePairs))
+		if err != nil {
 			return err
 		}
+		st.disk = append(st.disk, dr)
+		st.spilledToDisk = true
+		st.bytesSpilled += body
+		st.indexBytes += idx
 	default:
 		st.runs = append(st.runs, st.live)
 		st.live = make(map[K][]V)
@@ -768,8 +666,8 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 	st.syncLive()
 	if st.pspool != nil && needsCompaction(st.disk) {
 		if s.opts.CompactionConcurrency < 0 {
-			// Inline mode: compact on the sealing goroutine, pre-worker
-			// behavior (deterministic scheduling for tests).
+			// Inline mode: compact on the sealing goroutine
+			// (deterministic scheduling for tests).
 			s.diskSem <- struct{}{}
 			err := st.compactDiskRuns(s, st.lane, false)
 			<-s.diskSem
@@ -822,70 +720,6 @@ func (s *Shuffle[K, V]) Partition(p int) Partition[K, V] {
 
 // Pairs is the number of pairs the partition holds.
 func (p Partition[K, V]) Pairs() int64 { return p.s.parts[p.idx].pairs }
-
-// NumKeys is the number of distinct keys in the partition. For a
-// partition with on-disk runs this merges the runs' resident indexes
-// in memory — no disk read. NumKeys is a best-effort convenience view:
-// an error (such as reads after Close) yields a zero or partial count
-// — use ForEachGroup where errors must be observed.
-func (p Partition[K, V]) NumKeys() int {
-	st := &p.s.parts[p.idx]
-	if len(st.runs) == 0 && !st.spilledToDisk {
-		return len(st.live)
-	}
-	n := 0
-	p.forEachCount(func(K, int) error { n++; return nil })
-	return n
-}
-
-// SortedKeys returns the partition's distinct keys in the package's
-// canonical deterministic order (see SortKeys), merging resident
-// indexes for spilled runs (no disk read). Like NumKeys it is a
-// best-effort view: an error yields a truncated slice — use
-// ForEachGroup where errors must be observed.
-func (p Partition[K, V]) SortedKeys() []K {
-	st := &p.s.parts[p.idx]
-	if len(st.runs) == 0 && !st.spilledToDisk {
-		return sortedMapKeys(st.live)
-	}
-	var keys []K
-	p.forEachCount(func(k K, _ int) error {
-		keys = append(keys, k)
-		return nil
-	})
-	return keys
-}
-
-// Values returns all values for a key, concatenated across sealed runs
-// in seal order and then the live run — which preserves the original
-// task-emission order. With on-disk runs this scans the partition (and
-// like NumKeys returns best-effort data on a spill read error); use
-// ForEachGroup to visit every group in one error-aware streaming pass.
-func (p Partition[K, V]) Values(k K) []V {
-	st := &p.s.parts[p.idx]
-	if len(st.runs) == 0 && !st.spilledToDisk {
-		return st.live[k]
-	}
-	var out []V
-	p.forEachValues(false, func(key K, vs []V) error {
-		if key == k {
-			out = vs
-			return errStopIteration
-		}
-		return nil
-	})
-	return out
-}
-
-// ForEachSorted visits the partition's groups in sorted key order.
-// Unlike ForEachGroup it cannot surface spill-read errors; callers on
-// the disk-backed path should prefer ForEachGroup.
-func (p Partition[K, V]) ForEachSorted(fn func(k K, vs []V)) {
-	p.ForEachGroup(func(k K, vs []V) error {
-		fn(k, vs)
-		return nil
-	})
-}
 
 // ForEachGroup streams the partition's key groups in canonical sorted
 // key order through fn, k-way merging the partition's on-disk runs,

@@ -2,7 +2,6 @@ package shuffle
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -11,8 +10,7 @@ import (
 )
 
 // benchPairs builds nTasks task outputs totalling ~total pairs over
-// nKeys distinct string keys, mimicking a map phase's pre-bucketed
-// output. The same pair slices feed both merge strategies.
+// nKeys distinct string keys, mimicking a map phase's output.
 func benchPairs(total, nTasks, nKeys int) [][]Pair[string, int] {
 	perTask := total / nTasks
 	tasks := make([][]Pair[string, int], nTasks)
@@ -26,260 +24,32 @@ func benchPairs(total, nTasks, nKeys int) [][]Pair[string, int] {
 	return tasks
 }
 
-// BenchmarkMerge1MPairs compares the seed runtime's shuffle (every map
-// task's output folded into one global map under a single goroutine,
-// then all keys sorted) against the partitioned shuffle (P per-
-// partition merges running in parallel, then per-partition sorted keys)
-// on one million emitted pairs. This is the acceptance benchmark for
-// the partitioned executor: the partitioned exchange must win.
-func BenchmarkMerge1MPairs(b *testing.B) {
-	const (
-		total  = 1 << 20 // ~1.05M pairs
-		nTasks = 64
-		nKeys  = 50000
-	)
-	tasks := benchPairs(total, nTasks, nKeys)
-
-	b.Run("seed-global-map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			merged := make(map[string][]int)
-			for _, ps := range tasks {
-				for _, p := range ps {
-					merged[p.Key] = append(merged[p.Key], p.Value)
-				}
-			}
-			keys := make([]string, 0, len(merged))
-			for k := range merged {
-				keys = append(keys, k)
-			}
-			SortKeys(keys)
-			if len(keys) != nKeys {
-				b.Fatalf("got %d keys", len(keys))
-			}
-		}
-	})
-
-	b.Run(fmt.Sprintf("partitioned-P=%d", DefaultPartitions()), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			s := New[string, int](Options{})
-			bufs := make([]*TaskBuffer[string, int], len(tasks))
-			for t, ps := range tasks {
-				buf := s.NewTaskBuffer()
-				for _, p := range ps {
-					buf.Emit(p.Key, p.Value)
-				}
-				bufs[t] = buf
-			}
-			b.StartTimer()
-			s.Merge(bufs)
-			var keys int
-			for p := 0; p < s.NumPartitions(); p++ {
-				keys += len(s.Partition(p).SortedKeys())
-			}
-			if keys != nKeys {
-				b.Fatalf("got %d keys", keys)
-			}
-		}
-	})
-
-	// The end-to-end comparison including the pre-bucketing the map side
-	// pays for: bucket + merge vs. the single global map.
-	b.Run("partitioned-incl-bucketing", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s := New[string, int](Options{})
-			bufs := make([]*TaskBuffer[string, int], len(tasks))
-			for t, ps := range tasks {
-				buf := s.NewTaskBuffer()
-				for _, p := range ps {
-					buf.Emit(p.Key, p.Value)
-				}
-				bufs[t] = buf
-			}
-			s.Merge(bufs)
-			var keys int
-			for p := 0; p < s.NumPartitions(); p++ {
-				keys += len(s.Partition(p).SortedKeys())
-			}
-			if keys != nKeys {
-				b.Fatalf("got %d keys", keys)
-			}
-		}
-	})
-}
-
 // BenchmarkExternalShuffle is the acceptance benchmark for the
-// disk-backed spill path: a dataset 8x the total memory budget is
-// merged and fully streamed back, comparing all-in-memory execution
-// against the external shuffle, with and without the combiner pushed
-// down into sealing. Beyond ns/op it reports the memory story:
-// retained-MB is the heap still live after the merge (the in-memory
-// mode retains the whole dataset; the spill mode only the bounded live
-// buffers — near-flat as the dataset grows), and live-pairs-peak
-// proves the budget held. The disk story: spilled-MB is bytes written,
-// disk-read-MB bytes read back by the streaming merge, and
-// stats-read-MB the disk cost of the Stats profile — zero, since the
-// counting pass merges the runs' resident indexes in memory. The
-// combiner variant must show lower spilled-MB and disk-read-MB than
-// the plain spill run: spilled volume tracks the post-combine
-// communication cost.
+// disk-backed data path: a dataset 8x the total memory budget is
+// streamed in by concurrent workers through an Ingester — flushing
+// blocks into the exchange while mapping, so sort+encode+spill overlap
+// emission — and read back range-split, the production reduce shape.
+// The gates: whole-round peak resident pairs within
+// P*budget + workers*BlockPairs (asserted in-benchmark and exported as
+// peak-resident-pairs; compare with the total pair count — residency
+// tracks the budget, not the dataset), spilled-MB identical on every
+// iteration, and the values/s floor scripts/benchcmp holds. The disk
+// story: spilled-MB is run bytes written, swap-MB the pressure-relief
+// bookkeeping, disk-read-MB bytes read back by the merge. The lanes
+// stay on the default hasher: their values/s floor is a comparison
+// against maphash-placed history, and the seeded FNV fallback costs
+// ~10% of exactly the ingest throughput being gated (spilled-MB is
+// already seal-point-deterministic, and benchcmp's 10% gate absorbs its
+// small cross-seed spread). Whole jobs in memory, spilling and with a
+// combiner are the repository benchmark's (bench/) business.
 func BenchmarkExternalShuffle(b *testing.B) {
 	const (
 		parts  = 8
 		budget = 1024
 		total  = 8 * parts * budget // 8x the total budget
-		nTasks = 16
 		nKeys  = 4096
 	)
-	tasks := benchPairs(total, nTasks, nKeys)
 
-	sum := func(_ string, vs []int) []int {
-		total := 0
-		for _, v := range vs {
-			total += v
-		}
-		return []int{total}
-	}
-
-	run := func(b *testing.B, opts Options, combine bool) {
-		b.ReportAllocs()
-		var retained, spilledMB, indexMB, statsReadMB, diskReadMB float64
-		var peak int
-		var streamed int64
-		for i := 0; i < b.N; i++ {
-			s := New[string, int](opts)
-			if combine {
-				s.SetCombiner(sum)
-			}
-			bufs := make([]*TaskBuffer[string, int], len(tasks))
-			for t, ps := range tasks {
-				buf := s.NewTaskBuffer()
-				for _, p := range ps {
-					buf.Emit(p.Key, p.Value)
-				}
-				bufs[t] = buf
-			}
-			bufsDone := func() { // release task buffers before measuring
-				for i := range bufs {
-					bufs[i] = nil
-				}
-			}
-			if err := s.Merge(bufs); err != nil {
-				b.Fatal(err)
-			}
-			bufsDone()
-			var ms runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&ms)
-			retained = float64(ms.HeapAlloc) / (1 << 20)
-
-			readBefore := s.DiskBytesRead()
-			st, err := s.Stats()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if opts.MaxBufferedPairs > 0 && st.MaxLivePairs > opts.MaxBufferedPairs {
-				b.Fatalf("live pairs %d exceeded budget %d", st.MaxLivePairs, opts.MaxBufferedPairs)
-			}
-			if opts.SpillDir != "" && st.BytesSpilled == 0 {
-				b.Fatal("external mode never spilled")
-			}
-			peak = st.MaxLivePairs
-			spilledMB = float64(st.BytesSpilled) / (1 << 20)
-			indexMB = float64(st.IndexBytesSpilled) / (1 << 20)
-			statsReadMB = float64(s.DiskBytesRead()-readBefore) / (1 << 20)
-
-			// Stream every group back, counting pairs: the reduce-side
-			// k-way merge is part of the cost being measured. With a
-			// combiner the streamed pair count is the (smaller)
-			// post-combine volume; the per-key sums are checked instead.
-			var got, sums int64
-			for p := 0; p < s.NumPartitions(); p++ {
-				err := s.Partition(p).ForEachGroup(func(_ string, vs []int) error {
-					got += int64(len(vs))
-					for _, v := range vs {
-						sums += int64(v)
-					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if !combine && got != total {
-				b.Fatalf("streamed %d pairs, want %d", got, total)
-			}
-			var wantSum int64
-			for _, ps := range tasks {
-				for _, p := range ps {
-					wantSum += int64(p.Value)
-				}
-			}
-			if sums != wantSum {
-				b.Fatalf("streamed value sum %d, want %d", sums, wantSum)
-			}
-			streamed += got
-			diskReadMB = float64(s.DiskBytesRead()) / (1 << 20)
-			if err := s.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(retained, "retained-MB")
-		b.ReportMetric(spilledMB, "spilled-MB")
-		b.ReportMetric(indexMB, "index-MB")
-		b.ReportMetric(statsReadMB, "stats-read-MB")
-		b.ReportMetric(diskReadMB, "disk-read-MB")
-		b.ReportMetric(float64(peak), "live-pairs-peak")
-		// Reduce-side throughput: values streamed back per second of
-		// total benchmark time (build + merge + full streaming read).
-		// With a combiner, values/s counts the (smaller) post-combine
-		// volume, so it is not comparable across lanes; input-pairs/s
-		// normalizes by the pairs fed in and is the cross-lane number.
-		b.ReportMetric(float64(streamed)/b.Elapsed().Seconds(), "values/s")
-		b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "input-pairs/s")
-	}
-
-	b.Run("in-memory", func(b *testing.B) {
-		run(b, Options{Partitions: parts}, false)
-	})
-	// The two spill lanes pin key placement (WithSeed): their gated
-	// spilled-MB depends on which keys share a partition — above all in
-	// the combiner lane, where seal cancellation hinges on per-partition
-	// group sizes — and the default per-process maphash seed moves it
-	// ±25% between runs, which no tight benchcmp gate survives. Pinned,
-	// the spill metrics are a pure function of the workload. The -seeded
-	// suffix marks the measurement-condition change: benchcmp treats the
-	// renamed lanes as new benchmarks, so the pinned constants are never
-	// diffed against unpinned-era samples. The streaming lanes stay on
-	// the default hasher: their values/s floor is a comparison against
-	// maphash-placed history, and the seeded FNV fallback costs ~10% of
-	// exactly the ingest throughput being gated (their spilled-MB is
-	// already seal-point-deterministic, and benchcmp's 10% gate absorbs
-	// its small cross-seed spread).
-	b.Run("spill-to-disk-seeded", func(b *testing.B) {
-		defer WithSeed(42)()
-		run(b, Options{Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir()}, false)
-	})
-	b.Run("spill-with-combiner-seeded", func(b *testing.B) {
-		defer WithSeed(42)()
-		run(b, Options{Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir()}, true)
-	})
-
-	// The streaming data path on the same workload as spill-to-disk:
-	// concurrent workers emit through an Ingester, flushing blocks into
-	// the exchange while mapping, so sort+encode+spill overlap emission
-	// instead of serializing behind a barrier. The acceptance gates:
-	// ns/op at or below the barrier spill path, and whole-round peak
-	// resident pairs within P*budget + workers*BlockPairs (asserted
-	// in-benchmark and exported as peak-resident-pairs; compare with
-	// the total pair count — streaming residency tracks the budget, not
-	// the dataset). Tasks are finer than the barrier variants' (128 vs
-	// 16): task granularity is the pipeline's scheduling knob — it sets
-	// how much uncommitted in-flight output the ordering watermark
-	// keeps staged — and the barrier path is insensitive to it.
 	// untracedSpilled carries the streaming lane's spilled bytes into
 	// the streaming-traced lane: with swap-based relief the seal points
 	// are a pure function of the committed pair stream, so attaching the
@@ -293,6 +63,9 @@ func BenchmarkExternalShuffle(b *testing.B) {
 			blockPairs = 256
 			nStream    = 128
 		)
+		// Task granularity is the pipeline's scheduling knob: it sets how
+		// much uncommitted in-flight output the ordering watermark keeps
+		// staged.
 		streamTasks := benchPairs(total, nStream, nKeys)
 		b.ReportAllocs()
 		var spilledMB, diskReadMB, swapMB, reclaimedMB, overlapMs, finishMs float64
@@ -537,16 +310,25 @@ func BenchmarkExternalShuffle(b *testing.B) {
 }
 
 // BenchmarkReduceMergeDecode times the reduce-side read paths on a
-// one-million-pair spilled workload (16x the total memory budget): the
-// batch decode behind ForEachGroup (one value-section read and one type
-// dispatch per group and run) and the full batch contract
-// (ForEachGroupBatch, which additionally reuses the decoded slice).
-// Build and spill are identical untimed setup; only the streaming k-way
-// merge is measured, so values/s compares the two directly.
+// one-million-pair spilled workload: the batch decode behind
+// ForEachGroup (one value-section read and one type dispatch per group
+// and run) and the full batch contract (ForEachGroupBatch, which
+// additionally reuses the decoded slice). Build and spill are identical
+// untimed setup; only the streaming k-way merge is measured, so
+// values/s compares the two directly.
+//
+// The set-up pins what the merge reads: placement is seeded and
+// compaction inline, and the budget puts every partition (~131k pairs)
+// some 170 seals deep — well past the run-count bound, well short of a
+// second compaction — so each one is read as one compacted tier-1 run
+// plus a few dozen fresh spool runs, in every process. (At a budget of
+// 1024 the partitions sit on the bound itself: whether one reads as 127
+// runs or as 1 is the hash seed's coin toss, and values/s follows it.)
 func BenchmarkReduceMergeDecode(b *testing.B) {
+	defer WithSeed(42)()
 	const (
 		parts  = 8
-		budget = 1024
+		budget = 768
 		total  = 1 << 20 // 1M pairs
 		nTasks = 16
 		nKeys  = 4096
@@ -555,17 +337,15 @@ func BenchmarkReduceMergeDecode(b *testing.B) {
 
 	build := func(b *testing.B) *Shuffle[string, int] {
 		b.Helper()
-		s := New[string, int](Options{Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir()})
-		bufs := make([]*TaskBuffer[string, int], len(tasks))
-		for t, ps := range tasks {
-			buf := s.NewTaskBuffer()
-			for _, p := range ps {
-				buf.Emit(p.Key, p.Value)
+		s := New[string, int](Options{
+			Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir(), CompactionConcurrency: -1,
+		})
+		streamTasks(b, s, tasks, 4)
+		for p := range s.parts {
+			if disk := s.parts[p].disk; diskFanIn(disk) != 2 || len(disk) < 16 || len(disk) > 80 {
+				b.Fatalf("partition %d reads as %d runs in %d files; the lane wants one compacted run plus a few dozen spool runs",
+					p, len(disk), diskFanIn(disk))
 			}
-			bufs[t] = buf
-		}
-		if err := s.Merge(bufs); err != nil {
-			b.Fatal(err)
 		}
 		return s
 	}
@@ -666,13 +446,7 @@ func BenchmarkReduceRangeSkew(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := New[string, int](Options{Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir()})
-		buf := s.NewTaskBuffer()
-		for _, p := range pairs {
-			buf.Emit(p.Key, p.Value)
-		}
-		if err := s.Merge([]*TaskBuffer[string, int]{buf}); err != nil {
-			b.Fatal(err)
-		}
+		streamTasks(b, s, [][]Pair[string, int]{pairs}, 1)
 
 		// Whole-partition plan: LPT over per-partition pair counts.
 		partLoads := make([]int, parts)
@@ -762,35 +536,6 @@ func BenchmarkReduceRangeSkew(b *testing.B) {
 	b.ReportMetric(float64(rangeUnits), "reduce-ranges")
 	b.ReportMetric(rangeSkew, "range-skew")
 	b.ReportMetric(float64(streamed)/b.Elapsed().Seconds(), "values/s")
-}
-
-// BenchmarkMergeScaling shows merge throughput as partitions scale from
-// 1 (the seed's effective layout) to 4x cores.
-func BenchmarkMergeScaling(b *testing.B) {
-	const (
-		total  = 1 << 19
-		nTasks = 32
-		nKeys  = 20000
-	)
-	tasks := benchPairs(total, nTasks, nKeys)
-	for _, p := range []int{1, 4, runtime.GOMAXPROCS(0), DefaultPartitions()} {
-		b.Run(fmt.Sprintf("P=%d", ceilPow2(p)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				s := New[string, int](Options{Partitions: p})
-				bufs := make([]*TaskBuffer[string, int], len(tasks))
-				for t, ps := range tasks {
-					buf := s.NewTaskBuffer()
-					for _, pr := range ps {
-						buf.Emit(pr.Key, pr.Value)
-					}
-					bufs[t] = buf
-				}
-				b.StartTimer()
-				s.Merge(bufs)
-			}
-		})
-	}
 }
 
 // BenchmarkKeyPlan times the three things the data path does with a

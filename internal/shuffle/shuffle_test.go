@@ -7,17 +7,54 @@ import (
 	"testing"
 )
 
-// buildBuffers distributes pairs across nTasks buffers round-robin,
+// buildBuffers deals pairs across nTasks task outputs round-robin,
 // preserving emission order within each task.
-func buildBuffers[K comparable, V any](s *Shuffle[K, V], nTasks int, pairs []Pair[K, V]) []*TaskBuffer[K, V] {
-	bufs := make([]*TaskBuffer[K, V], nTasks)
-	for i := range bufs {
-		bufs[i] = s.NewTaskBuffer()
-	}
+func buildBuffers[K comparable, V any](nTasks int, pairs []Pair[K, V]) [][]Pair[K, V] {
+	tasks := make([][]Pair[K, V], nTasks)
 	for i, p := range pairs {
-		bufs[i%nTasks].Emit(p.Key, p.Value)
+		tasks[i%nTasks] = append(tasks[i%nTasks], p)
 	}
-	return bufs
+	return tasks
+}
+
+// modPairs is the workload most tests share: n pairs, pair i carrying
+// value i under key i%keys.
+func modPairs(n, keys int) []Pair[int, int] {
+	pairs := make([]Pair[int, int], n)
+	for i := range pairs {
+		pairs[i] = Pair[int, int]{i % keys, i}
+	}
+	return pairs
+}
+
+// checkModGroups requires the partition to hold exactly the groups of
+// modPairs(n, keys), each key's values in emission order.
+func checkModGroups(t testing.TB, p Partition[int, int], n, keys int) {
+	t.Helper()
+	want := make(map[int][]int)
+	for _, pr := range modPairs(n, keys) {
+		want[pr.Key] = append(want[pr.Key], pr.Value)
+	}
+	if got := partitionGroups(t, p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("partition groups = %v, want %v", got, want)
+	}
+}
+
+// partitionGroups streams one partition into a map (values copied),
+// failing if a key is visited twice.
+func partitionGroups[K comparable, V any](t testing.TB, p Partition[K, V]) map[K][]V {
+	t.Helper()
+	got := make(map[K][]V)
+	if err := p.ForEachGroup(func(k K, vs []V) error {
+		if _, dup := got[k]; dup {
+			t.Fatalf("key %v emitted as two groups", k)
+		}
+		got[k] = append([]V(nil), vs...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func TestGroupingMatchesNaiveMerge(t *testing.T) {
@@ -26,8 +63,7 @@ func TestGroupingMatchesNaiveMerge(t *testing.T) {
 		pairs = append(pairs, Pair[string, int]{fmt.Sprintf("k%d", i%37), i})
 	}
 	s := New[string, int](Options{Partitions: 8})
-	bufs := buildBuffers(s, 4, pairs)
-	s.Merge(bufs)
+	streamTasks(t, s, buildBuffers(4, pairs), 4)
 
 	// Naive reference grouping in the same task-then-emission order the
 	// shuffle guarantees: task 0's pairs first, then task 1's, ...
@@ -38,17 +74,10 @@ func TestGroupingMatchesNaiveMerge(t *testing.T) {
 		}
 	}
 
-	got := make(map[string][]int)
+	got := collectGroups(t, s)
 	var totalPairs int64
 	for p := 0; p < s.NumPartitions(); p++ {
-		part := s.Partition(p)
-		totalPairs += part.Pairs()
-		part.ForEachSorted(func(k string, vs []int) {
-			if _, dup := got[k]; dup {
-				t.Fatalf("key %q appears in more than one partition", k)
-			}
-			got[k] = vs
-		})
+		totalPairs += s.Partition(p).Pairs()
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("grouped values differ from naive merge")
@@ -97,11 +126,11 @@ func TestHasherIsStableAndSpreads(t *testing.T) {
 func TestStructKeysHashAndSort(t *testing.T) {
 	type cell struct{ I, J int }
 	s := New[cell, int](Options{Partitions: 4})
-	buf := s.NewTaskBuffer()
+	var task []Pair[cell, int]
 	for i := 0; i < 10; i++ {
-		buf.Emit(cell{i % 3, i % 2}, i)
+		task = append(task, Pair[cell, int]{cell{i % 3, i % 2}, i})
 	}
-	s.Merge([]*TaskBuffer[cell, int]{buf})
+	streamTasks(t, s, [][]Pair[cell, int]{task}, 1)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -143,14 +172,8 @@ func TestSortKeysTypedPaths(t *testing.T) {
 func TestBoundedMemorySpillPressure(t *testing.T) {
 	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 10})
 	s.SetPartitioner(func(k int) int { return 0 }) // everything in partition 0
-	buf := s.NewTaskBuffer()
 	const n = 95
-	for i := 0; i < n; i++ {
-		buf.Emit(i%7, i)
-	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	streamTasks(t, s, [][]Pair[int, int]{modPairs(n, 7)}, 1)
 
 	st, err := s.Stats()
 	if err != nil {
@@ -176,20 +199,7 @@ func TestBoundedMemorySpillPressure(t *testing.T) {
 
 	// Grouping must be unaffected by sealing: values concatenate across
 	// runs in emission order.
-	part := s.Partition(0)
-	if got := part.NumKeys(); got != 7 {
-		t.Fatalf("NumKeys = %d, want 7", got)
-	}
-	for _, k := range part.SortedKeys() {
-		vs := part.Values(k)
-		var want []int
-		for i := k; i < n; i += 7 {
-			want = append(want, i)
-		}
-		if !reflect.DeepEqual(vs, want) {
-			t.Fatalf("key %d values = %v, want %v", k, vs, want)
-		}
-	}
+	checkModGroups(t, s.Partition(0), n, 7)
 	if got := s.Partition(1).Pairs(); got != 0 {
 		t.Errorf("partition 1 has %d pairs, want 0", got)
 	}
@@ -198,15 +208,15 @@ func TestBoundedMemorySpillPressure(t *testing.T) {
 func TestSetPartitionerRouting(t *testing.T) {
 	s := New[string, int](Options{Partitions: 4})
 	s.SetPartitioner(func(k string) int { return len(k) })
-	buf := s.NewTaskBuffer()
-	buf.Emit("a", 1)     // len 1 -> partition 1
-	buf.Emit("bb", 2)    // len 2 -> partition 2
-	buf.Emit("ccccc", 3) // len 5 % 4 -> partition 1
-	s.Merge([]*TaskBuffer[string, int]{buf})
-	if got := s.Partition(1).NumKeys(); got != 2 {
+	streamTasks(t, s, [][]Pair[string, int]{{
+		{"a", 1},     // len 1 -> partition 1
+		{"bb", 2},    // len 2 -> partition 2
+		{"ccccc", 3}, // len 5 % 4 -> partition 1
+	}}, 1)
+	if got := len(partitionGroups(t, s.Partition(1))); got != 2 {
 		t.Errorf("partition 1 keys = %d, want 2", got)
 	}
-	if got := s.Partition(2).NumKeys(); got != 1 {
+	if got := len(partitionGroups(t, s.Partition(2))); got != 1 {
 		t.Errorf("partition 2 keys = %d, want 1", got)
 	}
 	if got := s.Partition(0).Pairs() + s.Partition(3).Pairs(); got != 0 {
@@ -214,29 +224,15 @@ func TestSetPartitionerRouting(t *testing.T) {
 	}
 }
 
-func TestMergeAccumulatesAcrossCalls(t *testing.T) {
-	s := New[int, int](Options{Partitions: 2})
-	b1 := s.NewTaskBuffer()
-	b1.Emit(1, 10)
-	s.Merge([]*TaskBuffer[int, int]{b1})
-	b2 := s.NewTaskBuffer()
-	b2.Emit(1, 20)
-	s.Merge([]*TaskBuffer[int, int]{b2})
-	p := s.Partition(s.PartitionOf(1))
-	if got := p.Values(1); !reflect.DeepEqual(got, []int{10, 20}) {
-		t.Fatalf("Values(1) = %v, want [10 20]", got)
-	}
-}
-
 func TestStatsSkewAndString(t *testing.T) {
 	s := New[int, int](Options{Partitions: 2})
 	s.SetPartitioner(func(k int) int { return k % 2 })
-	buf := s.NewTaskBuffer()
+	var task []Pair[int, int]
 	for i := 0; i < 9; i++ {
-		buf.Emit(0, i) // all on partition 0
+		task = append(task, Pair[int, int]{0, i}) // all on partition 0
 	}
-	buf.Emit(1, 1)
-	s.Merge([]*TaskBuffer[int, int]{buf})
+	task = append(task, Pair[int, int]{1, 1})
+	streamTasks(t, s, [][]Pair[int, int]{task}, 1)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +250,7 @@ func TestStatsSkewAndString(t *testing.T) {
 
 func TestEmptyShuffle(t *testing.T) {
 	s := New[string, int](Options{})
-	s.Merge(nil)
+	streamTasks[string, int](t, s, nil, 1)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +258,7 @@ func TestEmptyShuffle(t *testing.T) {
 	if st.Pairs != 0 || st.Keys != 0 || st.MaxGroup != 0 {
 		t.Fatalf("empty shuffle stats = %+v", st)
 	}
-	if got := s.Partition(0).SortedKeys(); len(got) != 0 {
-		t.Fatalf("SortedKeys on empty partition = %v", got)
+	if got := partitionGroups(t, s.Partition(0)); len(got) != 0 {
+		t.Fatalf("groups on empty partition = %v", got)
 	}
 }

@@ -8,11 +8,11 @@
 // index costs no decode (an adopted run's are decoded once, see
 // adopt.go) — which splits the read path in two:
 //
-//   - Counting reads (Stats, NumKeys, SortedKeys, ForEachGroupCount,
-//     the engine's overflow diagnosis) merge the in-memory indexes and
+//   - Counting reads (Stats, ForEachGroupCount, PlanReduceRanges, the
+//     engine's overflow diagnosis) merge the in-memory indexes and
 //     never open a run file at all: zero disk I/O.
-//   - Value reads (ForEachGroup, Values) run the classic external-sort
-//     merge — one cursor per run driven by a binary heap ordered by
+//   - Value reads (ForEachGroup, the RangeReader) run the classic
+//     external-sort merge — one cursor per run driven by a heap on
 //     (key, seal order) — but the indexes drive the key ordering, so
 //     the files supply only value bytes.
 //
@@ -30,7 +30,6 @@
 package shuffle
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math/bits"
@@ -40,19 +39,15 @@ import (
 	"repro/internal/runfile"
 )
 
-// errStopIteration is the internal sentinel for early exit from a
-// merge; it is never returned to callers.
-var errStopIteration = errors.New("shuffle: stop iteration")
-
 // maxDiskRunFanIn caps how many distinct run *files* one partition's
 // merge opens at once. A seal or adoption that would grow a partition
 // past the cap first compacts its existing disk runs into a single run
 // — the classic multi-pass external merge — so open file descriptors
 // stay bounded no matter how far a dataset outgrows the budget, at the
 // cost of logarithmically rewriting spilled bytes. Runs sharing a
-// spool file (the streaming path's fenced runs) count once: the merge
+// spool file (a partition's sealed runs) count once: the merge
 // reads them through sections of a single handle, so dozens of small
-// fenced runs do not trigger the compaction avalanche their count
+// sealed runs do not trigger the compaction avalanche their count
 // alone would suggest.
 const maxDiskRunFanIn = 64
 
@@ -114,12 +109,12 @@ type keyCount[K comparable] struct {
 }
 
 // runFile is one spill temp file, shared by every diskRun it embeds
-// and deleted when the last of them is released. A sealed live run
-// owns its whole file (refs = 1); the streaming path's fence spools
-// write several runs — one per staged task — into a single file, so a
-// pressure event costs one create/close/open no matter how many tasks
-// it fences, while each task's run stays independently releasable
-// (abort of one task must not delete another's fenced data).
+// and deleted when the last of them is released. A compacted run
+// owns its whole file (refs = 1); a spool writes several sections —
+// a partition's sealed runs, or its swapped staged tasks — into a
+// single file, so a seal or a pressure event costs no create/close/open
+// of its own, while each section stays independently releasable (abort
+// of one task must not delete another's swapped data).
 type runFile struct {
 	path     string
 	borrowed bool // adopted from its owner (AdoptRun): released like any other, never removed
@@ -171,42 +166,8 @@ func (c countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// writeRun encodes one sorted run (keys in sorted order, groups from
-// the map) to a new run file under the spill dir and returns the run
-// with its typed resident index, plus the body and index byte counts:
-// the barrier path's file-per-seal spill.
-func writeRun[K comparable, V any](s *Shuffle[K, V], keys []K, groups map[K][]V, pairs int64) (dr diskRun[K], body, idx int64, retErr error) {
-	f, err := s.fs.CreateTemp(s.opts.SpillDir, "mr-spill-*.run")
-	if err != nil {
-		return dr, 0, 0, fmt.Errorf("shuffle: creating spill file: %w", err)
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			f.Close()
-			s.fs.Remove(f.Name())
-		}
-	}()
-	w := runfile.NewWriter(f)
-	if err := writeGroups(w, keys, groups); err != nil {
-		return dr, 0, 0, fmt.Errorf("shuffle: spilling to %s: %w", f.Name(), err)
-	}
-	if err := w.Finish(); err != nil {
-		return dr, 0, 0, fmt.Errorf("shuffle: flushing spill %s: %w", f.Name(), err)
-	}
-	if err := f.Close(); err != nil {
-		return dr, 0, 0, fmt.Errorf("shuffle: closing spill %s: %w", f.Name(), err)
-	}
-	ok = true
-	rf := &runFile{path: f.Name()}
-	rf.refs.Store(1)
-	rf.size.Store(w.BytesWritten())
-	dr = diskRun[K]{file: rf, off: 0, size: w.BytesWritten(), pairs: pairs, index: typedIndex(keys, w.Index())}
-	return dr, w.BodyBytes(), w.BytesWritten() - w.BodyBytes(), nil
-}
-
 // groupEncoder is the one typed group encoder: every key group the
-// shuffle writes — a sealed run's (writeGroups, whatever file, spool or
+// shuffle writes — a sealed run's (writeGroups, whatever spool or
 // seal sink the writer sits on) or a compacted one — is framed here,
 // through two scratch buffers reused across groups.
 type groupEncoder[K comparable, V any] struct{ kbuf, vbuf []byte }
@@ -246,27 +207,6 @@ func writeGroups[K comparable, V any](w *runfile.Writer, keys []K, groups map[K]
 		if err := enc.group(w, k, groups[k]); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// spillToDisk encodes the live run (already combined when the shuffle
-// has a combiner) to a new run file in sorted key order and retains its
-// typed index. Called from the partition's owning merge goroutine, or
-// under the partition lock on the streaming path.
-func (st *partitionState[K, V]) spillToDisk(s *Shuffle[K, V]) error {
-	dr, body, idx, err := writeRun(s, sortedMapKeys(st.live), st.live, int64(st.livePairs))
-	if err != nil {
-		return err
-	}
-	st.disk = append(st.disk, dr)
-	st.spilledToDisk = true
-	st.bytesSpilled += body
-	st.indexBytes += idx
-	if needsCompaction(st.disk) {
-		s.diskSem <- struct{}{}
-		defer func() { <-s.diskSem }()
-		return st.compactDiskRuns(s, st.lane, false)
 	}
 	return nil
 }
@@ -317,8 +257,7 @@ func compactionSuffix[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K]) 
 
 // compactDiskRuns merges the suffix of disk runs chosen by
 // compactionSuffix into one new run file and splices it into st.disk.
-// The caller holds st.mu (streaming path) or owns the partition
-// outright (barrier path). With concurrent set — the async compaction
+// The caller holds st.mu. With concurrent set — the async compaction
 // workers — the merge I/O runs with st.mu released: the input runs are
 // immutable once sealed and concurrent seals only append to st.disk,
 // so the planned [from, from+n) window is still the same runs at
@@ -547,8 +486,8 @@ func openRunViews[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K]) ([]r
 // Close stays servable — it needs no disk). Close must not run
 // concurrently with reads.
 func (s *Shuffle[K, V]) Close() error {
-	s.mergeMu.Lock()
-	defer s.mergeMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return nil
 	}
@@ -801,8 +740,7 @@ func rangeCursors[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K], view
 // What a group becomes is the consumer's business — countGroups sums
 // index counts, readGroups decodes and concatenates, compaction
 // (mergeDiskRuns) copies raw sections or re-combines. A consumer reads
-// its cursors' current group only; the loop advances them. An
-// errStopIteration from fn ends the merge cleanly.
+// its cursors' current group only; the loop advances them.
 func mergeCursors[K comparable, V any](cursors []*groupCursor[K, V], ord keyOrder[K], fn func(k K, srcs []*groupCursor[K, V]) error) error {
 	if !ord.strict {
 		fn = regroupTies(ord.cmp, fn)
@@ -821,7 +759,7 @@ func mergeCursors[K comparable, V any](cursors []*groupCursor[K, V], ord keyOrde
 			srcs = append(srcs, h.pop())
 		}
 		if err := fn(k, srcs); err != nil {
-			return stopOK(err)
+			return err
 		}
 		for _, c := range srcs {
 			if c.next() {
@@ -918,8 +856,8 @@ func readGroups[K comparable, V any](reuse bool, fn func(k K, vs []V) error) fun
 	}
 }
 
-// forEachCount is the counting core behind Stats, NumKeys, SortedKeys,
-// ForEachGroupCount and range planning: the merge over index-only
+// forEachCount is the counting core behind Stats, ForEachGroupCount
+// and range planning: the merge over index-only
 // cursors and the in-memory runs. No run file is opened, no byte of
 // disk is read.
 func (p Partition[K, V]) forEachCount(fn func(k K, count int) error) error {
@@ -931,9 +869,9 @@ func (p Partition[K, V]) forEachCount(fn func(k K, count int) error) error {
 	return mergeCursors(rangeCursors(p.s, st.disk, nil, st.memRuns(), ord.cmp, KeyRange[K]{}), ord, countGroups[K, V](fn))
 }
 
-// forEachValues is the value-reading core behind ForEachGroup,
-// ForEachGroupBatch and Values: the unbounded range of a RangeReader
-// held open for the one call.
+// forEachValues is the value-reading core behind ForEachGroup and
+// ForEachGroupBatch: the unbounded range of a RangeReader held open
+// for the one call.
 func (p Partition[K, V]) forEachValues(reuse bool, fn func(k K, vs []V) error) error {
 	rr, err := p.OpenRangeReader()
 	if err != nil {
@@ -941,14 +879,6 @@ func (p Partition[K, V]) forEachValues(reuse bool, fn func(k K, vs []V) error) e
 	}
 	defer rr.Close()
 	return rr.ForEachGroupRange(KeyRange[K]{}, reuse, fn)
-}
-
-// stopOK converts the early-exit sentinel into a clean return.
-func stopOK(err error) error {
-	if err == errStopIteration {
-		return nil
-	}
-	return err
 }
 
 // sortedMapKeys returns m's keys in canonical SortKeys order.

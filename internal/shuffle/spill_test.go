@@ -24,21 +24,14 @@ func TestSpillDatasetLargerThanBudget(t *testing.T) {
 	s := New[int, int](Options{Partitions: parts, MaxBufferedPairs: budget, SpillDir: dir})
 	defer s.Close()
 
-	const tasks = 8
-	bufs := make([]*TaskBuffer[int, int], tasks)
-	for i := range bufs {
-		bufs[i] = s.NewTaskBuffer()
-	}
+	tasks := buildBuffers(8, modPairs(total, keys))
 	want := make(map[int][]int) // reference grouping in shuffle value order
-	for task := 0; task < tasks; task++ {
-		for i := task; i < total; i += tasks {
-			bufs[task].Emit(i%keys, i)
-			want[i%keys] = append(want[i%keys], i)
+	for _, task := range tasks {
+		for _, p := range task {
+			want[p.Key] = append(want[p.Key], p.Value)
 		}
 	}
-	if err := s.Merge(bufs); err != nil {
-		t.Fatal(err)
-	}
+	streamTasks(t, s, tasks, 4)
 
 	st, err := s.Stats()
 	if err != nil {
@@ -60,13 +53,14 @@ func TestSpillDatasetLargerThanBudget(t *testing.T) {
 		t.Fatal("RunsMerged = 0, want multi-run merges on every spilled partition")
 	}
 
-	// Run files actually exist before Close.
-	files, err := filepath.Glob(filepath.Join(dir, "mr-spill-*.run"))
+	// Run files actually exist before Close: every seal of a partition
+	// landed in its one spool (streamTasks checked nothing else is there).
+	files, err := filepath.Glob(filepath.Join(dir, "mr-spool-*.run"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) == 0 {
-		t.Fatal("no spill files on disk")
+	if len(files) == 0 || len(files) > parts {
+		t.Fatalf("%d seal spools on disk, want 1..%d (one per spilled partition)", len(files), parts)
 	}
 
 	// The streamed groups must exactly reproduce the reference
@@ -97,9 +91,8 @@ func TestSpillDatasetLargerThanBudget(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	files, _ = filepath.Glob(filepath.Join(dir, "mr-spill-*.run"))
-	if len(files) != 0 {
-		t.Fatalf("%d spill files remain after Close", len(files))
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("%d spill files remain after Close", len(left))
 	}
 }
 
@@ -108,16 +101,11 @@ func TestSpillDatasetLargerThanBudget(t *testing.T) {
 func TestSpillMatchesInMemorySealing(t *testing.T) {
 	build := func(spillDir string) *Shuffle[string, int] {
 		s := New[string, int](Options{Partitions: 4, MaxBufferedPairs: 16, SpillDir: spillDir})
-		bufs := make([]*TaskBuffer[string, int], 3)
-		for i := range bufs {
-			bufs[i] = s.NewTaskBuffer()
+		pairs := make([]Pair[string, int], 500)
+		for i := range pairs {
+			pairs[i] = Pair[string, int]{fmt.Sprintf("k%02d", i%23), i}
 		}
-		for i := 0; i < 500; i++ {
-			bufs[i%3].Emit(fmt.Sprintf("k%02d", i%23), i)
-		}
-		if err := s.Merge(bufs); err != nil {
-			t.Fatal(err)
-		}
+		streamTasks(t, s, buildBuffers(3, pairs), 3)
 		return s
 	}
 	mem := build("")
@@ -175,17 +163,15 @@ func TestSpillStructKeysViaGob(t *testing.T) {
 	type payload struct{ X float64 }
 	s := New[cell, payload](Options{Partitions: 2, MaxBufferedPairs: 4, SpillDir: t.TempDir()})
 	defer s.Close()
-	buf := s.NewTaskBuffer()
+	var task []Pair[cell, payload]
 	want := make(map[cell][]payload)
 	for i := 0; i < 40; i++ {
 		k := cell{i % 5, i % 3}
 		v := payload{float64(i) / 2}
-		buf.Emit(k, v)
+		task = append(task, Pair[cell, payload]{k, v})
 		want[k] = append(want[k], v)
 	}
-	if err := s.Merge([]*TaskBuffer[cell, payload]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	streamTasks(t, s, [][]Pair[cell, payload]{task}, 1)
 	st, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -193,52 +179,41 @@ func TestSpillStructKeysViaGob(t *testing.T) {
 	if st.BytesSpilled == 0 {
 		t.Fatal("struct-key workload never spilled")
 	}
-	got := make(map[cell][]payload)
-	for p := 0; p < s.NumPartitions(); p++ {
-		if err := s.Partition(p).ForEachGroup(func(k cell, vs []payload) error {
-			got[k] = vs
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
+	if got := collectGroups(t, s); !reflect.DeepEqual(got, want) {
 		t.Fatalf("gob round trip diverged: got %d keys, want %d", len(got), len(want))
 	}
 }
 
 // TestCompactionBoundsRunFanIn: a workload sealing far more than
-// maxDiskRunFanIn runs must keep each partition's disk-run count (and
-// therefore the merge's open-file count) bounded via compaction, with
-// grouping and value order intact.
+// maxDiskRunsPerPartition runs must keep each partition's disk-run
+// count (and therefore the merge's width) bounded via compaction, with
+// grouping and value order intact. Every seal lands in the partition's
+// one spool, so at this size the run-count bound — not the file fan-in,
+// which TestCompactionBoundsFileFanIn reaches — is what fires; inline
+// compaction makes the resulting shape exact.
 func TestCompactionBoundsRunFanIn(t *testing.T) {
-	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
+	s := New[int, int](Options{
+		Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir(), CompactionConcurrency: -1,
+	})
 	defer s.Close()
 	s.SetPartitioner(func(int) int { return 0 })
-	buf := s.NewTaskBuffer()
-	const n = 2 * 2 * maxDiskRunFanIn // 128 seals of 2: compacts twice
-	want := make(map[int][]int)
-	for i := 0; i < n; i++ {
-		buf.Emit(i%11, i)
-		want[i%11] = append(want[i%11], i)
-	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
-	// 128 seals of 2 pairs: seal 64 compacts everything into a 128-pair
-	// tier-1 run; seals 65-127 accumulate 63 small runs and compact them
-	// into a second tier-1 run WITHOUT rewriting the first (tiered
-	// policy); seal 128 remains small. Fan-in stays far below the cap.
+	const bound = maxDiskRunsPerPartition
+	const n = 2 * 2 * bound // 2*bound seals of 2: compacts twice
+	streamTasks(t, s, [][]Pair[int, int]{modPairs(n, 11)}, 1)
+	// 2*bound seals of 2 pairs: seal number bound compacts everything
+	// into a 2*bound-pair tier-1 run; the next bound-1 seals accumulate
+	// small runs beside it and compact into a second tier-1 run WITHOUT
+	// rewriting the first (tiered policy); the last seal remains small.
 	disk := s.parts[0].disk
-	if len(disk) >= maxDiskRunFanIn {
-		t.Fatalf("partition holds %d disk runs; compaction should cap below %d", len(disk), maxDiskRunFanIn)
+	if len(disk) >= bound {
+		t.Fatalf("partition holds %d disk runs; compaction should cap below %d", len(disk), bound)
 	}
-	if len(disk) != 3 || disk[0].pairs != 128 || disk[1].pairs != 126 || disk[2].pairs != 2 {
+	if len(disk) != 3 || disk[0].pairs != 2*bound || disk[1].pairs != 2*bound-2 || disk[2].pairs != 2 {
 		sizes := make([]int64, len(disk))
 		for i, dr := range disk {
 			sizes[i] = dr.pairs
 		}
-		t.Fatalf("disk run sizes = %v, want [128 126 2] (earlier tiers must not be rewritten)", sizes)
+		t.Fatalf("disk run sizes = %v, want [%d %d 2] (earlier tiers must not be rewritten)", sizes, 2*bound, 2*bound-2)
 	}
 	st, err := s.Stats()
 	if err != nil {
@@ -250,15 +225,51 @@ func TestCompactionBoundsRunFanIn(t *testing.T) {
 	if st.Keys != 11 || st.Pairs != n {
 		t.Errorf("stats = keys %d pairs %d, want 11 and %d", st.Keys, st.Pairs, n)
 	}
-	got := make(map[int][]int)
-	if err := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
-		got[k] = vs
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("compacted grouping diverges from reference (value order must survive compaction)")
+	// Value order must survive compaction.
+	checkModGroups(t, s.Partition(0), n, 11)
+}
+
+// sealsToFileFanIn is how many budget-1 seals of one partition, under
+// inline compaction, bring its disk runs to maxDiskRunFanIn distinct
+// files. Every compaction output is a file of its own and tier-1
+// outputs are not rewritten, so the k-th run-count compaction fires
+// after maxDiskRunsPerPartition+1-k fresh seals (k-1 slots hold earlier
+// outputs); maxDiskRunFanIn-1 of them leave that many files and no
+// spool run, and one more seal adds the spool as the last file.
+const sealsToFileFanIn = (maxDiskRunFanIn-1)*(maxDiskRunsPerPartition+1) - (maxDiskRunFanIn-1)*maxDiskRunFanIn/2 + 1
+
+// TestCompactionBoundsFileFanIn pins the other arm of needsCompaction:
+// a round long enough to pile up maxDiskRunFanIn-1 tier-1 files keeps
+// them until the next seal's spool would be file number maxDiskRunFanIn,
+// and that seal runs the higher-tier merge — no small suffix to pick,
+// so everything collapses into one run — with grouping and value order
+// intact on both sides of the boundary.
+func TestCompactionBoundsFileFanIn(t *testing.T) {
+	for _, seals := range []int{sealsToFileFanIn - 1, sealsToFileFanIn} {
+		s := buildSpilled(t, 1, seals, 11, nil)
+		disk := s.parts[0].disk
+		if seals < sealsToFileFanIn {
+			if len(disk) != maxDiskRunFanIn-1 || diskFanIn(disk) != maxDiskRunFanIn-1 {
+				t.Fatalf("%d seals: %d runs in %d files, want %d tier-1 files and nothing else",
+					seals, len(disk), diskFanIn(disk), maxDiskRunFanIn-1)
+			}
+			if disk[0].pairs != maxDiskRunsPerPartition {
+				t.Errorf("%d seals: first tier-1 run holds %d pairs, want %d (earlier tiers must not be rewritten)",
+					seals, disk[0].pairs, maxDiskRunsPerPartition)
+			}
+		} else if len(disk) != 1 || disk[0].pairs != int64(seals) {
+			t.Fatalf("%d seals: %d runs in %d files, first of %d pairs; want the higher-tier merge's one run of %d",
+				seals, len(disk), diskFanIn(disk), disk[0].pairs, seals)
+		}
+		st, err := s.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SpillEvents != int64(seals) || st.Pairs != int64(seals) || st.Keys != 11 {
+			t.Errorf("%d seals: stats = %+v", seals, st)
+		}
+		checkModGroups(t, s.Partition(0), seals, 11)
+		s.Close()
 	}
 }
 
@@ -268,27 +279,9 @@ func TestSpillValueOrderAcrossRuns(t *testing.T) {
 	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 10, SpillDir: t.TempDir()})
 	defer s.Close()
 	s.SetPartitioner(func(int) int { return 0 })
-	buf := s.NewTaskBuffer()
 	const n = 95
-	for i := 0; i < n; i++ {
-		buf.Emit(i%7, i)
-	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
-	part := s.Partition(0)
-	if got := part.NumKeys(); got != 7 {
-		t.Fatalf("NumKeys = %d, want 7", got)
-	}
-	for _, k := range part.SortedKeys() {
-		var want []int
-		for i := k; i < n; i += 7 {
-			want = append(want, i)
-		}
-		if got := part.Values(k); !reflect.DeepEqual(got, want) {
-			t.Fatalf("key %d values = %v, want %v", k, got, want)
-		}
-	}
+	streamTasks(t, s, [][]Pair[int, int]{modPairs(n, 7)}, 1)
+	checkModGroups(t, s.Partition(0), n, 7)
 }
 
 // TestMergeCollidingFormattedKeys: distinct struct keys whose
@@ -302,19 +295,17 @@ func TestMergeCollidingFormattedKeys(t *testing.T) {
 	for _, spillDir := range []string{"", t.TempDir()} {
 		s := New[k2, int](Options{Partitions: 2, MaxBufferedPairs: 3, SpillDir: spillDir})
 		s.SetPartitioner(func(k2) int { return 0 })
-		buf := s.NewTaskBuffer()
+		var task []Pair[k2, int]
 		want := make(map[k2][]int)
 		for i := 0; i < 30; i++ {
 			k := colliders[i%2]
 			if i%5 == 0 {
 				k = k2{"z", fmt.Sprint(i % 3)}
 			}
-			buf.Emit(k, i)
+			task = append(task, Pair[k2, int]{k, i})
 			want[k] = append(want[k], i)
 		}
-		if err := s.Merge([]*TaskBuffer[k2, int]{buf}); err != nil {
-			t.Fatal(err)
-		}
+		streamTasks(t, s, [][]Pair[k2, int]{task}, 1)
 		st, err := s.Stats()
 		if err != nil {
 			t.Fatal(err)
@@ -325,17 +316,7 @@ func TestMergeCollidingFormattedKeys(t *testing.T) {
 		if st.Keys != int64(len(want)) {
 			t.Errorf("spillDir=%q: Stats.Keys = %d, want %d", spillDir, st.Keys, len(want))
 		}
-		got := make(map[k2][]int)
-		if err := s.Partition(0).ForEachGroup(func(k k2, vs []int) error {
-			if _, dup := got[k]; dup {
-				t.Fatalf("spillDir=%q: key %+v emitted as two groups", spillDir, k)
-			}
-			got[k] = vs
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if got := partitionGroups(t, s.Partition(0)); !reflect.DeepEqual(got, want) {
 			t.Errorf("spillDir=%q: grouped values diverge\ngot  %v\nwant %v", spillDir, got, want)
 		}
 		s.Close()
@@ -348,13 +329,7 @@ func TestMergeCollidingFormattedKeys(t *testing.T) {
 func TestReadAfterCloseFails(t *testing.T) {
 	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 4, SpillDir: t.TempDir()})
 	s.SetPartitioner(func(int) int { return 0 })
-	buf := s.NewTaskBuffer()
-	for i := 0; i < 20; i++ {
-		buf.Emit(i%3, i)
-	}
-	if err := s.Merge([]*TaskBuffer[int, int]{buf}); err != nil {
-		t.Fatal(err)
-	}
+	streamTasks(t, s, [][]Pair[int, int]{modPairs(20, 3)}, 1)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -379,25 +354,25 @@ func TestSpillRejectsPointerKeys(t *testing.T) {
 	x := 7
 	key := pk{&x}
 
-	s := New[pk, int](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
-	buf := s.NewTaskBuffer()
-	for i := 0; i < 8; i++ {
-		buf.Emit(key, i)
+	task := make([]Pair[pk, int], 8)
+	for i := range task {
+		task[i] = Pair[pk, int]{key, i}
 	}
-	err := s.Merge([]*TaskBuffer[pk, int]{buf})
-	if err == nil || !strings.Contains(err.Error(), "cannot spill: key type") {
-		t.Fatalf("Merge err = %v, want a key-type rejection", err)
+	s := New[pk, int](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
+	defer s.Close()
+	// The first disk write of an over-budget partition is the pressure
+	// swap of its staged pairs, so that is where the rejection surfaces
+	// (a seal would say "cannot spill").
+	err := ingestTasksErr(s, [][]Pair[pk, int]{task}, 1)
+	if err == nil || !strings.Contains(err.Error(), "cannot swap staged pairs: key type") {
+		t.Fatalf("ingest err = %v, want a key-type rejection", err)
 	}
 
 	mem := New[pk, int](Options{Partitions: 2, MaxBufferedPairs: 2})
-	buf = mem.NewTaskBuffer()
-	for i := 0; i < 8; i++ {
-		buf.Emit(key, i)
-	}
-	if err := mem.Merge([]*TaskBuffer[pk, int]{buf}); err != nil {
+	if err := ingestTasksErr(mem, [][]Pair[pk, int]{task}, 1); err != nil {
 		t.Fatalf("in-memory sealing rejected pointer keys: %v", err)
 	}
-	if got := mem.Partition(mem.PartitionOf(key)).NumKeys(); got != 1 {
+	if got := len(partitionGroups(t, mem.Partition(mem.PartitionOf(key)))); got != 1 {
 		t.Errorf("in-memory grouping by identity broke: %d keys, want 1", got)
 	}
 }
@@ -412,25 +387,26 @@ func TestSpillRejectsLossyValueTypes(t *testing.T) {
 		priv int //nolint:unused
 	}
 	s := New[int, lossy](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
-	buf := s.NewTaskBuffer()
-	for i := 0; i < 8; i++ {
-		buf.Emit(i%2, lossy{i, i})
+	defer s.Close()
+	task := make([]Pair[int, lossy], 8)
+	for i := range task {
+		task[i] = Pair[int, lossy]{i % 2, lossy{i, i}}
 	}
-	err := s.Merge([]*TaskBuffer[int, lossy]{buf})
-	if err == nil || !strings.Contains(err.Error(), "cannot spill: value type") {
-		t.Fatalf("Merge err = %v, want a value-type rejection", err)
+	err := ingestTasksErr(s, [][]Pair[int, lossy]{task}, 1)
+	if err == nil || !strings.Contains(err.Error(), "cannot swap staged pairs: value type") {
+		t.Fatalf("ingest err = %v, want a value-type rejection", err)
 	}
 
 	// Pointer-valued payloads round-trip as faithful copies.
 	sp := New[int, *int](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
 	defer sp.Close()
-	buf2 := sp.NewTaskBuffer()
 	vals := make([]int, 8)
+	ptrs := make([]Pair[int, *int], len(vals))
 	for i := range vals {
 		vals[i] = i * 10
-		buf2.Emit(i%2, &vals[i])
+		ptrs[i] = Pair[int, *int]{i % 2, &vals[i]}
 	}
-	if err := sp.Merge([]*TaskBuffer[int, *int]{buf2}); err != nil {
+	if err := ingestTasksErr(sp, [][]Pair[int, *int]{ptrs}, 1); err != nil {
 		t.Fatalf("pointer values should spill: %v", err)
 	}
 	sum := 0
@@ -450,19 +426,15 @@ func TestSpillRejectsLossyValueTypes(t *testing.T) {
 }
 
 // TestSpillFailureSurfaces: an unusable spill directory must fail the
-// merge with a useful error, not corrupt the shuffle silently.
+// round with a useful error, not corrupt the shuffle silently.
 func TestSpillFailureSurfaces(t *testing.T) {
 	s := New[int, int](Options{
 		Partitions: 2, MaxBufferedPairs: 2,
 		SpillDir: filepath.Join(t.TempDir(), "does", "not", "exist"),
 	})
-	buf := s.NewTaskBuffer()
-	for i := 0; i < 16; i++ {
-		buf.Emit(i, i)
-	}
-	err := s.Merge([]*TaskBuffer[int, int]{buf})
+	err := ingestTasksErr(s, [][]Pair[int, int]{modPairs(16, 16)}, 1)
 	if err == nil {
-		t.Fatal("Merge succeeded with a nonexistent spill directory")
+		t.Fatal("round succeeded with a nonexistent spill directory")
 	}
 	if !os.IsNotExist(unwrapAll(err)) {
 		t.Fatalf("err = %v, want a not-exist I/O error", err)

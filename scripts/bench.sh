@@ -1,6 +1,9 @@
 #!/bin/sh
-# bench.sh — run the shuffle acceptance benchmarks and emit the perf
-# trajectory artifacts:
+# bench.sh — run the shuffle acceptance benchmarks (the streaming
+# ingest lanes, the reduce-merge decode and range-skew lanes, the
+# key-plan micro lanes, the traced 1M-pair round and the multi-process
+# round; whole jobs end to end are the repository benchmark, bench/) and
+# emit the perf trajectory artifacts:
 #
 #   BENCH_shuffle.txt   raw `go test -bench` output (benchstat input:
 #                       collect one per commit and diff with
@@ -42,7 +45,7 @@ TRACE=BENCH_trace_streaming.json
 
 # Write then cat (not a pipe to tee): POSIX sh has no pipefail, and a
 # failed benchmark must fail the script.
-go test -run '^$' -bench 'BenchmarkExternalShuffle|BenchmarkMerge1MPairs|BenchmarkReduceMergeDecode|BenchmarkReduceRangeSkew' \
+go test -run '^$' -bench 'BenchmarkExternalShuffle|BenchmarkReduceMergeDecode|BenchmarkReduceRangeSkew' \
 	-benchtime "$BENCHTIME" -count "$COUNT" ./internal/shuffle > "$TXT" || {
 	status=$?
 	cat "$TXT"
