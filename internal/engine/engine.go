@@ -324,7 +324,7 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Re
 	rlane := cfg.Recorder.Lane(obs.LaneRound, 0)
 	rlane.Begin(obs.OpPhaseProfile, 0, 0)
 	st, err := sh.Stats()
-	rlane.End(obs.OpPhaseProfile, 0, errFlag(err))
+	rlane.End(obs.OpPhaseProfile, 0, obs.ErrFlag(err))
 	if err != nil {
 		return res, fmt.Errorf("engine: profiling shuffle of round %q: %w", r.Name, err)
 	}
@@ -372,18 +372,9 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Re
 
 	rlane.Begin(obs.OpPhaseReduce, int64(st.Partitions), 0)
 	res, retErr = runReducePhase(r, sh, st, res)
-	rlane.End(obs.OpPhaseReduce, res.Metrics.Outputs, errFlag(retErr))
+	rlane.End(obs.OpPhaseReduce, res.Metrics.Outputs, obs.ErrFlag(retErr))
 	res.Metrics.DiskBytesRead = sh.DiskBytesRead()
 	return res, retErr
-}
-
-// errFlag renders an error as the 0/1 "err" argument of a span's End
-// event.
-func errFlag(err error) int64 {
-	if err != nil {
-		return 1
-	}
-	return 0
 }
 
 // mapTask is one map task's input slice and ordinal.
@@ -422,7 +413,7 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I,
 	// map-task spans are exactly SpillOverlapNs.
 	rlane := cfg.Recorder.Lane(obs.LaneRound, 0)
 	rlane.Begin(obs.OpPhaseMap, int64(len(tasks)), 0)
-	defer func() { rlane.End(obs.OpPhaseMap, met.PairsEmitted, errFlag(retErr)) }()
+	defer func() { rlane.End(obs.OpPhaseMap, met.PairsEmitted, obs.ErrFlag(retErr)) }()
 
 	ing := sh.NewIngester()
 	emitted := make([]int64, len(tasks))
@@ -442,7 +433,7 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I,
 				for {
 					wlane.Begin(obs.OpMapTask, int64(t.idx), int64(attempts))
 					count, err, fatal := attemptMapTask(r, inputs[t.lo:t.hi], ing, t.idx, attempts)
-					wlane.End(obs.OpMapTask, count, errFlag(err))
+					wlane.End(obs.OpMapTask, count, obs.ErrFlag(err))
 					if err == nil {
 						emitted[ti] = count
 						break
@@ -723,8 +714,8 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 					wlane.Begin(obs.OpReduceTask, int64(p), int64(attempts))
 					rlane.Begin(obs.OpReduceRange, int64(p), int64(rng))
 					pr, err := attemptReduce(r, rr, kr, rng <= 0, ordinal[p], attempts)
-					rlane.End(obs.OpReduceRange, int64(len(pr.keys)), errFlag(err))
-					wlane.End(obs.OpReduceTask, int64(len(pr.keys)), errFlag(err))
+					rlane.End(obs.OpReduceRange, int64(len(pr.keys)), obs.ErrFlag(err))
+					wlane.End(obs.OpReduceTask, int64(len(pr.keys)), obs.ErrFlag(err))
 					if err == nil {
 						if rng < 0 {
 							results[p] = pr

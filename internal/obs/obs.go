@@ -115,6 +115,16 @@ const (
 	// instant. A = task (negative-1-minus-partition for reduce),
 	// B = attempt.
 	OpStaleReport
+	// OpProcInputs spans the multi-process driver writing the job's
+	// input image before any worker is spawned. Round lane. Begin
+	// A = records, B = map tasks; End A = image bytes, B = 1 on failure
+	// else 0.
+	OpProcInputs
+	// OpProcOutputMerge spans the multi-process driver adopting the
+	// accepted reduce outputs and merging them into global key order.
+	// Round lane. Begin A = partitions; End A = outputs, B = 1 on failure
+	// else 0.
+	OpProcOutputMerge
 
 	numOps // count sentinel; keep last
 )
@@ -143,6 +153,18 @@ var opNames = [numOps]struct{ name, a, b string }{
 	OpWorkerDeath:    {"worker-death", "pid", "fenced"},
 	OpSalvage:        {"salvage", "task", "attempt"},
 	OpStaleReport:    {"stale-report", "task", "attempt"},
+
+	OpProcInputs:      {"proc-inputs", "records", "tasks"},
+	OpProcOutputMerge: {"proc-output-merge", "partitions", ""},
+}
+
+// ErrFlag renders an error as the 0/1 "err" argument of a span's End
+// event.
+func ErrFlag(err error) int64 {
+	if err != nil {
+		return 1
+	}
+	return 0
 }
 
 // Name returns the op's stable trace-event name.

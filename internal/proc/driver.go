@@ -1,7 +1,8 @@
-// The driver process: spawns and supervises worker processes, serves
-// the task RPC, runs every assignment through lease tables so crashed
-// or stalled executions are fenced and re-granted, salvages committed
-// work from dead workers' manifests, and assembles the final output.
+// The driver process: writes the input image, spawns and supervises
+// worker processes, serves the task RPC, runs every assignment through
+// lease tables so crashed or stalled executions are fenced and
+// re-granted, salvages committed work from dead workers' manifests, and
+// merges the accepted reduce outputs into the job's output.
 package proc
 
 import (
@@ -20,8 +21,13 @@ import (
 	"repro/internal/shuffle"
 )
 
-// mapTaskSpec is one map task's input range [lo, hi).
-type mapTaskSpec struct{ lo, hi int }
+// mapTaskSpec is one map task's input range [lo, hi) and where its
+// records sit in the input image (writeInputs): a value section of
+// `bytes` bytes at off.
+type mapTaskSpec struct {
+	lo, hi     int
+	off, bytes int64
+}
 
 // workerProc is one spawned worker process under supervision.
 type workerProc struct {
@@ -312,10 +318,6 @@ func (d *Driver) salvageLocked(wp *workerProc) {
 	}
 }
 
-// register records a worker hello. The supervisor already knows the
-// process; this is the RPC-level liveness signal.
-func (d *Driver) register(args RegisterArgs) {}
-
 // poll hands the worker its next assignment: the first unleased map
 // task, then (map phase done) the first unleased reduce partition, with
 // speculative duplicates of the longest-unrenewed in-flight task when
@@ -388,7 +390,8 @@ func (d *Driver) grantMapLocked(id int, worker string) Task {
 	spec := d.tasks[id]
 	return Task{
 		Kind: TaskMap, ID: id, Attempt: attempt,
-		Lo: spec.lo, Hi: spec.hi, Partitions: d.parts,
+		Lo: spec.lo, Hi: spec.hi, InputOffset: spec.off, InputBytes: spec.bytes,
+		Partitions:     d.parts,
 		MemoryBudget:   d.opts.MemoryBudget,
 		HeartbeatEvery: d.hbEvery,
 	}
@@ -497,7 +500,7 @@ func (d *Driver) beginReduceLocked() {
 	}
 	for p := 0; p < d.parts; p++ {
 		if len(d.reduceSections[p]) > 0 {
-			sortSectionsByTask(d.reduceSections[p])
+			sortSections(d.reduceSections[p])
 			d.reduceParts = append(d.reduceParts, p)
 		}
 	}
@@ -527,6 +530,9 @@ func (d *Driver) reduceDone(rep ReduceReport) bool {
 	}
 	lane.End(obs.OpProcReduceTask, int64(rep.Part), 0)
 	d.reduceOut[rep.Part] = rep
+	d.met.Reducers += rep.Keys
+	d.met.Outputs += rep.Outputs
+	d.met.MaxReducerInput = max(d.met.MaxReducerInput, rep.MaxGroup)
 	d.met.DiskBytesRead += rep.BytesRead
 	d.met.ReduceRanges += rep.Ranges
 	if rep.PeakResident > d.met.PeakResidentPairs {
@@ -597,22 +603,29 @@ func (d *Driver) shutdown() {
 // processes and returns the outputs in global canonical key order —
 // the same deterministic, attempt- and schedule-invariant order the
 // in-process engine produces — plus the run's communication and
-// fault-tolerance metrics.
+// fault-tolerance metrics. I, K, V and O all cross the process boundary
+// through the run-file codec: a type that cannot make the trip
+// faithfully is an error before any worker is spawned.
 func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) ([]O, Metrics, error) {
 	var met Metrics
 	j, err := lookup(name)
 	if err != nil {
 		return nil, met, err
 	}
-	ji, ok := j.(*jobImpl[I, K, V, O])
-	if !ok {
+	if _, ok := j.(*jobImpl[I, K, V, O]); !ok {
 		return nil, met, fmt.Errorf("proc: job %q is registered with different types than Run was called with", name)
 	}
 	if err := runfile.CanRoundTripIdentity[K](); err != nil {
 		return nil, met, fmt.Errorf("proc: key type unusable across processes: %w", err)
 	}
+	if err := runfile.CanRoundTripFidelity[I](); err != nil {
+		return nil, met, fmt.Errorf("proc: input type unusable across processes: %w", err)
+	}
 	if err := runfile.CanRoundTripFidelity[V](); err != nil {
 		return nil, met, fmt.Errorf("proc: value type unusable across processes: %w", err)
+	}
+	if err := runfile.CanRoundTripFidelity[O](); err != nil {
+		return nil, met, fmt.Errorf("proc: output type unusable across processes: %w", err)
 	}
 
 	dir := opts.Dir
@@ -625,24 +638,21 @@ func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) (
 			defer os.RemoveAll(dir)
 		}
 	}
-	if err := ji.writeInputs(filepath.Join(dir, inputsFile), inputs); err != nil {
-		return nil, met, err
-	}
 
 	chunk := opts.MapChunk
 	if chunk <= 0 {
-		chunk = (len(inputs) + 4*opts.workers() - 1) / (4 * opts.workers())
-		if chunk < 1 {
-			chunk = 1
-		}
+		chunk = max((len(inputs)+4*opts.workers()-1)/(4*opts.workers()), 1)
 	}
 	var tasks []mapTaskSpec
 	for lo := 0; lo < len(inputs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(inputs) {
-			hi = len(inputs)
-		}
-		tasks = append(tasks, mapTaskSpec{lo: lo, hi: hi})
+		tasks = append(tasks, mapTaskSpec{lo: lo, hi: min(lo+chunk, len(inputs))})
+	}
+	lane := opts.Recorder.Lane(obs.LaneRound, 0)
+	lane.Begin(obs.OpProcInputs, int64(len(inputs)), int64(len(tasks)))
+	size, err := writeInputs(filepath.Join(dir, inputsFile), inputs, tasks)
+	lane.End(obs.OpProcInputs, size, obs.ErrFlag(err))
+	if err != nil {
+		return nil, met, err
 	}
 
 	d := newDriver(name, opts, dir, tasks)
@@ -660,51 +670,50 @@ func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) (
 	d.mu.Lock()
 	met = d.met
 	failure := d.failure
-	reduceParts := append([]int(nil), d.reduceParts...)
-	reduceOut := make(map[int]ReduceReport, len(d.reduceOut))
-	for p, r := range d.reduceOut {
-		reduceOut[p] = r
+	var reps []ReduceReport
+	for _, p := range d.reduceParts {
+		reps = append(reps, d.reduceOut[p])
 	}
 	d.mu.Unlock()
 
 	met.MapInputs = int64(len(inputs))
 	met.MapTasks = int64(len(tasks))
-	met.ReduceTasks = int64(len(reduceParts))
+	met.ReduceTasks = int64(len(reps))
 	if failure != nil {
 		return nil, met, failure
 	}
+	lane.Begin(obs.OpProcOutputMerge, int64(len(reps)), 0)
+	outs, err := mergeOutputs[K, O](opts.fs(), reps, met.Outputs)
+	lane.End(obs.OpProcOutputMerge, int64(len(outs)), obs.ErrFlag(err))
+	return outs, met, err
+}
 
-	fs := opts.fs()
-	var all []outGroup[K, O]
-	for _, p := range reduceParts {
-		rep, ok := reduceOut[p]
-		if !ok {
-			return nil, met, fmt.Errorf("proc: partition %d finished without an accepted reduce report", p)
+// mergeOutputs adopts the accepted reduce outputs — one sorted run file
+// per partition — into a one-partition shuffle whose k-way merge yields
+// them in global canonical key order. Each file's value count must
+// equal its accepted report's before any value is read or the result
+// sized (outputs, the reports' total); a file that disagrees, or does
+// not read back, is an error naming it.
+func mergeOutputs[K comparable, O any](fs runfile.FS, reps []ReduceReport, outputs int64) ([]O, error) {
+	sh := shuffle.New[K, O](shuffle.Options{Partitions: 1, FS: fs})
+	defer sh.Close()
+	part := sh.Partition(0)
+	for _, rep := range reps {
+		before := part.Pairs()
+		if err := sh.AdoptRun(0, rep.OutPath, 0, rep.OutBytes); err != nil {
+			return nil, fmt.Errorf("proc: reduce output of partition %d: %w", rep.Part, err)
 		}
-		groups, err := readOutputs[K, O](fs, rep.OutPath, rep.Keys)
-		if err != nil {
-			return nil, met, err
-		}
-		all = append(all, groups...)
-		met.Reducers += rep.Keys
-		met.Outputs += rep.Outputs
-	}
-	// Merge the per-partition outputs into the global canonical key
-	// order, so ProcMode output is indistinguishable from in-process
-	// output record for record.
-	keys := make([]K, len(all))
-	byKey := make(map[K]int, len(all))
-	for i, g := range all {
-		keys[i] = g.Key
-		byKey[g.Key] = i
-		if int64(g.Load) > met.MaxReducerInput {
-			met.MaxReducerInput = int64(g.Load)
+		if got := part.Pairs() - before; got != rep.Outputs {
+			return nil, fmt.Errorf("proc: reduce output %s holds %d outputs, its accepted report says %d", rep.OutPath, got, rep.Outputs)
 		}
 	}
-	shuffle.SortKeys(keys)
-	var outs []O
-	for _, k := range keys {
-		outs = append(outs, all[byKey[k]].Outs...)
+	outs := make([]O, 0, outputs)
+	err := part.ForEachGroupBatch(func(_ K, vs []O) error {
+		outs = append(outs, vs...)
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("proc: merging reduce outputs: %w", err)
 	}
-	return outs, met, nil
+	return outs, nil
 }

@@ -1,11 +1,13 @@
-// The data plane's file layer: spool files a map worker appends fenced
-// run-file sections to, the manifest that commits them durably, and the
+// The data plane's file layer — run files only: the input image map
+// workers read their records from, spool files a map worker appends
+// fenced sections to, the manifest that commits them durably, and the
 // crash-reopen path that validates sections when the committing process
 // is gone. Everything driver-side goes through a runfile.FS so the
 // fault-injection harness can march failures through reopen/salvage.
 package proc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +15,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/runfile"
+	"repro/internal/shuffle"
 )
 
 // SpoolPath is the spool file of one (worker, partition) pair. One
@@ -27,9 +30,83 @@ func ManifestPath(dir, worker string) string {
 	return filepath.Join(dir, fmt.Sprintf("manifest-%s.log", worker))
 }
 
-// outPath is the output file of one reduce attempt.
+// inputsFile is the job's input image inside the scratch dir.
+const inputsFile = "inputs.run"
+
+// outPath is the output run file of one reduce attempt.
 func outPath(dir string, part, attempt int) string {
-	return filepath.Join(dir, fmt.Sprintf("out-p%03d-a%02d.gob", part, attempt))
+	return filepath.Join(dir, fmt.Sprintf("out-p%03d-a%02d.run", part, attempt))
+}
+
+// writeRun writes one run file at path through fill and returns its
+// finished writer (index, size). An error fill returns that the writer
+// did not cause is an encoding failure, which no retry fixes.
+func writeRun(path string, fill func(w *runfile.Writer) error) (*runfile.Writer, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("proc: %w", err)
+	}
+	w := runfile.NewWriter(f)
+	if err = fill(w); err != nil && w.Err() == nil {
+		err = fatal(err)
+	}
+	if err == nil {
+		err = w.Finish()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("proc: writing %s: %w", path, err)
+	}
+	return w, nil
+}
+
+// writeInputs writes the job's records to path as the input image: one
+// run-file group per map task, keyed by the task ordinal and holding the
+// task's records as its values. It records each task's value-section
+// coordinates in tasks — all a worker needs to read its records — and
+// returns the image's size.
+func writeInputs[I any](path string, inputs []I, tasks []mapTaskSpec) (int64, error) {
+	var enc shuffle.GroupEncoder[int, I]
+	w, err := writeRun(path, func(w *runfile.Writer) error {
+		for i, t := range tasks {
+			if err := enc.Group(w, i, inputs[t.lo:t.hi]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	for i, e := range w.Index() {
+		tasks[i].off, tasks[i].bytes = e.ValueOffset(), e.ValueBytes
+	}
+	return w.BytesWritten(), nil
+}
+
+// readInputs reads one map task's records: the value section at
+// [off, off+length) of the input image at path, in one positioned read
+// and one batch decode. The section must frame exactly n values — a
+// section that holds any other count is an error naming the path, never
+// a short task. Nothing else of the image (its footer, other tasks'
+// groups) is on this path.
+func readInputs[I any](path string, off, length int64, n int) ([]I, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("proc: opening input image: %w", err)
+	}
+	defer f.Close()
+	var b runfile.ValueBatch
+	if err := b.ReadSectionAt(f, off, length, n); err != nil {
+		return nil, fmt.Errorf("proc: input image %s: section [%d,%d) of %d records: %w", path, off, off+length, n, err)
+	}
+	ins, err := runfile.DecodeBatch(&b, make([]I, 0, n))
+	if err != nil {
+		return nil, fmt.Errorf("proc: decoding input image %s: %w", path, err)
+	}
+	return ins, nil
 }
 
 // spoolSet is one worker's open spool files, created lazily per
@@ -192,28 +269,21 @@ func readManifest(fs runfile.FS, path string) ([]manifestEntry, error) {
 		return nil, fmt.Errorf("proc: reading manifest %s: %w", path, err)
 	}
 	var entries []manifestEntry
-	for len(data) > 0 {
-		nl := -1
-		for i, b := range data {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			break // torn final line: the commit never completed
+	for {
+		line, rest, ok := bytes.Cut(data, []byte{'\n'})
+		if !ok {
+			return entries, nil // torn final line: the commit never completed
 		}
 		var e manifestEntry
-		if err := json.Unmarshal(data[:nl], &e); err != nil {
+		if err := json.Unmarshal(line, &e); err != nil {
 			// A malformed complete line is corruption, not a torn tail:
 			// stop replaying here but keep what already parsed — the
 			// entries before it were each committed atomically.
-			break
+			return entries, nil
 		}
 		entries = append(entries, e)
-		data = data[nl+1:]
+		data = rest
 	}
-	return entries, nil
 }
 
 // validateSection reopens one committed section and proves it readable

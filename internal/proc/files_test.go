@@ -2,11 +2,15 @@ package proc
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -316,57 +320,223 @@ func TestCrashReopenFaultMarch(t *testing.T) {
 	}
 }
 
-// TestForgedRecordCountsAreErrors: the leading count of a reduce output
-// file and of the job's input file is bytes on disk. A negative or
-// absurd one must come back as an error naming the file — never size an
-// allocation (a panic or an out-of-memory death in the driver or a
-// worker).
-func TestForgedRecordCountsAreErrors(t *testing.T) {
-	// int64 on the wire is gob's one signed integer: it decodes into the
-	// readers' int, or — where int is 32 bits — fails the decode.
-	for _, n := range []int64{-1, 1 << 40} {
-		path := filepath.Join(t.TempDir(), "forged.gob")
-		f, err := os.Create(path)
+// writeTestImage writes records as an input image under a fresh temp
+// dir, size records per map task, and returns its path and tasks.
+func writeTestImage(t testing.TB, records []string, size int) (string, []mapTaskSpec) {
+	t.Helper()
+	var tasks []mapTaskSpec
+	for lo := 0; lo < len(records); lo += size {
+		tasks = append(tasks, mapTaskSpec{lo: lo, hi: min(lo+size, len(records))})
+	}
+	path := filepath.Join(t.TempDir(), inputsFile)
+	if _, err := writeInputs(path, records, tasks); err != nil {
+		t.Fatal(err)
+	}
+	return path, tasks
+}
+
+// writeTestOutput writes a reduce output run file of three keys (five
+// outputs) and the report that accepts it.
+func writeTestOutput(t *testing.T) ReduceReport {
+	t.Helper()
+	path := outPath(t.TempDir(), 0, 0)
+	rs := []reduced[string, wcOut]{
+		{keys: []string{"alpha", "beta"}, ends: []int{2, 3}, outs: []wcOut{{"alpha", 1}, {"alpha", 2}, {"beta", 3}}},
+		{keys: []string{"gamma"}, ends: []int{2}, outs: []wcOut{{"gamma", 4}, {"gamma", 5}}},
+	}
+	size, err := writeOutputs(path, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ReduceReport{OutPath: path, OutBytes: size, Keys: 3, Outputs: 5}
+}
+
+// TestInputImageRoundTrip: every task reads back exactly its own
+// records, from its own value section.
+func TestInputImageRoundTrip(t *testing.T) {
+	records := genLines(23)
+	path, tasks := writeTestImage(t, records, 5)
+	for i, tk := range tasks {
+		got, err := readInputs[string](path, tk.off, tk.bytes, tk.hi-tk.lo)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("task %d: %v", i, err)
 		}
-		if err := gob.NewEncoder(f).Encode(n); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := readOutputs[string, wcOut](runfile.OSFS, path, 3); err == nil || !strings.Contains(err.Error(), path) {
-			t.Errorf("readOutputs(count %d) = %v, want an error naming %s", n, err, path)
-		}
-		job := &jobImpl[string, string, int, wcOut]{}
-		if _, _, err := job.loadInputs(path); err == nil || !strings.Contains(err.Error(), path) {
-			t.Errorf("loadInputs(count %d) = %v, want an error naming %s", n, err, path)
+		if !reflect.DeepEqual(got, records[tk.lo:tk.hi]) {
+			t.Fatalf("task %d read %q, want %q", i, got, records[tk.lo:tk.hi])
 		}
 	}
 }
 
-// forgedOutputFS hands the driver every reduce output file with its
-// leading group count overwritten by one more than the worker wrote.
-type forgedOutputFS struct{ runfile.FS }
+// TestForgedRecordCountsAreErrors: a record count is checked against
+// the bytes that should hold it — an input section against its task's
+// Hi-Lo, a reduce output against its accepted report. A count the bytes
+// do not hold, an absurd one included, must come back as an error
+// naming the file — never a short task, a panic, or an allocation
+// sized by the forged number.
+func TestForgedRecordCountsAreErrors(t *testing.T) {
+	path, tasks := writeTestImage(t, genLines(12), 4)
+	tk := tasks[1]
+	for _, n := range []int{0, tk.hi - tk.lo - 1, tk.hi - tk.lo + 1, math.MaxInt32} {
+		if _, err := readInputs[string](path, tk.off, tk.bytes, n); err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("readInputs(%d records of a %d-record section) = %v, want an error naming %s", n, tk.hi-tk.lo, err, path)
+		}
+	}
+	// The section boundaries are part of the count: one task's
+	// coordinates stretched over its neighbour's group are an error too.
+	if _, err := readInputs[string](path, tk.off, tk.bytes+tasks[2].bytes, tk.hi-tk.lo); err == nil {
+		t.Error("a section overrunning its group was read without error")
+	}
 
-func (fs forgedOutputFS) Open(name string) (runfile.File, error) {
-	if strings.HasPrefix(filepath.Base(name), "out-p") {
-		f, err := os.Open(name)
+	rep := writeTestOutput(t)
+	for _, n := range []int64{-1, 0, rep.Outputs - 1, rep.Outputs + 1, 1 << 40} {
+		lie := rep
+		lie.Outputs = n
+		if _, err := mergeOutputs[string, wcOut](runfile.OSFS, []ReduceReport{lie}, n); err == nil || !strings.Contains(err.Error(), rep.OutPath) {
+			t.Errorf("mergeOutputs(report of %d outputs, file of %d) = %v, want an error naming %s", n, rep.Outputs, err, rep.OutPath)
+		}
+	}
+	outs, err := mergeOutputs[string, wcOut](runfile.OSFS, []ReduceReport{rep}, rep.Outputs)
+	if err != nil || len(outs) != int(rep.Outputs) {
+		t.Fatalf("honest report: %d outputs, %v", len(outs), err)
+	}
+}
+
+// TestInputImageFooterNotRead: a map worker reads its records by the
+// coordinates its task carries, so a torn or forged footer (which no
+// worker reads) leaves every task's records exact, while a tear that
+// reaches a task's section is an error naming the image.
+func TestInputImageFooterNotRead(t *testing.T) {
+	records := genLines(12)
+	path, tasks := writeTestImage(t, records, 4)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := tasks[len(tasks)-1]
+	readAll := func() error {
+		for _, tk := range tasks {
+			got, err := readInputs[string](path, tk.off, tk.bytes, tk.hi-tk.lo)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(got, records[tk.lo:tk.hi]) {
+				t.Fatalf("task [%d,%d) read %q after a footer forgery", tk.lo, tk.hi, got)
+			}
+		}
+		return nil
+	}
+
+	// Forge the footer and trailer byte by byte: every task still reads
+	// back exactly.
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := last.off + last.bytes
+	junk := bytes.Repeat([]byte{0xff}, int(st.Size()-end))
+	if _, err := f.WriteAt(junk, end); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := readAll(); err != nil {
+		t.Fatalf("forged footer: %v", err)
+	}
+
+	// Tear the image through the last task's section.
+	if err := os.Truncate(path, end-1); err != nil {
+		t.Fatal(err)
+	}
+	if err := readAll(); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("image torn inside a section: %v, want an error naming %s", err, path)
+	}
+}
+
+// footerOffsetPos locates the first footer entry's offset delta in a
+// finished run file: after the trailer-addressed footer's marker and
+// count, that entry's key-prefix length, suffix length, suffix and value
+// count.
+func footerOffsetPos(t *testing.T, data []byte) int {
+	t.Helper()
+	pos := int(binary.LittleEndian.Uint64(data[len(data)-12:]))
+	skip := func() uint64 {
+		x, n := binary.Uvarint(data[pos:])
+		if n <= 0 {
+			t.Fatal("unparseable footer")
+		}
+		pos += n
+		return x
+	}
+	skip()             // marker
+	skip()             // entry count
+	skip()             // shared key prefix
+	pos += int(skip()) // key suffix
+	skip()             // value count
+	return pos
+}
+
+// TestForgedOutputOffsetIsError: a reduce output whose footer sends the
+// merge to the wrong bytes — the first group's offset forged, and with
+// it every later one (offsets are delta-coded) — is an error naming the
+// file, never a short or wrong output.
+func TestForgedOutputOffsetIsError(t *testing.T) {
+	rep := writeTestOutput(t)
+	data, err := os.ReadFile(rep.OutPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := footerOffsetPos(t, data)
+	if data[pos] != 5 {
+		t.Fatalf("first group offset = %d, want 5 (just past the header)", data[pos])
+	}
+	data[pos] = 0 // into the header
+	if err := os.WriteFile(rep.OutPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outs, err := mergeOutputs[string, wcOut](runfile.OSFS, []ReduceReport{rep}, rep.Outputs)
+	if err == nil || !strings.Contains(err.Error(), rep.OutPath) {
+		t.Fatalf("forged output offset: %d outputs, %v; want an error naming %s", len(outs), err, rep.OutPath)
+	}
+}
+
+// forgedOutputFS hands the driver every reduce output file rewritten
+// with one value more in its first group than the worker wrote — a
+// well-formed run file whose count disagrees with the accepted report.
+type forgedOutputFS struct {
+	runfile.FS
+	forged sync.Map // path -> struct{}: each file is forged once
+}
+
+func (fs *forgedOutputFS) Open(name string) (runfile.File, error) {
+	if _, done := fs.forged.LoadOrStore(name, struct{}{}); !done && strings.HasPrefix(filepath.Base(name), "out-p") {
+		data, err := os.ReadFile(name)
 		if err != nil {
 			return nil, err
 		}
-		var n int
-		err = gob.NewDecoder(f).Decode(&n)
-		f.Close()
-		if err != nil {
+		var buf bytes.Buffer
+		w := runfile.NewWriter(&buf)
+		gb := runfile.NewGroupBatch(bytes.NewReader(data), nil)
+		for first := true; ; first = false {
+			key, b, err := gb.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
+			extra := 0
+			if first {
+				extra = 1
+			}
+			w.BeginGroup(key, b.Len()+extra)
+			w.AppendRawBytes(b.Raw(), b.Len())
+			if first {
+				w.AppendValue(b.Value(0))
+			}
+		}
+		if err := w.Finish(); err != nil {
 			return nil, err
 		}
-		var forged bytes.Buffer
-		if err := gob.NewEncoder(&forged).Encode(n + 1); err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(name, forged.Bytes(), 0o600); err != nil {
+		if err := os.WriteFile(name, buf.Bytes(), 0o600); err != nil {
 			return nil, err
 		}
 	}
@@ -375,16 +545,16 @@ func (fs forgedOutputFS) Open(name string) (runfile.File, error) {
 
 // TestProcOutputCountMismatchFailsCleanly: an output file whose count
 // disagrees with the accepted reduce report fails the job with an error
-// — and the run still cleans up its scratch directory.
+// naming the file — and the run still cleans up its scratch directory.
 func TestProcOutputCountMismatchFailsCleanly(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	_, _, err := Run[string, string, int, wcOut]("wordcount", genLines(40), Options{
 		Workers: 2, Partitions: 3, Timeout: 90 * time.Second,
-		FS: forgedOutputFS{runfile.OSFS},
+		FS: &forgedOutputFS{FS: runfile.OSFS},
 	})
-	if err == nil || !strings.Contains(err.Error(), "accepted report") {
-		t.Fatalf("forged output count = %v, want a count-mismatch error", err)
+	if err == nil || !strings.Contains(err.Error(), "accepted report") || !strings.Contains(err.Error(), "out-p") {
+		t.Fatalf("forged output count = %v, want a count-mismatch error naming the output file", err)
 	}
 	left, rerr := os.ReadDir(tmp)
 	if rerr != nil {
@@ -393,4 +563,52 @@ func TestProcOutputCountMismatchFailsCleanly(t *testing.T) {
 	for _, e := range left {
 		t.Errorf("failed run left %s behind", e.Name())
 	}
+}
+
+// FuzzProcInputSection forges input images — one byte overwritten, or
+// the file cut short — and reads every task back. A task whose section
+// bytes survived must read exactly its records; any task may fail, but
+// only with an error naming the image, and a read that succeeds never
+// returns a record count other than its task's (the format carries no
+// checksum, so a forged payload byte inside a section can only be held
+// to the count).
+func FuzzProcInputSection(f *testing.F) {
+	f.Add([]byte("alpha beta gamma delta epsilon"), uint8(2), uint16(7), byte(0xff), false)
+	f.Add([]byte("a b c d e f g h"), uint8(3), uint16(40), byte(0), true)
+	f.Add([]byte(""), uint8(1), uint16(0), byte(1), false)
+	f.Fuzz(func(t *testing.T, text []byte, size uint8, pos uint16, b byte, cut bool) {
+		records := strings.Fields(string(text))
+		path, tasks := writeTestImage(t, records, int(size%8)+1)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := int64(int(pos) % len(data))
+		if cut {
+			data = data[:at]
+		} else {
+			data[at] = b
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, tk := range tasks {
+			n := tk.hi - tk.lo
+			got, err := readInputs[string](path, tk.off, tk.bytes, n)
+			intact := (cut && at >= tk.off+tk.bytes) || (!cut && (at < tk.off || at >= tk.off+tk.bytes))
+			switch {
+			case err != nil:
+				if intact {
+					t.Fatalf("task [%d,%d) with intact section: %v", tk.lo, tk.hi, err)
+				}
+				if !strings.Contains(err.Error(), path) {
+					t.Fatalf("error does not name the image: %v", err)
+				}
+			case len(got) != n:
+				t.Fatalf("task [%d,%d) read %d records", tk.lo, tk.hi, len(got))
+			case intact && !reflect.DeepEqual(got, records[tk.lo:tk.hi]):
+				t.Fatalf("task [%d,%d) read %q, want %q", tk.lo, tk.hi, got, records[tk.lo:tk.hi])
+			}
+		}
+	})
 }

@@ -35,6 +35,16 @@
 // through the shuffle's range reader — the same index-planned ranges,
 // heap merge, shared mappings and batch decode an in-process round uses.
 //
+// The data plane is run files end to end, on both of its other edges
+// too. The driver writes the job's records once as an input image, one
+// run-file group per map task, and a map worker reads only its own
+// group's value section (one positioned read, one batch decode). A
+// reduce worker writes its partition's outputs as a run file through
+// the shuffle's group encoder; the driver adopts every accepted output
+// into a one-partition shuffle, whose k-way merge yields the job's
+// output in global canonical key order. The RPC control plane carries
+// file coordinates, never a typed record, key, value or output.
+//
 // Because map and reduce run in different processes, key placement
 // cannot use the in-process maphash seed; partitioning uses
 // shuffle.StableHasher (or the job's explicit Partition func), which
@@ -47,9 +57,7 @@
 package proc
 
 import (
-	"encoding/gob"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -147,8 +155,8 @@ type Options struct {
 	// assignment spans, plus lease-expiry, worker-death, salvage and
 	// stale-report instants. Nil records nothing.
 	Recorder *obs.Recorder
-	// FS is the driver-side filesystem for salvage validation and
-	// output assembly. Nil means runfile.OSFS. Worker processes always
+	// FS is the driver-side filesystem for salvage validation and the
+	// output merge. Nil means runfile.OSFS. Worker processes always
 	// use the real filesystem — faults are injected there by killing
 	// them.
 	FS runfile.FS
@@ -281,17 +289,14 @@ type Metrics struct {
 // runnable is the untyped face of a registered job: what a worker
 // process needs to execute tasks of any key/value types.
 type runnable interface {
-	jobName() string
-	// loadInputs decodes the driver's input file into a typed slice,
-	// returning it opaquely plus the record count.
-	loadInputs(path string) (any, int, error)
-	// runMapTask maps records [lo, hi) of the loaded inputs through a
-	// streaming shuffle under the task's MemoryBudget, appending each
-	// sealed run to the worker's spools as one fenced section.
-	runMapTask(ws *workerState, inputs any, t Task) (MapReport, error)
+	// runMapTask reads the task's records from the input image and maps
+	// them through a streaming shuffle under the task's MemoryBudget,
+	// appending each sealed run to the worker's spools as one fenced
+	// section.
+	runMapTask(ws *workerState, t Task) (MapReport, error)
 	// runReduceTask adopts the task's sections into a shuffle, reduces
 	// every group its reader surfaces, and writes the partition's output
-	// file.
+	// run file.
 	runReduceTask(ws *workerState, t Task) (ReduceReport, error)
 }
 
@@ -329,56 +334,6 @@ type jobImpl[I any, K comparable, V, O any] struct {
 	spec JobSpec[I, K, V, O]
 }
 
-func (j *jobImpl[I, K, V, O]) jobName() string { return j.spec.Name }
-
-// writeInputs encodes the records to the job's input file: a gob stream
-// of the count followed by each record.
-func (j *jobImpl[I, K, V, O]) writeInputs(path string, inputs []I) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("proc: creating input file: %w", err)
-	}
-	enc := gob.NewEncoder(f)
-	if err := enc.Encode(len(inputs)); err != nil {
-		f.Close()
-		return fmt.Errorf("proc: encoding input count: %w", err)
-	}
-	for i := range inputs {
-		if err := enc.Encode(&inputs[i]); err != nil {
-			f.Close()
-			return fmt.Errorf("proc: encoding input %d: %w", i, err)
-		}
-	}
-	return f.Close()
-}
-
-func (j *jobImpl[I, K, V, O]) loadInputs(path string) (any, int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("proc: opening input file: %w", err)
-	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
-	var n int
-	if err := dec.Decode(&n); err != nil {
-		return nil, 0, fmt.Errorf("proc: decoding input count: %w", err)
-	}
-	// The count is bytes on disk: it bounds the loop but never sizes an
-	// allocation, so a torn or forged one is an error, not a panic.
-	if n < 0 {
-		return nil, 0, fmt.Errorf("proc: input file %s: negative record count %d", path, n)
-	}
-	var inputs []I
-	for i := 0; i < n; i++ {
-		var in I
-		if err := dec.Decode(&in); err != nil {
-			return nil, 0, fmt.Errorf("proc: decoding input %d of %d in %s: %w", i, n, path, err)
-		}
-		inputs = append(inputs, in)
-	}
-	return inputs, n, nil
-}
-
 // partition places k on one of p partitions: the explicit Partition
 // func reduced modulo p, or the stable cross-process hash.
 func (j *jobImpl[I, K, V, O]) partition(h shuffle.StableHasher[K], k K, p int) (int, error) {
@@ -391,12 +346,4 @@ func (j *jobImpl[I, K, V, O]) partition(h shuffle.StableHasher[K], k K, p int) (
 	}
 	hv, err := h.Hash(k)
 	return int(hv % uint64(p)), err
-}
-
-// outGroup is one reduced key's output, as serialized between a reduce
-// worker and the driver's assembly pass.
-type outGroup[K comparable, O any] struct {
-	Key  K
-	Outs []O
-	Load int
 }

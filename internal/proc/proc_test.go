@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/runfile"
 	"repro/internal/shuffle"
 )
@@ -69,6 +71,46 @@ func registerTestJobs() {
 		},
 	})
 	registerOrderJob()
+	// Jobs whose input or output type has a field the codec cannot
+	// carry: Run must refuse them before spawning a worker.
+	Register(JobSpec[lossyLine, string, int, wcOut]{
+		Name: "lossy-input",
+		Map: func(l lossyLine, emit func(string, int)) {
+			for _, w := range strings.Fields(l.Text) {
+				emit(w, l.weight)
+			}
+		},
+		Reduce: sumCounts,
+	})
+	Register(JobSpec[string, string, int, lossyOut]{
+		Name: "lossy-output",
+		Map: func(line string, emit func(string, int)) {
+			for _, w := range strings.Fields(line) {
+				emit(w, 1)
+			}
+		},
+		Reduce: func(k string, vs []int, emit func(lossyOut)) { emit(lossyOut{Word: k, count: len(vs)}) },
+	})
+}
+
+// lossyLine and lossyOut each carry an unexported field, which the
+// run-file codec's gob fallback would silently drop.
+type lossyLine struct {
+	Text   string
+	weight int
+}
+
+type lossyOut struct {
+	Word  string
+	count int
+}
+
+func sumCounts(k string, vs []int, emit func(wcOut)) {
+	s := 0
+	for _, v := range vs {
+		s += v
+	}
+	emit(wcOut{Word: k, Count: s})
 }
 
 // genLines builds a deterministic corpus with repeated words and skew.
@@ -344,5 +386,67 @@ func TestProcEmptyInputs(t *testing.T) {
 	}
 	if len(outs) != 0 || met.MapTasks != 0 || met.Outputs != 0 {
 		t.Fatalf("empty job produced %d outputs, %+v", len(outs), met)
+	}
+}
+
+// TestProcRejectsLossyTypes: every typed value crosses the process
+// boundary through the run-file codec, which drops unexported struct
+// fields. An input or output type with one must fail Run up front —
+// before any worker is spawned — instead of returning silently wrong
+// output (the parent commit returned weight-0 counts for lossy-input).
+func TestProcRejectsLossyTypes(t *testing.T) {
+	spawned := 0
+	opts := Options{
+		Workers: 2, Partitions: 3, Timeout: 30 * time.Second,
+		Hooks: Hooks{OnSpawn: func(string, int) { spawned++ }},
+	}
+	lines := []lossyLine{{"a b", 2}, {"b", 3}}
+	if outs, _, err := Run[lossyLine, string, int, wcOut]("lossy-input", lines, opts); err == nil || !strings.Contains(err.Error(), "input type") {
+		t.Errorf("lossy input type: outputs %v, err %v; want an input-type error", outs, err)
+	}
+	if outs, _, err := Run[string, string, int, lossyOut]("lossy-output", genLines(5), opts); err == nil || !strings.Contains(err.Error(), "output type") {
+		t.Errorf("lossy output type: outputs %v, err %v; want an output-type error", outs, err)
+	}
+	if spawned != 0 {
+		t.Errorf("%d workers spawned for jobs that cannot run", spawned)
+	}
+}
+
+// TestProcDriverSpans: a traced Run records the driver's two serial
+// tails — writing the input image and merging the reduce outputs — as
+// balanced spans on the round lane, and the whole trace exports valid.
+func TestProcDriverSpans(t *testing.T) {
+	rec := obs.NewRecorder(0)
+	outs, _, err := Run[string, string, int, wcOut]("wordcount", genLines(40), Options{
+		Workers: 2, Partitions: 3, Recorder: rec, Timeout: 60 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := rec.Snapshot()
+	if err := obs.CheckBalanced(snap); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteTrace(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateTrace(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	ends := map[obs.Op][]obs.Event{}
+	for _, ls := range snap {
+		for _, ev := range ls.Events {
+			if ls.Kind == obs.LaneRound && ev.Kind == obs.KindEnd {
+				ends[ev.Op] = append(ends[ev.Op], ev)
+			}
+		}
+	}
+	in, merge := ends[obs.OpProcInputs], ends[obs.OpProcOutputMerge]
+	if len(in) != 1 || in[0].A <= 0 || in[0].B != 0 {
+		t.Errorf("input-image spans %+v, want one clean span over a non-empty image", in)
+	}
+	if len(merge) != 1 || merge[0].A != int64(len(outs)) || merge[0].B != 0 {
+		t.Errorf("output-merge spans %+v, want one clean span over %d outputs", merge, len(outs))
 	}
 }

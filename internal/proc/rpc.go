@@ -1,7 +1,9 @@
 // The control-plane seam between driver and workers: plain net/rpc
-// (gob) over a unix socket. Everything on the wire is a concrete
-// struct — typed keys and values never cross the RPC boundary, only
-// file coordinates do; the data itself crosses through the spool files.
+// (gob) over a unix socket, the package's only use of gob. Everything
+// on the wire is a concrete struct — typed records, keys, values and
+// outputs never cross the RPC boundary, only file coordinates do; the
+// data itself crosses through run files (the input image, the spools,
+// the reduce outputs).
 package proc
 
 import (
@@ -57,10 +59,14 @@ type Task struct {
 	ID      int // map task ordinal, or reduce partition
 	Attempt int
 
-	// Map fields. MemoryBudget is the per-partition buffered-pair bound
-	// the worker's streaming shuffle must respect (0 = unbounded, one
-	// section per partition).
+	// Map fields. Records [Lo, Hi) are the value section of the task's
+	// group in the input image: InputBytes bytes at InputOffset.
+	// MemoryBudget is the per-partition buffered-pair bound the worker's
+	// streaming shuffle must respect (0 = unbounded, one section per
+	// partition).
 	Lo, Hi       int
+	InputOffset  int64
+	InputBytes   int64
 	Partitions   int
 	MemoryBudget int
 
@@ -128,16 +134,18 @@ type MapReport struct {
 }
 
 // ReduceReport commits a finished reduce attempt: the partition's
-// output file plus its group profile. Err carries a failed attempt.
+// output run file (OutPath, OutBytes long; Outputs values in groups of
+// its reduced keys) plus its group profile. Err carries a failed
+// attempt.
 type ReduceReport struct {
 	Worker    string
 	Part      int
 	Attempt   int
 	OutPath   string
+	OutBytes  int64
 	Keys      int64
 	Outputs   int64
 	MaxGroup  int64
-	PairsIn   int64
 	BytesRead int64
 	// PeakResident is the attempt's high-water resident pair count: the
 	// largest single group the k-way merge held decoded at once.
@@ -160,9 +168,9 @@ type Ack struct {
 // method body just forwards into the Driver under its lock.
 type Coord struct{ d *Driver }
 
-// Register implements the worker hello.
+// Register implements the worker hello: the RPC-level liveness signal
+// (the supervisor already knows the process).
 func (c *Coord) Register(args RegisterArgs, reply *Ack) error {
-	c.d.register(args)
 	reply.Accepted = true
 	return nil
 }

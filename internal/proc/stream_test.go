@@ -4,6 +4,7 @@
 package proc
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,9 +25,10 @@ import (
 	"repro/internal/shuffle"
 )
 
-// TestSortSectionsTotalOrder: (Task, Attempt, Seq) is a total order, so
-// any arrival permutation sorts to the same sequence — the property the
-// old Task-only sort (unstable sort.Slice under ties) did not have.
+// TestSortSectionsTotalOrder: within a partition (Task, Attempt, Seq)
+// is a total order, so any arrival permutation sorts to the same
+// sequence — the property the old Task-only sort (unstable sort.Slice
+// under ties) did not have.
 func TestSortSectionsTotalOrder(t *testing.T) {
 	canonical := []Section{
 		{Task: 0, Attempt: 1, Seq: 0}, {Task: 0, Attempt: 1, Seq: 1},
@@ -44,7 +46,7 @@ func TestSortSectionsTotalOrder(t *testing.T) {
 		for i, j := range perm {
 			got[i] = canonical[j]
 		}
-		sortSectionsByTask(got)
+		sortSections(got)
 		if !reflect.DeepEqual(got, canonical) {
 			t.Errorf("permutation %d did not sort to the canonical order:\n got %+v\nwant %+v", pi, got, canonical)
 		}
@@ -172,7 +174,7 @@ func TestWorkerStreamingFaultMarch(t *testing.T) {
 			return 0, err
 		}
 		var pairs int64
-		for _, sec := range sink.sections() {
+		for _, sec := range sink.secs {
 			pairs += sec.Pairs
 		}
 		return pairs, nil
@@ -327,5 +329,101 @@ func TestSalvageNotCountedAsRetry(t *testing.T) {
 	}
 	if met.MapRetries != 0 {
 		t.Errorf("MapRetries = %d, want 0 — the fenced attempt was salvaged, not re-run", met.MapRetries)
+	}
+}
+
+// TestMapChunkedCommits drives runMapTask directly over records built to
+// stress its ingester sub-task cuts — records that emit nothing, and one
+// that emits many chunks' worth on its own — under MemoryBudget 0
+// (one sub-task), 1 (a cut after every record) and 8 (a cut every four
+// pairs). Every budget must deliver each key's values in record order
+// and stay inside the resident bound, and a second attempt of the task
+// on another worker must write byte-identical sections: the cuts are a
+// pure function of the records.
+func TestMapChunkedCommits(t *testing.T) {
+	records := []string{"", "a b", "", "", strings.Repeat("hot ", 40) + "a", "b", "", "c a b", "", "hot"}
+	job := &jobImpl[string, string, string, wcOut]{spec: JobSpec[string, string, string, wcOut]{
+		Map: func(line string, emit func(string, string)) {
+			for i, w := range strings.Fields(line) {
+				emit(w, fmt.Sprintf("%s#%d", line, i))
+			}
+		},
+	}}
+	want := make(map[string][]string)
+	for _, line := range records {
+		job.spec.Map(line, func(k, v string) { want[k] = append(want[k], v) })
+	}
+	const parts = 3 // 4 inside the worker's shuffle
+	for _, budget := range []int{0, 1, 8} {
+		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
+			dir := t.TempDir()
+			tasks := []mapTaskSpec{{lo: 0, hi: len(records)}}
+			if _, err := writeInputs(filepath.Join(dir, inputsFile), records, tasks); err != nil {
+				t.Fatal(err)
+			}
+			task := Task{Kind: TaskMap, Lo: 0, Hi: len(records), InputOffset: tasks[0].off, InputBytes: tasks[0].bytes,
+				Partitions: parts, MemoryBudget: budget}
+			run := func(worker string, attempt int) (MapReport, [][]byte) {
+				ws := &workerState{id: worker, dir: dir, spools: newSpoolSet(dir, worker)}
+				task.Attempt = attempt
+				rep, err := job.runMapTask(ws, task)
+				ws.spools.closeAll()
+				ws.manifest.close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var images [][]byte
+				for _, sec := range rep.Sections {
+					data, err := os.ReadFile(sec.Path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					images = append(images, data[sec.Offset:sec.Offset+sec.Length])
+				}
+				return rep, images
+			}
+			rep0, img0 := run("w0", 0)
+			rep1, img1 := run("w1", 1)
+			if len(rep0.Sections) != len(rep1.Sections) {
+				t.Fatalf("attempt 0 wrote %d sections, attempt 1 %d", len(rep0.Sections), len(rep1.Sections))
+			}
+			for i, a := range rep0.Sections {
+				b := rep1.Sections[i]
+				if a.Part != b.Part || a.Seq != b.Seq || !bytes.Equal(img0[i], img1[i]) {
+					t.Fatalf("section %d differs across attempts: p%d/s%d vs p%d/s%d", i, a.Part, a.Seq, b.Part, b.Seq)
+				}
+			}
+			if budget > 0 {
+				if len(rep0.Sections) <= parts {
+					t.Errorf("%d sections under budget %d: no partition sealed mid-task", len(rep0.Sections), budget)
+				}
+				if bound := int64(4*budget + 16); rep0.PeakResident > bound {
+					t.Errorf("PeakResident = %d, over the bound %d", rep0.PeakResident, bound)
+				}
+			}
+
+			// The sections, read back in (Part, Seq) order, are the record
+			// stream regrouped: every key's values in emission order.
+			sh := shuffle.New[string, string](shuffle.Options{Partitions: parts})
+			defer sh.Close()
+			for _, sec := range rep0.Sections {
+				if err := sh.AdoptRun(sec.Part, sec.Path, sec.Offset, sec.Length); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := make(map[string][]string)
+			for p := 0; p < sh.NumPartitions(); p++ {
+				err := sh.Partition(p).ForEachGroup(func(k string, vs []string) error {
+					got[k] = append(got[k], vs...)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(got, want) || rep0.PairsEmitted != 48 {
+				t.Fatalf("sections regroup to %v (%d pairs emitted), want %v", got, rep0.PairsEmitted, want)
+			}
+		})
 	}
 }

@@ -1,24 +1,25 @@
 // The worker process: poll the driver for tasks over the unix socket,
-// heartbeat the lease while executing, write map output as fenced spool
-// sections committed through the manifest, reduce a partition by
-// adopting its sections into the shuffle's reader, and report. Both
-// task kinds are clients of internal/shuffle; there is no merge, range
-// planner or run encoder in this package. Workers are the
-// same binary as the driver — the role travels in the environment, so
-// MaybeWorker at the top of main (or TestMain) turns any process into a
-// worker when the driver spawned it as one.
+// heartbeat the lease while executing, map a task's section of the input
+// image into fenced spool sections committed through the manifest,
+// reduce a partition by adopting its sections into the shuffle's reader
+// into an output run file, and report. Both task kinds are clients of
+// internal/shuffle; there is no merge, range planner or run encoder in
+// this package. Workers are the same binary as the driver — the role
+// travels in the environment, so MaybeWorker at the top of main (or
+// TestMain) turns any process into a worker when the driver spawned it
+// as one.
 package proc
 
 import (
+	"cmp"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net/rpc"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,9 +51,6 @@ const (
 	envSlowMS = "MR_PROC_SLOW_MS" // dwell this many ms inside every task
 	envKill   = "MR_PROC_KILL"    // "point:taskID" self-SIGKILL spec
 )
-
-// inputsFile is the job's encoded input records inside the scratch dir.
-const inputsFile = "inputs.gob"
 
 // MaybeWorker turns the current process into a worker and never returns
 // if the driver spawned it as one; otherwise it is a no-op. Call it
@@ -211,7 +209,6 @@ func (ws *workerState) crashPoint(point string, id int, pre func()) {
 // loop polls for tasks until exit. Transient RPC failures are retried
 // with backoff; a driver that stays unreachable ends the worker.
 func (ws *workerState) loop(job runnable) error {
-	var inputs any
 	for {
 		var t Task
 		err := rpcBackoff.Retry(workerCtx(), func() error {
@@ -231,16 +228,7 @@ func (ws *workerState) loop(job runnable) error {
 			}
 			time.Sleep(d)
 		case TaskMap:
-			if inputs == nil {
-				var err error
-				if inputs, _, err = job.loadInputs(filepath.Join(ws.dir, inputsFile)); err != nil {
-					ws.report("Coord.MapDone", &Ack{}, MapReport{
-						Worker: ws.id, Task: t.ID, Attempt: t.Attempt, Err: err.Error(), Fatal: true,
-					})
-					return err
-				}
-			}
-			rep := ws.runTask(TaskMap, t, func() (any, error) { return job.runMapTask(ws, inputs, t) })
+			rep := ws.runTask(TaskMap, t, func() (any, error) { return job.runMapTask(ws, t) })
 			ws.report("Coord.MapDone", &Ack{}, rep.(MapReport))
 		case TaskReduce:
 			rep := ws.runTask(TaskReduce, t, func() (any, error) { return job.runReduceTask(ws, t) })
@@ -394,37 +382,29 @@ func (sk *sectionSink) write(part int, fill func(w *runfile.Writer) error) error
 	return nil
 }
 
-// sections returns everything written, in (Part, Seq) order — the
-// parallel Finish drain interleaves partitions nondeterministically,
-// so the manifest must not record arrival order.
-func (sk *sectionSink) sections() []Section {
-	sort.Slice(sk.secs, func(i, j int) bool {
-		if sk.secs[i].Part != sk.secs[j].Part {
-			return sk.secs[i].Part < sk.secs[j].Part
-		}
-		return sk.secs[i].Seq < sk.secs[j].Seq
-	})
-	return sk.secs
-}
-
-// runMapTask maps records [Lo, Hi) through a worker-local streaming
-// shuffle: pairs route through an Ingester under the job's
-// MemoryBudget, so pressure relief, combiner push-down, and
+// runMapTask maps records [Lo, Hi) — read from the task's own value
+// section of the input image, nothing else of it — through a
+// worker-local streaming shuffle: pairs route through an Ingester under
+// the job's MemoryBudget, so pressure relief, combiner push-down, and
 // spill-as-sorted-sections all happen inside the worker, mid-task —
 // resident pairs stay bounded by P*MemoryBudget + BlockPairs instead
 // of the task's output size. Every sealed run lands in the spools as
 // one fenced section via sectionSink; the task then commits all its
 // sections with one manifest record before reporting (the manifest
 // write is still the task's durability point, and with MemoryBudget
-// zero the layout degenerates to the pre-streaming one section per
-// non-empty partition).
-func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (MapReport, error) {
-	ins, ok := inputs.([]I)
-	if !ok {
-		return MapReport{}, fatal(fmt.Errorf("proc: job %q inputs are %T, not []%T", j.spec.Name, inputs, *new(I)))
-	}
-	if t.Lo < 0 || t.Hi > len(ins) || t.Lo > t.Hi {
-		return MapReport{}, fatal(fmt.Errorf("proc: map task %d range [%d,%d) outside %d inputs", t.ID, t.Lo, t.Hi, len(ins)))
+// zero the layout degenerates to one section per non-empty partition).
+//
+// The records enter the ingester as sub-tasks committed in order, each
+// cut at the first record boundary after MemoryBudget/2 emitted pairs
+// (no budget: one sub-task), so absorption and its seals overlap mapping
+// at one commit per half budget, not per record. Cuts depend only on the
+// records and seals only on the committed pair stream, so a re-executed
+// attempt writes byte-identical sections.
+func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, error) {
+	ins, err := readInputs[I](filepath.Join(ws.dir, inputsFile), t.InputOffset, t.InputBytes, t.Hi-t.Lo)
+	if err != nil {
+		// The image is the driver's, the same bytes for every attempt.
+		return MapReport{}, fatal(fmt.Errorf("proc: map task %d: %w", t.ID, err))
 	}
 	if err := ws.ensureManifest(); err != nil {
 		return MapReport{}, err
@@ -461,28 +441,32 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (M
 	sink := &sectionSink{ws: ws, task: t.ID, attempt: t.Attempt, seq: make(map[int]int)}
 	sh.SetSealSink(sink.write)
 
-	// One ingester sub-task per input record, committed in order: the
-	// watermark advances continuously, so absorption (and the seals it
-	// triggers) overlaps mapping and fires at deterministic points —
-	// the map loop is single-threaded, which is what makes re-executed
-	// attempts byte-identical.
 	in := sh.NewIngester()
+	sub, chunk := 0, 0 // current sub-task, and the pairs it holds
+	tw := in.Task(sub, 0)
 	var pairsEmitted int64
-	for i := t.Lo; i < t.Hi; i++ {
-		tw := in.Task(i-t.Lo, 0)
-		j.spec.Map(ins[i], func(k K, v V) {
-			pairsEmitted++
-			if emitErr != nil {
-				return
-			}
+	emit := func(k K, v V) {
+		pairsEmitted++
+		chunk++
+		if emitErr == nil {
 			tw.Emit(k, v)
-		})
-		if err := tw.Commit(); err != nil {
-			return MapReport{}, fmt.Errorf("proc: streaming map task %d: %w", t.ID, err)
 		}
+	}
+	for i := range ins {
+		j.spec.Map(ins[i], emit)
 		if emitErr != nil {
 			return MapReport{}, fatal(fmt.Errorf("proc: partitioning map task %d: %w", t.ID, emitErr))
 		}
+		if t.MemoryBudget > 0 && chunk >= t.MemoryBudget/2 {
+			if err := tw.Commit(); err != nil {
+				return MapReport{}, fmt.Errorf("proc: streaming map task %d: %w", t.ID, err)
+			}
+			sub, chunk = sub+1, 0
+			tw = in.Task(sub, 0)
+		}
+	}
+	if err := tw.Commit(); err != nil {
+		return MapReport{}, fmt.Errorf("proc: streaming map task %d: %w", t.ID, err)
 	}
 	if err := in.Finish(); err != nil {
 		return MapReport{}, fmt.Errorf("proc: draining map task %d: %w", t.ID, err)
@@ -490,7 +474,8 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (M
 	if err := sh.SealAllLive(); err != nil {
 		return MapReport{}, fmt.Errorf("proc: final seal of map task %d: %w", t.ID, err)
 	}
-	secs := sink.sections()
+	secs := sink.secs
+	sortSections(secs)
 	peak := sh.PeakResidentPairs()
 	if err := ws.manifest.commit(manifestEntry{
 		Task: t.ID, Attempt: t.Attempt, PairsEmitted: pairsEmitted, PeakResident: peak, Sections: secs,
@@ -506,21 +491,30 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, inputs any, t Task) (M
 	}, nil
 }
 
+// reduced is one key range's reduce output in canonical key order: the
+// keys that emitted, and their outputs back to back (keys[i]'s are
+// outs[ends[i-1]:ends[i]]).
+type reduced[K comparable, O any] struct {
+	keys []K
+	ends []int
+	outs []O
+}
+
 // runReduceTask reduces one partition the way the in-process engine
-// does: the committed sections — each a sorted run, ordered (Task,
-// Attempt, Seq) by the driver — are adopted into a one-partition shuffle
+// does: the committed sections — each a sorted run, in sortSections
+// order from the driver — are adopted into a one-partition shuffle
 // as borrowed disk runs, and everything after that is the shuffle's own
 // read side. Stats (a counting merge of the adopted indexes, no value
 // read) enforces MaxReducerInput; PlanReduceRanges cuts class-aligned
 // key ranges when Task.ReduceSplitPairs asks for them; one RangeReader
 // holds the spools open (shared handles and mappings) while the ranges
 // run the k-way merge concurrently, reducing every group in canonical
-// key order as it surfaces; the groups, concatenated in range order, go
-// to the partition's output file (gob: group count, then outGroups) —
-// byte-identical whether or not the merge was split. Only the indexes
-// and one decoded group per running range are resident: the memory bound
-// is the largest single group times the range concurrency, not the
-// partition size.
+// key order as it surfaces. The outputs, range after range, go to the
+// partition's output run file (writeOutputs) — byte-identical whether or
+// not the merge was split. Only the indexes, one decoded group per
+// running range and the partition's outputs are resident: the input
+// side's memory bound is the largest single group times the range
+// concurrency, not the partition size.
 func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceReport, error) {
 	ws.crashPoint("reduce", t.ID, nil)
 	sh := shuffle.New[K, V](shuffle.Options{Partitions: 1, Recorder: ws.rec})
@@ -559,114 +553,81 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 		return ReduceReport{}, fmt.Errorf("proc: opening partition %d: %w", t.ID, err)
 	}
 	defer rr.Close()
-	rangeGroups := make([][]outGroup[K, O], len(ranges))
+	outs := make([]reduced[K, O], len(ranges))
 	errs := make([]error, len(ranges))
 	var wg sync.WaitGroup
 	for r := range ranges {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			ro := &outs[r]
+			emit := func(o O) { ro.outs = append(ro.outs, o) }
 			errs[r] = rr.ForEachGroupRange(ranges[r], j.spec.BatchReduce, func(k K, vs []V) error {
-				g := outGroup[K, O]{Key: k, Load: len(vs)}
-				j.spec.Reduce(k, vs, func(o O) { g.Outs = append(g.Outs, o) })
-				rangeGroups[r] = append(rangeGroups[r], g)
+				n := len(ro.outs)
+				j.spec.Reduce(k, vs, emit)
+				if len(ro.outs) > n {
+					ro.keys = append(ro.keys, k)
+					ro.ends = append(ro.ends, len(ro.outs))
+				}
 				return nil
 			})
 		}(r)
 	}
 	wg.Wait()
-	groups := rangeGroups[0]
+	var outputs int64
 	for r := range ranges {
 		if errs[r] != nil {
 			return ReduceReport{}, fmt.Errorf("proc: reducing partition %d: %w", t.ID, errs[r])
 		}
-		if r > 0 {
-			groups = append(groups, rangeGroups[r]...)
-		}
-	}
-	var outputs int64
-	for i := range groups {
-		outputs += int64(len(groups[i].Outs))
+		outputs += int64(len(outs[r].outs))
 	}
 	path := outPath(ws.dir, t.ID, t.Attempt)
-	if err := writeOutputs(path, groups); err != nil {
+	size, err := writeOutputs(path, outs)
+	if err != nil {
 		return ReduceReport{}, err
 	}
 	return ReduceReport{
-		Worker: ws.id, Part: t.ID, Attempt: t.Attempt, OutPath: path,
+		Worker: ws.id, Part: t.ID, Attempt: t.Attempt, OutPath: path, OutBytes: size,
 		Keys: st.Keys, Outputs: outputs, MaxGroup: st.MaxGroup,
-		PairsIn: st.Pairs, BytesRead: sh.DiskBytesRead(), PeakResident: st.MaxGroup,
+		BytesRead: sh.DiskBytesRead(), PeakResident: st.MaxGroup,
 		Ranges: nRanges,
 	}, nil
 }
 
-// writeOutputs encodes one reduce attempt's groups to its output file:
-// a gob stream of the group count followed by each group, already in
-// canonical key order.
-func writeOutputs[K comparable, O any](path string, groups []outGroup[K, O]) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("proc: creating reduce output: %w", err)
-	}
-	enc := gob.NewEncoder(f)
-	if err := enc.Encode(len(groups)); err != nil {
-		f.Close()
-		return fmt.Errorf("proc: encoding output count: %w", err)
-	}
-	for i := range groups {
-		if err := enc.Encode(&groups[i]); err != nil {
-			f.Close()
-			return fmt.Errorf("proc: encoding output group: %w", err)
+// writeOutputs writes one reduce attempt's output run file: a group per
+// key that emitted, holding its outputs, ranges in order — canonical key
+// order, the image the driver's output merge adopts. It returns the
+// file's size.
+func writeOutputs[K comparable, O any](path string, rs []reduced[K, O]) (int64, error) {
+	var enc shuffle.GroupEncoder[K, O]
+	w, err := writeRun(path, func(w *runfile.Writer) error {
+		for _, r := range rs {
+			lo := 0
+			for i, k := range r.keys {
+				if err := enc.Group(w, k, r.outs[lo:r.ends[i]]); err != nil {
+					return err
+				}
+				lo = r.ends[i]
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
-	return f.Close()
+	return w.BytesWritten(), nil
 }
 
-// readOutputs decodes one accepted reduce output file through the
-// driver's FS (so reopen faults are injectable). The file is a worker's
-// bytes on disk, so its leading count is checked against keys — the
-// group count of the accepted report — and never sizes an allocation:
-// a torn or forged count is an error here, not a panic in the driver.
-func readOutputs[K comparable, O any](fs runfile.FS, path string, keys int64) ([]outGroup[K, O], error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("proc: opening reduce output %s: %w", path, err)
-	}
-	defer f.Close()
-	dec := gob.NewDecoder(f)
-	var n int
-	if err := dec.Decode(&n); err != nil {
-		return nil, fmt.Errorf("proc: decoding output count in %s: %w", path, err)
-	}
-	if int64(n) != keys {
-		return nil, fmt.Errorf("proc: reduce output %s holds %d groups, its accepted report says %d", path, n, keys)
-	}
-	var groups []outGroup[K, O]
-	for i := 0; i < n; i++ {
-		var g outGroup[K, O]
-		if err := dec.Decode(&g); err != nil {
-			return nil, fmt.Errorf("proc: decoding output group %d in %s: %w", i, path, err)
-		}
-		groups = append(groups, g)
-	}
-	return groups, nil
-}
-
-// sortSectionsByTask orders a reduce task's input sections by (Task,
-// Attempt, Seq) — the value-order contract (values arrive in map-task
-// order, and within a task in the order its winning attempt sealed
-// them). Attempt breaks the tie when a salvaged section and a
-// re-executed attempt's section coexist for the same task; sorting by
-// Task alone left that order unstable across runs.
-func sortSectionsByTask(secs []Section) {
-	sort.Slice(secs, func(i, j int) bool {
-		a, b := secs[i], secs[j]
-		if a.Task != b.Task {
-			return a.Task < b.Task
-		}
-		if a.Attempt != b.Attempt {
-			return a.Attempt < b.Attempt
-		}
-		return a.Seq < b.Seq
+// sortSections orders sections by (Part, Task, Attempt, Seq): one map
+// attempt's by partition, then seal order (the parallel Finish drain
+// interleaves partitions, so the manifest must not record arrival
+// order); one partition's reduce inputs in the value-order contract —
+// map-task order, and within a task its winning attempt's seal order.
+// Attempt breaks the tie when a salvaged and a re-executed attempt's
+// sections coexist for one task.
+func sortSections(secs []Section) {
+	slices.SortFunc(secs, func(a, b Section) int {
+		return cmp.Or(cmp.Compare(a.Part, b.Part), cmp.Compare(a.Task, b.Task),
+			cmp.Compare(a.Attempt, b.Attempt), cmp.Compare(a.Seq, b.Seq))
 	})
 }

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 )
 
 // Version2 is the one format version: the header byte every run file
@@ -88,6 +89,15 @@ type IndexEntry struct {
 	// to consume the group.
 	ValueBytes int64
 }
+
+// ValueOffset is where the group's value section starts, in the same
+// frame as Offset: after the group's key and count prefixes.
+func (e IndexEntry) ValueOffset() int64 {
+	return e.Offset + int64(uvarintLen(uint64(len(e.Key)))+len(e.Key)+uvarintLen(uint64(e.Count)))
+}
+
+// uvarintLen is the encoded length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // Writer streams key groups to a run file. It buffers internally; call
 // Finish (which flushes) before closing the underlying file, or Flush

@@ -57,7 +57,7 @@ func (s *Shuffle[K, V]) AdoptRun(part int, path string, off, length int64) error
 		if e.Offset < 0 || e.Offset > length {
 			return corrupt(i, "offset outside the image")
 		}
-		if e.ValueBytes < 0 || e.ValueBytes > length-valueOffset(e) {
+		if e.ValueBytes < 0 || e.ValueBytes > length-e.ValueOffset() {
 			return corrupt(i, "value section outside the image")
 		}
 		// Every value costs at least its one-byte length prefix.

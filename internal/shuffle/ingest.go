@@ -670,7 +670,7 @@ func (in *Ingester[K, V]) swapStaged(st *partitionState[K, V], budget int) (err 
 	spanOpen := false
 	defer func() {
 		if spanOpen {
-			st.lane.End(obs.OpFence, swapped, errFlag(err))
+			st.lane.End(obs.OpFence, swapped, obs.ErrFlag(err))
 		}
 	}()
 	for {

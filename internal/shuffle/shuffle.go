@@ -627,7 +627,7 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 	}
 	sealing := int64(st.livePairs)
 	st.lane.Begin(obs.OpSeal, sealing, 0)
-	defer func() { st.lane.End(obs.OpSeal, sealing, errFlag(err)) }()
+	defer func() { st.lane.End(obs.OpSeal, sealing, obs.ErrFlag(err)) }()
 	switch {
 	case s.sealSink != nil:
 		// Sink-directed seal: the run leaves the shuffle entirely. No
@@ -676,15 +676,6 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 		s.maybeCompact(st)
 	}
 	return nil
-}
-
-// errFlag renders an error as the 0/1 "err" argument of a span's End
-// event.
-func errFlag(err error) int64 {
-	if err != nil {
-		return 1
-	}
-	return 0
 }
 
 // combineLive applies the combiner to every key group of the live run

@@ -32,7 +32,6 @@ package shuffle
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -166,14 +165,16 @@ func (c countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// groupEncoder is the one typed group encoder: every key group the
+// GroupEncoder is the one typed group encoder: every key group the
 // shuffle writes — a sealed run's (writeGroups, whatever spool or
 // seal sink the writer sits on) or a compacted one — is framed here,
-// through two scratch buffers reused across groups.
-type groupEncoder[K comparable, V any] struct{ kbuf, vbuf []byte }
+// through two scratch buffers reused across groups, and so is every
+// run image internal/proc writes outside a shuffle (its input image
+// and reduce outputs). The zero value is ready to use.
+type GroupEncoder[K comparable, V any] struct{ kbuf, vbuf []byte }
 
 // begin encodes k and opens its group of n values on w.
-func (e *groupEncoder[K, V]) begin(w *runfile.Writer, k K, n int) error {
+func (e *GroupEncoder[K, V]) begin(w *runfile.Writer, k K, n int) error {
 	var err error
 	if e.kbuf, err = runfile.Append(e.kbuf[:0], k); err != nil {
 		return fmt.Errorf("shuffle: encoding key: %w", err)
@@ -181,8 +182,10 @@ func (e *groupEncoder[K, V]) begin(w *runfile.Writer, k K, n int) error {
 	return w.BeginGroup(e.kbuf, n)
 }
 
-// group writes k's whole group, encoding each value.
-func (e *groupEncoder[K, V]) group(w *runfile.Writer, k K, vs []V) error {
+// Group writes k's whole group, encoding each value. Groups must come
+// in K's canonical order (SortKeys) for the image to be adoptable; an
+// error that is not w's own (runfile.Writer.Err) is an encoding failure.
+func (e *GroupEncoder[K, V]) Group(w *runfile.Writer, k K, vs []V) error {
 	if err := e.begin(w, k, len(vs)); err != nil {
 		return err
 	}
@@ -202,9 +205,9 @@ func (e *groupEncoder[K, V]) group(w *runfile.Writer, k K, vs []V) error {
 // from the map — onto an already-open writer. An error that is not the
 // writer's own (runfile.Writer.Err) is an encoding failure.
 func writeGroups[K comparable, V any](w *runfile.Writer, keys []K, groups map[K][]V) error {
-	var enc groupEncoder[K, V]
+	var enc GroupEncoder[K, V]
 	for _, k := range keys {
-		if err := enc.group(w, k, groups[k]); err != nil {
+		if err := enc.Group(w, k, groups[k]); err != nil {
 			return err
 		}
 	}
@@ -218,19 +221,10 @@ func typedIndex[K comparable](keys []K, entries []runfile.IndexEntry) []keyCount
 	index := make([]keyCount[K], len(keys))
 	for i, k := range keys {
 		e := entries[i]
-		index[i] = keyCount[K]{key: k, count: e.Count, valBytes: e.ValueBytes, valOff: valueOffset(e)}
+		index[i] = keyCount[K]{key: k, count: e.Count, valBytes: e.ValueBytes, valOff: e.ValueOffset()}
 	}
 	return index
 }
-
-// valueOffset is where a group's value section starts within its run
-// image: after the group's key and count prefixes.
-func valueOffset(e runfile.IndexEntry) int64 {
-	return e.Offset + int64(uvarintLen(uint64(len(e.Key)))+len(e.Key)+uvarintLen(uint64(e.Count)))
-}
-
-// uvarintLen is the encoded length of x as a uvarint.
-func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // compactionSuffix picks which runs to compact when the fan-in cap is
 // hit: the contiguous suffix of "small" runs (fresh budget-sized
@@ -271,7 +265,7 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 	nIn := len(compacting)
 	lane.Begin(obs.OpCompact, int64(nIn), 0)
 	var outPairs int64
-	defer func() { lane.End(obs.OpCompact, outPairs, errFlag(retErr)) }()
+	defer func() { lane.End(obs.OpCompact, outPairs, obs.ErrFlag(retErr)) }()
 	var inPairs int64
 	for _, dr := range compacting {
 		inPairs += dr.pairs
@@ -350,7 +344,7 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 	}()
 	w = runfile.NewWriter(out)
 
-	var enc groupEncoder[K, V]
+	var enc GroupEncoder[K, V]
 	var vals []V // combiner scratch, reused across groups
 	ord := orderOf[K]()
 	err = mergeCursors(rangeCursors(s, compacting, views, nil, ord.cmp, KeyRange[K]{}), ord, func(k K, srcs []*groupCursor[K, V]) error {
@@ -393,7 +387,7 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 			return nil // combiner dropped the group entirely
 		}
 		keysWritten = append(keysWritten, k)
-		return enc.group(w, k, combined)
+		return enc.Group(w, k, combined)
 	})
 	if err != nil {
 		return "", nil, nil, fmt.Errorf("shuffle: compacting to %s: %w", out.Name(), err)
