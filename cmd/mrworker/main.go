@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/proc"
 )
 
@@ -118,16 +119,18 @@ func run(o options, out io.Writer) ([]wcOut, proc.Metrics, error) {
 	}
 
 	popts := proc.Options{
-		Workers:          o.workers,
-		Partitions:       o.partitions,
-		MapChunk:         o.chunk,
-		MemoryBudget:     o.budget,
-		Dir:              o.dir,
-		KeepDir:          o.keep,
-		LeaseTTL:         o.lease,
-		Timeout:          o.timeout,
-		MaxReducerInput:  o.q,
-		ReduceSplitPairs: o.splitpairs,
+		Plan: engine.Plan{
+			Workers:          o.workers,
+			Partitions:       o.partitions,
+			MapChunk:         o.chunk,
+			MemoryBudget:     o.budget,
+			MaxReducerInput:  o.q,
+			ReduceSplitPairs: o.splitpairs,
+		},
+		Dir:      o.dir,
+		KeepDir:  o.keep,
+		LeaseTTL: o.lease,
+		Timeout:  o.timeout,
 	}
 	if o.chaos {
 		// Dwell a little per task so the kill lands mid-round, then
@@ -166,9 +169,8 @@ func run(o options, out io.Writer) ([]wcOut, proc.Metrics, error) {
 		met.MapInputs, met.Reducers, time.Since(start).Round(time.Millisecond), o.workers)
 	fmt.Fprintf(out, "pairs: emitted=%d shuffled=%d peakResident=%d reduceRanges=%d  boundary: spilled=%dB(+%dB index) read=%dB\n",
 		met.PairsEmitted, met.PairsShuffled, met.PeakResidentPairs, met.ReduceRanges, met.BytesSpilled, met.IndexBytesSpilled, met.DiskBytesRead)
-	fmt.Fprintf(out, "faults: deaths=%d leasesExpired=%d retries=%d+%d salvaged=%d speculative=%d\n",
-		met.WorkerDeaths, met.LeaseExpirations, met.MapRetries, met.ReduceRetries,
-		met.SalvagedTasks, met.Speculative)
+	fmt.Fprintf(out, "faults: deaths=%d leasesExpired=%d retries=%d+%d salvaged=%d\n",
+		met.WorkerDeaths, met.LeaseExpirations, met.MapRetries, met.ReduceRetries, met.SalvagedTasks)
 
 	top := append([]wcOut(nil), outs...)
 	for i := 1; i < len(top); i++ { // insertion sort by count desc, word asc

@@ -17,7 +17,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/core"
@@ -37,41 +36,20 @@ type ReduceFunc[K comparable, V, O any] func(key K, values []V, emit func(O))
 // task before shuffle.
 type CombineFunc[K comparable, V any] func(key K, values []V) []V
 
-// Config controls the execution of one round.
+// Config controls the execution of one round: the Plan both executors
+// honour, plus the settings only the in-process executor has.
 type Config struct {
-	// Workers is the number of parallel map (and reduce) workers.
-	// Zero means runtime.NumCPU().
-	Workers int
-
-	// MapChunk is the number of input records per map task. Zero means
-	// an automatic chunk targeting ~4 tasks per worker.
-	MapChunk int
-
-	// Partitions is the shuffle partition count P; <= 0 selects
-	// shuffle.DefaultPartitions().
-	Partitions int
-
-	// MemoryBudget is the per-partition memory budget in buffered
-	// pairs: a shuffle partition whose live buffer reaches the budget
-	// seals its run. With SpillDir set, sealed runs are encoded to
-	// disk and reduce partitions stream a k-way merge over them;
-	// without it sealed runs stay in memory and only spill pressure is
-	// reported.
-	MemoryBudget int
+	Plan
 
 	// SpillDir is the directory for spill run files (temp files,
-	// deleted when the round finishes). Empty means no disk spill.
+	// deleted when the round finishes). Empty means no disk spill: with
+	// a MemoryBudget, sealed runs stay in memory and only spill pressure
+	// is reported.
 	SpillDir string
 
-	// MaxReducerInput, when positive, fails the round before the reduce
-	// phase if any key group exceeds it (the paper's reducer size limit
-	// q enforced at runtime).
-	MaxReducerInput int
-
 	// RecordLoads asks for per-reducer input sizes in global sorted key
-	// order; RecordKeys additionally exports the keys themselves.
+	// order (Result.Loads).
 	RecordLoads bool
-	RecordKeys  bool
 
 	// FailureEveryN deterministically fails each task's first attempt
 	// whenever the task ordinal is divisible by FailureEveryN; failed
@@ -84,42 +62,6 @@ type Config struct {
 	// task regardless of how keys hashed.
 	FailureEveryN int
 	MaxRetries    int
-
-	// ReduceSplitPairs, when positive, splits heavy reduce partitions'
-	// merges into class-aligned key ranges of roughly this many pairs —
-	// planned from the resident run indexes, never splitting a key
-	// group — and LPT-schedules the range units, not whole partitions,
-	// onto the reduce workers. Disjoint ranges of one partition then
-	// merge and reduce concurrently over a shared read surface (one set
-	// of spool handles and mmaps per partition), and the output is
-	// byte-identical to the unsplit round: ranges reassemble in key
-	// order before global assembly. Zero or negative keeps
-	// whole-partition scheduling.
-	ReduceSplitPairs int
-	// ReduceRangeConcurrency caps how many ranges one partition may be
-	// split into — the partition's maximum reduce parallelism. Zero
-	// means the worker count.
-	ReduceRangeConcurrency int
-
-	// Recorder, when non-nil, captures the round's lifecycle as timed
-	// events: phase boundaries on the round lane, map/reduce task
-	// attempts on per-worker lanes, and the shuffle's block flushes,
-	// seals, fences, compactions and reduce merges on per-partition
-	// lanes (the shuffle inherits the same recorder). Export with
-	// obs.WriteTrace / obs.WritePrometheus after Run returns. Nil keeps
-	// the hot path free of everything but a nil check.
-	Recorder *obs.Recorder
-}
-
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	n := runtime.NumCPU()
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 func (c Config) maxRetries() int {
@@ -230,7 +172,8 @@ type Metrics struct {
 	// PeakResidentPairs is the whole-round high-water mark of pairs
 	// resident in shuffle memory (live runs, staged streaming blocks,
 	// in-memory sealed runs). On the streaming path with a SpillDir it
-	// stays under P*MemoryBudget + workers*BlockPairs — the runtime's
+	// stays under P*MemoryBudget + workers*block, the block being half
+	// the budget (clamped to [16, 8192]) — the runtime's
 	// whole-round bounded-memory guarantee, as opposed to
 	// MaxLivePairs's per-partition one.
 	PeakResidentPairs int64
@@ -268,17 +211,11 @@ type Result[K comparable, O any] struct {
 	// keys ascending (shuffle.SortKeys order), emission order within a
 	// key.
 	Outputs []O
-	// Keys and Loads, when Config.RecordKeys / RecordLoads were set,
-	// are the reduce keys in that same global order and their input
-	// sizes.
-	Keys    []K
+	// Loads, when Config.RecordLoads was set, are the reducers' input
+	// sizes in that same global key order.
 	Loads   []int
 	Metrics Metrics
 }
-
-// ErrReducerOverflow is returned (wrapped) when a key group exceeds
-// Config.MaxReducerInput.
-var ErrReducerOverflow = errors.New("engine: reducer input exceeds configured maximum")
 
 // errInjected marks a deterministic injected task failure.
 var errInjected = errors.New("engine: injected task failure")
@@ -287,6 +224,7 @@ var errInjected = errors.New("engine: injected task failure")
 // still carries the metrics accumulated up to the failure point.
 func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Result[K, O], retErr error) {
 	res.Metrics.MapInputs = int64(len(inputs))
+	r.Config.Plan = r.Config.Resolve()
 	cfg := r.Config
 	if cfg.SpillDir != "" && cfg.MemoryBudget <= 0 {
 		return res, fmt.Errorf(
@@ -352,22 +290,16 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Re
 		}
 	}
 
-	if max := cfg.MaxReducerInput; max > 0 && st.MaxGroup > int64(max) {
+	if qerr := cfg.CheckReducerInput(st.MaxGroup); qerr != nil {
 		// The reduce phase never runs, but callers diagnosing which
-		// reducers blew the q limit still get keys and loads.
-		if cfg.RecordLoads || cfg.RecordKeys {
-			keys, loads, err := collectKeyLoads(sh, int(st.Keys))
-			if err != nil {
+		// reducers blew the q limit still get the loads.
+		if cfg.RecordLoads {
+			if res.Loads, err = collectLoads(sh, int(st.Keys)); err != nil {
 				return res, err
-			}
-			res.Loads = loads
-			if cfg.RecordKeys {
-				res.Keys = keys
 			}
 		}
 		res.Metrics.DiskBytesRead = sh.DiskBytesRead()
-		return res, fmt.Errorf("%w: round %q saw reducer with %d inputs, limit %d",
-			ErrReducerOverflow, r.Name, st.MaxGroup, max)
+		return res, fmt.Errorf("engine: round %q: %w", r.Name, qerr)
 	}
 
 	rlane.Begin(obs.OpPhaseReduce, int64(st.Partitions), 0)
@@ -377,37 +309,13 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Re
 	return res, retErr
 }
 
-// mapTask is one map task's input slice and ordinal.
-type mapTask struct{ lo, hi, idx int }
-
-// splitTasks cuts the inputs into map tasks of cfg's chunk size.
-func splitTasks(cfg Config, n int) []mapTask {
-	workers := cfg.workers()
-	chunk := cfg.MapChunk
-	if chunk <= 0 {
-		chunk = (n + workers*4 - 1) / (workers * 4)
-		if chunk < 1 {
-			chunk = 1
-		}
-	}
-	var tasks []mapTask
-	for lo, idx := 0, 0; lo < n; lo, idx = lo+chunk, idx+1 {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		tasks = append(tasks, mapTask{lo, hi, idx})
-	}
-	return tasks
-}
-
 // runMapPhase executes map tasks in parallel. Each task streams its
 // output into the shuffle as it is produced (block-based ingestion:
 // full blocks flush to their partition, which absorbs, seals and spills
 // concurrently with still-running map tasks).
 func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I, sh *shuffle.Shuffle[K, V], met *Metrics) (retErr error) {
 	cfg := r.Config
-	tasks := splitTasks(cfg, len(inputs))
+	tasks := cfg.MapTasks(len(inputs))
 	// The map-phase span covers mapping plus the Finish drain, so
 	// partition-lane seal/fence spans inside it that overlap worker
 	// map-task spans are exactly SpillOverlapNs.
@@ -422,7 +330,7 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I,
 
 	var wg sync.WaitGroup
 	taskCh := make(chan int)
-	for w := 0; w < cfg.workers(); w++ {
+	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -431,8 +339,8 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I,
 				t := tasks[ti]
 				attempts := 0
 				for {
-					wlane.Begin(obs.OpMapTask, int64(t.idx), int64(attempts))
-					count, err, fatal := attemptMapTask(r, inputs[t.lo:t.hi], ing, t.idx, attempts)
+					wlane.Begin(obs.OpMapTask, int64(ti), int64(attempts))
+					count, err, fatal := attemptMapTask(r, inputs[t.Lo:t.Hi], ing, ti, attempts)
 					wlane.End(obs.OpMapTask, count, obs.ErrFlag(err))
 					if err == nil {
 						emitted[ti] = count
@@ -449,7 +357,7 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I,
 					retries[ti]++
 					if attempts > cfg.maxRetries() {
 						errs[ti] = fmt.Errorf("engine: map task %d of round %q failed after %d attempts: %w",
-							t.idx, r.Name, attempts, err)
+							ti, r.Name, attempts, err)
 						break
 					}
 				}
@@ -590,28 +498,16 @@ func (pr *partReader[K, V]) release() {
 // output is byte-identical to the unsplit round.
 func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuffle.Shuffle[K, V], st shuffle.Stats, res Result[K, O]) (Result[K, O], error) {
 	cfg := r.Config
-	workers := cfg.workers()
+	workers := cfg.Workers
 	P := sh.NumPartitions()
 
 	// Plan key-range splits for partitions heavier than the target.
 	// Planning is a counting merge over the resident indexes — no disk
 	// read — and never splits an order-equivalence class.
 	ranges := make([][]shuffle.KeyRange[K], P)
-	if sp := cfg.ReduceSplitPairs; sp > 0 {
-		maxRanges := cfg.ReduceRangeConcurrency
-		if maxRanges <= 0 {
-			// A split target is an explicit opt-in: keep at least two
-			// ranges even with a single worker so the split happens.
-			maxRanges = workers
-			if maxRanges < 2 {
-				maxRanges = 2
-			}
-		}
-		for p := 0; p < P; p++ {
-			if st.PartitionKeys[p] == 0 || st.PartitionPairs[p] <= int64(sp) {
-				continue
-			}
-			ranges[p] = sh.Partition(p).PlanReduceRanges(int64(sp), maxRanges)
+	for p := 0; p < P; p++ {
+		if n := cfg.RangeFanout(st.PartitionPairs[p]); n > 0 {
+			ranges[p] = sh.Partition(p).PlanReduceRanges(int64(cfg.ReduceSplitPairs), n)
 		}
 	}
 
@@ -782,26 +678,23 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 	}
 	res.Outputs = outs
 	res.Metrics.Outputs = int64(len(outs))
-	if cfg.RecordLoads || cfg.RecordKeys {
+	if cfg.RecordLoads {
 		res.Loads = make([]int, len(allKeys))
 		for i, k := range allKeys {
 			rf := refs[k]
 			res.Loads[i] = results[rf.p].loads[rf.i]
 		}
 	}
-	if cfg.RecordKeys {
-		res.Keys = allKeys
-	}
 	return res, nil
 }
 
-// collectKeyLoads gathers every key's input size in global sorted key
+// collectLoads gathers every key's input size in global sorted key
 // order directly from the shuffle, for failure paths that never reach
 // the reduce phase. It reuses the counting pass's in-memory index
 // merge (ForEachGroupCount), so diagnosing an overflow costs zero
 // run-file reads — the round's spilled data is never scanned a second
 // time just to report which reducers blew the limit.
-func collectKeyLoads[K comparable, V any](sh *shuffle.Shuffle[K, V], totalKeys int) ([]K, []int, error) {
+func collectLoads[K comparable, V any](sh *shuffle.Shuffle[K, V], totalKeys int) ([]int, error) {
 	allKeys := make([]K, 0, totalKeys)
 	sizes := make(map[K]int, totalKeys)
 	for p := 0; p < sh.NumPartitions(); p++ {
@@ -811,7 +704,7 @@ func collectKeyLoads[K comparable, V any](sh *shuffle.Shuffle[K, V], totalKeys i
 			return nil
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	shuffle.SortKeys(allKeys)
@@ -819,7 +712,7 @@ func collectKeyLoads[K comparable, V any](sh *shuffle.Shuffle[K, V], totalKeys i
 	for i, k := range allKeys {
 		loads[i] = sizes[k]
 	}
-	return allKeys, loads, nil
+	return loads, nil
 }
 
 // attemptReduce runs one attempt of a reduce unit — the key range kr of

@@ -44,7 +44,7 @@ func TestRunDeterministicGlobalOrder(t *testing.T) {
 	docs := []string{"the quick brown fox", "the lazy dog", "the fox"}
 	want := []string{"brown=1", "dog=1", "fox=2", "lazy=1", "quick=1", "the=3"}
 	for trial := 0; trial < 5; trial++ {
-		res, err := Run(wordCountRound(Config{Workers: 4, MapChunk: 1, Partitions: 16}), docs)
+		res, err := Run(wordCountRound(Config{Plan: Plan{Workers: 4, MapChunk: 1, Partitions: 16}}), docs)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -56,7 +56,7 @@ func TestRunDeterministicGlobalOrder(t *testing.T) {
 
 func TestPerPartitionMetrics(t *testing.T) {
 	docs := []string{"a b c d e f g h"}
-	res, err := Run(wordCountRound(Config{Partitions: 4}), docs)
+	res, err := Run(wordCountRound(Config{Plan: Plan{Partitions: 4}}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestLPTSchedulingBalancesPartitions(t *testing.T) {
 		},
 		Reduce:      func(k int, vs []int, emit func(int)) { emit(len(vs)) },
 		Partitioner: func(k int) int { return k },
-		Config:      Config{Workers: 2, Partitions: 4},
+		Config:      Config{Plan: Plan{Workers: 2, Partitions: 4}},
 	}
 	var inputs []int
 	for k, n := range map[int]int{0: 8, 1: 4, 2: 2, 3: 1} {
@@ -127,7 +127,7 @@ func TestOverflowSingleKeyAloneInPartition(t *testing.T) {
 		Map:         func(x int, emit func(int, int)) { emit(x, x) },
 		Reduce:      func(k int, vs []int, emit func(int)) { emit(len(vs)) },
 		Partitioner: func(k int) int { return k }, // key 0 alone in partition 0
-		Config:      Config{Partitions: 2, MaxReducerInput: 3},
+		Config:      Config{Plan: Plan{Partitions: 2, MaxReducerInput: 3}},
 	}
 	inputs := []int{0, 0, 0, 0, 1} // key 0 has 4 values > limit 3; key 1 is fine
 	res, err := Run(r, inputs)
@@ -149,28 +149,29 @@ func TestOverflowSingleKeyAloneInPartition(t *testing.T) {
 		t.Fatalf("at limit: %v", err)
 	}
 
-	// With RecordLoads/RecordKeys, the failure still reports which
-	// reducers blew the limit even though reduce never ran.
+	// With RecordLoads, the failure still reports the reducers' loads in
+	// key order (key 0 blew the limit) even though reduce never ran.
 	r.Config.MaxReducerInput = 3
 	r.Config.RecordLoads = true
-	r.Config.RecordKeys = true
 	res, err = Run(r, inputs)
 	if !errors.Is(err, ErrReducerOverflow) {
 		t.Fatalf("err = %v", err)
 	}
-	if !reflect.DeepEqual(res.Keys, []int{0, 1}) || !reflect.DeepEqual(res.Loads, []int{4, 1}) {
-		t.Errorf("at-failure keys/loads = %v / %v, want [0 1] / [4 1]", res.Keys, res.Loads)
+	if !reflect.DeepEqual(res.Loads, []int{4, 1}) {
+		t.Errorf("at-failure loads = %v, want [4 1]", res.Loads)
 	}
 }
 
 func TestFaultInjectionThroughPartitionedExecutor(t *testing.T) {
 	docs := []string{"a b", "b c", "c d", "d e", "e f", "f g"}
-	clean, err := Run(wordCountRound(Config{Workers: 3}), docs)
+	clean, err := Run(wordCountRound(Config{Plan: Plan{Workers: 3}}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	faulty, err := Run(wordCountRound(Config{
-		Workers: 3, MapChunk: 1, Partitions: 8, FailureEveryN: 2, MaxRetries: 3,
+		Plan:          Plan{Workers: 3, MapChunk: 1, Partitions: 8},
+		FailureEveryN: 2,
+		MaxRetries:    3,
 	}), docs)
 	if err != nil {
 		t.Fatalf("faulty run: %v", err)
@@ -238,7 +239,7 @@ func TestCombinerShrinksShuffle(t *testing.T) {
 			}
 			emit(total)
 		},
-		Config: Config{Workers: 2},
+		Config: Config{Plan: Plan{Workers: 2}},
 	}
 	res, err := Run(r, []string{doc, doc})
 	if err != nil {
@@ -255,14 +256,15 @@ func TestCombinerShrinksShuffle(t *testing.T) {
 	}
 }
 
-func TestRecordKeysAndLoads(t *testing.T) {
-	res, err := Run(wordCountRound(Config{RecordKeys: true, RecordLoads: true}),
+func TestRecordLoads(t *testing.T) {
+	res, err := Run(wordCountRound(Config{RecordLoads: true}),
 		[]string{"b a a", "c b a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Keys, []string{"a", "b", "c"}) {
-		t.Errorf("Keys = %v, want [a b c]", res.Keys)
+	// Loads follow the outputs' global key order.
+	if !reflect.DeepEqual(res.Outputs, []string{"a=3", "b=2", "c=1"}) {
+		t.Errorf("Outputs = %v, want [a=3 b=2 c=1]", res.Outputs)
 	}
 	if !reflect.DeepEqual(res.Loads, []int{3, 2, 1}) {
 		t.Errorf("Loads = %v, want [3 2 1]", res.Loads)
@@ -274,7 +276,7 @@ func TestBoundedMemorySurfacesInMetrics(t *testing.T) {
 	for i := range docs {
 		docs[i] = "w w w w"
 	}
-	res, err := Run(wordCountRound(Config{Partitions: 2, MemoryBudget: 16}), docs)
+	res, err := Run(wordCountRound(Config{Plan: Plan{Partitions: 2, MemoryBudget: 16}}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,14 +309,15 @@ func TestDiskSpillThroughEngine(t *testing.T) {
 	for i := range docs {
 		docs[i] = "a b c d"
 	}
-	clean, err := Run(wordCountRound(Config{Partitions: 4, Workers: 2}), docs)
+	clean, err := Run(wordCountRound(Config{Plan: Plan{Partitions: 4, Workers: 2}}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spill, err := Run(wordCountRound(Config{
-		Partitions: 4, Workers: 2,
-		MemoryBudget: 8, SpillDir: t.TempDir(),
-		FailureEveryN: 2, MaxRetries: 3, MapChunk: 4,
+		Plan:          Plan{Partitions: 4, Workers: 2, MemoryBudget: 8, MapChunk: 4},
+		SpillDir:      t.TempDir(),
+		FailureEveryN: 2,
+		MaxRetries:    3,
 	}), docs)
 	if err != nil {
 		t.Fatal(err)
@@ -361,9 +364,9 @@ func TestDiskSpillOverflowPathRecordsLoads(t *testing.T) {
 		Reduce:      func(k int, vs []int, emit func(int)) { emit(len(vs)) },
 		Partitioner: func(k int) int { return k },
 		Config: Config{
-			Partitions: 4, MaxReducerInput: 10,
-			MemoryBudget: 4, SpillDir: t.TempDir(),
-			RecordLoads: true, RecordKeys: true,
+			Plan:        Plan{Partitions: 4, MaxReducerInput: 10, MemoryBudget: 4},
+			SpillDir:    t.TempDir(),
+			RecordLoads: true,
 		},
 	}
 	inputs := make([]int, 36) // keys 0,1,2 get 12 values each, limit 10
@@ -374,8 +377,8 @@ func TestDiskSpillOverflowPathRecordsLoads(t *testing.T) {
 	if !errors.Is(err, ErrReducerOverflow) {
 		t.Fatalf("err = %v, want ErrReducerOverflow", err)
 	}
-	if !reflect.DeepEqual(res.Keys, []int{0, 1, 2}) || !reflect.DeepEqual(res.Loads, []int{12, 12, 12}) {
-		t.Errorf("keys/loads at failure = %v / %v, want [0 1 2] / [12 12 12]", res.Keys, res.Loads)
+	if !reflect.DeepEqual(res.Loads, []int{12, 12, 12}) {
+		t.Errorf("loads at failure = %v, want [12 12 12]", res.Loads)
 	}
 	if res.Metrics.BytesSpilled == 0 {
 		t.Error("expected disk spills before the overflow was detected")
@@ -394,15 +397,16 @@ func TestEmptyInput(t *testing.T) {
 
 func TestOverflowDiagnosisIsMemoryOnly(t *testing.T) {
 	// A spilled round that blows the q limit must diagnose the overflow
-	// (keys and loads) without re-reading the spilled runs: Stats and
-	// collectKeyLoads both merge the resident run indexes in memory.
+	// (the loads) without re-reading the spilled runs: Stats and
+	// collectLoads both merge the resident run indexes in memory.
 	docs := make([]string, 40)
 	for i := range docs {
 		docs[i] = "hot a b"
 	}
 	res, err := Run(wordCountRound(Config{
-		Partitions: 2, MemoryBudget: 8, SpillDir: t.TempDir(),
-		MaxReducerInput: 10, RecordLoads: true, RecordKeys: true,
+		Plan:        Plan{Partitions: 2, MemoryBudget: 8, MaxReducerInput: 10},
+		SpillDir:    t.TempDir(),
+		RecordLoads: true,
 	}), docs)
 	if !errors.Is(err, ErrReducerOverflow) {
 		t.Fatalf("err = %v, want ErrReducerOverflow", err)
@@ -414,13 +418,8 @@ func TestOverflowDiagnosisIsMemoryOnly(t *testing.T) {
 		t.Errorf("overflow diagnosis read %d bytes from disk, want 0 (index merge only)",
 			res.Metrics.DiskBytesRead)
 	}
-	if len(res.Keys) != 3 || len(res.Loads) != 3 {
-		t.Fatalf("diagnosis incomplete: keys %v loads %v", res.Keys, res.Loads)
-	}
-	for i, k := range res.Keys {
-		if res.Loads[i] != 40 {
-			t.Errorf("key %q load = %d, want 40", k, res.Loads[i])
-		}
+	if !reflect.DeepEqual(res.Loads, []int{40, 40, 40}) {
+		t.Fatalf("diagnosis loads = %v, want [40 40 40] for keys a, b, hot", res.Loads)
 	}
 }
 
@@ -433,7 +432,7 @@ func TestCombinerPushDownThroughEngine(t *testing.T) {
 	for i := range docs {
 		docs[i] = strings.Join(words, " ")
 	}
-	cfg := Config{Partitions: 2, Workers: 2, MemoryBudget: 8}
+	cfg := Config{Plan: Plan{Partitions: 2, Workers: 2, MemoryBudget: 8}}
 	mk := func(withCombiner bool, spillDir string) Round[string, string, int, string] {
 		r := wordCountRound(cfg)
 		r.Config.SpillDir = spillDir

@@ -138,7 +138,7 @@ func TestGraphValidation(t *testing.T) {
 }
 
 func TestGraphPropagatesStageError(t *testing.T) {
-	overflowing := wordCountRound(Config{MaxReducerInput: 1})
+	overflowing := wordCountRound(Config{Plan: Plan{MaxReducerInput: 1}})
 	g := NewGraph().
 		Add("bad", Stage(overflowing)).
 		Add("after", Stage(countRound("after")), "bad")

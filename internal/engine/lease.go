@@ -10,7 +10,7 @@ import (
 // owner for a TTL, heartbeats renew the lease, and every grant bumps
 // the task's attempt number so stale owners are fenced — a report from
 // an attempt that is no longer current is simply refused, which is what
-// makes speculative re-execution and kill -9 recovery safe. The
+// makes re-execution and kill -9 recovery safe. The
 // in-process engine gets the same guarantee structurally (a worker
 // goroutine cannot outlive its round); the multi-process driver
 // (internal/proc) cannot, so it runs every assignment through this
@@ -54,9 +54,8 @@ func NewLeaseTable(ttl time.Duration, now func() time.Time) *LeaseTable {
 // Grant leases the task to owner and returns the attempt number that
 // fences this execution. Granting a task that is already leased bumps
 // the attempt — the previous owner's lease is implicitly fenced (its
-// renews and completions will be refused) — which is exactly the
-// speculative re-execution primitive. Granting a done task returns
-// (-1, false).
+// renews and completions will be refused). Granting a done task
+// returns (-1, false).
 func (t *LeaseTable) Grant(task int, owner string) (attempt int, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -186,7 +185,7 @@ func (t *LeaseTable) Current(task int) (attempt int, active, done bool) {
 }
 
 // Attempts is the total number of grants the task has received — the
-// retry/speculation accounting the driver caps task re-execution on.
+// retry accounting the driver caps task re-execution on.
 func (t *LeaseTable) Attempts(task int) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -195,23 +194,4 @@ func (t *LeaseTable) Attempts(task int) int {
 		return 0
 	}
 	return l.attempts
-}
-
-// Oldest returns the active lease closest to expiry (the longest-unrenewed
-// in-flight task) — the speculation candidate — or ok=false when no
-// lease is active.
-func (t *LeaseTable) Oldest() (task int, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var best time.Time
-	ok = false
-	for tk, l := range t.leases {
-		if !l.active || l.done {
-			continue
-		}
-		if !ok || l.expires.Before(best) || (l.expires.Equal(best) && tk < task) {
-			task, best, ok = tk, l.expires, true
-		}
-	}
-	return task, ok
 }

@@ -132,25 +132,3 @@ func TestLeaseReleaseAndSalvage(t *testing.T) {
 		t.Fatal("Complete accepted after salvage")
 	}
 }
-
-func TestLeaseOldest(t *testing.T) {
-	clk := newFakeClock()
-	lt := NewLeaseTable(time.Second, clk.now)
-	if _, ok := lt.Oldest(); ok {
-		t.Fatal("Oldest on empty table returned a task")
-	}
-	lt.Grant(1, "w1")
-	clk.advance(100 * time.Millisecond)
-	lt.Grant(2, "w2")
-	task, ok := lt.Oldest()
-	if !ok || task != 1 {
-		t.Fatalf("Oldest = (%d, %v), want task 1", task, ok)
-	}
-	// Renewing task 1 pushes its expiry past task 2's.
-	clk.advance(100 * time.Millisecond)
-	lt.Renew(1, 0, "w1")
-	task, ok = lt.Oldest()
-	if !ok || task != 2 {
-		t.Fatalf("Oldest after renew = (%d, %v), want task 2", task, ok)
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // Differential testing of the whole data path: for randomized
@@ -117,18 +116,20 @@ func checkDifferential[I any, K comparable, V, O any](
 	}
 
 	// Range-split reduce on the spilled config: cutting heavy partitions
-	// into concurrent key-range units must change nothing observable —
-	// same outputs in the same order, same logical metrics.
+	// into concurrent key-range units — as many as the plan's range rule
+	// derives from a redrawn worker count, two even for one worker —
+	// must change nothing observable: same outputs in the same order,
+	// same logical metrics.
 	splitCfg := spillCfg
 	splitCfg.ReduceSplitPairs = 1 + rng.Intn(8)
-	splitCfg.ReduceRangeConcurrency = rng.Intn(5)
+	splitCfg.Workers = 1 + rng.Intn(4)
 	outR, metR, err := mk(splitCfg).Run(inputs)
 	if err != nil {
 		t.Fatalf("%s: range-split run: %v", trial, err)
 	}
 	if !reflect.DeepEqual(outR, outS) {
-		t.Fatalf("%s: range-split outputs diverge (split=%d conc=%d)\ngot  %v\nwant %v",
-			trial, splitCfg.ReduceSplitPairs, splitCfg.ReduceRangeConcurrency, outR, outS)
+		t.Fatalf("%s: range-split outputs diverge (split=%d workers=%d)\ngot  %v\nwant %v",
+			trial, splitCfg.ReduceSplitPairs, splitCfg.Workers, outR, outS)
 	}
 	if metR.PairsEmitted != metS.PairsEmitted || metR.PairsShuffled != metS.PairsShuffled ||
 		metR.Reducers != metS.Reducers || metR.MaxReducerInput != metS.MaxReducerInput {
@@ -197,7 +198,7 @@ func checkProcDifferential[I any, K comparable, V, O any](t *testing.T, job *Job
 
 	pj := *job
 	pj.Config = cfg
-	pj.Config.ProcMode, pj.Config.ProcDir, pj.Config.ProcTimeout = true, t.TempDir(), 90*time.Second
+	pj.Config.ProcMode, pj.Config.ProcDir = true, t.TempDir()
 	got, met, err := pj.Run(inputs)
 	if err != nil {
 		t.Fatalf("%s: ProcMode run: %v", trial, err)

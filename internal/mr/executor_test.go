@@ -341,8 +341,8 @@ func TestStreamingMemoryBoundThroughJob(t *testing.T) {
 	// The whole-round bounded-memory guarantee on the public Job API: a
 	// dataset many times the total budget, mapped by concurrent workers
 	// on the default streaming path, keeps peak resident pairs within
-	// P*MemoryBudget + workers*BlockPairs (BlockPairs defaults to half
-	// the budget), and reports the map/spill overlap metrics.
+	// P*MemoryBudget + workers*block (the shuffle's block budget is half
+	// the memory budget), and reports the map/spill overlap metrics.
 	const parts, budget, workers = 2, 64, 4
 	blockPairs := budget / 2
 	docs := make([]string, 16*parts*budget)

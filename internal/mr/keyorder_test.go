@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/shuffle"
 )
@@ -89,7 +88,7 @@ func TestEqualKeysOneGroup(t *testing.T) {
 		floats[floatOfInput(x)] = true
 		cells[floatCell{x % 3, float32(floatOfInput(x))}] = true
 	}
-	procCfg := Config{Workers: 2, Partitions: 8, ProcMode: true, ProcTimeout: 90 * time.Second}
+	procCfg := Config{Workers: 2, Partitions: 8, ProcMode: true}
 
 	for seed := uint64(1); seed <= 4; seed++ {
 		restore := shuffle.WithSeed(seed)
@@ -184,7 +183,7 @@ func TestDifferentialFieldwiseStructKeys(t *testing.T) {
 	pj := *procOrderKeys
 	pj.Config = Config{
 		Workers: 2, Partitions: 4, MemoryBudget: 8, ReduceSplitPairs: 16,
-		ProcMode: true, ProcTimeout: 90 * time.Second,
+		ProcMode: true,
 	}
 	got, met, err := pj.Run(inputs)
 	if err != nil {

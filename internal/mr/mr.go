@@ -31,17 +31,15 @@
 // (pairs emitted/shuffled, reducers, max q, replication rate, reducer
 // loads) are identical across runs. The *physical* profile — which key
 // lands in which partition, and therefore Metrics.Partitions, Makespan,
-// WorkerInputs under the default partitioner, and retry counts under
-// fault injection — depends on the shuffle's per-process hash seed, as
-// in a real cluster. Pin ShufflePartition (and Partition) for a fully
-// reproducible exchange, or shuffle.WithSeed in tests that assert on
-// the physical profile.
+// and retry counts under fault injection — depends on the shuffle's
+// per-process hash seed, as in a real cluster. Pin ShufflePartition for
+// a fully reproducible exchange, or shuffle.WithSeed in tests that
+// assert on the physical profile.
 package mr
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -69,10 +67,14 @@ type ReduceFunc[K comparable, V, O any] func(key K, values []V, emit func(O))
 // semantically transparent: reduce(k, combine(vs)) == reduce(k, vs).
 type CombineFunc[K comparable, V any] func(key K, values []V) []V
 
-// Config controls the execution of a Job.
+// Config controls the execution of a Job. Its fields are flat for
+// callers; Run resolves Workers, MapChunk, Partitions, MemoryBudget,
+// MaxReducerInput, ReduceSplitPairs and Recorder into one engine.Plan
+// and hands that to whichever executor runs the job, so those settings
+// default and derive identically in process and in ProcMode.
 type Config struct {
-	// Workers is the number of parallel map (and reduce) workers.
-	// Zero means runtime.NumCPU().
+	// Workers is the number of parallel map (and reduce) workers —
+	// worker processes in ProcMode. Zero means runtime.NumCPU().
 	Workers int
 
 	// MapChunk is the number of input records grouped into one map task.
@@ -91,7 +93,8 @@ type Config struct {
 	// seals its run, so live buffered pairs never exceed the budget.
 	// Together with SpillDir this makes datasets much larger than
 	// memory executable; alone it reports spill pressure with sealed
-	// runs kept in memory.
+	// runs kept in memory. In ProcMode each map worker seals to its
+	// spool files under the budget.
 	MemoryBudget int
 
 	// SpillDir, when set together with MemoryBudget, directs sealed
@@ -103,21 +106,13 @@ type Config struct {
 	// round trip (no pointer, interface or channel fields).
 	SpillDir string
 
-	// ReduceWorkersHint, when positive, partitions reduce keys into this
-	// many logical reduce workers for the per-worker skew metrics. It does
-	// not change results, only Metrics.WorkerInputs.
-	ReduceWorkersHint int
-
 	// ReduceSplitPairs, when positive, splits reduce partitions heavier
-	// than this many pairs into class-aligned key-range units that merge
-	// and reduce concurrently (planned from the resident run indexes).
-	// Outputs are byte-identical to the unsplit round; only scheduling
-	// granularity changes. ReduceRangeConcurrency caps how many ranges
-	// one partition may split into; zero selects the worker count. Both
-	// apply in ProcMode too, where each reduce worker splits its own
-	// partition merge the same way.
-	ReduceSplitPairs       int
-	ReduceRangeConcurrency int
+	// than this many pairs into class-aligned key-range units — at most
+	// max(Workers, 2) per partition — that merge and reduce
+	// concurrently (planned from the resident run indexes). Outputs are
+	// byte-identical to the unsplit round; only scheduling granularity
+	// changes.
+	ReduceSplitPairs int
 
 	// MaxReducerInput, when positive, makes the job fail if any reduce key
 	// receives more than this many values. It enforces the paper's reducer
@@ -156,29 +151,33 @@ type Config struct {
 	// lease fencing and manifest salvage. The job must be registered
 	// with RegisterProc in both the driver and worker binaries (by
 	// default the same binary, re-executed; see proc.MaybeWorker).
-	// Workers, MapChunk, Partitions, MaxReducerInput, MemoryBudget and
-	// Recorder carry over — each map worker runs its own streaming
-	// shuffle under the budget, sealing sorted spool sections mid-task,
-	// and reduce workers merge-read the committed sections, so worker
+	// Every plan setting carries over with the same defaults — each map
+	// worker runs its own streaming shuffle under the budget, so worker
 	// residency obeys the same bound the in-process engine proves
-	// (Metrics.PeakResidentPairs reports the worst attempt). Spilling
-	// needs no SpillDir here: the spool files ARE the spill. Remaining
-	// in-process knobs (SpillDir, FailureEveryN, ...) do not apply in
-	// this mode. Outputs are identical either way.
+	// (Metrics.PeakResidentPairs reports the worst attempt), and the
+	// spool files ARE the spill. The in-process-only settings SpillDir,
+	// RecordLoads, FailureEveryN and MaxRetries are a configuration
+	// error here. Outputs are identical either way.
 	ProcMode bool
 	// ProcWorkerCommand is the argv spawned per worker process in
 	// ProcMode. Empty re-executes the current binary.
 	ProcWorkerCommand []string
-	// ProcLeaseTTL is the task-lease heartbeat deadline in ProcMode:
-	// a worker silent this long is fenced and its task re-granted.
-	// Zero selects the proc default (2s).
-	ProcLeaseTTL time.Duration
 	// ProcDir is the ProcMode scratch directory (spools, manifests,
 	// socket). Empty uses a private temp dir removed after the run.
 	ProcDir string
-	// ProcTimeout bounds a ProcMode run. Zero selects the proc
-	// default (2 minutes).
-	ProcTimeout time.Duration
+}
+
+// plan is the engine.Plan the job's executor runs under.
+func (c Config) plan() engine.Plan {
+	return engine.Plan{
+		Workers:          c.Workers,
+		Partitions:       c.Partitions,
+		MapChunk:         c.MapChunk,
+		MemoryBudget:     c.MemoryBudget,
+		MaxReducerInput:  c.MaxReducerInput,
+		ReduceSplitPairs: c.ReduceSplitPairs,
+		Recorder:         c.Recorder,
+	}
 }
 
 // Metrics records the communication profile of one executed round. All
@@ -205,8 +204,8 @@ type Metrics struct {
 	// Outputs is the number of records produced by the reduce phase.
 	Outputs int64
 	// MapRetries and ReduceRetries count task re-executions triggered by
-	// fault injection (in-process) or by worker death, lease expiry and
-	// speculation (ProcMode). TaskRetries is their sum — the round's
+	// fault injection (in-process) or by worker death and lease expiry
+	// (ProcMode). TaskRetries is their sum — the round's
 	// total re-grants beyond each task's first attempt.
 	MapRetries    int64
 	ReduceRetries int64
@@ -220,9 +219,6 @@ type Metrics struct {
 	// SalvagedTasks counts ProcMode map tasks whose committed output
 	// was adopted from a dead worker's manifest instead of re-executed.
 	SalvagedTasks int64
-	// WorkerInputs, when ReduceWorkersHint was set, is the number of
-	// values routed to each logical reduce worker (for skew analysis).
-	WorkerInputs []int64
 	// ReducerLoads, when Config.RecordLoads was set, holds every
 	// reducer's input size in sorted key order.
 	ReducerLoads []int
@@ -409,10 +405,6 @@ type Job[I any, K comparable, V, O any] struct {
 	// Reduce remains the compatible default for functions that read
 	// their values after the call returns.
 	ReduceBatch ReduceFunc[K, V, O]
-	// Partition maps a key to a logical reduce worker in
-	// [0, ReduceWorkersHint). Optional; defaults to a modular maphash of
-	// the key. It affects only Metrics.WorkerInputs.
-	Partition func(K) int
 	// ShufflePartition, when set, overrides hash placement of keys onto
 	// the executor's shuffle partitions, reduced modulo the effective
 	// partition count (Config.Partitions rounded up to a power of two).
@@ -435,28 +427,34 @@ var ErrReducerOverflow = errors.New("mr: reducer input exceeds configured maximu
 // emission order. Execution happens on the partitioned
 // shuffle executor; the returned Metrics carry its per-partition profile.
 func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
+	run := j.runEngine
 	if j.Config.ProcMode {
-		return j.runProc(inputs)
+		run = j.runProc
 	}
+	outs, met, err := run(inputs)
+	if errors.Is(err, engine.ErrReducerOverflow) {
+		return nil, met, fmt.Errorf("%w: job %q saw reducer with %d inputs, limit %d",
+			ErrReducerOverflow, j.Name, met.MaxReducerInput, j.Config.MaxReducerInput)
+	}
+	if err != nil {
+		return nil, met, err
+	}
+	return outs, met, nil
+}
+
+// runEngine executes the job in process on the shuffle engine.
+func (j *Job[I, K, V, O]) runEngine(inputs []I) ([]O, Metrics, error) {
 	round := engine.Round[I, K, V, O]{
 		Name:        j.Name,
 		Map:         engine.MapFunc[I, K, V](j.Map),
 		Reduce:      engine.ReduceFunc[K, V, O](j.Reduce),
 		Partitioner: j.ShufflePartition,
 		Config: engine.Config{
-			Workers:                j.Config.Workers,
-			MapChunk:               j.Config.MapChunk,
-			Partitions:             j.Config.Partitions,
-			MemoryBudget:           j.Config.MemoryBudget,
-			SpillDir:               j.Config.SpillDir,
-			MaxReducerInput:        j.Config.MaxReducerInput,
-			ReduceSplitPairs:       j.Config.ReduceSplitPairs,
-			ReduceRangeConcurrency: j.Config.ReduceRangeConcurrency,
-			RecordLoads:            j.Config.RecordLoads,
-			RecordKeys:             j.Config.ReduceWorkersHint > 0,
-			FailureEveryN:          j.Config.FailureEveryN,
-			MaxRetries:             j.Config.MaxRetries,
-			Recorder:               j.Config.Recorder,
+			Plan:          j.Config.plan(),
+			SpillDir:      j.Config.SpillDir,
+			RecordLoads:   j.Config.RecordLoads,
+			FailureEveryN: j.Config.FailureEveryN,
+			MaxRetries:    j.Config.MaxRetries,
 		},
 	}
 	if j.Combine != nil {
@@ -467,7 +465,7 @@ func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
 	}
 
 	res, err := engine.Run(round, inputs)
-	met := Metrics{
+	return res.Outputs, Metrics{
 		MapInputs:         res.Metrics.MapInputs,
 		PairsEmitted:      res.Metrics.PairsEmitted,
 		PairsShuffled:     res.Metrics.PairsShuffled,
@@ -478,6 +476,7 @@ func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
 		MapRetries:        res.Metrics.MapRetries,
 		ReduceRetries:     res.Metrics.ReduceRetries,
 		TaskRetries:       res.Metrics.MapRetries + res.Metrics.ReduceRetries,
+		ReducerLoads:      res.Loads,
 		Partitions:        res.Metrics.Partitions,
 		Makespan:          res.Metrics.Makespan,
 		IdealMakespan:     res.Metrics.IdealMakespan,
@@ -496,47 +495,7 @@ func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
 		ReduceRanges:      res.Metrics.ReduceRanges,
 		ReduceRangeSkew:   res.Metrics.ReduceRangeSkew,
 		ReducerInputLog2:  res.Metrics.ReducerInputLog2,
-	}
-	if j.Config.RecordLoads {
-		met.ReducerLoads = res.Loads
-	}
-	if err != nil {
-		if errors.Is(err, engine.ErrReducerOverflow) {
-			return nil, met, fmt.Errorf("%w: job %q saw reducer with %d inputs, limit %d",
-				ErrReducerOverflow, j.Name, met.MaxReducerInput, j.Config.MaxReducerInput)
-		}
-		return nil, met, err
-	}
-	j.recordWorkerSkew(res.Keys, res.Loads, &met)
-	return res.Outputs, met, nil
-}
-
-// recordWorkerSkew routes each reducer's load to its logical reduce
-// worker for the Metrics.WorkerInputs skew profile.
-func (j *Job[I, K, V, O]) recordWorkerSkew(keys []K, loads []int, met *Metrics) {
-	nw := j.Config.ReduceWorkersHint
-	if nw <= 0 {
-		return
-	}
-	part := j.Partition
-	if part == nil {
-		part = func(k K) int { return defaultPartition(k, nw) }
-	}
-	met.WorkerInputs = make([]int64, nw)
-	for i, k := range keys {
-		w := part(k) % nw
-		if w < 0 {
-			w += nw
-		}
-		met.WorkerInputs[w] += int64(loads[i])
-	}
-}
-
-// defaultPartition hashes the key with the shuffle's Hasher: the
-// runtime's typed maphash fast path, or the stable plan hash under
-// shuffle.WithSeed — no formatting, boxing, or reflection either way.
-func defaultPartition[K comparable](k K, nw int) int {
-	return int(shuffle.NewHasher[K]().Hash(k) % uint64(nw))
+	}, err
 }
 
 // sortedKeys returns the map's keys in the runtime's canonical

@@ -221,36 +221,6 @@ func TestReplicationRateWordCountIsOne(t *testing.T) {
 	}
 }
 
-func TestWorkerSkewMetrics(t *testing.T) {
-	job := wordCountJob(Config{ReduceWorkersHint: 4})
-	_, met, err := job.Run([]string{"a b c d e f g h i j k l"})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(met.WorkerInputs) != 4 {
-		t.Fatalf("WorkerInputs = %v, want 4 workers", met.WorkerInputs)
-	}
-	var total int64
-	for _, w := range met.WorkerInputs {
-		total += w
-	}
-	if total != met.TotalReducerInput {
-		t.Errorf("sum(WorkerInputs) = %d, want %d", total, met.TotalReducerInput)
-	}
-}
-
-func TestCustomPartitioner(t *testing.T) {
-	job := wordCountJob(Config{ReduceWorkersHint: 2})
-	job.Partition = func(string) int { return 0 } // everything to worker 0
-	_, met, err := job.Run([]string{"a b c"})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if met.WorkerInputs[0] != met.TotalReducerInput || met.WorkerInputs[1] != 0 {
-		t.Errorf("WorkerInputs = %v, want all on worker 0", met.WorkerInputs)
-	}
-}
-
 func TestIntKeysSortedNumerically(t *testing.T) {
 	job := &Job[int, int, int, int]{
 		Name:   "identity",

@@ -6,7 +6,6 @@ package mr
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/proc"
 )
@@ -48,30 +47,37 @@ func RegisterProc[I any, K comparable, V, O any](j *Job[I, K, V, O]) {
 // RegisterProc calls.
 func MaybeProcWorker() { proc.MaybeWorker() }
 
-// runProc executes the job on the multi-process executor and maps the
-// proc run's metrics into the mr.Metrics shape. Fields that only exist
-// in-process (partition profile, spill pressure) stay zero;
+// runProc executes the job on the multi-process executor under the same
+// plan the in-process engine would run, and maps the proc run's metrics
+// into the mr.Metrics shape. A setting only the in-process engine has is
+// a configuration error, before any worker spawns. Fields that only
+// exist in-process (partition profile, spill pressure) stay zero;
 // BytesSpilled/IndexBytesSpilled/DiskBytesRead here are real bytes over
-// the process boundary — the spool files that carried the shuffle —
-// and PeakResidentPairs is the worst buffered-pair high-water mark any
+// the process boundary — the spool files that carried the shuffle — and
+// PeakResidentPairs is the worst buffered-pair high-water mark any
 // worker's task attempt observed, the same bound Config.MemoryBudget
 // enforces in-process.
 func (j *Job[I, K, V, O]) runProc(inputs []I) ([]O, Metrics, error) {
+	c := j.Config
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"SpillDir", c.SpillDir != ""},
+		{"RecordLoads", c.RecordLoads},
+		{"FailureEveryN", c.FailureEveryN > 0},
+		{"MaxRetries", c.MaxRetries > 0},
+	} {
+		if f.set {
+			return nil, Metrics{}, fmt.Errorf("mr: job %q sets Config.%s, which only the in-process executor honours; unset it for ProcMode", j.Name, f.name)
+		}
+	}
 	outs, pm, err := proc.Run[I, K, V, O](j.Name, inputs, proc.Options{
-		Workers:                j.Config.Workers,
-		Partitions:             j.Config.Partitions,
-		MapChunk:               j.Config.MapChunk,
-		MemoryBudget:           j.Config.MemoryBudget,
-		Dir:                    j.Config.ProcDir,
-		WorkerCommand:          j.Config.ProcWorkerCommand,
-		LeaseTTL:               j.Config.ProcLeaseTTL,
-		MaxReducerInput:        j.Config.MaxReducerInput,
-		ReduceSplitPairs:       j.Config.ReduceSplitPairs,
-		ReduceRangeConcurrency: j.Config.ReduceRangeConcurrency,
-		Timeout:                j.Config.ProcTimeout,
-		Recorder:               j.Config.Recorder,
+		Plan:          c.plan(),
+		Dir:           c.ProcDir,
+		WorkerCommand: c.ProcWorkerCommand,
 	})
-	met := Metrics{
+	return outs, Metrics{
 		MapInputs:         pm.MapInputs,
 		PairsEmitted:      pm.PairsEmitted,
 		PairsShuffled:     pm.PairsShuffled,
@@ -90,14 +96,5 @@ func (j *Job[I, K, V, O]) runProc(inputs []I) ([]O, Metrics, error) {
 		DiskBytesRead:     pm.DiskBytesRead,
 		PeakResidentPairs: pm.PeakResidentPairs,
 		ReduceRanges:      pm.ReduceRanges,
-	}
-	if err != nil {
-		// The reducer-size limit crosses the RPC boundary as a fatal
-		// error string, so the sentinel is re-attached by message here.
-		if strings.Contains(err.Error(), "values, limit") {
-			return nil, met, fmt.Errorf("%w: job %q: %v", ErrReducerOverflow, j.Name, err)
-		}
-		return nil, met, err
-	}
-	return outs, met, nil
+	}, err
 }

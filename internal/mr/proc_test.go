@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestMain makes the test binary double as the ProcMode worker binary:
@@ -81,10 +81,9 @@ func TestProcModeMatchesInProcess(t *testing.T) {
 
 	pj := *procWordcount
 	pj.Config = Config{
-		Workers:     3,
-		Partitions:  4,
-		ProcMode:    true,
-		ProcTimeout: 90 * time.Second,
+		Workers:    3,
+		Partitions: 4,
+		ProcMode:   true,
 	}
 	outs, met, err := pj.Run(lines)
 	if err != nil {
@@ -108,7 +107,7 @@ func TestProcModeMatchesInProcess(t *testing.T) {
 }
 
 // TestProcModeReducerOverflow: the paper's q limit keeps its sentinel
-// across the process boundary.
+// across the process boundary, with the offending group's size.
 func TestProcModeReducerOverflow(t *testing.T) {
 	pj := *procWordcountNoCombine
 	pj.Config = Config{
@@ -116,10 +115,73 @@ func TestProcModeReducerOverflow(t *testing.T) {
 		Partitions:      3,
 		MaxReducerInput: 5,
 		ProcMode:        true,
-		ProcTimeout:     90 * time.Second,
 	}
-	_, _, err := pj.Run(procLines(40)) // "common" appears 40 times
+	_, met, err := pj.Run(procLines(40)) // "common" appears 40 times
 	if !errors.Is(err, ErrReducerOverflow) {
 		t.Fatalf("err = %v, want ErrReducerOverflow", err)
+	}
+	if met.MaxReducerInput != 40 {
+		t.Errorf("MaxReducerInput = %d, want the offending group's 40", met.MaxReducerInput)
+	}
+}
+
+// TestProcModeDefaultPlan: ProcMode resolves an unset worker count and a
+// non-power-of-two partition count exactly as the in-process engine
+// does — NumCPU workers, 3 partitions rounded up to 4 — so the outputs
+// match and four partitions are reduced.
+func TestProcModeDefaultPlan(t *testing.T) {
+	lines := procLines(90) // 19+29+1 distinct words: every partition gets keys
+	cfg := Config{Workers: 0, Partitions: 3}
+	inproc := *procWordcount
+	inproc.Config = cfg
+	want, wantMet, err := inproc.Run(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantMet.Partitions) != 4 {
+		t.Fatalf("in-process run used %d partitions, want 4", len(wantMet.Partitions))
+	}
+	pj := *procWordcount
+	pj.Config = cfg
+	pj.Config.ProcMode = true
+	pj.Config.ProcDir = t.TempDir()
+	got, _, err := pj.Run(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ProcMode outputs diverge from the in-process run\ngot  %v\nwant %v", got, want)
+	}
+	outs, err := filepath.Glob(filepath.Join(pj.Config.ProcDir, "out-p*.run"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != 4 {
+		t.Errorf("ProcMode reduced %d partitions (%v), want 4", len(outs), outs)
+	}
+}
+
+// TestProcModeRejectsInProcessSettings: a setting only the in-process
+// engine honours is a configuration error naming the field, returned
+// before any worker process spawns (the unregistered job name would
+// otherwise fail in proc.Run).
+func TestProcModeRejectsInProcessSettings(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"SpillDir", Config{MemoryBudget: 8, SpillDir: t.TempDir()}},
+		{"RecordLoads", Config{RecordLoads: true}},
+		{"FailureEveryN", Config{FailureEveryN: 2}},
+		{"MaxRetries", Config{MaxRetries: 3}},
+	} {
+		j := *procWordcount
+		j.Name = "mr-proc-unregistered"
+		j.Config = tc.cfg
+		j.Config.ProcMode = true
+		_, _, err := j.Run(procLines(10))
+		if err == nil || !strings.Contains(err.Error(), "Config."+tc.field) {
+			t.Errorf("%s in ProcMode: err = %v, want a configuration error naming it", tc.field, err)
+		}
 	}
 }

@@ -32,6 +32,7 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -479,3 +480,13 @@ func OverlapNs(a, b []Interval) int64 {
 	}
 	return total
 }
+
+// GobEncode refuses: a Recorder is process-local. It exists so a
+// configuration holding a nil one (engine.Plan) can cross the proc RPC
+// seam — gob never encodes a nil pointer.
+func (r *Recorder) GobEncode() ([]byte, error) { return nil, errProcessLocal }
+
+// GobDecode is GobEncode's counterpart: no encoded Recorder exists.
+func (r *Recorder) GobDecode([]byte) error { return errProcessLocal }
+
+var errProcessLocal = errors.New("obs: a Recorder is process-local and cannot be encoded")

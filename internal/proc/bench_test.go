@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // BenchmarkProcRound runs a full multi-process wordcount round under a
@@ -23,10 +25,8 @@ func BenchmarkProcRound(b *testing.B) {
 	const budget = 16
 	for i := 0; i < b.N; i++ {
 		outs, met, err := Run[string, string, int, wcOut]("wordcount", lines, Options{
-			Workers:      2,
-			Partitions:   5,
-			MemoryBudget: budget,
-			Timeout:      120 * time.Second,
+			Plan:    engine.Plan{Workers: 2, Partitions: 5, MemoryBudget: budget},
+			Timeout: 120 * time.Second,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/runfile"
 )
@@ -24,13 +25,13 @@ import (
 // spills.
 func crashOptions(t *testing.T, extraEnv ...string) Options {
 	return Options{
-		Workers:          testWorkers(t),
-		Partitions:       5,
-		MemoryBudget:     testMemBudget(t),
-		ReduceSplitPairs: testSplitPairs(t),
-		LeaseTTL:         time.Second,
-		Timeout:          90 * time.Second,
-		WorkerEnv:        append([]string{"MR_PROC_SLOW_MS=25"}, extraEnv...),
+		Plan: engine.Plan{
+			Workers: testWorkers(t), Partitions: 5,
+			MemoryBudget: testMemBudget(t), ReduceSplitPairs: testSplitPairs(t),
+		},
+		LeaseTTL:  time.Second,
+		Timeout:   90 * time.Second,
+		WorkerEnv: append([]string{"MR_PROC_SLOW_MS=25"}, extraEnv...),
 	}
 }
 
@@ -224,11 +225,10 @@ func TestKill9UnderSpill(t *testing.T) {
 func TestHeartbeatKeepsSlowWorkerLeased(t *testing.T) {
 	lines := genLines(40)
 	opts := Options{
-		Workers:    2,
-		Partitions: 3,
-		LeaseTTL:   200 * time.Millisecond,
-		Timeout:    90 * time.Second,
-		WorkerEnv:  []string{"MR_PROC_SLOW_MS=700"},
+		Plan:      engine.Plan{Workers: 2, Partitions: 3},
+		LeaseTTL:  200 * time.Millisecond,
+		Timeout:   90 * time.Second,
+		WorkerEnv: []string{"MR_PROC_SLOW_MS=700"},
 	}
 	outs, met, err := Run[string, string, int, wcOut]("wordcount", lines, opts)
 	if err != nil {

@@ -62,8 +62,6 @@ type Driver struct {
 	reduceLeases *engine.LeaseTable
 
 	mu             sync.Mutex
-	mapGrant       map[int]time.Time // last grant time, for speculation age
-	reduceGrant    map[int]time.Time
 	mapSections    map[int][]Section // accepted (or salvaged) map output
 	mapsDone       int
 	reduceReady    bool
@@ -91,13 +89,11 @@ func newDriver(jobName string, opts Options, dir string, tasks []mapTaskSpec) *D
 		fs:             opts.fs(),
 		tasks:          tasks,
 		nMap:           len(tasks),
-		parts:          opts.partitions(),
+		parts:          opts.Partitions,
 		hbEvery:        ttl / 3,
 		stop:           make(chan struct{}),
 		mapLeases:      engine.NewLeaseTable(ttl, nil),
 		reduceLeases:   engine.NewLeaseTable(ttl, nil),
-		mapGrant:       make(map[int]time.Time),
-		reduceGrant:    make(map[int]time.Time),
 		mapSections:    make(map[int][]Section),
 		reduceSections: make(map[int][]Section),
 		reduceOut:      make(map[int]ReduceReport),
@@ -138,7 +134,7 @@ func (d *Driver) start() error {
 		d.beginReduceLocked()
 		d.mu.Unlock()
 	}
-	for i := 0; i < d.opts.workers(); i++ {
+	for i := 0; i < d.opts.Workers; i++ {
 		if err := d.spawnWorker(); err != nil {
 			d.fail(err)
 			return nil // the run fails through the normal path
@@ -265,11 +261,11 @@ func (d *Driver) supervise(wp *workerProc) {
 	d.salvageLocked(wp)
 	respawn := false
 	if !d.finished { // salvage may have completed the job
-		if d.restarts < d.opts.maxWorkerRestarts() {
+		if budget := workerRestartsPerWorker * d.opts.Workers; d.restarts < budget {
 			d.restarts++
 			respawn = true
 		} else if len(d.workers) == 0 {
-			d.failLocked(fmt.Errorf("proc: all workers dead and restart budget (%d) spent", d.opts.maxWorkerRestarts()))
+			d.failLocked(fmt.Errorf("proc: all workers dead and restart budget (%d) spent", budget))
 		}
 	}
 	d.mu.Unlock()
@@ -319,9 +315,7 @@ func (d *Driver) salvageLocked(wp *workerProc) {
 }
 
 // poll hands the worker its next assignment: the first unleased map
-// task, then (map phase done) the first unleased reduce partition, with
-// speculative duplicates of the longest-unrenewed in-flight task when
-// enabled and nothing fresh is assignable.
+// task, then (map phase done) the first unleased reduce partition.
 func (d *Driver) poll(worker string) Task {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -336,10 +330,6 @@ func (d *Driver) poll(worker string) Task {
 			}
 			return d.grantMapLocked(id, worker)
 		}
-		if id, ok := d.speculationTarget(d.mapLeases, d.mapGrant); ok {
-			d.met.Speculative++
-			return d.grantMapLocked(id, worker)
-		}
 		return Task{Kind: TaskWait, PollAfter: 20 * time.Millisecond}
 	}
 	for _, p := range d.reduceParts {
@@ -349,28 +339,7 @@ func (d *Driver) poll(worker string) Task {
 		}
 		return d.grantReduceLocked(p, worker)
 	}
-	if p, ok := d.speculationTarget(d.reduceLeases, d.reduceGrant); ok {
-		d.met.Speculative++
-		return d.grantReduceLocked(p, worker)
-	}
 	return Task{Kind: TaskWait, PollAfter: 20 * time.Millisecond}
-}
-
-// speculationTarget picks the longest-unrenewed in-flight task once its
-// current grant is older than SpeculativeAfter.
-func (d *Driver) speculationTarget(lt *engine.LeaseTable, grants map[int]time.Time) (int, bool) {
-	after := d.opts.SpeculativeAfter
-	if after <= 0 {
-		return 0, false
-	}
-	id, ok := lt.Oldest()
-	if !ok {
-		return 0, false
-	}
-	if g, seen := grants[id]; !seen || time.Since(g) < after {
-		return 0, false
-	}
-	return id, true
 }
 
 func (d *Driver) grantMapLocked(id int, worker string) Task {
@@ -378,21 +347,18 @@ func (d *Driver) grantMapLocked(id int, worker string) Task {
 	if !ok {
 		return Task{Kind: TaskWait, PollAfter: 20 * time.Millisecond}
 	}
-	if n := d.mapLeases.Attempts(id); n > d.opts.maxTaskAttempts() {
+	if n := d.mapLeases.Attempts(id); n > maxTaskAttempts {
 		d.failLocked(fmt.Errorf("proc: map task %d failed after %d attempts", id, n-1))
 		return Task{Kind: TaskExit}
 	}
 	if attempt > 0 {
 		d.met.MapRetries++
 	}
-	d.mapGrant[id] = time.Now()
 	d.lanes[worker].Begin(obs.OpProcMapTask, int64(id), int64(attempt))
 	spec := d.tasks[id]
 	return Task{
 		Kind: TaskMap, ID: id, Attempt: attempt,
 		Lo: spec.lo, Hi: spec.hi, InputOffset: spec.off, InputBytes: spec.bytes,
-		Partitions:     d.parts,
-		MemoryBudget:   d.opts.MemoryBudget,
 		HeartbeatEvery: d.hbEvery,
 	}
 }
@@ -402,25 +368,20 @@ func (d *Driver) grantReduceLocked(p int, worker string) Task {
 	if !ok {
 		return Task{Kind: TaskWait, PollAfter: 20 * time.Millisecond}
 	}
-	if n := d.reduceLeases.Attempts(p); n > d.opts.maxTaskAttempts() {
+	if n := d.reduceLeases.Attempts(p); n > maxTaskAttempts {
 		d.failLocked(fmt.Errorf("proc: reduce partition %d failed after %d attempts", p, n-1))
 		return Task{Kind: TaskExit}
 	}
 	if attempt > 0 {
 		d.met.ReduceRetries++
 	}
-	d.reduceGrant[p] = time.Now()
 	d.lanes[worker].Begin(obs.OpProcReduceTask, int64(p), int64(attempt))
 	if d.opts.Hooks.OnReduceAssigned != nil {
 		d.opts.Hooks.OnReduceAssigned(p, attempt, worker)
 	}
 	return Task{
 		Kind: TaskReduce, ID: p, Attempt: attempt,
-		Sections:               d.reduceSections[p],
-		MaxReducerInput:        d.opts.MaxReducerInput,
-		ReduceSplitPairs:       d.opts.ReduceSplitPairs,
-		ReduceRangeConcurrency: d.opts.ReduceRangeConcurrency,
-		HeartbeatEvery:         d.hbEvery,
+		Sections: d.reduceSections[p], HeartbeatEvery: d.hbEvery,
 	}
 }
 
@@ -516,6 +477,13 @@ func (d *Driver) reduceDone(rep ReduceReport) bool {
 	lane := d.lanes[rep.Worker]
 	if rep.Err != "" {
 		lane.End(obs.OpProcReduceTask, int64(rep.Part), 1)
+		// A worker refuses a partition whose largest group broke the q
+		// limit and reports that group's size; the verdict is the plan's.
+		d.met.MaxReducerInput = max(d.met.MaxReducerInput, rep.MaxGroup)
+		if err := d.opts.CheckReducerInput(rep.MaxGroup); err != nil {
+			d.failLocked(fmt.Errorf("proc: reduce partition %d: %w", rep.Part, err))
+			return false
+		}
 		if rep.Fatal {
 			d.failLocked(fmt.Errorf("proc: reduce partition %d: %s", rep.Part, rep.Err))
 			return false
@@ -628,6 +596,7 @@ func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) (
 		return nil, met, fmt.Errorf("proc: output type unusable across processes: %w", err)
 	}
 
+	opts.Plan = opts.Resolve()
 	dir := opts.Dir
 	if dir == "" {
 		dir, err = os.MkdirTemp("", "mrproc")
@@ -639,13 +608,9 @@ func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) (
 		}
 	}
 
-	chunk := opts.MapChunk
-	if chunk <= 0 {
-		chunk = max((len(inputs)+4*opts.workers()-1)/(4*opts.workers()), 1)
-	}
 	var tasks []mapTaskSpec
-	for lo := 0; lo < len(inputs); lo += chunk {
-		tasks = append(tasks, mapTaskSpec{lo: lo, hi: min(lo+chunk, len(inputs))})
+	for _, r := range opts.MapTasks(len(inputs)) {
+		tasks = append(tasks, mapTaskSpec{lo: r.Lo, hi: r.Hi})
 	}
 	lane := opts.Recorder.Lane(obs.LaneRound, 0)
 	lane.Begin(obs.OpProcInputs, int64(len(inputs)), int64(len(tasks)))

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/errfs"
 	"repro/internal/runfile"
 )
@@ -550,8 +551,9 @@ func TestProcOutputCountMismatchFailsCleanly(t *testing.T) {
 	tmp := t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	_, _, err := Run[string, string, int, wcOut]("wordcount", genLines(40), Options{
-		Workers: 2, Partitions: 3, Timeout: 90 * time.Second,
-		FS: &forgedOutputFS{FS: runfile.OSFS},
+		Plan:    engine.Plan{Workers: 2, Partitions: 3},
+		Timeout: 90 * time.Second,
+		FS:      &forgedOutputFS{FS: runfile.OSFS},
 	})
 	if err == nil || !strings.Contains(err.Error(), "accepted report") || !strings.Contains(err.Error(), "out-p") {
 		t.Fatalf("forged output count = %v, want a count-mismatch error naming the output file", err)

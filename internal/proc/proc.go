@@ -10,9 +10,7 @@
 // engine.LeaseTable, so each execution is fenced by its (task, attempt)
 // pair: a worker that stalls past its lease TTL, or dies outright, is
 // superseded by a re-grant with a bumped attempt, and any late report
-// from the fenced attempt is refused. Speculative re-execution is the
-// same primitive — grant a duplicate attempt of the slowest in-flight
-// task, first completion wins.
+// from the fenced attempt is refused.
 //
 // The data plane is crash-tolerant by construction. A map worker
 // appends each task's output as sorted run-file sections of its
@@ -61,16 +59,16 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/engine"
 	"repro/internal/runfile"
 	"repro/internal/shuffle"
 )
 
 // JobSpec is one named map-reduce round, typed end to end. The
 // functions must be deterministic and side-effect free: the runtime
-// re-executes tasks after worker death, lease expiry, and for
-// speculation, and the output contract (byte-identical results no
-// matter which attempts won) depends on it.
+// re-executes tasks after worker death and lease expiry, and the output
+// contract (byte-identical results no matter which attempts won)
+// depends on it.
 type JobSpec[I any, K comparable, V, O any] struct {
 	Name string
 	// Map transforms one input record into zero or more key-value pairs.
@@ -93,22 +91,19 @@ type JobSpec[I any, K comparable, V, O any] struct {
 	BatchReduce bool
 }
 
-// Options configures a multi-process run.
+// Options configures a multi-process run: the engine.Plan both
+// executors honour — resolved once by Run and handed to every worker in
+// its registration reply — plus this mode's process lifecycle. Workers
+// counts worker processes; each map worker runs its own streaming
+// shuffle under MemoryBudget, and each reduce worker enforces
+// MaxReducerInput and splits its partition's merge under
+// ReduceSplitPairs, exactly as the in-process engine does. The plan's
+// Recorder stays in the driver: it receives per-worker-process lanes
+// with spawn-to-exit and task-assignment spans, plus lease-expiry,
+// worker-death, salvage and stale-report instants.
 type Options struct {
-	// Workers is the number of worker processes. Zero means 3.
-	Workers int
-	// Partitions is the number of shuffle partitions (and the maximum
-	// number of reduce tasks). Zero means 8.
-	Partitions int
-	// MapChunk is the number of input records per map task. Zero targets
-	// ~4 tasks per worker.
-	MapChunk int
-	// MemoryBudget bounds each map worker's buffered pairs per partition:
-	// a partition whose live run reaches this many pairs is sealed
-	// (combined, sorted) and written to the spool as one section, inside
-	// the worker, mid-task. Zero disables the bound — each task writes
-	// one section per non-empty partition, all of it resident at once.
-	MemoryBudget int
+	engine.Plan
+
 	// Dir is the job's scratch directory (inputs, spools, outputs,
 	// manifests, socket). Empty creates a temp dir, removed when the
 	// run finishes.
@@ -126,35 +121,8 @@ type Options struct {
 	// LeaseTTL is how long a task lease survives without a heartbeat
 	// before the driver fences it and re-grants the task. Zero means 2s.
 	LeaseTTL time.Duration
-	// MaxTaskAttempts caps the grants any one task receives before the
-	// job fails. Zero means 5.
-	MaxTaskAttempts int
-	// MaxWorkerRestarts caps replacement workers spawned after
-	// unexpected deaths. Zero means 2×Workers; negative disables
-	// respawn.
-	MaxWorkerRestarts int
-	// SpeculativeAfter, when positive, re-grants the longest-unrenewed
-	// in-flight task to an idle worker once it has been running that
-	// long — speculative execution, fenced like any other duplicate.
-	// Zero disables speculation.
-	SpeculativeAfter time.Duration
-	// MaxReducerInput, when positive, fails the job if any reduce key
-	// receives more values (the paper's q limit).
-	MaxReducerInput int
-	// ReduceSplitPairs, when positive, has each reduce worker split its
-	// partition's merge into class-aligned key ranges of roughly this
-	// many pairs and run them concurrently; output files stay
-	// byte-identical to the unsplit merge. ReduceRangeConcurrency caps
-	// the ranges per partition (zero selects GOMAXPROCS).
-	ReduceSplitPairs       int
-	ReduceRangeConcurrency int
 	// Timeout bounds the whole run. Zero means 2 minutes.
 	Timeout time.Duration
-	// Recorder, when non-nil, receives driver-side lifecycle events:
-	// per-worker-process lanes with spawn-to-exit spans and task
-	// assignment spans, plus lease-expiry, worker-death, salvage and
-	// stale-report instants. Nil records nothing.
-	Recorder *obs.Recorder
 	// FS is the driver-side filesystem for salvage validation and the
 	// output merge. Nil means runfile.OSFS. Worker processes always
 	// use the real filesystem — faults are injected there by killing
@@ -183,20 +151,6 @@ type Hooks struct {
 	OnWorkerExit func(worker string, pid int, err error)
 }
 
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return 3
-}
-
-func (o Options) partitions() int {
-	if o.Partitions > 0 {
-		return o.Partitions
-	}
-	return 8
-}
-
 func (o Options) leaseTTL() time.Duration {
 	if o.LeaseTTL > 0 {
 		return o.LeaseTTL
@@ -204,22 +158,13 @@ func (o Options) leaseTTL() time.Duration {
 	return 2 * time.Second
 }
 
-func (o Options) maxTaskAttempts() int {
-	if o.MaxTaskAttempts > 0 {
-		return o.MaxTaskAttempts
-	}
-	return 5
-}
-
-func (o Options) maxWorkerRestarts() int {
-	if o.MaxWorkerRestarts > 0 {
-		return o.MaxWorkerRestarts
-	}
-	if o.MaxWorkerRestarts < 0 {
-		return 0
-	}
-	return 2 * o.workers()
-}
+// maxTaskAttempts caps the grants any one task receives before the job
+// fails; replacement workers spawned after unexpected deaths are capped
+// at workerRestartsPerWorker×Workers.
+const (
+	maxTaskAttempts         = 5
+	workerRestartsPerWorker = 2
+)
 
 func (o Options) timeout() time.Duration {
 	if o.Timeout > 0 {
@@ -262,8 +207,8 @@ type Metrics struct {
 	// accepted (or salvaged) task attempt observed inside a worker: map
 	// attempts report their shuffle's resident peak, reduce attempts the
 	// largest single group the merge held decoded. With a MemoryBudget
-	// set this stays near P*MemoryBudget + BlockPairs regardless of
-	// input size — the bound the paper's q-tradeoff needs enforced.
+	// set this stays near P*MemoryBudget plus one ingestion block
+	// regardless of input size — the bound the paper's q-tradeoff needs enforced.
 	PeakResidentPairs int64
 
 	// ReduceRanges is the total key-range units accepted reduce attempts
@@ -272,18 +217,16 @@ type Metrics struct {
 	ReduceRanges int64
 
 	// MapRetries and ReduceRetries count task re-grants beyond the
-	// first (lease expiry, worker death, speculation, reported
-	// failures). WorkerDeaths counts worker processes that exited
-	// without being told to. LeaseExpirations counts TTL sweeps that
-	// fenced a lease. SalvagedTasks counts map tasks adopted from a
-	// dead worker's manifest instead of re-executed. Speculative counts
-	// duplicate grants issued to idle workers.
+	// first (lease expiry, worker death, reported failures).
+	// WorkerDeaths counts worker processes that exited without being
+	// told to. LeaseExpirations counts TTL sweeps that fenced a lease.
+	// SalvagedTasks counts map tasks adopted from a dead worker's
+	// manifest instead of re-executed.
 	MapRetries       int64
 	ReduceRetries    int64
 	WorkerDeaths     int64
 	LeaseExpirations int64
 	SalvagedTasks    int64
-	Speculative      int64
 }
 
 // runnable is the untyped face of a registered job: what a worker

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/runfile"
 	"repro/internal/shuffle"
@@ -193,14 +195,17 @@ func testSplitPairs(t *testing.T) int {
 // TestProcRangeSplit: reduce workers told to split their merges into
 // key-range units must produce output files byte-identical to the
 // whole-partition merge — same records, same order — and report the
-// ranges they cut.
+// ranges they cut, whatever fan-out the plan's range rule derives from
+// the fleet size (one worker still splits in two).
 func TestProcRangeSplit(t *testing.T) {
 	lines := genLines(150) // "common" dominates: a genuinely skewed hot key
 	const parts = 3
-	run := func(splitPairs, conc int) ([]wcOut, Metrics) {
+	run := func(workers, splitPairs int) ([]wcOut, Metrics) {
 		outs, met, err := Run[string, string, int, wcOut]("wordcount-nocombine", lines, Options{
-			Workers: 2, Partitions: parts, Dir: t.TempDir(),
-			ReduceSplitPairs: splitPairs, ReduceRangeConcurrency: conc,
+			// A pinned chunk keeps the map tasks, and so their resident
+			// peaks, the same at every fleet size.
+			Plan:    engine.Plan{Workers: workers, Partitions: parts, MapChunk: 40, ReduceSplitPairs: splitPairs},
+			Dir:     t.TempDir(),
 			Timeout: 90 * time.Second,
 		})
 		if err != nil {
@@ -208,14 +213,14 @@ func TestProcRangeSplit(t *testing.T) {
 		}
 		return outs, met
 	}
-	want, wantMet := run(0, 0)
+	want, wantMet := run(2, 0)
 	if !reflect.DeepEqual(want, refWordCount(lines, parts)) {
 		t.Fatal("unsplit run diverges from reference")
 	}
-	for _, conc := range []int{0, 2} {
-		got, met := run(8, conc)
+	for _, workers := range []int{1, 3} {
+		got, met := run(workers, 8)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("range-split outputs (conc=%d) diverge from whole-partition merge", conc)
+			t.Fatalf("range-split outputs (workers=%d) diverge from whole-partition merge", workers)
 		}
 		if met.ReduceRanges == 0 {
 			t.Fatalf("ReduceRanges = 0 with split target 8 over %d shuffled pairs", met.PairsShuffled)
@@ -239,11 +244,9 @@ func testProcRunClean(t *testing.T, budget int) {
 	const parts = 5
 	dir := t.TempDir()
 	outs, met, err := Run[string, string, int, wcOut]("wordcount", lines, Options{
-		Workers:      testWorkers(t),
-		Partitions:   parts,
-		MemoryBudget: budget,
-		Dir:          dir,
-		Timeout:      90 * time.Second,
+		Plan:    engine.Plan{Workers: testWorkers(t), Partitions: parts, MemoryBudget: budget},
+		Dir:     dir,
+		Timeout: 90 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +350,8 @@ func TestProcRunMatchesAcrossWorkerCounts(t *testing.T) {
 	want := refWordCount(lines, parts)
 	for _, workers := range []int{1, 4} {
 		outs, _, err := Run[string, string, int, wcOut]("wordcount", lines, Options{
-			Workers: workers, Partitions: parts, Timeout: 90 * time.Second,
+			Plan:    engine.Plan{Workers: workers, Partitions: parts},
+			Timeout: 90 * time.Second,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -359,14 +363,19 @@ func TestProcRunMatchesAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestProcMaxReducerInput: the paper's q limit is enforced across the
-// process boundary — a key group larger than the limit fails the job.
+// process boundary — a key group larger than the limit fails the job
+// with the plan's sentinel, and the metrics carry the group's size.
 func TestProcMaxReducerInput(t *testing.T) {
 	lines := genLines(40) // "common" appears 40 times
-	_, _, err := Run[string, string, int, wcOut]("wordcount-nocombine", lines, Options{
-		Workers: 2, Partitions: 3, MaxReducerInput: 10, Timeout: 90 * time.Second,
+	_, met, err := Run[string, string, int, wcOut]("wordcount-nocombine", lines, Options{
+		Plan:    engine.Plan{Workers: 2, Partitions: 3, MaxReducerInput: 10},
+		Timeout: 90 * time.Second,
 	})
-	if err == nil || !strings.Contains(err.Error(), "limit") {
-		t.Fatalf("oversized reducer not rejected: %v", err)
+	if !errors.Is(err, engine.ErrReducerOverflow) {
+		t.Fatalf("oversized reducer: err = %v, want engine.ErrReducerOverflow", err)
+	}
+	if met.MaxReducerInput != 40 {
+		t.Errorf("MaxReducerInput = %d, want the offending group's 40", met.MaxReducerInput)
 	}
 }
 
@@ -379,7 +388,8 @@ func TestProcUnregisteredJob(t *testing.T) {
 
 func TestProcEmptyInputs(t *testing.T) {
 	outs, met, err := Run[string, string, int, wcOut]("wordcount", nil, Options{
-		Workers: 2, Partitions: 3, Timeout: 30 * time.Second,
+		Plan:    engine.Plan{Workers: 2, Partitions: 3},
+		Timeout: 30 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -397,8 +407,9 @@ func TestProcEmptyInputs(t *testing.T) {
 func TestProcRejectsLossyTypes(t *testing.T) {
 	spawned := 0
 	opts := Options{
-		Workers: 2, Partitions: 3, Timeout: 30 * time.Second,
-		Hooks: Hooks{OnSpawn: func(string, int) { spawned++ }},
+		Plan:    engine.Plan{Workers: 2, Partitions: 3},
+		Timeout: 30 * time.Second,
+		Hooks:   Hooks{OnSpawn: func(string, int) { spawned++ }},
 	}
 	lines := []lossyLine{{"a b", 2}, {"b", 3}}
 	if outs, _, err := Run[lossyLine, string, int, wcOut]("lossy-input", lines, opts); err == nil || !strings.Contains(err.Error(), "input type") {
@@ -418,7 +429,8 @@ func TestProcRejectsLossyTypes(t *testing.T) {
 func TestProcDriverSpans(t *testing.T) {
 	rec := obs.NewRecorder(0)
 	outs, _, err := Run[string, string, int, wcOut]("wordcount", genLines(40), Options{
-		Workers: 2, Partitions: 3, Recorder: rec, Timeout: 60 * time.Second,
+		Plan:    engine.Plan{Workers: 2, Partitions: 3, Recorder: rec},
+		Timeout: 60 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,8 @@ package proc
 
 import (
 	"time"
+
+	"repro/internal/engine"
 )
 
 // TaskKind discriminates the driver's replies to a polling worker.
@@ -53,7 +55,9 @@ type Section struct {
 	Seq     int
 }
 
-// Task is one assignment (or a Wait/Exit directive).
+// Task is one assignment (or a Wait/Exit directive). It carries only
+// what differs between tasks; the job-wide settings reached the worker
+// once, in its RegisterReply.
 type Task struct {
 	Kind    TaskKind
 	ID      int // map task ordinal, or reduce partition
@@ -61,23 +65,12 @@ type Task struct {
 
 	// Map fields. Records [Lo, Hi) are the value section of the task's
 	// group in the input image: InputBytes bytes at InputOffset.
-	// MemoryBudget is the per-partition buffered-pair bound the worker's
-	// streaming shuffle must respect (0 = unbounded, one section per
-	// partition).
-	Lo, Hi       int
-	InputOffset  int64
-	InputBytes   int64
-	Partitions   int
-	MemoryBudget int
+	Lo, Hi      int
+	InputOffset int64
+	InputBytes  int64
 
 	// Reduce fields: the committed input sections in map-task order.
-	// ReduceSplitPairs and ReduceRangeConcurrency carry the driver's
-	// range-split knobs: a positive split target has the worker cut the
-	// merge into class-aligned key ranges it runs concurrently.
-	Sections               []Section
-	MaxReducerInput        int
-	ReduceSplitPairs       int
-	ReduceRangeConcurrency int
+	Sections []Section
 
 	// HeartbeatEvery is how often the worker should renew its lease on
 	// this task (the driver sets a fraction of the lease TTL). Zero means
@@ -92,6 +85,13 @@ type Task struct {
 type RegisterArgs struct {
 	Worker string
 	PID    int
+}
+
+// RegisterReply hands the worker the job's resolved plan — partition
+// count, memory budget, reducer-size limit, range-split rule — once,
+// for every task it will run. The plan's Recorder stays in the driver.
+type RegisterReply struct {
+	Plan engine.Plan
 }
 
 // PollArgs asks for work.
@@ -169,9 +169,10 @@ type Ack struct {
 type Coord struct{ d *Driver }
 
 // Register implements the worker hello: the RPC-level liveness signal
-// (the supervisor already knows the process).
-func (c *Coord) Register(args RegisterArgs, reply *Ack) error {
-	reply.Accepted = true
+// (the supervisor already knows the process), answered with the plan.
+func (c *Coord) Register(args RegisterArgs, reply *RegisterReply) error {
+	reply.Plan = c.d.opts.Plan
+	reply.Plan.Recorder = nil
 	return nil
 }
 

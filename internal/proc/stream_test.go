@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/errfs"
 	"repro/internal/runfile"
 	"repro/internal/shuffle"
@@ -247,12 +248,10 @@ func TestSalvageRetryRoundDeterministic(t *testing.T) {
 	lines := genLines(60)
 	base := func(extraEnv ...string) Options {
 		return Options{
-			Workers:      2,
-			Partitions:   5,
-			MemoryBudget: 8,
-			LeaseTTL:     time.Second,
-			Timeout:      90 * time.Second,
-			WorkerEnv:    append([]string{"MR_PROC_SLOW_MS=25"}, extraEnv...),
+			Plan:      engine.Plan{Workers: 2, Partitions: 5, MemoryBudget: 8},
+			LeaseTTL:  time.Second,
+			Timeout:   90 * time.Second,
+			WorkerEnv: append([]string{"MR_PROC_SLOW_MS=25"}, extraEnv...),
 		}
 	}
 	clean, _, err := Run[string, string, string, wcOut]("order-chain", lines, base())
@@ -284,7 +283,9 @@ func TestSalvageRetryRoundDeterministic(t *testing.T) {
 func TestWorkerTraceExport(t *testing.T) {
 	td := t.TempDir()
 	_, _, err := Run[string, string, int, wcOut]("wordcount", genLines(40), Options{
-		Workers: 2, Partitions: 3, MemoryBudget: 8, WorkerTraceDir: td, Timeout: 60 * time.Second,
+		Plan:           engine.Plan{Workers: 2, Partitions: 3, MemoryBudget: 8},
+		WorkerTraceDir: td,
+		Timeout:        60 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -312,11 +313,10 @@ func TestWorkerTraceExport(t *testing.T) {
 func TestSalvageNotCountedAsRetry(t *testing.T) {
 	lines := genLines(60)
 	outs, met, err := Run[string, string, int, wcOut]("wordcount", lines, Options{
-		Workers:    1,
-		Partitions: 3,
-		MapChunk:   len(lines), // exactly one map task
-		Timeout:    90 * time.Second,
-		WorkerEnv:  []string{"MR_PROC_KILL=map-manifest:0"},
+		Plan: engine.Plan{Workers: 1, Partitions: 3, MapChunk: len(lines)},
+		// exactly one map task
+		Timeout:   90 * time.Second,
+		WorkerEnv: []string{"MR_PROC_KILL=map-manifest:0"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +353,7 @@ func TestMapChunkedCommits(t *testing.T) {
 	for _, line := range records {
 		job.spec.Map(line, func(k, v string) { want[k] = append(want[k], v) })
 	}
-	const parts = 3 // 4 inside the worker's shuffle
+	const parts = 4
 	for _, budget := range []int{0, 1, 8} {
 		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
 			dir := t.TempDir()
@@ -361,10 +361,10 @@ func TestMapChunkedCommits(t *testing.T) {
 			if _, err := writeInputs(filepath.Join(dir, inputsFile), records, tasks); err != nil {
 				t.Fatal(err)
 			}
-			task := Task{Kind: TaskMap, Lo: 0, Hi: len(records), InputOffset: tasks[0].off, InputBytes: tasks[0].bytes,
-				Partitions: parts, MemoryBudget: budget}
+			task := Task{Kind: TaskMap, Lo: 0, Hi: len(records), InputOffset: tasks[0].off, InputBytes: tasks[0].bytes}
+			plan := engine.Plan{Partitions: parts, MemoryBudget: budget}.Resolve()
 			run := func(worker string, attempt int) (MapReport, [][]byte) {
-				ws := &workerState{id: worker, dir: dir, spools: newSpoolSet(dir, worker)}
+				ws := &workerState{id: worker, dir: dir, plan: plan, spools: newSpoolSet(dir, worker)}
 				task.Attempt = attempt
 				rep, err := job.runMapTask(ws, task)
 				ws.spools.closeAll()

@@ -18,13 +18,13 @@ import (
 	"net/rpc"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/runfile"
 	"repro/internal/shuffle"
@@ -91,12 +91,14 @@ func WorkerMain() error {
 	return ws.loop(job)
 }
 
-// workerState is one worker process's runtime: its RPC client, spools,
-// manifest, and the crash-injection knobs.
+// workerState is one worker process's runtime: its RPC client, the
+// job's resolved plan (from the registration reply), spools, manifest,
+// and the crash-injection knobs.
 type workerState struct {
 	id     string
 	dir    string
 	client *rpc.Client
+	plan   engine.Plan
 
 	spools   *spoolSet
 	manifest *manifestWriter
@@ -129,12 +131,12 @@ func newWorkerState(id, dir, socket string) (*workerState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("proc: dialing driver at %s: %w", socket, err)
 	}
-	var ack Ack
-	if err := client.Call("Coord.Register", RegisterArgs{Worker: id, PID: os.Getpid()}, &ack); err != nil {
+	var reg RegisterReply
+	if err := client.Call("Coord.Register", RegisterArgs{Worker: id, PID: os.Getpid()}, &reg); err != nil {
 		client.Close()
 		return nil, fmt.Errorf("proc: registering with driver: %w", err)
 	}
-	ws := &workerState{id: id, dir: dir, client: client, spools: newSpoolSet(dir, id)}
+	ws := &workerState{id: id, dir: dir, client: client, plan: reg.Plan, spools: newSpoolSet(dir, id)}
 	if ms, err := strconv.Atoi(os.Getenv(envSlowMS)); err == nil && ms > 0 {
 		ws.slow = time.Duration(ms) * time.Millisecond
 	}
@@ -276,7 +278,10 @@ func (ws *workerState) runTask(kind TaskKind, t Task, run func() (any, error)) a
 	if kind == TaskMap {
 		return MapReport{Worker: ws.id, Task: t.ID, Attempt: t.Attempt, Err: err.Error(), Fatal: isFatal(err)}
 	}
-	return ReduceReport{Worker: ws.id, Part: t.ID, Attempt: t.Attempt, Err: err.Error(), Fatal: isFatal(err)}
+	// A failed reduce keeps the group size it measured: the driver judges
+	// the q limit by it.
+	return ReduceReport{Worker: ws.id, Part: t.ID, Attempt: t.Attempt, MaxGroup: rep.(ReduceReport).MaxGroup,
+		Err: err.Error(), Fatal: isFatal(err)}
 }
 
 // heartbeatLoop renews the lease on (kind, id, attempt) every interval
@@ -387,12 +392,13 @@ func (sk *sectionSink) write(part int, fill func(w *runfile.Writer) error) error
 // worker-local streaming shuffle: pairs route through an Ingester under
 // the job's MemoryBudget, so pressure relief, combiner push-down, and
 // spill-as-sorted-sections all happen inside the worker, mid-task —
-// resident pairs stay bounded by P*MemoryBudget + BlockPairs instead
-// of the task's output size. Every sealed run lands in the spools as
-// one fenced section via sectionSink; the task then commits all its
-// sections with one manifest record before reporting (the manifest
-// write is still the task's durability point, and with MemoryBudget
-// zero the layout degenerates to one section per non-empty partition).
+// resident pairs stay bounded by P*MemoryBudget plus one ingestion
+// block instead of the task's output size. Every sealed run lands in
+// the spools as one fenced section via sectionSink; the task then
+// commits all its sections with one manifest record before reporting
+// (the manifest write is still the task's durability point, and with
+// MemoryBudget zero the layout degenerates to one section per non-empty
+// partition).
 //
 // The records enter the ingester as sub-tasks committed in order, each
 // cut at the first record boundary after MemoryBudget/2 emitted pairs
@@ -417,8 +423,8 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 		return MapReport{}, fmt.Errorf("proc: creating worker scratch dir: %w", err)
 	}
 	sh := shuffle.New[K, V](shuffle.Options{
-		Partitions:       t.Partitions,
-		MaxBufferedPairs: t.MemoryBudget,
+		Partitions:       ws.plan.Partitions,
+		MaxBufferedPairs: ws.plan.MemoryBudget,
 		SpillDir:         scratch,
 		Recorder:         ws.rec,
 	})
@@ -426,7 +432,7 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 	hasher := shuffle.NewStableHasher[K](0)
 	var emitErr error
 	sh.SetPartitioner(func(k K) int {
-		p, err := j.partition(hasher, k, t.Partitions)
+		p, err := j.partition(hasher, k, ws.plan.Partitions)
 		if err != nil {
 			if emitErr == nil {
 				emitErr = err
@@ -457,7 +463,7 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 		if emitErr != nil {
 			return MapReport{}, fatal(fmt.Errorf("proc: partitioning map task %d: %w", t.ID, emitErr))
 		}
-		if t.MemoryBudget > 0 && chunk >= t.MemoryBudget/2 {
+		if ws.plan.MemoryBudget > 0 && chunk >= ws.plan.MemoryBudget/2 {
 			if err := tw.Commit(); err != nil {
 				return MapReport{}, fmt.Errorf("proc: streaming map task %d: %w", t.ID, err)
 			}
@@ -505,13 +511,13 @@ type reduced[K comparable, O any] struct {
 // order from the driver — are adopted into a one-partition shuffle
 // as borrowed disk runs, and everything after that is the shuffle's own
 // read side. Stats (a counting merge of the adopted indexes, no value
-// read) enforces MaxReducerInput; PlanReduceRanges cuts class-aligned
-// key ranges when Task.ReduceSplitPairs asks for them; one RangeReader
-// holds the spools open (shared handles and mappings) while the ranges
-// run the k-way merge concurrently, reducing every group in canonical
-// key order as it surfaces. The outputs, range after range, go to the
-// partition's output run file (writeOutputs) — byte-identical whether or
-// not the merge was split. Only the indexes, one decoded group per
+// read) enforces the plan's MaxReducerInput; PlanReduceRanges cuts
+// class-aligned key ranges when the plan's range rule asks for them;
+// one RangeReader holds the spools open (shared handles and mappings)
+// while the ranges run the k-way merge concurrently, reducing every
+// group in canonical key order as it surfaces. The outputs, range after
+// range, go to the partition's output run file (writeOutputs) —
+// byte-identical whether or not the merge was split. Only the indexes, one decoded group per
 // running range and the partition's outputs are resident: the input
 // side's memory bound is the largest single group times the range
 // concurrency, not the partition size.
@@ -528,21 +534,14 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 	if err != nil {
 		return ReduceReport{}, fmt.Errorf("proc: profiling partition %d: %w", t.ID, err)
 	}
-	if t.MaxReducerInput > 0 && st.MaxGroup > int64(t.MaxReducerInput) {
-		return ReduceReport{}, fatal(fmt.Errorf(
-			"proc: reducer for a key in partition %d received %d values, limit %d", t.ID, st.MaxGroup, t.MaxReducerInput))
+	if err := ws.plan.CheckReducerInput(st.MaxGroup); err != nil {
+		return ReduceReport{MaxGroup: st.MaxGroup}, fatal(err)
 	}
 
 	part := sh.Partition(0)
 	var ranges []shuffle.KeyRange[K]
-	if sp := int64(t.ReduceSplitPairs); sp > 0 && st.Pairs > sp {
-		maxRanges := t.ReduceRangeConcurrency
-		if maxRanges <= 0 {
-			// A split target is an explicit opt-in: keep at least two ranges
-			// even on a single-CPU worker so the requested split happens.
-			maxRanges = max(runtime.GOMAXPROCS(0), 2)
-		}
-		ranges = part.PlanReduceRanges(sp, maxRanges)
+	if n := ws.plan.RangeFanout(st.Pairs); n > 0 {
+		ranges = part.PlanReduceRanges(int64(ws.plan.ReduceSplitPairs), n)
 	}
 	nRanges := int64(len(ranges))
 	if ranges == nil {

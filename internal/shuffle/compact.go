@@ -10,7 +10,7 @@
 // is safe because sealed runs are immutable and new seals only append to
 // the partition's run list — a compaction plans a window of that list,
 // merges it without the lock, and splices the result back in under the
-// lock. (With Options.CompactionConcurrency negative the seal compacts
+// lock. (With tuning.compactors negative the seal compacts
 // inline instead, and nothing here runs.)
 //
 // Queue discipline: at most one queue entry per partition exists at
@@ -22,21 +22,6 @@
 package shuffle
 
 import "repro/internal/obs"
-
-// defaultCompactionConcurrency is the worker-pool size when
-// Options.CompactionConcurrency is zero: compaction is I/O-heavy and
-// already bounded by diskSem, so a couple of workers keep run counts
-// down without competing with the ingestion goroutines for CPU.
-const defaultCompactionConcurrency = 2
-
-// compactionWorkers resolves Options.CompactionConcurrency (zero means
-// the default; negative means inline, handled by the caller).
-func (s *Shuffle[K, V]) compactionWorkers() int {
-	if n := s.opts.CompactionConcurrency; n > 0 {
-		return n
-	}
-	return defaultCompactionConcurrency
-}
 
 // maybeCompact enqueues st for asynchronous compaction when its disk
 // runs outgrew a bound and it is not already queued. Caller holds
@@ -58,7 +43,7 @@ func (s *Shuffle[K, V]) maybeCompact(st *partitionState[K, V]) {
 // nothing.
 func (s *Shuffle[K, V]) startCompactors() {
 	s.compactCh = make(chan int, s.nparts)
-	for i := 0; i < s.compactionWorkers(); i++ {
+	for i := 0; i < s.tune.compactors; i++ {
 		// Each worker records its compaction spans on its own lane:
 		// spans of different partitions interleave across workers, but
 		// per-lane they are strictly nested, which CheckBalanced

@@ -47,12 +47,11 @@ func spillWorkload(t *testing.T, fs *errfs.FS, budget, pairs, keys int, mod ...f
 	opts := Options{
 		Partitions: 1, MaxBufferedPairs: budget,
 		SpillDir: t.TempDir(), FS: fs,
-		CompactionConcurrency: -1,
 	}
 	for _, m := range mod {
 		m(&opts)
 	}
-	s := New[int, int](opts)
+	s := newTuned[int, int](opts, tuning{compactors: -1})
 	return s, ingestTasksErr(s, [][]Pair[int, int]{modPairs(pairs, keys)}, 1)
 }
 

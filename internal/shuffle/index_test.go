@@ -11,9 +11,9 @@ import (
 // compaction tests pin are exact.
 func buildSpilled(t *testing.T, budget, n, nKeys int, combiner func(int, []int) []int) *Shuffle[int, int] {
 	t.Helper()
-	s := New[int, int](Options{
-		Partitions: 2, MaxBufferedPairs: budget, SpillDir: t.TempDir(), CompactionConcurrency: -1,
-	})
+	s := newTuned[int, int](Options{
+		Partitions: 2, MaxBufferedPairs: budget, SpillDir: t.TempDir(),
+	}, tuning{compactors: -1})
 	s.SetPartitioner(func(int) int { return 0 })
 	if combiner != nil {
 		s.SetCombiner(combiner)

@@ -10,7 +10,7 @@
 // still-running map tasks — sealing, combining and spilling as the
 // budget fills. Sorting, encoding and disk writes therefore overlap
 // mapping, and whole-round resident pairs stay bounded by
-// P*MemoryBudget + writers*BlockPairs instead of the dataset size.
+// P*MemoryBudget + writers*blockPairs instead of the dataset size.
 //
 // Two invariants make this safe:
 //
@@ -174,7 +174,7 @@ type TaskWriter[K comparable, V any] struct {
 
 // Emit buffers one pair, flushing a block when the writer's buffered
 // total reaches the block budget — so a writer never holds more than
-// BlockPairs pairs, the per-writer term of the resident-memory bound.
+// blockPairs pairs, the per-writer term of the resident-memory bound.
 func (w *TaskWriter[K, V]) Emit(k K, v V) {
 	s := w.in.s
 	p := s.PartitionOf(k)
@@ -184,7 +184,7 @@ func (w *TaskWriter[K, V]) Emit(k K, v V) {
 	}
 	w.buckets[p] = append(blk, Pair[K, V]{k, v})
 	w.buffered++
-	if w.buffered >= s.blockPairs {
+	if w.buffered >= s.tune.blockPairs {
 		w.flushLargest()
 	}
 }
@@ -396,7 +396,7 @@ func (in *Ingester[K, V]) drainAll() {
 // threshold swaps its own partition's staged data, so every staged
 // pair is clamped by its partition's next flush or drain; transient
 // overshoot is at most one in-flight block per writer, which is
-// exactly the workers*BlockPairs term of the resident bound.
+// exactly the workers*blockPairs term of the resident bound.
 func (in *Ingester[K, V]) ingestStep(st *partitionState[K, V], allowSwap bool) error {
 	var started bool
 	var start time.Time
@@ -566,8 +566,8 @@ func (in *Ingester[K, V]) absorbSwapped(st *partitionState[K, V], sec swapSec) e
 		rest = rest[m+int(l):]
 		return b, nil
 	}
-	if cap(st.swapChunk) < s.blockPairs {
-		st.swapChunk = make([]Pair[K, V], 0, s.blockPairs)
+	if cap(st.swapChunk) < s.tune.blockPairs {
+		st.swapChunk = make([]Pair[K, V], 0, s.tune.blockPairs)
 	}
 	chunk := st.swapChunk[:0]
 	flush := func() error {
@@ -613,7 +613,7 @@ func (in *Ingester[K, V]) absorbSwapped(st *partitionState[K, V], sec swapSec) e
 			return fmt.Errorf("shuffle: decoding swapped value in spool %s: %w", sec.rf.path, err)
 		}
 		chunk = append(chunk, Pair[K, V]{k, v})
-		if len(chunk) >= s.blockPairs {
+		if len(chunk) >= s.tune.blockPairs {
 			if err := flush(); err != nil {
 				return err
 			}
@@ -729,7 +729,7 @@ func (in *Ingester[K, V]) swapStaged(st *partitionState[K, V], budget int) (err 
 // own sections, compaction its inputs, absorption its readbacks), the
 // open writer holds one reference of its own released by close, and
 // rotation retires a file whose dead bytes — released sections —
-// outgrew Options.SpoolRotateBytes, so a long round's spools reclaim
+// outgrew tuning.rotateBytes, so a long round's spools reclaim
 // disk instead of growing monotonically.
 type spool[K comparable, V any] struct {
 	s       *Shuffle[K, V]
@@ -745,19 +745,6 @@ type spool[K comparable, V any] struct {
 	broken  bool            // a failed append left bytes of unknown length; stop appending
 }
 
-// rotateEvery resolves Options.SpoolRotateBytes: the dead-byte
-// threshold at which a spool rotates to a fresh file, 0 when rotation
-// is disabled.
-func rotateEvery(v int64) int64 {
-	if v == 0 {
-		return 4 << 20
-	}
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
 // ensure opens the spool's current file, rotating first when the file
 // has accumulated enough dead bytes. Rotation creates the replacement
 // before letting go of the old file — a failed create keeps the old
@@ -771,7 +758,7 @@ func (sp *spool[K, V]) ensure() error {
 		return fmt.Errorf("shuffle: %s %s unusable after earlier write failure", sp.kind, sp.rf.path)
 	}
 	if sp.f != nil {
-		if re := rotateEvery(s.opts.SpoolRotateBytes); re > 0 && sp.rf.dead.Load() >= re {
+		if re := s.tune.rotateBytes; re > 0 && sp.rf.dead.Load() >= re {
 			if f, err := s.fs.CreateTemp(s.opts.SpillDir, sp.pattern); err == nil {
 				old, oldRF := sp.f, sp.rf
 				sp.f, sp.rf, sp.off, sp.n = f, &runFile{path: f.Name()}, 0, 0

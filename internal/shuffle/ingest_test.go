@@ -33,7 +33,7 @@ func ingestTasks(nTasks, perTask, keys int) [][]Pair[int, int] {
 // ingestTasksErr drives the tasks through an Ingester with the given
 // number of concurrent workers, committing each task on completion, and
 // returns the round's first error. One worker runs the tasks strictly
-// one after the other, so with CompactionConcurrency: -1 the round's
+// one after the other, so with tuning.compactors -1 the round's
 // filesystem calls happen in one deterministic order — what the
 // fault-injection marches count ordinals over.
 func ingestTasksErr[K comparable, V any](s *Shuffle[K, V], tasks [][]Pair[K, V], workers int) error {
@@ -148,11 +148,11 @@ func TestStreamingMatchesNaiveReference(t *testing.T) {
 		{"spill-combiner", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opts := Options{Partitions: 4, MaxBufferedPairs: 32, BlockPairs: 16}
+			opts := Options{Partitions: 4, MaxBufferedPairs: 32}
 			if tc.spill {
 				opts.SpillDir = t.TempDir()
 			}
-			streamed := New[int, int](opts)
+			streamed := newTuned[int, int](opts, tuning{blockPairs: 16})
 			if tc.combine {
 				streamed.SetCombiner(sumCombiner)
 			}
@@ -191,10 +191,10 @@ func TestStreamingAbortFencesFlushedPairs(t *testing.T) {
 	const budget, blockPairs = 8, 16
 	fs := errfs.New(nil)
 	spillDir := t.TempDir()
-	s := New[int, int](Options{
-		Partitions: 1, MaxBufferedPairs: budget, BlockPairs: blockPairs,
+	s := newTuned[int, int](Options{
+		Partitions: 1, MaxBufferedPairs: budget,
 		SpillDir: spillDir, FS: fs,
-	})
+	}, tuning{blockPairs: blockPairs})
 	defer s.Close()
 	ing := s.NewIngester()
 
@@ -276,7 +276,7 @@ func TestStreamingAbortFencesFlushedPairs(t *testing.T) {
 // TestStreamingPeakResidentBound is the whole-round memory assertion:
 // a dataset many times the total budget, streamed by concurrent
 // workers, must keep peak resident pairs within
-// P*MemoryBudget + workers*BlockPairs.
+// P*MemoryBudget + workers*blockPairs.
 func TestStreamingPeakResidentBound(t *testing.T) {
 	const (
 		parts      = 4
@@ -287,10 +287,9 @@ func TestStreamingPeakResidentBound(t *testing.T) {
 		perTask    = 1024 // 32k pairs ~ 32x the total budget
 	)
 	tasks := ingestTasks(nTasks, perTask, 301)
-	s := New[int, int](Options{
-		Partitions: parts, MaxBufferedPairs: budget,
-		BlockPairs: blockPairs, SpillDir: t.TempDir(),
-	})
+	s := newTuned[int, int](Options{
+		Partitions: parts, MaxBufferedPairs: budget, SpillDir: t.TempDir(),
+	}, tuning{blockPairs: blockPairs})
 	defer s.Close()
 	streamTasks(t, s, tasks, workers)
 
@@ -338,9 +337,9 @@ func TestStreamingPeakResidentBound(t *testing.T) {
 // run plus most of a budget of staged pairs.
 func TestSwapReadBackStaysUnderBound(t *testing.T) {
 	const budget, blockPairs = 256, 64
-	s := New[int, int](Options{
-		Partitions: 1, MaxBufferedPairs: budget, BlockPairs: blockPairs, SpillDir: t.TempDir(),
-	})
+	s := newTuned[int, int](Options{
+		Partitions: 1, MaxBufferedPairs: budget, SpillDir: t.TempDir(),
+	}, tuning{blockPairs: blockPairs})
 	defer s.Close()
 	ing := s.NewIngester()
 	older, newer := ing.Task(0, 0), ing.Task(1, 0)
@@ -392,10 +391,10 @@ func TestStreamingStress(t *testing.T) {
 		workers               = 8
 	)
 	tasks := ingestTasks(nTasks, perTask, keys)
-	s := New[int, int](Options{
-		Partitions: 2, MaxBufferedPairs: 16, BlockPairs: 16,
+	s := newTuned[int, int](Options{
+		Partitions: 2, MaxBufferedPairs: 16,
 		SpillDir: t.TempDir(),
-	})
+	}, tuning{blockPairs: 16})
 	defer s.Close()
 
 	ing := s.NewIngester()
@@ -464,10 +463,10 @@ func TestStreamingStress(t *testing.T) {
 // from Commit or Finish, with Close still cleaning up.
 func TestStreamingFaultInjection(t *testing.T) {
 	workload := func(fs *errfs.FS) error {
-		s := New[int, int](Options{
-			Partitions: 1, MaxBufferedPairs: 4, BlockPairs: 16,
+		s := newTuned[int, int](Options{
+			Partitions: 1, MaxBufferedPairs: 4,
 			SpillDir: t.TempDir(), FS: fs,
-		})
+		}, tuning{blockPairs: 16})
 		defer s.Close()
 		ing := s.NewIngester()
 		var firstErr error
@@ -557,14 +556,12 @@ func TestSpoolRotationFaultTolerance(t *testing.T) {
 	}
 
 	run := func(fs *errfs.FS, rotate int64) (map[int][]int, Stats, error) {
-		s := New[int, int](Options{
-			Partitions: 1, MaxBufferedPairs: 8, BlockPairs: 8,
+		// Inline compaction keeps the round single-threaded, so the
+		// create ordinals are deterministic and the march is exact.
+		s := newTuned[int, int](Options{
+			Partitions: 1, MaxBufferedPairs: 8,
 			SpillDir: t.TempDir(), FS: fs,
-			SpoolRotateBytes: rotate,
-			// Inline compaction keeps the round single-threaded, so the
-			// create ordinals are deterministic and the march is exact.
-			CompactionConcurrency: -1,
-		})
+		}, tuning{blockPairs: 8, rotateBytes: rotate, compactors: -1})
 		defer s.Close()
 		ing := s.NewIngester()
 		var firstErr error
@@ -644,10 +641,10 @@ func TestSpoolRotationFaultTolerance(t *testing.T) {
 // mutation path that forgets to invalidate serves the stale profile.)
 func TestStreamingStatsInvalidation(t *testing.T) {
 	const perTask = 64
-	s := New[int, int](Options{
-		Partitions: 2, MaxBufferedPairs: 8, BlockPairs: 4,
+	s := newTuned[int, int](Options{
+		Partitions: 2, MaxBufferedPairs: 8,
 		SpillDir: t.TempDir(),
-	})
+	}, tuning{blockPairs: 4})
 	defer s.Close()
 	ing := s.NewIngester()
 
@@ -715,7 +712,7 @@ func TestStreamingEmptyAndSingleTask(t *testing.T) {
 		t.Fatalf("empty ingestion: %v", err)
 	}
 
-	s2 := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 8, BlockPairs: 16, SpillDir: t.TempDir()})
+	s2 := newTuned[int, int](Options{Partitions: 2, MaxBufferedPairs: 8, SpillDir: t.TempDir()}, tuning{blockPairs: 16})
 	defer s2.Close()
 	ing2 := s2.NewIngester()
 	tw := ing2.Task(0, 0)

@@ -29,11 +29,10 @@ func TestTracingUnderFaultInjection(t *testing.T) {
 			fs := errfs.New(nil)
 			fs.FailAt(op, nth, nil)
 			rec := obs.NewRecorder(0)
-			s := New[int, int](Options{
+			s := newTuned[int, int](Options{
 				Partitions: 1, MaxBufferedPairs: 1, // one seal per pair: compaction runs
 				SpillDir: t.TempDir(), FS: fs, Recorder: rec,
-				CompactionConcurrency: -1, // inline: the ordinals hit the same calls every run
-			})
+			}, tuning{compactors: -1}) // inline: the ordinals hit the same calls every run
 			err := ingestTasksErr(s, [][]Pair[int, int]{modPairs(maxDiskRunsPerPartition+2, 5)}, 1)
 			if err == nil {
 				// Exercise the reduce-merge (open/read) path too.
@@ -57,10 +56,10 @@ func TestTracingUnderFaultInjection(t *testing.T) {
 // instead of blocking or corrupting. Run under -race in CI.
 func TestRecorderConcurrentStress(t *testing.T) {
 	rec := obs.NewRecorder(16) // tiny: guarantees wrap under load
-	s := New[int, int](Options{
-		Partitions: 4, MaxBufferedPairs: 8, BlockPairs: 4,
+	s := newTuned[int, int](Options{
+		Partitions: 4, MaxBufferedPairs: 8,
 		SpillDir: t.TempDir(), Recorder: rec,
-	})
+	}, tuning{blockPairs: 4})
 	defer s.Close()
 
 	const workers, tasks, pairs = 8, 32, 200

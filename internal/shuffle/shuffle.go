@@ -43,9 +43,8 @@ import (
 
 // Options configures a Shuffle.
 type Options struct {
-	// Partitions is the number of shuffle partitions P. Values <= 0
-	// select DefaultPartitions(). The effective count is rounded up to
-	// a power of two so partition selection is a mask, not a modulo.
+	// Partitions is the number of shuffle partitions P; the effective
+	// count is PartitionCount(Partitions).
 	Partitions int
 
 	// MaxBufferedPairs is the per-partition memory budget, in pairs.
@@ -68,14 +67,6 @@ type Options struct {
 	// closes.
 	FS runfile.FS
 
-	// BlockPairs is the ingestion block budget: the number of pairs a
-	// TaskWriter buffers across its per-partition blocks before
-	// flushing the fullest block to its partition. Zero derives it from
-	// MaxBufferedPairs (half the budget, clamped to [16, 8192]; 1024
-	// without a budget). The whole-round resident bound is
-	// P*MaxBufferedPairs + writers*BlockPairs.
-	BlockPairs int
-
 	// Recorder, when non-nil, receives the shuffle's lifecycle events:
 	// block flushes, seals, pressure-relief swaps and swap aborts,
 	// compactions and reduce-time merges, each on its partition's lane;
@@ -83,25 +74,6 @@ type Options struct {
 	// Nil disables recording at the cost of one nil-check per event —
 	// the hot data path is identical either way.
 	Recorder *obs.Recorder
-
-	// CompactionConcurrency is the number of background workers that
-	// compact disk runs during ingestion, so a partition whose run count
-	// outgrows the merge fan-in is rewritten off the ingestion path
-	// instead of stalling its seal. Zero selects a small default (2);
-	// negative forces inline compaction on the sealing goroutine, which
-	// makes a single-goroutine round's I/O order deterministic (the
-	// fault-injection tests march over it).
-	CompactionConcurrency int
-
-	// SpoolRotateBytes bounds how many dead bytes — sections already
-	// compacted away, absorbed, or aborted — a streaming spool file may
-	// accumulate before it is rotated: a fresh file takes over the
-	// writes and the old one is deleted as soon as its last live section
-	// is released, so long rounds reclaim disk instead of growing every
-	// spool monotonically. Zero selects a 4 MiB default; negative
-	// disables rotation. Reclaimed bytes are reported in
-	// Stats.BytesReclaimed.
-	SpoolRotateBytes int64
 }
 
 // DefaultPartitions is the partition count used when Options.Partitions
@@ -117,6 +89,63 @@ func DefaultPartitions() int {
 		p = 256
 	}
 	return ceilPow2(p)
+}
+
+// PartitionCount is the effective partition count for a requested n:
+// DefaultPartitions() when n <= 0, else n rounded up to a power of two
+// so partition selection is a mask, not a modulo.
+func PartitionCount(n int) int {
+	if n <= 0 {
+		return DefaultPartitions()
+	}
+	return ceilPow2(n)
+}
+
+// tuning holds the shuffle's internal knobs. Production code never sets
+// them (New resolves the zero tuning): the block budget derives from the
+// memory budget, the compaction pool and the spool rotation threshold
+// are fixed. The package's tests pin them (newTuned) to make I/O orders
+// and run shapes exact.
+type tuning struct {
+	// blockPairs is the ingestion block budget: the pairs a TaskWriter
+	// buffers across its per-partition blocks before flushing the
+	// fullest. The whole-round resident bound is P*MaxBufferedPairs +
+	// writers*blockPairs.
+	blockPairs int
+	// compactors is the background compaction pool size; negative
+	// compacts inline on the sealing goroutine, which makes a
+	// single-goroutine round's I/O order deterministic (the
+	// fault-injection tests march over it).
+	compactors int
+	// rotateBytes bounds the dead bytes (sections compacted away,
+	// absorbed or aborted) a spool file may accumulate before a fresh
+	// file takes over and the old one is deleted once its last live
+	// section is released; negative disables rotation.
+	rotateBytes int64
+}
+
+// resolve fills in every knob a test left zero. The block budget is
+// half the memory budget (1024 without one), so two flushed blocks fit
+// a partition's live run, clamped to [16, 8192] so blocks amortize
+// locking yet keep the per-writer buffer a fraction of the budget.
+// Compaction is I/O-heavy and already bounded by diskSem, so two
+// workers keep run counts down without competing with ingestion for
+// CPU. Spools rotate at 4 MiB of dead bytes.
+func (t tuning) resolve(budget int) tuning {
+	if t.blockPairs <= 0 {
+		t.blockPairs = 1024
+		if budget > 0 {
+			t.blockPairs = budget / 2
+		}
+	}
+	t.blockPairs = min(max(t.blockPairs, 16), 8192)
+	if t.compactors == 0 {
+		t.compactors = 2
+	}
+	if t.rotateBytes == 0 {
+		t.rotateBytes = 4 << 20
+	}
+	return t
 }
 
 func ceilPow2(n int) int {
@@ -143,7 +172,7 @@ type Shuffle[K comparable, V any] struct {
 	opts         Options
 	nparts       int
 	mask         uint64
-	blockPairs   int // per-writer block budget (Options.BlockPairs, defaulted)
+	tune         tuning // resolved
 	parts        []partitionState[K, V]
 	mu           sync.Mutex // guards closed and borrowed
 	closed       bool
@@ -155,7 +184,7 @@ type Shuffle[K comparable, V any] struct {
 
 	// Async compaction (see compact.go): partitions over their run-count
 	// bound are enqueued on compactCh (at most one entry per partition)
-	// and merged by CompactionConcurrency background workers. compactWG
+	// and merged by tune.compactors background workers. compactWG
 	// tracks queued + in-flight work; Finish and Close wait on it, and
 	// the first worker error is surfaced through Finish.
 	compactCh    chan int
@@ -175,7 +204,7 @@ type Shuffle[K comparable, V any] struct {
 	// resident counts the pairs currently held in shuffle memory (live
 	// runs, staged blocks, in-memory sealed runs); peakResident is its
 	// whole-round high-water mark, the bound the streaming data path
-	// promises to keep under P*MemoryBudget + writers*BlockPairs.
+	// promises to keep under P*MemoryBudget + writers*blockPairs.
 	resident     atomic.Int64
 	peakResident atomic.Int64
 
@@ -273,20 +302,18 @@ type partitionState[K comparable, V any] struct {
 func (st *partitionState[K, V]) syncLive() { st.liveApprox.Store(int64(st.livePairs)) }
 
 // New creates a shuffle with the given options.
-func New[K comparable, V any](opts Options) *Shuffle[K, V] {
-	n := opts.Partitions
-	if n <= 0 {
-		n = DefaultPartitions()
-	}
-	n = ceilPow2(n)
+func New[K comparable, V any](opts Options) *Shuffle[K, V] { return newTuned[K, V](opts, tuning{}) }
+
+func newTuned[K comparable, V any](opts Options, tune tuning) *Shuffle[K, V] {
+	n := PartitionCount(opts.Partitions)
 	s := &Shuffle[K, V]{
-		hasher:     NewHasher[K](),
-		opts:       opts,
-		nparts:     n,
-		mask:       uint64(n - 1),
-		blockPairs: blockPairs(opts),
-		parts:      make([]partitionState[K, V], n),
-		diskSem:    make(chan struct{}, diskReadConcurrency),
+		hasher:  NewHasher[K](),
+		opts:    opts,
+		tune:    tune.resolve(opts.MaxBufferedPairs),
+		nparts:  n,
+		mask:    uint64(n - 1),
+		parts:   make([]partitionState[K, V], n),
+		diskSem: make(chan struct{}, diskReadConcurrency),
 	}
 	for i := range s.parts {
 		s.parts[i].idx = i
@@ -317,35 +344,13 @@ func New[K comparable, V any](opts Options) *Shuffle[K, V] {
 	return s
 }
 
-// blockPairs resolves Options.BlockPairs: half the memory budget by
-// default, so two flushed blocks fit a partition's live run, clamped
-// so blocks stay big enough to amortize locking and small enough to
-// keep the per-writer buffer a fraction of the budget.
-func blockPairs(opts Options) int {
-	bp := opts.BlockPairs
-	if bp <= 0 {
-		if b := opts.MaxBufferedPairs; b > 0 {
-			bp = b / 2
-		} else {
-			bp = 1024
-		}
-	}
-	if bp < 16 {
-		bp = 16
-	}
-	if bp > 8192 {
-		bp = 8192
-	}
-	return bp
-}
-
 // getBlock takes a block backing array from the pool (or allocates one
 // at the block budget) with length zero.
 func (s *Shuffle[K, V]) getBlock() []Pair[K, V] {
 	if v := s.pool.Get(); v != nil {
 		return (*v.(*[]Pair[K, V]))[:0]
 	}
-	return make([]Pair[K, V], 0, s.blockPairs)
+	return make([]Pair[K, V], 0, s.tune.blockPairs)
 }
 
 // putBlock recycles a flushed block's backing array.
@@ -665,7 +670,7 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 	st.livePairs = 0
 	st.syncLive()
 	if st.pspool != nil && needsCompaction(st.disk) {
-		if s.opts.CompactionConcurrency < 0 {
+		if s.tune.compactors < 0 {
 			// Inline mode: compact on the sealing goroutine
 			// (deterministic scheduling for tests).
 			s.diskSem <- struct{}{}
@@ -821,7 +826,7 @@ type Stats struct {
 	// held in shuffle memory at once: live runs, staged streaming
 	// blocks, and in-memory sealed runs, summed over partitions. With a
 	// SpillDir the streaming ingestion path keeps it under
-	// P*MaxBufferedPairs + writers*BlockPairs — the bound that makes
+	// P*MaxBufferedPairs + writers*blockPairs — the bound that makes
 	// the communication cost, not the dataset size, the limit on
 	// resident memory.
 	PeakResidentPairs int64

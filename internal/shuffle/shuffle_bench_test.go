@@ -30,7 +30,7 @@ func benchPairs(total, nTasks, nKeys int) [][]Pair[string, int] {
 // blocks into the exchange while mapping, so sort+encode+spill overlap
 // emission — and read back range-split, the production reduce shape.
 // The gates: whole-round peak resident pairs within
-// P*budget + workers*BlockPairs (asserted in-benchmark and exported as
+// P*budget + workers*blockPairs (asserted in-benchmark and exported as
 // peak-resident-pairs; compare with the total pair count — residency
 // tracks the budget, not the dataset), spilled-MB identical on every
 // iteration, and the values/s floor scripts/benchcmp holds. The disk
@@ -93,15 +93,13 @@ func BenchmarkExternalShuffle(b *testing.B) {
 				// steady-state heap directly.
 				b.ResetTimer()
 			}
-			s := New[string, int](Options{
-				Partitions: parts, MaxBufferedPairs: budget,
-				BlockPairs: blockPairs, SpillDir: b.TempDir(),
-				// A small rotation threshold so long rounds exercise
-				// spool rotation (dead swap/compacted sections reclaimed
-				// mid-round) under the measured workload.
-				SpoolRotateBytes: 64 << 10,
-				Recorder:         rec,
-			})
+			// A small rotation threshold so long rounds exercise spool
+			// rotation (dead swap/compacted sections reclaimed mid-round)
+			// under the measured workload.
+			s := newTuned[string, int](Options{
+				Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir(),
+				Recorder: rec,
+			}, tuning{blockPairs: blockPairs, rotateBytes: 64 << 10})
 			ing := s.NewIngester()
 			var wg sync.WaitGroup
 			taskCh := make(chan int)
@@ -337,9 +335,9 @@ func BenchmarkReduceMergeDecode(b *testing.B) {
 
 	build := func(b *testing.B) *Shuffle[string, int] {
 		b.Helper()
-		s := New[string, int](Options{
-			Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir(), CompactionConcurrency: -1,
-		})
+		s := newTuned[string, int](Options{
+			Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir(),
+		}, tuning{compactors: -1})
 		streamTasks(b, s, tasks, 4)
 		for p := range s.parts {
 			if disk := s.parts[p].disk; diskFanIn(disk) != 2 || len(disk) < 16 || len(disk) > 80 {

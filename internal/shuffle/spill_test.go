@@ -192,9 +192,9 @@ func TestSpillStructKeysViaGob(t *testing.T) {
 // which TestCompactionBoundsFileFanIn reaches — is what fires; inline
 // compaction makes the resulting shape exact.
 func TestCompactionBoundsRunFanIn(t *testing.T) {
-	s := New[int, int](Options{
-		Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir(), CompactionConcurrency: -1,
-	})
+	s := newTuned[int, int](Options{
+		Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir(),
+	}, tuning{compactors: -1})
 	defer s.Close()
 	s.SetPartitioner(func(int) int { return 0 })
 	const bound = maxDiskRunsPerPartition
