@@ -56,7 +56,8 @@ type Config struct {
 	// tasks retry up to MaxRetries times (default 2 when injection is
 	// on). Map tasks fail *after* emitting their output, so injection
 	// exercises the streaming path's attempt fencing (flushed pairs of
-	// the failed attempt are discarded, the retry re-emits). Reduce
+	// the failed attempt are discarded, the retry re-emits); reduce
+	// tasks fail after collecting theirs, which the retry drops. Reduce
 	// tasks are partitions; their ordinal counts non-empty partitions
 	// in ascending order, so injection always hits at least one reduce
 	// task regardless of how keys hashed.
@@ -209,7 +210,8 @@ func (m Metrics) PartitionSkew() float64 {
 type Result[K comparable, O any] struct {
 	// Outputs are the reduce outputs in global deterministic order:
 	// keys ascending (shuffle.SortKeys order), emission order within a
-	// key.
+	// key. The slice is allocated once at its exact size and filled in
+	// parallel from the reduce units' collectors.
 	Outputs []O
 	// Loads, when Config.RecordLoads was set, are the reducers' input
 	// sizes in that same global key order.
@@ -437,10 +439,10 @@ func runMapAttempt[I any, K comparable, V, O any](r Round[I, K, V, O], records [
 	return count
 }
 
-// partResult is one reduced partition, keys in sorted order.
+// partResult is one reduced unit: its outputs per key, keys in sorted
+// order, and with RecordLoads each key's input size.
 type partResult[K comparable, O any] struct {
-	keys  []K
-	outs  [][]O
+	out   Collector[K, O]
 	loads []int
 }
 
@@ -493,9 +495,10 @@ func (pr *partReader[K, V]) release() {
 // balancer — whole non-empty partitions by default; with
 // Config.ReduceSplitPairs, heavy partitions split into class-aligned
 // key-range units weighted by indexed pair load — reduces each unit's
-// keys in sorted order, and assembles the outputs in global key order.
-// Range units of one partition reassemble in range order first, so the
-// output is byte-identical to the unsplit round.
+// keys in sorted order into its own Collector, and assembles the
+// outputs in global key order (assemble). Every unit is one sorted key
+// run and assembly orders keys globally, so the output is
+// byte-identical whether or not a partition was split.
 func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuffle.Shuffle[K, V], st shuffle.Stats, res Result[K, O]) (Result[K, O], error) {
 	cfg := r.Config
 	workers := cfg.Workers
@@ -567,13 +570,9 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 		}
 	}
 
-	results := make([]partResult[K, O], P)
-	rangeResults := make([][]partResult[K, O], P)
+	results := make([]partResult[K, O], len(units))
 	readers := make([]partReader[K, V], P)
 	for p := 0; p < P; p++ {
-		if ranges[p] != nil {
-			rangeResults[p] = make([]partResult[K, O], len(ranges[p]))
-		}
 		readers[p].part = sh.Partition(p)
 	}
 	retries := make([]int64, len(units))
@@ -610,14 +609,10 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 					wlane.Begin(obs.OpReduceTask, int64(p), int64(attempts))
 					rlane.Begin(obs.OpReduceRange, int64(p), int64(rng))
 					pr, err := attemptReduce(r, rr, kr, rng <= 0, ordinal[p], attempts)
-					rlane.End(obs.OpReduceRange, int64(len(pr.keys)), obs.ErrFlag(err))
-					wlane.End(obs.OpReduceTask, int64(len(pr.keys)), obs.ErrFlag(err))
+					rlane.End(obs.OpReduceRange, int64(len(pr.out.keys)), obs.ErrFlag(err))
+					wlane.End(obs.OpReduceTask, int64(len(pr.out.keys)), obs.ErrFlag(err))
 					if err == nil {
-						if rng < 0 {
-							results[p] = pr
-						} else {
-							rangeResults[p][rng] = pr
-						}
+						results[u] = pr
 						break
 					}
 					attempts++
@@ -641,50 +636,8 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 		res.Metrics.ReduceRetries += retries[u]
 	}
 
-	// Reassemble split partitions in range order: the ranges partition
-	// the key space in canonical order, so concatenation reproduces the
-	// whole-partition merge's key sequence exactly.
-	for p := 0; p < P; p++ {
-		if ranges[p] == nil {
-			continue
-		}
-		var pr partResult[K, O]
-		for _, rpr := range rangeResults[p] {
-			pr.keys = append(pr.keys, rpr.keys...)
-			pr.outs = append(pr.outs, rpr.outs...)
-			pr.loads = append(pr.loads, rpr.loads...)
-		}
-		results[p] = pr
-	}
-
-	// Global assembly: all keys sorted once, outputs concatenated in
-	// that order — the runtime's deterministic output contract.
-	totalKeys := int(st.Keys)
-	allKeys := make([]K, 0, totalKeys)
-	type ref struct{ p, i int }
-	refs := make(map[K]ref, totalKeys)
-	for p := 0; p < P; p++ {
-		for i, k := range results[p].keys {
-			allKeys = append(allKeys, k)
-			refs[k] = ref{p, i}
-		}
-	}
-	shuffle.SortKeys(allKeys)
-
-	var outs []O
-	for _, k := range allKeys {
-		rf := refs[k]
-		outs = append(outs, results[rf.p].outs[rf.i]...)
-	}
-	res.Outputs = outs
-	res.Metrics.Outputs = int64(len(outs))
-	if cfg.RecordLoads {
-		res.Loads = make([]int, len(allKeys))
-		for i, k := range allKeys {
-			rf := refs[k]
-			res.Loads[i] = results[rf.p].loads[rf.i]
-		}
-	}
+	res.Outputs, res.Loads = assemble(results, workers, cfg.RecordLoads, cfg.Recorder.Lane(obs.LaneRound, 0))
+	res.Metrics.Outputs = int64(len(res.Outputs))
 	return res, nil
 }
 
@@ -719,13 +672,13 @@ func collectLoads[K comparable, V any](sh *shuffle.Shuffle[K, V], totalKeys int)
 // a partition (the unbounded range: the whole partition) — streaming its
 // key groups in sorted order through the partition's RangeReader: the
 // shuffle's k-way merge holds only one group's values at a time, so a
-// spilled partition reduces within the memory budget. Fault injection
-// fires only on a partition's first unit (first == true), so a split
-// round injects exactly as many failures as an unsplit one.
+// spilled partition reduces within the memory budget. Each group's
+// outputs go straight into the unit's Collector; no slice is grown per
+// key. Fault injection fires after the unit reduced, so a retry starts
+// from a fresh collector and the failed attempt's chunks are dropped
+// with it; it fires only on a partition's first unit (first == true),
+// so a split round injects exactly as many failures as an unsplit one.
 func attemptReduce[I any, K comparable, V, O any](r Round[I, K, V, O], rr *shuffle.RangeReader[K, V], kr shuffle.KeyRange[K], first bool, taskOrdinal, attempt int) (partResult[K, O], error) {
-	if fe := r.Config.FailureEveryN; fe > 0 && first && attempt == 0 && taskOrdinal%fe == 0 {
-		return partResult[K, O]{}, errInjected
-	}
 	var pr partResult[K, O]
 	reduce, batch := r.Reduce, false
 	if r.ReduceBatch != nil {
@@ -733,16 +686,20 @@ func attemptReduce[I any, K comparable, V, O any](r Round[I, K, V, O], rr *shuff
 		// decode per group, values only valid during the call.
 		reduce, batch = r.ReduceBatch, true
 	}
+	emit := pr.out.Emit
 	err := rr.ForEachGroupRange(kr, batch, func(k K, vs []V) error {
-		pr.keys = append(pr.keys, k)
-		pr.loads = append(pr.loads, len(vs))
-		var outs []O
-		reduce(k, vs, func(o O) { outs = append(outs, o) })
-		pr.outs = append(pr.outs, outs)
+		reduce(k, vs, emit)
+		pr.out.EndKey(k)
+		if r.Config.RecordLoads {
+			pr.loads = append(pr.loads, len(vs))
+		}
 		return nil
 	})
 	if err != nil {
 		return partResult[K, O]{}, err
+	}
+	if fe := r.Config.FailureEveryN; fe > 0 && first && attempt == 0 && taskOrdinal%fe == 0 {
+		return partResult[K, O]{}, errInjected
 	}
 	return pr, nil
 }

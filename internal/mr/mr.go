@@ -43,7 +43,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/shuffle"
 )
 
 // Pair is a single key-value pair emitted by a map task.
@@ -496,15 +495,4 @@ func (j *Job[I, K, V, O]) runEngine(inputs []I) ([]O, Metrics, error) {
 		ReduceRangeSkew:   res.Metrics.ReduceRangeSkew,
 		ReducerInputLog2:  res.Metrics.ReducerInputLog2,
 	}, err
-}
-
-// sortedKeys returns the map's keys in the runtime's canonical
-// deterministic order (see shuffle.SortKeys).
-func sortedKeys[K comparable, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	shuffle.SortKeys(keys)
-	return keys
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/shuffle"
 )
 
 // wordCountJob is the canonical word-count example used throughout the
@@ -456,6 +457,17 @@ func TestRecorderRoundTraceIsValid(t *testing.T) {
 	if groups != met.Reducers {
 		t.Errorf("ReducerInputLog2 sums to %d groups, want Reducers = %d", groups, met.Reducers)
 	}
+}
+
+// sortedKeys returns the map's keys in the runtime's canonical
+// deterministic order (see shuffle.SortKeys).
+func sortedKeys[K comparable, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	shuffle.SortKeys(keys)
+	return keys
 }
 
 func TestSortedKeysStability(t *testing.T) {

@@ -53,7 +53,8 @@ const (
 	OpPhaseMap
 	// OpPhaseProfile spans the shuffle Stats profiling pass. Round lane.
 	OpPhaseProfile
-	// OpPhaseReduce spans the reduce phase including output assembly.
+	// OpPhaseReduce spans the reduce phase including output assembly
+	// (OpOutputAssemble).
 	// Round lane. Begin A = partition count.
 	OpPhaseReduce
 
@@ -126,6 +127,11 @@ const (
 	// Round lane. Begin A = partitions; End A = outputs, B = 1 on failure
 	// else 0.
 	OpProcOutputMerge
+	// OpOutputAssemble spans the in-process reduce phase's serial tail:
+	// ordering the reduce units' keys globally and copying their outputs
+	// into one exact-size slice. Round lane, inside OpPhaseReduce.
+	// Begin and End A = keys, B = outputs.
+	OpOutputAssemble
 
 	numOps // count sentinel; keep last
 )
@@ -157,6 +163,7 @@ var opNames = [numOps]struct{ name, a, b string }{
 
 	OpProcInputs:      {"proc-inputs", "records", "tasks"},
 	OpProcOutputMerge: {"proc-output-merge", "partitions", ""},
+	OpOutputAssemble:  {"output-assemble", "keys", "outputs"},
 }
 
 // ErrFlag renders an error as the 0/1 "err" argument of a span's End

@@ -341,11 +341,23 @@ func writeTestImage(t testing.TB, records []string, size int) (string, []mapTask
 func writeTestOutput(t *testing.T) ReduceReport {
 	t.Helper()
 	path := outPath(t.TempDir(), 0, 0)
-	rs := []reduced[string, wcOut]{
-		{keys: []string{"alpha", "beta"}, ends: []int{2, 3}, outs: []wcOut{{"alpha", 1}, {"alpha", 2}, {"beta", 3}}},
-		{keys: []string{"gamma"}, ends: []int{2}, outs: []wcOut{{"gamma", 4}, {"gamma", 5}}},
+	// Two ranges; omega emits nothing, so the file holds no group for it.
+	cs := make([]engine.Collector[string, wcOut], 2)
+	for i, g := range []struct {
+		key  string
+		outs []wcOut
+	}{
+		{"alpha", []wcOut{{"alpha", 1}, {"alpha", 2}}},
+		{"beta", []wcOut{{"beta", 3}}},
+		{"gamma", []wcOut{{"gamma", 4}, {"gamma", 5}}},
+		{"omega", nil},
+	} {
+		for _, o := range g.outs {
+			cs[i/2].Emit(o)
+		}
+		cs[i/2].EndKey(g.key)
 	}
-	size, err := writeOutputs(path, rs)
+	size, err := writeOutputs(path, cs)
 	if err != nil {
 		t.Fatal(err)
 	}

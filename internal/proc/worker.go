@@ -497,15 +497,6 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 	}, nil
 }
 
-// reduced is one key range's reduce output in canonical key order: the
-// keys that emitted, and their outputs back to back (keys[i]'s are
-// outs[ends[i-1]:ends[i]]).
-type reduced[K comparable, O any] struct {
-	keys []K
-	ends []int
-	outs []O
-}
-
 // runReduceTask reduces one partition the way the in-process engine
 // does: the committed sections — each a sorted run, in sortSections
 // order from the driver — are adopted into a one-partition shuffle
@@ -552,22 +543,18 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 		return ReduceReport{}, fmt.Errorf("proc: opening partition %d: %w", t.ID, err)
 	}
 	defer rr.Close()
-	outs := make([]reduced[K, O], len(ranges))
+	outs := make([]engine.Collector[K, O], len(ranges))
 	errs := make([]error, len(ranges))
 	var wg sync.WaitGroup
 	for r := range ranges {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ro := &outs[r]
-			emit := func(o O) { ro.outs = append(ro.outs, o) }
+			c := &outs[r]
+			emit := c.Emit
 			errs[r] = rr.ForEachGroupRange(ranges[r], j.spec.BatchReduce, func(k K, vs []V) error {
-				n := len(ro.outs)
 				j.spec.Reduce(k, vs, emit)
-				if len(ro.outs) > n {
-					ro.keys = append(ro.keys, k)
-					ro.ends = append(ro.ends, len(ro.outs))
-				}
+				c.EndKey(k)
 				return nil
 			})
 		}(r)
@@ -578,7 +565,7 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 		if errs[r] != nil {
 			return ReduceReport{}, fmt.Errorf("proc: reducing partition %d: %w", t.ID, errs[r])
 		}
-		outputs += int64(len(outs[r].outs))
+		outputs += int64(outs[r].Len())
 	}
 	path := outPath(ws.dir, t.ID, t.Attempt)
 	size, err := writeOutputs(path, outs)
@@ -597,19 +584,17 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 // key that emitted, holding its outputs, ranges in order — canonical key
 // order, the image the driver's output merge adopts. It returns the
 // file's size.
-func writeOutputs[K comparable, O any](path string, rs []reduced[K, O]) (int64, error) {
+func writeOutputs[K comparable, O any](path string, cs []engine.Collector[K, O]) (int64, error) {
 	var enc shuffle.GroupEncoder[K, O]
-	w, err := writeRun(path, func(w *runfile.Writer) error {
-		for _, r := range rs {
-			lo := 0
-			for i, k := range r.keys {
-				if err := enc.Group(w, k, r.outs[lo:r.ends[i]]); err != nil {
-					return err
+	w, err := writeRun(path, func(w *runfile.Writer) (err error) {
+		for i := range cs {
+			cs[i].ForEach(func(k K, outs []O) {
+				if len(outs) > 0 && err == nil {
+					err = enc.Group(w, k, outs)
 				}
-				lo = r.ends[i]
-			}
+			})
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return 0, err
