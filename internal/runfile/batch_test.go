@@ -7,6 +7,7 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // buildFile writes groups to an in-memory v2 run file and returns the
@@ -16,8 +17,8 @@ func buildFile(t *testing.T, groups map[string][][]byte, order []string) ([]byte
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for _, k := range order {
-		if err := w.WriteGroup([]byte(k), groups[k]); err != nil {
-			t.Fatalf("WriteGroup(%q): %v", k, err)
+		if err := writeGroup(w, []byte(k), groups[k]); err != nil {
+			t.Fatalf("writeGroup(%q): %v", k, err)
 		}
 	}
 	if err := w.Finish(); err != nil {
@@ -272,7 +273,7 @@ func TestDecodeBatchKinds(t *testing.T) {
 func TestDecodeBatchCopiesReferencePayloads(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteGroup([]byte("k"), [][]byte{[]byte("abc"), []byte("def")}); err != nil {
+	if err := writeGroup(w, []byte("k"), [][]byte{[]byte("abc"), []byte("def")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Finish(); err != nil {
@@ -433,5 +434,134 @@ func TestReadValueBatchAgainstSkip(t *testing.T) {
 				t.Fatalf("group %q: batch has %d values, want %d", k, batch.Len(), len(groups[string(k)]))
 			}
 		} // odd groups: Next skips the unread values
+	}
+}
+
+// checkCodecKind requires CodecFor's resolved functions to produce
+// Append's bytes exactly, and to decode them back as Decode does.
+func checkCodecKind[T comparable](t *testing.T, vals []T) {
+	t.Helper()
+	c := CodecFor[T]()
+	for _, v := range vals {
+		want, err := Append(nil, v)
+		if err != nil {
+			t.Fatalf("Append(%T %v): %v", v, v, err)
+		}
+		got, err := c.Append(nil, v)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("CodecFor[%T].Append(%v) = %x (%v), Append = %x", v, v, got, err, want)
+		}
+		back, err := c.Decode(got)
+		if err != nil || back != v {
+			t.Fatalf("CodecFor[%T].Decode = %v (%v), want %v", v, back, err, v)
+		}
+	}
+}
+
+// TestCodecForMatchesAppend pins the resolved codec to the per-call one
+// over the codec's kind table: the typed kinds, named scalars (which
+// take the fixed-width plan, not the typed switch, and must keep its
+// bytes), fixed-width structs and the gob fallback.
+func TestCodecForMatchesAppend(t *testing.T) {
+	checkCodecKind(t, []int{0, -1, 1, 1 << 40, -(1 << 40)})
+	checkCodecKind(t, []int8{-128, 0, 127})
+	checkCodecKind(t, []int16{-32768, 5, 32767})
+	checkCodecKind(t, []int32{-1 << 30, 0, 1 << 30})
+	checkCodecKind(t, []int64{-1 << 62, 7, 1 << 62})
+	checkCodecKind(t, []uint{0, 1, 1 << 60})
+	checkCodecKind(t, []uint8{0, 200, 255})
+	checkCodecKind(t, []uint16{0, 65535})
+	checkCodecKind(t, []uint32{0, 1 << 31})
+	checkCodecKind(t, []uint64{0, 1 << 63})
+	checkCodecKind(t, []uintptr{0, 4096})
+	checkCodecKind(t, []float32{0, -1.5, 3.25})
+	checkCodecKind(t, []float64{0, -1.5, 1e300})
+	checkCodecKind(t, []bool{true, false})
+	checkCodecKind(t, []string{"", "a", "longer string value"})
+
+	type id int64
+	type small uint8
+	type name string
+	type flag bool
+	checkCodecKind(t, []id{-99, 0, 1 << 50})
+	checkCodecKind(t, []small{0, 255})
+	checkCodecKind(t, []name{"", "x"})
+	checkCodecKind(t, []flag{true, false})
+
+	type edge struct{ U, V int }
+	type cell struct {
+		Tag  int8
+		I, J int
+		X    float64
+	}
+	checkCodecKind(t, []edge{{1, 2}, {-3, 4}})
+	checkCodecKind(t, []cell{{1, 2, 3, 0.5}, {-1, 0, 0, -2}})
+	type boxed struct{ S string }
+	checkCodecKind(t, []boxed{{"x"}, {""}})
+
+	// []byte is not comparable; its bytes alone are pinned.
+	if got, _ := CodecFor[[]byte]().Append(nil, []byte("ab")); string(got) != "ab" {
+		t.Fatalf("CodecFor[[]byte].Append = %q, want \"ab\"", got)
+	}
+}
+
+// TestImageSize pins which types may travel as a memory image: numeric
+// kinds and arrays and structs of them, at their memory size; nothing
+// with a bool, a pointer or a reference, and nothing of size zero.
+func TestImageSize(t *testing.T) {
+	type cell struct {
+		Tag  int8
+		I, J int
+		X    float64
+	}
+	type pair struct {
+		K int
+		V cell
+	}
+	type hasBool struct {
+		On bool
+		N  int
+	}
+	type hasString struct {
+		S string
+		N int
+	}
+	for _, tc := range []struct {
+		name string
+		got  int
+		want int
+	}{
+		{"int", ImageSize[int](), 8},
+		{"int8", ImageSize[int8](), 1},
+		{"uintptr", ImageSize[uintptr](), int(unsafe.Sizeof(uintptr(0)))},
+		{"float32", ImageSize[float32](), 4},
+		{"complex128", ImageSize[complex128](), 16},
+		{"[3]uint16", ImageSize[[3]uint16](), 6},
+		{"padded struct", ImageSize[cell](), 32},
+		{"nested pair", ImageSize[pair](), 40},
+		{"bool", ImageSize[bool](), 0},
+		{"struct with bool", ImageSize[hasBool](), 0},
+		{"string", ImageSize[string](), 0},
+		{"struct with string", ImageSize[hasString](), 0},
+		{"pointer", ImageSize[*int](), 0},
+		{"slice", ImageSize[[]int](), 0},
+		{"map", ImageSize[map[int]int](), 0},
+		{"interface", ImageSize[any](), 0},
+		{"empty struct", ImageSize[struct{}](), 0},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("ImageSize[%s] = %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
+
+	cells := []cell{{1, 2, 3, 0.5}, {-1, -2, -3, 4}}
+	img := ImageBytes(cells)
+	if len(img) != 2*32 {
+		t.Fatalf("ImageBytes of 2 cells is %d bytes, want 64", len(img))
+	}
+	back := make([]cell, 2)
+	copy(ImageBytes(back), img)
+	if !reflect.DeepEqual(back, cells) {
+		t.Fatalf("image round trip = %v, want %v", back, cells)
 	}
 }

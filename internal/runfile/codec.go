@@ -164,6 +164,37 @@ func Append[T any](dst []byte, v T) ([]byte, error) {
 	}
 }
 
+// Codec is T's Append and Decode resolved once. For a fixed-width type
+// outside their typed switch, Append and Decode look T's compiled plan
+// up (reflection and a cache load) on every call; a Codec binds the
+// plan when it is made, so a caller coding many values pays the lookup
+// once. Its bytes are Append's exactly.
+type Codec[T any] struct {
+	Append func(dst []byte, v T) ([]byte, error)
+	Decode func(data []byte) (T, error)
+}
+
+// CodecFor resolves T's Codec.
+func CodecFor[T any]() Codec[T] {
+	switch any((*T)(nil)).(type) {
+	case *int, *int8, *int16, *int32, *int64, *uint, *uint8, *uint16, *uint32, *uint64, *uintptr,
+		*float32, *float64, *bool, *string, *[]byte:
+		return Codec[T]{Append[T], Decode[T]} // the typed switch
+	}
+	plan := fixedPlanFor[T]()
+	if plan == nil {
+		return Codec[T]{Append[T], Decode[T]} // gob, whose own cost dwarfs the lookup
+	}
+	return Codec[T]{
+		Append: func(dst []byte, v T) ([]byte, error) { return plan.appendTo(dst, fixedPtr(&v)), nil },
+		Decode: func(data []byte) (T, error) {
+			var out T
+			err := plan.decodeInto(data, fixedPtr(&out))
+			return out, err
+		},
+	}
+}
+
 // Decode reconstructs a value of type T from bytes produced by Append.
 // Its typed switch is mirrored by DecodeBatch in batch.go (one
 // dispatch per batch instead of per value); layout changes must land

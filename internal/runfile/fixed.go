@@ -165,6 +165,32 @@ func appendScalarOps(ops []scalarOp, t reflect.Type, base uintptr, key bool) ([]
 	}
 }
 
+// ImageSize reports T's memory size when every bit pattern of that many
+// bytes is a valid T — T is made only of integers, floats and complex
+// numbers, through arrays and structs of exported fields that the codec
+// plan covers (appendScalarOps) — so a []T can be stored as its memory
+// (ImageBytes) and read back by copying bytes into a []T. It reports 0
+// for any other T: bools (only 0 and 1 are valid), pointers, strings and
+// other references, and size zero. An image is this process's layout,
+// padding included, for this process to read back.
+func ImageSize[T any]() int {
+	t := reflect.TypeOf((*T)(nil)).Elem()
+	ops, ok := appendScalarOps(nil, t, 0, false)
+	for _, op := range ops {
+		ok = ok && op.kind != reflect.Bool
+	}
+	if !ok {
+		return 0
+	}
+	return int(t.Size())
+}
+
+// ImageBytes views s's elements as their memory image, without a copy.
+// T must have a nonzero ImageSize.
+func ImageBytes[T any](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(*new(T))))
+}
+
 // appendTo encodes the value at src (the address of a value of the
 // plan's type) onto dst in canonical little-endian form.
 func (p *fixedPlan) appendTo(dst []byte, src unsafe.Pointer) []byte {

@@ -29,11 +29,11 @@ func FuzzRunfileCodec(f *testing.F) {
 		}
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
-		if err := w.WriteGroup(key, values); err != nil {
-			t.Fatalf("WriteGroup: %v", err)
+		if err := writeGroup(w, key, values); err != nil {
+			t.Fatalf("writeGroup: %v", err)
 		}
-		if err := w.WriteGroup(v1, [][]byte{key}); err != nil {
-			t.Fatalf("WriteGroup: %v", err)
+		if err := writeGroup(w, v1, [][]byte{key}); err != nil {
+			t.Fatalf("writeGroup: %v", err)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatalf("Flush: %v", err)
@@ -72,11 +72,11 @@ func FuzzRunfileCodec(f *testing.F) {
 		// footer, and ReadIndex/ScanIndex must agree on the geometry.
 		var fbuf bytes.Buffer
 		fw := NewWriter(&fbuf)
-		if err := fw.WriteGroup(key, values); err != nil {
-			t.Fatalf("WriteGroup: %v", err)
+		if err := writeGroup(fw, key, values); err != nil {
+			t.Fatalf("writeGroup: %v", err)
 		}
-		if err := fw.WriteGroup(v1, [][]byte{key}); err != nil {
-			t.Fatalf("WriteGroup: %v", err)
+		if err := writeGroup(fw, v1, [][]byte{key}); err != nil {
+			t.Fatalf("writeGroup: %v", err)
 		}
 		if err := fw.Finish(); err != nil {
 			t.Fatalf("Finish: %v", err)
@@ -194,14 +194,14 @@ func FuzzValueBatch(f *testing.F) {
 		}
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
-		if err := w.WriteGroup(key, values); err != nil {
-			t.Fatalf("WriteGroup: %v", err)
+		if err := writeGroup(w, key, values); err != nil {
+			t.Fatalf("writeGroup: %v", err)
 		}
-		if err := w.WriteGroup(append(append([]byte(nil), key...), '0'), nil); err != nil {
-			t.Fatalf("WriteGroup: %v", err)
+		if err := writeGroup(w, append(append([]byte(nil), key...), '0'), nil); err != nil {
+			t.Fatalf("writeGroup: %v", err)
 		}
-		if err := w.WriteGroup(append(append([]byte(nil), key...), '1'), [][]byte{v2}); err != nil {
-			t.Fatalf("WriteGroup: %v", err)
+		if err := writeGroup(w, append(append([]byte(nil), key...), '1'), [][]byte{v2}); err != nil {
+			t.Fatalf("writeGroup: %v", err)
 		}
 		if err := w.Finish(); err != nil {
 			t.Fatalf("Finish: %v", err)

@@ -20,7 +20,10 @@ func TestLoadIndexErrfsReadAtFailure(t *testing.T) {
 	var buf bytes.Buffer
 	w := runfile.NewWriter(&buf)
 	for _, g := range []string{"a", "b", "c"} {
-		if err := w.WriteGroup([]byte(g), [][]byte{[]byte("v-" + g)}); err != nil {
+		if err := w.BeginGroup([]byte(g), 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendValue([]byte("v-" + g)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -26,7 +26,7 @@ func loadIndexFixture(t *testing.T) ([]byte, []IndexEntry, int64) {
 		for _, v := range g.vals {
 			vs = append(vs, []byte(v))
 		}
-		if err := w.WriteGroup([]byte(g.key), vs); err != nil {
+		if err := writeGroup(w, []byte(g.key), vs); err != nil {
 			t.Fatal(err)
 		}
 	}

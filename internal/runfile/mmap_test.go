@@ -177,7 +177,7 @@ func TestSetViewZeroCopyAndReset(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	vals := [][]byte{[]byte("alpha"), []byte(""), []byte("gamma")}
-	if err := w.WriteGroup([]byte("k"), vals); err != nil {
+	if err := writeGroup(w, []byte("k"), vals); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Finish(); err != nil {
@@ -284,14 +284,14 @@ func TestReadSectionAt(t *testing.T) {
 func TestWriterReset(t *testing.T) {
 	var a, b bytes.Buffer
 	w := NewWriter(&a)
-	if err := w.WriteGroup([]byte("k1"), [][]byte{[]byte("v1")}); err != nil {
+	if err := writeGroup(w, []byte("k1"), [][]byte{[]byte("v1")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	w.Reset(&b)
-	if err := w.WriteGroup([]byte("k2"), [][]byte{[]byte("v2"), []byte("v3")}); err != nil {
+	if err := writeGroup(w, []byte("k2"), [][]byte{[]byte("v2"), []byte("v3")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Finish(); err != nil {

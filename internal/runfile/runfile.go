@@ -165,20 +165,6 @@ func (w *Writer) writeUvarint(x uint64) {
 	w.write(w.uvbuf[:binary.PutUvarint(w.uvbuf[:], x)])
 }
 
-// WriteGroup appends one key group. Callers must present groups in the
-// shuffle's canonical key order; the format does not re-sort.
-func (w *Writer) WriteGroup(key []byte, values [][]byte) error {
-	if err := w.BeginGroup(key, len(values)); err != nil {
-		return err
-	}
-	for _, v := range values {
-		if err := w.AppendValue(v); err != nil {
-			return err
-		}
-	}
-	return w.err
-}
-
 // sealEntry records the finished byte length of the most recently
 // opened group's value section.
 func (w *Writer) sealEntry() {

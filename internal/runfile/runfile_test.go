@@ -25,7 +25,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		for i, v := range g.values {
 			vals[i] = []byte(v)
 		}
-		if err := w.WriteGroup([]byte(g.key), vals); err != nil {
+		if err := writeGroup(w, []byte(g.key), vals); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,8 +66,8 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 func TestReaderSkipsUnreadValues(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.WriteGroup([]byte("a"), [][]byte{[]byte("v1"), []byte("v2"), []byte("v3")})
-	w.WriteGroup([]byte("b"), [][]byte{[]byte("w1")})
+	writeGroup(w, []byte("a"), [][]byte{[]byte("v1"), []byte("v2"), []byte("v3")})
+	writeGroup(w, []byte("b"), [][]byte{[]byte("w1")})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestReaderSkipsUnreadValues(t *testing.T) {
 func TestReaderRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.WriteGroup([]byte("key"), [][]byte{[]byte("value")})
+	writeGroup(w, []byte("key"), [][]byte{[]byte("value")})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestReaderRejectsCorruption(t *testing.T) {
 func TestValueWithoutGroupFails(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.WriteGroup([]byte("k"), nil)
+	writeGroup(w, []byte("k"), nil)
 	w.Flush()
 	r := NewReader(bytes.NewReader(buf.Bytes()))
 	if _, _, err := r.Next(); err != nil {
@@ -326,7 +326,7 @@ func writeSample(t *testing.T, w *Writer) []struct {
 		for i, v := range g.values {
 			vals[i] = []byte(v)
 		}
-		if err := w.WriteGroup([]byte(g.key), vals); err != nil {
+		if err := writeGroup(w, []byte(g.key), vals); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -524,7 +524,7 @@ func TestAppendRawBytesMovesGroups(t *testing.T) {
 func TestWriteAfterFinishFails(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.WriteGroup([]byte("k"), nil)
+	writeGroup(w, []byte("k"), nil)
 	if err := w.Finish(); err != nil {
 		t.Fatal(err)
 	}
@@ -562,4 +562,18 @@ func TestReadIndexRejectsCorruption(t *testing.T) {
 	if _, err := ReadIndex(bytes.NewReader(badOff), int64(len(badOff))); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad footer offset: err = %v, want ErrCorrupt", err)
 	}
+}
+
+// writeGroup appends one whole key group: BeginGroup and an AppendValue
+// per value.
+func writeGroup(w *Writer, key []byte, values [][]byte) error {
+	if err := w.BeginGroup(key, len(values)); err != nil {
+		return err
+	}
+	for _, v := range values {
+		if err := w.AppendValue(v); err != nil {
+			return err
+		}
+	}
+	return w.Err()
 }

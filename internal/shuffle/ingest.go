@@ -33,10 +33,15 @@
 //
 // Staged data under memory pressure cannot be absorbed (its task has
 // not committed) and cannot be dropped, so an over-budget partition
-// relieves itself by *swapping*: the staged blocks are encoded
+// relieves itself by *swapping*: the staged blocks are written
 // verbatim — unsorted, uncombined, ungrouped — as one raw section of a
 // per-partition stash file, newest tasks first, and read back in
 // block-sized chunks at the moment their task's turn to absorb comes.
+// The stash is private to this process and each section is read back
+// once, in the same round, so a pair type made only of numbers swaps
+// as its memory image — one copy out, one read straight into a block,
+// nothing encoded; other pair types are framed pair by pair in the
+// run-file codec, resolved once per shuffle.
 // The swapped bytes are pure bookkeeping: they never become shuffle
 // output, so the partition's seal points — and therefore BytesSpilled,
 // SpillEvents and every other spill statistic — remain a pure function
@@ -77,8 +82,9 @@ import (
 )
 
 // swapSec is one pressure-swapped section of a stash file: a staged
-// task's blocks encoded verbatim at [off, off+size) of the refcounted
-// file, holding pairs raw (pre-combine) pairs. The section is released
+// task's blocks written verbatim (memory image or codec-framed, see
+// spool.addSwap) at [off, off+size) of the refcounted file, holding
+// pairs raw (pre-combine) pairs. The section is released
 // — and its bytes counted toward the stash's rotation trigger — when
 // the task absorbs or aborts.
 type swapSec struct {
@@ -520,60 +526,106 @@ func (st *partitionState[K, V]) absorbCounted(s *Shuffle[K, V], blk []Pair[K, V]
 }
 
 // absorbSwapped reads one pressure-swapped section back from the stash
-// and folds its pairs into the partition in block-sized chunks,
-// releasing the section afterwards. The stash's open handle is reused
-// when the section still lives in the current stash file; a section in
-// a rotated-out file is reopened by path.
+// and folds its pairs into the partition a block at a time (the reused
+// swapChunk), releasing the section afterwards.
 func (in *Ingester[K, V]) absorbSwapped(st *partitionState[K, V], sec swapSec) error {
 	s := in.s
-	var ra io.ReaderAt
-	if st.stash != nil && st.stash.rf == sec.rf && st.stash.f != nil {
-		ra = st.stash.f
-	} else {
-		f, err := s.fs.Open(sec.rf.path)
-		if err != nil {
-			return fmt.Errorf("shuffle: reopening swap spool %s: %w", sec.rf.path, err)
+	// Each read uses the stash's open handle while the section still
+	// lives in the current stash file, else reopens the file by path —
+	// the section may have been rotated out before the read-back began,
+	// or by a swap the read-back itself triggers (the section's own
+	// reference keeps the file in place). The readback is deliberately
+	// not metered into DiskBytesRead: that counter means "spill run bytes
+	// read", the engine's memory-only diagnosis asserts it stays zero
+	// before reduce, and swap traffic is already fully visible as
+	// SwapBytes (each section is written and read back exactly once). A
+	// short read means the stash changed under the round: corrupt.
+	var reopened runfile.File
+	defer func() {
+		if reopened != nil {
+			reopened.Close()
 		}
-		defer f.Close()
-		ra = f
-	}
-	// The readback is deliberately not metered into DiskBytesRead: that
-	// counter means "spill run bytes read", the engine's memory-only
-	// diagnosis asserts it stays zero before reduce, and swap traffic is
-	// already fully visible as SwapBytes (each section is written and
-	// read back exactly once).
-	if int64(cap(st.swapBuf)) < sec.size {
-		st.swapBuf = make([]byte, sec.size)
-	}
-	buf := st.swapBuf[:sec.size]
-	if _, err := io.ReadFull(io.NewSectionReader(ra, sec.off, sec.size), buf); err != nil {
-		return fmt.Errorf("shuffle: reading swap spool %s: %w", sec.rf.path, err)
-	}
-
-	n, m := binary.Uvarint(buf)
-	if m <= 0 || int(n) != sec.pairs {
-		return fmt.Errorf("shuffle: swap spool %s: %w: section header says %d pairs, expected %d",
-			sec.rf.path, runfile.ErrCorrupt, n, sec.pairs)
-	}
-	rest := buf[m:]
-	next := func() ([]byte, error) {
-		l, m := binary.Uvarint(rest)
-		if m <= 0 || int64(l) > int64(len(rest)-m) {
-			return nil, fmt.Errorf("shuffle: swap spool %s: %w: truncated swapped pair",
-				sec.rf.path, runfile.ErrCorrupt)
+	}()
+	read := func(p []byte, off int64) error {
+		var ra io.ReaderAt = reopened
+		if st.stash != nil && st.stash.rf == sec.rf && st.stash.f != nil {
+			ra = st.stash.f
+		} else if reopened == nil {
+			f, err := s.fs.Open(sec.rf.path)
+			if err != nil {
+				return fmt.Errorf("shuffle: reopening swap spool %s: %w", sec.rf.path, err)
+			}
+			reopened, ra = f, f
 		}
-		b := rest[m : m+int(l)]
-		rest = rest[m+int(l):]
-		return b, nil
+		if m, err := ra.ReadAt(p, off); m < len(p) {
+			if err == nil || err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("shuffle: reading swap spool %s: %w: %w", sec.rf.path, runfile.ErrCorrupt, err)
+		}
+		return nil
 	}
 	if cap(st.swapChunk) < s.tune.blockPairs {
 		st.swapChunk = make([]Pair[K, V], 0, s.tune.blockPairs)
 	}
-	chunk := st.swapChunk[:0]
-	flush := func() error {
-		if len(chunk) == 0 {
-			return nil
+	// A section is the pair count, then the pairs: a memory image is
+	// read straight into swapChunk's backing array, block by block, and
+	// must be exactly header plus count pairs long, or every pair read
+	// from it would be misaligned; a framed section is read whole into
+	// swapBuf and decoded into swapChunk.
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(hdr[:0], uint64(sec.pairs))
+	var rest []byte // a framed section's pairs
+	if s.swapImage > 0 {
+		if want := int64(len(h)) + int64(sec.pairs)*int64(s.swapImage); sec.size != want {
+			return fmt.Errorf("shuffle: swap spool %s: %w: section of %d bytes, %d pairs need %d",
+				sec.rf.path, runfile.ErrCorrupt, sec.size, sec.pairs, want)
 		}
+		if err := read(h, sec.off); err != nil {
+			return err
+		}
+	} else {
+		if int64(cap(st.swapBuf)) < sec.size {
+			st.swapBuf = make([]byte, sec.size)
+		}
+		if err := read(st.swapBuf[:sec.size], sec.off); err != nil {
+			return err
+		}
+		h, rest = st.swapBuf[:len(h)], st.swapBuf[len(h):sec.size]
+	}
+	if n, m := binary.Uvarint(h); m != len(h) || int(n) != sec.pairs {
+		return fmt.Errorf("shuffle: swap spool %s: %w: section header says %d pairs, expected %d",
+			sec.rf.path, runfile.ErrCorrupt, n, sec.pairs)
+	}
+	off := sec.off + int64(len(h))
+	for left := sec.pairs; left > 0; {
+		chunk := st.swapChunk[:min(left, cap(st.swapChunk))]
+		if s.swapImage > 0 {
+			b := runfile.ImageBytes(chunk)
+			if err := read(b, off); err != nil {
+				return err
+			}
+			off += int64(len(b))
+		} else {
+			for i := range chunk {
+				var kb, vb []byte
+				ok := false
+				if kb, rest, ok = nextFrame(rest); ok {
+					vb, rest, ok = nextFrame(rest)
+				}
+				if !ok {
+					return fmt.Errorf("shuffle: swap spool %s: %w: truncated swapped pair", sec.rf.path, runfile.ErrCorrupt)
+				}
+				var err error
+				if chunk[i].Key, err = st.decodeSwappedKey(s.kc.Decode, kb); err != nil {
+					return fmt.Errorf("shuffle: decoding swapped key in spool %s: %w", sec.rf.path, err)
+				}
+				if chunk[i].Value, err = s.vc.Decode(vb); err != nil {
+					return fmt.Errorf("shuffle: decoding swapped value in spool %s: %w", sec.rf.path, err)
+				}
+			}
+		}
+		left -= len(chunk)
 		// The pairs re-enter shuffle memory chunk by chunk, next to
 		// whatever later tasks staged here since the swap, and the live
 		// run they grow seals only at the full budget. Make room first —
@@ -591,36 +643,9 @@ func (in *Ingester[K, V]) absorbSwapped(st *partitionState[K, V], sec swapSec) e
 		st.stagedPairs += len(chunk)
 		st.stageMu.Unlock()
 		s.addResident(len(chunk))
-		err := st.absorbCounted(s, chunk)
-		chunk = chunk[:0]
-		return err
-	}
-	for i := 0; i < int(n); i++ {
-		kb, err := next()
-		if err != nil {
+		if err := st.absorbCounted(s, chunk); err != nil {
 			return err
 		}
-		k, err := st.decodeSwappedKey(kb)
-		if err != nil {
-			return fmt.Errorf("shuffle: decoding swapped key in spool %s: %w", sec.rf.path, err)
-		}
-		vb, err := next()
-		if err != nil {
-			return err
-		}
-		v, err := runfile.Decode[V](vb)
-		if err != nil {
-			return fmt.Errorf("shuffle: decoding swapped value in spool %s: %w", sec.rf.path, err)
-		}
-		chunk = append(chunk, Pair[K, V]{k, v})
-		if len(chunk) >= s.tune.blockPairs {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return err
 	}
 	sec.rf.dead.Add(sec.size)
 	if err := sec.rf.release(s.fs, &s.bytesReclaimed); err != nil {
@@ -629,20 +654,29 @@ func (in *Ingester[K, V]) absorbSwapped(st *partitionState[K, V], sec swapSec) e
 	return nil
 }
 
-// decodeSwappedKey decodes one swapped pair's key, interning string
-// keys through the partition's dedup table: the readback revisits each
-// hot key once per pair, and the map lookup on the raw bytes is
-// allocation-free, so repeat keys share one decoded string instead of
-// allocating per pair. Non-string keys decode directly.
-func (st *partitionState[K, V]) decodeSwappedKey(kb []byte) (K, error) {
+// nextFrame splits one length-prefixed frame off the front of b.
+func nextFrame(b []byte) (frame, rest []byte, ok bool) {
+	l, m := binary.Uvarint(b)
+	if m <= 0 || l > uint64(len(b)-m) {
+		return nil, nil, false
+	}
+	return b[m : m+int(l)], b[m+int(l):], true
+}
+
+// decodeSwappedKey decodes one swapped pair's key with dec, interning
+// string keys through the partition's dedup table: the readback
+// revisits each hot key once per pair, and the map lookup on the raw
+// bytes is allocation-free, so repeat keys share one decoded string
+// instead of allocating per pair. Non-string keys decode directly.
+func (st *partitionState[K, V]) decodeSwappedKey(dec func([]byte) (K, error), kb []byte) (K, error) {
 	var zero K
 	if _, isString := any(zero).(string); !isString {
-		return runfile.Decode[K](kb)
+		return dec(kb)
 	}
 	if k, ok := st.intern[string(kb)]; ok {
 		return k, nil
 	}
-	k, err := runfile.Decode[K](kb)
+	k, err := dec(kb)
 	if err != nil {
 		return zero, err
 	}
@@ -740,8 +774,8 @@ type spool[K comparable, V any] struct {
 	off     int64
 	n       int             // sections written into the current file
 	w       *runfile.Writer // reused across runs (Reset), nil until first run
-	wbuf    []byte          // reused swap-section encode buffer
-	kbuf    []byte          // reused key/value encode scratch
+	wbuf    []byte          // reused swap-section buffer
+	kbuf    []byte          // reused key/value encode scratch (framed swaps)
 	broken  bool            // a failed append left bytes of unknown length; stop appending
 }
 
@@ -817,33 +851,41 @@ func (sp *spool[K, V]) addRunGroups(keys []K, groups map[K][]V, pairs int64) (dr
 	return dr, w.BodyBytes(), w.BytesWritten() - w.BodyBytes(), nil
 }
 
-// addSwap appends one staged task's blocks as a single raw section: a
-// pair count followed by each pair's length-framed encoded key and
-// value, in flush order — no grouping, no sort, no combine, because
-// the bytes come straight back at absorb time and must reproduce the
-// exact staged stream.
+// addSwap appends one staged task's blocks as a single raw section, in
+// one Write: the pair count, then the pairs in flush order — no
+// grouping, no sort, no combine, because the bytes come straight back
+// at absorb time and must reproduce the exact staged stream. A pair
+// type with a memory image (Shuffle.swapImage) is written as the
+// blocks' memory; any other is framed pair by pair, key then value,
+// each length-prefixed in its codec encoding.
 func (sp *spool[K, V]) addSwap(blocks [][]Pair[K, V], nPairs int) (sec swapSec, retErr error) {
 	if err := sp.ensure(); err != nil {
 		return sec, err
 	}
+	s := sp.s
 	buf := binary.AppendUvarint(sp.wbuf[:0], uint64(nPairs))
-	kb := sp.kbuf
-	var err error
 	for _, blk := range blocks {
+		if s.swapImage > 0 {
+			buf = append(buf, runfile.ImageBytes(blk)...)
+			continue
+		}
+		kb := sp.kbuf
+		var err error
 		for i := range blk {
-			if kb, err = runfile.Append(kb[:0], blk[i].Key); err != nil {
+			if kb, err = s.kc.Append(kb[:0], blk[i].Key); err != nil {
 				return sec, fmt.Errorf("shuffle: swapping key: %w", err)
 			}
 			buf = binary.AppendUvarint(buf, uint64(len(kb)))
 			buf = append(buf, kb...)
-			if kb, err = runfile.Append(kb[:0], blk[i].Value); err != nil {
+			if kb, err = s.vc.Append(kb[:0], blk[i].Value); err != nil {
 				return sec, fmt.Errorf("shuffle: swapping value: %w", err)
 			}
 			buf = binary.AppendUvarint(buf, uint64(len(kb)))
 			buf = append(buf, kb...)
 		}
+		sp.kbuf = kb
 	}
-	sp.wbuf, sp.kbuf = buf, kb
+	sp.wbuf = buf
 	if _, err := sp.f.Write(buf); err != nil {
 		sp.broken = true
 		return sec, fmt.Errorf("shuffle: writing %s %s: %w", sp.kind, sp.f.Name(), err)

@@ -382,16 +382,29 @@ func TestSwapReadBackStaysUnderBound(t *testing.T) {
 
 // TestStreamingStress is the -race workout: many workers flushing
 // concurrently into few partitions with a tiny budget (constant
-// fencing and compaction), injected aborts with retries, and a final
-// exact comparison of every key's value sequence against the
+// swapping, sealing and compaction), injected aborts with retries, and
+// a final exact comparison of every key's value sequence against the
 // single-threaded expectation.
 func TestStreamingStress(t *testing.T) {
+	streamingStress(t, func(v int) int { return v })
+}
+
+// TestStreamingStressPaddedValue is the same workout with a padded
+// struct value (matmul's shape), whose swaps are memory images that
+// carry padding bytes.
+func TestStreamingStressPaddedValue(t *testing.T) {
+	streamingStress(t, cellOf)
+}
+
+// streamingStress runs the stress round with values val(v): task t's
+// i-th pair carries val(t*1e6+i), an aborted attempt's val(-1-...).
+func streamingStress[V any](t *testing.T, val func(int) V) {
 	const (
 		nTasks, perTask, keys = 60, 40, 11
 		workers               = 8
 	)
 	tasks := ingestTasks(nTasks, perTask, keys)
-	s := newTuned[int, int](Options{
+	s := newTuned[int, V](Options{
 		Partitions: 2, MaxBufferedPairs: 16,
 		SpillDir: t.TempDir(),
 	}, tuning{blockPairs: 16})
@@ -415,14 +428,14 @@ func TestStreamingStress(t *testing.T) {
 					tw := ing.Task(ti, attempt)
 					// Emit a prefix (flushing some blocks), then abort.
 					for _, p := range tasks[ti][:perTask/2] {
-						tw.Emit(p.Key, -p.Value-1) // poison
+						tw.Emit(p.Key, val(-p.Value-1)) // poison
 					}
 					tw.Abort()
 					attempt++
 				}
 				tw := ing.Task(ti, attempt)
 				for _, p := range tasks[ti] {
-					tw.Emit(p.Key, p.Value)
+					tw.Emit(p.Key, val(p.Value))
 				}
 				if err := tw.Commit(); err != nil {
 					t.Error(err)
@@ -439,11 +452,14 @@ func TestStreamingStress(t *testing.T) {
 	if err := ing.Finish(); err != nil {
 		t.Fatal(err)
 	}
+	if s.swapBytes.Load() == 0 {
+		t.Fatal("nothing was swapped; the workout exercises no swap path")
+	}
 
-	want := make(map[int][]int)
+	want := make(map[int][]V)
 	for _, ps := range tasks {
 		for _, p := range ps {
-			want[p.Key] = append(want[p.Key], p.Value)
+			want[p.Key] = append(want[p.Key], val(p.Value))
 		}
 	}
 	got := collectGroups(t, s)

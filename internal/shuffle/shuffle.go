@@ -196,6 +196,13 @@ type Shuffle[K comparable, V any] struct {
 	swapBytes      atomic.Int64 // raw bytes written by pressure swaps (ingest.go)
 	bytesReclaimed atomic.Int64 // spill-file bytes deleted mid-round (rotation, compaction)
 
+	// swapImage is Pair[K, V]'s runfile.ImageSize: when nonzero a swap
+	// section is the staged pairs' memory image; otherwise it frames
+	// each pair through kc and vc, K's and V's codecs resolved once.
+	swapImage int
+	kc        runfile.Codec[K]
+	vc        runfile.Codec[V]
+
 	// pool recycles flushed block backing arrays between the map-side
 	// writers and the absorption path, so steady-state streaming
 	// ingestion allocates no per-block memory.
@@ -257,13 +264,14 @@ type partitionState[K comparable, V any] struct {
 	// values. The in-memory-run path hands the map itself away and must
 	// not recycle.
 	freeVs []([]V)
-	// swapBuf and swapChunk are absorbSwapped's reused section read
-	// buffer and decode staging block (values are copied out by absorb,
-	// keys/values by Decode, so reuse is safe). intern dedups string
-	// keys decoded from swapped sections: a partition re-reads each of
-	// its hot keys once per swapped pair, so without the table the
-	// readback allocates one string per pair instead of one per
-	// distinct key.
+	// swapChunk is absorbSwapped's reused read-back block: a memory-image
+	// section is read straight into it one block at a time, a framed
+	// one decoded into it (absorb copies the pairs out, so reuse is
+	// safe). swapBuf and intern serve the framed sections only: swapBuf
+	// holds one whole section, and intern dedups string keys decoded
+	// from them — a partition re-reads each of its hot keys once per
+	// swapped pair, so without the table the readback allocates one
+	// string per pair instead of one per distinct key.
 	swapBuf   []byte
 	swapChunk []Pair[K, V]
 	intern    map[string]K
@@ -339,6 +347,9 @@ func newTuned[K comparable, V any](opts Options, tune tuning) *Shuffle[K, V] {
 			// Every identity-round-trippable kind has a key plan; compaction
 			// (mergeDiskRuns) relies on the strict order that gives it.
 			s.spillTypeErr = fmt.Errorf("key type: %T has no strict canonical order", *new(K))
+		}
+		if s.swapImage = runfile.ImageSize[Pair[K, V]](); s.swapImage == 0 {
+			s.kc, s.vc = runfile.CodecFor[K](), runfile.CodecFor[V]()
 		}
 	}
 	return s

@@ -170,13 +170,22 @@ func (c countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // seal sink the writer sits on) or a compacted one — is framed here,
 // through two scratch buffers reused across groups, and so is every
 // run image internal/proc writes outside a shuffle (its input image
-// and reduce outputs). The zero value is ready to use.
-type GroupEncoder[K comparable, V any] struct{ kbuf, vbuf []byte }
+// and reduce outputs). It resolves K's and V's codecs on first use, so
+// a value costs its encoding and nothing else. The zero value is ready
+// to use.
+type GroupEncoder[K comparable, V any] struct {
+	kbuf, vbuf []byte
+	kc         runfile.Codec[K]
+	vc         runfile.Codec[V]
+}
 
 // begin encodes k and opens its group of n values on w.
 func (e *GroupEncoder[K, V]) begin(w *runfile.Writer, k K, n int) error {
+	if e.kc.Append == nil {
+		e.kc, e.vc = runfile.CodecFor[K](), runfile.CodecFor[V]()
+	}
 	var err error
-	if e.kbuf, err = runfile.Append(e.kbuf[:0], k); err != nil {
+	if e.kbuf, err = e.kc.Append(e.kbuf[:0], k); err != nil {
 		return fmt.Errorf("shuffle: encoding key: %w", err)
 	}
 	return w.BeginGroup(e.kbuf, n)
@@ -191,7 +200,7 @@ func (e *GroupEncoder[K, V]) Group(w *runfile.Writer, k K, vs []V) error {
 	}
 	for _, v := range vs {
 		var err error
-		if e.vbuf, err = runfile.Append(e.vbuf[:0], v); err != nil {
+		if e.vbuf, err = e.vc.Append(e.vbuf[:0], v); err != nil {
 			return fmt.Errorf("shuffle: encoding value: %w", err)
 		}
 		if err := w.AppendValue(e.vbuf); err != nil {
