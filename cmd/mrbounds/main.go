@@ -7,21 +7,10 @@
 //
 // Usage:
 //
-//	mrbounds <experiment> [flags]
+//	mrbounds <experiment>
 //
-// Experiments:
-//
-//	table1     Table 1: |I|, |O|, g(q) and the lower bound for every problem
-//	table2     Table 2: measured upper bounds from the constructive algorithms
-//	fig1       Figure 1: Hamming-1 tradeoff curve with matching Splitting dots
-//	weight     Sections 3.4–3.5: weight-partition algorithm for large q
-//	hdd        Section 3.6: Hamming distances d > 1 (Ball-2, Splitting-d)
-//	triangles  Section 4: dense and sparse triangle finding
-//	twopaths   Section 5.4: 2-paths algorithm vs its lower bound
-//	joins      Section 5.5: chain and star joins under the Shares algorithm
-//	matmul     Section 6.3: one-phase vs two-phase matrix multiplication
-//	cost       Section 1.2: the cluster cost model and its optimal q
-//	all        run every experiment in order
+// With no argument it lists the experiments (one per table, figure or
+// section, from experiments() below); `all` runs every one in order.
 package main
 
 import (
@@ -49,8 +38,13 @@ func experiments() []experiment {
 		{"matmul", "Section 6.3: one- vs two-phase matmul", runMatMul},
 		{"cost", "Section 1.2: cost model", runCost},
 		{"validate", "Section 2.2: exhaustive schema validation", runValidate},
-		{"cluster", "Section 1.2: simulated cluster pricing of real jobs", runCluster},
 	}
+}
+
+// runTitled runs the experiment under the section header `all` prints.
+func (e experiment) runTitled() {
+	fmt.Printf("\n============ %s — %s ============\n", e.name, e.about)
+	e.run()
 }
 
 func main() {
@@ -61,8 +55,7 @@ func main() {
 	name := os.Args[1]
 	if name == "all" {
 		for _, e := range experiments() {
-			fmt.Printf("\n============ %s — %s ============\n", e.name, e.about)
-			e.run()
+			e.runTitled()
 		}
 		return
 	}

@@ -3,18 +3,17 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/hamming"
-	"repro/internal/matmul"
 	"repro/internal/problems"
-	"repro/internal/subgraph"
-	"repro/internal/triangle"
 )
 
 // runValidate exhaustively checks the paper's two mapping-schema
 // constraints (reducer size and output coverage) for every implemented
 // schema on small complete instances — the repository's structural
-// self-check.
+// self-check. The catalogue families come first, on each family's small
+// instance; the schemas outside the catalogue follow.
 func runValidate() {
 	fmt.Println("Schema validation — Section 2.2 constraints on complete instances")
 	fmt.Printf("%-44s %10s %10s %8s\n", "schema", "q", "r", "valid")
@@ -29,69 +28,40 @@ func runValidate() {
 		fmt.Printf("%-44s %10d %10.3f %8s\n", name, st.MaxReducerLoad, st.ReplicationRate, status)
 	}
 
+	for _, f := range catalog.Families {
+		n := f.Small[f.Size().Name]
+		p := f.Problem(n)
+		for _, params := range f.Validate {
+			s := must(f.NewSchema(n, params))
+			check(f.Row(n, params), p, s, catalog.SizeLimit(s))
+		}
+	}
+
 	hb := 10
 	hp := hamming.NewProblem(hb)
-	for _, c := range []int{1, 2, 5} {
-		s, err := hamming.NewSplittingSchema(hb, c)
-		if err != nil {
-			panic(err)
-		}
-		check(fmt.Sprintf("hamming splitting b=%d c=%d", hb, c), hp, s, s.ReducerSize())
-	}
 	check(fmt.Sprintf("hamming pairs (q=2) b=%d", hb), hp, hamming.NewPairSchema(hb), 2)
-	ws, err := hamming.NewWeightSchema(hb, 1, 2)
-	if err != nil {
-		panic(err)
-	}
-	check(fmt.Sprintf("hamming weight b=%d k=1 d=2", hb), hp, ws, 0)
+	check(fmt.Sprintf("hamming weight b=%d k=1 d=2", hb), hp, must(hamming.NewWeightSchema(hb, 1, 2)), 0)
 	check(fmt.Sprintf("hamming ball-2 b=%d", hb), hamming.NewDistanceProblem(hb, 2),
 		hamming.NewBallSchema(hb), hb+1)
-	sd, err := hamming.NewSplittingDSchema(hb, 5, 2)
-	if err != nil {
-		panic(err)
-	}
+	sd := must(hamming.NewSplittingDSchema(hb, 5, 2))
 	check(fmt.Sprintf("hamming splitting-d b=%d c=5 d=2", hb),
 		hamming.NewDistanceProblem(hb, 2), sd, sd.ReducerSize())
 
-	tn := 18
-	tp := triangle.NewProblem(tn)
-	for _, k := range []int{2, 4} {
-		ts, err := triangle.NewPartitionSchema(tn, k)
-		if err != nil {
-			panic(err)
-		}
-		check(fmt.Sprintf("triangle partition n=%d k=%d", tn, k), tp, ts, 0)
-	}
-
-	pp := subgraph.NewTwoPathProblem(tn)
-	for _, k := range []int{1, 3} {
-		ps, err := subgraph.NewTwoPathSchema(tn, k)
-		if err != nil {
-			panic(err)
-		}
-		check(fmt.Sprintf("2-paths hash n=%d k=%d", tn, k), pp, ps, 0)
-	}
-
-	mn := 8
-	mp := matmul.NewProblem(mn)
-	for _, s := range []int{1, 2, 4} {
-		ms, err := matmul.NewOnePhaseSchema(mn, s)
-		if err != nil {
-			panic(err)
-		}
-		check(fmt.Sprintf("matmul 1-phase n=%d s=%d", mn, s), mp, ms, ms.ReducerSize())
-	}
-
 	jp := problems.NewJoinProblem(4, 5, 6)
-	js, err := problems.NewHashJoinSchema(jp, 5)
-	if err != nil {
-		panic(err)
-	}
-	check("join R(A,B)xS(B,C) hash on B", jp, js, 0)
+	check("join R(A,B)xS(B,C) hash on B", jp, must(problems.NewHashJoinSchema(jp, 5)), 0)
 
 	gp := problems.NewGroupByProblem(5, 7)
 	check("group-by-sum", gp, problems.GroupBySchema{P: gp}, 7)
 
 	wp := problems.WordCountProblem{V: 6, P: 9}
 	check("word count (occurrences)", wp, problems.WordCountSchema{P: wp}, 9)
+}
+
+// must unwraps a schema constructor's result; every row here is a fixed
+// configuration, so an error is a bug.
+func must[S any](s S, err error) S {
+	if err != nil {
+		panic(err)
+	}
+	return s
 }

@@ -14,10 +14,10 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 // family. The planner is pure math over deterministic inputs, so its
 // full rendered output is stable and golden-testable.
 var goldenRequests = map[string]Request{
-	"hamming":  {Problem: "hamming", Bits: 20, PA: 1e4, PB: 1, Density: 1},
-	"triangle": {Problem: "triangle", Nodes: 1000, PA: 1e4, PB: 1, Density: 1},
-	"twopaths": {Problem: "twopaths", Nodes: 1000, PA: 1e4, PB: 1, Density: 0.5},
-	"matmul":   {Problem: "matmul", Nodes: 512, PA: 1e4, PB: 1, PC: 0.01, Density: 1},
+	"hamming":  {Problem: "hamming", Size: 20, PA: 1e4, PB: 1, Density: 1},
+	"triangle": {Problem: "triangle", Size: 1000, PA: 1e4, PB: 1, Density: 1},
+	"twopaths": {Problem: "twopaths", Size: 1000, PA: 1e4, PB: 1, Density: 0.5},
+	"matmul":   {Problem: "matmul", Size: 512, PA: 1e4, PB: 1, PC: 0.01, Density: 1},
 }
 
 func TestGoldenPlans(t *testing.T) {
@@ -52,7 +52,7 @@ func TestGoldenOutOfRangeBits(t *testing.T) {
 	// The error path is part of the contract too: out-of-range bits
 	// must fail with the documented message and write nothing.
 	var buf bytes.Buffer
-	err := writePlan(Request{Problem: "hamming", Bits: 70, PA: 1e4, PB: 1, Density: 1}, &buf)
+	err := writePlan(Request{Problem: "hamming", Size: 70, PA: 1e4, PB: 1, Density: 1}, &buf)
 	if err == nil {
 		t.Fatal("bits=70 should be rejected (limit 62)")
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestBuildPlanHamming(t *testing.T) {
-	plan, err := buildPlan(Request{Problem: "hamming", Bits: 20, PA: 1e4, PB: 1, Density: 1})
+	plan, err := buildPlan(Request{Problem: "hamming", Size: 20, PA: 1e4, PB: 1, Density: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,11 +23,11 @@ func TestBuildPlanHamming(t *testing.T) {
 }
 
 func TestBuildPlanCommunicationPriceMovesQ(t *testing.T) {
-	cheap, err := buildPlan(Request{Problem: "hamming", Bits: 20, PA: 1e3, PB: 1, Density: 1})
+	cheap, err := buildPlan(Request{Problem: "hamming", Size: 20, PA: 1e3, PB: 1, Density: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	expensive, err := buildPlan(Request{Problem: "hamming", Bits: 20, PA: 1e7, PB: 1, Density: 1})
+	expensive, err := buildPlan(Request{Problem: "hamming", Size: 20, PA: 1e7, PB: 1, Density: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +37,8 @@ func TestBuildPlanCommunicationPriceMovesQ(t *testing.T) {
 }
 
 func TestBuildPlanAllProblems(t *testing.T) {
-	for _, p := range []string{"hamming", "triangle", "twopaths", "matmul"} {
-		plan, err := buildPlan(Request{Problem: p, Bits: 16, Nodes: 100, PA: 1e4, PB: 1, Density: 1})
+	for p, size := range map[string]int{"hamming": 16, "triangle": 100, "twopaths": 100, "matmul": 100} {
+		plan, err := buildPlan(Request{Problem: p, Size: size, PA: 1e4, PB: 1, Density: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
@@ -52,7 +52,7 @@ func TestBuildPlanAllProblems(t *testing.T) {
 }
 
 func TestBuildPlanDensityScaling(t *testing.T) {
-	plan, err := buildPlan(Request{Problem: "triangle", Nodes: 200, PA: 1e4, PB: 1, Density: 0.1})
+	plan, err := buildPlan(Request{Problem: "triangle", Size: 200, PA: 1e4, PB: 1, Density: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,11 @@ func TestBuildPlanDensityScaling(t *testing.T) {
 func TestBuildPlanRejectsBadRequests(t *testing.T) {
 	for _, req := range []Request{
 		{Problem: "nonsense"},
-		{Problem: "hamming", Bits: 0},
-		{Problem: "hamming", Bits: 70},
-		{Problem: "triangle", Nodes: 2},
-		{Problem: "twopaths", Nodes: 1},
-		{Problem: "matmul", Nodes: 0},
+		{Problem: "hamming", Size: 0},
+		{Problem: "hamming", Size: 70},
+		{Problem: "triangle", Size: 2},
+		{Problem: "twopaths", Size: 1},
+		{Problem: "matmul", Size: 0},
 	} {
 		if _, err := buildPlan(req); err == nil {
 			t.Errorf("request %+v should be rejected", req)
@@ -77,11 +77,11 @@ func TestBuildPlanRejectsBadRequests(t *testing.T) {
 }
 
 func TestBuildPlanQuadraticTermLowersQ(t *testing.T) {
-	lin, err := buildPlan(Request{Problem: "matmul", Nodes: 128, PA: 1e4, PB: 1, Density: 1})
+	lin, err := buildPlan(Request{Problem: "matmul", Size: 128, PA: 1e4, PB: 1, Density: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	quad, err := buildPlan(Request{Problem: "matmul", Nodes: 128, PA: 1e4, PB: 1, PC: 0.01, Density: 1})
+	quad, err := buildPlan(Request{Problem: "matmul", Size: 128, PA: 1e4, PB: 1, PC: 0.01, Density: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 // Command mrtrace runs one of the paper's problem families as a real
 // MapReduce round with the observability recorder armed, then exports
 // the round's timeline as Chrome trace-event JSON (load it in Perfetto
-// or chrome://tracing) and its metrics in Prometheus text format.
+// or chrome://tracing) and its metrics in Prometheus text format. The
+// families and their settings come from internal/catalog; a setting of
+// another family is rejected.
 //
 // Usage:
 //
@@ -20,32 +22,18 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
+	"strings"
 
-	"repro/internal/graphs"
-	"repro/internal/hamming"
-	"repro/internal/matmul"
+	"repro/internal/catalog"
 	"repro/internal/mr"
 	"repro/internal/obs"
-	"repro/internal/subgraph"
-	"repro/internal/triangle"
 )
 
 type options struct {
 	problem string
-
-	bits   int // hamming: string length b
-	c      int // hamming: number of segments
-	inputs int // hamming: sample size
-
-	nodes int // triangle/twopaths: graph nodes
-	edges int // triangle/twopaths: graph edges
-	k     int // triangle/twopaths: buckets per dimension
-
-	side int // matmul: matrix side n
-	s, t int // matmul: block shape
+	params  catalog.Params // the family's instance settings and schema parameters
 
 	seed       int64
 	workers    int
@@ -61,16 +49,8 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.problem, "problem", "hamming", "hamming | triangle | twopaths | matmul")
-	flag.IntVar(&o.bits, "bits", 14, "string length b (hamming)")
-	flag.IntVar(&o.c, "c", 2, "segments c for the Splitting algorithm (hamming)")
-	flag.IntVar(&o.inputs, "inputs", 4096, "input sample size (hamming)")
-	flag.IntVar(&o.nodes, "nodes", 300, "graph nodes (triangle/twopaths)")
-	flag.IntVar(&o.edges, "edges", 1500, "graph edges (triangle/twopaths)")
-	flag.IntVar(&o.k, "k", 4, "buckets per dimension (triangle/twopaths)")
-	flag.IntVar(&o.side, "side", 48, "matrix side n (matmul)")
-	flag.IntVar(&o.s, "s", 8, "output block side s, must divide n (matmul)")
-	flag.IntVar(&o.t, "t", 8, "inner block length t, must divide n (matmul)")
+	flag.StringVar(&o.problem, "problem", "hamming", strings.Join(catalog.Names(), " | "))
+	settingsOf := catalog.Flags(flag.CommandLine, catalog.Family.Settings)
 	flag.Int64Var(&o.seed, "seed", 1, "input generator seed")
 	flag.IntVar(&o.workers, "workers", 0, "map/reduce workers (0: NumCPU)")
 	flag.IntVar(&o.partitions, "partitions", 0, "shuffle partitions (0: default)")
@@ -82,13 +62,22 @@ func main() {
 	flag.StringVar(&o.serve, "serve", "", "keep serving /metrics and /debug/pprof on this address after the run")
 	flag.Parse()
 
-	if err := run(o, os.Stdout); err != nil {
+	_, params, err := settingsOf(o.problem)
+	if err == nil {
+		o.params = params
+		err = run(o, os.Stdout)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "mrtrace:", err)
 		os.Exit(1)
 	}
 }
 
 func run(o options, stdout io.Writer) error {
+	f, err := catalog.Lookup(o.problem)
+	if err != nil {
+		return err
+	}
 	rec := obs.NewRecorder(o.ringCap)
 	cfg := mr.Config{
 		Workers:      o.workers,
@@ -99,7 +88,6 @@ func run(o options, stdout io.Writer) error {
 	if o.budget > 0 {
 		dir := o.spillDir
 		if dir == "" {
-			var err error
 			dir, err = os.MkdirTemp("", "mrtrace-spill-*")
 			if err != nil {
 				return err
@@ -110,7 +98,7 @@ func run(o options, stdout io.Writer) error {
 	}
 
 	reg := obs.NewRegistry()
-	rounds, err := runProblem(o, cfg)
+	rounds, err := f.Run(o.params, o.seed, cfg)
 	if err != nil {
 		return err
 	}
@@ -122,13 +110,13 @@ func run(o options, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "warning: %d events dropped on ring wrap; rerun with -ring > %d for a complete trace\n", d, o.ringCap)
 	}
 
-	if err := writeTrace(o.out, rec); err != nil {
+	if err := obs.WriteTraceFile(o.out, rec); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "trace written to %s (load in Perfetto or chrome://tracing)\n", o.out)
 
 	if o.metrics != "" {
-		if err := writeMetrics(o.metrics, reg); err != nil {
+		if err := reg.WritePrometheusFile(o.metrics); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "metrics written to %s\n", o.metrics)
@@ -146,90 +134,4 @@ func run(o options, stdout io.Writer) error {
 		<-sig
 	}
 	return nil
-}
-
-// runProblem executes the selected family and returns its rounds in
-// execution order (single-round families return one entry).
-func runProblem(o options, cfg mr.Config) ([]mr.RoundMetrics, error) {
-	rng := rand.New(rand.NewSource(o.seed))
-	switch o.problem {
-	case "hamming":
-		s, err := hamming.NewSplittingSchema(o.bits, o.c)
-		if err != nil {
-			return nil, err
-		}
-		in := make([]uint64, o.inputs)
-		for i := range in {
-			in[i] = rng.Uint64() & (1<<uint(o.bits) - 1)
-		}
-		_, met, err := hamming.RunSplitting(s, in, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []mr.RoundMetrics{{Name: "hamming-splitting", Metrics: met}}, nil
-
-	case "triangle":
-		s, err := triangle.NewPartitionSchema(o.nodes, o.k)
-		if err != nil {
-			return nil, err
-		}
-		g := graphs.GNM(o.nodes, o.edges, rng)
-		res, err := triangle.Run(s, g, triangle.Options{Config: cfg})
-		if err != nil {
-			return nil, err
-		}
-		return []mr.RoundMetrics{{Name: "triangle-partition", Metrics: res.Metrics}}, nil
-
-	case "twopaths":
-		s, err := subgraph.NewTwoPathSchema(o.nodes, o.k)
-		if err != nil {
-			return nil, err
-		}
-		g := graphs.GNM(o.nodes, o.edges, rng)
-		_, met, err := subgraph.RunTwoPaths(s, g, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []mr.RoundMetrics{{Name: "twopaths", Metrics: met}}, nil
-
-	case "matmul":
-		schema, err := matmul.NewTwoPhaseSchema(o.side, o.s, o.t)
-		if err != nil {
-			return nil, err
-		}
-		r := matmul.Random(o.side, o.side, rng)
-		s := matmul.Random(o.side, o.side, rng)
-		_, pipe, err := matmul.RunTwoPhase(r, s, schema, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return pipe.Rounds, nil
-
-	default:
-		return nil, fmt.Errorf("unknown -problem %q (want hamming, triangle, twopaths or matmul)", o.problem)
-	}
-}
-
-func writeTrace(path string, rec *obs.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteTrace(f, rec); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func writeMetrics(path string, reg *obs.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := reg.WritePrometheus(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

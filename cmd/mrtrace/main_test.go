@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/obs"
 )
 
@@ -15,10 +16,10 @@ import (
 // the metrics snapshot must carry the round counters.
 func TestRunAllFamilies(t *testing.T) {
 	cases := []options{
-		{problem: "hamming", bits: 8, c: 2, inputs: 256},
-		{problem: "triangle", nodes: 60, edges: 240, k: 3},
-		{problem: "twopaths", nodes: 60, edges: 240, k: 4},
-		{problem: "matmul", side: 12, s: 4, t: 4},
+		{problem: "hamming", params: catalog.Params{"bits": 8, "c": 2, "inputs": 256}},
+		{problem: "triangle", params: catalog.Params{"nodes": 60, "edges": 240, "k": 3}},
+		{problem: "twopaths", params: catalog.Params{"nodes": 60, "edges": 240, "k": 4}},
+		{problem: "matmul", params: catalog.Params{"side": 12, "s": 4, "t": 4}},
 	}
 	for _, tc := range cases {
 		tc := tc

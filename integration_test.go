@@ -4,114 +4,72 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cluster"
+	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/hamming"
 	"repro/internal/mr"
 )
 
-// TestEndToEndSelectionWorkflow walks the paper's whole pipeline across
-// modules: pick a problem, derive its lower-bound recipe (Section 2.4),
-// choose the reducer size minimizing the Section 1.2 cluster cost, build
-// the matching algorithm at that point of the curve, validate it against
-// the Section 2.2 constraints, execute it on the engine, and confirm the
-// simulated bill of the chosen configuration beats the alternatives.
+// TestEndToEndSelectionWorkflow walks the paper's whole pipeline for
+// every catalogue family: price the family's tradeoff curve with the
+// Section 1.2 cost model to pick q*, realise q* as schema parameters with
+// the family's rule, validate the schema against the Section 2.2
+// constraints on the small complete instance, and execute it on the
+// engine (with fault injection), checking that the measured replication
+// is the schema's and sits on or above the Section 2.4 recipe bound at
+// the measured reducer size.
 func TestEndToEndSelectionWorkflow(t *testing.T) {
-	const b = 12
-	problem := hamming.NewProblem(b)
-	recipe := hamming.Recipe(b)
+	for _, f := range catalog.Families {
+		f := f
+		t.Run(f.Name, func(t *testing.T) {
+			n := f.Small[f.Size().Name]
+			recipe := f.Recipe(n)
+			lo, hi := f.QRange(n)
+			if !recipe.GOverQMonotone(lo, hi, 200) {
+				t.Fatal("g(q)/q not monotone; recipe invalid")
+			}
 
-	// Sanity: the recipe's side condition holds on the range we optimize.
-	if !recipe.GOverQMonotone(2, math.Exp2(b), 200) {
-		t.Fatal("g(q)/q not monotone; recipe invalid")
-	}
+			// A balanced cluster: communication priced at 4× a unit of
+			// reducer size.
+			model := core.CostModel{F: func(q float64) float64 { return f.Curve(n, q) }, A: 4, B: 1}
+			qStar, _ := model.OptimalQ(lo, hi)
+			params, _ := f.Recommend(n, qStar)
 
-	// A balanced cluster: pick q* from the cost model.
-	model := core.CostModel{
-		F: func(q float64) float64 { return hamming.LowerBound(b, q) },
-		A: 2000, B: 1,
-	}
-	qStar, _ := model.OptimalQ(2, math.Exp2(b))
+			problem := f.Problem(n)
+			schema, err := f.NewSchema(n, params)
+			if err != nil {
+				t.Fatalf("rule's parameters %v at q*=%.1f: %v", params, qStar, err)
+			}
+			if err := core.Validate(problem, schema, catalog.SizeLimit(schema)); err != nil {
+				t.Fatalf("selected schema %v invalid: %v", params, err)
+			}
+			st := core.Measure(problem, schema)
+			if f.Name == "hamming" {
+				// Splitting sits exactly on the Theorem 3.2 bound.
+				if lb := recipe.LowerBound(float64(st.MaxReducerLoad)); math.Abs(st.ReplicationRate-lb) > 1e-9 {
+					t.Errorf("selected schema r = %v off the bound %v", st.ReplicationRate, lb)
+				}
+			}
 
-	// Snap to the nearest Splitting configuration: c with 2^{b/c} near q*.
-	bestC, bestDiff := 1, math.Inf(1)
-	for c := 1; c <= b; c++ {
-		if b%c != 0 {
-			continue
-		}
-		q := math.Exp2(float64(b / c))
-		if d := math.Abs(math.Log2(q) - math.Log2(qStar)); d < bestDiff {
-			bestDiff, bestC = d, c
-		}
-	}
-	schema, err := hamming.NewSplittingSchema(b, bestC)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The chosen schema satisfies both Section 2.2 constraints and sits
-	// exactly on the lower bound at its realized q.
-	if err := core.Validate(problem, schema, schema.ReducerSize()); err != nil {
-		t.Fatalf("selected schema invalid: %v", err)
-	}
-	st := core.Measure(problem, schema)
-	if lb := recipe.LowerBound(float64(st.MaxReducerLoad)); math.Abs(st.ReplicationRate-lb) > 1e-9 {
-		t.Errorf("selected schema r = %v off the bound %v", st.ReplicationRate, lb)
-	}
-
-	// Execute it for real, with fault injection and load recording.
-	inputs := make([]uint64, problem.NumInputs())
-	for i := range inputs {
-		inputs[i] = uint64(i)
-	}
-	pairs, met, err := hamming.RunSplitting(schema, inputs, mr.Config{
-		RecordLoads: true, FailureEveryN: 5, MaxRetries: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != problem.NumOutputs() {
-		t.Fatalf("found %d pairs, want %d", len(pairs), problem.NumOutputs())
-	}
-	if met.ReplicationRate() != float64(bestC) {
-		t.Errorf("measured r = %v, want %d", met.ReplicationRate(), bestC)
-	}
-
-	// Price the chosen configuration and both neighbors on the curve: the
-	// cost model's choice must be at least as cheap on the matching
-	// simulated cluster.
-	spec := cluster.Spec{
-		Workers:     8,
-		PairCost:    2000.0 / float64(problem.NumInputs()), // a·r ≡ PairCost·r·|I|
-		ComputeCost: cluster.LinearWork(1.0 / float64(st.NumReducers)),
-	}
-	chosen, err := cluster.Simulate(spec, met)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 1; c <= b; c++ {
-		if b%c != 0 || c == bestC {
-			continue
-		}
-		alt, err := hamming.NewSplittingSchema(b, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, altMet, err := hamming.RunSplitting(alt, inputs, mr.Config{RecordLoads: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		altSpec := spec
-		altSt := core.Measure(problem, alt)
-		altSpec.ComputeCost = cluster.LinearWork(1.0 / float64(altSt.NumReducers))
-		altRep, err := cluster.Simulate(altSpec, altMet)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Allow a sliver of slack: q* was snapped to the discrete grid.
-		if altRep.TotalCost < chosen.TotalCost*0.75 {
-			t.Errorf("c=%d ($%.2f) substantially beats the model's choice c=%d ($%.2f)",
-				c, altRep.TotalCost, bestC, chosen.TotalCost)
-		}
+			run := catalog.Params{}
+			for k, v := range f.Small {
+				run[k] = v
+			}
+			for k, v := range params {
+				run[k] = v
+			}
+			rounds, err := f.Run(run, 1, mr.Config{FailureEveryN: 5, MaxRetries: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			met := rounds[0].Metrics
+			if r := met.ReplicationRate(); r != st.ReplicationRate {
+				t.Errorf("measured r = %v, schema's r = %v", r, st.ReplicationRate)
+			}
+			q := float64(met.MaxReducerInput)
+			if lb := recipe.LowerBound(q); met.ReplicationRate() < lb-1e-9 {
+				t.Errorf("measured r = %v below the recipe bound %v at q = %v", met.ReplicationRate(), lb, q)
+			}
+			t.Logf("q* = %.1f → %v: r = %v, q = %v", qStar, params, met.ReplicationRate(), q)
+		})
 	}
 }

@@ -295,22 +295,6 @@ func (m Metrics) ReplicationRate() float64 {
 	return float64(m.PairsEmitted) / float64(m.MapInputs)
 }
 
-// ShuffledReplicationRate is the replication rate after combining.
-func (m Metrics) ShuffledReplicationRate() float64 {
-	if m.MapInputs == 0 {
-		return 0
-	}
-	return float64(m.PairsShuffled) / float64(m.MapInputs)
-}
-
-// MeanReducerInput is the average reducer input size.
-func (m Metrics) MeanReducerInput() float64 {
-	if m.Reducers == 0 {
-		return 0
-	}
-	return float64(m.TotalReducerInput) / float64(m.Reducers)
-}
-
 // PartitionSkew is the heaviest partition's pair count over the mean
 // (1 = perfectly even exchange, 0 = empty).
 func (m Metrics) PartitionSkew() float64 {

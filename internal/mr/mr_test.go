@@ -334,9 +334,6 @@ func TestMetricsMeanAndString(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got := met.MeanReducerInput(); got != 1.5 {
-		t.Errorf("MeanReducerInput = %v, want 1.5", got)
-	}
 	if s := met.String(); !strings.Contains(s, "reducers=2") {
 		t.Errorf("String() = %q, want it to mention reducers=2", s)
 	}

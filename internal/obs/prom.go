@@ -117,6 +117,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
+// WritePrometheusFile writes WritePrometheus output to path atomically.
+func (r *Registry) WritePrometheusFile(path string) error {
+	return writeFileAtomic(path, r.WritePrometheus)
+}
+
 // Counter is a cumulative, monotonically increasing metric.
 type Counter struct {
 	nm, hp string

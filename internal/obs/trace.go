@@ -44,11 +44,17 @@ func WriteTrace(w io.Writer, r *Recorder) error {
 // + rename), so a worker process exporting its trace at exit can be
 // killed without leaving a half-written JSON for tooling to choke on.
 func WriteTraceFile(path string, r *Recorder) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".trace-*")
+	return writeFileAtomic(path, func(w io.Writer) error { return WriteTrace(w, r) })
+}
+
+// writeFileAtomic writes path through a temp file in the same directory
+// and a rename, so readers see the whole file or none of it.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), ".obs-*")
 	if err != nil {
 		return err
 	}
-	if err := WriteTrace(f, r); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		os.Remove(f.Name())
 		return err

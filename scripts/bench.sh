@@ -1,9 +1,9 @@
 #!/bin/sh
 # bench.sh — run the shuffle acceptance benchmarks (the streaming
 # ingest lanes, the reduce-merge decode and range-skew lanes, the
-# key-plan micro lanes, the traced 1M-pair round and the multi-process
-# round; whole jobs end to end are the repository benchmark, bench/) and
-# emit the perf trajectory artifacts:
+# key-plan micro lanes and the multi-process round; whole jobs end to
+# end are the repository benchmark, bench/) and emit the perf
+# trajectory artifacts:
 #
 #   BENCH_shuffle.txt   raw `go test -bench` output (benchstat input:
 #                       collect one per commit and diff with
@@ -21,12 +21,6 @@
 #                       maximums, e.g. allocs/op == 0 on the
 #                       BenchmarkKeyPlan hash and merge-advance lanes)
 #
-#   BENCH_trace_streaming.json  Chrome trace-event timeline of the
-#                       1M-pair streaming round (BenchmarkStreamingTrace1M
-#                       with the recorder armed) — load it in Perfetto to
-#                       see map-task spans overlapping seal/spill spans,
-#                       the span-level view of SpillOverlapNs
-#
 # Usage: scripts/bench.sh [benchtime] [count]   (default 3x, 3)
 #
 # count > 1 reruns every benchmark and the JSON records the per-metric
@@ -41,7 +35,6 @@ BENCHTIME="${1:-3x}"
 COUNT="${2:-3}"
 TXT=BENCH_shuffle.txt
 JSON=BENCH_shuffle.json
-TRACE=BENCH_trace_streaming.json
 
 # Write then cat (not a pipe to tee): POSIX sh has no pipefail, and a
 # failed benchmark must fail the script.
@@ -58,15 +51,6 @@ go test -run '^$' -bench 'BenchmarkExternalShuffle|BenchmarkReduceMergeDecode|Be
 # their allocs/op at zero (-ceil).
 go test -run '^$' -bench 'BenchmarkKeyPlan' \
 	-benchtime 200ms -count "$COUNT" ./internal/shuffle >> "$TXT" || {
-	status=$?
-	cat "$TXT"
-	exit "$status"
-}
-
-# The traced 1M-pair streaming round: one pass is enough — the run
-# asserts nonzero map/spill span overlap and exports the timeline.
-MRTRACE_OUT="$(pwd)/$TRACE" go test -run '^$' -bench 'BenchmarkStreamingTrace1M' \
-	-benchtime 1x ./internal/mr >> "$TXT" || {
 	status=$?
 	cat "$TXT"
 	exit "$status"
@@ -131,4 +115,4 @@ END {
 }
 ' "$TXT" > "$JSON"
 
-echo "wrote $TXT, $JSON and $TRACE"
+echo "wrote $TXT and $JSON"
