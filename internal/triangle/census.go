@@ -113,18 +113,10 @@ func findTrianglesJob(s *PartitionSchema, cfg mr.Config, emitAll bool) *mr.Job[g
 	return &mr.Job[graphs.Edge, int, graphs.Edge, Triangle]{
 		Name: fmt.Sprintf("triangles-partition(n=%d,k=%d)", s.N, s.K),
 		Map: func(e graphs.Edge, emit func(int, graphs.Edge)) {
-			for _, r := range s.reducersForEdge(e.U, e.V) {
-				emit(r, e)
-			}
+			s.forEachCell(e.U, e.V, func(cell int) { emit(cell, e) })
 		},
 		Reduce: func(cell int, edges []graphs.Edge, emit func(Triangle)) {
-			local := graphs.New(s.N, edges)
-			for _, tr := range local.Triangles() {
-				if !emitAll && !s.ownsTriangle(cell, tr) {
-					continue
-				}
-				emit(Triangle{tr[0], tr[1], tr[2]})
-			}
+			s.localTriangles(cell, edges, emitAll, func(u, v, w int) { emit(Triangle{u, v, w}) })
 		},
 		// The schema's reducer cells are an explicit layout: route each
 		// cell to the shuffle partition of its own index so partition

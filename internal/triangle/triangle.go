@@ -6,9 +6,10 @@
 package triangle
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/graphs"
@@ -172,20 +173,30 @@ func NewPartitionSchema(n, k int) (*PartitionSchema, error) {
 // Bucket is the node-to-bucket hash.
 func (s *PartitionSchema) Bucket(u int) int { return u % s.K }
 
-// tripleID maps a sorted bucket triple i ≤ j ≤ l to a dense reducer index.
+// tripleID maps a sorted bucket triple i ≤ j ≤ l to a dense reducer
+// index: its rank among the sorted triples with repetition over [0,k).
+// The triples with first coordinate < i number C(k+2,3) - C(k-i+2,3),
+// those with first == i and second < j number C(k-i+1,2) - C(k-j+1,2),
+// and l - j more precede it.
 func (s *PartitionSchema) tripleID(i, j, l int) int {
-	// Rank of (i,j,l) among sorted triples with repetition over [0,k).
-	// Count triples with first coordinate < i, then with first == i and
-	// second < j, then offset by l-j.
-	id := 0
-	for a := 0; a < i; a++ {
-		r := s.K - a
-		id += r * (r + 1) / 2
+	a, b := s.K-i, s.K-j
+	return s.tripleN - a*(a+1)*(a+2)/6 + a*(a+1)/2 - b*(b+1)/2 + l - j
+}
+
+// cellOf is the cell of the sorted triple of buckets a, b and c. For a
+// triangle's three buckets it is the one cell that emits the triangle
+// under the exactly-once rule.
+func (s *PartitionSchema) cellOf(a, b, c int) int {
+	if a > b {
+		a, b = b, a
 	}
-	for b := i; b < j; b++ {
-		id += s.K - b
+	if b > c {
+		b, c = c, b
 	}
-	return id + (l - j)
+	if a > b {
+		a, b = b, a
+	}
+	return s.tripleID(a, b, c)
 }
 
 // NumReducers implements core.MappingSchema: C(k+2,3) bucket triples.
@@ -199,34 +210,22 @@ func (s *PartitionSchema) Assign(in int) []int {
 }
 
 func (s *PartitionSchema) reducersForEdge(u, v int) []int {
-	bu, bv := s.Bucket(u), s.Bucket(v)
-	if bu > bv {
-		bu, bv = bv, bu
-	}
 	rs := make([]int, 0, s.K)
-	seen := make(map[int]bool, s.K)
-	for w := 0; w < s.K; w++ {
-		t := [3]int{bu, bv, w}
-		sort.Ints(t[:])
-		id := s.tripleID(t[0], t[1], t[2])
-		if !seen[id] {
-			seen[id] = true
-			rs = append(rs, id)
-		}
-	}
+	s.forEachCell(u, v, func(cell int) { rs = append(rs, cell) })
 	return rs
 }
 
-var _ core.MappingSchema = (*PartitionSchema)(nil)
-
-// ownsTriangle reports whether cell is the unique reducer that produces
-// the triangle: the one whose bucket triple equals the triangle's own
-// bucket multiset (the exactly-once production rule).
-func (s *PartitionSchema) ownsTriangle(cell int, tr [3]int) bool {
-	t := [3]int{s.Bucket(tr[0]), s.Bucket(tr[1]), s.Bucket(tr[2])}
-	sort.Ints(t[:])
-	return s.tripleID(t[0], t[1], t[2]) == cell
+// forEachCell calls fn with the k reducer cells of edge {u, v}, those of
+// the bucket triples {bu, bv, w} for w = 0..k-1. They are distinct, since
+// distinct w give distinct multisets.
+func (s *PartitionSchema) forEachCell(u, v int, fn func(cell int)) {
+	bu, bv := s.Bucket(u), s.Bucket(v)
+	for w := 0; w < s.K; w++ {
+		fn(s.cellOf(bu, bv, w))
+	}
 }
+
+var _ core.MappingSchema = (*PartitionSchema)(nil)
 
 // ExpectedReducerInput is the expected number of possible edges per
 // reducer for the complete instance: a triple of three distinct buckets
@@ -264,32 +263,15 @@ func Run(s *PartitionSchema, g *graphs.Graph, opts Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	slices.SortFunc(tris, cmpTriangle)
 	if opts.EmitAll {
-		tris = dedupTriangles(tris)
+		tris = slices.Compact(tris)
 	}
-	sort.Slice(tris, func(i, j int) bool {
-		a, b := tris[i], tris[j]
-		if a.U != b.U {
-			return a.U < b.U
-		}
-		if a.V != b.V {
-			return a.V < b.V
-		}
-		return a.W < b.W
-	})
 	return Result{Triangles: tris, Metrics: met}, nil
 }
 
-func dedupTriangles(tris []Triangle) []Triangle {
-	seen := make(map[Triangle]bool, len(tris))
-	out := tris[:0]
-	for _, t := range tris {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
-		}
-	}
-	return out
+func cmpTriangle(a, b Triangle) int {
+	return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V), cmp.Compare(a.W, b.W))
 }
 
 // Count runs the algorithm and returns only the number of triangles,
@@ -299,18 +281,11 @@ func Count(s *PartitionSchema, g *graphs.Graph, cfg mr.Config) (int64, mr.Metric
 	job := &mr.Job[graphs.Edge, int, graphs.Edge, int64]{
 		Name: fmt.Sprintf("triangles-count(n=%d,k=%d)", s.N, s.K),
 		Map: func(e graphs.Edge, emit func(int, graphs.Edge)) {
-			for _, r := range s.reducersForEdge(e.U, e.V) {
-				emit(r, e)
-			}
+			s.forEachCell(e.U, e.V, func(cell int) { emit(cell, e) })
 		},
 		Reduce: func(cell int, edges []graphs.Edge, emit func(int64)) {
-			local := graphs.New(s.N, edges)
 			var count int64
-			for _, tr := range local.Triangles() {
-				if s.ownsTriangle(cell, tr) {
-					count++
-				}
-			}
+			s.localTriangles(cell, edges, false, func(_, _, _ int) { count++ })
 			emit(count)
 		},
 		Config: cfg,

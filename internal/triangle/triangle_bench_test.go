@@ -44,3 +44,18 @@ func BenchmarkEdgeIndex(b *testing.B) {
 		_, _ = p.EdgeFromIndex(idx)
 	}
 }
+
+// BenchmarkLocalTriangles is the reducer kernel on one census-sized cell:
+// the largest cell of GNM(1000, 100 000) at k = 8. Each iteration copies
+// the cell's edges first, since the kernel sorts them in place.
+func BenchmarkLocalTriangles(b *testing.B) {
+	s, cell, edges := largestCell(b)
+	buf := make([]graphs.Edge, len(edges))
+	var count int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, edges)
+		s.localTriangles(cell, buf, false, func(_, _, _ int) { count++ })
+	}
+}

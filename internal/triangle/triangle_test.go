@@ -92,7 +92,8 @@ func TestPartitionSchemaTripleIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All C(k+2,3) = 20 sorted triples must get distinct ids in [0,20).
+	// All C(k+2,3) = 20 sorted triples must get distinct ids in [0,20),
+	// numbered in lexicographic order.
 	seen := make(map[int]bool)
 	for i := 0; i < 4; i++ {
 		for j := i; j < 4; j++ {
@@ -103,6 +104,9 @@ func TestPartitionSchemaTripleIDs(t *testing.T) {
 				}
 				if seen[id] {
 					t.Fatalf("tripleID(%d,%d,%d) = %d collides", i, j, l, id)
+				}
+				if id != len(seen) {
+					t.Fatalf("tripleID(%d,%d,%d) = %d, want the lexicographic rank %d", i, j, l, id, len(seen))
 				}
 				seen[id] = true
 			}
