@@ -226,6 +226,9 @@ var errInjected = errors.New("engine: injected task failure")
 // still carries the metrics accumulated up to the failure point.
 func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Result[K, O], retErr error) {
 	res.Metrics.MapInputs = int64(len(inputs))
+	if err := shuffle.CheckKey[K](); err != nil {
+		return res, fmt.Errorf("engine: round %q: %w", r.Name, err)
+	}
 	r.Config.Plan = r.Config.Resolve()
 	cfg := r.Config
 	if cfg.SpillDir != "" && cfg.MemoryBudget <= 0 {
@@ -493,8 +496,8 @@ func (pr *partReader[K, V]) release() {
 
 // runReducePhase schedules reduce units onto workers with the LPT
 // balancer — whole non-empty partitions by default; with
-// Config.ReduceSplitPairs, heavy partitions split into class-aligned
-// key-range units weighted by indexed pair load — reduces each unit's
+// Config.ReduceSplitPairs, heavy partitions split into key-range
+// units weighted by indexed pair load — reduces each unit's
 // keys in sorted order into its own Collector, and assembles the
 // outputs in global key order (assemble). Every unit is one sorted key
 // run and assembly orders keys globally, so the output is
@@ -506,7 +509,7 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 
 	// Plan key-range splits for partitions heavier than the target.
 	// Planning is a counting merge over the resident indexes — no disk
-	// read — and never splits an order-equivalence class.
+	// read — and never splits a key group.
 	ranges := make([][]shuffle.KeyRange[K], P)
 	for p := 0; p < P; p++ {
 		if n := cfg.RangeFanout(st.PartitionPairs[p]); n > 0 {
@@ -703,7 +706,3 @@ func attemptReduce[I any, K comparable, V, O any](r Round[I, K, V, O], rr *shuff
 	}
 	return pr, nil
 }
-
-// SortKeys re-exports the shuffle's canonical key ordering for callers
-// assembling their own output.
-func SortKeys[K comparable](keys []K) { shuffle.SortKeys(keys) }

@@ -41,7 +41,7 @@ type Plan struct {
 	MaxReducerInput int
 
 	// ReduceSplitPairs, when positive, splits reduce partitions heavier
-	// than this many pairs into class-aligned key ranges of roughly this
+	// than this many pairs into key ranges of roughly this
 	// many pairs, planned from the resident run indexes and never
 	// splitting a key group, which merge and reduce concurrently. The
 	// output is byte-identical to the unsplit round. Zero or negative

@@ -1,11 +1,14 @@
 package mr
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/shuffle"
@@ -195,4 +198,109 @@ func TestDifferentialFieldwiseStructKeys(t *testing.T) {
 	if met.ReduceRanges == 0 {
 		t.Error("ProcMode reduce was never range-split; the test missed that path")
 	}
+}
+
+// procNaNKeys sends even inputs to key NaN and odd inputs to key 1.5.
+var procNaNKeys = &Job[int, float64, int, int]{
+	Name: "mr-proc-nan-keys",
+	Map: func(x int, emit func(float64, int)) {
+		if x%2 == 0 {
+			emit(math.NaN(), x)
+		} else {
+			emit(1.5, x)
+		}
+	},
+	Reduce: func(_ float64, vs []int, emit func(int)) { emit(len(vs)) },
+}
+
+// TestNaNKeyFailsRound: a NaN is not == to itself, so it could never
+// find its own group and its values would go missing from the outputs.
+// The round must fail instead — in memory, with spill and in ProcMode —
+// and the failure must not be retried.
+func TestNaNKeyFailsRound(t *testing.T) {
+	inputs := make([]int, 20)
+	for i := range inputs {
+		inputs[i] = i
+	}
+	for _, tc := range []struct {
+		mode string
+		cfg  Config
+	}{
+		{"in memory", Config{}},
+		{"spill", Config{MemoryBudget: 4, SpillDir: t.TempDir()}},
+		{"ProcMode", Config{Workers: 2, Partitions: 4, ProcMode: true}},
+	} {
+		j := *procNaNKeys
+		j.Config = tc.cfg
+		outs, met, err := j.Run(inputs)
+		if err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("%s: outs=%v err=%v, want an error naming the NaN key", tc.mode, outs, err)
+			continue
+		}
+		if !tc.cfg.ProcMode && !errors.Is(err, shuffle.ErrNaNKey) {
+			t.Errorf("%s: err %v does not wrap shuffle.ErrNaNKey", tc.mode, err)
+		}
+		if met.MapRetries != 0 {
+			t.Errorf("%s: the NaN key was retried %d times; it must fail the round", tc.mode, met.MapRetries)
+		}
+	}
+}
+
+var procAnyKeys = &Job[int, struct{ V any }, int, int]{
+	Name:   "mr-proc-any-keys",
+	Map:    func(x int, emit func(struct{ V any }, int)) { emit(struct{ V any }{x % 3}, x) },
+	Reduce: func(_ struct{ V any }, vs []int, emit func(int)) { emit(len(vs)) },
+}
+
+var procPointerKeys = &Job[int, *int, int, int]{
+	Name:   "mr-proc-pointer-keys",
+	Map:    func(x int, emit func(*int, int)) { emit(&x, x) },
+	Reduce: func(_ *int, vs []int, emit func(int)) { emit(len(vs)) },
+}
+
+// TestUnplannableKeysRefused: a key type with an interface or pointer
+// in it has no canonical order, so Run refuses it with an error naming
+// the type — in process before any map task runs, in ProcMode before
+// any worker is spawned (the job dir stays empty: not even the input
+// image is written).
+func TestUnplannableKeysRefused(t *testing.T) {
+	inputs := []int{1, 2, 3}
+	check := func(mode, typ string, run func(Config) error, mapped *int) {
+		t.Helper()
+		if err := run(Config{}); err == nil || !strings.Contains(err.Error(), typ) {
+			t.Errorf("%s in process: err %v, want one naming %s", mode, err, typ)
+		}
+		if *mapped != 0 {
+			t.Errorf("%s in process: %d map calls ran before the refusal", mode, *mapped)
+		}
+		dir := t.TempDir()
+		if err := run(Config{Workers: 2, ProcMode: true, ProcDir: dir}); err == nil || !strings.Contains(err.Error(), typ) {
+			t.Errorf("%s ProcMode: err %v, want one naming %s", mode, err, typ)
+		}
+		if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+			t.Errorf("%s ProcMode: job dir holds %d entries (%v); no worker may have been spawned", mode, len(ents), err)
+		}
+	}
+
+	var anyMapped int
+	check("interface key", "struct { V interface {} }", func(cfg Config) error {
+		j := *procAnyKeys
+		if !cfg.ProcMode {
+			j.Map = func(x int, emit func(struct{ V any }, int)) { anyMapped++; procAnyKeys.Map(x, emit) }
+		}
+		j.Config = cfg
+		_, _, err := j.Run(inputs)
+		return err
+	}, &anyMapped)
+
+	var ptrMapped int
+	check("pointer key", "*int", func(cfg Config) error {
+		j := *procPointerKeys
+		if !cfg.ProcMode {
+			j.Map = func(x int, emit func(*int, int)) { ptrMapped++; procPointerKeys.Map(x, emit) }
+		}
+		j.Config = cfg
+		_, _, err := j.Run(inputs)
+		return err
+	}, &ptrMapped)
 }

@@ -102,11 +102,11 @@ type Config struct {
 	// disk and live runs instead of materializing the partition.
 	// SpillDir without a budget is a configuration error, and spilling
 	// requires a key type whose equality survives an encode/decode
-	// round trip (no pointer, interface or channel fields).
+	// round trip (no unexported fields).
 	SpillDir string
 
 	// ReduceSplitPairs, when positive, splits reduce partitions heavier
-	// than this many pairs into class-aligned key-range units — at most
+	// than this many pairs into key-range units — at most
 	// max(Workers, 2) per partition — that merge and reduce
 	// concurrently (planned from the resident run indexes). Outputs are
 	// byte-identical to the unsplit round; only scheduling granularity
@@ -403,12 +403,12 @@ type Job[I any, K comparable, V, O any] struct {
 var ErrReducerOverflow = errors.New("mr: reducer input exceeds configured maximum")
 
 // Run executes the job over inputs and returns the reduce outputs together
-// with the round's metrics. Output order is deterministic: reduce keys are
-// processed in the runtime's canonical key order (numeric for numbers,
-// byte order for strings, field-wise for structs and arrays of those —
-// see shuffle.SortKeys), and within a key the outputs appear in
-// emission order. Execution happens on the partitioned
-// shuffle executor; the returned Metrics carry its per-partition profile.
+// with the round's metrics. A key type with an interface, pointer or channel
+// in it is an error naming the type before any map task runs, and a NaN key
+// fails the round (shuffle.CheckKey, shuffle.ErrNaNKey). For every accepted
+// key the output order is deterministic: keys in canonical order (numeric
+// for numbers, byte order for strings, field-wise for structs and arrays —
+// see shuffle.SortKeys), one group each, outputs in emission order.
 func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
 	run := j.runEngine
 	if j.Config.ProcMode {

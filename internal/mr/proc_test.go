@@ -21,6 +21,9 @@ func TestMain(m *testing.M) {
 	RegisterProc(procOrderKeys)
 	RegisterProc(procOrderKeysBatch)
 	RegisterProc(procWordcountBatch)
+	RegisterProc(procNaNKeys)
+	RegisterProc(procAnyKeys)
+	RegisterProc(procPointerKeys)
 	MaybeProcWorker()
 	os.Exit(m.Run())
 }

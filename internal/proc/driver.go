@@ -571,9 +571,10 @@ func (d *Driver) shutdown() {
 // processes and returns the outputs in global canonical key order —
 // the same deterministic, attempt- and schedule-invariant order the
 // in-process engine produces — plus the run's communication and
-// fault-tolerance metrics. I, K, V and O all cross the process boundary
-// through the run-file codec: a type that cannot make the trip
-// faithfully is an error before any worker is spawned.
+// fault-tolerance metrics. K must be a shuffle key (shuffle.CheckKey),
+// and I, K, V and O all cross the process boundary through the run-file
+// codec: a type that cannot make the trip faithfully is an error before
+// any worker is spawned.
 func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) ([]O, Metrics, error) {
 	var met Metrics
 	j, err := lookup(name)
@@ -582,6 +583,9 @@ func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) (
 	}
 	if _, ok := j.(*jobImpl[I, K, V, O]); !ok {
 		return nil, met, fmt.Errorf("proc: job %q is registered with different types than Run was called with", name)
+	}
+	if err := shuffle.CheckKey[K](); err != nil {
+		return nil, met, fmt.Errorf("proc: job %q: %w", name, err)
 	}
 	if err := runfile.CanRoundTripIdentity[K](); err != nil {
 		return nil, met, fmt.Errorf("proc: key type unusable across processes: %w", err)

@@ -279,14 +279,13 @@ type jobImpl[I any, K comparable, V, O any] struct {
 
 // partition places k on one of p partitions: the explicit Partition
 // func reduced modulo p, or the stable cross-process hash.
-func (j *jobImpl[I, K, V, O]) partition(h shuffle.StableHasher[K], k K, p int) (int, error) {
+func (j *jobImpl[I, K, V, O]) partition(h shuffle.StableHasher[K], k K, p int) int {
 	if j.spec.Partition != nil {
 		part := j.spec.Partition(k) % p
 		if part < 0 {
 			part += p
 		}
-		return part, nil
+		return part
 	}
-	hv, err := h.Hash(k)
-	return int(hv % uint64(p)), err
+	return int(h.Hash(k) % uint64(p))
 }

@@ -326,7 +326,8 @@ func (ws *workerState) report(method string, reply any, args any) {
 
 // fatalErr marks an execution error retrying cannot fix (an unencodable
 // key type, a violated reducer-size limit): the driver fails the job
-// instead of re-granting the task.
+// instead of re-granting the task. A NaN key is one too: the records
+// emit it on every attempt.
 type fatalErr struct{ error }
 
 func fatal(err error) error {
@@ -338,7 +339,7 @@ func fatal(err error) error {
 
 func isFatal(err error) bool {
 	var f fatalErr
-	return errors.As(err, &f)
+	return errors.As(err, &f) || errors.Is(err, shuffle.ErrNaNKey)
 }
 
 // sectionSink is a map task's shuffle.SealSink: every sealed run becomes
@@ -430,17 +431,7 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 	})
 	defer sh.Close()
 	hasher := shuffle.NewStableHasher[K](0)
-	var emitErr error
-	sh.SetPartitioner(func(k K) int {
-		p, err := j.partition(hasher, k, ws.plan.Partitions)
-		if err != nil {
-			if emitErr == nil {
-				emitErr = err
-			}
-			return 0
-		}
-		return p
-	})
+	sh.SetPartitioner(func(k K) int { return j.partition(hasher, k, ws.plan.Partitions) })
 	if j.spec.Combine != nil {
 		sh.SetCombiner(j.spec.Combine)
 	}
@@ -454,15 +445,10 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 	emit := func(k K, v V) {
 		pairsEmitted++
 		chunk++
-		if emitErr == nil {
-			tw.Emit(k, v)
-		}
+		tw.Emit(k, v)
 	}
 	for i := range ins {
 		j.spec.Map(ins[i], emit)
-		if emitErr != nil {
-			return MapReport{}, fatal(fmt.Errorf("proc: partitioning map task %d: %w", t.ID, emitErr))
-		}
 		if ws.plan.MemoryBudget > 0 && chunk >= ws.plan.MemoryBudget/2 {
 			if err := tw.Commit(); err != nil {
 				return MapReport{}, fmt.Errorf("proc: streaming map task %d: %w", t.ID, err)
@@ -503,7 +489,7 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 // as borrowed disk runs, and everything after that is the shuffle's own
 // read side. Stats (a counting merge of the adopted indexes, no value
 // read) enforces the plan's MaxReducerInput; PlanReduceRanges cuts
-// class-aligned key ranges when the plan's range rule asks for them;
+// key ranges when the plan's range rule asks for them;
 // one RangeReader holds the spools open (shared handles and mappings)
 // while the ranges run the k-way merge concurrently, reducing every
 // group in canonical key order as it surfaces. The outputs, range after

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"unsafe"
@@ -56,8 +57,9 @@ func keyPlanOf(t reflect.Type) *KeyPlan {
 // Compare orders the keys at a and b field-wise in declaration order:
 // numerically for numbers, bytewise for strings, false before true.
 // The result is zero exactly when the keys are ==, so the order is a
-// strict total order on key values (NaNs aside: they sort first and
-// compare equal to each other, though no NaN is == to anything).
+// strict total order on key values that are == to themselves. A key
+// with a NaN in it is not, and is not a key: the shuffle refuses it at
+// emit (HasFloat tells it which types to check).
 func (p *KeyPlan) Compare(a, b unsafe.Pointer) int {
 	for _, op := range p.ops {
 		x, y := unsafe.Add(a, op.off), unsafe.Add(b, op.off)
@@ -99,6 +101,12 @@ func (p *KeyPlan) Compare(a, b unsafe.Pointer) int {
 		}
 	}
 	return 0
+}
+
+// HasFloat reports whether the key has a float or complex part — the
+// only parts whose values (NaN) can fail to be == to themselves.
+func (p *KeyPlan) HasFloat() bool {
+	return slices.ContainsFunc(p.ops, func(op scalarOp) bool { return op.kind == reflect.Float32 || op.kind == reflect.Float64 })
 }
 
 // Hash returns a seeded 64-bit hash of the key at k that depends only
@@ -146,13 +154,6 @@ func (p *KeyPlan) Hash(seed uint64, k unsafe.Pointer) uint64 {
 		h = hashMix(h, v)
 	}
 	return hashMix(h, hashInit)
-}
-
-// HashBytes is the plan hash of a byte string — what Hash computes for a
-// key that is a single string field — for callers that hash a key's
-// codec bytes because its type has no plan.
-func HashBytes(seed uint64, b []byte) uint64 {
-	return hashMix(hashBytes(seed^hashInit, b), hashInit)
 }
 
 const (

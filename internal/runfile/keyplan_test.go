@@ -214,6 +214,14 @@ func TestKeyPlanStaticKinds(t *testing.T) {
 	if KeyPlanFor[[1000]uint8]() == nil {
 		t.Error("key plans are not capped at maxFixedOps")
 	}
+
+	// HasFloat names the types whose values can be NaN.
+	if KeyPlanFor[int]().HasFloat() || KeyPlanFor[struct{ S string }]().HasFloat() {
+		t.Error("a key without a float part reports HasFloat")
+	}
+	if !KeyPlanFor[float32]().HasFloat() || !KeyPlanFor[struct{ C complex64 }]().HasFloat() || !KeyPlanFor[[2]struct{ A, F float64 }]().HasFloat() {
+		t.Error("a key with a float or complex part does not report HasFloat")
+	}
 }
 
 // TestKeyPlanHashSpreads: the low bits, which partition masks use, must
@@ -239,8 +247,10 @@ func TestKeyPlanHashSpreads(t *testing.T) {
 	if plan.Hash(1, unsafe.Pointer(&a)) == plan.Hash(2, unsafe.Pointer(&a)) {
 		t.Error("seed does not reach the hash")
 	}
-	if HashBytes(0, []byte("ab")) == HashBytes(0, []byte("ab\x00")) {
-		t.Error("HashBytes ignores length")
+	sp := KeyPlanFor[string]()
+	ab, abz := "ab", "ab\x00"
+	if sp.Hash(0, unsafe.Pointer(&ab)) == sp.Hash(0, unsafe.Pointer(&abz)) {
+		t.Error("string key hash ignores length")
 	}
 }
 

@@ -29,10 +29,6 @@ import (
 // a count no section of that length could hold. AdoptRun must not run
 // concurrently with reads or ingestion of the partition.
 func (s *Shuffle[K, V]) AdoptRun(part int, path string, off, length int64) error {
-	ord := orderOf[K]()
-	if !ord.strict {
-		return fmt.Errorf("shuffle: cannot adopt runs: key type %T has no strict canonical order", *new(K))
-	}
 	f, err := s.fs.Open(path)
 	if err != nil {
 		return fmt.Errorf("shuffle: opening run %s: %w", path, err)
@@ -48,11 +44,12 @@ func (s *Shuffle[K, V]) AdoptRun(part int, path string, off, length int64) error
 	keys := make([]K, len(entries))
 	var pairs int64
 	decode := runfile.CodecFor[K]().Decode
+	cmp := orderOf[K]()
 	for i, e := range entries {
 		if keys[i], err = decode(e.Key); err != nil {
 			return corrupt(i, "undecodable key: "+err.Error())
 		}
-		if i > 0 && ord.cmp(keys[i-1], keys[i]) >= 0 {
+		if i > 0 && cmp(keys[i-1], keys[i]) >= 0 {
 			return corrupt(i, "key out of order")
 		}
 		if e.Offset < 0 || e.Offset > length {

@@ -41,10 +41,9 @@ func collidingKeys[K comparable](t *testing.T, s *Shuffle[K, int], colliders [2]
 }
 
 // TestCompactionWithFormatAlikeKeys: distinct struct keys whose
-// fmt.Sprint forms collide used to sort as order-equals. They have a
-// key plan, which tells them apart field-wise, so compaction — which
-// folds the runs sitting on the heap's minimum key — must keep them two
-// groups through every rewrite.
+// fmt.Sprint forms collide. Their key plan tells them apart field-wise,
+// so compaction — which folds the runs sitting on the heap's minimum
+// key — must keep them two groups through every rewrite.
 func TestCompactionWithFormatAlikeKeys(t *testing.T) {
 	type k2 struct{ A, B string }
 	s := New[k2, int](Options{Partitions: 2, MaxBufferedPairs: 3, SpillDir: t.TempDir()})
@@ -53,22 +52,5 @@ func TestCompactionWithFormatAlikeKeys(t *testing.T) {
 		func(i int) k2 { return k2{"z", fmt.Sprint(i)} })
 	if got := len(s.parts[0].disk); got >= maxDiskRunsPerPartition {
 		t.Fatalf("%d disk runs; compaction never triggered", got)
-	}
-}
-
-// TestMergeWithCollidingFormattedKeys: keys of a kind no plan covers
-// (an interface field) order by formatted value, so {1} and {"1"} are
-// one order-equivalence class, and each sealed run may hold them in
-// either relative order (sortedMapKeys' sort is not stable across
-// fmt-equal keys). The merge must drain the whole class and regroup it
-// by == — it cannot assume a run contributes at most one group per
-// class, nor consume a run's groups out of run order. Such keys cannot
-// spill, so the runs are the in-memory sealed ones.
-func TestMergeWithCollidingFormattedKeys(t *testing.T) {
-	s := New[keyLoose, int](Options{Partitions: 2, MaxBufferedPairs: 3})
-	defer s.Close()
-	collidingKeys(t, s, [2]keyLoose{{1}, {"1"}}, func(i int) keyLoose { return keyLoose{fmt.Sprint("z", i)} })
-	if got := len(s.parts[0].runs); got < maxDiskRunFanIn {
-		t.Fatalf("only %d sealed runs; the merge was not exercised", got)
 	}
 }

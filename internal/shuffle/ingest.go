@@ -181,8 +181,14 @@ type TaskWriter[K comparable, V any] struct {
 // Emit buffers one pair, flushing a block when the writer's buffered
 // total reaches the block budget — so a writer never holds more than
 // blockPairs pairs, the per-writer term of the resident-memory bound.
+// A key that is not == to itself (a NaN) fails the round with
+// ErrNaNKey instead: it could never be grouped.
 func (w *TaskWriter[K, V]) Emit(k K, v V) {
 	s := w.in.s
+	if s.floatKey && k != k {
+		w.in.fail(fmt.Errorf("%w: key %v", ErrNaNKey, k))
+		return
+	}
 	p := s.PartitionOf(k)
 	blk := w.buckets[p]
 	if blk == nil {

@@ -1,16 +1,17 @@
-// Key order and key placement: the one place a key's canonical order
-// and its hash live.
+// Key order and key placement: the one place a key's canonical order,
+// the check that a key type has one, and its hash live.
 //
-// Canonical key order is defined once, here. Every key type whose parts
-// are bools, numbers and strings — alone, or composed through structs
-// and arrays, named or not — has a compiled key plan
-// (runfile.KeyPlanFor) and orders field-wise in declaration order:
-// numerically for numbers, bytewise for strings, false before true.
-// That order is strict and total and agrees with ==. The remaining
-// comparable kinds (an interface, pointer or channel somewhere in the
-// key) have no plan and order by their formatted value, which distinct
-// keys can tie in; only they ever take the merge's class-regrouping
-// path.
+// A shuffle key type is one with a compiled key plan
+// (runfile.KeyPlanFor): its parts are bools, numbers and strings —
+// alone, or composed through structs and arrays, named or not. It
+// orders field-wise in declaration order: numerically for numbers,
+// bytewise for strings, false before true. That order is strict and
+// total and agrees with ==, so every sort, merge, range cut and run
+// index assumes one position per key and one group per position. A
+// type with an interface, pointer or channel in it has no plan; CheckKey
+// refuses it, both executors call CheckKey before any task runs, and New
+// panics on it. A key must also be == to itself: a NaN in a float or
+// complex field fails the round at TaskWriter.Emit (ErrNaNKey).
 //
 // Placement is maphash with a per-process seed by default. Wherever it
 // must instead be reproducible — under WithSeed, and always across the
@@ -20,11 +21,11 @@ package shuffle
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"reflect"
 	"slices"
-	"strings"
 	"sync"
 	"unsafe"
 
@@ -87,16 +88,10 @@ func NewHasher[K comparable]() Hasher[K] {
 // Hash returns a 64-bit hash of the key. By default this is the typed
 // fast path: maphash.Comparable dispatches to the runtime's native hash
 // for K's memory layout with no formatting, boxing, or reflection. A
-// pinned Hasher returns the StableHasher's hash, and panics for a key
-// that has neither a plan nor a codec encoding: such a type cannot be
-// placed reproducibly at all.
+// pinned Hasher returns the StableHasher's hash.
 func (h Hasher[K]) Hash(k K) uint64 {
 	if h.pinned {
-		hv, err := h.stable.Hash(k)
-		if err != nil {
-			panic(fmt.Sprintf("shuffle: WithSeed cannot place key %v: %v", k, err))
-		}
-		return hv
+		return h.stable.Hash(k)
 	}
 	return maphash.Comparable(h.seed, k)
 }
@@ -105,59 +100,49 @@ func (h Hasher[K]) Hash(k K) uint64 {
 // the default Hasher's per-process maphash seed cannot: the
 // multi-process runtime (internal/proc) partitions map output in worker
 // processes and merges it in reduce processes, so placement must be a
-// function of the key's value and nothing else. Keys with a compiled
-// plan hash through it (runfile.KeyPlan.Hash — no encoding, no
-// allocation); the rest hash their run-file codec bytes, the same
-// canonical representation spilled runs use. Equal keys hash equal
-// either way. Safe for concurrent use.
+// function of the key's value and nothing else. It is the key plan's
+// hash (runfile.KeyPlan.Hash — no encoding, no allocation), so equal
+// keys hash equal. Safe for concurrent use.
 type StableHasher[K comparable] struct {
 	plan *runfile.KeyPlan
 	seed uint64
 }
 
-// NewStableHasher returns K's stable hasher under the given seed.
+// NewStableHasher returns K's stable hasher under the given seed. K
+// must pass CheckKey.
 func NewStableHasher[K comparable](seed uint64) StableHasher[K] {
 	return StableHasher[K]{plan: runfile.KeyPlanFor[K](), seed: seed}
 }
 
-// Hash returns the key's stable 64-bit hash. It fails only for a key
-// type that has no plan and cannot be encoded by the run-file codec
-// either (the same types that cannot spill).
-func (h StableHasher[K]) Hash(k K) (uint64, error) {
-	if h.plan != nil {
-		return h.plan.Hash(h.seed, unsafe.Pointer(&k)), nil
-	}
-	b, err := runfile.Append(nil, k)
-	if err != nil {
-		return 0, err
-	}
-	return runfile.HashBytes(h.seed, b), nil
+// Hash returns the key's stable 64-bit hash.
+func (h StableHasher[K]) Hash(k K) uint64 {
+	return h.plan.Hash(h.seed, unsafe.Pointer(&k))
 }
 
-// keyOrder is K's canonical order as a three-way comparison. strict
-// reports that cmp returns zero only for keys that are == — true for
-// every planned kind; the formatted fallback can tie distinct keys, and
-// merges must then regroup each tie class by ==.
-type keyOrder[K comparable] struct {
-	cmp    func(a, b K) int
-	strict bool
+// CheckKey reports whether K can be a shuffle key — whether it has a
+// compiled key plan — with an error naming the type when it cannot.
+func CheckKey[K comparable]() error {
+	if runfile.KeyPlanFor[K]() == nil {
+		return fmt.Errorf("shuffle: key type %v has no canonical order: keys must be made of bools, numbers and strings (no interface, pointer or channel)", reflect.TypeFor[K]())
+	}
+	return nil
 }
 
-// orderOf returns K's canonical order: the compiled plan's, or the
-// formatted fallback for kinds no plan covers. Resolve it once per
-// sort or merge, not per comparison — the lookup reflects on K.
-func orderOf[K comparable]() keyOrder[K] {
+// ErrNaNKey fails a round whose map emitted a key that is not == to
+// itself (a NaN): such a key could never find its own group.
+var ErrNaNKey = errors.New("shuffle: a key with a NaN in it is not == to itself")
+
+// orderOf returns K's canonical order as a three-way comparison, zero
+// exactly when the keys are ==. K must pass CheckKey. Resolve it once
+// per sort or merge, not per comparison — the lookup reflects on K.
+func orderOf[K comparable]() func(a, b K) int {
 	if cmp := scalarCmp[K](); cmp != nil {
-		return keyOrder[K]{strict: true, cmp: cmp}
+		return cmp
 	}
-	if plan := runfile.KeyPlanFor[K](); plan != nil {
-		return keyOrder[K]{strict: true, cmp: func(a, b K) int {
-			return plan.Compare(unsafe.Pointer(&a), unsafe.Pointer(&b))
-		}}
+	plan := runfile.KeyPlanFor[K]()
+	return func(a, b K) int {
+		return plan.Compare(unsafe.Pointer(&a), unsafe.Pointer(&b))
 	}
-	return keyOrder[K]{cmp: func(a, b K) int {
-		return strings.Compare(fmt.Sprint(a), fmt.Sprint(b))
-	}}
 }
 
 // scalarCmp is the plan's comparison specialised for a key that is a
@@ -203,12 +188,10 @@ func typedCmp[K comparable, T cmp.Ordered](a, b K) int {
 	return cmp.Compare(*(*T)(unsafe.Pointer(&a)), *(*T)(unsafe.Pointer(&b)))
 }
 
-// SortKeys sorts keys in the package's canonical deterministic order
-// (see the package comment of this file): slices.Sort on the concrete
-// type for the unnamed number and string kinds (pdqsort, no
-// indirection), the compiled key plan for every other planned kind,
-// and for unplannable kinds the order of the formatted value, computed
-// once per key rather than once per comparison.
+// SortKeys sorts keys in the package's canonical order (see the
+// package comment of this file): slices.Sort on the concrete type for
+// the unnamed number and string kinds (pdqsort, no indirection), the
+// compiled key plan for every other key type.
 func SortKeys[K comparable](keys []K) {
 	switch ks := any(keys).(type) {
 	case []int:
@@ -240,16 +223,6 @@ func SortKeys[K comparable](keys []K) {
 	case []string:
 		slices.Sort(ks)
 	default:
-		if ord := orderOf[K](); ord.strict {
-			slices.SortFunc(keys, ord.cmp)
-			return
-		}
-		fm := make(map[K]string, len(keys))
-		for _, k := range keys {
-			if _, ok := fm[k]; !ok {
-				fm[k] = fmt.Sprint(k)
-			}
-		}
-		slices.SortFunc(keys, func(a, b K) int { return strings.Compare(fm[a], fm[b]) })
+		slices.SortFunc(keys, orderOf[K]())
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -24,64 +25,59 @@ type (
 		T    float32
 		Tags [2]nodeID
 	}
-	// keyLoose has no plan: V is an interface, so its keys order by
-	// formatted value and {1} ties {"1"}.
-	keyLoose struct{ V any }
 )
 
 // checkKeyOrder pins the invariant every sort, merge and range search
 // rests on: SortKeys and a sort by orderOf's comparison produce the
-// same sequence, and the comparison is zero exactly for == keys when
-// the order claims to be strict.
-func checkKeyOrder[K comparable](t *testing.T, wantStrict bool, vals []K) {
+// same sequence, and the comparison is zero exactly for == keys.
+func checkKeyOrder[K comparable](t *testing.T, vals []K) {
 	t.Helper()
-	ord := orderOf[K]()
-	if ord.strict != wantStrict {
-		t.Fatalf("%T: strict = %v, want %v", vals[0], ord.strict, wantStrict)
-	}
+	cmp := orderOf[K]()
 	bySort := slices.Clone(vals)
 	SortKeys(bySort)
 	byCmp := slices.Clone(vals)
-	slices.SortStableFunc(byCmp, ord.cmp)
+	slices.SortStableFunc(byCmp, cmp)
 	for i := range bySort {
-		// Compare through cmp, not ==: a non-strict order may permute
-		// the keys of one tie class.
-		if ord.cmp(bySort[i], byCmp[i]) != 0 {
+		if bySort[i] != byCmp[i] {
 			t.Fatalf("%T: SortKeys %v, by cmp %v", vals[0], bySort, byCmp)
 		}
-		if i > 0 && ord.cmp(bySort[i], bySort[i-1]) < 0 {
+		if i > 0 && cmp(bySort[i], bySort[i-1]) < 0 {
 			t.Fatalf("%T: SortKeys output %v descends at %d under cmp", vals[0], bySort, i)
 		}
 	}
-	if !ord.strict {
-		return
-	}
 	for _, a := range vals {
 		for _, b := range vals {
-			if (ord.cmp(a, b) == 0) != (a == b) {
-				t.Fatalf("%T: cmp(%v, %v) = %d but == is %v", a, a, b, ord.cmp(a, b), a == b)
+			if (cmp(a, b) == 0) != (a == b) {
+				t.Fatalf("%T: cmp(%v, %v) = %d but == is %v", a, a, b, cmp(a, b), a == b)
 			}
 		}
 	}
 }
 
 func TestKeyOrderAgreesWithSortKeys(t *testing.T) {
-	checkKeyOrder(t, true, []int{5, -1, 3, 0, 3})
-	checkKeyOrder(t, true, []int8{5, -1, 3})
-	checkKeyOrder(t, true, []int16{5, -1, 3})
-	checkKeyOrder(t, true, []int32{5, -1, 3})
-	checkKeyOrder(t, true, []int64{5, -1, 3})
-	checkKeyOrder(t, true, []uint{5, 1, 3})
-	checkKeyOrder(t, true, []uint8{5, 1, 3})
-	checkKeyOrder(t, true, []uint16{5, 1, 3})
-	checkKeyOrder(t, true, []uint32{5, 1, 3})
-	checkKeyOrder(t, true, []uint64{5, 1, 3, math.MaxUint64})
-	checkKeyOrder(t, true, []uintptr{5, 1, 3})
-	checkKeyOrder(t, true, []float32{2.5, -1, 0})
-	checkKeyOrder(t, true, []float64{2.5, -1, 0, math.Copysign(0, -1), math.Inf(-1)})
-	checkKeyOrder(t, true, []string{"b", "a", "c", "", "a b"})
-	checkKeyOrder(t, true, []bool{true, false, true})
-	checkKeyOrder(t, true, []nodeID{10, 2, -7})
+	checkKeyOrder(t, []int{5, -1, 3, 0, 3})
+	checkKeyOrder(t, []int8{5, -1, 3})
+	checkKeyOrder(t, []int16{5, -1, 3})
+	checkKeyOrder(t, []int32{5, -1, 3})
+	checkKeyOrder(t, []int64{5, -1, 3})
+	checkKeyOrder(t, []uint{5, 1, 3})
+	checkKeyOrder(t, []uint8{5, 1, 3})
+	checkKeyOrder(t, []uint16{5, 1, 3})
+	checkKeyOrder(t, []uint32{5, 1, 3})
+	checkKeyOrder(t, []uint64{5, 1, 3, math.MaxUint64})
+	checkKeyOrder(t, []uintptr{5, 1, 3})
+	negZero := math.Copysign(0, -1)
+	checkKeyOrder(t, []float32{2.5, -1, 0, float32(negZero), float32(math.Inf(1))})
+	checkKeyOrder(t, []float64{2.5, -1, 0, negZero, math.Inf(-1)})
+	checkKeyOrder(t, []complex128{complex(1, 0), complex(0, 1), complex(negZero, 1), 0})
+	type floatKey struct {
+		ID int
+		F  float32
+	}
+	checkKeyOrder(t, []floatKey{{1, 0.5}, {1, 0}, {0, 2}, {1, float32(negZero)}, {1, -0.5}})
+	checkKeyOrder(t, []string{"b", "a", "c", "", "a b"})
+	checkKeyOrder(t, []bool{true, false, true})
+	checkKeyOrder(t, []nodeID{10, 2, -7})
 
 	rng := rand.New(rand.NewSource(11))
 	pairs := make([]keyPair, 200)
@@ -93,8 +89,8 @@ func TestKeyOrderAgreesWithSortKeys(t *testing.T) {
 			T: float32(rng.Intn(3)) - 1, Tags: [2]nodeID{nodeID(rng.Intn(3)), nodeID(rng.Intn(3))},
 		}
 	}
-	checkKeyOrder(t, true, pairs)
-	checkKeyOrder(t, true, named)
+	checkKeyOrder(t, pairs)
+	checkKeyOrder(t, named)
 
 	// The one-time redefinition: composite keys order field-wise, not by
 	// formatted value ("{10 5}" < "{2 5}" as strings).
@@ -103,11 +99,28 @@ func TestKeyOrderAgreesWithSortKeys(t *testing.T) {
 	if want := []keyPair{{2, 5}, {2, 40}, {10, 5}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("SortKeys(struct) = %v, want field-wise %v", got, want)
 	}
+}
 
-	// Unplannable kinds keep the formatted order, ties and all.
-	checkKeyOrder(t, false, []keyLoose{{"b"}, {1}, {"1"}, {10}, {2}, {"a"}})
-	if ord := orderOf[keyLoose](); ord.cmp(keyLoose{1}, keyLoose{"1"}) != 0 || ord.cmp(keyLoose{10}, keyLoose{2}) >= 0 {
-		t.Error("formatted fallback must tie {1} with {\"1\"} and put {10} before {2}")
+// TestCheckKey: a key type is accepted exactly when it has a key plan,
+// and the refusal names the type.
+func TestCheckKey(t *testing.T) {
+	for _, err := range []error{CheckKey[int](), CheckKey[string](), CheckKey[keyPair](), CheckKey[keyNamed](), CheckKey[complex64]()} {
+		if err != nil {
+			t.Errorf("planned key refused: %v", err)
+		}
+	}
+	for _, tc := range []struct {
+		err  error
+		name string
+	}{
+		{CheckKey[struct{ V any }](), "struct { V interface {} }"},
+		{CheckKey[*int](), "*int"},
+		{CheckKey[struct{ C chan int }](), "struct { C chan int }"},
+		{CheckKey[[2]any](), "[2]interface {}"},
+	} {
+		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.name) {
+			t.Errorf("CheckKey = %v, want an error naming %s", tc.err, tc.name)
+		}
 	}
 }
 
@@ -115,33 +128,17 @@ func TestKeyOrderAgreesWithSortKeys(t *testing.T) {
 // constant or walk order would silently re-partition cross-process jobs
 // mid-upgrade — so the expected values are hard-coded, not computed.
 func TestStableHashPinned(t *testing.T) {
-	hash := func(h uint64, err error) uint64 {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
 	for _, tc := range []struct {
 		name      string
 		got, want uint64
 	}{
-		{"int", hash(NewStableHasher[int](0).Hash(42)), 0x8985b7289d395a72},
-		{"string", hash(NewStableHasher[string](0).Hash("hello world")), 0x8f2de4466d89def8},
-		{"struct", hash(NewStableHasher[keyPair](7).Hash(keyPair{2, 3})), 0x770f3ea43361744b},
+		{"int", NewStableHasher[int](0).Hash(42), 0x8985b7289d395a72},
+		{"string", NewStableHasher[string](0).Hash("hello world"), 0x8f2de4466d89def8},
+		{"struct", NewStableHasher[keyPair](7).Hash(keyPair{2, 3}), 0x770f3ea43361744b},
 	} {
 		if tc.got != tc.want {
 			t.Errorf("%s: stable hash = %#016x, pinned %#016x", tc.name, tc.got, tc.want)
 		}
-	}
-	// Unplannable kinds hash their codec bytes (not pinned: gob's wire
-	// form embeds process-assigned type ids), and fail when they have none.
-	loose := NewStableHasher[keyLoose](0)
-	if hash(loose.Hash(keyLoose{"x"})) != hash(loose.Hash(keyLoose{"x"})) || hash(loose.Hash(keyLoose{"x"})) == hash(loose.Hash(keyLoose{"y"})) {
-		t.Error("codec-bytes fallback is not a function of the key value")
-	}
-	if _, err := NewStableHasher[struct{ C chan int }](0).Hash(struct{ C chan int }{}); err == nil {
-		t.Error("a key with neither plan nor codec encoding must fail to hash")
 	}
 }
 
@@ -151,9 +148,7 @@ func TestStableHashPinned(t *testing.T) {
 func TestStableHashEqualKeysHashEqual(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	hf := NewStableHasher[float64](0)
-	a, _ := hf.Hash(0)
-	b, _ := hf.Hash(negZero)
-	if a != b {
+	if a, b := hf.Hash(0), hf.Hash(negZero); a != b {
 		t.Errorf("float64 +0/-0 hash %#x vs %#x", a, b)
 	}
 	type fk struct {
@@ -161,9 +156,7 @@ func TestStableHashEqualKeysHashEqual(t *testing.T) {
 		F  float32
 	}
 	hs := NewStableHasher[fk](0)
-	a, _ = hs.Hash(fk{1, 0})
-	b, _ = hs.Hash(fk{1, float32(negZero)})
-	if a != b {
+	if a, b := hs.Hash(fk{1, 0}), hs.Hash(fk{1, float32(negZero)}); a != b {
 		t.Errorf("struct +0/-0 hash %#x vs %#x", a, b)
 	}
 	restore := WithSeed(5)
@@ -177,7 +170,7 @@ func TestStableHashEqualKeysHashEqual(t *testing.T) {
 // line each.
 func stableHashReport() string {
 	var sb bytes.Buffer
-	line := func(h uint64, err error) { fmt.Fprintf(&sb, "%#x %v\n", h, err) }
+	line := func(h uint64) { fmt.Fprintf(&sb, "%#x\n", h) }
 	for i := 0; i < 50; i++ {
 		line(NewStableHasher[int](3).Hash(i * 977))
 		line(NewStableHasher[string](3).Hash(fmt.Sprint("key-", i)))
@@ -210,11 +203,7 @@ func TestStableHashSpreadsPartitions(t *testing.T) {
 	h := NewStableHasher[int](0)
 	var seen [8]int
 	for k := 0; k < 1000; k++ {
-		hv, err := h.Hash(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen[hv%8]++
+		seen[h.Hash(k)%8]++
 	}
 	for p, n := range seen {
 		if n < 80 {
@@ -229,7 +218,7 @@ func TestStableHashSpreadsPartitions(t *testing.T) {
 func TestKeyPathDoesNotAllocate(t *testing.T) {
 	defer WithSeed(1)()
 	hp, hn := NewHasher[keyPair](), NewHasher[keyNamed]()
-	cp, cn := orderOf[keyPair]().cmp, orderOf[keyNamed]().cmp
+	cp, cn := orderOf[keyPair](), orderOf[keyNamed]()
 	p1, p2 := keyPair{3, 1 << 40}, keyPair{3, 1 << 41}
 	n1, n2 := keyNamed{S: "a string key", T: 1}, keyNamed{S: "a string key", T: 2}
 	var sink uint64

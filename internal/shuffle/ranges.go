@@ -1,15 +1,14 @@
 // Key-range splitting of the reduce merge: one partition's sorted key
-// space is cut into balanced, class-aligned ranges so disjoint slices
-// of the same partition can be merged and reduced concurrently.
+// space is cut into balanced ranges so disjoint slices of the same
+// partition can be merged and reduced concurrently.
 //
 // The plan comes entirely from the resident run indexes (a counting
 // merge — no disk read): PlanReduceRanges walks the partition's groups
 // in canonical order, accumulating pair counts, and closes a range
-// whenever the accumulated load passes the target *and* the next group
-// starts a new order-equivalence class. Boundaries land only at class
-// starts, so a key — including distinct keys the fallback comparator
-// cannot separate — never straddles two ranges, and the one-reducer-
-// per-group contract survives the split.
+// whenever the accumulated load passes the target. The order is strict
+// (see key.go), so each group is one key and a boundary is one key:
+// a key never straddles two ranges, and the one-reducer-per-group
+// contract survives the split.
 //
 // RangeReader is the read surface, concurrent or not: it opens the
 // partition's spool files and mmaps once (openRunViews), and each
@@ -33,9 +32,8 @@ import (
 
 // KeyRange is one planned slice of a partition's sorted key space:
 // [Lo, Hi) in canonical key order, where an unset bound (HasLo/HasHi
-// false) extends to the partition's edge. Bounds always sit on
-// order-equivalence-class starts: every key order-equal to Lo is
-// inside, every key order-equal to Hi is in the next range.
+// false) extends to the partition's edge. Bounds are keys of the
+// partition: Lo is the range's first key, Hi the next range's.
 type KeyRange[K comparable] struct {
 	Lo    K
 	HasLo bool
@@ -48,39 +46,32 @@ type KeyRange[K comparable] struct {
 }
 
 // Contains reports whether k falls in the range under the canonical
-// order (the comparator behind SortKeys). Keys order-equal to Lo are
-// inside; keys order-equal to Hi are not.
+// order (the comparator behind SortKeys): Lo is inside, Hi is not.
 func (r KeyRange[K]) Contains(k K) bool {
-	cmp := orderOf[K]().cmp
+	cmp := orderOf[K]()
 	return !(r.HasLo && cmp(k, r.Lo) < 0) && !(r.HasHi && cmp(k, r.Hi) >= 0)
 }
 
 // rangePlanner cuts a canonically ordered (key, count) stream into
-// class-aligned ranges of roughly target pairs each, at most max of
-// them; the final range absorbs whatever remains.
+// ranges of roughly target pairs each, at most max of them; the final
+// range absorbs whatever remains.
 type rangePlanner[K comparable] struct {
-	cmp     func(a, b K) int
-	target  int64
-	max     int
-	ranges  []KeyRange[K]
-	cur     KeyRange[K]
-	prev    K
-	started bool
+	target int64
+	max    int
+	ranges []KeyRange[K]
+	cur    KeyRange[K]
 }
 
-// add feeds the next group. The current range closes at k only when it
-// has reached the target and k starts a new order-equivalence class —
-// strictly greater than the previous group — so groups the comparator
-// cannot separate stay together.
+// add feeds the next group, a key greater than every key before it. The
+// current range closes at k once it has reached the target.
 func (pl *rangePlanner[K]) add(k K, count int64) {
-	if pl.started && pl.cur.Pairs >= pl.target && len(pl.ranges) < pl.max-1 && pl.cmp(pl.prev, k) < 0 {
+	if pl.cur.Pairs >= pl.target && len(pl.ranges) < pl.max-1 {
 		pl.cur.Hi, pl.cur.HasHi = k, true
 		pl.ranges = append(pl.ranges, pl.cur)
 		pl.cur = KeyRange[K]{Lo: k, HasLo: true}
 	}
 	pl.cur.Pairs += count
 	pl.cur.Keys++
-	pl.prev, pl.started = k, true
 }
 
 // finish returns the planned ranges, or nil when no cut was made.
@@ -91,10 +82,9 @@ func (pl *rangePlanner[K]) finish() []KeyRange[K] {
 	return append(pl.ranges, pl.cur)
 }
 
-// PlanReduceRanges cuts the partition into class-aligned key ranges of
-// roughly targetPairs pairs each, weighted by the resident indexes'
-// per-group counts (a pure in-memory counting merge — no run file is
-// opened). maxRanges caps the cut; the final range absorbs whatever
+// PlanReduceRanges cuts the partition into key ranges of roughly
+// targetPairs pairs each, weighted by the resident indexes' per-group
+// counts (a pure in-memory counting merge — no run file is opened). maxRanges caps the cut; the final range absorbs whatever
 // remains. Returns nil — meaning "don't split" — when targetPairs or
 // maxRanges disables splitting, when the partition is empty or fits a
 // single range, or when the counting pass fails (the whole-partition
@@ -103,7 +93,7 @@ func (p Partition[K, V]) PlanReduceRanges(targetPairs int64, maxRanges int) []Ke
 	if targetPairs <= 0 || maxRanges <= 1 {
 		return nil
 	}
-	pl := rangePlanner[K]{cmp: orderOf[K]().cmp, target: targetPairs, max: maxRanges}
+	pl := rangePlanner[K]{target: targetPairs, max: maxRanges}
 	err := p.forEachCount(func(k K, count int) error {
 		pl.add(k, int64(count))
 		return nil
@@ -141,7 +131,7 @@ func clampRange[K comparable](n int, keyAt func(int) K, cmp func(a, b K) int, r 
 type RangeReader[K comparable, V any] struct {
 	s   *Shuffle[K, V]
 	st  *partitionState[K, V]
-	ord keyOrder[K]
+	cmp func(a, b K) int
 
 	views    []runView // one per disk run, sharing per-spool handles/mmaps
 	closeAll func()    // non-nil when disk runs are held open
@@ -161,7 +151,7 @@ func (p Partition[K, V]) OpenRangeReader() (*RangeReader[K, V], error) {
 	if p.s.closed && st.spilledToDisk {
 		return nil, fmt.Errorf("shuffle: partition %d read after Close: spilled runs deleted", p.idx)
 	}
-	rr := &RangeReader[K, V]{s: p.s, st: st, ord: orderOf[K](), mem: st.memRuns()}
+	rr := &RangeReader[K, V]{s: p.s, st: st, cmp: orderOf[K](), mem: st.memRuns()}
 	if len(st.disk) > 0 {
 		p.s.diskSem <- struct{}{}
 		st.lane.Begin(obs.OpReduceMerge, int64(len(st.disk)), 0)
@@ -200,6 +190,6 @@ func (rr *RangeReader[K, V]) Close() error {
 // are safe and the concatenation of all planned ranges in order
 // reproduces the whole-partition merge exactly.
 func (rr *RangeReader[K, V]) ForEachGroupRange(r KeyRange[K], reuseValues bool, fn func(k K, vs []V) error) error {
-	cursors := rangeCursors(rr.s, rr.st.disk, rr.views, rr.mem, rr.ord.cmp, r)
-	return mergeCursors(cursors, rr.ord, readGroups(reuseValues, fn))
+	cursors := rangeCursors(rr.s, rr.st.disk, rr.views, rr.mem, rr.cmp, r)
+	return mergeCursors(cursors, rr.cmp, readGroups(reuseValues, fn))
 }

@@ -166,6 +166,7 @@ type Pair[K comparable, V any] struct {
 // reduce partitions.
 type Shuffle[K comparable, V any] struct {
 	hasher       Hasher[K]
+	floatKey     bool             // K has a float or complex part: Emit refuses NaN keys
 	partitioner  func(K) int      // optional override; used by tests and schemas
 	combiner     func(K, []V) []V // optional associative pre-aggregation, applied at seal time
 	sealSink     SealSink         // optional seal redirect (SetSealSink)
@@ -309,19 +310,24 @@ type partitionState[K comparable, V any] struct {
 // block-granularity livePairs change.
 func (st *partitionState[K, V]) syncLive() { st.liveApprox.Store(int64(st.livePairs)) }
 
-// New creates a shuffle with the given options.
+// New creates a shuffle with the given options. It panics on a K that
+// fails CheckKey, a programming error the executors rule out first.
 func New[K comparable, V any](opts Options) *Shuffle[K, V] { return newTuned[K, V](opts, tuning{}) }
 
 func newTuned[K comparable, V any](opts Options, tune tuning) *Shuffle[K, V] {
+	if err := CheckKey[K](); err != nil {
+		panic(err)
+	}
 	n := PartitionCount(opts.Partitions)
 	s := &Shuffle[K, V]{
-		hasher:  NewHasher[K](),
-		opts:    opts,
-		tune:    tune.resolve(opts.MaxBufferedPairs),
-		nparts:  n,
-		mask:    uint64(n - 1),
-		parts:   make([]partitionState[K, V], n),
-		diskSem: make(chan struct{}, diskReadConcurrency),
+		hasher:   NewHasher[K](),
+		floatKey: runfile.KeyPlanFor[K]().HasFloat(),
+		opts:     opts,
+		tune:     tune.resolve(opts.MaxBufferedPairs),
+		nparts:   n,
+		mask:     uint64(n - 1),
+		parts:    make([]partitionState[K, V], n),
+		diskSem:  make(chan struct{}, diskReadConcurrency),
 	}
 	for i := range s.parts {
 		s.parts[i].idx = i
@@ -343,10 +349,6 @@ func newTuned[K comparable, V any](opts Options, tune tuning) *Shuffle[K, V] {
 			s.spillTypeErr = fmt.Errorf("key type: %w", err)
 		} else if err := runfile.CanRoundTripFidelity[V](); err != nil {
 			s.spillTypeErr = fmt.Errorf("value type: %w", err)
-		} else if !orderOf[K]().strict {
-			// Every identity-round-trippable kind has a key plan; compaction
-			// (mergeDiskRuns) relies on the strict order that gives it.
-			s.spillTypeErr = fmt.Errorf("key type: %T has no strict canonical order", *new(K))
 		}
 		if s.swapImage = runfile.ImageSize[Pair[K, V]](); s.swapImage == 0 {
 			s.kc, s.vc = runfile.CodecFor[K](), runfile.CodecFor[V]()

@@ -582,7 +582,7 @@ func benchKeyPlan[K comparable](b *testing.B, name string, key func(i int) K) {
 		const runs = 16
 		sorted := append([]K(nil), keys...)
 		SortKeys(sorted)
-		h := &cursorHeap[K, int]{cmp: orderOf[K]().cmp}
+		h := &cursorHeap[K, int]{cmp: orderOf[K]()}
 		for r := 0; r < runs; r++ {
 			c := &groupCursor[K, int]{runIdx: r}
 			for i := r; i < n; i += runs {

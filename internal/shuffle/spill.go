@@ -355,8 +355,8 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 
 	var enc GroupEncoder[K, V]
 	var vals []V // combiner scratch, reused across groups
-	ord := orderOf[K]()
-	err = mergeCursors(rangeCursors(s, compacting, views, nil, ord.cmp, KeyRange[K]{}), ord, func(k K, srcs []*groupCursor[K, V]) error {
+	cmp := orderOf[K]()
+	err = mergeCursors(rangeCursors(s, compacting, views, nil, cmp, KeyRange[K]{}), cmp, func(k K, srcs []*groupCursor[K, V]) error {
 		if s.combiner == nil {
 			total := 0
 			for _, c := range srcs {
@@ -744,11 +744,8 @@ func rangeCursors[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K], view
 // index counts, readGroups decodes and concatenates, compaction
 // (mergeDiskRuns) copies raw sections or re-combines. A consumer reads
 // its cursors' current group only; the loop advances them.
-func mergeCursors[K comparable, V any](cursors []*groupCursor[K, V], ord keyOrder[K], fn func(k K, srcs []*groupCursor[K, V]) error) error {
-	if !ord.strict {
-		fn = regroupTies(ord.cmp, fn)
-	}
-	h := &cursorHeap[K, V]{cmp: ord.cmp}
+func mergeCursors[K comparable, V any](cursors []*groupCursor[K, V], cmp func(a, b K) int, fn func(k K, srcs []*groupCursor[K, V]) error) error {
+	h := &cursorHeap[K, V]{cmp: cmp}
 	for _, c := range cursors {
 		if c.next() {
 			h.push(c)
@@ -758,7 +755,7 @@ func mergeCursors[K comparable, V any](cursors []*groupCursor[K, V], ord keyOrde
 	for len(h.cs) > 0 {
 		srcs = append(srcs[:0], h.pop())
 		k := srcs[0].key
-		for len(h.cs) > 0 && ord.cmp(h.cs[0].key, k) == 0 {
+		for len(h.cs) > 0 && cmp(h.cs[0].key, k) == 0 {
 			srcs = append(srcs, h.pop())
 		}
 		if err := fn(k, srcs); err != nil {
@@ -771,47 +768,6 @@ func mergeCursors[K comparable, V any](cursors []*groupCursor[K, V], ord keyOrde
 		}
 	}
 	return nil
-}
-
-// regroupTies adapts a consumer to a non-strict order — the formatted
-// fallback of the unplannable key kinds, which only in-memory runs can
-// hold (New refuses to spill them). Under it the merge loop's "key" is a
-// whole order-equivalence class: distinct keys tie, and one run may hold
-// several of them in any relative order. The adapter walks every cursor
-// through the end of the class, in seal order, snapshotting each group
-// it passes, and hands fn one call per distinct key (by ==, first seen
-// first) with that key's snapshots still in seal order — one group per
-// key, always. It leaves each cursor on its last group of the class for
-// the loop to advance.
-func regroupTies[K comparable, V any](cmp func(a, b K) int, fn func(K, []*groupCursor[K, V]) error) func(K, []*groupCursor[K, V]) error {
-	return func(pivot K, srcs []*groupCursor[K, V]) error {
-		var class []*groupCursor[K, V]
-		for _, c := range srcs {
-			for {
-				snap := *c
-				class = append(class, &snap)
-				if c.pos >= len(c.memKeys) || cmp(c.memKeys[c.pos], pivot) != 0 {
-					break
-				}
-				c.next()
-			}
-		}
-		for i, g := range class {
-			if g == nil {
-				continue // folded into an earlier group of the same key
-			}
-			group := []*groupCursor[K, V]{g}
-			for j := i + 1; j < len(class); j++ {
-				if class[j] != nil && class[j].key == g.key {
-					group, class[j] = append(group, class[j]), nil
-				}
-			}
-			if err := fn(g.key, group); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }
 
 // countGroups is the merge's counting consumer: a group's size is the
@@ -868,8 +824,8 @@ func (p Partition[K, V]) forEachCount(fn func(k K, count int) error) error {
 	if p.s.closed && st.spilledToDisk {
 		return fmt.Errorf("shuffle: partition %d read after Close: spilled runs deleted", p.idx)
 	}
-	ord := orderOf[K]()
-	return mergeCursors(rangeCursors(p.s, st.disk, nil, st.memRuns(), ord.cmp, KeyRange[K]{}), ord, countGroups[K, V](fn))
+	cmp := orderOf[K]()
+	return mergeCursors(rangeCursors(p.s, st.disk, nil, st.memRuns(), cmp, KeyRange[K]{}), cmp, countGroups[K, V](fn))
 }
 
 // forEachValues is the value-reading core behind ForEachGroup and

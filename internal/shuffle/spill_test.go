@@ -285,9 +285,9 @@ func TestSpillValueOrderAcrossRuns(t *testing.T) {
 }
 
 // TestMergeCollidingFormattedKeys: distinct struct keys whose
-// fmt.Sprint forms collide sort as equals in the fallback order, and
-// different runs may order them differently. The k-way merge must
-// still emit exactly one group per actual key with all its values.
+// fmt.Sprint forms collide are still two keys in the field-wise order,
+// so the k-way merge — in memory and over spilled runs — must emit
+// exactly one group per actual key with all its values.
 func TestMergeCollidingFormattedKeys(t *testing.T) {
 	type k2 struct{ A, B string }
 	// All four format as "{a b c}"; two more are unambiguous.
@@ -345,36 +345,19 @@ func TestReadAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestSpillRejectsPointerKeys: keys containing pointers decode from
-// disk as fresh allocations that break ==, which would silently split
-// groups — the first seal must fail loudly instead. In-memory sealing
-// (no SpillDir) keeps working: it groups by identity in maps.
+// TestSpillRejectsPointerKeys: keys containing pointers have no key
+// plan — no order that agrees with ==, and copies decoded from disk
+// would be fresh allocations that break == and split groups. They are a
+// programming error the executors rule out (CheckKey) before any task
+// runs, so New refuses them outright, naming the type.
 func TestSpillRejectsPointerKeys(t *testing.T) {
 	type pk struct{ P *int }
-	x := 7
-	key := pk{&x}
-
-	task := make([]Pair[pk, int], 8)
-	for i := range task {
-		task[i] = Pair[pk, int]{key, i}
-	}
-	s := New[pk, int](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
-	defer s.Close()
-	// The first disk write of an over-budget partition is the pressure
-	// swap of its staged pairs, so that is where the rejection surfaces
-	// (a seal would say "cannot spill").
-	err := ingestTasksErr(s, [][]Pair[pk, int]{task}, 1)
-	if err == nil || !strings.Contains(err.Error(), "cannot swap staged pairs: key type") {
-		t.Fatalf("ingest err = %v, want a key-type rejection", err)
-	}
-
-	mem := New[pk, int](Options{Partitions: 2, MaxBufferedPairs: 2})
-	if err := ingestTasksErr(mem, [][]Pair[pk, int]{task}, 1); err != nil {
-		t.Fatalf("in-memory sealing rejected pointer keys: %v", err)
-	}
-	if got := len(partitionGroups(t, mem.Partition(mem.PartitionOf(key)))); got != 1 {
-		t.Errorf("in-memory grouping by identity broke: %d keys, want 1", got)
-	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "shuffle.pk") {
+			t.Fatalf("New[pk] recovered %v, want a panic naming the key type", r)
+		}
+	}()
+	New[pk, int](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
 }
 
 // TestSpillRejectsLossyValueTypes: gob silently zeroes unexported
