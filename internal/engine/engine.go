@@ -148,7 +148,7 @@ type Metrics struct {
 	// BytesSpilled and RunsMerged report the realized disk traffic and
 	// reduce-time merge width when a SpillDir made the spills real.
 	// DiskBytesRead is the total read back from spill run files over
-	// the whole round — profiling (Stats) and overflow diagnosis merge
+	// the whole round — the q gate (Stats) and overflow diagnosis merge
 	// resident run indexes in memory and contribute nothing to it, so
 	// it measures the reduce merge (plus compaction re-reads) alone.
 	// IndexBytesSpilled is the footer-index metadata written alongside
@@ -264,54 +264,71 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Re
 		return res, err
 	}
 
+	// The q gate: with a reducer limit set, one counting merge of the
+	// resident indexes fails an overflowing round before any reducer
+	// runs. Without one there is no pre-pass; the reduce units count
+	// the groups their merges yield.
 	rlane := cfg.Recorder.Lane(obs.LaneRound, 0)
-	rlane.Begin(obs.OpPhaseProfile, 0, 0)
-	st, err := sh.Stats()
-	rlane.End(obs.OpPhaseProfile, 0, obs.ErrFlag(err))
-	if err != nil {
-		return res, fmt.Errorf("engine: profiling shuffle of round %q: %w", r.Name, err)
-	}
-	res.Metrics.PairsShuffled = st.Pairs
-	res.Metrics.Reducers = st.Keys
-	res.Metrics.MaxReducerInput = st.MaxGroup
-	res.Metrics.TotalReducerInput = st.Pairs
-	res.Metrics.SpillEvents = st.SpillEvents
-	res.Metrics.SpilledPairs = st.SpilledPairs
-	res.Metrics.BytesSpilled = st.BytesSpilled
-	res.Metrics.IndexBytesSpilled = st.IndexBytesSpilled
-	res.Metrics.RunsMerged = st.RunsMerged
-	res.Metrics.SwapBytes = st.SwapBytes
-	res.Metrics.BytesReclaimed = st.BytesReclaimed
-	res.Metrics.MaxLivePairs = st.MaxLivePairs
-	res.Metrics.PeakResidentPairs = st.PeakResidentPairs
-	res.Metrics.ReducerInputLog2 = st.GroupSizeLog2
-	res.Metrics.Partitions = make([]PartitionStat, st.Partitions)
-	for p := range res.Metrics.Partitions {
-		res.Metrics.Partitions[p] = PartitionStat{
-			Pairs:    st.PartitionPairs[p],
-			Keys:     st.PartitionKeys[p],
-			MaxGroup: st.PartitionMaxGroup[p],
-			Worker:   -1,
+	if cfg.MaxReducerInput > 0 {
+		rlane.Begin(obs.OpPhaseProfile, 0, 0)
+		st, err := sh.Stats()
+		rlane.End(obs.OpPhaseProfile, 0, obs.ErrFlag(err))
+		if err != nil {
+			return res, fmt.Errorf("engine: profiling shuffle of round %q: %w", r.Name, err)
 		}
-	}
-
-	if qerr := cfg.CheckReducerInput(st.MaxGroup); qerr != nil {
-		// The reduce phase never runs, but callers diagnosing which
-		// reducers blew the q limit still get the loads.
-		if cfg.RecordLoads {
-			if res.Loads, err = collectLoads(sh, int(st.Keys)); err != nil {
-				return res, err
+		if qerr := cfg.CheckReducerInput(st.MaxGroup); qerr != nil {
+			setProfile(&res.Metrics, st)
+			// The reduce phase never runs, but callers diagnosing which
+			// reducers blew the q limit still get the loads.
+			if cfg.RecordLoads {
+				if res.Loads, err = collectLoads(sh, int(st.Keys)); err != nil {
+					return res, err
+				}
 			}
+			res.Metrics.DiskBytesRead = sh.DiskBytesRead()
+			return res, fmt.Errorf("engine: round %q: %w", r.Name, qerr)
 		}
-		res.Metrics.DiskBytesRead = sh.DiskBytesRead()
-		return res, fmt.Errorf("engine: round %q: %w", r.Name, qerr)
 	}
 
+	st := sh.Totals()
+	setProfile(&res.Metrics, st)
 	rlane.Begin(obs.OpPhaseReduce, int64(st.Partitions), 0)
 	res, retErr = runReducePhase(r, sh, st, res)
 	rlane.End(obs.OpPhaseReduce, res.Metrics.Outputs, obs.ErrFlag(retErr))
 	res.Metrics.DiskBytesRead = sh.DiskBytesRead()
 	return res, retErr
+}
+
+// setProfile copies a shuffle profile into the round's metrics: the
+// merge-free totals (shuffle.Totals) and the per-key part, counted by
+// Stats or folded in from the reduce units (Stats.AddGroups). Each
+// partition's Worker survives a second call.
+func setProfile(m *Metrics, st shuffle.Stats) {
+	m.PairsShuffled = st.Pairs
+	m.TotalReducerInput = st.Pairs
+	m.Reducers = st.Keys
+	m.MaxReducerInput = st.MaxGroup
+	m.ReducerInputLog2 = st.GroupSizeLog2
+	m.SpillEvents = st.SpillEvents
+	m.SpilledPairs = st.SpilledPairs
+	m.BytesSpilled = st.BytesSpilled
+	m.IndexBytesSpilled = st.IndexBytesSpilled
+	m.RunsMerged = st.RunsMerged
+	m.SwapBytes = st.SwapBytes
+	m.BytesReclaimed = st.BytesReclaimed
+	m.MaxLivePairs = st.MaxLivePairs
+	m.PeakResidentPairs = st.PeakResidentPairs
+	if m.Partitions == nil {
+		m.Partitions = make([]PartitionStat, st.Partitions)
+		for p := range m.Partitions {
+			m.Partitions[p].Worker = -1
+		}
+	}
+	for p := range m.Partitions {
+		m.Partitions[p].Pairs = st.PartitionPairs[p]
+		m.Partitions[p].Keys = st.PartitionKeys[p]
+		m.Partitions[p].MaxGroup = st.PartitionMaxGroup[p]
+	}
 }
 
 // runMapPhase executes map tasks in parallel. Each task streams its
@@ -443,10 +460,11 @@ func runMapAttempt[I any, K comparable, V, O any](r Round[I, K, V, O], records [
 }
 
 // partResult is one reduced unit: its outputs per key, keys in sorted
-// order, and with RecordLoads each key's input size.
+// order, its group profile, and with RecordLoads each key's input size.
 type partResult[K comparable, O any] struct {
-	out   Collector[K, O]
-	loads []int
+	out    Collector[K, O]
+	loads  []int
+	groups shuffle.GroupProfile
 }
 
 // reduceUnit is one schedulable piece of the reduce phase: a whole
@@ -501,7 +519,9 @@ func (pr *partReader[K, V]) release() {
 // keys in sorted order into its own Collector, and assembles the
 // outputs in global key order (assemble). Every unit is one sorted key
 // run and assembly orders keys globally, so the output is
-// byte-identical whether or not a partition was split.
+// byte-identical whether or not a partition was split. The units count
+// the groups they reduce; their profiles complete st, the shuffle's
+// totals, into the round's metrics.
 func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuffle.Shuffle[K, V], st shuffle.Stats, res Result[K, O]) (Result[K, O], error) {
 	cfg := r.Config
 	workers := cfg.Workers
@@ -565,7 +585,7 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 	ordinal := make([]int, P)
 	next := 0
 	for p := 0; p < P; p++ {
-		if st.PartitionKeys[p] > 0 {
+		if st.PartitionPairs[p] > 0 {
 			ordinal[p] = next
 			next++
 		} else {
@@ -637,7 +657,9 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 			return res, errs[u]
 		}
 		res.Metrics.ReduceRetries += retries[u]
+		st.AddGroups(units[u].part, &results[u].groups)
 	}
+	setProfile(&res.Metrics, st)
 
 	res.Outputs, res.Loads = assemble(results, workers, cfg.RecordLoads, cfg.Recorder.Lane(obs.LaneRound, 0))
 	res.Metrics.Outputs = int64(len(res.Outputs))
@@ -693,6 +715,7 @@ func attemptReduce[I any, K comparable, V, O any](r Round[I, K, V, O], rr *shuff
 	err := rr.ForEachGroupRange(kr, batch, func(k K, vs []V) error {
 		reduce(k, vs, emit)
 		pr.out.EndKey(k)
+		pr.groups.Add(len(vs))
 		if r.Config.RecordLoads {
 			pr.loads = append(pr.loads, len(vs))
 		}

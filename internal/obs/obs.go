@@ -51,7 +51,9 @@ const (
 	// OpPhaseMap spans the whole map phase (with streaming ingestion:
 	// mapping plus the Finish drain). Round lane. Begin A = task count.
 	OpPhaseMap
-	// OpPhaseProfile spans the shuffle Stats profiling pass. Round lane.
+	// OpPhaseProfile spans the q gate: the shuffle Stats counting pass
+	// that enforces MaxReducerInput, run only when a limit is set. Round
+	// lane.
 	OpPhaseProfile
 	// OpPhaseReduce spans the reduce phase including output assembly
 	// (OpOutputAssemble).

@@ -487,14 +487,15 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 // does: the committed sections — each a sorted run, in sortSections
 // order from the driver — are adopted into a one-partition shuffle
 // as borrowed disk runs, and everything after that is the shuffle's own
-// read side. Stats (a counting merge of the adopted indexes, no value
-// read) enforces the plan's MaxReducerInput; PlanReduceRanges cuts
-// key ranges when the plan's range rule asks for them;
+// read side. With a MaxReducerInput set, Stats (a counting merge of the
+// adopted indexes, no value read) enforces it first; PlanReduceRanges
+// cuts key ranges when the plan's range rule asks for them;
 // one RangeReader holds the spools open (shared handles and mappings)
 // while the ranges run the k-way merge concurrently, reducing every
-// group in canonical key order as it surfaces. The outputs, range after
-// range, go to the partition's output run file (writeOutputs) —
-// byte-identical whether or not the merge was split. Only the indexes, one decoded group per
+// group in canonical key order as it surfaces and counting the groups
+// for the report. The outputs, range after range, go to the partition's
+// output run file (writeOutputs) — byte-identical whether or not the
+// merge was split. Only the indexes, one decoded group per
 // running range and the partition's outputs are resident: the input
 // side's memory bound is the largest single group times the range
 // concurrency, not the partition size.
@@ -507,14 +508,17 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 			return ReduceReport{}, fmt.Errorf("proc: partition %d: %w", t.ID, err)
 		}
 	}
-	st, err := sh.Stats()
-	if err != nil {
-		return ReduceReport{}, fmt.Errorf("proc: profiling partition %d: %w", t.ID, err)
-	}
-	if err := ws.plan.CheckReducerInput(st.MaxGroup); err != nil {
-		return ReduceReport{MaxGroup: st.MaxGroup}, fatal(err)
+	if ws.plan.MaxReducerInput > 0 {
+		st, err := sh.Stats()
+		if err != nil {
+			return ReduceReport{}, fmt.Errorf("proc: profiling partition %d: %w", t.ID, err)
+		}
+		if err := ws.plan.CheckReducerInput(st.MaxGroup); err != nil {
+			return ReduceReport{MaxGroup: st.MaxGroup}, fatal(err)
+		}
 	}
 
+	st := sh.Totals()
 	part := sh.Partition(0)
 	var ranges []shuffle.KeyRange[K]
 	if n := ws.plan.RangeFanout(st.Pairs); n > 0 {
@@ -530,6 +534,7 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 	}
 	defer rr.Close()
 	outs := make([]engine.Collector[K, O], len(ranges))
+	groups := make([]shuffle.GroupProfile, len(ranges))
 	errs := make([]error, len(ranges))
 	var wg sync.WaitGroup
 	for r := range ranges {
@@ -541,6 +546,7 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 			errs[r] = rr.ForEachGroupRange(ranges[r], j.spec.BatchReduce, func(k K, vs []V) error {
 				j.spec.Reduce(k, vs, emit)
 				c.EndKey(k)
+				groups[r].Add(len(vs))
 				return nil
 			})
 		}(r)
@@ -552,6 +558,7 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 			return ReduceReport{}, fmt.Errorf("proc: reducing partition %d: %w", t.ID, errs[r])
 		}
 		outputs += int64(outs[r].Len())
+		st.AddGroups(0, &groups[r])
 	}
 	path := outPath(ws.dir, t.ID, t.Attempt)
 	size, err := writeOutputs(path, outs)

@@ -6,7 +6,9 @@
 // builds the codec's fixed-width plan (appendScalarOps) and replayed
 // with raw offset loads: Compare orders two keys field by field in
 // declaration order, Hash folds the same fields into a seeded 64-bit
-// hash. Neither formats, boxes, reflects or allocates.
+// hash, and Norm maps a key of at most two number or bool parts onto
+// two words whose lexicographic order is Compare's. None of them
+// formats, boxes, reflects or allocates.
 package runfile
 
 import (
@@ -59,48 +61,95 @@ func keyPlanOf(t reflect.Type) *KeyPlan {
 // The result is zero exactly when the keys are ==, so the order is a
 // strict total order on key values that are == to themselves. A key
 // with a NaN in it is not, and is not a key: the shuffle refuses it at
-// emit (HasFloat tells it which types to check).
+// emit (HasFloat tells it which types to check). A number or bool part
+// compares as its normalized word (see Norm).
 func (p *KeyPlan) Compare(a, b unsafe.Pointer) int {
 	for _, op := range p.ops {
-		x, y := unsafe.Add(a, op.off), unsafe.Add(b, op.off)
 		var c int
-		switch op.kind {
-		case reflect.Bool:
-			c = int(*(*uint8)(x)) - int(*(*uint8)(y))
-		case reflect.Int:
-			c = cmp.Compare(*(*int)(x), *(*int)(y))
-		case reflect.Int8:
-			c = cmp.Compare(*(*int8)(x), *(*int8)(y))
-		case reflect.Int16:
-			c = cmp.Compare(*(*int16)(x), *(*int16)(y))
-		case reflect.Int32:
-			c = cmp.Compare(*(*int32)(x), *(*int32)(y))
-		case reflect.Int64:
-			c = cmp.Compare(*(*int64)(x), *(*int64)(y))
-		case reflect.Uint:
-			c = cmp.Compare(*(*uint)(x), *(*uint)(y))
-		case reflect.Uint8:
-			c = cmp.Compare(*(*uint8)(x), *(*uint8)(y))
-		case reflect.Uint16:
-			c = cmp.Compare(*(*uint16)(x), *(*uint16)(y))
-		case reflect.Uint32:
-			c = cmp.Compare(*(*uint32)(x), *(*uint32)(y))
-		case reflect.Uint64:
-			c = cmp.Compare(*(*uint64)(x), *(*uint64)(y))
-		case reflect.Uintptr:
-			c = cmp.Compare(*(*uintptr)(x), *(*uintptr)(y))
-		case reflect.Float32:
-			c = cmp.Compare(*(*float32)(x), *(*float32)(y))
-		case reflect.Float64:
-			c = cmp.Compare(*(*float64)(x), *(*float64)(y))
-		case reflect.String:
-			c = strings.Compare(*(*string)(x), *(*string)(y))
+		if op.kind == reflect.String {
+			c = strings.Compare(*(*string)(unsafe.Add(a, op.off)), *(*string)(unsafe.Add(b, op.off)))
+		} else {
+			c = cmp.Compare(normWord(op, a), normWord(op, b))
 		}
 		if c != 0 {
 			return c
 		}
 	}
 	return 0
+}
+
+// Normalized reports whether the key has a normalized form (Norm): at
+// most two parts, each a number or a bool — an int, a float64, a
+// complex64, a two-field struct of numbers, a [2]int32. A key with a
+// string part, or with more than two parts, has none.
+func (p *KeyPlan) Normalized() bool {
+	return len(p.ops) <= 2 && !slices.ContainsFunc(p.ops, func(op scalarOp) bool { return op.kind == reflect.String })
+}
+
+// Norm returns the normalized form of the key at k, which must have one
+// (Normalized): one unsigned word per part in declaration order, the
+// second zero for a one-part key, such that comparing two keys' words
+// lexicographically gives exactly Compare's result. Signed integers are
+// widened and sign-flipped, floats IEEE-flipped with -0 folded into +0,
+// bools 0 or 1. It neither allocates nor branches on more than the
+// part's kind, so a sort or merge can compare words inline.
+func (p *KeyPlan) Norm(k unsafe.Pointer) (w0, w1 uint64) {
+	switch len(p.ops) {
+	case 2:
+		w1 = normWord(p.ops[1], k)
+		fallthrough
+	case 1:
+		w0 = normWord(p.ops[0], k)
+	}
+	return w0, w1
+}
+
+const signBit = 1 << 63
+
+// normWord maps the number or bool op addresses in the value at k onto a
+// uint64 in the same order.
+func normWord(op scalarOp, k unsafe.Pointer) uint64 {
+	f := unsafe.Add(k, op.off)
+	switch op.kind {
+	case reflect.Bool, reflect.Uint8:
+		return uint64(*(*uint8)(f))
+	case reflect.Int:
+		return uint64(*(*int)(f)) ^ signBit
+	case reflect.Int8:
+		return uint64(*(*int8)(f)) ^ signBit
+	case reflect.Int16:
+		return uint64(*(*int16)(f)) ^ signBit
+	case reflect.Int32:
+		return uint64(*(*int32)(f)) ^ signBit
+	case reflect.Int64:
+		return uint64(*(*int64)(f)) ^ signBit
+	case reflect.Uint:
+		return uint64(*(*uint)(f))
+	case reflect.Uint16:
+		return uint64(*(*uint16)(f))
+	case reflect.Uint32:
+		return uint64(*(*uint32)(f))
+	case reflect.Uint64:
+		return *(*uint64)(f)
+	case reflect.Uintptr:
+		return uint64(*(*uintptr)(f))
+	case reflect.Float32:
+		return floatWord(float64(*(*float32)(f)))
+	case reflect.Float64:
+		return floatWord(*(*float64)(f))
+	}
+	return 0
+}
+
+// floatWord is the IEEE flip: x + 0 folds -0 into +0, then a negative
+// float's bits are all inverted (a larger magnitude sorts lower) and a
+// positive float's sign bit is set (it sorts above every negative).
+func floatWord(x float64) uint64 {
+	b := math.Float64bits(x + 0)
+	if b&signBit != 0 {
+		return ^b
+	}
+	return b | signBit
 }
 
 // HasFloat reports whether the key has a float or complex part — the
@@ -119,28 +168,6 @@ func (p *KeyPlan) Hash(seed uint64, k unsafe.Pointer) uint64 {
 		f := unsafe.Add(k, op.off)
 		var v uint64
 		switch op.kind {
-		case reflect.Bool, reflect.Uint8:
-			v = uint64(*(*uint8)(f))
-		case reflect.Int:
-			v = uint64(*(*int)(f))
-		case reflect.Int8:
-			v = uint64(*(*int8)(f))
-		case reflect.Int16:
-			v = uint64(*(*int16)(f))
-		case reflect.Int32:
-			v = uint64(*(*int32)(f))
-		case reflect.Int64:
-			v = uint64(*(*int64)(f))
-		case reflect.Uint:
-			v = uint64(*(*uint)(f))
-		case reflect.Uint16:
-			v = uint64(*(*uint16)(f))
-		case reflect.Uint32:
-			v = uint64(*(*uint32)(f))
-		case reflect.Uint64:
-			v = *(*uint64)(f)
-		case reflect.Uintptr:
-			v = uint64(*(*uintptr)(f))
 		case reflect.Float32:
 			// x + 0 folds -0.0 into +0.0 and leaves every other value alone.
 			v = uint64(math.Float32bits(*(*float32)(f) + 0))
@@ -150,6 +177,10 @@ func (p *KeyPlan) Hash(seed uint64, k unsafe.Pointer) uint64 {
 			s := *(*string)(f)
 			h = hashBytes(h, unsafe.Slice(unsafe.StringData(s), len(s)))
 			continue
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v = normWord(op, k) ^ signBit // the sign-extended value
+		default:
+			v = normWord(op, k)
 		}
 		h = hashMix(h, v)
 	}

@@ -1,6 +1,8 @@
 package runfile
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -270,4 +272,148 @@ func TestKeyPlanDoesNotAllocate(t *testing.T) {
 		t.Errorf("Hash+Compare allocate %v times per call, want 0", n)
 	}
 	_ = sink
+}
+
+// checkNormPair holds the normalized form to its contract on one pair
+// of keys: the words order a and b exactly as the reflect specification
+// (refCompare) and Compare do, and are equal exactly when a == b.
+func checkNormPair[K comparable](t *testing.T, plan *KeyPlan, a, b K) {
+	t.Helper()
+	a0, a1 := plan.Norm(unsafe.Pointer(&a))
+	b0, b1 := plan.Norm(unsafe.Pointer(&b))
+	got := cmp.Or(cmp.Compare(a0, b0), cmp.Compare(a1, b1))
+	want := refCompare(reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem())
+	if got != want || plan.Compare(unsafe.Pointer(&a), unsafe.Pointer(&b)) != want {
+		t.Fatalf("%T: Norm(%v) = %#x %#x, Norm(%v) = %#x %#x: words compare %d, want %d (Compare %d)",
+			a, a, a0, a1, b, b0, b1, got, want, plan.Compare(unsafe.Pointer(&a), unsafe.Pointer(&b)))
+	}
+	if (got == 0) != (a == b) {
+		t.Fatalf("%T: words of %v and %v compare %d but == is %v", a, a, b, got, a == b)
+	}
+}
+
+// checkNorm checks every ordered pair of vals and that Norm does not
+// allocate.
+func checkNorm[K comparable](t *testing.T, vals ...K) {
+	t.Helper()
+	plan := KeyPlanFor[K]()
+	if !plan.Normalized() {
+		t.Fatalf("%T has no normalized form", vals[0])
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			checkNormPair(t, plan, a, b)
+		}
+	}
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() {
+		w0, w1 := plan.Norm(unsafe.Pointer(&vals[0]))
+		sink += w0 ^ w1
+	}); n != 0 {
+		t.Errorf("%T: Norm allocates %v times per call, want 0", vals[0], n)
+	}
+	_ = sink
+}
+
+// TestKeyNormOrder: every key of at most two number or bool parts has
+// a normalized form whose word order is the key order, at the extremes
+// of every integer width and over the float values that need the IEEE
+// flip (±0, ±Inf, subnormals, the largest and smallest magnitudes);
+// keys with a string or more than two parts have none.
+func TestKeyNormOrder(t *testing.T) {
+	checkNorm(t, int8(math.MinInt8), -1, 0, 1, math.MaxInt8)
+	checkNorm(t, int16(math.MinInt16), -1, 0, 1, math.MaxInt16)
+	checkNorm(t, int32(math.MinInt32), -1, 0, 1, math.MaxInt32)
+	checkNorm(t, int64(math.MinInt64), -1, 0, 1, math.MaxInt64)
+	checkNorm(t, int(math.MinInt), -1, 0, 1, math.MaxInt)
+	checkNorm(t, nodeID(math.MinInt64), -7, 0, math.MaxInt64)
+	checkNorm(t, uint8(0), 1, math.MaxInt8+1, math.MaxUint8)
+	checkNorm(t, uint16(0), 1, math.MaxInt16+1, math.MaxUint16)
+	checkNorm(t, uint32(0), 1, math.MaxInt32+1, math.MaxUint32)
+	checkNorm(t, uint64(0), 1, math.MaxInt64+1, math.MaxUint64)
+	checkNorm(t, uint(0), 1, math.MaxInt+1, math.MaxUint)
+	checkNorm(t, uintptr(0), 1, ^uintptr(0)>>1+1, ^uintptr(0))
+	negZero := math.Copysign(0, -1)
+	checkNorm(t, float32(math.Inf(-1)), -math.MaxFloat32, -1, -math.SmallestNonzeroFloat32,
+		float32(negZero), 0, math.SmallestNonzeroFloat32, 0x1p-127, 1, math.MaxFloat32, float32(math.Inf(1)))
+	checkNorm(t, math.Inf(-1), -math.MaxFloat64, -1, -math.SmallestNonzeroFloat64, -0x1p-1023,
+		negZero, 0, math.SmallestNonzeroFloat64, 0x1p-1023, 1, math.MaxFloat64, math.Inf(1))
+	checkNorm(t, celsius(-1), celsius(negZero), 0, 2)
+	checkNorm(t, false, true)
+	checkNorm(t, complex64(0), complex(float32(negZero), 0), complex(0, float32(negZero)), complex(-1, 2), complex(-1, -2), complex(1, 0))
+	type split struct {
+		Segment int
+		Bits    uint64
+	}
+	checkNorm(t, split{0, 0}, split{0, math.MaxUint64}, split{-1, 5}, split{1, 0}, split{math.MinInt, 1})
+	checkNorm(t, keyInner{-1, 9}, keyInner{-1, 0}, keyInner{math.MaxInt8, 0}, keyInner{0, math.MaxUint64})
+	checkNorm(t, [2]int32{0, 0}, [2]int32{-1, math.MaxInt32}, [2]int32{math.MinInt32, 0}, [2]int32{0, -1})
+	checkNorm(t, struct{}{})
+
+	if KeyPlanFor[string]().Normalized() || KeyPlanFor[label]().Normalized() ||
+		KeyPlanFor[struct {
+			N int
+			S string
+		}]().Normalized() {
+		t.Error("a key with a string part has a normalized form")
+	}
+	if !KeyPlanFor[complex128]().Normalized() {
+		t.Error("complex128, two float parts, has no normalized form")
+	}
+	if KeyPlanFor[[3]int8]().Normalized() || KeyPlanFor[struct{ A, B, C bool }]().Normalized() ||
+		KeyPlanFor[struct {
+			C complex64
+			N int
+		}]().Normalized() {
+		t.Error("a key of more than two parts has a normalized form")
+	}
+}
+
+// FuzzKeyNorm reinterprets raw bytes as two keys of each normalized
+// shape — every bit pattern, padding bytes included, except NaNs (not
+// keys) and bools other than 0 and 1 (not Go values) — and holds their
+// normalized form to the key order.
+func FuzzKeyNorm(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xff}, 32))
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= 2 {
+			checkNormPair(t, KeyPlanFor[bool](), data[0]&1 == 1, data[1]&1 == 1)
+		}
+		fuzzNormShape[int8](t, data)
+		fuzzNormShape[int16](t, data)
+		fuzzNormShape[int32](t, data)
+		fuzzNormShape[int64](t, data)
+		fuzzNormShape[int](t, data)
+		fuzzNormShape[uint8](t, data)
+		fuzzNormShape[uint16](t, data)
+		fuzzNormShape[uint32](t, data)
+		fuzzNormShape[uint64](t, data)
+		fuzzNormShape[uintptr](t, data)
+		fuzzNormShape[float32](t, data)
+		fuzzNormShape[float64](t, data)
+		fuzzNormShape[complex64](t, data)
+		fuzzNormShape[keyInner](t, data)
+		fuzzNormShape[[2]int32](t, data)
+		fuzzNormShape[struct {
+			F float32
+			N int64
+		}](t, data)
+	})
+}
+
+// fuzzNormShape fills two Ks from data's leading bytes and checks them.
+func fuzzNormShape[K comparable](t *testing.T, data []byte) {
+	var a, b K
+	size := int(unsafe.Sizeof(a))
+	if len(data) < 2*size {
+		return
+	}
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(&a)), size), data)
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(&b)), size), data[size:])
+	if a != a || b != b {
+		return // a NaN is not == to itself, hence not a key
+	}
+	checkNormPair(t, KeyPlanFor[K](), a, b)
 }

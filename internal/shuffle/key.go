@@ -13,6 +13,13 @@
 // panics on it. A key must also be == to itself: a NaN in a float or
 // complex field fails the round at TaskWriter.Emit (ErrNaNKey).
 //
+// A key of at most two parts, all numbers or bools (an int, a float64,
+// a two-field struct of numbers), also has a normalized form
+// (runfile.KeyPlan.Norm): two words whose lexicographic order is the key
+// order. SortKeys radix-sorts such keys on their words, and merge
+// cursors cache them so the merge heap compares words inline; every
+// other key sorts and merges by the plan's Compare (orderOf).
+//
 // Placement is maphash with a per-process seed by default. Wherever it
 // must instead be reproducible — under WithSeed, and always across the
 // processes of internal/proc — it is StableHasher: a pure function of
@@ -26,6 +33,7 @@ import (
 	"hash/maphash"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"unsafe"
 
@@ -135,9 +143,13 @@ var ErrNaNKey = errors.New("shuffle: a key with a NaN in it is not == to itself"
 // orderOf returns K's canonical order as a three-way comparison, zero
 // exactly when the keys are ==. K must pass CheckKey. Resolve it once
 // per sort or merge, not per comparison — the lookup reflects on K.
+// Sorts and merges of a key with a normalized form compare its words
+// instead (SortKeys, cursorHeap); a string key skips the plan's loop.
 func orderOf[K comparable]() func(a, b K) int {
-	if cmp := scalarCmp[K](); cmp != nil {
-		return cmp
+	if reflect.TypeFor[K]().Kind() == reflect.String {
+		return func(a, b K) int {
+			return strings.Compare(*(*string)(unsafe.Pointer(&a)), *(*string)(unsafe.Pointer(&b)))
+		}
 	}
 	plan := runfile.KeyPlanFor[K]()
 	return func(a, b K) int {
@@ -145,84 +157,100 @@ func orderOf[K comparable]() func(a, b K) int {
 	}
 }
 
-// scalarCmp is the plan's comparison specialised for a key that is a
-// single number or string (named or not), or nil for any other key: the
-// same order as the plan's one-op replay without its loop and kind
-// dispatch, which a merge heap would pay on every comparison.
-func scalarCmp[K comparable]() func(a, b K) int {
-	switch reflect.TypeFor[K]().Kind() {
-	case reflect.Int:
-		return typedCmp[K, int]
-	case reflect.Int8:
-		return typedCmp[K, int8]
-	case reflect.Int16:
-		return typedCmp[K, int16]
-	case reflect.Int32:
-		return typedCmp[K, int32]
-	case reflect.Int64:
-		return typedCmp[K, int64]
-	case reflect.Uint:
-		return typedCmp[K, uint]
-	case reflect.Uint8:
-		return typedCmp[K, uint8]
-	case reflect.Uint16:
-		return typedCmp[K, uint16]
-	case reflect.Uint32:
-		return typedCmp[K, uint32]
-	case reflect.Uint64:
-		return typedCmp[K, uint64]
-	case reflect.Uintptr:
-		return typedCmp[K, uintptr]
-	case reflect.Float32:
-		return typedCmp[K, float32]
-	case reflect.Float64:
-		return typedCmp[K, float64]
-	case reflect.String:
-		return typedCmp[K, string]
-	}
-	return nil
+// normKey is one key with its normalized words (w[0] the more
+// significant), the unit SortKeys' radix sort moves.
+type normKey[K comparable] struct {
+	w   [2]uint64
+	key K
 }
 
-// typedCmp compares two keys whose underlying type is T.
-func typedCmp[K comparable, T cmp.Ordered](a, b K) int {
-	return cmp.Compare(*(*T)(unsafe.Pointer(&a)), *(*T)(unsafe.Pointer(&b)))
-}
+// radixMin is the length below which SortKeys pdqsorts the normalized
+// words instead of radix-sorting them: a radix pass costs its 256-bucket
+// histogram whatever the length (on a two-word key with three varying
+// bytes the two break even at about 32 keys).
+const radixMin = 64
+
+// sortScratch recycles SortKeys' buffers across calls, seals above
+// all: it holds a *[]normKey[K] of whichever key type sorted last, so a
+// sort allocates only when its key type changes or its keys outgrow the
+// buffer.
+var sortScratch sync.Pool
 
 // SortKeys sorts keys in the package's canonical order (see the
-// package comment of this file): slices.Sort on the concrete type for
-// the unnamed number and string kinds (pdqsort, no indirection), the
-// compiled key plan for every other key type.
+// package comment of this file). A key with a normalized form
+// (runfile.KeyPlan.Norm) is sorted on its words: an LSD radix sort over
+// only the bytes that vary among the keys, or pdqsort on the words below
+// radixMin keys, either way through one pooled scratch buffer. Any other key
+// (a string part, more than two parts) is pdqsorted by orderOf, a plain
+// []string by slices.Sort.
 func SortKeys[K comparable](keys []K) {
-	switch ks := any(keys).(type) {
-	case []int:
+	if ks, ok := any(keys).([]string); ok {
 		slices.Sort(ks)
-	case []int8:
-		slices.Sort(ks)
-	case []int16:
-		slices.Sort(ks)
-	case []int32:
-		slices.Sort(ks)
-	case []int64:
-		slices.Sort(ks)
-	case []uint:
-		slices.Sort(ks)
-	case []uint8:
-		slices.Sort(ks)
-	case []uint16:
-		slices.Sort(ks)
-	case []uint32:
-		slices.Sort(ks)
-	case []uint64:
-		slices.Sort(ks)
-	case []uintptr:
-		slices.Sort(ks)
-	case []float32:
-		slices.Sort(ks)
-	case []float64:
-		slices.Sort(ks)
-	case []string:
-		slices.Sort(ks)
-	default:
-		slices.SortFunc(keys, orderOf[K]())
+		return
 	}
+	plan := runfile.KeyPlanFor[K]()
+	if !plan.Normalized() {
+		slices.SortFunc(keys, orderOf[K]())
+		return
+	}
+	n := len(keys)
+	if n < 2 {
+		return
+	}
+	size := n
+	if n >= radixMin {
+		size = 2 * n // the radix passes ping-pong between two halves
+	}
+	pooled, _ := sortScratch.Get().(*[]normKey[K])
+	if pooled == nil || cap(*pooled) < size {
+		pooled = &[]normKey[K]{}
+		*pooled = make([]normKey[K], size)
+	}
+	defer sortScratch.Put(pooled)
+	buf := (*pooled)[:size]
+	src := buf[:n]
+	var vary [2]uint64 // bits in which some key differs from the first
+	for i := range keys {
+		w0, w1 := plan.Norm(unsafe.Pointer(&keys[i]))
+		src[i] = normKey[K]{[2]uint64{w0, w1}, keys[i]}
+		vary[0] |= w0 ^ src[0].w[0]
+		vary[1] |= w1 ^ src[0].w[1]
+	}
+	if n < radixMin {
+		slices.SortFunc(src, func(a, b normKey[K]) int {
+			return cmp.Or(cmp.Compare(a.w[0], b.w[0]), cmp.Compare(a.w[1], b.w[1]))
+		})
+	} else {
+		src = radixSort(src, buf[n:], vary)
+	}
+	for i := range src {
+		keys[i] = src[i].key
+	}
+}
+
+// radixSort sorts src by its words with one stable counting pass per
+// byte that varies, least significant first, alternating between src
+// and dst; it returns whichever holds the result.
+func radixSort[K comparable](src, dst []normKey[K], vary [2]uint64) []normKey[K] {
+	for pass := 0; pass < 16; pass++ {
+		word, shift := 1-pass/8, uint(pass%8)*8
+		if byte(vary[word]>>shift) == 0 {
+			continue
+		}
+		var start [256]int
+		for i := range src {
+			start[byte(src[i].w[word]>>shift)]++
+		}
+		pos := 0
+		for b := range start {
+			pos, start[b] = pos+start[b], pos
+		}
+		for i := range src {
+			b := byte(src[i].w[word] >> shift)
+			dst[start[b]] = src[i]
+			start[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }

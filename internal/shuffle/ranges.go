@@ -45,13 +45,6 @@ type KeyRange[K comparable] struct {
 	Keys  int64
 }
 
-// Contains reports whether k falls in the range under the canonical
-// order (the comparator behind SortKeys): Lo is inside, Hi is not.
-func (r KeyRange[K]) Contains(k K) bool {
-	cmp := orderOf[K]()
-	return !(r.HasLo && cmp(k, r.Lo) < 0) && !(r.HasHi && cmp(k, r.Hi) >= 0)
-}
-
 // rangePlanner cuts a canonically ordered (key, count) stream into
 // ranges of roughly target pairs each, at most max of them; the final
 // range absorbs whatever remains.

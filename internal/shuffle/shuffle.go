@@ -272,7 +272,9 @@ type partitionState[K comparable, V any] struct {
 	// holds one whole section, and intern dedups string keys decoded
 	// from them — a partition re-reads each of its hot keys once per
 	// swapped pair, so without the table the readback allocates one
-	// string per pair instead of one per distinct key.
+	// string per pair instead of one per distinct key. Every seal of
+	// the live run clears intern, so it holds at most the live run's
+	// keys plus one read-back block's.
 	swapBuf   []byte
 	swapChunk []Pair[K, V]
 	intern    map[string]K
@@ -682,6 +684,10 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 	st.spilledPairs += int64(st.livePairs)
 	st.livePairs = 0
 	st.syncLive()
+	// Interned swapped keys serve the live run being refilled; keeping
+	// them past its seal would grow the table with every distinct key
+	// the round swaps, outside the resident bound.
+	clear(st.intern)
 	if st.pspool != nil && needsCompaction(st.disk) {
 		if s.tune.compactors < 0 {
 			// Inline mode: compact on the sealing goroutine
@@ -903,19 +909,43 @@ func (s *Shuffle[K, V]) Stats() (Stats, error) {
 // run files so far (see Stats.DiskBytesRead).
 func (s *Shuffle[K, V]) DiskBytesRead() int64 { return s.diskRead.Load() }
 
-func (s *Shuffle[K, V]) computeStats() (Stats, error) {
+// Totals is the shuffle's profile without its per-key part: Keys,
+// MaxGroup, PartitionKeys, PartitionMaxGroup and GroupSizeLog2 stay
+// zero, so it costs no merge. A caller whose own merge yields every
+// group counts them (GroupProfile) and folds them in (AddGroups).
+func (s *Shuffle[K, V]) Totals() Stats {
 	st := Stats{
 		Partitions:        s.nparts,
 		PartitionPairs:    make([]int64, s.nparts),
 		PartitionKeys:     make([]int64, s.nparts),
 		PartitionMaxGroup: make([]int64, s.nparts),
 	}
-	type partProfile struct {
-		keys     int64
-		maxGroup int64
-		log2     [64]int64 // group-size histogram: bucket i = [2^i, 2^(i+1))
+	for p := range s.parts {
+		ps := &s.parts[p]
+		st.PartitionPairs[p] = ps.pairs
+		st.Pairs += ps.pairs
+		st.MaxPartitionPairs = max(st.MaxPartitionPairs, ps.pairs)
+		st.SpillEvents += ps.spillEvents
+		st.SpilledPairs += ps.spilledPairs
+		st.BytesSpilled += ps.bytesSpilled
+		st.IndexBytesSpilled += ps.indexBytes
+		st.MaxLivePairs = max(st.MaxLivePairs, ps.maxLivePairs)
+		if nruns := len(ps.runs) + len(ps.disk) + liveRun(ps.livePairs); nruns > 1 {
+			st.RunsMerged += int64(nruns)
+		}
 	}
-	profiles := make([]partProfile, s.nparts)
+	st.DiskBytesRead = s.diskRead.Load()
+	st.SwapBytes = s.swapBytes.Load()
+	st.BytesReclaimed = s.bytesReclaimed.Load()
+	st.PeakResidentPairs = s.peakResident.Load()
+	return st
+}
+
+// computeStats is Totals plus the per-key profile, counted by one
+// counting merge per partition, in parallel.
+func (s *Shuffle[K, V]) computeStats() (Stats, error) {
+	st := s.Totals()
+	profiles := make([]GroupProfile, s.nparts)
 	errs := make([]error, s.nparts)
 	var wg sync.WaitGroup
 	for p := 0; p < s.nparts; p++ {
@@ -924,70 +954,63 @@ func (s *Shuffle[K, V]) computeStats() (Stats, error) {
 			defer wg.Done()
 			ps := &s.parts[p]
 			if len(ps.runs) == 0 && !ps.spilledToDisk {
-				profiles[p].keys = int64(len(ps.live))
 				for _, vs := range ps.live {
-					if g := int64(len(vs)); g > profiles[p].maxGroup {
-						profiles[p].maxGroup = g
-					}
-					profiles[p].log2[log2Bucket(len(vs))]++
+					profiles[p].Add(len(vs))
 				}
 				return
 			}
 			// Spilled partitions merge their resident run indexes with
 			// the in-memory runs: a pure in-memory pass.
 			errs[p] = s.Partition(p).forEachCount(func(_ K, count int) error {
-				profiles[p].keys++
-				if g := int64(count); g > profiles[p].maxGroup {
-					profiles[p].maxGroup = g
-				}
-				profiles[p].log2[log2Bucket(count)]++
+				profiles[p].Add(count)
 				return nil
 			})
 		}(p)
 	}
 	wg.Wait()
-	var log2 [64]int64
-	for p := 0; p < s.nparts; p++ {
+	for p := range profiles {
 		if errs[p] != nil {
 			return st, errs[p]
 		}
-		ps := &s.parts[p]
-		st.PartitionPairs[p] = ps.pairs
-		st.PartitionKeys[p] = profiles[p].keys
-		st.PartitionMaxGroup[p] = profiles[p].maxGroup
-		st.Pairs += ps.pairs
-		st.Keys += profiles[p].keys
-		if ps.pairs > st.MaxPartitionPairs {
-			st.MaxPartitionPairs = ps.pairs
-		}
-		if profiles[p].maxGroup > st.MaxGroup {
-			st.MaxGroup = profiles[p].maxGroup
-		}
-		st.SpillEvents += ps.spillEvents
-		st.SpilledPairs += ps.spilledPairs
-		st.BytesSpilled += ps.bytesSpilled
-		st.IndexBytesSpilled += ps.indexBytes
-		if ps.maxLivePairs > st.MaxLivePairs {
-			st.MaxLivePairs = ps.maxLivePairs
-		}
-		if nruns := len(ps.runs) + len(ps.disk) + liveRun(ps.livePairs); nruns > 1 {
-			st.RunsMerged += int64(nruns)
-		}
-		for i := range log2 {
-			log2[i] += profiles[p].log2[i]
-		}
+		st.AddGroups(p, &profiles[p])
 	}
-	for i := len(log2) - 1; i >= 0; i-- {
-		if log2[i] > 0 {
-			st.GroupSizeLog2 = append([]int64(nil), log2[:i+1]...)
-			break
-		}
-	}
-	st.DiskBytesRead = s.diskRead.Load()
-	st.SwapBytes = s.swapBytes.Load()
-	st.BytesReclaimed = s.bytesReclaimed.Load()
-	st.PeakResidentPairs = s.peakResident.Load()
 	return st, nil
+}
+
+// GroupProfile tallies key groups as a merge yields them: how many,
+// the largest (the local q) and the log2 size histogram, bucket i
+// counting the groups of [2^i, 2^(i+1)) values.
+type GroupProfile struct {
+	Keys     int64
+	MaxGroup int64
+	Log2     [64]int64
+}
+
+// Add counts one group of n values.
+func (g *GroupProfile) Add(n int) {
+	g.Keys++
+	g.MaxGroup = max(g.MaxGroup, int64(n))
+	g.Log2[log2Bucket(n)]++
+}
+
+// AddGroups folds partition p's group profile into st's per-key fields
+// (Keys, MaxGroup, PartitionKeys, PartitionMaxGroup, GroupSizeLog2,
+// which stays trimmed after its last non-empty bucket). A partition's
+// groups may arrive as several profiles, one per key range.
+func (st *Stats) AddGroups(p int, g *GroupProfile) {
+	st.Keys += g.Keys
+	st.PartitionKeys[p] += g.Keys
+	st.PartitionMaxGroup[p] = max(st.PartitionMaxGroup[p], g.MaxGroup)
+	st.MaxGroup = max(st.MaxGroup, g.MaxGroup)
+	for i, n := range g.Log2 {
+		if n == 0 {
+			continue
+		}
+		if len(st.GroupSizeLog2) <= i {
+			st.GroupSizeLog2 = append(st.GroupSizeLog2, make([]int64, i+1-len(st.GroupSizeLog2))...)
+		}
+		st.GroupSizeLog2[i] += n
+	}
 }
 
 // log2Bucket maps a group size to its GroupSizeLog2 bucket:

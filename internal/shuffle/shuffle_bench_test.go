@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/runfile"
 )
 
 // benchPairs builds nTasks task outputs totalling ~total pairs over
@@ -536,13 +538,15 @@ func BenchmarkReduceRangeSkew(b *testing.B) {
 	b.ReportMetric(float64(streamed)/b.Elapsed().Seconds(), "values/s")
 }
 
-// BenchmarkKeyPlan times the three things the data path does with a
-// key — place it (the WithSeed/ProcMode stable hash), sort it (SortKeys
-// at every seal), and advance a merge cursor past it (pop, step, push
-// on the k-way heap) — for an int key, the two-word struct key the
-// paper's problem families use, and a struct key with a string. The
-// hash and merge-advance lanes must not allocate at all and a sort at
-// most once per call; scripts/benchcmp holds allocs/op to that.
+// BenchmarkKeyPlan times the four things the data path does with a
+// key — place it (the WithSeed/ProcMode stable hash), normalize it
+// (runfile.KeyPlan.Norm, for the keys that have the form), sort it
+// (SortKeys at every seal), and advance a merge cursor past it (pop,
+// advance, push on mergeCursors' heap) — for an int key, the two-word
+// struct key the paper's problem families use, and a struct key with a
+// string. The hash, norm and merge-advance lanes must not allocate at
+// all and a sort at most once per call; scripts/benchcmp holds
+// allocs/op to that.
 func BenchmarkKeyPlan(b *testing.B) {
 	benchKeyPlan(b, "int", func(i int) int { return i * 7919 % 100003 })
 	benchKeyPlan(b, "struct2", func(i int) keyPair { return keyPair{i % 61, uint64(i*7919%100003) << 20} })
@@ -567,6 +571,15 @@ func benchKeyPlan[K comparable](b *testing.B, name string, key func(i int) K) {
 			keyPlanSink += h.Hash(keys[i%n])
 		}
 	})
+	if plan := runfile.KeyPlanFor[K](); plan.Normalized() {
+		b.Run("norm/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w0, w1 := plan.Norm(unsafe.Pointer(&keys[i%n]))
+				keyPlanSink += w0 ^ w1
+			}
+		})
+	}
 	b.Run("sort/"+name, func(b *testing.B) {
 		scratch := make([]K, n)
 		b.ReportAllocs()
@@ -582,22 +595,22 @@ func benchKeyPlan[K comparable](b *testing.B, name string, key func(i int) K) {
 		const runs = 16
 		sorted := append([]K(nil), keys...)
 		SortKeys(sorted)
-		h := &cursorHeap[K, int]{cmp: orderOf[K]()}
+		h := newCursorHeap[K, int](orderOf[K]())
 		for r := 0; r < runs; r++ {
 			c := &groupCursor[K, int]{runIdx: r}
 			for i := r; i < n; i += runs {
 				c.idx = append(c.idx, keyCount[K]{key: sorted[i], count: 1})
 			}
-			c.next()
+			h.advance(c)
 			h.push(c)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			c := h.pop()
-			if !c.next() {
+			if !h.advance(c) {
 				c.pos = 0
-				c.next()
+				h.advance(c)
 			}
 			h.push(c)
 		}

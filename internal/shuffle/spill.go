@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/runfile"
@@ -548,6 +549,9 @@ func (s *Shuffle[K, V]) Close() error {
 // by its resident index — with the run's read surface attached only
 // when values are being read.
 type groupCursor[K comparable, V any] struct {
+	// w is the current key's normalized form when K has one
+	// (cursorHeap.advance fills it): what the merge heap compares.
+	w      [2]uint64
 	runIdx int // seal order; the live run is last
 
 	// in-memory source
@@ -636,15 +640,54 @@ func (c *groupCursor[K, V]) appendValues(dst []V) ([]V, error) {
 
 // cursorHeap is a binary min-heap of cursors ordered by (current key,
 // seal order), so equal keys pop in seal order and the concatenated
-// values respect the package's value-order contract. cmp is K's
-// canonical order (orderOf).
+// values respect the package's value-order contract. A key with a
+// normalized form is ordered by the words its cursor cached when it
+// advanced, compared inline; any other key by cmp, K's canonical order
+// (orderOf).
 type cursorHeap[K comparable, V any] struct {
-	cs  []*groupCursor[K, V]
-	cmp func(a, b K) int
+	cs   []*groupCursor[K, V]
+	plan *runfile.KeyPlan // non-nil when K has a normalized form
+	cmp  func(a, b K) int
+}
+
+// newCursorHeap returns an empty heap over K's canonical order cmp.
+func newCursorHeap[K comparable, V any](cmp func(a, b K) int) *cursorHeap[K, V] {
+	h := &cursorHeap[K, V]{cmp: cmp}
+	if plan := runfile.KeyPlanFor[K](); plan.Normalized() {
+		h.plan = plan
+	}
+	return h
+}
+
+// advance steps c to its next group and caches the group key's words,
+// returning false at the end of c's run.
+func (h *cursorHeap[K, V]) advance(c *groupCursor[K, V]) bool {
+	if !c.next() {
+		return false
+	}
+	if h.plan != nil {
+		c.w[0], c.w[1] = h.plan.Norm(unsafe.Pointer(&c.key))
+	}
+	return true
+}
+
+// same reports whether a and b are at equal keys.
+func (h *cursorHeap[K, V]) same(a, b *groupCursor[K, V]) bool {
+	if h.plan != nil {
+		return a.w == b.w
+	}
+	return h.cmp(a.key, b.key) == 0
 }
 
 func (h *cursorHeap[K, V]) before(a, b *groupCursor[K, V]) bool {
-	if c := h.cmp(a.key, b.key); c != 0 {
+	if h.plan != nil {
+		if a.w[0] != b.w[0] {
+			return a.w[0] < b.w[0]
+		}
+		if a.w[1] != b.w[1] {
+			return a.w[1] < b.w[1]
+		}
+	} else if c := h.cmp(a.key, b.key); c != 0 {
 		return c < 0
 	}
 	return a.runIdx < b.runIdx
@@ -745,24 +788,23 @@ func rangeCursors[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K], view
 // (mergeDiskRuns) copies raw sections or re-combines. A consumer reads
 // its cursors' current group only; the loop advances them.
 func mergeCursors[K comparable, V any](cursors []*groupCursor[K, V], cmp func(a, b K) int, fn func(k K, srcs []*groupCursor[K, V]) error) error {
-	h := &cursorHeap[K, V]{cmp: cmp}
+	h := newCursorHeap[K, V](cmp)
 	for _, c := range cursors {
-		if c.next() {
+		if h.advance(c) {
 			h.push(c)
 		}
 	}
 	var srcs []*groupCursor[K, V]
 	for len(h.cs) > 0 {
 		srcs = append(srcs[:0], h.pop())
-		k := srcs[0].key
-		for len(h.cs) > 0 && cmp(h.cs[0].key, k) == 0 {
+		for len(h.cs) > 0 && h.same(h.cs[0], srcs[0]) {
 			srcs = append(srcs, h.pop())
 		}
-		if err := fn(k, srcs); err != nil {
+		if err := fn(srcs[0].key, srcs); err != nil {
 			return err
 		}
 		for _, c := range srcs {
-			if c.next() {
+			if h.advance(c) {
 				h.push(c)
 			}
 		}

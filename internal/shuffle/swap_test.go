@@ -108,6 +108,41 @@ func checkSwapPath[K comparable, V any](t *testing.T, image bool, rotate int64, 
 	}
 }
 
+// TestSwapInternBounded: the string-key dedup table of the framed swap
+// read-back serves the live run being refilled, so a round with far
+// more distinct keys than the budget never holds more entries than the
+// live run's pairs plus one read-back block.
+func TestSwapInternBounded(t *testing.T) {
+	const budget, block = 64, 16
+	var tasks [][]Pair[string, int]
+	for _, ps := range ingestTasks(6, 300, 5000) {
+		var task []Pair[string, int]
+		for _, p := range ps {
+			task = append(task, Pair[string, int]{strconv.Itoa(p.Key), p.Value})
+		}
+		tasks = append(tasks, task)
+	}
+	s := newTuned[string, int](Options{
+		Partitions: 1, MaxBufferedPairs: budget, SpillDir: t.TempDir(),
+	}, tuning{blockPairs: block})
+	defer s.Close()
+	// Decode runs once per key the table misses, under the partition's
+	// lock, just before the key is interned.
+	st := &s.parts[0]
+	decode, peak := s.kc.Decode, 0
+	s.kc.Decode = func(b []byte) (string, error) {
+		peak = max(peak, len(st.intern)+1)
+		return decode(b)
+	}
+	streamTasks(t, s, tasks, 2)
+	if s.swapBytes.Load() == 0 {
+		t.Fatal("nothing was swapped; the test exercises nothing")
+	}
+	if peak == 0 || peak > budget+block {
+		t.Fatalf("intern table peaked at %d entries, want 1..%d (budget + one block)", peak, budget+block)
+	}
+}
+
 // TestSwapImageCorruption alters the stash file of a memory-image
 // round between the swap and the commit that reads it back. A stash cut
 // short, or a section header that no longer matches its pair count,

@@ -19,7 +19,8 @@
 #                       range-makespan-pairs under lpt-makespan-pairs,
 #                       and enforces any -floor minimums and -ceil
 #                       maximums, e.g. allocs/op == 0 on the
-#                       BenchmarkKeyPlan hash and merge-advance lanes)
+#                       BenchmarkKeyPlan hash, norm and merge-advance
+#                       lanes)
 #
 # Usage: scripts/bench.sh [benchtime] [count]   (default 3x, 3)
 #
@@ -45,8 +46,8 @@ go test -run '^$' -bench 'BenchmarkExternalShuffle|BenchmarkReduceMergeDecode|Be
 	exit "$status"
 }
 
-# The key-plan micro lanes (stable hash, SortKeys, merge-cursor advance
-# per key kind) time single per-key operations, so an iteration-count
+# The key-plan micro lanes (stable hash, normalized form, SortKeys,
+# merge-cursor advance per key kind) time single per-key operations, so an iteration-count
 # benchtime would measure nothing: they run time-based. benchcmp holds
 # their allocs/op at zero (-ceil).
 go test -run '^$' -bench 'BenchmarkKeyPlan' \
