@@ -654,6 +654,12 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 
 	for u := range units {
 		if errs[u] != nil {
+			// A failed unit counted nothing, so the per-key metrics of a
+			// failed round come from the counting merge, as under the q
+			// gate: resident indexes only, no run-file read.
+			if full, err := sh.Stats(); err == nil {
+				setProfile(&res.Metrics, full)
+			}
 			return res, errs[u]
 		}
 		res.Metrics.ReduceRetries += retries[u]

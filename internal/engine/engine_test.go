@@ -2,8 +2,11 @@ package engine
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -342,6 +345,53 @@ func TestDiskSpillThroughEngine(t *testing.T) {
 		spill.Metrics.PairsShuffled != clean.Metrics.PairsShuffled {
 		t.Errorf("logical metrics diverge under spill:\nclean %+v\nspill %+v",
 			clean.Metrics, spill.Metrics)
+	}
+}
+
+func TestFailedReduceKeepsKeyMetrics(t *testing.T) {
+	// A reduce unit that fails for good (here: its partition's spill
+	// runs are gone when it opens them) fails the round, but the round's
+	// per-key metrics are still the whole shuffle's, as in a clean run.
+	docs := make([]string, 64)
+	for i := range docs {
+		docs[i] = "a b c d e f g h " + itoa(i%5)
+	}
+	cfg := func(dir string) Config {
+		return Config{Plan: Plan{Partitions: 4, Workers: 1, MemoryBudget: 8, MapChunk: 4}, SpillDir: dir}
+	}
+	clean, err := Run(wordCountRound(cfg(t.TempDir())), docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	doomed := wordCountRound(cfg(dir))
+	var once sync.Once
+	reduce := doomed.Reduce
+	doomed.Reduce = func(w string, counts []int, emit func(string)) {
+		// The first unit's runs are open already; every later unit's are not.
+		once.Do(func() {
+			entries, _ := os.ReadDir(dir)
+			for _, e := range entries {
+				os.RemoveAll(filepath.Join(dir, e.Name()))
+			}
+		})
+		reduce(w, counts, emit)
+	}
+	res, err := Run(doomed, docs)
+	if err == nil {
+		t.Fatal("Run succeeded with its spill runs removed")
+	}
+	got, want := res.Metrics, clean.Metrics
+	if got.Reducers != want.Reducers || got.MaxReducerInput != want.MaxReducerInput ||
+		!reflect.DeepEqual(got.ReducerInputLog2, want.ReducerInputLog2) {
+		t.Errorf("failed round: Reducers %d, MaxReducerInput %d, log2 %v; clean round: %d, %d, %v",
+			got.Reducers, got.MaxReducerInput, got.ReducerInputLog2,
+			want.Reducers, want.MaxReducerInput, want.ReducerInputLog2)
+	}
+	for p := range want.Partitions {
+		if g, w := got.Partitions[p], want.Partitions[p]; g.Keys != w.Keys || g.MaxGroup != w.MaxGroup {
+			t.Errorf("partition %d: Keys %d MaxGroup %d, want %d %d", p, g.Keys, g.MaxGroup, w.Keys, w.MaxGroup)
+		}
 	}
 }
 

@@ -61,15 +61,44 @@ func keyPlanOf(t reflect.Type) *KeyPlan {
 // The result is zero exactly when the keys are ==, so the order is a
 // strict total order on key values that are == to themselves. A key
 // with a NaN in it is not, and is not a key: the shuffle refuses it at
-// emit (HasFloat tells it which types to check). A number or bool part
-// compares as its normalized word (see Norm).
+// emit (HasFloat tells it which types to check). Compare loads each part
+// once per side with its own type, independently of Norm, so the two
+// check each other (TestKeyNormOrder, FuzzKeyNorm).
 func (p *KeyPlan) Compare(a, b unsafe.Pointer) int {
 	for _, op := range p.ops {
+		x, y := unsafe.Add(a, op.off), unsafe.Add(b, op.off)
 		var c int
-		if op.kind == reflect.String {
-			c = strings.Compare(*(*string)(unsafe.Add(a, op.off)), *(*string)(unsafe.Add(b, op.off)))
-		} else {
-			c = cmp.Compare(normWord(op, a), normWord(op, b))
+		switch op.kind {
+		case reflect.Bool:
+			c = int(*(*uint8)(x)) - int(*(*uint8)(y))
+		case reflect.Int:
+			c = cmp.Compare(*(*int)(x), *(*int)(y))
+		case reflect.Int8:
+			c = cmp.Compare(*(*int8)(x), *(*int8)(y))
+		case reflect.Int16:
+			c = cmp.Compare(*(*int16)(x), *(*int16)(y))
+		case reflect.Int32:
+			c = cmp.Compare(*(*int32)(x), *(*int32)(y))
+		case reflect.Int64:
+			c = cmp.Compare(*(*int64)(x), *(*int64)(y))
+		case reflect.Uint:
+			c = cmp.Compare(*(*uint)(x), *(*uint)(y))
+		case reflect.Uint8:
+			c = cmp.Compare(*(*uint8)(x), *(*uint8)(y))
+		case reflect.Uint16:
+			c = cmp.Compare(*(*uint16)(x), *(*uint16)(y))
+		case reflect.Uint32:
+			c = cmp.Compare(*(*uint32)(x), *(*uint32)(y))
+		case reflect.Uint64:
+			c = cmp.Compare(*(*uint64)(x), *(*uint64)(y))
+		case reflect.Uintptr:
+			c = cmp.Compare(*(*uintptr)(x), *(*uintptr)(y))
+		case reflect.Float32:
+			c = cmp.Compare(*(*float32)(x), *(*float32)(y))
+		case reflect.Float64:
+			c = cmp.Compare(*(*float64)(x), *(*float64)(y))
+		case reflect.String:
+			c = strings.Compare(*(*string)(x), *(*string)(y))
 		}
 		if c != 0 {
 			return c
@@ -177,10 +206,28 @@ func (p *KeyPlan) Hash(seed uint64, k unsafe.Pointer) uint64 {
 			s := *(*string)(f)
 			h = hashBytes(h, unsafe.Slice(unsafe.StringData(s), len(s)))
 			continue
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-			v = normWord(op, k) ^ signBit // the sign-extended value
-		default:
-			v = normWord(op, k)
+		case reflect.Bool, reflect.Uint8:
+			v = uint64(*(*uint8)(f))
+		case reflect.Int:
+			v = uint64(*(*int)(f))
+		case reflect.Int8:
+			v = uint64(*(*int8)(f))
+		case reflect.Int16:
+			v = uint64(*(*int16)(f))
+		case reflect.Int32:
+			v = uint64(*(*int32)(f))
+		case reflect.Int64:
+			v = uint64(*(*int64)(f))
+		case reflect.Uint:
+			v = uint64(*(*uint)(f))
+		case reflect.Uint16:
+			v = uint64(*(*uint16)(f))
+		case reflect.Uint32:
+			v = uint64(*(*uint32)(f))
+		case reflect.Uint64:
+			v = *(*uint64)(f)
+		case reflect.Uintptr:
+			v = uint64(*(*uintptr)(f))
 		}
 		h = hashMix(h, v)
 	}

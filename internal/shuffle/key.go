@@ -27,7 +27,6 @@
 package shuffle
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -164,12 +163,6 @@ type normKey[K comparable] struct {
 	key K
 }
 
-// radixMin is the length below which SortKeys pdqsorts the normalized
-// words instead of radix-sorting them: a radix pass costs its 256-bucket
-// histogram whatever the length (on a two-word key with three varying
-// bytes the two break even at about 32 keys).
-const radixMin = 64
-
 // sortScratch recycles SortKeys' buffers across calls, seals above
 // all: it holds a *[]normKey[K] of whichever key type sorted last, so a
 // sort allocates only when its key type changes or its keys outgrow the
@@ -179,10 +172,10 @@ var sortScratch sync.Pool
 // SortKeys sorts keys in the package's canonical order (see the
 // package comment of this file). A key with a normalized form
 // (runfile.KeyPlan.Norm) is sorted on its words: an LSD radix sort over
-// only the bytes that vary among the keys, or pdqsort on the words below
-// radixMin keys, either way through one pooled scratch buffer. Any other key
-// (a string part, more than two parts) is pdqsorted by orderOf, a plain
-// []string by slices.Sort.
+// only the bytes that vary among the keys, through one pooled scratch
+// buffer of twice the keys' length. Any other key (a string part, more
+// than two parts) is pdqsorted by orderOf, a plain []string by
+// slices.Sort.
 func SortKeys[K comparable](keys []K) {
 	if ks, ok := any(keys).([]string); ok {
 		slices.Sort(ks)
@@ -197,10 +190,7 @@ func SortKeys[K comparable](keys []K) {
 	if n < 2 {
 		return
 	}
-	size := n
-	if n >= radixMin {
-		size = 2 * n // the radix passes ping-pong between two halves
-	}
+	size := 2 * n // the radix passes ping-pong between two halves
 	pooled, _ := sortScratch.Get().(*[]normKey[K])
 	if pooled == nil || cap(*pooled) < size {
 		pooled = &[]normKey[K]{}
@@ -216,13 +206,7 @@ func SortKeys[K comparable](keys []K) {
 		vary[0] |= w0 ^ src[0].w[0]
 		vary[1] |= w1 ^ src[0].w[1]
 	}
-	if n < radixMin {
-		slices.SortFunc(src, func(a, b normKey[K]) int {
-			return cmp.Or(cmp.Compare(a.w[0], b.w[0]), cmp.Compare(a.w[1], b.w[1]))
-		})
-	} else {
-		src = radixSort(src, buf[n:], vary)
-	}
+	src = radixSort(src, buf[n:], vary)
 	for i := range src {
 		keys[i] = src[i].key
 	}
