@@ -463,3 +463,36 @@ func TestSharesTernaryRelations(t *testing.T) {
 		t.Errorf("ternary chain rho = %v, want 2", rho)
 	}
 }
+
+// TestSharesRunRefusesValuesItCannotPack pins that Run returns an error,
+// not a wrong join, for a tuple value outside [0, 2^24): each value is
+// packed into three bytes, so 2^24 would wrap to 0 and −1 to 2^24−1. At
+// the ends of the range the join stays exact.
+func TestSharesRunRefusesValuesItCannotPack(t *testing.T) {
+	run := func(as ...int) (*relation.Relation, *relation.Relation, error) {
+		r := relation.New("R", "A", "B")
+		for _, a := range as {
+			r.Add(a, 5)
+		}
+		s := relation.New("S", "B", "C")
+		s.Add(5, 7)
+		sh, err := OptimizeShares([]*relation.Relation{r, s}, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := sh.Run(mr.Config{})
+		return got, relation.MultiJoin(r, s), err
+	}
+	for _, bad := range [][]int{{relation.MaxValue}, {-1}, {relation.MaxValue, -1}} {
+		if got, _, err := run(bad...); err == nil {
+			t.Errorf("R.A = %v: Run = %v, nil error; want an error", bad, got.Tuples)
+		}
+	}
+	got, want, err := run(0, relation.MaxValue-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !relation.Equal(got, want) {
+		t.Errorf("Run = %v, serial join %v", got.Tuples, want.Tuples)
+	}
+}

@@ -121,59 +121,43 @@ func (s *Shares) cellsForTuple(rel int, t relation.Tuple) []int {
 // the relation it belongs to.
 type tagged struct {
 	Rel int
-	T   string // encoded tuple (comparable for mr value grouping)
-}
-
-// encodeTuple packs attribute values (which must lie in [0, 2^24), as all
-// generated workloads do) into a compact comparable string.
-func encodeTuple(t relation.Tuple) string {
-	b := make([]byte, 0, len(t)*3)
-	for _, v := range t {
-		b = append(b, byte(v>>16), byte(v>>8), byte(v))
-	}
-	return string(b)
-}
-
-func decodeTuple(s string) relation.Tuple {
-	t := make(relation.Tuple, len(s)/3)
-	for i := range t {
-		t[i] = int(s[3*i])<<16 | int(s[3*i+1])<<8 | int(s[3*i+2])
-	}
-	return t
+	T   string // the tuple's relation.Tuple.Key (comparable for mr value grouping)
 }
 
 // Run executes the Shares algorithm as one MapReduce round and returns
 // the join result (schema identical to relation.MultiJoin's) plus the
-// round metrics. Each reducer joins its local fragments; because a cell's
+// round metrics. Each reducer joins its local fragments: a cell's
 // fragment of R holds exactly the tuples agreeing with the cell on R's
-// attributes, the local join emits exactly the global results hashing to
-// that cell — exactly-once by construction.
+// attributes, so the local join emits exactly the global results
+// hashing to that cell. A value outside [0, relation.MaxValue) errs.
 func (s *Shares) Run(cfg mr.Config) (*relation.Relation, mr.Metrics, error) {
 	var inputs []tagged
 	for ri, r := range s.Query {
 		for _, t := range r.Tuples {
-			inputs = append(inputs, tagged{Rel: ri, T: encodeTuple(t)})
+			for _, v := range t {
+				if v < 0 || v >= relation.MaxValue {
+					return nil, mr.Metrics{}, fmt.Errorf("join: %s tuple %v: value %d outside [0, %d)", r.Name, t, v, relation.MaxValue)
+				}
+			}
+			inputs = append(inputs, tagged{Rel: ri, T: t.Key()})
 		}
 	}
 	job := &mr.Job[tagged, int, tagged, string]{
 		Name: "shares-join",
 		Map: func(in tagged, emit func(int, tagged)) {
-			t := decodeTuple(in.T)
+			t := relation.FromKey(in.T)
 			for _, cell := range s.cellsForTuple(in.Rel, t) {
 				emit(cell, in)
 			}
 		},
 		Reduce: func(_ int, vs []tagged, emit func(string)) {
-			frags := make([]*relation.Relation, len(s.Query))
-			for i, r := range s.Query {
-				frags[i] = relation.New(r.Name, r.Attrs...)
-			}
+			frags := emptyCopies(s.Query)
 			for _, v := range vs {
-				frags[v.Rel].Tuples = append(frags[v.Rel].Tuples, decodeTuple(v.T))
+				frags[v.Rel].Tuples = append(frags[v.Rel].Tuples, relation.FromKey(v.T))
 			}
 			local := relation.MultiJoin(frags...)
 			for _, t := range local.Tuples {
-				emit(encodeTuple(t))
+				emit(t.Key())
 			}
 		},
 		Config: cfg,
@@ -185,7 +169,7 @@ func (s *Shares) Run(cfg mr.Config) (*relation.Relation, mr.Metrics, error) {
 	schema := relation.MultiJoin(emptyCopies(s.Query)...).Attrs
 	res := relation.New("shares_result", schema...)
 	for _, o := range outs {
-		res.Tuples = append(res.Tuples, decodeTuple(o))
+		res.Tuples = append(res.Tuples, relation.FromKey(o))
 	}
 	return res, met, nil
 }

@@ -378,3 +378,69 @@ func TestStreamingMemoryBoundThroughJob(t *testing.T) {
 	}
 
 }
+
+// TestRetriedReduceSeesShuffleValues pins that a retried reduce unit
+// reads the values the shuffle holds, not the ones its failed attempt
+// left: Reduce's slice is the function's to change, this one doubles
+// every value before summing, and the injected failure fires after the
+// unit reduced. Key 7's group sits in a single in-memory run — the live
+// run, both in memory and after the 62 budget seals of keys 0-3 — the
+// case where the read once handed out the run's own storage.
+func TestRetriedReduceSeesShuffleValues(t *testing.T) {
+	inputs := make([]int, 1002)
+	want := make([]int, 5) // keys 0-3, then key 7
+	for i := range inputs {
+		inputs[i] = i
+		if i >= 992 {
+			want[4] += 2 * i
+		} else {
+			want[i%4] += 2 * i
+		}
+	}
+	reduce := func(_ int, vs []int, emit func(int)) {
+		sum := 0
+		for i := range vs {
+			vs[i] *= 2
+			sum += vs[i]
+		}
+		emit(sum)
+	}
+	for _, mode := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"memory", Config{Partitions: 1}},
+		{"spilled", Config{Partitions: 1, MemoryBudget: 16, SpillDir: t.TempDir()}},
+	} {
+		for _, batch := range []bool{false, true} {
+			cfg := mode.cfg
+			cfg.FailureEveryN = 1
+			job := &Job[int, int, int, int]{
+				Name: "double-then-sum",
+				Map: func(i int, emit func(int, int)) {
+					if i >= 992 {
+						emit(7, i)
+					} else {
+						emit(i%4, i)
+					}
+				},
+				Config: cfg,
+			}
+			if batch {
+				job.ReduceBatch = reduce
+			} else {
+				job.Reduce = reduce
+			}
+			out, met, err := job.Run(inputs)
+			if err != nil {
+				t.Fatalf("%s batch=%v: %v", mode.name, batch, err)
+			}
+			if met.ReduceRetries == 0 {
+				t.Errorf("%s batch=%v: no reduce retried", mode.name, batch)
+			}
+			if !reflect.DeepEqual(out, want) {
+				t.Errorf("%s batch=%v: sums %v, want %v", mode.name, batch, out, want)
+			}
+		}
+	}
+}

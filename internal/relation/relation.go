@@ -42,6 +42,28 @@ func (r *Relation) Add(vals ...int) {
 	r.Tuples = append(r.Tuples, t)
 }
 
+// MaxValue bounds the values a Key holds: three bytes each.
+const MaxValue = 1 << 24
+
+// Key packs t, every value in [0, MaxValue), into a comparable string
+// (FromKey unpacks it): the join and sample-graph runners' records.
+func (t Tuple) Key() string {
+	b := make([]byte, 0, len(t)*3)
+	for _, v := range t {
+		b = append(b, byte(v>>16), byte(v>>8), byte(v))
+	}
+	return string(b)
+}
+
+// FromKey is the tuple a Key packed.
+func FromKey(s string) Tuple {
+	t := make(Tuple, len(s)/3)
+	for i := range t {
+		t[i] = int(s[3*i])<<16 | int(s[3*i+1])<<8 | int(s[3*i+2])
+	}
+	return t
+}
+
 // AttrIndex returns the position of attribute a, or -1.
 func (r *Relation) AttrIndex(a string) int {
 	for i, x := range r.Attrs {

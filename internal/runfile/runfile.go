@@ -114,11 +114,11 @@ type Writer struct {
 	curValStart int64 // file offset where the open group's values begin
 	footerStart int64 // where Finish started the footer; 0 until then
 
-	// uvbuf backs writeUvarint. A stack buffer would escape through the
-	// bufio.Writer's io.Writer parameter, costing one tiny heap
-	// allocation per varint — the single hottest allocation site on the
-	// spill path.
-	uvbuf [binary.MaxVarintLen64]byte
+	// uvbuf backs writeUvarint and Finish's trailer. A stack buffer
+	// would escape through the bufio.Writer's io.Writer parameter,
+	// costing one tiny heap allocation per varint — the single hottest
+	// allocation site on the spill path — and one per run.
+	uvbuf [max(binary.MaxVarintLen64, trailerLen)]byte
 	// keyArena backs the index entries' key copies for the current run;
 	// Reset truncates it, so a long-lived spool writer allocates key
 	// storage O(log runs) times instead of once per group.
@@ -256,10 +256,10 @@ func (w *Writer) Finish() error {
 		w.writeUvarint(uint64(e.ValueBytes))
 		prevKey, prevOff = e.Key, e.Offset
 	}
-	var tr [trailerLen]byte
+	tr := w.uvbuf[:trailerLen]
 	binary.LittleEndian.PutUint64(tr[:8], uint64(footerOff))
 	copy(tr[8:], indexMagic[:])
-	w.write(tr[:])
+	w.write(tr)
 	w.finished = true
 	return w.Flush()
 }

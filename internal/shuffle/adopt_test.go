@@ -34,8 +34,11 @@ func appendImage(t *testing.T, path string, keys []int, groups map[int][]int, fi
 		t.Fatal(err)
 	}
 	w := runfile.NewWriter(f)
-	if err := writeGroups(w, keys, groups); err != nil {
-		t.Fatal(err)
+	var enc GroupEncoder[int, int]
+	for _, k := range keys {
+		if err := enc.Group(w, k, groups[k]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	end := w.Flush
 	if finish {

@@ -46,12 +46,8 @@
 // output, so the partition's seal points — and therefore BytesSpilled,
 // SpillEvents and every other spill statistic — remain a pure function
 // of the committed pair stream, independent of flush timing, recorder
-// overhead, or scheduling. (The previous design relieved pressure by
-// early-sealing the live run and writing staged data as combined
-// *runs*, which made spilled bytes timing-sensitive: two identical
-// rounds could legitimately report different BytesSpilled depending on
-// when relief fired. The bench now pins the invariant that they
-// cannot.)
+// overhead, or scheduling; the bench pins that two identical rounds
+// report the same BytesSpilled.
 //
 // All relief writes append to per-partition spool files with
 // refcounted sections (see spool): seals share one spool file per
@@ -443,7 +439,7 @@ func (in *Ingester[K, V]) ingestStep(st *partitionState[K, V], allowSwap bool) e
 			// later flushes — must remain swappable, or the read-back
 			// would raise the live run to the budget next to them.
 			// (A detached run's blocks stay in stagedPairs until
-			// absorbCounted has moved each into the live run.)
+			// absorb has moved each into the live run.)
 			if readBack = len(sr.swapped) > 0; !readBack {
 				delete(st.staged, task)
 			}
@@ -463,7 +459,13 @@ func (in *Ingester[K, V]) ingestStep(st *partitionState[K, V], allowSwap bool) e
 			continue
 		}
 		for _, blk := range sr.blocks {
-			err := st.absorbCounted(in.s, blk)
+			// A block leaves stagedPairs only once it is in the live run:
+			// in between, the flush path's lock-free check sees it twice,
+			// never not at all — it may relieve early, not miss pairs.
+			err := st.absorb(in.s, blk)
+			st.stageMu.Lock()
+			st.stagedPairs -= len(blk)
+			st.stageMu.Unlock()
 			in.s.putBlock(blk)
 			if err != nil {
 				return err
@@ -518,22 +520,10 @@ func (st *partitionState[K, V]) minStagedBelow(wm int) int {
 	return best
 }
 
-// absorbCounted folds into the live run a block that stagedPairs still
-// counts, and only then drops it from the count: between the two the
-// block is visible twice to the flush path's lock-free check (live
-// mirror and staged), never not at all — the check may relieve early,
-// it cannot miss resident pairs.
-func (st *partitionState[K, V]) absorbCounted(s *Shuffle[K, V], blk []Pair[K, V]) error {
-	err := st.absorb(s, blk)
-	st.stageMu.Lock()
-	st.stagedPairs -= len(blk)
-	st.stageMu.Unlock()
-	return err
-}
-
 // absorbSwapped reads one pressure-swapped section back from the stash
-// and folds its pairs into the partition a block at a time (the reused
-// swapChunk), releasing the section afterwards.
+// straight into the live arena's tail, a block at a time and never past
+// the budget, so the run seals where absorbing the same pairs would
+// have sealed it; it releases the section afterwards.
 func (in *Ingester[K, V]) absorbSwapped(st *partitionState[K, V], sec swapSec) error {
 	s := in.s
 	// Each read uses the stash's open handle while the section still
@@ -571,14 +561,11 @@ func (in *Ingester[K, V]) absorbSwapped(st *partitionState[K, V], sec swapSec) e
 		}
 		return nil
 	}
-	if cap(st.swapChunk) < s.tune.blockPairs {
-		st.swapChunk = make([]Pair[K, V], 0, s.tune.blockPairs)
-	}
 	// A section is the pair count, then the pairs: a memory image is
-	// read straight into swapChunk's backing array, block by block, and
-	// must be exactly header plus count pairs long, or every pair read
-	// from it would be misaligned; a framed section is read whole into
-	// swapBuf and decoded into swapChunk.
+	// read straight into the arena, block by block, and must be exactly
+	// header plus count pairs long, or every pair read from it would be
+	// misaligned; a framed section is read whole into swapBuf and decoded
+	// into the arena.
 	var hdr [binary.MaxVarintLen64]byte
 	h := binary.AppendUvarint(hdr[:0], uint64(sec.pairs))
 	var rest []byte // a framed section's pairs
@@ -604,54 +591,48 @@ func (in *Ingester[K, V]) absorbSwapped(st *partitionState[K, V], sec swapSec) e
 			sec.rf.path, runfile.ErrCorrupt, n, sec.pairs)
 	}
 	off := sec.off + int64(len(h))
-	for left := sec.pairs; left > 0; {
-		chunk := st.swapChunk[:min(left, cap(st.swapChunk))]
-		if s.swapImage > 0 {
-			b := runfile.ImageBytes(chunk)
-			if err := read(b, off); err != nil {
-				return err
-			}
-			off += int64(len(b))
-		} else {
-			for i := range chunk {
-				var kb, vb []byte
-				ok := false
-				if kb, rest, ok = nextFrame(rest); ok {
-					vb, rest, ok = nextFrame(rest)
-				}
-				if !ok {
-					return fmt.Errorf("shuffle: swap spool %s: %w: truncated swapped pair", sec.rf.path, runfile.ErrCorrupt)
-				}
-				var err error
-				if chunk[i].Key, err = st.decodeSwappedKey(s.kc.Decode, kb); err != nil {
-					return fmt.Errorf("shuffle: decoding swapped key in spool %s: %w", sec.rf.path, err)
-				}
-				if chunk[i].Value, err = s.vc.Decode(vb); err != nil {
-					return fmt.Errorf("shuffle: decoding swapped value in spool %s: %w", sec.rf.path, err)
-				}
-			}
-		}
-		left -= len(chunk)
-		// The pairs re-enter shuffle memory chunk by chunk, next to
+	err := st.take(s, sec.pairs, s.tune.blockPairs, func(tail []Pair[K, V]) error {
+		// The pairs re-enter shuffle memory block by block, next to
 		// whatever later tasks staged here since the swap, and the live
 		// run they grow seals only at the full budget. Make room first —
 		// shed those staged blocks to the stash — or the partition holds
 		// a full live run plus a budget of staged pairs.
-		if budget := s.opts.MaxBufferedPairs; st.livePairs+st.stagedTotal()+len(chunk) > budget {
+		if budget := s.opts.MaxBufferedPairs; st.livePairs+st.stagedTotal()+len(tail) > budget {
 			if err := in.swapStaged(st, budget); err != nil {
 				return err
 			}
 		}
-		// The chunk counts as staged while it is absorbed, like any
-		// block; absorb copies the pairs into the live run, so the chunk
-		// slice is reused.
-		st.stageMu.Lock()
-		st.stagedPairs += len(chunk)
-		st.stageMu.Unlock()
-		s.addResident(len(chunk))
-		if err := st.absorbCounted(s, chunk); err != nil {
-			return err
+		if s.swapImage > 0 {
+			b := runfile.ImageBytes(tail)
+			if err := read(b, off); err != nil {
+				return err
+			}
+			off += int64(len(b))
+			s.addResident(len(tail))
+			return nil
 		}
+		for i := range tail {
+			var kb, vb []byte
+			ok := false
+			if kb, rest, ok = nextFrame(rest); ok {
+				vb, rest, ok = nextFrame(rest)
+			}
+			if !ok {
+				return fmt.Errorf("shuffle: swap spool %s: %w: truncated swapped pair", sec.rf.path, runfile.ErrCorrupt)
+			}
+			var err error
+			if tail[i].Key, err = st.decodeSwappedKey(s.kc.Decode, kb); err != nil {
+				return fmt.Errorf("shuffle: decoding swapped key in spool %s: %w", sec.rf.path, err)
+			}
+			if tail[i].Value, err = s.vc.Decode(vb); err != nil {
+				return fmt.Errorf("shuffle: decoding swapped value in spool %s: %w", sec.rf.path, err)
+			}
+		}
+		s.addResident(len(tail))
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	sec.rf.dead.Add(sec.size)
 	if err := sec.rf.release(s.fs, &s.bytesReclaimed); err != nil {
@@ -823,10 +804,10 @@ func (sp *spool[K, V]) ensure() error {
 	return nil
 }
 
-// addRunGroups appends one already-grouped, already-combined run to
-// the spool, keys in sorted order, reusing one runfile.Writer (and its
-// write buffer) across every run the spool ever writes.
-func (sp *spool[K, V]) addRunGroups(keys []K, groups map[K][]V, pairs int64) (dr diskRun[K], body, idx int64, retErr error) {
+// addRun appends one sorted, combined run of the given keys and pairs
+// to the spool — fill encodes its groups — reusing one runfile.Writer
+// (and its write buffer) across every run the spool ever writes.
+func (sp *spool[K, V]) addRun(keys []K, pairs int64, fill func(w *runfile.Writer) error) (dr diskRun[K], body, idx int64, retErr error) {
 	if err := sp.ensure(); err != nil {
 		return dr, 0, 0, err
 	}
@@ -836,7 +817,7 @@ func (sp *spool[K, V]) addRunGroups(keys []K, groups map[K][]V, pairs int64) (dr
 		sp.w.Reset(sp.f)
 	}
 	w := sp.w
-	if err := writeGroups(w, keys, groups); err != nil {
+	if err := fill(w); err != nil {
 		sp.broken = true
 		return dr, 0, 0, fmt.Errorf("shuffle: spilling to %s %s: %w", sp.kind, sp.f.Name(), err)
 	}

@@ -16,9 +16,10 @@
 // A key of at most two parts, all numbers or bools (an int, a float64,
 // a two-field struct of numbers), also has a normalized form
 // (runfile.KeyPlan.Norm): two words whose lexicographic order is the key
-// order. SortKeys radix-sorts such keys on their words, and merge
-// cursors cache them so the merge heap compares words inline; every
-// other key sorts and merges by the plan's Compare (orderOf).
+// order. SortKeys and a seal's sort of the live run (sortOrder)
+// radix-sort such keys on their words, and merge cursors cache them so
+// the merge heap compares words inline; every other key sorts and
+// merges by the plan's Compare (orderOf).
 //
 // Placement is maphash with a per-process seed by default. Wherever it
 // must instead be reproducible — under WithSeed, and always across the
@@ -156,18 +157,27 @@ func orderOf[K comparable]() func(a, b K) int {
 	}
 }
 
-// normKey is one key with its normalized words (w[0] the more
-// significant), the unit SortKeys' radix sort moves.
-type normKey[K comparable] struct {
-	w   [2]uint64
-	key K
+// normKey is what the radix sort moves: a key's normalized words (w[0]
+// the more significant) and the key (SortKeys) or its index (sortOrder).
+type normKey[T any] struct {
+	w [2]uint64
+	v T
 }
 
-// sortScratch recycles SortKeys' buffers across calls, seals above
-// all: it holds a *[]normKey[K] of whichever key type sorted last, so a
-// sort allocates only when its key type changes or its keys outgrow the
-// buffer.
-var sortScratch sync.Pool
+// sortScratch recycles SortKeys' buffers, of whichever key type sorted
+// last; orderScratch recycles sortOrder's, one type for every K.
+var sortScratch, orderScratch sync.Pool
+
+// pooledSort takes a buffer of at least size entries from pool.
+func pooledSort[T any](pool *sync.Pool, size int) *[]normKey[T] {
+	pooled, _ := pool.Get().(*[]normKey[T])
+	if pooled == nil || cap(*pooled) < size {
+		pooled = &[]normKey[T]{}
+		*pooled = make([]normKey[T], size)
+	}
+	*pooled = (*pooled)[:size]
+	return pooled
+}
 
 // SortKeys sorts keys in the package's canonical order (see the
 // package comment of this file). A key with a normalized form
@@ -187,17 +197,9 @@ func SortKeys[K comparable](keys []K) {
 		return
 	}
 	n := len(keys)
-	if n < 2 {
-		return
-	}
-	size := 2 * n // the radix passes ping-pong between two halves
-	pooled, _ := sortScratch.Get().(*[]normKey[K])
-	if pooled == nil || cap(*pooled) < size {
-		pooled = &[]normKey[K]{}
-		*pooled = make([]normKey[K], size)
-	}
+	pooled := pooledSort[K](&sortScratch, 2*n) // the radix passes ping-pong between two halves
 	defer sortScratch.Put(pooled)
-	buf := (*pooled)[:size]
+	buf := *pooled
 	src := buf[:n]
 	var vary [2]uint64 // bits in which some key differs from the first
 	for i := range keys {
@@ -208,14 +210,47 @@ func SortKeys[K comparable](keys []K) {
 	}
 	src = radixSort(src, buf[n:], vary)
 	for i := range src {
-		keys[i] = src[i].key
+		keys[i] = src[i].v
 	}
+}
+
+// sortOrder sorts the indexes of pairs by key, stably — equal keys keep
+// their index order. The order lives in pooled, a buffer from
+// orderScratch that the caller puts back once done with it. A key with
+// a normalized form is radix-sorted on (words, index) like SortKeys;
+// any other is sorted by orderOf with the index breaking ties.
+func sortOrder[K comparable, V any](pairs []Pair[K, V]) (order []normKey[int], pooled *[]normKey[int]) {
+	n := len(pairs)
+	pooled = pooledSort[int](&orderScratch, 2*n)
+	buf := *pooled
+	order = buf[:n]
+	if plan := runfile.KeyPlanFor[K](); plan.Normalized() {
+		var vary [2]uint64
+		for i := range pairs {
+			w0, w1 := plan.Norm(unsafe.Pointer(&pairs[i].Key))
+			order[i] = normKey[int]{[2]uint64{w0, w1}, i}
+			vary[0] |= w0 ^ order[0].w[0]
+			vary[1] |= w1 ^ order[0].w[1]
+		}
+		return radixSort(order, buf[n:], vary), pooled
+	}
+	for i := range order {
+		order[i] = normKey[int]{v: i}
+	}
+	cmp := orderOf[K]()
+	slices.SortFunc(order, func(a, b normKey[int]) int {
+		if c := cmp(pairs[a.v].Key, pairs[b.v].Key); c != 0 {
+			return c
+		}
+		return a.v - b.v
+	})
+	return order, pooled
 }
 
 // radixSort sorts src by its words with one stable counting pass per
 // byte that varies, least significant first, alternating between src
 // and dst; it returns whichever holds the result.
-func radixSort[K comparable](src, dst []normKey[K], vary [2]uint64) []normKey[K] {
+func radixSort[T any](src, dst []normKey[T], vary [2]uint64) []normKey[T] {
 	for pass := 0; pass < 16; pass++ {
 		word, shift := 1-pass/8, uint(pass%8)*8
 		if byte(vary[word]>>shift) == 0 {

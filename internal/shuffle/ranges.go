@@ -87,7 +87,7 @@ func (p Partition[K, V]) PlanReduceRanges(targetPairs int64, maxRanges int) []Ke
 		return nil
 	}
 	pl := rangePlanner[K]{target: targetPairs, max: maxRanges}
-	err := p.forEachCount(func(k K, count int) error {
+	err := p.ForEachGroupCount(func(k K, count int) error {
 		pl.add(k, int64(count))
 		return nil
 	})
@@ -129,7 +129,7 @@ type RangeReader[K comparable, V any] struct {
 	views    []runView // one per disk run, sharing per-spool handles/mmaps
 	closeAll func()    // non-nil when disk runs are held open
 
-	mem []memRun[K, V] // sealed in-memory runs, then the live run
+	mem []*memRun[K, V] // sealed in-memory runs, then the live run
 
 	closeOnce sync.Once
 }

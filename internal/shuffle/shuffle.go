@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -224,19 +225,24 @@ type Shuffle[K comparable, V any] struct {
 // ingestion between flushing map workers and draining committers under
 // mu.
 type partitionState[K comparable, V any] struct {
-	mu            sync.Mutex   // guards all fields during streaming ingestion
-	idx           int          // this partition's index (compaction enqueue key)
-	runs          []map[K][]V  // sealed in-memory runs, in seal order
-	disk          []diskRun[K] // sealed on-disk runs, in seal order
-	spilledToDisk bool         // ever had a disk run (sticky across Close)
-	live          map[K][]V
-	livePairs     int
-	maxLivePairs  int // high-water mark of livePairs
-	pairs         int64
-	spillEvents   int64
-	spilledPairs  int64
-	bytesSpilled  int64
-	indexBytes    int64 // footer-index bytes written alongside run data
+	mu            sync.Mutex      // guards all fields during streaming ingestion
+	idx           int             // this partition's index (compaction enqueue key)
+	runs          []*memRun[K, V] // sealed in-memory runs, in seal order
+	disk          []diskRun[K]    // sealed on-disk runs, in seal order
+	spilledToDisk bool            // ever had a disk run (sticky across Close)
+
+	// The live run, livePairs pairs in absorption order, is sorted
+	// chunks, then live: an append-only arena that nothing groups by key
+	// until a seal, a read or its reaching liveChunk sorts it, once.
+	chunks       []*memRun[K, V]
+	live         []Pair[K, V]
+	livePairs    int
+	maxLivePairs int // high-water mark of livePairs
+	pairs        int64
+	spillEvents  int64
+	spilledPairs int64
+	bytesSpilled int64
+	indexBytes   int64 // footer-index bytes written alongside run data
 
 	// staged holds flushed-but-uncommitted blocks per map task during
 	// streaming ingestion (see ingest.go); stagedPairs is the in-memory
@@ -248,36 +254,19 @@ type partitionState[K comparable, V any] struct {
 	staged      map[int]*stagedRun[K, V]
 	stagedPairs int
 
-	// scratch is the reused per-block key-count map that lets the
-	// absorb fast path pre-size live value slices instead of growing
-	// them by repeated appends. presizeOff latches when a block turns
-	// out to be mostly distinct keys — counting such blocks costs two
-	// map operations per pair and pre-sizes nothing, so the partition
-	// falls back to plain appends for the rest of the round.
-	scratch    map[K]int
-	presizeOff bool
+	// A seal's reused scratch: the sorted live run, the combiner's output
+	// over it, and their encoder.
+	sorted, combined memRun[K, V]
+	enc              GroupEncoder[K, V]
 
-	// freeVs recycles live-run value-slice backing arrays across
-	// disk-bound seals: once a run's groups are encoded into the spool
-	// the slices are dead, so the next fill reuses their capacity
-	// instead of re-growing every key's slice from nil. Slices are
-	// zeroed before harvesting so recycled capacity never pins decoded
-	// values. The in-memory-run path hands the map itself away and must
-	// not recycle.
-	freeVs []([]V)
-	// swapChunk is absorbSwapped's reused read-back block: a memory-image
-	// section is read straight into it one block at a time, a framed
-	// one decoded into it (absorb copies the pairs out, so reuse is
-	// safe). swapBuf and intern serve the framed sections only: swapBuf
-	// holds one whole section, and intern dedups string keys decoded
-	// from them — a partition re-reads each of its hot keys once per
-	// swapped pair, so without the table the readback allocates one
-	// string per pair instead of one per distinct key. Every seal of
-	// the live run clears intern, so it holds at most the live run's
-	// keys plus one read-back block's.
-	swapBuf   []byte
-	swapChunk []Pair[K, V]
-	intern    map[string]K
+	// swapBuf and intern serve absorbSwapped's codec-framed sections:
+	// swapBuf holds one whole section, and intern dedups string keys
+	// decoded from them — a partition re-reads each of its hot keys once
+	// per swapped pair, so without the table the readback allocates one
+	// string per pair instead of one per distinct key. Every seal clears
+	// intern, so it holds at most the live run's keys plus one block's.
+	swapBuf []byte
+	intern  map[string]K
 
 	// pspool is the partition's seal spool: one shared temp file (per
 	// rotation epoch) receiving every run sealed to disk for this
@@ -333,7 +322,6 @@ func newTuned[K comparable, V any](opts Options, tune tuning) *Shuffle[K, V] {
 	}
 	for i := range s.parts {
 		s.parts[i].idx = i
-		s.parts[i].live = make(map[K][]V)
 		// A nil Recorder hands out nil lanes; every emit is then a no-op.
 		s.parts[i].lane = opts.Recorder.Lane(obs.LanePartition, i)
 	}
@@ -497,135 +485,101 @@ func (s *Shuffle[K, V]) PartitionOf(k K) int {
 	return int(s.hasher.Hash(k) & s.mask)
 }
 
-// absorb folds one block of pairs (a single task's output for this
-// partition, in emission order) into the live run, sealing at the
-// memory budget. When the whole block fits under the budget the live
-// value slices are pre-sized from the block's per-key counts — one
-// exact growth per key instead of append-doubling — otherwise the
-// block is walked pair by pair so the run seals at exactly the budget.
+// absorb appends one block of pairs (a single task's output for this
+// partition, in emission order) to the live run.
 func (st *partitionState[K, V]) absorb(s *Shuffle[K, V], pairs []Pair[K, V]) error {
-	budget := s.opts.MaxBufferedPairs
-	if budget <= 0 || st.livePairs+len(pairs) < budget {
-		st.absorbPresized(pairs)
+	return st.take(s, len(pairs), len(pairs), func(tail []Pair[K, V]) error {
+		pairs = pairs[copy(tail, pairs):]
 		return nil
-	}
-	for i := range pairs {
-		vs, ok := st.live[pairs[i].Key]
-		if !ok && len(st.freeVs) > 0 {
-			vs = st.grabSlice(1)
+	})
+}
+
+// take grows the live run by n pairs, which fill writes into the
+// arena's tail, at most most at a time. No piece crosses the memory
+// budget or liveChunk: the run seals on reaching the budget — exactly
+// there, so where seals fall is a function of the committed pair
+// stream alone — and an arena that reaches liveChunk becomes a chunk.
+func (st *partitionState[K, V]) take(s *Shuffle[K, V], n, most int, fill func(tail []Pair[K, V]) error) error {
+	budget := s.opts.MaxBufferedPairs
+	for n > 0 {
+		m := min(n, most, liveChunk-len(st.live))
+		if budget > 0 {
+			m = min(m, budget-st.livePairs)
 		}
-		st.live[pairs[i].Key] = append(vs, pairs[i].Value)
-		st.livePairs++
-		if st.livePairs > st.maxLivePairs {
-			st.maxLivePairs = st.livePairs
+		l := len(st.live)
+		if l+m > cap(st.live) { // double from one block, up to liveChunk
+			grown := make([]Pair[K, V], l, max(l+m, min(max(2*cap(st.live), s.tune.blockPairs), liveChunk)))
+			copy(grown, st.live)
+			st.live = grown
 		}
-		st.pairs++
-		if st.livePairs >= budget {
+		st.live = st.live[:l+m]
+		if err := fill(st.live[l:]); err != nil {
+			st.live = st.live[:l]
+			return err
+		}
+		n -= m
+		st.livePairs += m
+		st.maxLivePairs = max(st.maxLivePairs, st.livePairs)
+		st.pairs += int64(m)
+		st.syncLive()
+		if budget > 0 && st.livePairs >= budget {
 			if err := st.seal(s, false); err != nil {
 				return err
 			}
 		}
+		if len(st.live) >= liveChunk { // also a cancelled seal's refill
+			st.chunk()
+		}
 	}
-	st.syncLive()
 	return nil
 }
 
-// recycleLive clears the live map in place — keeping its buckets, so
-// refills never pay rehash growth — and harvests the now-dead value
-// slices' backing arrays for reuse by later absorbs. Only a seal that
-// encoded the run may call this (to the spool, or onto a seal sink's
-// writer): the encode was synchronous, so nothing else references the
-// slices. The
-// harvest is capped so a round whose key population shifts cannot grow
-// the freelist without bound.
-func (st *partitionState[K, V]) recycleLive() {
-	for _, vs := range st.live {
-		if cap(vs) == 0 || len(st.freeVs) >= 8192 {
-			continue
-		}
-		clear(vs) // drop value references so recycled capacity pins nothing
-		st.freeVs = append(st.freeVs, vs[:0])
+// liveChunk is the most pairs the live arena holds unsorted. A live run
+// with no budget, or a budget above this, is kept as sorted chunks, so
+// it grows by values and group ends rather than whole pairs, and its
+// arena is never copied to grow.
+const liveChunk = 1 << 14
+
+// chunk sorts the arena, when it holds pairs, into the live run's next
+// chunk and empties it.
+func (st *partitionState[K, V]) chunk() {
+	if len(st.live) > 0 {
+		c := new(memRun[K, V])
+		c.sortFrom(st.live)
+		st.chunks = append(st.chunks, c)
+		clear(st.live)
+		st.live = st.live[:0]
 	}
-	clear(st.live)
 }
 
-// grabSlice returns an empty value slice with capacity at least n,
-// preferring a recycled backing array. Only the freelist's top few
-// entries are probed; a miss falls through to a fresh allocation.
-func (st *partitionState[K, V]) grabSlice(n int) []V {
-	for i, l := 0, len(st.freeVs); i < 4 && i < l; i++ {
-		s := st.freeVs[l-1-i]
-		if cap(s) >= n {
-			st.freeVs[l-1-i] = st.freeVs[l-1]
-			st.freeVs = st.freeVs[:l-1]
-			return s
+// refill makes run's pairs, in run order, the whole live run, as its
+// arena (nil empties it), zeroing what the arena no longer holds so its
+// capacity pins no value.
+func (st *partitionState[K, V]) refill(run *memRun[K, V]) {
+	old := len(st.live)
+	st.live = st.live[:0]
+	for g := 0; run != nil && g < len(run.keys); g++ {
+		for _, v := range run.group(g) {
+			st.live = append(st.live, Pair[K, V]{run.keys[g], v})
 		}
 	}
-	return make([]V, 0, n)
-}
-
-// absorbPresized is absorb's under-budget fast path: count the block's
-// pairs per key into the reused scratch map, grow each touched live
-// slice at most once per block — to exactly what the block needs when
-// that dominates, but never below doubling, so a key fed one value per
-// block across many blocks still pays O(log n) growths rather than one
-// per block — then append without capacity checks.
-func (st *partitionState[K, V]) absorbPresized(pairs []Pair[K, V]) {
-	if !st.presizeOff && len(pairs) >= 16 {
-		cnt := st.scratch
-		if cnt == nil {
-			cnt = make(map[K]int, 64)
-			st.scratch = cnt
-		}
-		for i := range pairs {
-			cnt[pairs[i].Key]++
-		}
-		if len(cnt)*4 >= len(pairs)*3 {
-			st.presizeOff = true // mostly distinct; counting buys nothing
-		}
-		for k, c := range cnt {
-			vs := st.live[k]
-			if cap(vs)-len(vs) < c {
-				newCap := len(vs) + c
-				if min := 2 * cap(vs); newCap < min {
-					newCap = min
-				}
-				grown := st.grabSlice(newCap)[:len(vs)]
-				copy(grown, vs)
-				st.live[k] = grown
-				if cap(vs) > 0 && len(st.freeVs) < 8192 {
-					clear(vs) // old backing is dead; recycle it too
-					st.freeVs = append(st.freeVs, vs[:0])
-				}
-			}
-		}
-		clear(cnt)
+	if l := len(st.live); l < old {
+		clear(st.live[l:old])
 	}
-	for i := range pairs {
-		vs, ok := st.live[pairs[i].Key]
-		if !ok && len(st.freeVs) > 0 {
-			vs = st.grabSlice(1)
-		}
-		st.live[pairs[i].Key] = append(vs, pairs[i].Value)
-	}
-	st.livePairs += len(pairs)
-	if st.livePairs > st.maxLivePairs {
-		st.maxLivePairs = st.livePairs
-	}
-	st.pairs += int64(len(pairs))
+	st.chunks = nil
 	st.syncLive()
 }
 
 // seal closes the live run — to a disk run when a SpillDir is set,
 // otherwise to the in-memory run list — and records spill pressure.
-// With a combiner, the live run is combined first; a combine that
-// frees at least half the budget cancels the seal and the partition
-// keeps buffering, so combiner-friendly workloads spill far less than
-// their raw emission volume. force overrides that cancellation: the
-// streaming path must seal the live run before adopting a task's
-// fenced spill runs (run order is value order), and must be able to
-// shed live pairs under global memory pressure, regardless of how well
-// the combine went.
+// The arena is sorted once, stably, into its run form (memRun.sortFrom)
+// and merged with the run's chunks, if any. With a combiner, one
+// run-length pass then combines each key's values; a combine that
+// frees at least half the budget cancels the seal, and the combined
+// groups stay in the arena ahead of whatever is absorbed next, so
+// combiner-friendly workloads spill far less than their raw emission
+// volume. force overrides that cancellation: SealAllLive must empty
+// the live run however well the combine went.
 //
 // A disk seal appends the run to the partition's seal spool, opening it
 // if this is the partition's first; a whole round's seals then cost one
@@ -636,12 +590,21 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 	if st.livePairs == 0 {
 		return nil
 	}
+	run := &st.sorted
+	if len(st.chunks) > 0 {
+		st.chunk()
+		run = mergeRuns(st.chunks)
+	} else {
+		run.sortFrom(st.live)
+	}
 	if s.combiner != nil {
-		st.combineLive(s)
-		if !force && st.livePairs <= s.opts.MaxBufferedPairs/2 {
-			return nil
-		}
-		if st.livePairs == 0 {
+		run = run.combine(s.combiner, &st.combined)
+		post := len(run.vals) // pair totals stay the sum of group counts
+		st.pairs -= int64(st.livePairs - post)
+		s.addResident(post - st.livePairs)
+		st.livePairs = post
+		if post == 0 || !force && post <= s.opts.MaxBufferedPairs/2 {
+			st.refill(run)
 			return nil
 		}
 	}
@@ -652,9 +615,8 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 	case s.sealSink != nil:
 		// Sink-directed seal: the run leaves the shuffle entirely. No
 		// disk run, no compaction — the sink's storage is the read side.
-		keys := sortedMapKeys(st.live)
-		fill := func(w *runfile.Writer) error { return writeGroups(w, keys, st.live) }
-		if err := s.sealSink(st.idx, fill); err != nil {
+		sunk := run // the sink keeps fill: let only this copy escape
+		if err := s.sealSink(st.idx, func(w *runfile.Writer) error { return st.enc.run(w, sunk) }); err != nil {
 			return err
 		}
 	case s.opts.SpillDir != "":
@@ -664,7 +626,7 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 		if st.pspool == nil {
 			st.pspool = &spool[K, V]{s: s, pattern: "mr-spool-*.run", kind: "seal spool"}
 		}
-		dr, body, idx, err := st.pspool.addRunGroups(sortedMapKeys(st.live), st.live, int64(st.livePairs))
+		dr, body, idx, err := st.pspool.addRun(run.keys, sealing, func(w *runfile.Writer) error { return st.enc.run(w, run) })
 		if err != nil {
 			return err
 		}
@@ -673,17 +635,15 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 		st.bytesSpilled += body
 		st.indexBytes += idx
 	default:
-		st.runs = append(st.runs, st.live)
-		st.live = make(map[K][]V)
+		st.runs = append(st.runs, run.clone())
 	}
 	if s.sealSink != nil || s.opts.SpillDir != "" {
 		s.addResident(-st.livePairs) // the pairs are encoded: on disk, or the sink's
-		st.recycleLive()
 	}
 	st.spillEvents++
-	st.spilledPairs += int64(st.livePairs)
+	st.spilledPairs += sealing
 	st.livePairs = 0
-	st.syncLive()
+	st.refill(nil)
 	// Interned swapped keys serve the live run being refilled; keeping
 	// them past its seal would grow the table with every distinct key
 	// the round swaps, outside the resident bound.
@@ -702,24 +662,66 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 	return nil
 }
 
-// combineLive applies the combiner to every key group of the live run
-// in place, keeping the partition's pair totals equal to the sum of
-// its group counts. Keys whose combined value list comes back empty
-// are dropped.
-func (st *partitionState[K, V]) combineLive(s *Shuffle[K, V]) {
-	post := 0
-	for k, vs := range st.live {
-		cv := s.combiner(k, vs)
-		if len(cv) == 0 {
-			delete(st.live, k)
-			continue
-		}
-		st.live[k] = cv
-		post += len(cv)
+// memRun is a sorted run in memory — a sealed run kept without a
+// SpillDir, a chunk of the live run, a seal's scratch — in one flat
+// form: keys in canonical order, and keys[g]'s values, in absorption
+// order, at vals[ends[g-1]:ends[g]] (from 0 for g = 0).
+type memRun[K comparable, V any] struct {
+	keys []K
+	ends []int
+	vals []V
+}
+
+// group returns keys[g]'s values, capped so an append cannot reach the
+// next group's.
+func (r *memRun[K, V]) group(g int) []V {
+	lo := 0
+	if g > 0 {
+		lo = r.ends[g-1]
 	}
-	st.pairs -= int64(st.livePairs - post)
-	s.addResident(post - st.livePairs)
-	st.livePairs = post
+	return r.vals[lo:r.ends[g]:r.ends[g]]
+}
+
+// sortFrom replaces r's contents with pairs sorted stably by key — a
+// key's values keep their arena order. The sort moves a permutation,
+// never the pairs (sortOrder); one pass then gathers keys and values
+// through it.
+func (r *memRun[K, V]) sortFrom(pairs []Pair[K, V]) {
+	order, pooled := sortOrder(pairs)
+	defer orderScratch.Put(pooled)
+	r.keys, r.ends, r.vals = r.keys[:0], r.ends[:0], slices.Grow(r.vals[:0], len(pairs))
+	for _, o := range order {
+		p := &pairs[o.v]
+		if g := len(r.keys); g == 0 || r.keys[g-1] != p.Key {
+			if g > 0 {
+				r.ends = append(r.ends, len(r.vals))
+			}
+			r.keys = append(r.keys, p.Key)
+		}
+		r.vals = append(r.vals, p.Value)
+	}
+	if len(r.keys) > 0 {
+		r.ends = append(r.ends, len(r.vals))
+	}
+}
+
+// combine runs fn over r's groups into out, one run-length pass, and
+// returns out. Keys whose combined values come back empty are dropped.
+func (r *memRun[K, V]) combine(fn func(K, []V) []V, out *memRun[K, V]) *memRun[K, V] {
+	out.keys, out.ends, out.vals = out.keys[:0], out.ends[:0], out.vals[:0]
+	for g, k := range r.keys {
+		if cv := fn(k, r.group(g)); len(cv) > 0 {
+			out.keys = append(out.keys, k)
+			out.vals = append(out.vals, cv...)
+			out.ends = append(out.ends, len(out.vals))
+		}
+	}
+	return out
+}
+
+// clone returns a copy of r that shares no storage with it.
+func (r *memRun[K, V]) clone() *memRun[K, V] {
+	return &memRun[K, V]{slices.Clone(r.keys), slices.Clone(r.ends), slices.Clone(r.vals)}
 }
 
 // Partition is a read view of one shuffle partition.
@@ -740,37 +742,19 @@ func (p Partition[K, V]) Pairs() int64 { return p.s.parts[p.idx].pairs }
 // key order through fn, k-way merging the partition's on-disk runs,
 // in-memory sealed runs, and live run without materializing the
 // partition. A key's values arrive concatenated across runs in seal
-// order then the live run — the package's value-order contract. An
-// error from fn stops the iteration and is returned; I/O and decode
-// errors reading spilled runs are returned likewise. The value slices
-// are stable — nothing overwrites them after fn returns, so they are
-// safe to retain — but in-memory groups alias the shuffle's live and
-// sealed run buffers, so treat them as read-only. Use
-// ForEachGroupBatch when fn does not retain them at all.
+// order then the live run — the package's value-order contract — in a
+// fresh slice that is fn's to change and keep. An error from fn stops
+// the iteration and is returned; I/O and decode errors reading spilled
+// runs are returned likewise.
 func (p Partition[K, V]) ForEachGroup(fn func(k K, vs []V) error) error {
 	return p.forEachValues(false, fn)
 }
 
-// ForEachGroupBatch is ForEachGroup under the batch arena-reuse
-// contract: the value slice passed to fn is valid only during the
-// call — spilled groups are decoded into one scratch slice that the
-// next group reuses, so a full partition streams with one value-section
-// read and one batch decode per group and run, and near-zero per-group
-// allocation. fn must not retain the slice (copy it to keep
-// it). Callers that retain values use ForEachGroup, whose slices stay
-// stable after the call — the two are otherwise identical, key order
-// and value-order contract included.
+// ForEachGroupBatch is ForEachGroup with one scratch value slice that
+// every group reuses, so a partition streams with near-zero per-group
+// allocation: fn may change the slice but must not keep it.
 func (p Partition[K, V]) ForEachGroupBatch(fn func(k K, vs []V) error) error {
 	return p.forEachValues(true, fn)
-}
-
-// ForEachGroupCount is ForEachGroup's counting mode: it streams every
-// group's key and size in sorted key order by merging the spilled
-// runs' resident indexes with the in-memory runs — run files are never
-// opened, so the pass is pure memory. This is the cheap pass for load
-// profiling and overflow diagnosis.
-func (p Partition[K, V]) ForEachGroupCount(fn func(k K, count int) error) error {
-	return p.forEachCount(fn)
 }
 
 // Stats is the realized communication profile of the shuffle.
@@ -930,7 +914,7 @@ func (s *Shuffle[K, V]) Totals() Stats {
 		st.BytesSpilled += ps.bytesSpilled
 		st.IndexBytesSpilled += ps.indexBytes
 		st.MaxLivePairs = max(st.MaxLivePairs, ps.maxLivePairs)
-		if nruns := len(ps.runs) + len(ps.disk) + liveRun(ps.livePairs); nruns > 1 {
+		if nruns := len(ps.runs) + len(ps.disk) + min(ps.livePairs, 1); nruns > 1 {
 			st.RunsMerged += int64(nruns)
 		}
 	}
@@ -952,16 +936,9 @@ func (s *Shuffle[K, V]) computeStats() (Stats, error) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			ps := &s.parts[p]
-			if len(ps.runs) == 0 && !ps.spilledToDisk {
-				for _, vs := range ps.live {
-					profiles[p].Add(len(vs))
-				}
-				return
-			}
-			// Spilled partitions merge their resident run indexes with
-			// the in-memory runs: a pure in-memory pass.
-			errs[p] = s.Partition(p).forEachCount(func(_ K, count int) error {
+			// Spilled runs count from their resident indexes, so the
+			// pass is pure memory.
+			errs[p] = s.Partition(p).ForEachGroupCount(func(_ K, count int) error {
 				profiles[p].Add(count)
 				return nil
 			})
@@ -1020,12 +997,4 @@ func log2Bucket(n int) int {
 		return 0
 	}
 	return bits.Len64(uint64(n)) - 1
-}
-
-// liveRun is 1 when a partition's live buffer holds pairs, else 0.
-func liveRun(livePairs int) int {
-	if livePairs > 0 {
-		return 1
-	}
-	return 0
 }

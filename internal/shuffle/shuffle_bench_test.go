@@ -2,6 +2,8 @@ package shuffle
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"unsafe"
@@ -615,4 +617,88 @@ func benchKeyPlan[K comparable](b *testing.B, name string, key func(i int) K) {
 			h.push(c)
 		}
 	})
+}
+
+// sealEntry is the matmul round-1 value: one matrix entry.
+type sealEntry struct {
+	Mat      int8
+	Row, Col int
+	Val      float64
+}
+
+// BenchmarkSeal times one partition's absorb and seal path alone, on
+// the partition-0 share (of 8) of two benchmark workloads' round-1
+// streams, absorbed in 1 024-pair blocks into a shuffle that seals to
+// its spool:
+//   - hamming: Hamming Splitting at b = 18, c = 3 over a shuffled
+//     input, struct keys, 2 048-pair seals of about 1 100 keys each;
+//   - matmul: the two-phase multiply at n = 256, s = t = 16, int keys,
+//     32-byte values, 16 384-pair seals.
+//
+// It reports ns/pair and allocs/seal (scripts/benchcmp holds the
+// latter under a ceiling).
+func BenchmarkSeal(b *testing.B) {
+	b.Run("hamming", func(b *testing.B) {
+		const bits, c, w = 18, 3, 6
+		var stream []Pair[splitKey, uint64]
+		h := NewStableHasher[splitKey](0)
+		for _, x := range rand.New(rand.NewSource(1)).Perm(1 << bits) {
+			for g := 0; g < c; g++ {
+				lo := uint64(x) & (1<<(g*w) - 1)
+				k := splitKey{g, int(uint64(x)>>((g+1)*w)<<(g*w) | lo)}
+				if h.Hash(k)&7 == 0 {
+					stream = append(stream, Pair[splitKey, uint64]{k, uint64(x)})
+				}
+			}
+		}
+		benchSeal(b, stream, 2048)
+	})
+	b.Run("matmul", func(b *testing.B) {
+		const n, st, g = 256, 16, 16
+		var stream []Pair[int, sealEntry]
+		h := NewStableHasher[int](0)
+		for mat := int8(0); mat < 2; mat++ {
+			for i := 0; i < n*n; i++ {
+				e := sealEntry{mat, i / n, i % n, float64(i)}
+				for j := 0; j < g; j++ {
+					cell := ((e.Row/st)*g+j)*g + e.Col/st
+					if mat == 1 {
+						cell = (j*g+e.Col/st)*g + e.Row/st
+					}
+					if h.Hash(cell)&7 == 0 {
+						stream = append(stream, Pair[int, sealEntry]{cell, e})
+					}
+				}
+			}
+		}
+		benchSeal(b, stream, 16384)
+	})
+}
+
+func benchSeal[K comparable, V any](b *testing.B, stream []Pair[K, V], budget int) {
+	var mallocs, seals uint64
+	var m0, m1 runtime.MemStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := newTuned[K, V](Options{Partitions: 1, MaxBufferedPairs: budget, SpillDir: b.TempDir()}, tuning{compactors: -1})
+		st := &s.parts[0]
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		for lo := 0; lo < len(stream); lo += 1024 {
+			if err := st.absorb(s, stream[lo:min(lo+1024, len(stream))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		mallocs += m1.Mallocs - m0.Mallocs
+		seals += uint64(st.spillEvents)
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(stream)), "ns/pair")
+	b.ReportMetric(float64(mallocs)/float64(seals), "allocs/seal")
 }

@@ -30,6 +30,7 @@
 package shuffle
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -64,7 +65,7 @@ const maxDiskRunsPerPartition = 2 * maxDiskRunFanIn
 // either bound: distinct files (file descriptors) or total runs (read
 // buffers and merge width).
 func needsCompaction[K comparable](disk []diskRun[K]) bool {
-	return len(disk) >= maxDiskRunsPerPartition || diskFanIn(disk) >= maxDiskRunFanIn
+	return len(disk) >= maxDiskRunsPerPartition || len(disk) >= maxDiskRunFanIn && diskFanIn(disk) >= maxDiskRunFanIn
 }
 
 // diskFanIn is the number of distinct files behind a partition's disk
@@ -167,7 +168,7 @@ func (c countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // GroupEncoder is the one typed group encoder: every key group the
-// shuffle writes — a sealed run's (writeGroups, whatever spool or
+// shuffle writes — a sealed run's (GroupEncoder.run, whatever spool or
 // seal sink the writer sits on) or a compacted one — is framed here,
 // through two scratch buffers reused across groups, and so is every
 // run image internal/proc writes outside a shuffle (its input image
@@ -192,32 +193,30 @@ func (e *GroupEncoder[K, V]) begin(w *runfile.Writer, k K, n int) error {
 	return w.BeginGroup(e.kbuf, n)
 }
 
-// Group writes k's whole group, encoding each value. Groups must come
-// in K's canonical order (SortKeys) for the image to be adoptable; an
-// error that is not w's own (runfile.Writer.Err) is an encoding failure.
+// Group writes k's whole group. Its values are framed into one buffer —
+// each its length, then its encoding, as Writer.AppendValue frames one —
+// and handed to the writer as one raw section. Groups must come in K's
+// canonical order (SortKeys) for the image to be adoptable; an error
+// that is not w's own (runfile.Writer.Err) is an encoding failure.
 func (e *GroupEncoder[K, V]) Group(w *runfile.Writer, k K, vs []V) error {
 	if err := e.begin(w, k, len(vs)); err != nil {
 		return err
 	}
+	e.vbuf = e.vbuf[:0]
 	for _, v := range vs {
 		var err error
-		if e.vbuf, err = e.vc.Append(e.vbuf[:0], v); err != nil {
+		if e.kbuf, err = e.vc.Append(e.kbuf[:0], v); err != nil {
 			return fmt.Errorf("shuffle: encoding value: %w", err)
 		}
-		if err := w.AppendValue(e.vbuf); err != nil {
-			return err
-		}
+		e.vbuf = append(binary.AppendUvarint(e.vbuf, uint64(len(e.kbuf))), e.kbuf...)
 	}
-	return nil
+	return w.AppendRawBytes(e.vbuf, len(vs))
 }
 
-// writeGroups encodes one sorted run — keys in canonical order, groups
-// from the map — onto an already-open writer. An error that is not the
-// writer's own (runfile.Writer.Err) is an encoding failure.
-func writeGroups[K comparable, V any](w *runfile.Writer, keys []K, groups map[K][]V) error {
-	var enc GroupEncoder[K, V]
-	for _, k := range keys {
-		if err := enc.Group(w, k, groups[k]); err != nil {
+// run writes a sorted run's groups, in its key order.
+func (e *GroupEncoder[K, V]) run(w *runfile.Writer, r *memRun[K, V]) error {
+	for g, k := range r.keys {
+		if err := e.Group(w, k, r.group(g)); err != nil {
 			return err
 		}
 	}
@@ -544,19 +543,20 @@ func (s *Shuffle[K, V]) Close() error {
 	return first
 }
 
-// groupCursor walks one run's groups in canonical key order: an
-// in-memory map run over its sorted key slice, or a spilled run driven
-// by its resident index — with the run's read surface attached only
-// when values are being read.
+// groupCursor walks one run's groups in canonical key order: groups
+// [pos, end) of an in-memory run, or a spilled run driven by its
+// resident index — with the run's read surface attached only when
+// values are being read.
 type groupCursor[K comparable, V any] struct {
 	// w is the current key's normalized form when K has one
 	// (cursorHeap.advance fills it): what the merge heap compares.
 	w      [2]uint64
 	runIdx int // seal order; the live run is last
 
-	// in-memory source
-	mem     map[K][]V
-	memKeys []K
+	// in-memory source, and its current group's values
+	mem     *memRun[K, V]
+	end     int
+	memVals []V
 
 	// spilled source: the resident index drives keys, counts and value
 	// section locations; the view (zero on the counting path) supplies
@@ -580,11 +580,11 @@ type groupCursor[K comparable, V any] struct {
 // file is touched only when values are asked for.
 func (c *groupCursor[K, V]) next() bool {
 	if c.mem != nil {
-		if c.pos >= len(c.memKeys) {
+		if c.pos >= c.end {
 			return false
 		}
-		c.key = c.memKeys[c.pos]
-		c.count = len(c.mem[c.key])
+		c.key, c.memVals = c.mem.keys[c.pos], c.mem.group(c.pos)
+		c.count = len(c.memVals)
 	} else {
 		if c.pos >= len(c.idx) {
 			return false
@@ -626,7 +626,7 @@ func (c *groupCursor[K, V]) loadSection() error {
 // (runfile.DecodeBatch) straight onto dst — no per-cursor copy.
 func (c *groupCursor[K, V]) appendValues(dst []V) ([]V, error) {
 	if c.mem != nil {
-		return append(dst, c.mem[c.key]...), nil
+		return append(dst, c.memVals...), nil
 	}
 	if err := c.loadSection(); err != nil {
 		return dst, err
@@ -730,23 +730,34 @@ func (h *cursorHeap[K, V]) pop() *groupCursor[K, V] {
 	return top
 }
 
-// memRun is one in-memory run with its keys sorted for the merge.
-type memRun[K comparable, V any] struct {
-	groups map[K][]V
-	keys   []K
+// memRuns returns the partition's in-memory runs in seal order: sealed
+// runs, then the live run's chunks, the arena sorted into the last and
+// dropped (reads come after ingestion; a later absorb regrows it).
+func (st *partitionState[K, V]) memRuns() []*memRun[K, V] {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.chunk()
+	st.live = nil
+	return append(st.runs[:len(st.runs):len(st.runs)], st.chunks...)
 }
 
-// memRuns returns the partition's in-memory runs in seal order — sealed
-// runs, then the live run — each with its keys sorted.
-func (st *partitionState[K, V]) memRuns() []memRun[K, V] {
-	runs := make([]memRun[K, V], 0, len(st.runs)+1)
-	for _, run := range st.runs {
-		runs = append(runs, memRun[K, V]{run, sortedMapKeys(run)})
+// mergeRuns merges sorted runs into one, a key's values concatenated in
+// run order.
+func mergeRuns[K comparable, V any](runs []*memRun[K, V]) *memRun[K, V] {
+	if len(runs) == 1 {
+		return runs[0]
 	}
-	if len(st.live) > 0 {
-		runs = append(runs, memRun[K, V]{st.live, sortedMapKeys(st.live)})
-	}
-	return runs
+	out := new(memRun[K, V])
+	cmp := orderOf[K]()
+	mergeCursors(rangeCursors(nil, nil, nil, runs, cmp, KeyRange[K]{}), cmp, func(k K, srcs []*groupCursor[K, V]) error {
+		out.keys = append(out.keys, k)
+		for _, c := range srcs {
+			out.vals = append(out.vals, c.memVals...)
+		}
+		out.ends = append(out.ends, len(out.vals))
+		return nil
+	})
+	return out
 }
 
 // rangeCursors is the one place runs become merge cursors: one cursor
@@ -756,7 +767,7 @@ func (st *partitionState[K, V]) memRuns() []memRun[K, V] {
 // the whole run). views are the disk runs' opened read surfaces
 // (openRunViews); nil views build index-only cursors, the counting
 // pass, for which no file is ever opened.
-func rangeCursors[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K], views []runView, mem []memRun[K, V], cmp func(a, b K) int, r KeyRange[K]) []*groupCursor[K, V] {
+func rangeCursors[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K], views []runView, mem []*memRun[K, V], cmp func(a, b K) int, r KeyRange[K]) []*groupCursor[K, V] {
 	cursors := make([]*groupCursor[K, V], 0, len(disk)+len(mem))
 	for i, dr := range disk {
 		idx := dr.index
@@ -775,7 +786,7 @@ func rangeCursors[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K], view
 		if lo == hi {
 			continue
 		}
-		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(disk) + i, mem: run.groups, memKeys: run.keys[lo:hi]})
+		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(disk) + i, mem: run, pos: lo, end: hi})
 	}
 	return cursors
 }
@@ -825,17 +836,15 @@ func countGroups[K comparable, V any](fn func(k K, count int) error) func(K, []*
 }
 
 // readGroups is the merge's reduce consumer: fn receives each key's
-// values concatenated across its source runs in seal order. A group held
-// by a single in-memory run is passed as is (it aliases the run); any
-// other is decoded source by source into one slice — freshly allocated,
-// or with reuse set (the ForEachGroupBatch contract) a scratch slice
-// that every later group of this merge overwrites.
+// values concatenated across its source runs in seal order, copied or
+// decoded source by source into one slice — freshly allocated, or with
+// reuse set (the ForEachGroupBatch contract) a scratch slice that every
+// later group of this merge overwrites. A group held in memory is copied
+// too: fn may change its slice, and a retried reduce must find the
+// values the shuffle holds, not the ones a failed attempt left.
 func readGroups[K comparable, V any](reuse bool, fn func(k K, vs []V) error) func(K, []*groupCursor[K, V]) error {
 	var scratch []V
 	return func(k K, srcs []*groupCursor[K, V]) error {
-		if len(srcs) == 1 && srcs[0].mem != nil {
-			return fn(k, srcs[0].mem[k])
-		}
 		vs := scratch[:0]
 		if !reuse {
 			total := 0
@@ -857,11 +866,12 @@ func readGroups[K comparable, V any](reuse bool, fn func(k K, vs []V) error) fun
 	}
 }
 
-// forEachCount is the counting core behind Stats, ForEachGroupCount
-// and range planning: the merge over index-only
-// cursors and the in-memory runs. No run file is opened, no byte of
-// disk is read.
-func (p Partition[K, V]) forEachCount(fn func(k K, count int) error) error {
+// ForEachGroupCount is ForEachGroup's counting mode: it streams every
+// group's key and size in sorted key order by merging the spilled runs'
+// resident indexes with the in-memory runs — no run file is opened, no
+// byte of disk is read. It is the counting core behind Stats, range
+// planning and the engine's overflow diagnosis.
+func (p Partition[K, V]) ForEachGroupCount(fn func(k K, count int) error) error {
 	st := &p.s.parts[p.idx]
 	if p.s.closed && st.spilledToDisk {
 		return fmt.Errorf("shuffle: partition %d read after Close: spilled runs deleted", p.idx)
@@ -880,14 +890,4 @@ func (p Partition[K, V]) forEachValues(reuse bool, fn func(k K, vs []V) error) e
 	}
 	defer rr.Close()
 	return rr.ForEachGroupRange(KeyRange[K]{}, reuse, fn)
-}
-
-// sortedMapKeys returns m's keys in canonical SortKeys order.
-func sortedMapKeys[K comparable, V any](m map[K][]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	SortKeys(keys)
-	return keys
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/graphs"
 	"repro/internal/mr"
+	"repro/internal/relation"
 )
 
 // Matcher finds all embeddings of a fixed sample graph in a data graph
@@ -229,8 +230,17 @@ func CountEmbeddings(sample, data *graphs.Graph) int64 {
 }
 
 // Run executes the matcher over a data graph, returning all embeddings
-// (each exactly once) and the round metrics.
+// (each exactly once) and the round metrics. Embeddings travel as
+// relation.Tuple Keys: more than relation.MaxValue nodes is an error.
 func (m *Matcher) Run(data *graphs.Graph, cfg mr.Config) ([][]int, mr.Metrics, error) {
+	if data.N > relation.MaxValue {
+		return nil, mr.Metrics{}, fmt.Errorf("subgraph: data graph of %d nodes: at most %d fit an embedding", data.N, relation.MaxValue)
+	}
+	for _, e := range data.Edges {
+		if min(e.U, e.V) < 0 || max(e.U, e.V) >= data.N {
+			return nil, mr.Metrics{}, fmt.Errorf("subgraph: edge %v of a %d-node data graph", e, data.N)
+		}
+	}
 	// Reducers on different goroutines all query m.Sample, whose adjacency
 	// is built lazily on first use: build it before they can race on it.
 	m.Sample.Adj(0)
@@ -245,7 +255,7 @@ func (m *Matcher) Run(data *graphs.Graph, cfg mr.Config) ([][]int, mr.Metrics, e
 			local := graphs.New(data.N, edges)
 			for _, emb := range Embeddings(m.Sample, local) {
 				if m.cellOfEmbedding(emb) == cell {
-					emit(encodeEmbedding(emb))
+					emit(relation.Tuple(emb).Key())
 				}
 			}
 		},
@@ -257,26 +267,10 @@ func (m *Matcher) Run(data *graphs.Graph, cfg mr.Config) ([][]int, mr.Metrics, e
 	}
 	embs := make([][]int, len(outs))
 	for i, o := range outs {
-		embs[i] = decodeEmbedding(o)
+		embs[i] = relation.FromKey(o)
 	}
 	sort.Slice(embs, func(i, j int) bool { return lessIntSlice(embs[i], embs[j]) })
 	return embs, met, nil
-}
-
-func encodeEmbedding(emb []int) string {
-	b := make([]byte, 0, len(emb)*3)
-	for _, v := range emb {
-		b = append(b, byte(v>>16), byte(v>>8), byte(v))
-	}
-	return string(b)
-}
-
-func decodeEmbedding(s string) []int {
-	emb := make([]int, len(s)/3)
-	for i := range emb {
-		emb[i] = int(s[3*i])<<16 | int(s[3*i+1])<<8 | int(s[3*i+2])
-	}
-	return emb
 }
 
 func lessIntSlice(a, b []int) bool {

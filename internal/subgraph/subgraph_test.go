@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graphs"
 	"repro/internal/mr"
+	"repro/internal/relation"
 )
 
 func TestInAlonClassExamples(t *testing.T) {
@@ -291,7 +292,7 @@ func TestMatcherNoDuplicates(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for _, e := range embs {
-		k := encodeEmbedding(e)
+		k := relation.Tuple(e).Key()
 		if seen[k] {
 			t.Fatalf("embedding %v produced twice", e)
 		}
@@ -403,5 +404,25 @@ func TestInstanceCountTrianglesInCompleteGraph(t *testing.T) {
 	data := graphs.GNM(15, 45, rand.New(rand.NewSource(31)))
 	if got := InstanceCount(graphs.Cycle(3), data); got != data.TriangleCount() {
 		t.Errorf("InstanceCount = %d, TriangleCount = %d", got, data.TriangleCount())
+	}
+}
+
+// TestMatcherRefusesNodesItCannotPack pins that Run returns an error, not
+// wrong embeddings, for a node an embedding cannot hold: each node id is
+// packed into three bytes, so 2^24 would wrap to 0. A node outside the
+// graph, such as −1, is refused too.
+func TestMatcherRefusesNodesItCannotPack(t *testing.T) {
+	m, err := NewMatcher(graphs.Cycle(3), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tri := []graphs.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}}
+	for _, data := range []*graphs.Graph{
+		graphs.New(relation.MaxValue+1, append(tri, graphs.Edge{U: 1, V: relation.MaxValue})),
+		{N: 3, Edges: append(tri, graphs.Edge{U: -1, V: 2})},
+	} {
+		if embs, _, err := m.Run(data, mr.Config{}); err == nil {
+			t.Errorf("N=%d, edges %v: Run = %v, nil error; want an error", data.N, data.Edges, embs)
+		}
 	}
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # bench.sh — run the shuffle acceptance benchmarks (the streaming
-# ingest lanes, the reduce-merge decode and range-skew lanes, the
-# key-plan micro lanes and the multi-process round; whole jobs end to
+# ingest lanes, the one-partition absorb-and-seal lane, the reduce-merge
+# decode and range-skew lanes, the key-plan micro lanes and the
+# multi-process round; whole jobs end to
 # end are the repository benchmark, bench/) and emit the perf
 # trajectory artifacts:
 #
@@ -20,7 +21,7 @@
 #                       and enforces any -floor minimums and -ceil
 #                       maximums, e.g. allocs/op == 0 on the
 #                       BenchmarkKeyPlan hash, norm and merge-advance
-#                       lanes)
+#                       lanes, allocs/seal <= 8 on BenchmarkSeal)
 #
 # Usage: scripts/bench.sh [benchtime] [count]   (default 3x, 3)
 #
@@ -39,7 +40,7 @@ JSON=BENCH_shuffle.json
 
 # Write then cat (not a pipe to tee): POSIX sh has no pipefail, and a
 # failed benchmark must fail the script.
-go test -run '^$' -bench 'BenchmarkExternalShuffle|BenchmarkReduceMergeDecode|BenchmarkReduceRangeSkew' \
+go test -run '^$' -bench 'BenchmarkExternalShuffle|BenchmarkSeal|BenchmarkReduceMergeDecode|BenchmarkReduceRangeSkew' \
 	-benchtime "$BENCHTIME" -count "$COUNT" ./internal/shuffle > "$TXT" || {
 	status=$?
 	cat "$TXT"
