@@ -6,9 +6,6 @@ package bitstr
 
 import "math/bits"
 
-// MaxLen is the largest supported string length.
-const MaxLen = 63
-
 // Universe returns the number of bit strings of length b, i.e. 2^b.
 func Universe(b int) int {
 	return 1 << uint(b)
@@ -71,15 +68,6 @@ func RemoveSegments(x uint64, segMask uint64, c, b int) uint64 {
 		shift += seg
 	}
 	return out
-}
-
-// HalfWeights returns the weights of the left half (bits 0..b/2-1) and the
-// right half of x; b must be even. These index the cells of the
-// weight-partition algorithm of Section 3.4.
-func HalfWeights(x uint64, b int) (left, right int) {
-	half := b / 2
-	mask := uint64(1)<<uint(half) - 1
-	return bits.OnesCount64(x & mask), bits.OnesCount64(x >> uint(half))
 }
 
 // PieceWeights returns the weights of the d equal pieces of x (Section

@@ -86,15 +86,6 @@ func TestRemoveSegmentsMatchesSingle(t *testing.T) {
 	}
 }
 
-func TestHalfWeights(t *testing.T) {
-	// b=8: left = bits 0..3, right = bits 4..7.
-	x := uint64(0b1111_0101)
-	l, r := HalfWeights(x, 8)
-	if l != 2 || r != 4 {
-		t.Errorf("HalfWeights = (%d,%d), want (2,4)", l, r)
-	}
-}
-
 func TestPieceWeights(t *testing.T) {
 	x := uint64(0b111_000_101_011) // 4 pieces of 3 bits, b=12
 	ws := PieceWeights(x, 4, 12)
@@ -178,16 +169,16 @@ func TestPropertyRemoveSegmentCollapses(t *testing.T) {
 	}
 }
 
-// Property: distance-1 strings have half weights differing by exactly 1 in
-// exactly one half — the invariant behind the weight-partition algorithm.
+// Property: distance-1 strings have half weights (PieceWeights with two
+// pieces) differing by exactly 1 in exactly one half — the invariant
+// behind the weight-partition algorithm.
 func TestPropertyDistanceOneWeights(t *testing.T) {
 	f := func(xRaw uint16, bitRaw uint8) bool {
 		const b = 16
 		x := uint64(xRaw)
 		y := Flip(x, int(bitRaw)%b)
-		lx, rx := HalfWeights(x, b)
-		ly, ry := HalfWeights(y, b)
-		dl, dr := abs(lx-ly), abs(rx-ry)
+		wx, wy := PieceWeights(x, 2, b), PieceWeights(y, 2, b)
+		dl, dr := abs(wx[0]-wy[0]), abs(wx[1]-wy[1])
 		return (dl == 1 && dr == 0) || (dl == 0 && dr == 1)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -34,16 +34,6 @@ func (rc Recipe) LowerBound(q float64) float64 {
 	return r
 }
 
-// RawLowerBound is LowerBound without the clamp at 1, exposing the raw
-// formula q|O|/(g(q)|I|) (which for 2-paths drops below 1 at large q).
-func (rc Recipe) RawLowerBound(q float64) float64 {
-	g := rc.G(q)
-	if g <= 0 || rc.NumInputs <= 0 {
-		return math.Inf(1)
-	}
-	return q * rc.NumOutputs / (g * rc.NumInputs)
-}
-
 // GOverQMonotone verifies numerically that g(q)/q is monotonically
 // non-decreasing on [qlo, qhi], the side condition the recipe's replacement
 // trick requires. It samples steps+1 points geometrically spaced across the
@@ -65,21 +55,4 @@ func (rc Recipe) GOverQMonotone(qlo, qhi float64, steps int) bool {
 		prev = cur
 	}
 	return true
-}
-
-// CoveragePossible reports whether p reducers of size at most q can cover
-// all outputs according to g: it checks the necessary condition
-// p·g(q) ≥ |O| from Equation 1 of the paper.
-func (rc Recipe) CoveragePossible(p int, q float64) bool {
-	return float64(p)*rc.G(q) >= rc.NumOutputs
-}
-
-// MinReducers returns the least p for which p·g(q) ≥ |O| — a lower bound
-// on the number of reducers any valid schema with reducer size q must use.
-func (rc Recipe) MinReducers(q float64) int {
-	g := rc.G(q)
-	if g <= 0 {
-		return math.MaxInt
-	}
-	return int(math.Ceil(rc.NumOutputs / g))
 }

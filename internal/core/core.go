@@ -45,18 +45,6 @@ type MappingSchema interface {
 	Assign(in int) []int
 }
 
-// SchemaFunc adapts a function to the MappingSchema interface.
-type SchemaFunc struct {
-	Reducers int
-	Fn       func(in int) []int
-}
-
-// NumReducers implements MappingSchema.
-func (s SchemaFunc) NumReducers() int { return s.Reducers }
-
-// Assign implements MappingSchema.
-func (s SchemaFunc) Assign(in int) []int { return s.Fn(in) }
-
 // Stats summarizes a mapping schema as executed against a problem.
 type Stats struct {
 	NumInputs       int
@@ -182,44 +170,4 @@ func intersectSorted(a, b []int) []int {
 		}
 	}
 	return out
-}
-
-// CoverageCount returns, for each output index in enumeration order, the
-// number of reducers covering it. Useful for testing exactly-once
-// production rules: a schema may cover an output several times, and the
-// algorithm must then ensure only one reducer produces it.
-func CoverageCount(p Problem, s MappingSchema) []int {
-	assign := make([][]int, p.NumInputs())
-	for in := 0; in < p.NumInputs(); in++ {
-		rs := s.Assign(in)
-		cp := make([]int, len(rs))
-		copy(cp, rs)
-		sort.Ints(cp)
-		assign[in] = cp
-	}
-	var counts []int
-	p.ForEachOutput(func(inputs []int) bool {
-		if len(inputs) == 0 {
-			counts = append(counts, 0)
-			return true
-		}
-		cur := assign[inputs[0]]
-		for _, in := range inputs[1:] {
-			cur = intersectSorted(cur, assign[in])
-			if len(cur) == 0 {
-				break
-			}
-		}
-		counts = append(counts, len(cur))
-		return true
-	})
-	return counts
-}
-
-// SingleReducerSchema sends every input to one reducer. It is the trivial
-// schema with replication rate 1 and q = |I|; the paper uses it as the
-// low-parallelism endpoint of every tradeoff curve.
-func SingleReducerSchema() MappingSchema {
-	one := []int{0}
-	return SchemaFunc{Reducers: 1, Fn: func(int) []int { return one }}
 }

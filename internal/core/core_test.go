@@ -27,6 +27,19 @@ func (p allPairsProblem) ForEachOutput(fn func([]int) bool) {
 	}
 }
 
+// schemaFunc adapts a function to the MappingSchema interface.
+type schemaFunc struct {
+	reducers int
+	fn       func(in int) []int
+}
+
+func (s schemaFunc) NumReducers() int    { return s.reducers }
+func (s schemaFunc) Assign(in int) []int { return s.fn(in) }
+
+// singleReducer sends every input to one reducer: replication rate 1
+// and q = |I|.
+var singleReducer = schemaFunc{reducers: 1, fn: func(int) []int { return []int{0} }}
+
 // pairReducerSchema gives each pair of inputs its own reducer: q = 2,
 // replication rate n-1.
 func pairReducerSchema(n int) MappingSchema {
@@ -39,9 +52,9 @@ func pairReducerSchema(n int) MappingSchema {
 			k++
 		}
 	}
-	return SchemaFunc{
-		Reducers: k,
-		Fn: func(in int) []int {
+	return schemaFunc{
+		reducers: k,
+		fn: func(in int) []int {
 			var rs []int
 			for i := 0; i < n; i++ {
 				if i == in {
@@ -81,14 +94,14 @@ func TestValidateAccepts(t *testing.T) {
 	if err := Validate(p, pairReducerSchema(5), 2); err != nil {
 		t.Errorf("Validate(pair schema, q=2) = %v, want nil", err)
 	}
-	if err := Validate(p, SingleReducerSchema(), 5); err != nil {
+	if err := Validate(p, singleReducer, 5); err != nil {
 		t.Errorf("Validate(single reducer, q=n) = %v, want nil", err)
 	}
 }
 
 func TestValidateRejectsOversizedReducer(t *testing.T) {
 	p := allPairsProblem{n: 5}
-	err := Validate(p, SingleReducerSchema(), 4) // q < n: single reducer too big
+	err := Validate(p, singleReducer, 4) // q < n: single reducer too big
 	var ve *ValidationError
 	if !errors.As(err, &ve) {
 		t.Fatalf("Validate = %v, want ValidationError", err)
@@ -105,7 +118,7 @@ func TestValidateRejectsUncoveredOutput(t *testing.T) {
 	p := allPairsProblem{n: 4}
 	// Split inputs into two reducers {0,1} and {2,3}: the pair (0,2) is
 	// never co-located.
-	s := SchemaFunc{Reducers: 2, Fn: func(in int) []int { return []int{in / 2} }}
+	s := schemaFunc{reducers: 2, fn: func(in int) []int { return []int{in / 2} }}
 	err := Validate(p, s, 2)
 	var ve *ValidationError
 	if !errors.As(err, &ve) {
@@ -116,31 +129,6 @@ func TestValidateRejectsUncoveredOutput(t *testing.T) {
 	}
 	if ve.Error() == "" {
 		t.Error("empty error message")
-	}
-}
-
-func TestCoverageCount(t *testing.T) {
-	p := allPairsProblem{n: 4}
-	// Two overlapping reducers covering everything: {0,1,2,3} twice.
-	all := []int{0, 1}
-	s := SchemaFunc{Reducers: 2, Fn: func(int) []int { return all }}
-	counts := CoverageCount(p, s)
-	if len(counts) != p.NumOutputs() {
-		t.Fatalf("len(counts) = %d, want %d", len(counts), p.NumOutputs())
-	}
-	for i, c := range counts {
-		if c != 2 {
-			t.Errorf("output %d covered %d times, want 2", i, c)
-		}
-	}
-}
-
-func TestCoverageCountZeroForUncovered(t *testing.T) {
-	p := allPairsProblem{n: 2}
-	s := SchemaFunc{Reducers: 2, Fn: func(in int) []int { return []int{in} }}
-	counts := CoverageCount(p, s)
-	if len(counts) != 1 || counts[0] != 0 {
-		t.Errorf("counts = %v, want [0]", counts)
 	}
 }
 
@@ -195,9 +183,6 @@ func TestRecipeClampAtOne(t *testing.T) {
 		NumInputs:   n * n / 2,
 		NumOutputs:  n * n * n / 2,
 	}
-	if raw := rc.RawLowerBound(4 * n); raw >= 1 {
-		t.Errorf("RawLowerBound(4n) = %v, want < 1", raw)
-	}
 	if got := rc.LowerBound(4 * n); got != 1 {
 		t.Errorf("LowerBound(4n) = %v, want clamped to 1", got)
 	}
@@ -220,24 +205,6 @@ func TestRecipeDegenerate(t *testing.T) {
 	}
 	if rc.GOverQMonotone(1, 10, 0) {
 		t.Error("GOverQMonotone with steps=0 should be false")
-	}
-}
-
-func TestMinReducers(t *testing.T) {
-	rc := Recipe{
-		G:          func(q float64) float64 { return q * q / 2 },
-		NumInputs:  100,
-		NumOutputs: 1000,
-	}
-	// q=10: g=50, need ceil(1000/50)=20 reducers.
-	if got := rc.MinReducers(10); got != 20 {
-		t.Errorf("MinReducers(10) = %d, want 20", got)
-	}
-	if !rc.CoveragePossible(20, 10) {
-		t.Error("CoveragePossible(20, 10) = false, want true")
-	}
-	if rc.CoveragePossible(19, 10) {
-		t.Error("CoveragePossible(19, 10) = true, want false")
 	}
 }
 
@@ -296,7 +263,8 @@ func TestPropertyConservation(t *testing.T) {
 	}
 }
 
-// Property: LowerBound is never below 1 and RawLowerBound never exceeds it.
+// Property: LowerBound is never below 1 nor below the raw formula
+// q|O|/(g(q)|I|).
 func TestPropertyLowerBoundClamp(t *testing.T) {
 	rc := Recipe{
 		G:          func(q float64) float64 { return q * q },
@@ -306,7 +274,7 @@ func TestPropertyLowerBoundClamp(t *testing.T) {
 	f := func(qRaw uint16) bool {
 		q := float64(qRaw%1000) + 1
 		lb := rc.LowerBound(q)
-		raw := rc.RawLowerBound(q)
+		raw := q * rc.NumOutputs / (rc.G(q) * rc.NumInputs)
 		return lb >= 1 && raw <= lb+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {

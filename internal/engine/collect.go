@@ -105,8 +105,7 @@ func (c *Collector[K, O]) chunk(i int) []O {
 // order — in one allocation of the exact size. The sorted keys give
 // every key its destination offset; then workers goroutines copy the
 // keys' slices into place, each over a contiguous destination range.
-// Loads, when recorded, follow the same key order.
-func assemble[K comparable, O any](units []partResult[K, O], workers int, recordLoads bool, lane *obs.Ring) (outs []O, loads []int) {
+func assemble[K comparable, O any](units []partResult[K, O], workers int, lane *obs.Ring) (outs []O) {
 	nkeys, total := 0, 0
 	for u := range units {
 		nkeys += len(units[u].out.keys)
@@ -125,25 +124,14 @@ func assemble[K comparable, O any](units []partResult[K, O], workers int, record
 		rank[k] = i
 	}
 	srcs := make([][]O, nkeys)
-	if recordLoads {
-		loads = make([]int, nkeys)
-	}
 	for u := range units {
-		i := 0
-		units[u].out.ForEach(func(k K, os []O) {
-			r := rank[k]
-			srcs[r] = os
-			if recordLoads {
-				loads[r] = units[u].loads[i]
-			}
-			i++
-		})
+		units[u].out.ForEach(func(k K, os []O) { srcs[rank[k]] = os })
 	}
 	if total > 0 {
 		outs = make([]O, total)
 		fill(outs, srcs, workers)
 	}
-	return outs, loads
+	return outs
 }
 
 // fill copies srcs back to back into dst, which is exactly their total

@@ -79,19 +79,16 @@ func TestCollectorChunks(t *testing.T) {
 // reference — keys in SortKeys order, each key's outputs in emission
 // order — with keys emitting 0, 1, cap-1, cap, cap+1 and 3·cap+1
 // outputs, whole and range-split partitions, injected reduce failures
-// (the failed attempt's collected chunks must be dropped, not doubled)
-// and loads recorded in the same global order.
+// (the failed attempt's collected chunks must be dropped, not doubled).
 func TestAssembleMatchesReference(t *testing.T) {
 	cp := chunkCap[int64]()
 	sizes := []int{0, 1, cp - 1, cp, cp + 1, 3*cp + 1}
 	const nkeys = 24
 	var inputs []int
-	var wantLoads []int
 	for k := 0; k < nkeys; k++ {
 		for j := 0; j <= k%3; j++ {
 			inputs = append(inputs, k)
 		}
-		wantLoads = append(wantLoads, k%3+1)
 	}
 	reduce := func(k int, vs []int, emit func(int64)) {
 		for j := range sizes[k%len(sizes)] {
@@ -100,7 +97,7 @@ func TestAssembleMatchesReference(t *testing.T) {
 	}
 	var want []int64
 	for k := 0; k < nkeys; k++ {
-		reduce(k, make([]int, wantLoads[k]), func(o int64) { want = append(want, o) })
+		reduce(k, make([]int, k%3+1), func(o int64) { want = append(want, o) })
 	}
 
 	for _, tc := range []struct {
@@ -119,7 +116,6 @@ func TestAssembleMatchesReference(t *testing.T) {
 				Reduce: reduce,
 				Config: Config{
 					Plan:          Plan{Workers: 3, Partitions: 4, ReduceSplitPairs: tc.split},
-					RecordLoads:   true,
 					FailureEveryN: tc.failEvery,
 				},
 			}, inputs)
@@ -128,9 +124,6 @@ func TestAssembleMatchesReference(t *testing.T) {
 			}
 			if !slices.Equal(res.Outputs, want) || res.Metrics.Outputs != int64(len(want)) {
 				t.Fatalf("%d outputs (metric %d) differ from the %d-output reference", len(res.Outputs), res.Metrics.Outputs, len(want))
-			}
-			if !slices.Equal(res.Loads, wantLoads) {
-				t.Errorf("Loads = %v, want %v", res.Loads, wantLoads)
 			}
 			if (tc.split > 0) != (res.Metrics.ReduceRanges > 0) {
 				t.Errorf("ReduceRanges = %d with split target %d", res.Metrics.ReduceRanges, tc.split)

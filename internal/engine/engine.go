@@ -47,10 +47,6 @@ type Config struct {
 	// is reported.
 	SpillDir string
 
-	// RecordLoads asks for per-reducer input sizes in global sorted key
-	// order (Result.Loads).
-	RecordLoads bool
-
 	// FailureEveryN deterministically fails each task's first attempt
 	// whenever the task ordinal is divisible by FailureEveryN; failed
 	// tasks retry up to MaxRetries times (default 2 when injection is
@@ -213,9 +209,6 @@ type Result[K comparable, O any] struct {
 	// key. The slice is allocated once at its exact size and filled in
 	// parallel from the reduce units' collectors.
 	Outputs []O
-	// Loads, when Config.RecordLoads was set, are the reducers' input
-	// sizes in that same global key order.
-	Loads   []int
 	Metrics Metrics
 }
 
@@ -278,13 +271,6 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Re
 		}
 		if qerr := cfg.CheckReducerInput(st.MaxGroup); qerr != nil {
 			setProfile(&res.Metrics, st)
-			// The reduce phase never runs, but callers diagnosing which
-			// reducers blew the q limit still get the loads.
-			if cfg.RecordLoads {
-				if res.Loads, err = collectLoads(sh, int(st.Keys)); err != nil {
-					return res, err
-				}
-			}
 			res.Metrics.DiskBytesRead = sh.DiskBytesRead()
 			return res, fmt.Errorf("engine: round %q: %w", r.Name, qerr)
 		}
@@ -460,10 +446,9 @@ func runMapAttempt[I any, K comparable, V, O any](r Round[I, K, V, O], records [
 }
 
 // partResult is one reduced unit: its outputs per key, keys in sorted
-// order, its group profile, and with RecordLoads each key's input size.
+// order, and its group profile.
 type partResult[K comparable, O any] struct {
 	out    Collector[K, O]
-	loads  []int
 	groups shuffle.GroupProfile
 }
 
@@ -667,36 +652,9 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 	}
 	setProfile(&res.Metrics, st)
 
-	res.Outputs, res.Loads = assemble(results, workers, cfg.RecordLoads, cfg.Recorder.Lane(obs.LaneRound, 0))
+	res.Outputs = assemble(results, workers, cfg.Recorder.Lane(obs.LaneRound, 0))
 	res.Metrics.Outputs = int64(len(res.Outputs))
 	return res, nil
-}
-
-// collectLoads gathers every key's input size in global sorted key
-// order directly from the shuffle, for failure paths that never reach
-// the reduce phase. It reuses the counting pass's in-memory index
-// merge (ForEachGroupCount), so diagnosing an overflow costs zero
-// run-file reads — the round's spilled data is never scanned a second
-// time just to report which reducers blew the limit.
-func collectLoads[K comparable, V any](sh *shuffle.Shuffle[K, V], totalKeys int) ([]int, error) {
-	allKeys := make([]K, 0, totalKeys)
-	sizes := make(map[K]int, totalKeys)
-	for p := 0; p < sh.NumPartitions(); p++ {
-		err := sh.Partition(p).ForEachGroupCount(func(k K, count int) error {
-			allKeys = append(allKeys, k)
-			sizes[k] = count
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	shuffle.SortKeys(allKeys)
-	loads := make([]int, len(allKeys))
-	for i, k := range allKeys {
-		loads[i] = sizes[k]
-	}
-	return loads, nil
 }
 
 // attemptReduce runs one attempt of a reduce unit — the key range kr of
@@ -722,9 +680,6 @@ func attemptReduce[I any, K comparable, V, O any](r Round[I, K, V, O], rr *shuff
 		reduce(k, vs, emit)
 		pr.out.EndKey(k)
 		pr.groups.Add(len(vs))
-		if r.Config.RecordLoads {
-			pr.loads = append(pr.loads, len(vs))
-		}
 		return nil
 	})
 	if err != nil {

@@ -151,18 +151,6 @@ func TestOverflowSingleKeyAloneInPartition(t *testing.T) {
 	if _, err := Run(r, inputs); err != nil {
 		t.Fatalf("at limit: %v", err)
 	}
-
-	// With RecordLoads, the failure still reports the reducers' loads in
-	// key order (key 0 blew the limit) even though reduce never ran.
-	r.Config.MaxReducerInput = 3
-	r.Config.RecordLoads = true
-	res, err = Run(r, inputs)
-	if !errors.Is(err, ErrReducerOverflow) {
-		t.Fatalf("err = %v", err)
-	}
-	if !reflect.DeepEqual(res.Loads, []int{4, 1}) {
-		t.Errorf("at-failure loads = %v, want [4 1]", res.Loads)
-	}
 }
 
 func TestFaultInjectionThroughPartitionedExecutor(t *testing.T) {
@@ -256,21 +244,6 @@ func TestCombinerShrinksShuffle(t *testing.T) {
 	}
 	if res.Metrics.PairsShuffled >= 200 || res.Metrics.PairsShuffled < 1 {
 		t.Errorf("PairsShuffled = %d, want a handful of partials", res.Metrics.PairsShuffled)
-	}
-}
-
-func TestRecordLoads(t *testing.T) {
-	res, err := Run(wordCountRound(Config{RecordLoads: true}),
-		[]string{"b a a", "c b a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Loads follow the outputs' global key order.
-	if !reflect.DeepEqual(res.Outputs, []string{"a=3", "b=2", "c=1"}) {
-		t.Errorf("Outputs = %v, want [a=3 b=2 c=1]", res.Outputs)
-	}
-	if !reflect.DeepEqual(res.Loads, []int{3, 2, 1}) {
-		t.Errorf("Loads = %v, want [3 2 1]", res.Loads)
 	}
 }
 
@@ -407,16 +380,15 @@ func TestSpillDirWithoutBudgetRejected(t *testing.T) {
 
 func TestDiskSpillOverflowPathRecordsLoads(t *testing.T) {
 	// MaxReducerInput enforcement reads group sizes from the counting
-	// pass over spilled runs; RecordLoads must survive that path.
+	// pass over spilled runs; the failed round's metrics keep them.
 	r := Round[int, int, int, int]{
 		Name:        "spill-overflow",
 		Map:         func(x int, emit func(int, int)) { emit(x%3, x) },
 		Reduce:      func(k int, vs []int, emit func(int)) { emit(len(vs)) },
 		Partitioner: func(k int) int { return k },
 		Config: Config{
-			Plan:        Plan{Partitions: 4, MaxReducerInput: 10, MemoryBudget: 4},
-			SpillDir:    t.TempDir(),
-			RecordLoads: true,
+			Plan:     Plan{Partitions: 4, MaxReducerInput: 10, MemoryBudget: 4},
+			SpillDir: t.TempDir(),
 		},
 	}
 	inputs := make([]int, 36) // keys 0,1,2 get 12 values each, limit 10
@@ -427,8 +399,9 @@ func TestDiskSpillOverflowPathRecordsLoads(t *testing.T) {
 	if !errors.Is(err, ErrReducerOverflow) {
 		t.Fatalf("err = %v, want ErrReducerOverflow", err)
 	}
-	if !reflect.DeepEqual(res.Loads, []int{12, 12, 12}) {
-		t.Errorf("loads at failure = %v, want [12 12 12]", res.Loads)
+	if m := res.Metrics; m.Reducers != 3 || m.MaxReducerInput != 12 || m.TotalReducerInput != 36 {
+		t.Errorf("profile at failure: %d reducers, max %d, total %d; want 3, 12, 36",
+			m.Reducers, m.MaxReducerInput, m.TotalReducerInput)
 	}
 	if res.Metrics.BytesSpilled == 0 {
 		t.Error("expected disk spills before the overflow was detected")
@@ -447,16 +420,15 @@ func TestEmptyInput(t *testing.T) {
 
 func TestOverflowDiagnosisIsMemoryOnly(t *testing.T) {
 	// A spilled round that blows the q limit must diagnose the overflow
-	// (the loads) without re-reading the spilled runs: Stats and
-	// collectLoads both merge the resident run indexes in memory.
+	// (the group profile) without re-reading the spilled runs: Stats
+	// merges the resident run indexes in memory.
 	docs := make([]string, 40)
 	for i := range docs {
 		docs[i] = "hot a b"
 	}
 	res, err := Run(wordCountRound(Config{
-		Plan:        Plan{Partitions: 2, MemoryBudget: 8, MaxReducerInput: 10},
-		SpillDir:    t.TempDir(),
-		RecordLoads: true,
+		Plan:     Plan{Partitions: 2, MemoryBudget: 8, MaxReducerInput: 10},
+		SpillDir: t.TempDir(),
 	}), docs)
 	if !errors.Is(err, ErrReducerOverflow) {
 		t.Fatalf("err = %v, want ErrReducerOverflow", err)
@@ -468,8 +440,8 @@ func TestOverflowDiagnosisIsMemoryOnly(t *testing.T) {
 		t.Errorf("overflow diagnosis read %d bytes from disk, want 0 (index merge only)",
 			res.Metrics.DiskBytesRead)
 	}
-	if !reflect.DeepEqual(res.Loads, []int{40, 40, 40}) {
-		t.Fatalf("diagnosis loads = %v, want [40 40 40] for keys a, b, hot", res.Loads)
+	if m := res.Metrics; m.Reducers != 3 || m.MaxReducerInput != 40 {
+		t.Fatalf("diagnosis: %d reducers, max input %d; want 3 keys (a, b, hot) of 40", m.Reducers, m.MaxReducerInput)
 	}
 }
 

@@ -93,7 +93,7 @@ func TestLemma31BruteForce(t *testing.T) {
 			maxQ = bitstr.Universe(b)
 		}
 		for q := 1; q <= maxQ; q++ {
-			got := MaxPairsBruteForce(b, q)
+			got := MaxPairsBruteForceD(b, q, 1)
 			bound := MaxCoverable(float64(q))
 			if float64(got) > bound+1e-9 {
 				t.Errorf("b=%d q=%d: %d pairs exceed Lemma 3.1 bound %.3f", b, q, got, bound)

@@ -115,38 +115,10 @@ func MaxCoverable(q float64) float64 {
 	return q / 2 * math.Log2(q)
 }
 
-// MaxPairsBruteForce computes, by exhaustive search over all q-subsets of
-// the 2^b strings, the true maximum number of distance-1 pairs within a set
-// of q strings. It is exponential and intended only for verifying
-// Lemma 3.1 on tiny instances (b ≤ 4, q ≤ 8).
-func MaxPairsBruteForce(b, q int) int {
-	n := bitstr.Universe(b)
-	best := 0
-	bitstr.ChooseSets(n, q, func(mask uint64) {
-		var members []uint64
-		for x := 0; x < n; x++ {
-			if mask&(1<<uint(x)) != 0 {
-				members = append(members, uint64(x))
-			}
-		}
-		pairs := 0
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				if bitstr.Distance(members[i], members[j]) == 1 {
-					pairs++
-				}
-			}
-		}
-		if pairs > best {
-			best = pairs
-		}
-	})
-	return best
-}
-
-// MaxPairsBruteForceD generalizes MaxPairsBruteForce to Hamming distance
-// at most d: the true maximum number of distance-≤d pairs within any q
-// strings of length b. Section 3.6 observes that for d = 2 this quantity
+// MaxPairsBruteForceD computes, by exhaustive search over all q-subsets
+// of the 2^b strings, the true maximum number of pairs at Hamming
+// distance at most d within a set of q strings: at d = 1 it verifies
+// Lemma 3.1 on tiny instances (b ≤ 4, q ≤ 8). Section 3.6 observes that for d = 2 this quantity
 // is Ω(q²) at small q (witnessed by the Ball-2 reducer: a center plus its
 // b neighbors contain C(b,2)+b pairs within distance 2), which is what
 // blocks the distance-1 lower-bound technique. Exponential; tiny b and q

@@ -155,9 +155,6 @@ func NewSplittingDSchema(b, c, d int) (*SplittingDSchema, error) {
 	return s, nil
 }
 
-// Replication is the exact replication rate C(c,d).
-func (s *SplittingDSchema) Replication() int { return len(s.masks) }
-
 // ReducerSize is the number of strings sharing one key: 2^{d·b/c}.
 func (s *SplittingDSchema) ReducerSize() int {
 	return bitstr.Universe(s.D * s.B / s.C)

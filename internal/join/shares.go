@@ -79,19 +79,6 @@ func (s *Shares) PredictedCommunication() int64 {
 	return total
 }
 
-// PredictedReplicationRate is PredictedCommunication divided by the total
-// input size.
-func (s *Shares) PredictedReplicationRate() float64 {
-	var inputs int64
-	for _, r := range s.Query {
-		inputs += int64(r.Size())
-	}
-	if inputs == 0 {
-		return 0
-	}
-	return float64(s.PredictedCommunication()) / float64(inputs)
-}
-
 // cellsForTuple enumerates the cell ids receiving a tuple of relation rel.
 func (s *Shares) cellsForTuple(rel int, t relation.Tuple) []int {
 	fixed := make(map[int]int) // var index -> coordinate
@@ -233,17 +220,6 @@ func OptimizeShares(query []*relation.Relation, p int) (*Shares, error) {
 		return nil, fmt.Errorf("join: no feasible share vector at p = %d", 1<<uint(logP))
 	}
 	return best, nil
-}
-
-// ShareByName returns the share assigned to the named attribute (for
-// reporting), or 0 if absent.
-func (s *Shares) ShareByName(attr string) int {
-	for i, a := range s.H.Vars {
-		if a == attr {
-			return s.Share[i]
-		}
-	}
-	return 0
 }
 
 // Describe renders the share vector sorted by attribute name.

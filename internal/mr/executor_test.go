@@ -37,18 +37,6 @@ func TestOverflowWhenKeyIsAloneInItsPartition(t *testing.T) {
 		t.Errorf("metrics at failure: %+v", met)
 	}
 
-	// RecordLoads survives the overflow path (the seed runtime also
-	// reported per-reducer loads on a failed run).
-	job.Config.RecordLoads = true
-	_, met, err = job.Run(inputs)
-	if !errors.Is(err, ErrReducerOverflow) {
-		t.Fatalf("err = %v", err)
-	}
-	if !reflect.DeepEqual(met.ReducerLoads, []int{4, 1}) {
-		t.Errorf("ReducerLoads at failure = %v, want [4 1]", met.ReducerLoads)
-	}
-	job.Config.RecordLoads = false
-
 	// At the limit exactly the run succeeds and outputs stay sorted.
 	job.Config.MaxReducerInput = 4
 	out, _, err := job.Run(inputs)
@@ -311,9 +299,9 @@ func TestRunPipelineThreeRounds(t *testing.T) {
 	if pipe.Rounds[1].Name != "count" {
 		t.Errorf("round order: %v", pipe.Rounds)
 	}
-	if pipe.TotalCommunication() != pipe.Rounds[0].Metrics.PairsShuffled+
-		pipe.Rounds[1].Metrics.PairsShuffled+pipe.Rounds[2].Metrics.PairsShuffled {
-		t.Error("TotalCommunication does not sum all three rounds")
+	if pipe.TotalPairsEmitted() != pipe.Rounds[0].Metrics.PairsEmitted+
+		pipe.Rounds[1].Metrics.PairsEmitted+pipe.Rounds[2].Metrics.PairsEmitted {
+		t.Error("TotalPairsEmitted does not sum all three rounds")
 	}
 }
 

@@ -45,12 +45,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Pair is a single key-value pair emitted by a map task.
-type Pair[K comparable, V any] struct {
-	Key   K
-	Value V
-}
-
 // MapFunc transforms one input record into zero or more key-value pairs.
 // It must be deterministic and side-effect free: the engine may re-execute
 // it when fault injection is enabled.
@@ -118,11 +112,6 @@ type Config struct {
 	// size limit q at runtime.
 	MaxReducerInput int
 
-	// RecordLoads, when true, stores every reducer's input size in
-	// Metrics.ReducerLoads (in sorted key order), for downstream
-	// scheduling and cost simulation.
-	RecordLoads bool
-
 	// FailureEveryN, when positive, deterministically fails each task's
 	// first attempt whenever the task index is divisible by FailureEveryN.
 	// Failed tasks are retried up to MaxRetries times. This exercises the
@@ -155,12 +144,11 @@ type Config struct {
 	// residency obeys the same bound the in-process engine proves
 	// (Metrics.PeakResidentPairs reports the worst attempt), and the
 	// spool files ARE the spill. The in-process-only settings SpillDir,
-	// RecordLoads, FailureEveryN and MaxRetries are a configuration
-	// error here. Outputs are identical either way.
+	// FailureEveryN and MaxRetries are a configuration error here. The
+	// run has no deadline, as in process: lease expiry fences a dead or
+	// silent worker and a task gets a bounded number of attempts.
+	// Outputs are identical either way.
 	ProcMode bool
-	// ProcWorkerCommand is the argv spawned per worker process in
-	// ProcMode. Empty re-executes the current binary.
-	ProcWorkerCommand []string
 	// ProcDir is the ProcMode scratch directory (spools, manifests,
 	// socket). Empty uses a private temp dir removed after the run.
 	ProcDir string
@@ -218,9 +206,6 @@ type Metrics struct {
 	// SalvagedTasks counts ProcMode map tasks whose committed output
 	// was adopted from a dead worker's manifest instead of re-executed.
 	SalvagedTasks int64
-	// ReducerLoads, when Config.RecordLoads was set, holds every
-	// reducer's input size in sorted key order.
-	ReducerLoads []int
 
 	// Partitions is the per-partition profile of the real exchange: the
 	// pairs, distinct keys, largest key group, and assigned reduce
@@ -435,7 +420,6 @@ func (j *Job[I, K, V, O]) runEngine(inputs []I) ([]O, Metrics, error) {
 		Config: engine.Config{
 			Plan:          j.Config.plan(),
 			SpillDir:      j.Config.SpillDir,
-			RecordLoads:   j.Config.RecordLoads,
 			FailureEveryN: j.Config.FailureEveryN,
 			MaxRetries:    j.Config.MaxRetries,
 		},
@@ -459,7 +443,6 @@ func (j *Job[I, K, V, O]) runEngine(inputs []I) ([]O, Metrics, error) {
 		MapRetries:        res.Metrics.MapRetries,
 		ReduceRetries:     res.Metrics.ReduceRetries,
 		TaskRetries:       res.Metrics.MapRetries + res.Metrics.ReduceRetries,
-		ReducerLoads:      res.Loads,
 		Partitions:        res.Metrics.Partitions,
 		Makespan:          res.Metrics.Makespan,
 		IdealMakespan:     res.Metrics.IdealMakespan,

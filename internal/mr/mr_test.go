@@ -13,6 +13,12 @@ import (
 	"repro/internal/shuffle"
 )
 
+// Pair is the tests' key-value record for multi-round jobs.
+type Pair[K comparable, V any] struct {
+	Key   K
+	Value V
+}
+
 // wordCountJob is the canonical word-count example used throughout the
 // tests; the paper uses it in Example 2.5 to illustrate replication rate 1.
 func wordCountJob(cfg Config) *Job[string, string, int, string] {
@@ -264,9 +270,9 @@ func TestChainTwoRounds(t *testing.T) {
 			emit(w + ":" + itoa(total))
 		},
 	}
-	out, pipe, err := Chain(round1, round2, []string{"a b a", "b b c"})
+	out, pipe, err := RunPipeline([]string{"a b a", "b b c"}, RoundOf(round1), RoundOf(round2))
 	if err != nil {
-		t.Fatalf("Chain: %v", err)
+		t.Fatalf("RunPipeline: %v", err)
 	}
 	want := []string{"a:2", "b:3", "c:1"}
 	if !reflect.DeepEqual(out, want) {
@@ -275,11 +281,8 @@ func TestChainTwoRounds(t *testing.T) {
 	if len(pipe.Rounds) != 2 {
 		t.Fatalf("Rounds = %d, want 2", len(pipe.Rounds))
 	}
-	if pipe.TotalCommunication() != pipe.Rounds[0].Metrics.PairsShuffled+pipe.Rounds[1].Metrics.PairsShuffled {
-		t.Errorf("TotalCommunication mismatch")
-	}
-	if pipe.MaxReducerInput() < 1 {
-		t.Errorf("MaxReducerInput = %d, want >= 1", pipe.MaxReducerInput())
+	if pipe.TotalPairsEmitted() != pipe.Rounds[0].Metrics.PairsEmitted+pipe.Rounds[1].Metrics.PairsEmitted {
+		t.Errorf("TotalPairsEmitted mismatch")
 	}
 }
 
@@ -394,9 +397,6 @@ func TestMetricsPublishTo(t *testing.T) {
 	}
 	// Histogram: 4 groups per round, 8 after two publishes; values 1, 2,
 	// 2, 16 land at le="1"→1, le="2"→3, le="16"→4 cumulatively per round.
-	if got := reg.Histogram("mr_reducer_input_size", "", 32).Count(); got != 8 {
-		t.Errorf("mr_reducer_input_size count = %d, want 8", got)
-	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatalf("WritePrometheus: %v", err)
@@ -582,7 +582,7 @@ func TestReducerOverflowWithCombiner(t *testing.T) {
 
 func TestPipelineEmptyTotal(t *testing.T) {
 	p := &Pipeline{}
-	if p.TotalCommunication() != 0 || p.MaxReducerInput() != 0 || p.TotalPairsEmitted() != 0 {
+	if p.TotalPairsEmitted() != 0 {
 		t.Error("empty pipeline should report zeros")
 	}
 }
@@ -599,41 +599,11 @@ func TestChainPropagatesFirstRoundError(t *testing.T) {
 		Map:    func(x int, emit func(int, int)) { emit(x, x) },
 		Reduce: func(k int, _ []int, emit func(int)) { emit(k) },
 	}
-	_, pipe, err := Chain(bad, second, []int{1, 2, 3})
+	_, pipe, err := RunPipeline([]int{1, 2, 3}, RoundOf(bad), RoundOf(second))
 	if !errors.Is(err, ErrReducerOverflow) {
 		t.Fatalf("err = %v, want ErrReducerOverflow", err)
 	}
 	if len(pipe.Rounds) != 0 {
 		t.Errorf("failed first round must not be recorded, got %d rounds", len(pipe.Rounds))
-	}
-}
-
-func TestRecordLoads(t *testing.T) {
-	out, met, err := wordCountJob(Config{RecordLoads: true}).Run([]string{"a a b", "b c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("outputs = %v", out)
-	}
-	// Keys sorted a, b, c with loads 2, 2, 1.
-	want := []int{2, 2, 1}
-	if !reflect.DeepEqual(met.ReducerLoads, want) {
-		t.Errorf("ReducerLoads = %v, want %v", met.ReducerLoads, want)
-	}
-	var sum int64
-	for _, l := range met.ReducerLoads {
-		sum += int64(l)
-	}
-	if sum != met.TotalReducerInput {
-		t.Errorf("loads sum %d != TotalReducerInput %d", sum, met.TotalReducerInput)
-	}
-	// Off by default.
-	_, met2, err := wordCountJob(Config{}).Run([]string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met2.ReducerLoads != nil {
-		t.Error("ReducerLoads should be nil without RecordLoads")
 	}
 }

@@ -23,16 +23,6 @@ func (p *Pipeline) Record(name string, m Metrics) {
 	p.Rounds = append(p.Rounds, RoundMetrics{Name: name, Metrics: m})
 }
 
-// TotalCommunication is the total number of key-value pairs shuffled across
-// all rounds.
-func (p *Pipeline) TotalCommunication() int64 {
-	var total int64
-	for _, r := range p.Rounds {
-		total += r.Metrics.PairsShuffled
-	}
-	return total
-}
-
 // TotalPairsEmitted is the total communication before combining.
 func (p *Pipeline) TotalPairsEmitted() int64 {
 	var total int64
@@ -40,17 +30,6 @@ func (p *Pipeline) TotalPairsEmitted() int64 {
 		total += r.Metrics.PairsEmitted
 	}
 	return total
-}
-
-// MaxReducerInput is the largest reducer input observed in any round.
-func (p *Pipeline) MaxReducerInput() int64 {
-	var max int64
-	for _, r := range p.Rounds {
-		if r.Metrics.MaxReducerInput > max {
-			max = r.Metrics.MaxReducerInput
-		}
-	}
-	return max
 }
 
 // Round is one typed job in an N-round pipeline, obtained from RoundOf.
@@ -100,19 +79,4 @@ func RunPipeline(input any, rounds ...Round) (any, *Pipeline, error) {
 		cur = out
 	}
 	return cur, p, nil
-}
-
-// Chain runs two jobs in sequence, feeding the first round's outputs to the
-// second round, and records both rounds in the returned Pipeline. It is the
-// typed two-round convenience over RunPipeline.
-func Chain[I any, K1 comparable, V1, M any, K2 comparable, V2, O any](
-	first *Job[I, K1, V1, M],
-	second *Job[M, K2, V2, O],
-	inputs []I,
-) ([]O, *Pipeline, error) {
-	out, p, err := RunPipeline(inputs, RoundOf(first), RoundOf(second))
-	if err != nil {
-		return nil, p, err
-	}
-	return out.([]O), p, nil
 }

@@ -64,7 +64,6 @@ func (j *Job[I, K, V, O]) runProc(inputs []I) ([]O, Metrics, error) {
 		set  bool
 	}{
 		{"SpillDir", c.SpillDir != ""},
-		{"RecordLoads", c.RecordLoads},
 		{"FailureEveryN", c.FailureEveryN > 0},
 		{"MaxRetries", c.MaxRetries > 0},
 	} {
@@ -73,9 +72,8 @@ func (j *Job[I, K, V, O]) runProc(inputs []I) ([]O, Metrics, error) {
 		}
 	}
 	outs, pm, err := proc.Run[I, K, V, O](j.Name, inputs, proc.Options{
-		Plan:          c.plan(),
-		Dir:           c.ProcDir,
-		WorkerCommand: c.ProcWorkerCommand,
+		Plan: c.plan(),
+		Dir:  c.ProcDir,
 	})
 	return outs, Metrics{
 		MapInputs:         pm.MapInputs,

@@ -174,7 +174,6 @@ func TestProcModeRejectsInProcessSettings(t *testing.T) {
 		cfg   Config
 	}{
 		{"SpillDir", Config{MemoryBudget: 8, SpillDir: t.TempDir()}},
-		{"RecordLoads", Config{RecordLoads: true}},
 		{"FailureEveryN", Config{FailureEveryN: 2}},
 		{"MaxRetries", Config{MaxRetries: 3}},
 	} {

@@ -400,15 +400,6 @@ func (g *Ring) End(op Op, a, b int64) { g.emit(KindEnd, op, a, b) }
 // Instant records a point event.
 func (g *Ring) Instant(op Op, a, b int64) { g.emit(KindInstant, op, a, b) }
 
-// Dropped is the number of events this lane discarded because its ring
-// was full.
-func (g *Ring) Dropped() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.dropped.Load()
-}
-
 // Interval is one [Start, End) span in recorder nanoseconds.
 type Interval struct{ Start, End int64 }
 
@@ -461,33 +452,6 @@ func mergeIntervals(in []Interval) []Interval {
 		out = append(out, iv)
 	}
 	return out
-}
-
-// OverlapNs is the total time two merged interval sets overlap — e.g.
-// map-task spans against seal/fence/compact spans, the realized
-// pipelining the streaming path's SpillOverlapNs metric claims.
-func OverlapNs(a, b []Interval) int64 {
-	var total int64
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		lo := a[i].Start
-		if b[j].Start > lo {
-			lo = b[j].Start
-		}
-		hi := a[i].End
-		if b[j].End < hi {
-			hi = b[j].End
-		}
-		if hi > lo {
-			total += hi - lo
-		}
-		if a[i].End < b[j].End {
-			i++
-		} else {
-			j++
-		}
-	}
-	return total
 }
 
 // GobEncode refuses: a Recorder is process-local. It exists so a

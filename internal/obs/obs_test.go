@@ -20,9 +20,6 @@ func TestNilRecorderNoops(t *testing.T) {
 	lane.Begin(OpMapTask, 1, 2)
 	lane.End(OpMapTask, 0, 0)
 	lane.Instant(OpBlockFlush, 3, 4)
-	if got := lane.Dropped(); got != 0 {
-		t.Fatalf("nil lane Dropped() = %d", got)
-	}
 	if got := rec.Dropped(); got != 0 {
 		t.Fatalf("nil recorder Dropped() = %d", got)
 	}
@@ -49,9 +46,6 @@ func TestRingWrapCountsDrops(t *testing.T) {
 	lane := rec.Lane(LaneWorker, 0)
 	for i := 0; i < cap+5; i++ {
 		lane.Instant(OpBlockFlush, int64(i), 0)
-	}
-	if got := lane.Dropped(); got != 5 {
-		t.Fatalf("Dropped() = %d, want 5", got)
 	}
 	if got := rec.Dropped(); got != 5 {
 		t.Fatalf("recorder Dropped() = %d, want 5", got)
@@ -194,13 +188,6 @@ func TestSpanIntervalsAndOverlap(t *testing.T) {
 	if len(a) != 2 || a[0] != (Interval{0, 12}) || a[1] != (Interval{20, 30}) {
 		t.Fatalf("mergeIntervals = %v", a)
 	}
-	b := mk(8, 25)
-	if got := OverlapNs(a, b); got != 9 { // [8,12) + [20,25)
-		t.Fatalf("OverlapNs = %d, want 9", got)
-	}
-	if got := OverlapNs(a, nil); got != 0 {
-		t.Fatalf("OverlapNs vs empty = %d", got)
-	}
 
 	// Through a snapshot: two lanes, overlapping map-task and seal spans.
 	rec := NewRecorder(16)
@@ -216,8 +203,8 @@ func TestSpanIntervalsAndOverlap(t *testing.T) {
 	if len(mapIv) != 1 || len(sealIv) != 1 {
 		t.Fatalf("intervals: map=%v seal=%v", mapIv, sealIv)
 	}
-	if ov := OverlapNs(mapIv, sealIv); ov <= 0 {
-		t.Fatalf("nested spans should overlap, got %d", ov)
+	if m, s := mapIv[0], sealIv[0]; s.Start < m.Start || s.End > m.End {
+		t.Fatalf("seal span %v should nest in map span %v", s, m)
 	}
 }
 
@@ -276,10 +263,6 @@ func TestRegistryPrometheusOutput(t *testing.T) {
 			t.Errorf("output missing %q\n%s", want, out)
 		}
 	}
-	names := reg.MetricNames()
-	if len(names) != 3 || names[0] != "mr_pairs_emitted_total" {
-		t.Errorf("MetricNames = %v", names)
-	}
 }
 
 func TestNilMetricNoops(t *testing.T) {
@@ -289,7 +272,7 @@ func TestNilMetricNoops(t *testing.T) {
 	c.Add(1)
 	g.Set(1)
 	h.ObserveN(1, 1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Fatalf("nil metrics not zero")
 	}
 }

@@ -205,17 +205,6 @@ func (h *Histogram) ObserveN(v int64, n int64) {
 	h.count.Add(n)
 }
 
-// Observe records one observation of value v.
-func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 func (h *Histogram) name() string { return h.nm }
 func (h *Histogram) help() string { return h.hp }
 func (h *Histogram) write(w io.Writer) {
@@ -275,16 +264,4 @@ func (s *Server) Close() error {
 		return nil
 	}
 	return s.srv.Close()
-}
-
-// MetricNames returns the registered metric names in registration
-// order (handy for docs and tests).
-func (r *Registry) MetricNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, len(r.metrics))
-	for i, m := range r.metrics {
-		names[i] = m.name()
-	}
-	return names
 }

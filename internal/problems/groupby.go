@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/mr"
-	"repro/internal/relation"
 )
 
 // GroupByProblem is Example 2.4: SELECT A, SUM(B) FROM R GROUP BY A over
@@ -65,34 +63,6 @@ var _ core.MappingSchema = GroupBySchema{}
 type GroupSum struct {
 	A   int
 	Sum int64
-}
-
-// RunGroupBy executes the aggregation over an actual relation R(A,B) with
-// a combiner pre-summing per map task, the classic MapReduce aggregation
-// pattern. Replication rate is exactly 1 regardless of q.
-func RunGroupBy(r *relation.Relation, cfg mr.Config) ([]GroupSum, mr.Metrics, error) {
-	job := &mr.Job[relation.Tuple, int, int64, GroupSum]{
-		Name: "group-by-sum",
-		Map: func(t relation.Tuple, emit func(int, int64)) {
-			emit(t[0], int64(t[1]))
-		},
-		Combine: func(_ int, vs []int64) []int64 {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			return []int64{sum}
-		},
-		Reduce: func(a int, vs []int64, emit func(GroupSum)) {
-			var sum int64
-			for _, v := range vs {
-				sum += v
-			}
-			emit(GroupSum{A: a, Sum: sum})
-		},
-		Config: cfg,
-	}
-	return job.Run(r.Tuples)
 }
 
 // WordCountProblem is Example 2.5: with word *occurrences* as the inputs

@@ -3,17 +3,14 @@
 // problems": the natural join of Example 2.1, the grouping-and-
 // aggregation problem of Example 2.4, and the word-count discussion of
 // Example 2.5 (the embarrassingly parallel case with replication rate 1).
-// Each comes with its core.Problem model, a mapping schema, and an
-// executable MapReduce job.
+// Each comes with its core.Problem model and a mapping schema; the
+// Section 7.1 join-then-aggregate runs as MapReduce jobs.
 package problems
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/mr"
-	"repro/internal/relation"
 )
 
 // JoinProblem is Example 2.1: the natural join R(A,B) ⋈ S(B,C) over
@@ -94,66 +91,3 @@ func (s HashJoinSchema) Assign(in int) []int {
 }
 
 var _ core.MappingSchema = HashJoinSchema{}
-
-// RunHashJoin executes the join of two actual relations (with attribute
-// schemas (A,B) and (B,C)) using the hash-join schema, returning the
-// joined triples.
-func RunHashJoin(r, s *relation.Relation, k int, cfg mr.Config) (*relation.Relation, mr.Metrics, error) {
-	type tagged struct {
-		FromR bool
-		X, Y  int
-	}
-	var inputs []tagged
-	for _, t := range r.Tuples {
-		inputs = append(inputs, tagged{true, t[0], t[1]})
-	}
-	for _, t := range s.Tuples {
-		inputs = append(inputs, tagged{false, t[0], t[1]})
-	}
-	job := &mr.Job[tagged, int, tagged, [3]int]{
-		Name: "hash-join",
-		Map: func(t tagged, emit func(int, tagged)) {
-			if t.FromR {
-				emit(t.Y%k, t) // key on B
-			} else {
-				emit(t.X%k, t)
-			}
-		},
-		Reduce: func(_ int, ts []tagged, emit func([3]int)) {
-			byB := make(map[int][][2]int) // B -> list of (a) from R
-			for _, t := range ts {
-				if t.FromR {
-					byB[t.Y] = append(byB[t.Y], [2]int{t.X, t.Y})
-				}
-			}
-			// Deterministic order: sort the S side before probing.
-			var ss [][2]int
-			for _, t := range ts {
-				if !t.FromR {
-					ss = append(ss, [2]int{t.X, t.Y})
-				}
-			}
-			sort.Slice(ss, func(i, j int) bool {
-				if ss[i][0] != ss[j][0] {
-					return ss[i][0] < ss[j][0]
-				}
-				return ss[i][1] < ss[j][1]
-			})
-			for _, st := range ss {
-				for _, rt := range byB[st[0]] {
-					emit([3]int{rt[0], st[0], st[1]})
-				}
-			}
-		},
-		Config: cfg,
-	}
-	outs, met, err := job.Run(inputs)
-	if err != nil {
-		return nil, met, err
-	}
-	res := relation.New("joined", "A", "B", "C")
-	for _, o := range outs {
-		res.Add(o[0], o[1], o[2])
-	}
-	return res, met, nil
-}

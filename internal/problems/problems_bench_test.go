@@ -8,29 +8,6 @@ import (
 	"repro/internal/relation"
 )
 
-// BenchmarkHashJoin measures the Example 2.1 distributed join.
-func BenchmarkHashJoin(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	r := relation.Random("R", 50, 2000, rng, "A", "B")
-	s := relation.Random("S", 50, 2000, rng, "B", "C")
-	for i := 0; i < b.N; i++ {
-		if _, _, err := RunHashJoin(r, s, 8, mr.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGroupBy measures the Example 2.4 aggregation with combiner.
-func BenchmarkGroupBy(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	r := relation.Random("R", 100, 5000, rng, "A", "B")
-	for i := 0; i < b.N; i++ {
-		if _, _, err := RunGroupBy(r, mr.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkJoinAggregate compares the two Section 7.1 plans.
 func BenchmarkJoinAggregate(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))

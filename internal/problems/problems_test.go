@@ -59,25 +59,6 @@ func TestHashJoinSchemaRejectsBadK(t *testing.T) {
 	}
 }
 
-func TestRunHashJoinMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	r := relation.Random("R", 6, 20, rng, "A", "B")
-	s := relation.Random("S", 6, 20, rng, "B", "C")
-	want := relation.NaturalJoin(r, s)
-	for _, k := range []int{1, 3, 6} {
-		got, met, err := RunHashJoin(r, s, k, mr.Config{})
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if !relation.Equal(got, want) {
-			t.Errorf("k=%d: join (%d tuples) differs from serial (%d)", k, got.Size(), want.Size())
-		}
-		if met.ReplicationRate() != 1 {
-			t.Errorf("k=%d: measured r = %v, want 1", k, met.ReplicationRate())
-		}
-	}
-}
-
 func TestGroupByProblemModel(t *testing.T) {
 	p := NewGroupByProblem(4, 6)
 	if p.NumInputs() != 24 || p.NumOutputs() != 4 {
@@ -112,47 +93,6 @@ func TestGroupBySchemaReplicationOne(t *testing.T) {
 	// Below q = NB the schema is infeasible (footnote-3 analogue).
 	if err := core.Validate(p, s, 5); err == nil {
 		t.Error("q < NB should be rejected")
-	}
-}
-
-func TestRunGroupBy(t *testing.T) {
-	r := relation.New("R", "A", "B")
-	r.Add(0, 5)
-	r.Add(1, 3)
-	r.Add(0, 7)
-	r.Add(2, 1)
-	r.Add(1, 4)
-	sums, met, err := RunGroupBy(r, mr.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []GroupSum{{0, 12}, {1, 7}, {2, 1}}
-	if !reflect.DeepEqual(sums, want) {
-		t.Errorf("sums = %v, want %v", sums, want)
-	}
-	if met.ReplicationRate() != 1 {
-		t.Errorf("r = %v, want exactly 1", met.ReplicationRate())
-	}
-}
-
-func TestRunGroupByCombinerShrinksShuffle(t *testing.T) {
-	r := relation.New("R", "A", "B")
-	for i := 0; i < 500; i++ {
-		r.Add(i%3, 1)
-	}
-	sums, met, err := RunGroupBy(r, mr.Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var total int64
-	for _, s := range sums {
-		total += s.Sum
-	}
-	if total != 500 {
-		t.Errorf("total = %d, want 500", total)
-	}
-	if met.PairsShuffled >= met.PairsEmitted {
-		t.Errorf("combiner should shrink shuffle: %d >= %d", met.PairsShuffled, met.PairsEmitted)
 	}
 }
 
@@ -246,13 +186,10 @@ func TestPropertyJoinAggregateAgree(t *testing.T) {
 
 // Property: hash-join replication is exactly 1 for any bucket count.
 func TestPropertyHashJoinReplicationOne(t *testing.T) {
-	f := func(seed int64, kRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := relation.Random("R", 4, 10, rng, "A", "B")
-		s := relation.Random("S", 4, 10, rng, "B", "C")
-		k := int(kRaw%4) + 1
-		_, met, err := RunHashJoin(r, s, k, mr.Config{})
-		return err == nil && met.ReplicationRate() == 1
+	f := func(na, nb, nc, kRaw uint8) bool {
+		p := NewJoinProblem(int(na%4)+1, int(nb%4)+1, int(nc%4)+1)
+		s, err := NewHashJoinSchema(p, int(kRaw)%p.NB+1)
+		return err == nil && core.Measure(p, s).ReplicationRate == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)

@@ -628,10 +628,12 @@ func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) (
 	if err := d.start(); err != nil {
 		return nil, met, err
 	}
+	deadline, stop := opts.deadline()
+	defer stop()
 	select {
 	case <-d.done:
-	case <-time.After(opts.timeout()):
-		d.fail(fmt.Errorf("proc: job %q timed out after %v", name, opts.timeout()))
+	case <-deadline:
+		d.fail(fmt.Errorf("proc: job %q timed out after %v", name, opts.Timeout))
 		<-d.done
 	}
 	d.shutdown()

@@ -121,7 +121,9 @@ type Options struct {
 	// LeaseTTL is how long a task lease survives without a heartbeat
 	// before the driver fences it and re-grants the task. Zero means 2s.
 	LeaseTTL time.Duration
-	// Timeout bounds the whole run. Zero means 2 minutes.
+	// Timeout bounds the whole run. Zero means no deadline, as in
+	// process: lease expiry already fences a dead or silent worker, and
+	// maxTaskAttempts bounds a task's grants.
 	Timeout time.Duration
 	// FS is the driver-side filesystem for salvage validation and the
 	// output merge. Nil means runfile.OSFS. Worker processes always
@@ -166,11 +168,14 @@ const (
 	workerRestartsPerWorker = 2
 )
 
-func (o Options) timeout() time.Duration {
-	if o.Timeout > 0 {
-		return o.Timeout
+// deadline arms the whole-run timer: a nil channel, which never fires,
+// when Timeout is zero. The caller stops the timer.
+func (o Options) deadline() (<-chan time.Time, func() bool) {
+	if o.Timeout <= 0 {
+		return nil, func() bool { return false }
 	}
-	return 2 * time.Minute
+	t := time.NewTimer(o.Timeout)
+	return t.C, t.Stop
 }
 
 func (o Options) fs() runfile.FS {

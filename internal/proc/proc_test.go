@@ -386,6 +386,28 @@ func TestProcUnregisteredJob(t *testing.T) {
 	}
 }
 
+// TestZeroTimeoutArmsNoDeadline: a zero Timeout arms no whole-run
+// timer (mr.Config's ProcMode never sets one), a positive one does, and
+// a run without a deadline completes.
+func TestZeroTimeoutArmsNoDeadline(t *testing.T) {
+	c, stop := Options{}.deadline()
+	stop()
+	if c != nil {
+		t.Fatal("zero Timeout armed a deadline")
+	}
+	c, stop = Options{Timeout: time.Hour}.deadline()
+	defer stop()
+	if c == nil {
+		t.Fatal("positive Timeout armed no deadline")
+	}
+	outs, _, err := Run[string, string, int, wcOut]("wordcount", []string{"a b", "b"}, Options{
+		Plan: engine.Plan{Workers: 1, Partitions: 2},
+	})
+	if err != nil || len(outs) != 2 {
+		t.Fatalf("run without a deadline: %d outputs, err %v", len(outs), err)
+	}
+}
+
 func TestProcEmptyInputs(t *testing.T) {
 	outs, met, err := Run[string, string, int, wcOut]("wordcount", nil, Options{
 		Plan:    engine.Plan{Workers: 2, Partitions: 3},

@@ -9,30 +9,25 @@ package proc
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"time"
 )
 
-// Backoff is a retry schedule: Base doubling (times Factor) per attempt
-// up to Max, each delay multiplied by a random factor in
-// [1-Jitter, 1+Jitter] so synchronized clients spread out. The zero
-// value selects the defaults documented on each field.
-type Backoff struct {
-	// Base is the first delay. Zero means 10ms.
-	Base time.Duration
-	// Max caps the grown (pre-jitter) delay. Zero means 2s.
-	Max time.Duration
-	// Factor is the per-attempt growth multiplier. Zero means 2.
-	Factor float64
-	// Jitter is the relative half-width of the randomization applied to
-	// every delay: the slept duration is delay * (1 + Jitter*(2u-1)) for
-	// uniform u. Zero means 0.2; negative disables jitter entirely.
-	Jitter float64
-	// Attempts caps how many times Retry invokes the operation. Zero
-	// means 10; negative means unlimited (bounded only by the context).
-	Attempts int
+// The retry schedule: backoffBase, doubling per attempt up to
+// backoffMax, each delay multiplied by a random factor in
+// [1-backoffJitter, 1+backoffJitter] so synchronized clients spread
+// out, for at most backoffAttempts calls.
+const (
+	backoffBase     = 10 * time.Millisecond
+	backoffMax      = 2 * time.Second
+	backoffFactor   = 2
+	backoffJitter   = 0.2
+	backoffAttempts = 10
+)
 
+// Backoff retries an operation on that schedule. The zero value is the
+// policy; its fields are test seams.
+type Backoff struct {
 	// Rand supplies the uniform variates for jitter; nil uses the global
 	// math/rand source. Tests inject a deterministic sequence.
 	Rand func() float64
@@ -42,91 +37,20 @@ type Backoff struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 }
 
-func (b Backoff) base() time.Duration {
-	if b.Base > 0 {
-		return b.Base
+// delay is the pure schedule: the pause before retrying after the given
+// zero-based failed attempt, with u in [0,1) as the jitter variate.
+func delay(attempt int, u float64) time.Duration {
+	d := backoffBase
+	for i := 0; i < attempt && d < backoffMax; i++ {
+		d *= backoffFactor
 	}
-	return 10 * time.Millisecond
+	d = min(d, backoffMax)
+	return time.Duration(float64(d) * (1 + backoffJitter*(2*u-1)))
 }
 
-func (b Backoff) max() time.Duration {
-	if b.Max > 0 {
-		return b.Max
-	}
-	return 2 * time.Second
-}
-
-func (b Backoff) factor() float64 {
-	if b.Factor > 0 {
-		return b.Factor
-	}
-	return 2
-}
-
-func (b Backoff) jitter() float64 {
-	if b.Jitter > 0 {
-		return b.Jitter
-	}
-	if b.Jitter < 0 {
-		return 0
-	}
-	return 0.2
-}
-
-func (b Backoff) attempts() int {
-	if b.Attempts > 0 {
-		return b.Attempts
-	}
-	if b.Attempts < 0 {
-		return int(^uint(0) >> 1)
-	}
-	return 10
-}
-
-// Delay is the pure schedule: the pre-sleep duration before retrying
-// after the given zero-based failed attempt, using u in [0,1) as the
-// jitter variate. Exposed so tests can pin the schedule exactly and
-// callers can display "retrying in ...".
-func (b Backoff) Delay(attempt int, u float64) time.Duration {
-	d := float64(b.base())
-	f := b.factor()
-	maxD := float64(b.max())
-	for i := 0; i < attempt; i++ {
-		d *= f
-		if d >= maxD {
-			d = maxD
-			break
-		}
-	}
-	if d > maxD {
-		d = maxD
-	}
-	if j := b.jitter(); j > 0 {
-		d *= 1 + j*(2*u-1)
-	}
-	return time.Duration(d)
-}
-
-// errPermanent marks an error that must not be retried.
-type errPermanent struct{ err error }
-
-func (e errPermanent) Error() string { return e.err.Error() }
-func (e errPermanent) Unwrap() error { return e.err }
-
-// Permanent wraps err so Retry returns it immediately instead of
-// retrying: the failure is a property of the request, not the
-// transport (a fenced report, an unknown job).
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return errPermanent{err}
-}
-
-// Retry runs op until it succeeds, returns a Permanent error, the
-// attempt budget is spent, or the context is done. The returned error
-// is the last attempt's (unwrapped from Permanent), or the context's
-// error when it won the race.
+// Retry runs op until it succeeds, the attempt budget is spent, or the
+// context is done. The returned error is the last attempt's, or the
+// context's error when it won the race.
 func (b Backoff) Retry(ctx context.Context, op func() error) error {
 	randf := b.Rand
 	if randf == nil {
@@ -136,25 +60,18 @@ func (b Backoff) Retry(ctx context.Context, op func() error) error {
 	if sleep == nil {
 		sleep = realSleep
 	}
-	attempts := b.attempts()
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < backoffAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		err := op()
-		if err == nil {
+		if lastErr = op(); lastErr == nil {
 			return nil
 		}
-		var perm errPermanent
-		if errors.As(err, &perm) {
-			return perm.err
-		}
-		lastErr = err
-		if attempt == attempts-1 {
+		if attempt == backoffAttempts-1 {
 			break
 		}
-		if err := sleep(ctx, b.Delay(attempt, randf())); err != nil {
+		if err := sleep(ctx, delay(attempt, randf())); err != nil {
 			return err
 		}
 	}

@@ -7,34 +7,38 @@ import (
 	"time"
 )
 
+// TestBackoffDelaySchedule pins the default schedule: 10ms doubling
+// per attempt, capped at 2s.
 func TestBackoffDelaySchedule(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2, Jitter: -1}
 	want := []time.Duration{
 		10 * time.Millisecond,
 		20 * time.Millisecond,
 		40 * time.Millisecond,
 		80 * time.Millisecond,
-		80 * time.Millisecond, // capped
-		80 * time.Millisecond,
+		160 * time.Millisecond,
+		320 * time.Millisecond,
+		640 * time.Millisecond,
+		1280 * time.Millisecond,
+		2 * time.Second, // capped
+		2 * time.Second,
 	}
 	for i, w := range want {
-		if got := b.Delay(i, 0.5); got != w {
-			t.Errorf("Delay(%d) = %v, want %v", i, got, w)
+		if got := delay(i, 0.5); got != w {
+			t.Errorf("delay(%d) = %v, want %v", i, got, w)
 		}
 	}
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Jitter: 0.2}
 	// u=0 → 0.8x, u≈1 → 1.2x, u=0.5 → exactly the base delay.
-	if got := b.Delay(0, 0); got != 80*time.Millisecond {
-		t.Errorf("Delay(0, u=0) = %v, want 80ms", got)
+	if got := delay(0, 0); got != 8*time.Millisecond {
+		t.Errorf("delay(0, u=0) = %v, want 8ms", got)
 	}
-	if got := b.Delay(0, 0.5); got != 100*time.Millisecond {
-		t.Errorf("Delay(0, u=0.5) = %v, want 100ms", got)
+	if got := delay(0, 0.5); got != 10*time.Millisecond {
+		t.Errorf("delay(0, u=0.5) = %v, want 10ms", got)
 	}
-	if got := b.Delay(0, 1); got != 120*time.Millisecond {
-		t.Errorf("Delay(0, u=1) = %v, want 120ms", got)
+	if got := delay(0, 1); got != 12*time.Millisecond {
+		t.Errorf("delay(0, u=1) = %v, want 12ms", got)
 	}
 }
 
@@ -45,8 +49,6 @@ func TestRetryScheduleDeterministic(t *testing.T) {
 	us := []float64{0.5, 0.5, 0, 1}
 	ui := 0
 	b := Backoff{
-		Base: 10 * time.Millisecond, Max: 100 * time.Millisecond,
-		Factor: 2, Jitter: 0.5, Attempts: 5,
 		Rand:  func() float64 { u := us[ui]; ui++; return u },
 		Sleep: func(_ context.Context, d time.Duration) error { slept = append(slept, d); return nil },
 	}
@@ -65,10 +67,10 @@ func TestRetryScheduleDeterministic(t *testing.T) {
 		t.Fatalf("op called %d times, want 5", calls)
 	}
 	want := []time.Duration{
-		10 * time.Millisecond,  // attempt 0, u=0.5 → no jitter shift
-		20 * time.Millisecond,  // attempt 1, u=0.5
-		20 * time.Millisecond,  // attempt 2: 40ms, u=0 → 0.5x
-		120 * time.Millisecond, // attempt 3: 80ms, u=1 → 1.5x
+		10 * time.Millisecond, // attempt 0, u=0.5 → no jitter shift
+		20 * time.Millisecond, // attempt 1, u=0.5
+		32 * time.Millisecond, // attempt 2: 40ms, u=0 → 0.8x
+		96 * time.Millisecond, // attempt 3: 80ms, u=1 → 1.2x
 	}
 	if len(slept) != len(want) {
 		t.Fatalf("slept %v, want %v", slept, want)
@@ -82,34 +84,21 @@ func TestRetryScheduleDeterministic(t *testing.T) {
 
 func TestRetryAttemptBudget(t *testing.T) {
 	calls := 0
-	b := Backoff{Attempts: 3, Sleep: func(context.Context, time.Duration) error { return nil }}
+	b := Backoff{Sleep: func(context.Context, time.Duration) error { return nil }}
 	wantErr := errors.New("still down")
 	err := b.Retry(context.Background(), func() error { calls++; return wantErr })
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("Retry = %v, want last attempt error", err)
 	}
-	if calls != 3 {
-		t.Errorf("op called %d times, want 3", calls)
-	}
-}
-
-func TestRetryPermanentStopsImmediately(t *testing.T) {
-	calls := 0
-	b := Backoff{Attempts: 10, Sleep: func(context.Context, time.Duration) error { return nil }}
-	fatal := errors.New("fenced")
-	err := b.Retry(context.Background(), func() error { calls++; return Permanent(fatal) })
-	if !errors.Is(err, fatal) {
-		t.Fatalf("Retry = %v, want the permanent error unwrapped", err)
-	}
-	if calls != 1 {
-		t.Errorf("op called %d times, want 1", calls)
+	if calls != 10 {
+		t.Errorf("op called %d times, want 10", calls)
 	}
 }
 
 func TestRetryContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	b := Backoff{Attempts: -1, Sleep: func(ctx context.Context, _ time.Duration) error {
+	b := Backoff{Sleep: func(ctx context.Context, _ time.Duration) error {
 		cancel()
 		return ctx.Err()
 	}}

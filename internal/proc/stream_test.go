@@ -413,7 +413,7 @@ func TestMapChunkedCommits(t *testing.T) {
 			}
 			got := make(map[string][]string)
 			for p := 0; p < sh.NumPartitions(); p++ {
-				err := sh.Partition(p).ForEachGroup(func(k string, vs []string) error {
+				err := sh.Partition(p).ForEachGroupBatch(func(k string, vs []string) error {
 					got[k] = append(got[k], vs...)
 					return nil
 				})

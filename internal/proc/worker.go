@@ -118,7 +118,7 @@ type workerState struct {
 
 // rpcBackoff is the worker's policy for transient control-plane
 // failures: dialing the socket before the driver listens, a report call
-// racing a driver hiccup. Roughly 10ms..2s doubling, ~10 tries.
+// racing a driver hiccup: 10ms..2s doubling, 10 tries.
 var rpcBackoff = Backoff{}
 
 func newWorkerState(id, dir, socket string) (*workerState, error) {

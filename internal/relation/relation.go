@@ -7,7 +7,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -25,9 +25,6 @@ type Relation struct {
 func New(name string, attrs ...string) *Relation {
 	return &Relation{Name: name, Attrs: attrs}
 }
-
-// Arity is the number of attributes.
-func (r *Relation) Arity() int { return len(r.Attrs) }
 
 // Size is the number of tuples.
 func (r *Relation) Size() int { return len(r.Tuples) }
@@ -189,64 +186,16 @@ func MultiJoin(rels ...*Relation) *Relation {
 	return acc
 }
 
-// Sort orders tuples lexicographically in place (for deterministic
-// comparison in tests).
-func (r *Relation) Sort() {
-	sort.Slice(r.Tuples, func(i, j int) bool {
-		a, b := r.Tuples[i], r.Tuples[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-}
-
-// Equal reports whether two relations hold the same multiset of tuples
-// (after sorting copies); schemas must match exactly.
+// Equal reports whether two relations hold the same multiset of tuples;
+// schemas must match exactly.
 func Equal(a, b *Relation) bool {
-	if len(a.Attrs) != len(b.Attrs) || len(a.Tuples) != len(b.Tuples) {
+	if !slices.Equal(a.Attrs, b.Attrs) || len(a.Tuples) != len(b.Tuples) {
 		return false
 	}
-	for i := range a.Attrs {
-		if a.Attrs[i] != b.Attrs[i] {
-			return false
-		}
+	sorted := func(r *Relation) []Tuple {
+		return slices.SortedFunc(slices.Values(r.Tuples), slices.Compare[Tuple])
 	}
-	ca, cb := a.clone(), b.clone()
-	ca.Sort()
-	cb.Sort()
-	for i := range ca.Tuples {
-		for k := range ca.Tuples[i] {
-			if ca.Tuples[i][k] != cb.Tuples[i][k] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (r *Relation) clone() *Relation {
-	c := New(r.Name, r.Attrs...)
-	c.Tuples = make([]Tuple, len(r.Tuples))
-	for i, t := range r.Tuples {
-		ct := make(Tuple, len(t))
-		copy(ct, t)
-		c.Tuples[i] = ct
-	}
-	return c
-}
-
-// Chain builds the chain query R1(A0,A1), R2(A1,A2), …, RN(A_{N-1},A_N)
-// with each relation holding size random tuples over domain {0..n-1}.
-func Chain(numRels, n, size int, rng *rand.Rand) []*Relation {
-	rels := make([]*Relation, numRels)
-	for i := 0; i < numRels; i++ {
-		rels[i] = Random(fmt.Sprintf("R%d", i+1), n, size, rng,
-			fmt.Sprintf("A%d", i), fmt.Sprintf("A%d", i+1))
-	}
-	return rels
+	return slices.EqualFunc(sorted(a), sorted(b), slices.Equal[Tuple])
 }
 
 // FullChain builds the chain query with every relation complete (n²

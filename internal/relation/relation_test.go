@@ -10,8 +10,8 @@ func TestAddAndSchema(t *testing.T) {
 	r := New("R", "A", "B")
 	r.Add(1, 2)
 	r.Add(3, 4)
-	if r.Arity() != 2 || r.Size() != 2 {
-		t.Errorf("arity=%d size=%d, want 2 and 2", r.Arity(), r.Size())
+	if len(r.Attrs) != 2 || r.Size() != 2 {
+		t.Errorf("arity=%d size=%d, want 2 and 2", len(r.Attrs), r.Size())
 	}
 	if r.AttrIndex("B") != 1 || r.AttrIndex("Z") != -1 {
 		t.Error("AttrIndex misbehaves")
@@ -146,30 +146,11 @@ func TestEqualOrderInsensitive(t *testing.T) {
 	}
 }
 
-func TestChainGenerator(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rels := Chain(4, 10, 30, rng)
-	if len(rels) != 4 {
-		t.Fatalf("Chain made %d relations, want 4", len(rels))
-	}
-	for i, r := range rels {
-		if r.Size() != 30 || r.Arity() != 2 {
-			t.Errorf("rel %d: size=%d arity=%d", i, r.Size(), r.Arity())
-		}
-	}
-	// Adjacent relations share exactly one attribute.
-	for i := 0; i+1 < len(rels); i++ {
-		if rels[i].Attrs[1] != rels[i+1].Attrs[0] {
-			t.Errorf("chain link %d broken: %v vs %v", i, rels[i].Attrs, rels[i+1].Attrs)
-		}
-	}
-}
-
 func TestStarGenerator(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	fact, dims := Star(3, 8, 100, 20, rng)
-	if fact.Arity() != 3 {
-		t.Errorf("fact arity = %d, want 3", fact.Arity())
+	if len(fact.Attrs) != 3 {
+		t.Errorf("fact arity = %d, want 3", len(fact.Attrs))
 	}
 	if len(dims) != 3 {
 		t.Fatalf("dims = %d, want 3", len(dims))

@@ -46,7 +46,7 @@ func (b *ValueBatch) Value(i int) []byte {
 }
 
 // Raw returns the group's framed value section, aliasing the arena; it
-// replays through Writer.AppendRawBytes or ValuesFromRaw. On the
+// replays through Writer.AppendRawBytes. On the
 // indexed read path these are the file's bytes verbatim; on the
 // index-free path the framing is rebuilt with canonical varint
 // lengths (byte-identical for any Writer-produced file).

@@ -4,8 +4,6 @@ package runfile
 
 import "os"
 
-const hasMmap = false
-
 func sysMmap(*os.File, int64) ([]byte, error) { return nil, ErrNoMmap }
 
 func sysMadvise([]byte) error { return ErrNoMmap }

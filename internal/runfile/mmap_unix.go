@@ -9,10 +9,6 @@ import (
 	"syscall"
 )
 
-// hasMmap gates the OSFS Mapper implementation; tests use it to skip
-// mapping assertions on platforms compiled with the stub.
-const hasMmap = true
-
 func sysMmap(f *os.File, length int64) ([]byte, error) {
 	if length > math.MaxInt32 && ^uint(0)>>32 == 0 {
 		return nil, fmt.Errorf("runfile: %d-byte mapping exceeds address space", length)

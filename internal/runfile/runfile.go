@@ -495,7 +495,7 @@ func (r *Reader) ValueAppend(dst []byte) ([]byte, error) {
 // RawValues reads the current group's entire value section — byteLen
 // framed bytes, as recorded in the file's index — appended to dst,
 // consuming every pending value. The buffer replays through
-// AppendRawBytes or ValuesFromRaw.
+// AppendRawBytes.
 func (r *Reader) RawValues(dst []byte, byteLen int64) ([]byte, error) {
 	if byteLen == 0 && r.pending == 0 {
 		return dst, nil
@@ -519,25 +519,6 @@ func (r *Reader) RawValues(dst []byte, byteLen int64) ([]byte, error) {
 	return dst[:len(dst)+int(byteLen)], nil
 }
 
-// ValuesFromRaw iterates the n framed values of a raw value section
-// captured with RawValues, yielding each payload without copying.
-func ValuesFromRaw(raw []byte, n int, fn func(v []byte) error) error {
-	for i := 0; i < n; i++ {
-		vlen, m := binary.Uvarint(raw)
-		if m <= 0 || vlen > maxLen || int64(vlen) > int64(len(raw)-m) {
-			return fmt.Errorf("%w: truncated raw value section", ErrCorrupt)
-		}
-		if err := fn(raw[m : m+int(vlen)]); err != nil {
-			return err
-		}
-		raw = raw[m+int(vlen):]
-	}
-	if len(raw) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes in raw value section", ErrCorrupt, len(raw))
-	}
-	return nil
-}
-
 // SkipValues discards the unread values of the current group without
 // allocating for their payloads.
 func (r *Reader) SkipValues() error {
@@ -555,11 +536,6 @@ func (r *Reader) SkipValues() error {
 	}
 	return nil
 }
-
-// Offset is the byte position of the reader in the underlying stream:
-// immediately after Next/NextAppend returns io.EOF or before it is
-// called, the offset of the next group's framing.
-func (r *Reader) Offset() int64 { return r.pos }
 
 // ReadIndex loads the footer index of a run file through random access,
 // reading only the trailer and the footer — never group bytes. It

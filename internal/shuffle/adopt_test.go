@@ -68,7 +68,7 @@ func readAll(t *testing.T, s *Shuffle[int, int]) ([]int, map[int][]int) {
 	t.Helper()
 	var keys []int
 	groups := make(map[int][]int)
-	if err := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
+	if err := s.Partition(0).forEachGroup(func(k int, vs []int) error {
 		keys = append(keys, k)
 		groups[k] = vs
 		return nil

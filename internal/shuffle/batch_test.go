@@ -7,7 +7,7 @@ import (
 
 // TestForEachGroupBatchMatchesPerGroup: the batch read contract must
 // change only allocation behavior — keys, key order, values and value
-// order are identical to ForEachGroup, across spilled and in-memory
+// order are identical to forEachGroup, across spilled and in-memory
 // partitions, struct values included.
 func TestForEachGroupBatchMatchesPerGroup(t *testing.T) {
 	type pay struct {
@@ -27,7 +27,7 @@ func TestForEachGroupBatchMatchesPerGroup(t *testing.T) {
 		}
 		for p := 0; p < s.NumPartitions(); p++ {
 			var plain, batch []group
-			if err := s.Partition(p).ForEachGroup(func(k int, vs []pay) error {
+			if err := s.Partition(p).forEachGroup(func(k int, vs []pay) error {
 				plain = append(plain, group{k, vs})
 				return nil
 			}); err != nil {

@@ -59,7 +59,7 @@ func spillWorkload(t *testing.T, fs *errfs.FS, budget, pairs, keys int, mod ...f
 func groupCounts(t *testing.T, s *Shuffle[int, int]) map[int]int {
 	t.Helper()
 	got := map[int]int{}
-	if err := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
+	if err := s.Partition(0).forEachGroup(func(k int, vs []int) error {
 		got[k] += len(vs)
 		return nil
 	}); err != nil {
@@ -273,7 +273,7 @@ func TestFaultInjectionMmapFallback(t *testing.T) {
 			// Some cursors may be mapped and some not (the injection hit
 			// one file); the merge must not care.
 			got := map[int]int{}
-			if rerr := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
+			if rerr := s.Partition(0).forEachGroup(func(k int, vs []int) error {
 				got[k] += len(vs)
 				return nil
 			}); rerr != nil {
@@ -312,7 +312,7 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 	// fresh seals share their spool.)
 	probe := errfs.New(nil)
 	s := build(probe, noMmap)
-	if err := s.Partition(0).ForEachGroup(func(int, []int) error { return nil }); err != nil {
+	if err := s.Partition(0).forEachGroup(func(int, []int) error { return nil }); err != nil {
 		t.Fatalf("clean merge: %v", err)
 	}
 	opens, preads, runs := probe.Calls(errfs.OpOpen), probe.Calls(errfs.OpReadAt), len(s.parts[0].disk)
@@ -354,9 +354,9 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 			}
 
 			// The streaming merge hits the injection and must say so.
-			err = s.Partition(0).ForEachGroup(func(int, []int) error { return nil })
+			err = s.Partition(0).forEachGroup(func(int, []int) error { return nil })
 			if err == nil {
-				t.Fatal("ForEachGroup succeeded despite injected failure")
+				t.Fatal("forEachGroup succeeded despite injected failure")
 			}
 			if !errors.Is(err, errfs.ErrInjected) {
 				t.Fatalf("injected cause lost from the chain: %v", err)
@@ -375,7 +375,7 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 			// full dataset streams back.
 			fs.Reset()
 			got := 0
-			if err := s.Partition(0).ForEachGroup(func(_ int, vs []int) error {
+			if err := s.Partition(0).forEachGroup(func(_ int, vs []int) error {
 				got += len(vs)
 				return nil
 			}); err != nil {

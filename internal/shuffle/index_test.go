@@ -72,7 +72,7 @@ func TestCountingPassIsMemoryOnly(t *testing.T) {
 
 	// The value-streaming merge is the only disk consumer.
 	var pairs int
-	if err := part.ForEachGroup(func(_ int, vs []int) error {
+	if err := part.forEachGroup(func(_ int, vs []int) error {
 		pairs += len(vs)
 		return nil
 	}); err != nil {
@@ -235,7 +235,7 @@ func TestCombinerPushDownShrinksSpill(t *testing.T) {
 	sums := func(s *Shuffle[int, int]) (map[int]int, int64) {
 		out := make(map[int]int)
 		var pairs int64
-		if err := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
+		if err := s.Partition(0).forEachGroup(func(k int, vs []int) error {
 			total := 0
 			for _, v := range vs {
 				total += v
@@ -286,7 +286,7 @@ func TestCombinerSkipsSealWhenCombineFrees(t *testing.T) {
 		t.Fatalf("stats = pairs %d keys %d, want 3 keys and <= %d pairs", st.Pairs, st.Keys, budget)
 	}
 	var total int
-	if err := s.Partition(0).ForEachGroup(func(_ int, vs []int) error {
+	if err := s.Partition(0).forEachGroup(func(_ int, vs []int) error {
 		for _, v := range vs {
 			total += v
 		}
@@ -335,7 +335,7 @@ func TestCombinerRecombinesAcrossCompaction(t *testing.T) {
 	}
 	sums := make(map[int]int)
 	var pairs int64
-	if err := s.Partition(0).ForEachGroup(func(k int, vs []int) error {
+	if err := s.Partition(0).forEachGroup(func(k int, vs []int) error {
 		for _, v := range vs {
 			sums[k] += v
 		}

@@ -16,7 +16,7 @@ import (
 // heavy key repeats goes through the shuffle — under a budget of 1, 2,
 // a random one, one past the stream, or none; with and without a
 // combiner; in memory, with a SpillDir, or through a SealSink — and
-// ForEachGroup must equal a serial stable group-by, for a key with a
+// forEachGroup must equal a serial stable group-by, for a key with a
 // normalized form and for a string key.
 func FuzzLiveRun(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte("aabbaacc"))
@@ -133,7 +133,7 @@ func checkLiveRun[K comparable](t *testing.T, mode, budgetSel uint8, stream []by
 	seen, pairs := 0, 0
 	for p := 0; p < read.NumPartitions(); p++ {
 		var prev *K
-		err := read.Partition(p).ForEachGroup(func(k K, vs []int) error {
+		err := read.Partition(p).forEachGroup(func(k K, vs []int) error {
 			if prev != nil && cmp(*prev, k) >= 0 {
 				t.Fatalf("mode %d budget %d: partition %d: key %v after %v", mode, budget, p, k, *prev)
 			}

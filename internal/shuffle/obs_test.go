@@ -36,7 +36,7 @@ func TestTracingUnderFaultInjection(t *testing.T) {
 			err := ingestTasksErr(s, [][]Pair[int, int]{modPairs(maxDiskRunsPerPartition+2, 5)}, 1)
 			if err == nil {
 				// Exercise the reduce-merge (open/read) path too.
-				err = s.Partition(0).ForEachGroup(func(int, []int) error { return nil })
+				err = s.Partition(0).forEachGroup(func(int, []int) error { return nil })
 			}
 			if err != nil && !errors.Is(err, errfs.ErrInjected) {
 				t.Errorf("%v#%d: injected cause lost from the chain: %v", op, nth, err)

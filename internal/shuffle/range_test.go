@@ -19,7 +19,7 @@ type rangeGroup[K comparable] struct {
 func rangeRef[K comparable](t *testing.T, p Partition[K, int]) []rangeGroup[K] {
 	t.Helper()
 	var ref []rangeGroup[K]
-	if err := p.ForEachGroup(func(k K, vs []int) error {
+	if err := p.forEachGroup(func(k K, vs []int) error {
 		ref = append(ref, rangeGroup[K]{Key: k, Vs: append([]int(nil), vs...)})
 		return nil
 	}); err != nil {

@@ -175,9 +175,9 @@ func (rr *RangeReader[K, V]) Close() error {
 }
 
 // ForEachGroupRange streams the partition's groups inside r, in
-// canonical key order, through fn — ForEachGroup clamped to r
-// (reuseValues false) or ForEachGroupBatch (reuseValues true: the slice
-// is scratch, valid only during the call). Every cursor is seeked to
+// canonical key order, through fn: a fresh value slice per group
+// (reuseValues false) or one scratch slice, valid only during the call
+// (reuseValues true, as ForEachGroupBatch over the unbounded range). Every cursor is seeked to
 // the range by binary search over its resident index and reads through
 // the reader's shared views, so concurrent calls with disjoint ranges
 // are safe and the concatenation of all planned ranges in order

@@ -738,23 +738,22 @@ func (s *Shuffle[K, V]) Partition(p int) Partition[K, V] {
 // Pairs is the number of pairs the partition holds.
 func (p Partition[K, V]) Pairs() int64 { return p.s.parts[p.idx].pairs }
 
-// ForEachGroup streams the partition's key groups in canonical sorted
-// key order through fn, k-way merging the partition's on-disk runs,
-// in-memory sealed runs, and live run without materializing the
+// ForEachGroupBatch streams the partition's key groups in canonical
+// sorted key order through fn, k-way merging the partition's on-disk
+// runs, in-memory sealed runs and live run without materializing the
 // partition. A key's values arrive concatenated across runs in seal
-// order then the live run — the package's value-order contract — in a
-// fresh slice that is fn's to change and keep. An error from fn stops
-// the iteration and is returned; I/O and decode errors reading spilled
-// runs are returned likewise.
-func (p Partition[K, V]) ForEachGroup(fn func(k K, vs []V) error) error {
-	return p.forEachValues(false, fn)
-}
-
-// ForEachGroupBatch is ForEachGroup with one scratch value slice that
-// every group reuses, so a partition streams with near-zero per-group
-// allocation: fn may change the slice but must not keep it.
+// order then the live run — the package's value-order contract — in one
+// scratch slice every group reuses, so a partition streams with
+// near-zero per-group allocation: fn may change the slice but must not
+// keep it. An error from fn stops the iteration and is returned; I/O
+// and decode errors reading spilled runs are returned likewise.
 func (p Partition[K, V]) ForEachGroupBatch(fn func(k K, vs []V) error) error {
-	return p.forEachValues(true, fn)
+	rr, err := p.OpenRangeReader()
+	if err != nil {
+		return err
+	}
+	defer rr.Close()
+	return rr.ForEachGroupRange(KeyRange[K]{}, true, fn)
 }
 
 // Stats is the realized communication profile of the shuffle.

@@ -313,7 +313,7 @@ func BenchmarkExternalShuffle(b *testing.B) {
 
 // BenchmarkReduceMergeDecode times the reduce-side read paths on a
 // one-million-pair spilled workload: the batch decode behind
-// ForEachGroup (one value-section read and one type dispatch per group
+// forEachGroup (one value-section read and one type dispatch per group
 // and run) and the full batch contract (ForEachGroupBatch, which
 // additionally reuses the decoded slice). Build and spill are identical
 // untimed setup; only the streaming k-way merge is measured, so
@@ -370,7 +370,7 @@ func BenchmarkReduceMergeDecode(b *testing.B) {
 					if mode == "batch-reduce" {
 						err = s.Partition(p).ForEachGroupBatch(count)
 					} else {
-						err = s.Partition(p).ForEachGroup(count)
+						err = s.Partition(p).forEachGroup(count)
 					}
 					if err != nil {
 						b.Fatal(err)

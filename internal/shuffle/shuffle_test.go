@@ -7,6 +7,17 @@ import (
 	"testing"
 )
 
+// forEachGroup is ForEachGroupBatch with a fresh value slice per group,
+// which fn may keep.
+func (p Partition[K, V]) forEachGroup(fn func(k K, vs []V) error) error {
+	rr, err := p.OpenRangeReader()
+	if err != nil {
+		return err
+	}
+	defer rr.Close()
+	return rr.ForEachGroupRange(KeyRange[K]{}, false, fn)
+}
+
 // buildBuffers deals pairs across nTasks task outputs round-robin,
 // preserving emission order within each task.
 func buildBuffers[K comparable, V any](nTasks int, pairs []Pair[K, V]) [][]Pair[K, V] {
@@ -45,7 +56,7 @@ func checkModGroups(t testing.TB, p Partition[int, int], n, keys int) {
 func partitionGroups[K comparable, V any](t testing.TB, p Partition[K, V]) map[K][]V {
 	t.Helper()
 	got := make(map[K][]V)
-	if err := p.ForEachGroup(func(k K, vs []V) error {
+	if err := p.forEachGroup(func(k K, vs []V) error {
 		if _, dup := got[k]; dup {
 			t.Fatalf("key %v emitted as two groups", k)
 		}

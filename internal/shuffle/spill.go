@@ -11,7 +11,7 @@
 //   - Counting reads (Stats, ForEachGroupCount, PlanReduceRanges, the
 //     engine's overflow diagnosis) merge the in-memory indexes and
 //     never open a run file at all: zero disk I/O.
-//   - Value reads (ForEachGroup, the RangeReader) run the classic
+//   - Value reads (ForEachGroupBatch, the RangeReader) run the classic
 //     external-sort merge — one cursor per run driven by a heap on
 //     (key, seal order) — but the indexes drive the key ordering, so
 //     the files supply only value bytes.
@@ -483,7 +483,7 @@ func openRunViews[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K]) ([]r
 }
 
 // Close deletes the shuffle's spill files; call it once the reduce
-// phase is done with the partitions. Afterwards ForEachGroup and Stats
+// phase is done with the partitions. Afterwards value reads and Stats
 // on a partition that had spilled return an error rather than the
 // silently truncated live-only view (a Stats result memoized before
 // Close stays servable — it needs no disk). Close must not run
@@ -866,7 +866,7 @@ func readGroups[K comparable, V any](reuse bool, fn func(k K, vs []V) error) fun
 	}
 }
 
-// ForEachGroupCount is ForEachGroup's counting mode: it streams every
+// ForEachGroupCount is ForEachGroupBatch's counting mode: it streams every
 // group's key and size in sorted key order by merging the spilled runs'
 // resident indexes with the in-memory runs — no run file is opened, no
 // byte of disk is read. It is the counting core behind Stats, range
@@ -878,16 +878,4 @@ func (p Partition[K, V]) ForEachGroupCount(fn func(k K, count int) error) error 
 	}
 	cmp := orderOf[K]()
 	return mergeCursors(rangeCursors(p.s, st.disk, nil, st.memRuns(), cmp, KeyRange[K]{}), cmp, countGroups[K, V](fn))
-}
-
-// forEachValues is the value-reading core behind ForEachGroup and
-// ForEachGroupBatch: the unbounded range of a RangeReader held open
-// for the one call.
-func (p Partition[K, V]) forEachValues(reuse bool, fn func(k K, vs []V) error) error {
-	rr, err := p.OpenRangeReader()
-	if err != nil {
-		return err
-	}
-	defer rr.Close()
-	return rr.ForEachGroupRange(KeyRange[K]{}, reuse, fn)
 }

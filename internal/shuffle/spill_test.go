@@ -68,7 +68,7 @@ func TestSpillDatasetLargerThanBudget(t *testing.T) {
 	got := make(map[int][]int)
 	for p := 0; p < s.NumPartitions(); p++ {
 		prev, prevSet := 0, false
-		err := s.Partition(p).ForEachGroup(func(k int, vs []int) error {
+		err := s.Partition(p).forEachGroup(func(k int, vs []int) error {
 			if prevSet && k <= prev {
 				t.Fatalf("partition %d keys out of order: %d after %d", p, k, prev)
 			}
@@ -140,11 +140,11 @@ func TestSpillMatchesInMemorySealing(t *testing.T) {
 			vs []int
 		}
 		var memGroups, diskGroups []group
-		memPart.ForEachGroup(func(k string, vs []int) error {
+		memPart.forEachGroup(func(k string, vs []int) error {
 			memGroups = append(memGroups, group{k, vs})
 			return nil
 		})
-		if err := diskPart.ForEachGroup(func(k string, vs []int) error {
+		if err := diskPart.forEachGroup(func(k string, vs []int) error {
 			diskGroups = append(diskGroups, group{k, vs})
 			return nil
 		}); err != nil {
@@ -333,14 +333,14 @@ func TestReadAfterCloseFails(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Partition(0).ForEachGroup(func(int, []int) error { return nil }); err == nil {
-		t.Error("ForEachGroup after Close returned nil error on a spilled partition")
+	if err := s.Partition(0).forEachGroup(func(int, []int) error { return nil }); err == nil {
+		t.Error("forEachGroup after Close returned nil error on a spilled partition")
 	}
 	if _, err := s.Stats(); err == nil {
 		t.Error("Stats after Close returned nil error on a spilled shuffle")
 	}
 	// The never-spilled partition stays readable.
-	if err := s.Partition(1).ForEachGroup(func(int, []int) error { return nil }); err != nil {
+	if err := s.Partition(1).forEachGroup(func(int, []int) error { return nil }); err != nil {
 		t.Errorf("unspilled partition unreadable after Close: %v", err)
 	}
 }
@@ -394,7 +394,7 @@ func TestSpillRejectsLossyValueTypes(t *testing.T) {
 	}
 	sum := 0
 	for p := 0; p < sp.NumPartitions(); p++ {
-		if err := sp.Partition(p).ForEachGroup(func(_ int, vs []*int) error {
+		if err := sp.Partition(p).forEachGroup(func(_ int, vs []*int) error {
 			for _, v := range vs {
 				sum += *v
 			}

@@ -41,14 +41,6 @@ func (m *Matcher) NumReducers() int {
 	return p
 }
 
-// ReplicationPerEdge is the number of (cell, edge) pairs one data edge
-// generates: for each of the sample's edges and 2 orientations, b^{s-2}
-// cells (before deduplication of coinciding cells).
-func (m *Matcher) ReplicationPerEdge() int {
-	free := m.NumReducers() / (m.B * m.B)
-	return 2 * m.Sample.M() * free
-}
-
 // hash buckets a data node.
 func (m *Matcher) hash(u int) int { return u % m.B }
 
@@ -105,56 +97,6 @@ func (m *Matcher) cellOfEmbedding(emb []int) int {
 		id = id*m.B + m.hash(emb[i])
 	}
 	return id
-}
-
-// Automorphisms counts the automorphisms of a sample graph (embeddings
-// of the graph into itself). Section 5.2 notes that the number of
-// *instances* of a sample graph S differs from the number of node tuples
-// by the symmetries of S: instances = embeddings / |Aut(S)|, and there
-// are at least n^s/s! distinct instance sets. Classic values: triangle 6,
-// 4-cycle 8, path of 3 nodes 2, K4 24.
-func Automorphisms(sample *graphs.Graph) int64 {
-	var count int64
-	emb := make([]int, sample.N)
-	used := make([]bool, sample.N)
-	var rec func(i int)
-	rec = func(i int) {
-		if i == sample.N {
-			count++
-			return
-		}
-		for u := 0; u < sample.N; u++ {
-			if used[u] {
-				continue
-			}
-			ok := true
-			for j := 0; j < i && ok; j++ {
-				// An automorphism preserves both edges and non-edges.
-				if sample.HasEdge(i, j) != sample.HasEdge(u, emb[j]) {
-					ok = false
-				}
-			}
-			if !ok {
-				continue
-			}
-			emb[i] = u
-			used[u] = true
-			rec(i + 1)
-			used[u] = false
-		}
-	}
-	rec(0)
-	return count
-}
-
-// InstanceCount converts an embedding count into an instance count by
-// dividing out the sample's automorphisms.
-func InstanceCount(sample, data *graphs.Graph) int64 {
-	aut := Automorphisms(sample)
-	if aut == 0 {
-		return 0
-	}
-	return CountEmbeddings(sample, data) / aut
 }
 
 // Embeddings enumerates, serially, every injective mapping of the

@@ -152,7 +152,7 @@ func TestTwoPathReducerLoadNearPrediction(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := core.Measure(NewTwoPathProblem(n), s)
-	pred := s.ExpectedReducerInput() // 2n/k
+	pred := 2 * float64(n) / float64(k) // about 2n/k edges per reducer
 	if float64(st.MaxReducerLoad) > 1.5*pred || float64(st.MaxReducerLoad) < 0.5*pred {
 		t.Errorf("max load %d far from prediction %v", st.MaxReducerLoad, pred)
 	}
@@ -367,43 +367,6 @@ func TestPropertyMatcherCoverage(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAutomorphisms(t *testing.T) {
-	tests := []struct {
-		name string
-		g    *graphs.Graph
-		want int64
-	}{
-		{"triangle", graphs.Cycle(3), 6},
-		{"4-cycle", graphs.Cycle(4), 8},
-		{"path of 3 nodes", graphs.Path(3), 2},
-		{"K4", graphs.Complete(4), 24},
-		{"single edge", graphs.Path(2), 2},
-		{"star 3 leaves", graphs.Star(4), 6}, // 3! leaf permutations
-	}
-	for _, tc := range tests {
-		if got := Automorphisms(tc.g); got != tc.want {
-			t.Errorf("Automorphisms(%s) = %d, want %d", tc.name, got, tc.want)
-		}
-	}
-}
-
-func TestInstanceCountTrianglesInCompleteGraph(t *testing.T) {
-	// Instances of the triangle in K_n = C(n,3): embeddings / |Aut| (the
-	// Section 5.2 symmetry correction).
-	for _, n := range []int{4, 5, 6} {
-		data := graphs.Complete(n)
-		want := int64(n * (n - 1) * (n - 2) / 6)
-		if got := InstanceCount(graphs.Cycle(3), data); got != want {
-			t.Errorf("n=%d: InstanceCount = %d, want C(n,3) = %d", n, got, want)
-		}
-	}
-	// Consistency with the dedicated triangle counter on a random graph.
-	data := graphs.GNM(15, 45, rand.New(rand.NewSource(31)))
-	if got := InstanceCount(graphs.Cycle(3), data); got != data.TriangleCount() {
-		t.Errorf("InstanceCount = %d, TriangleCount = %d", got, data.TriangleCount())
 	}
 }
 

@@ -164,15 +164,6 @@ func (s *TwoPathSchema) Replication() int {
 	return 2 * (s.K - 1)
 }
 
-// ExpectedReducerInput is the expected edges per reducer on the complete
-// instance: all n-1 incident edges for k = 1, else about 2n/k.
-func (s *TwoPathSchema) ExpectedReducerInput() float64 {
-	if s.K == 1 {
-		return float64(s.N - 1)
-	}
-	return 2 * float64(s.N) / float64(s.K)
-}
-
 // TwoPath is an output v—u—w with middle node Mid and ends V < W.
 type TwoPath struct {
 	Mid, V, W int

@@ -104,13 +104,6 @@ func SparseLowerBound(m int, q float64) float64 {
 	return math.Sqrt(float64(m) / q)
 }
 
-// MaxTrianglesAmongEdges is g(q) = (√2/3)·q^{3/2}: the largest number of
-// triangles coverable with q edges (attained by the complete graph on
-// √(2q) nodes; Schank [20], Suri–Vassilvitskii [21]).
-func MaxTrianglesAmongEdges(q float64) float64 {
-	return math.Sqrt2 / 3 * math.Pow(q, 1.5)
-}
-
 // MaxTrianglesBruteForce computes, by exhaustive search over all q-subsets
 // of K_n's edges, the true maximum number of triangles whose edges all lie
 // within a set of q edges — the quantity g(q) of Section 4.1 bounds by
@@ -226,14 +219,6 @@ func (s *PartitionSchema) forEachCell(u, v int, fn func(cell int)) {
 }
 
 var _ core.MappingSchema = (*PartitionSchema)(nil)
-
-// ExpectedReducerInput is the expected number of possible edges per
-// reducer for the complete instance: a triple of three distinct buckets
-// holds about C(3n/k, 2) ≈ 4.5·n²/k² edges.
-func (s *PartitionSchema) ExpectedReducerInput() float64 {
-	nodes := 3 * float64(s.N) / float64(s.K)
-	return nodes * (nodes - 1) / 2
-}
 
 // Triangle is an output triple with U < V < W.
 type Triangle struct{ U, V, W int }

@@ -376,7 +376,7 @@ func TestG4BruteForce(t *testing.T) {
 		}
 		for q := 1; q <= maxQ; q++ {
 			got := MaxTrianglesBruteForce(n, q)
-			bound := MaxTrianglesAmongEdges(float64(q))
+			bound := Recipe(n).G(float64(q))
 			if float64(got) > bound+1e-9 {
 				t.Errorf("n=%d q=%d: %d triangles exceed g(q) = %.3f", n, q, got, bound)
 			}

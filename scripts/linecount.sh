@@ -33,7 +33,13 @@ cd "$(dirname "$0")/.."
 # and of memRun, sortedMapKeys, writeGroups and the swap read-back's
 # swapChunk went; the arena's take loop, memRun's sort, gather, combine
 # and chunk merge, and the permutation radix sort came.
-CEILING=8081
+# Lowered 8 081 -> 7 962 by the reachability sweep (scripts/deadcode):
+# proc.Backoff's settable schedule became constants and Permanent went,
+# the whole-run Timeout defaults to no deadline, and
+# runfile.ValuesFromRaw, Reader.Offset and the hasMmap constant, which
+# only tests used, went. Partition.ForEachGroup (12 lines) moved into
+# the shuffle tests as forEachGroup: net of it, -107.
+CEILING=7962
 # engine+mr includes the reduce output collector both executors share
 # (internal/engine/collect.go, with the exact-size output assembly).
 # Lowered 1 890 -> 1 889 with the key check: engine.SortKeys went.
@@ -42,14 +48,28 @@ CEILING=8081
 # Stats only under MaxReducerInput, the units' group profiles, and the
 # counting merge a failed reduce phase falls back on so its per-key
 # metrics stay the whole shuffle's.
-RELAY_CEILING=1918
+# Lowered 1 918 -> 1 806 by the reachability sweep: the RecordLoads
+# setting (engine.Config and mr.Config) with Result.Loads,
+# Metrics.ReducerLoads, collectLoads and the loads arguments of
+# assemble and attemptReduce; mr.Config.ProcWorkerCommand; mr.Chain,
+# Pipeline.TotalCommunication and Pipeline.MaxReducerInput. mr.Pair
+# (6 lines) moved into the mr tests: net of it, -106.
+RELAY_CEILING=1806
 # The paper side: one family catalogue (internal/catalog) that mrplan,
 # mrtrace and mrbounds iterate, and core.CostModel as the one model of
 # Section 1.2. It also holds the triangle reducer kernel
 # (internal/triangle/kernel.go, which replaces a graphs.Graph per reducer
 # cell): +60 lines net of the per-cell graph path, ownsTriangle, the
 # dedup map and the tripleID loops it deleted.
-PAPER_CEILING=6203
+# Lowered 6 203 -> 5 828 by the reachability sweep: exports only tests
+# called (problems.RunHashJoin and RunGroupBy, core.CoverageCount and
+# three Recipe methods, join.PredictedReplicationRate,
+# Relation.Sort/clone/Arity, subgraph.Automorphisms and InstanceCount,
+# hamming.MaxPairsBruteForce, and more) went. core.SchemaFunc and
+# SingleReducerSchema, relation.Chain and join.Shares.ShareByName
+# (42 lines) moved into the tests as schemaFunc/singleReducer,
+# randomChain and shareOf: net of them, -333.
+PAPER_CEILING=5828
 PAPER="core catalog hamming bitstr triangle graphs subgraph matmul join lp problems relation"
 
 count() {
