@@ -25,6 +25,9 @@ func ScaledQ(qReal, density float64) float64 {
 // of reducers is inversely proportional to q, so total work A problem whose
 // reducers do O(q) work costs B·q in total), and C prices wall-clock time
 // for reducers doing O(q²) work, as in Example 1.1's all-pairs comparison.
+// That example no longer describes this repository's Hamming Splitting
+// and Weight reducers: they probe each string's one-bit neighbours,
+// Θ(q·log₂q) work, so C is about 0 for those families.
 type CostModel struct {
 	// F is the replication-rate tradeoff curve r = f(q).
 	F func(q float64) float64

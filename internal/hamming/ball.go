@@ -2,7 +2,7 @@ package hamming
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitstr"
 	"repro/internal/core"
@@ -92,7 +92,7 @@ func RunBall(s BallSchema, inputs []uint64, cfg mr.Config) ([]Pair, mr.Metrics, 
 			bitstr.Neighbors(x, s.B, func(y uint64) { emit(y, x) })
 		},
 		Reduce: func(center uint64, xs []uint64, emit func(Pair)) {
-			sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+			slices.Sort(xs)
 			for i := 0; i < len(xs); i++ {
 				for j := i + 1; j < len(xs); j++ {
 					x, y := xs[i], xs[j]

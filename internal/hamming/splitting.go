@@ -2,7 +2,7 @@ package hamming
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitstr"
 	"repro/internal/core"
@@ -68,6 +68,7 @@ type splitKey struct {
 // produced exactly once: a pair at distance 1 differs in exactly one
 // segment, so exactly one reducer group co-locates it.
 func RunSplitting(s SplittingSchema, inputs []uint64, cfg mr.Config) ([]Pair, mr.Metrics, error) {
+	w := s.B / s.C
 	job := &mr.Job[uint64, splitKey, uint64, Pair]{
 		Name: fmt.Sprintf("hamming-splitting(b=%d,c=%d)", s.B, s.C),
 		Map: func(x uint64, emit func(splitKey, uint64)) {
@@ -75,15 +76,10 @@ func RunSplitting(s SplittingSchema, inputs []uint64, cfg mr.Config) ([]Pair, mr
 				emit(splitKey{g, bitstr.RemoveSegment(x, g, s.C, s.B)}, x)
 			}
 		},
-		Reduce: func(_ splitKey, xs []uint64, emit func(Pair)) {
-			sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-			for i := 0; i < len(xs); i++ {
-				for j := i + 1; j < len(xs); j++ {
-					if bitstr.Distance(xs[i], xs[j]) == 1 {
-						emit(Pair{xs[i], xs[j]})
-					}
-				}
-			}
+		// A group agrees outside its removed segment, so its
+		// distance-1 pairs are the segment's one-bit neighbours.
+		Reduce: func(k splitKey, xs []uint64, emit func(Pair)) {
+			segmentPairs(xs, (1<<w-1)<<(k.Group*w), emit)
 		},
 		Config: cfg,
 	}
@@ -233,7 +229,7 @@ func RunSplittingD(s *SplittingDSchema, inputs []uint64, cfg mr.Config) ([]Pair,
 			}
 		},
 		Reduce: func(k splitDKey, xs []uint64, emit func(Pair)) {
-			sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
+			slices.Sort(xs)
 			for i := 0; i < len(xs); i++ {
 				for j := i + 1; j < len(xs); j++ {
 					x, y := xs[i], xs[j]

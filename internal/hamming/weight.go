@@ -3,7 +3,6 @@ package hamming
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/bitstr"
 	"repro/internal/core"
@@ -144,23 +143,14 @@ func RunWeight(s *WeightSchema, inputs []uint64, cfg mr.Config) ([]Pair, mr.Metr
 				emit(cell, x)
 			}
 		},
+		// Every bit is free; the kernel probes those that vary in the
+		// cell. Its pairs have Y = X | bit, so X is the lower string.
 		Reduce: func(cell int, xs []uint64, emit func(Pair)) {
-			sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-			for i := 0; i < len(xs); i++ {
-				for j := i + 1; j < len(xs); j++ {
-					x, y := xs[i], xs[j]
-					if bitstr.Distance(x, y) != 1 {
-						continue
-					}
-					lower := x
-					if bitstr.Weight(y) < bitstr.Weight(x) {
-						lower = y
-					}
-					if primary(lower) == cell {
-						emit(Pair{x, y})
-					}
+			segmentPairs(xs, ^uint64(0), func(p Pair) {
+				if primary(p.X) == cell {
+					emit(p)
 				}
-			}
+			})
 		},
 		Config: cfg,
 	}

@@ -196,15 +196,11 @@ func (d *Driver) spawnWorker() error {
 	d.mu.Unlock()
 	id := fmt.Sprintf("w%d", seq)
 
-	argv := d.opts.WorkerCommand
-	if len(argv) == 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("proc: resolving worker binary: %w", err)
-		}
-		argv = []string{exe}
+	exe, err := os.Executable()
+	if err != nil {
+		return fmt.Errorf("proc: resolving worker binary: %w", err)
 	}
-	cmd := exec.Command(argv[0], argv[1:]...)
+	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(),
 		envWorker+"=1",
 		envSocket+"="+d.socket,

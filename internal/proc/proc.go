@@ -110,12 +110,6 @@ type Options struct {
 	Dir string
 	// KeepDir preserves the scratch directory for post-mortems.
 	KeepDir bool
-	// WorkerCommand is the argv used to spawn each worker process. The
-	// worker's configuration travels in the environment (see
-	// MaybeWorker), so any command that reaches MaybeWorker or
-	// WorkerMain works: cmd/mrworker, or the current binary re-executed
-	// (the default when empty: os.Executable()).
-	WorkerCommand []string
 	// WorkerEnv is appended to each worker's environment (test knobs).
 	WorkerEnv []string
 	// LeaseTTL is how long a task lease survives without a heartbeat

@@ -54,9 +54,9 @@ const (
 
 // MaybeWorker turns the current process into a worker and never returns
 // if the driver spawned it as one; otherwise it is a no-op. Call it
-// first thing in main (or TestMain) of any binary used as
-// Options.WorkerCommand — including the default, the current binary
-// re-executed.
+// first thing in main (or TestMain) of any binary that runs a job in
+// ProcMode: the driver spawns its workers by re-executing the current
+// binary (os.Executable()).
 func MaybeWorker() {
 	if os.Getenv(envWorker) != "1" {
 		return
