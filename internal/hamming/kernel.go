@@ -3,7 +3,6 @@ package hamming
 import (
 	"math/bits"
 	"slices"
-	"sync"
 )
 
 // segmentPairs is the distance-1 kernel of RunSplitting and RunWeight: it
@@ -25,51 +24,32 @@ func segmentPairs(xs []uint64, free uint64, emit func(Pair)) {
 	}
 	lo, w := bits.TrailingZeros64(free), bits.OnesCount64(free)
 	if w < 32 && free>>lo == 1<<w-1 && 1<<w <= 4*len(xs) {
-		if w <= 8 {
-			var table [1 << 8]uint32
-			if densePairs(xs, lo, table[:1<<w], emit) {
-				return
-			}
-		} else {
-			p := tablePool.Get().(*[]uint32)
-			if len(*p) < 1<<w {
-				*p = make([]uint32, 1<<w)
-			}
-			ok := densePairs(xs, lo, (*p)[:1<<w], emit)
-			tablePool.Put(p)
-			if ok {
-				return
-			}
+		var stack [1 << 8]uint32
+		count := stack[:]
+		if w > 8 {
+			count = make([]uint32, 1<<w)
+		}
+		if densePairs(xs, lo, count[:1<<w], emit) {
+			return
 		}
 	}
 	sparsePairs(xs, free, emit)
 }
 
-// tablePool holds the dense path's count tables above 2^8 entries. A
-// pooled table is all zeros: densePairs leaves it so.
-var tablePool = sync.Pool{New: func() any { return new([]uint32) }}
-
 // densePairs is segmentPairs' dense path over the segment of len(count)
 // values starting at bit lo; count must be zero. It reports false, with
-// nothing emitted, if xs does not agree outside the segment. It leaves
-// count zero either way.
+// nothing emitted, if xs does not agree outside the segment.
 func densePairs(xs []uint64, lo int, count []uint32, emit func(Pair)) bool {
 	mask := uint64(len(count) - 1)
 	seg := mask << lo
 	base := xs[0] &^ seg
 	for _, x := range xs {
 		if x&^seg != base {
-			clear(count)
 			return false
 		}
 		count[x>>lo&mask]++
 	}
 	for v, cx := range count {
-		if cx == 0 {
-			continue
-		}
-		// The probes read only higher entries, so v's can go now.
-		count[v] = 0
 		x := base | uint64(v)<<lo
 		for ; cx > 0; cx-- {
 			for clr := mask &^ uint64(v); clr != 0; clr &= clr - 1 {

@@ -276,8 +276,8 @@ func TestRunWeightMatchesScan(t *testing.T) {
 }
 
 // BenchmarkSegmentPairs is one dense Splitting group (q = 64, w = 6)
-// through the kernel and through the all-pairs scan, shuffled before
-// each call as a reduce's values arrive.
+// through the kernel, through its sparse path alone and through the
+// all-pairs scan, shuffled before each call as a reduce's values arrive.
 func BenchmarkSegmentPairs(b *testing.B) {
 	const lo, w = 6, 6
 	seg := (uint64(1)<<w - 1) << lo
@@ -289,7 +289,7 @@ func BenchmarkSegmentPairs(b *testing.B) {
 	for _, k := range []struct {
 		name   string
 		kernel func([]uint64, uint64, func(Pair))
-	}{{"kernel", segmentPairs}, {"scan", scanPairs}} {
+	}{{"kernel", segmentPairs}, {"sparse", sparsePairs}, {"scan", scanPairs}} {
 		b.Run(k.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			n := 0

@@ -61,16 +61,16 @@ func MaybeWorker() {
 	if os.Getenv(envWorker) != "1" {
 		return
 	}
-	if err := WorkerMain(); err != nil {
+	if err := workerMain(); err != nil {
 		fmt.Fprintln(os.Stderr, "mrworker:", err)
 		os.Exit(1)
 	}
 	os.Exit(0)
 }
 
-// WorkerMain runs the worker loop against the driver named by the
+// workerMain runs the worker loop against the driver named by the
 // environment until the driver says exit (nil) or becomes unreachable.
-func WorkerMain() error {
+func workerMain() error {
 	id := os.Getenv(envID)
 	dir := os.Getenv(envDir)
 	socket := os.Getenv(envSocket)
