@@ -219,7 +219,7 @@ var errInjected = errors.New("engine: injected task failure")
 // still carries the metrics accumulated up to the failure point.
 func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Result[K, O], retErr error) {
 	res.Metrics.MapInputs = int64(len(inputs))
-	if err := shuffle.CheckKey[K](); err != nil {
+	if err := shuffle.CheckTypes[K, V](r.Config.SpillDir != ""); err != nil {
 		return res, fmt.Errorf("engine: round %q: %w", r.Name, err)
 	}
 	r.Config.Plan = r.Config.Resolve()

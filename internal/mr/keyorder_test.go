@@ -304,3 +304,40 @@ func TestUnplannableKeysRefused(t *testing.T) {
 		return err
 	}, &ptrMapped)
 }
+
+var procPointerValues = &Job[int, int, *int, int]{
+	Name:   "mr-proc-pointer-values",
+	Map:    func(x int, emit func(int, *int)) { emit(x%2, &x) },
+	Reduce: func(_ int, vs []*int, emit func(int)) { emit(len(vs)) },
+}
+
+// TestUncodableValuesRefused: a value type with no run-file codec runs
+// in memory, but a job that would write it to disk or send it to another
+// process is refused with an error naming the type before any map task
+// runs or any worker is spawned.
+func TestUncodableValuesRefused(t *testing.T) {
+	inputs := []int{1, 2, 3}
+	mapped := 0
+	j := *procPointerValues
+	j.Map = func(x int, emit func(int, *int)) { mapped++; procPointerValues.Map(x, emit) }
+	if outs, _, err := j.Run(inputs); err != nil || len(outs) != 2 {
+		t.Fatalf("in memory: outputs %v, err %v; want 2 groups", outs, err)
+	}
+	mapped = 0
+	j.Config = Config{MemoryBudget: 2, SpillDir: t.TempDir()}
+	if _, _, err := j.Run(inputs); err == nil || !strings.Contains(err.Error(), "*int has no codec") {
+		t.Errorf("spilling: err %v, want one naming *int", err)
+	}
+	if mapped != 0 {
+		t.Errorf("spilling: %d map calls ran before the refusal", mapped)
+	}
+	dir := t.TempDir()
+	pj := *procPointerValues
+	pj.Config = Config{Workers: 2, ProcMode: true, ProcDir: dir}
+	if _, _, err := pj.Run(inputs); err == nil || !strings.Contains(err.Error(), "*int has no codec") {
+		t.Errorf("ProcMode: err %v, want one naming *int", err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Errorf("ProcMode: job dir holds %d entries (%v); no worker may have been spawned", len(ents), err)
+	}
+}

@@ -388,12 +388,12 @@ type Job[I any, K comparable, V, O any] struct {
 var ErrReducerOverflow = errors.New("mr: reducer input exceeds configured maximum")
 
 // Run executes the job over inputs and returns the reduce outputs together
-// with the round's metrics. A key type with an interface, pointer or channel
-// in it is an error naming the type before any map task runs, and a NaN key
-// fails the round (shuffle.CheckKey, shuffle.ErrNaNKey). For every accepted
-// key the output order is deterministic: keys in canonical order (numeric
-// for numbers, byte order for strings, field-wise for structs and arrays —
-// see shuffle.SortKeys), one group each, outputs in emission order.
+// with the round's metrics. K, and every type that reaches disk or another
+// process, must be bools, numbers and strings, through structs and arrays, or
+// (not K) a bare []byte; Run names a type that is not before any map task runs
+// (shuffle.CheckTypes, runfile.CheckCodec), and a NaN key fails the round.
+// Output order is deterministic: keys in canonical order (shuffle.SortKeys),
+// one group each, outputs in emission order.
 func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
 	run := j.runEngine
 	if j.Config.ProcMode {

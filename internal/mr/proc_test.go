@@ -24,6 +24,7 @@ func TestMain(m *testing.M) {
 	RegisterProc(procNaNKeys)
 	RegisterProc(procAnyKeys)
 	RegisterProc(procPointerKeys)
+	RegisterProc(procPointerValues)
 	MaybeProcWorker()
 	os.Exit(m.Run())
 }

@@ -567,10 +567,12 @@ func (d *Driver) shutdown() {
 // processes and returns the outputs in global canonical key order —
 // the same deterministic, attempt- and schedule-invariant order the
 // in-process engine produces — plus the run's communication and
-// fault-tolerance metrics. K must be a shuffle key (shuffle.CheckKey),
-// and I, K, V and O all cross the process boundary through the run-file
-// codec: a type that cannot make the trip faithfully is an error before
-// any worker is spawned.
+// fault-tolerance metrics. I, K, V and O all cross the process boundary
+// through the run-file codec, so each must be made of bools, numbers and
+// strings, through structs and arrays (unexported fields included), or be
+// a bare []byte (not for K). Run checks that before any worker is
+// spawned (shuffle.CheckKey, runfile.CheckCodec) and names a type that
+// breaks it.
 func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) ([]O, Metrics, error) {
 	var met Metrics
 	j, err := lookup(name)
@@ -583,17 +585,13 @@ func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) (
 	if err := shuffle.CheckKey[K](); err != nil {
 		return nil, met, fmt.Errorf("proc: job %q: %w", name, err)
 	}
-	if err := runfile.CanRoundTripIdentity[K](); err != nil {
-		return nil, met, fmt.Errorf("proc: key type unusable across processes: %w", err)
-	}
-	if err := runfile.CanRoundTripFidelity[I](); err != nil {
-		return nil, met, fmt.Errorf("proc: input type unusable across processes: %w", err)
-	}
-	if err := runfile.CanRoundTripFidelity[V](); err != nil {
-		return nil, met, fmt.Errorf("proc: value type unusable across processes: %w", err)
-	}
-	if err := runfile.CanRoundTripFidelity[O](); err != nil {
-		return nil, met, fmt.Errorf("proc: output type unusable across processes: %w", err)
+	for _, c := range [...]struct {
+		what string
+		err  error
+	}{{"input", runfile.CheckCodec[I]()}, {"value", runfile.CheckCodec[V]()}, {"output", runfile.CheckCodec[O]()}} {
+		if c.err != nil {
+			return nil, met, fmt.Errorf("proc: job %q: %s type: %w", name, c.what, c.err)
+		}
 	}
 
 	opts.Plan = opts.Resolve()

@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"unsafe"
 )
 
 // ValueBatch holds one group's value section: the raw framed bytes in
@@ -327,9 +329,8 @@ func (g *GroupBatch) mappedEOF() ([]byte, *ValueBatch, error) {
 
 // DecodeBatch decodes every value of b, appending to dst, with a
 // single type dispatch for the whole batch: the typed kinds decode in
-// tight loops, fixed-width types (including structs of fixed-width
-// exported fields) replay their compiled plan, and only genuinely
-// dynamic types pay the per-value gob fallback. The returned slice's
+// tight loops and every other type with a codec replays its compiled
+// plan, looked up once. The returned slice's
 // elements are fully owned copies (reference payloads are copied out
 // of the arena), so only the slice header itself is subject to the
 // caller's reuse discipline.
@@ -480,19 +481,13 @@ func DecodeBatch[V any](b *ValueBatch, dst []V) ([]V, error) {
 		}
 		return any(xs).([]V), nil
 	default:
-		if plan := fixedPlanFor[V](); plan != nil {
-			for i := 0; i < n; i++ {
-				var v V
-				if err := plan.decodeInto(b.Value(i), fixedPtr(&v)); err != nil {
-					return dst, err
-				}
-				dst = append(dst, v)
-			}
-			return dst, nil
+		plan := PlanFor[V]()
+		if plan == nil {
+			return dst, errNoCodec(reflect.TypeFor[V]())
 		}
 		for i := 0; i < n; i++ {
-			v, err := Decode[V](b.Value(i))
-			if err != nil {
+			var v V
+			if err := plan.decodeInto(b.Value(i), unsafe.Pointer(&v)); err != nil {
 				return dst, err
 			}
 			dst = append(dst, v)

@@ -262,7 +262,7 @@ func TestDecodeBatchKinds(t *testing.T) {
 	type edge struct{ U, V int }
 	checkDecodeBatchKind(t, []edge{{1, 2}, {-3, 4}, {0, 0}})
 
-	// Dynamic types take the per-value gob fallback inside DecodeBatch.
+	// A string part makes the plan's wire size vary.
 	type boxed struct{ S string }
 	checkDecodeBatchKind(t, []boxed{{"x"}, {""}, {"yz"}})
 }
@@ -298,7 +298,7 @@ func TestDecodeBatchCopiesReferencePayloads(t *testing.T) {
 
 // TestFixedCodecRoundTrip: fixed-width structs and named scalars use
 // the compiled-plan codec — exact round trips at the packed wire size,
-// far below gob's.
+// with no per-value framing.
 func TestFixedCodecRoundTrip(t *testing.T) {
 	type inner struct {
 		A int16
@@ -326,7 +326,7 @@ func TestFixedCodecRoundTrip(t *testing.T) {
 	}
 	// Packed wire size: 8+1+4+8+4+1+8+16 + (2+3) = 55 bytes.
 	if len(enc) != 55 {
-		t.Fatalf("fixed encoding is %d bytes, want 55 (is gob still in use?)", len(enc))
+		t.Fatalf("fixed encoding is %d bytes, want 55", len(enc))
 	}
 	got, err := Decode[fixed](enc)
 	if err != nil {
@@ -355,8 +355,8 @@ func TestFixedCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFixedPlanEligibility pins which types compile a plan and which
-// stay on gob.
+// TestFixedPlanEligibility pins which types compile a plan — and so
+// have a codec — and which have neither.
 func TestFixedPlanEligibility(t *testing.T) {
 	type fixedOK struct {
 		A int
@@ -370,36 +370,32 @@ func TestFixedPlanEligibility(t *testing.T) {
 	type hasPtr struct{ P *int }
 	type hasUnexported struct {
 		A int
-		b int //nolint:unused
-	}
-	if fixedPlanFor[fixedOK]() == nil {
-		t.Error("fixed struct did not compile a plan")
-	}
-	if fixedPlanFor[hasString]() != nil {
-		t.Error("string field must disqualify the fixed plan")
-	}
-	if fixedPlanFor[hasSlice]() != nil {
-		t.Error("slice field must disqualify the fixed plan")
-	}
-	if fixedPlanFor[hasPtr]() != nil {
-		t.Error("pointer field must disqualify the fixed plan")
-	}
-	if fixedPlanFor[hasUnexported]() != nil {
-		t.Error("unexported field must keep the gob fallback")
+		b int
 	}
 	type huge struct{ Xs [1000]int8 }
-	if fixedPlanFor[huge]() != nil {
-		t.Error("oversized flattened plan must fall back to gob")
+	if PlanFor[fixedOK]() == nil || PlanFor[hasString]() == nil || PlanFor[hasUnexported]() == nil || PlanFor[huge]() == nil {
+		t.Error("a struct of numbers and strings did not compile a plan")
 	}
-	// Non-fixed types still round-trip through gob.
-	hv := hasSlice{Xs: []int{1, 2, 3}}
-	enc, err := Append(nil, hv)
-	if err != nil {
-		t.Fatal(err)
+	if PlanFor[hasSlice]() != nil || PlanFor[hasPtr]() != nil {
+		t.Error("a slice or pointer field must leave the type without a plan")
 	}
-	got, err := Decode[hasSlice](enc)
-	if err != nil || !reflect.DeepEqual(got, hv) {
-		t.Fatalf("gob fallback round trip = %v (%v), want %v", got, err, hv)
+	hu := hasUnexported{A: 1, b: 2}
+	enc, err := Append(nil, hu)
+	if err != nil || len(enc) != 16 {
+		t.Fatalf("unexported field: %d bytes (%v), want the plan's 16", len(enc), err)
+	}
+	if got, err := Decode[hasUnexported](enc); err != nil || got != hu {
+		t.Fatalf("unexported field round trip = %+v (%v), want %+v", got, err, hu)
+	}
+	// A type without a plan has no codec: both directions fail.
+	if _, err := Append(nil, hasSlice{Xs: []int{1}}); err == nil {
+		t.Error("Append of a slice-bearing type succeeded")
+	}
+	if _, err := Decode[hasSlice](nil); err == nil {
+		t.Error("Decode of a slice-bearing type succeeded")
+	}
+	if _, err := CodecFor[hasPtr]().Append(nil, hasPtr{}); err == nil {
+		t.Error("CodecFor of a pointer-bearing type encoded")
 	}
 }
 
@@ -460,8 +456,8 @@ func checkCodecKind[T comparable](t *testing.T, vals []T) {
 
 // TestCodecForMatchesAppend pins the resolved codec to the per-call one
 // over the codec's kind table: the typed kinds, named scalars (which
-// take the fixed-width plan, not the typed switch, and must keep its
-// bytes), fixed-width structs and the gob fallback.
+// take the plan, not the typed switch, and must keep its bytes),
+// fixed-width structs and a struct with a string.
 func TestCodecForMatchesAppend(t *testing.T) {
 	checkCodecKind(t, []int{0, -1, 1, 1 << 40, -(1 << 40)})
 	checkCodecKind(t, []int8{-128, 0, 127})

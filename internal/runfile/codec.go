@@ -1,115 +1,36 @@
 // Typed encoding of Go keys and values onto run-file byte strings.
 //
 // The codec has a fast path for every kind the shuffle sorts natively
-// (the integer kinds, floats, bools, strings and byte slices): fixed
-// little-endian or raw-byte layouts with no per-item framing, since the
-// run-file layer already length-prefixes each item. Fixed-width types
-// that the switch does not name — structs of fixed-width exported
-// fields, named scalar types — use a compiled per-type copy plan
-// (fixed.go) with no per-value reflection. Every other type
-// falls back to encoding/gob, one self-describing stream per item —
-// more bytes, but spilled runs of struct keys (matrix cells, graph
-// edges) round-trip without registration. Types gob cannot encode
-// (for example structs with only unexported fields) surface an error,
-// which the shuffle reports as a failed spill rather than silently
-// corrupting a run.
+// (the unnamed integer kinds, floats, bools, strings and byte slices):
+// varint, fixed little-endian or raw-byte layouts with no per-item
+// framing, since the run-file layer already length-prefixes each item.
+// Every other type is coded by replaying its compiled plan (keyplan.go,
+// fixed.go) — bools, numbers and strings, through structs (unexported
+// fields included) and arrays, named or not. Those and a bare []byte
+// are the types with a codec; CheckCodec names any other type (a
+// pointer, interface, channel, map or slice in it) so callers refuse it
+// before any task runs, and Append and Decode fail on it.
 package runfile
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"reflect"
 	"unsafe"
 )
 
-// CanRoundTripIdentity reports whether values of type T preserve
-// equality through Append/Decode. Two ways a type can fail: the gob
-// fallback decodes pointers (and pointer-bearing struct fields,
-// interfaces, channels) into fresh allocations, so two spilled
-// occurrences of the same key would compare unequal after decode; and
-// gob silently drops unexported struct fields, so keys differing only
-// there would collapse into one. Callers that group decoded values by
-// == — the shuffle's spill path gates its key type on this — must
-// reject such types up front.
-func CanRoundTripIdentity[T any]() error {
-	t := reflect.TypeOf((*T)(nil)).Elem()
-	return checkIdentity(t, t)
-}
-
-// CanRoundTripFidelity reports whether values of type T survive
-// Append/Decode without silent data loss. Unlike identity, fidelity
-// tolerates pointers, slices and maps (gob rebuilds them faithfully)
-// and flags only the silent failure mode: unexported struct fields,
-// which gob drops without error whenever the struct also has an
-// exported field. Types gob rejects outright (channels, funcs,
-// unregistered interfaces) are not flagged here — they fail loudly at
-// encode time. The shuffle gates its value type on this before
-// spilling.
-func CanRoundTripFidelity[T any]() error {
-	t := reflect.TypeOf((*T)(nil)).Elem()
-	return checkFidelity(t, t, map[reflect.Type]bool{})
-}
-
-func checkFidelity(t, root reflect.Type, seen map[reflect.Type]bool) error {
-	if seen[t] {
+// CheckCodec reports whether T has a codec, with an error naming the
+// type when it has none.
+func CheckCodec[T any]() error {
+	if _, ok := any((*T)(nil)).(*[]byte); ok || PlanFor[T]() != nil {
 		return nil
 	}
-	seen[t] = true
-	switch t.Kind() {
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.PkgPath != "" {
-				return fmt.Errorf("runfile: unexported field %s.%s (in %v) is silently dropped by gob",
-					t, f.Name, root)
-			}
-			if err := checkFidelity(f.Type, root, seen); err != nil {
-				return err
-			}
-		}
-		return nil
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return checkFidelity(t.Elem(), root, seen)
-	case reflect.Map:
-		if err := checkFidelity(t.Key(), root, seen); err != nil {
-			return err
-		}
-		return checkFidelity(t.Elem(), root, seen)
-	default:
-		return nil
-	}
+	return errNoCodec(reflect.TypeFor[T]())
 }
 
-func checkIdentity(t, root reflect.Type) error {
-	switch t.Kind() {
-	case reflect.Bool,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
-		reflect.Uintptr, reflect.Float32, reflect.Float64,
-		reflect.Complex64, reflect.Complex128, reflect.String:
-		return nil
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.PkgPath != "" {
-				return fmt.Errorf("runfile: unexported field %s.%s (in %v) is dropped by gob and breaks == across encode/decode",
-					t, f.Name, root)
-			}
-			if err := checkIdentity(f.Type, root); err != nil {
-				return err
-			}
-		}
-		return nil
-	case reflect.Array:
-		return checkIdentity(t.Elem(), root)
-	default:
-		// Pointer, interface and channel (maps, slices and funcs are
-		// not comparable, so they cannot reach here as key types).
-		return fmt.Errorf("runfile: type %v (in %v) does not preserve == across encode/decode", t, root)
-	}
+func errNoCodec(t reflect.Type) error {
+	return fmt.Errorf("runfile: type %v has no codec: values must be made of bools, numbers and strings, through structs and arrays, or be a bare []byte", t)
 }
 
 // Append encodes v and appends its byte representation to dst.
@@ -151,24 +72,18 @@ func Append[T any](dst []byte, v T) ([]byte, error) {
 	case []byte:
 		return append(dst, x...), nil
 	default:
-		if plan := fixedPlanFor[T](); plan != nil {
-			// Fixed-width fast path: replay the type's compiled plan —
-			// no reflection per value, no gob type descriptors.
-			return plan.appendTo(dst, fixedPtr(&v)), nil
+		if plan := PlanFor[T](); plan != nil {
+			return plan.appendTo(dst, unsafe.Pointer(&v)), nil
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-			return nil, fmt.Errorf("runfile: cannot encode %T: %w", v, err)
-		}
-		return append(dst, buf.Bytes()...), nil
+		return nil, errNoCodec(reflect.TypeFor[T]())
 	}
 }
 
-// Codec is T's Append and Decode resolved once. For a fixed-width type
-// outside their typed switch, Append and Decode look T's compiled plan
-// up (reflection and a cache load) on every call; a Codec binds the
-// plan when it is made, so a caller coding many values pays the lookup
-// once. Its bytes are Append's exactly.
+// Codec is T's Append and Decode resolved once. For a type outside
+// their typed switch, Append and Decode look T's compiled plan up
+// (reflection and a cache load) on every call; a Codec binds the plan
+// when it is made, so a caller coding many values pays the lookup once.
+// Its bytes are Append's exactly.
 type Codec[T any] struct {
 	Append func(dst []byte, v T) ([]byte, error)
 	Decode func(data []byte) (T, error)
@@ -181,15 +96,15 @@ func CodecFor[T any]() Codec[T] {
 		*float32, *float64, *bool, *string, *[]byte:
 		return Codec[T]{Append[T], Decode[T]} // the typed switch
 	}
-	plan := fixedPlanFor[T]()
+	plan := PlanFor[T]()
 	if plan == nil {
-		return Codec[T]{Append[T], Decode[T]} // gob, whose own cost dwarfs the lookup
+		return Codec[T]{Append[T], Decode[T]} // both fail: T has no codec
 	}
 	return Codec[T]{
-		Append: func(dst []byte, v T) ([]byte, error) { return plan.appendTo(dst, fixedPtr(&v)), nil },
+		Append: func(dst []byte, v T) ([]byte, error) { return plan.appendTo(dst, unsafe.Pointer(&v)), nil },
 		Decode: func(data []byte) (T, error) {
 			var out T
-			err := plan.decodeInto(data, fixedPtr(&out))
+			err := plan.decodeInto(data, unsafe.Pointer(&out))
 			return out, err
 		},
 	}
@@ -262,16 +177,12 @@ func Decode[T any](data []byte) (T, error) {
 		return castTo[T](append([]byte(nil), data...)), nil
 	default:
 		var out T
-		if plan := fixedPlanFor[T](); plan != nil {
-			if err := plan.decodeInto(data, fixedPtr(&out)); err != nil {
-				return out, err
-			}
-			return out, nil
+		plan := PlanFor[T]()
+		if plan == nil {
+			return out, errNoCodec(reflect.TypeFor[T]())
 		}
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&out); err != nil {
-			return out, fmt.Errorf("runfile: cannot decode %T: %w", out, err)
-		}
-		return out, nil
+		err := plan.decodeInto(data, unsafe.Pointer(&out))
+		return out, err
 	}
 }
 

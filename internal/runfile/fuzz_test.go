@@ -16,6 +16,7 @@ func FuzzRunfileCodec(f *testing.F) {
 	f.Add([]byte("key"), []byte("v1"), []byte("v2"), uint8(2))
 	f.Add([]byte(""), []byte(""), []byte{0xff, 0x00}, uint8(7))
 	f.Add([]byte{'M', 'R', 'R', 'F', 1}, []byte("x"), []byte("y"), uint8(1))
+	f.Add([]byte{1, 'a', 2, 0, 0, 0}, []byte{1, 'b'}, []byte{0x80, 0}, uint8(4))
 
 	f.Fuzz(func(t *testing.T, key, v1, v2 []byte, n uint8) {
 		// Side 1: round trip. Build up to n copies of the two values.
@@ -168,7 +169,64 @@ func FuzzRunfileCodec(f *testing.F) {
 		if err != nil || !bytes.Equal(bv, v1) {
 			t.Fatalf("[]byte codec: %q %v", bv, err)
 		}
+
+		// Side 4: plans with string parts. Values built from the fuzzed
+		// bytes round-trip, and every prefix of the arbitrary bytes
+		// (its tail still in the slice's capacity) decodes to an error
+		// or to a value that re-encodes to exactly that prefix — so no
+		// decode panics, reads past its frame, or accepts two encodings
+		// of one value.
+		checkPlanRT(t, fuzzTwo{A: string(key), N: int32(n) - 100, B: string(v2)})
+		checkPlanRT(t, fuzzHidden{K: uint16(len(v1)), s: string(v1), F: float64(n) / 3})
+		checkPlanRT(t, fuzzArr{Xs: [3]string{string(v2), "", string(key)}, On: n%2 == 1})
+		for i := 0; i <= len(raw); i++ {
+			checkPlanBytes[fuzzTwo](t, raw[:i])
+			checkPlanBytes[fuzzHidden](t, raw[:i])
+			checkPlanBytes[fuzzArr](t, raw[:i])
+		}
 	})
+}
+
+// The string-bearing plans FuzzRunfileCodec drives: two strings, an
+// unexported one, and an array of strings beside a bool.
+type (
+	fuzzTwo struct {
+		A string
+		N int32
+		B string
+	}
+	fuzzHidden struct {
+		K uint16
+		s string
+		F float64
+	}
+	fuzzArr struct {
+		Xs [3]string
+		On bool
+	}
+)
+
+func checkPlanRT[T comparable](t *testing.T, v T) {
+	t.Helper()
+	data, err := Append(nil, v)
+	if err != nil {
+		t.Fatalf("Append(%+v): %v", v, err)
+	}
+	if got, err := Decode[T](data); err != nil || got != v {
+		t.Fatalf("round trip of %+v = %+v (%v)", v, got, err)
+	}
+}
+
+func checkPlanBytes[T any](t *testing.T, data []byte) {
+	t.Helper()
+	v, err := Decode[T](data)
+	if err != nil {
+		return
+	}
+	again, err := Append(nil, v)
+	if err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("% x decoded to %+v, which re-encodes to % x (%v)", data, v, again, err)
+	}
 }
 
 // FuzzValueBatch pits the batch read path against the per-value

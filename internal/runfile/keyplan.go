@@ -1,14 +1,16 @@
-// Compiled key plan: one order and one hash per key type.
+// Compiled plan: one per type, behind its order, hash and codec.
 //
-// The shuffle sorts, merges, range-searches and places keys; all four
-// need a deterministic function of the key's *value*. A KeyPlan is that
-// function, compiled once per type by the same reflection walk that
-// builds the codec's fixed-width plan (appendScalarOps) and replayed
-// with raw offset loads: Compare orders two keys field by field in
-// declaration order, Hash folds the same fields into a seeded 64-bit
-// hash, and Norm maps a key of at most two number or bool parts onto
-// two words whose lexicographic order is Compare's. None of them
-// formats, boxes, reflects or allocates.
+// The shuffle sorts, merges, range-searches and places keys, and the
+// run-file codec writes keys and values to disk; all of it needs a
+// deterministic function of the value. A Plan is the type flattened
+// once, by one reflection walk (appendScalarOps), into its scalar parts
+// in declaration order, and every use replays it with raw offset loads:
+// Compare orders two keys field by field, Hash folds the same fields
+// into a seeded 64-bit hash, Norm maps a key of at most two number or
+// bool parts onto two words whose lexicographic order is Compare's, and
+// the codec (fixed.go) copies the parts to and from their wire form.
+// None of them formats, boxes, reflects or allocates (a decoded string
+// aside).
 package runfile
 
 import (
@@ -23,37 +25,107 @@ import (
 	"unsafe"
 )
 
-// KeyPlan is the compiled order and hash of one key type; see
-// KeyPlanFor. Its methods take the address of a value of that type.
-type KeyPlan struct {
+// scalarOp addresses one scalar of a composite value: the field at
+// offset off from the value's base address, of the given kind.
+type scalarOp struct {
+	off  uintptr
+	kind reflect.Kind
+}
+
+// Plan is the compiled form of one type; see PlanFor. Its methods take
+// the address of a value of that type.
+type Plan struct {
 	ops []scalarOp
+	// size is a value's wire length in bytes (fixed.go), or -1 when a
+	// string part makes it vary.
+	size int
+	// image is the type's ImageSize.
+	image int
 }
 
-// keyPlans caches one plan per type; a stored nil records that the type
+// plans caches one plan per type; a stored nil records that the type
 // was inspected and has no plan.
-var keyPlans sync.Map // reflect.Type -> *KeyPlan
+var plans sync.Map // reflect.Type -> *Plan
 
-// KeyPlanFor returns K's compiled key plan, or nil when K has a part no
-// plan can cover — an interface, pointer or channel — and the caller
-// must fall back to something slower. Bools, integers, floats, complex
-// numbers and strings are covered, through nested structs (unexported
-// fields included, blank fields skipped, as == does) and arrays, named
-// or not. The first call per type pays the reflection walk; later calls
-// are one cache load.
-func KeyPlanFor[K comparable]() *KeyPlan {
-	return keyPlanOf(reflect.TypeOf((*K)(nil)).Elem())
+// PlanFor returns T's compiled plan, or nil when T has a part no plan
+// can cover: an interface, pointer, channel, func, map or slice. Bools,
+// integers, floats, complex numbers and strings are covered, through
+// nested structs (unexported fields included, blank fields skipped, as
+// == does) and arrays, named or not. The first call per type pays the
+// reflection walk; later calls are one cache load.
+func PlanFor[T any]() *Plan {
+	return planOf(reflect.TypeFor[T]())
 }
 
-func keyPlanOf(t reflect.Type) *KeyPlan {
-	if p, ok := keyPlans.Load(t); ok {
-		return p.(*KeyPlan)
+func planOf(t reflect.Type) *Plan {
+	if p, ok := plans.Load(t); ok {
+		return p.(*Plan)
 	}
-	var plan *KeyPlan
-	if ops, ok := appendScalarOps(nil, t, 0, true); ok {
-		plan = &KeyPlan{ops: ops}
+	var plan *Plan
+	if ops, blank, ok := appendScalarOps(nil, t, 0); ok {
+		plan = &Plan{ops: ops}
+		image := !blank && t.Size() > 0
+		for _, op := range ops {
+			image = image && op.kind != reflect.Bool && op.kind != reflect.String
+			if op.kind == reflect.String || plan.size < 0 {
+				plan.size = -1
+			} else {
+				plan.size += scalarWidth(op.kind)
+			}
+		}
+		if image {
+			plan.image = int(t.Size())
+		}
 	}
-	keyPlans.Store(t, plan)
+	plans.Store(t, plan)
 	return plan
+}
+
+// appendScalarOps is the one reflection walk behind every plan: it
+// flattens t, laid out at offset base, into scalar ops in declaration
+// order — through nested structs and arrays, by kind (so named scalars
+// qualify), with a complex number as its real and imaginary floats —
+// and reports false when t has a part it cannot cover. Blank fields are
+// skipped, as == skips them (blank reports that one was); padding is
+// never addressed, since only declared fields produce ops.
+func appendScalarOps(ops []scalarOp, t reflect.Type, base uintptr) (_ []scalarOp, blank, ok bool) {
+	switch k := t.Kind(); k {
+	case reflect.Bool, reflect.String,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64:
+		return append(ops, scalarOp{base, k}), false, true
+	case reflect.Complex64:
+		return append(ops, scalarOp{base, reflect.Float32}, scalarOp{base + 4, reflect.Float32}), false, true
+	case reflect.Complex128:
+		return append(ops, scalarOp{base, reflect.Float64}, scalarOp{base + 8, reflect.Float64}), false, true
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if f.Name == "_" {
+				blank = true
+				continue
+			}
+			var b bool
+			if ops, b, ok = appendScalarOps(ops, f.Type, base+f.Offset); !ok {
+				return ops, blank, false
+			}
+			blank = blank || b
+		}
+		return ops, blank, true
+	case reflect.Array:
+		elem := t.Elem()
+		for i := 0; i < t.Len(); i++ {
+			var b bool
+			if ops, b, ok = appendScalarOps(ops, elem, base+uintptr(i)*elem.Size()); !ok {
+				return ops, blank, false
+			}
+			blank = blank || b
+		}
+		return ops, blank, true
+	default:
+		return ops, false, false
+	}
 }
 
 // Compare orders the keys at a and b field-wise in declaration order:
@@ -64,7 +136,7 @@ func keyPlanOf(t reflect.Type) *KeyPlan {
 // emit (HasFloat tells it which types to check). Compare loads each part
 // once per side with its own type, independently of Norm, so the two
 // check each other (TestKeyNormOrder, FuzzKeyNorm).
-func (p *KeyPlan) Compare(a, b unsafe.Pointer) int {
+func (p *Plan) Compare(a, b unsafe.Pointer) int {
 	for _, op := range p.ops {
 		x, y := unsafe.Add(a, op.off), unsafe.Add(b, op.off)
 		var c int
@@ -111,8 +183,8 @@ func (p *KeyPlan) Compare(a, b unsafe.Pointer) int {
 // most two parts, each a number or a bool — an int, a float64, a
 // complex64, a two-field struct of numbers, a [2]int32. A key with a
 // string part, or with more than two parts, has none.
-func (p *KeyPlan) Normalized() bool {
-	return len(p.ops) <= 2 && !slices.ContainsFunc(p.ops, func(op scalarOp) bool { return op.kind == reflect.String })
+func (p *Plan) Normalized() bool {
+	return len(p.ops) <= 2 && p.size >= 0
 }
 
 // Norm returns the normalized form of the key at k, which must have one
@@ -122,7 +194,7 @@ func (p *KeyPlan) Normalized() bool {
 // widened and sign-flipped, floats IEEE-flipped with -0 folded into +0,
 // bools 0 or 1. It neither allocates nor branches on more than the
 // part's kind, so a sort or merge can compare words inline.
-func (p *KeyPlan) Norm(k unsafe.Pointer) (w0, w1 uint64) {
+func (p *Plan) Norm(k unsafe.Pointer) (w0, w1 uint64) {
 	switch len(p.ops) {
 	case 2:
 		w1 = normWord(p.ops[1], k)
@@ -183,7 +255,7 @@ func floatWord(x float64) uint64 {
 
 // HasFloat reports whether the key has a float or complex part — the
 // only parts whose values (NaN) can fail to be == to themselves.
-func (p *KeyPlan) HasFloat() bool {
+func (p *Plan) HasFloat() bool {
 	return slices.ContainsFunc(p.ops, func(op scalarOp) bool { return op.kind == reflect.Float32 || op.kind == reflect.Float64 })
 }
 
@@ -191,7 +263,7 @@ func (p *KeyPlan) HasFloat() bool {
 // on the seed and the key's field values — never on padding, addresses
 // or process state — so every process places a key identically, and
 // keys that are == hash equal (+0.0 and -0.0 included).
-func (p *KeyPlan) Hash(seed uint64, k unsafe.Pointer) uint64 {
+func (p *Plan) Hash(seed uint64, k unsafe.Pointer) uint64 {
 	h := seed ^ hashInit
 	for _, op := range p.ops {
 		f := unsafe.Add(k, op.off)

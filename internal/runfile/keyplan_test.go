@@ -134,7 +134,7 @@ func TestKeyPlanProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 300; round++ {
 		typ := randomKeyType(rng, 3)
-		plan := keyPlanOf(typ)
+		plan := planOf(typ)
 		if plan == nil {
 			t.Fatalf("%v: no key plan", typ)
 		}
@@ -188,7 +188,7 @@ func TestKeyPlanStaticKinds(t *testing.T) {
 		_ int64
 		b string
 	}
-	plan := KeyPlanFor[blank]()
+	plan := PlanFor[blank]()
 	if plan == nil {
 		t.Fatal("blank/unexported-field struct has no key plan")
 	}
@@ -207,21 +207,21 @@ func TestKeyPlanStaticKinds(t *testing.T) {
 		t.Error("unexported string field not compared")
 	}
 
-	if KeyPlanFor[struct{ V any }]() != nil || KeyPlanFor[*int]() != nil || KeyPlanFor[struct{ C chan int }]() != nil {
+	if PlanFor[struct{ V any }]() != nil || PlanFor[*int]() != nil || PlanFor[struct{ C chan int }]() != nil {
 		t.Error("interface, pointer and channel kinds must have no plan")
 	}
-	if KeyPlanFor[struct{ _ *int }]() == nil {
+	if PlanFor[struct{ _ *int }]() == nil {
 		t.Error("an unplannable blank field must not cost the type its plan")
 	}
-	if KeyPlanFor[[1000]uint8]() == nil {
-		t.Error("key plans are not capped at maxFixedOps")
+	if PlanFor[[1000]uint8]() == nil {
+		t.Error("a large array has no plan: plans are not capped")
 	}
 
 	// HasFloat names the types whose values can be NaN.
-	if KeyPlanFor[int]().HasFloat() || KeyPlanFor[struct{ S string }]().HasFloat() {
+	if PlanFor[int]().HasFloat() || PlanFor[struct{ S string }]().HasFloat() {
 		t.Error("a key without a float part reports HasFloat")
 	}
-	if !KeyPlanFor[float32]().HasFloat() || !KeyPlanFor[struct{ C complex64 }]().HasFloat() || !KeyPlanFor[[2]struct{ A, F float64 }]().HasFloat() {
+	if !PlanFor[float32]().HasFloat() || !PlanFor[struct{ C complex64 }]().HasFloat() || !PlanFor[[2]struct{ A, F float64 }]().HasFloat() {
 		t.Error("a key with a float or complex part does not report HasFloat")
 	}
 }
@@ -233,7 +233,7 @@ func TestKeyPlanHashSpreads(t *testing.T) {
 		Group int
 		Rest  uint64
 	}
-	plan := KeyPlanFor[cell]()
+	plan := PlanFor[cell]()
 	var byGroup, byRest [16]int
 	for i := 0; i < 1600; i++ {
 		a, b := cell{Group: i}, cell{Group: 3, Rest: uint64(i) << 20}
@@ -249,7 +249,7 @@ func TestKeyPlanHashSpreads(t *testing.T) {
 	if plan.Hash(1, unsafe.Pointer(&a)) == plan.Hash(2, unsafe.Pointer(&a)) {
 		t.Error("seed does not reach the hash")
 	}
-	sp := KeyPlanFor[string]()
+	sp := PlanFor[string]()
 	ab, abz := "ab", "ab\x00"
 	if sp.Hash(0, unsafe.Pointer(&ab)) == sp.Hash(0, unsafe.Pointer(&abz)) {
 		t.Error("string key hash ignores length")
@@ -262,7 +262,7 @@ func TestKeyPlanDoesNotAllocate(t *testing.T) {
 		S string
 		F float64
 	}
-	plan := KeyPlanFor[k]()
+	plan := PlanFor[k]()
 	x, y := k{1, "some string key", 2}, k{1, "some string kez", 2}
 	var sink uint64
 	if n := testing.AllocsPerRun(100, func() {
@@ -277,7 +277,7 @@ func TestKeyPlanDoesNotAllocate(t *testing.T) {
 // checkNormPair holds the normalized form to its contract on one pair
 // of keys: the words order a and b exactly as the reflect specification
 // (refCompare) and Compare do, and are equal exactly when a == b.
-func checkNormPair[K comparable](t *testing.T, plan *KeyPlan, a, b K) {
+func checkNormPair[K comparable](t *testing.T, plan *Plan, a, b K) {
 	t.Helper()
 	a0, a1 := plan.Norm(unsafe.Pointer(&a))
 	b0, b1 := plan.Norm(unsafe.Pointer(&b))
@@ -296,7 +296,7 @@ func checkNormPair[K comparable](t *testing.T, plan *KeyPlan, a, b K) {
 // allocate.
 func checkNorm[K comparable](t *testing.T, vals ...K) {
 	t.Helper()
-	plan := KeyPlanFor[K]()
+	plan := PlanFor[K]()
 	if !plan.Normalized() {
 		t.Fatalf("%T has no normalized form", vals[0])
 	}
@@ -350,18 +350,18 @@ func TestKeyNormOrder(t *testing.T) {
 	checkNorm(t, [2]int32{0, 0}, [2]int32{-1, math.MaxInt32}, [2]int32{math.MinInt32, 0}, [2]int32{0, -1})
 	checkNorm(t, struct{}{})
 
-	if KeyPlanFor[string]().Normalized() || KeyPlanFor[label]().Normalized() ||
-		KeyPlanFor[struct {
+	if PlanFor[string]().Normalized() || PlanFor[label]().Normalized() ||
+		PlanFor[struct {
 			N int
 			S string
 		}]().Normalized() {
 		t.Error("a key with a string part has a normalized form")
 	}
-	if !KeyPlanFor[complex128]().Normalized() {
+	if !PlanFor[complex128]().Normalized() {
 		t.Error("complex128, two float parts, has no normalized form")
 	}
-	if KeyPlanFor[[3]int8]().Normalized() || KeyPlanFor[struct{ A, B, C bool }]().Normalized() ||
-		KeyPlanFor[struct {
+	if PlanFor[[3]int8]().Normalized() || PlanFor[struct{ A, B, C bool }]().Normalized() ||
+		PlanFor[struct {
 			C complex64
 			N int
 		}]().Normalized() {
@@ -379,7 +379,7 @@ func FuzzKeyNorm(f *testing.F) {
 	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x80, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= 2 {
-			checkNormPair(t, KeyPlanFor[bool](), data[0]&1 == 1, data[1]&1 == 1)
+			checkNormPair(t, PlanFor[bool](), data[0]&1 == 1, data[1]&1 == 1)
 		}
 		fuzzNormShape[int8](t, data)
 		fuzzNormShape[int16](t, data)
@@ -415,5 +415,5 @@ func fuzzNormShape[K comparable](t *testing.T, data []byte) {
 	if a != a || b != b {
 		return // a NaN is not == to itself, hence not a key
 	}
-	checkNormPair(t, KeyPlanFor[K](), a, b)
+	checkNormPair(t, PlanFor[K](), a, b)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -176,7 +177,7 @@ func checkRT[T comparable](t *testing.T, v T) {
 	}
 }
 
-func TestCodecBytesAndGobFallback(t *testing.T) {
+func TestCodecBytesAndStructs(t *testing.T) {
 	b := []byte{0, 1, 2, 255}
 	data, err := Append(nil, b)
 	if err != nil {
@@ -188,41 +189,48 @@ func TestCodecBytesAndGobFallback(t *testing.T) {
 	}
 
 	type cell struct{ I, J int }
-	c := cell{3, -4}
-	data, err = Append(nil, c)
-	if err != nil {
-		t.Fatal(err)
+	checkRT(t, cell{3, -4})
+	// Unexported fields, strings and string arrays travel through the
+	// plan like any other part.
+	type hidden struct {
+		secret int
+		Name   string
+		tags   [3]string
+		_      *int
 	}
-	gotC, err := Decode[cell](data)
-	if err != nil || gotC != c {
-		t.Errorf("struct round trip: %v %v", gotC, err)
+	checkRT(t, hidden{secret: 7, Name: "x", tags: [3]string{"", "é", "long tag"}})
+	checkRT(t, hidden{})
+	// A struct with a string part frames it: a uvarint length, then the
+	// bytes.
+	type named struct {
+		A int8
+		S string
 	}
-
-	// Unencodable types must error, not corrupt.
-	type hidden struct{ secret int } //nolint:unused
-	if _, err := Append(nil, hidden{1}); err == nil {
-		t.Error("expected error encoding struct with only unexported fields")
+	if data, _ := Append(nil, named{-1, "ab"}); !bytes.Equal(data, []byte{0xff, 2, 'a', 'b'}) {
+		t.Errorf("struct with a string encodes as % x, want ff 02 61 62", data)
 	}
 }
 
-func TestCanRoundTripIdentity(t *testing.T) {
+// TestCheckCodec: a type has a codec exactly when it has a plan or is a
+// bare []byte; anything with a reference in it is refused by name.
+func TestCheckCodec(t *testing.T) {
 	type flat struct {
 		A int
 		B string
 		C [3]float64
+		d bool
 	}
 	type nested struct{ F flat }
-	if err := CanRoundTripIdentity[int](); err != nil {
-		t.Errorf("int: %v", err)
-	}
-	if err := CanRoundTripIdentity[string](); err != nil {
-		t.Errorf("string: %v", err)
-	}
-	if err := CanRoundTripIdentity[flat](); err != nil {
-		t.Errorf("flat struct: %v", err)
-	}
-	if err := CanRoundTripIdentity[nested](); err != nil {
-		t.Errorf("nested struct: %v", err)
+	for name, err := range map[string]error{
+		"int":    CheckCodec[int](),
+		"string": CheckCodec[string](),
+		"[]byte": CheckCodec[[]byte](),
+		"flat":   CheckCodec[flat](),
+		"nested": CheckCodec[nested](),
+	} {
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 
 	type withPtr struct{ P *int }
@@ -231,58 +239,24 @@ func TestCanRoundTripIdentity(t *testing.T) {
 		N nested
 		P [2]*string
 	}
-	if err := CanRoundTripIdentity[*int](); err == nil {
-		t.Error("*int should be rejected")
-	}
-	if err := CanRoundTripIdentity[withPtr](); err == nil {
-		t.Error("struct with pointer field should be rejected")
-	}
-	if err := CanRoundTripIdentity[withIface](); err == nil {
-		t.Error("struct with interface field should be rejected")
-	}
-	if err := CanRoundTripIdentity[deepPtr](); err == nil {
-		t.Error("deeply nested pointer array should be rejected")
-	}
-	if err := CanRoundTripIdentity[any](); err == nil {
-		t.Error("interface type should be rejected")
-	}
-
-	// gob silently drops unexported fields, so keys differing only
-	// there would collapse into one group after a spill round trip.
-	type mixed struct {
-		A int
-		b int //nolint:unused
-	}
-	if err := CanRoundTripIdentity[mixed](); err == nil {
-		t.Error("struct with unexported field should be rejected")
-	}
-}
-
-func TestCanRoundTripFidelity(t *testing.T) {
-	type ok struct {
-		A    int
-		B    []string
-		C    *float64
-		D    map[string][]int
-		Next *ok // type recursion must not loop
-	}
-	if err := CanRoundTripFidelity[ok](); err != nil {
-		t.Errorf("pointer/slice/map value type should pass fidelity: %v", err)
-	}
-	if err := CanRoundTripFidelity[[]byte](); err != nil {
-		t.Errorf("[]byte: %v", err)
-	}
-
-	type lossy struct {
-		Pub  int
-		priv int //nolint:unused
-	}
-	if err := CanRoundTripFidelity[lossy](); err == nil {
-		t.Error("unexported field should fail fidelity")
-	}
-	type nestedLossy struct{ L []lossy }
-	if err := CanRoundTripFidelity[nestedLossy](); err == nil {
-		t.Error("unexported field behind a slice should fail fidelity")
+	type withSlice struct{ Xs []int }
+	type blob []byte
+	for name, err := range map[string]error{
+		"*int":      CheckCodec[*int](),
+		"withPtr":   CheckCodec[withPtr](),
+		"withIface": CheckCodec[withIface](),
+		"deepPtr":   CheckCodec[deepPtr](),
+		"any":       CheckCodec[any](),
+		"withSlice": CheckCodec[withSlice](),
+		"[]int":     CheckCodec[[]int](),
+		"map":       CheckCodec[map[string]int](),
+		"blob":      CheckCodec[blob](),
+	} {
+		if err == nil {
+			t.Errorf("%s has a codec", name)
+		} else if !strings.Contains(err.Error(), "has no codec") {
+			t.Errorf("%s: err %v does not say it has no codec", name, err)
+		}
 	}
 }
 
@@ -300,8 +274,24 @@ func TestCodecDecodeErrors(t *testing.T) {
 		t.Error("empty bool should fail")
 	}
 	type cell struct{ I, J int }
-	if _, err := Decode[cell]([]byte("not gob")); err == nil {
-		t.Error("garbage gob should fail")
+	if _, err := Decode[cell]([]byte("not a cell")); err == nil {
+		t.Error("wrong-length struct should fail")
+	}
+	type named struct {
+		A int8
+		S string
+	}
+	for _, bad := range [][]byte{
+		{},               // no room for A
+		{1},              // no length
+		{1, 0x80},        // dangling length varint
+		{1, 3, 'a', 'b'}, // string overruns the frame
+		{1, 1, 'a', 'b'}, // trailing byte
+		{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, // huge length
+	} {
+		if v, err := Decode[named](bad); err == nil {
+			t.Errorf("Decode(% x) = %+v, want an error", bad, v)
+		}
 	}
 }
 

@@ -681,9 +681,6 @@ func (st *partitionState[K, V]) decodeSwappedKey(dec func([]byte) (K, error), kb
 // absorbs; Abort releases them.
 func (in *Ingester[K, V]) swapStaged(st *partitionState[K, V], budget int) (err error) {
 	s := in.s
-	if s.spillTypeErr != nil {
-		return fmt.Errorf("shuffle: cannot swap staged pairs: %w", s.spillTypeErr)
-	}
 	if st.stash == nil {
 		st.stash = &spool[K, V]{s: s, pattern: "mr-swap-*.spool", kind: "swap spool"}
 	}

@@ -1,21 +1,22 @@
 // Key order and key placement: the one place a key's canonical order,
 // the check that a key type has one, and its hash live.
 //
-// A shuffle key type is one with a compiled key plan
-// (runfile.KeyPlanFor): its parts are bools, numbers and strings —
-// alone, or composed through structs and arrays, named or not. It
-// orders field-wise in declaration order: numerically for numbers,
-// bytewise for strings, false before true. That order is strict and
-// total and agrees with ==, so every sort, merge, range cut and run
-// index assumes one position per key and one group per position. A
-// type with an interface, pointer or channel in it has no plan; CheckKey
-// refuses it, both executors call CheckKey before any task runs, and New
-// panics on it. A key must also be == to itself: a NaN in a float or
+// A shuffle key type is one with a compiled plan (runfile.PlanFor),
+// the same plan its run-file codec replays: its parts are bools,
+// numbers and strings — alone, or composed through structs and arrays,
+// named or not. It orders field-wise in declaration order: numerically
+// for numbers, bytewise for strings, false before true. That order is
+// strict and total and agrees with ==, so every sort, merge, range cut
+// and run index assumes one position per key and one group per
+// position. A type with an interface, pointer or channel in it has no
+// plan; CheckKey refuses it (CheckTypes also refuses a spilled value
+// type with no codec), both executors check before any task runs, and
+// New panics on it. A key must also be == to itself: a NaN in a float or
 // complex field fails the round at TaskWriter.Emit (ErrNaNKey).
 //
 // A key of at most two parts, all numbers or bools (an int, a float64,
 // a two-field struct of numbers), also has a normalized form
-// (runfile.KeyPlan.Norm): two words whose lexicographic order is the key
+// (runfile.Plan.Norm): two words whose lexicographic order is the key
 // order. SortKeys and a seal's sort of the live run (sortOrder)
 // radix-sort such keys on their words, and merge cursors cache them so
 // the merge heap compares words inline; every other key sorts and
@@ -109,17 +110,17 @@ func (h Hasher[K]) Hash(k K) uint64 {
 // multi-process runtime (internal/proc) partitions map output in worker
 // processes and merges it in reduce processes, so placement must be a
 // function of the key's value and nothing else. It is the key plan's
-// hash (runfile.KeyPlan.Hash — no encoding, no allocation), so equal
+// hash (runfile.Plan.Hash — no encoding, no allocation), so equal
 // keys hash equal. Safe for concurrent use.
 type StableHasher[K comparable] struct {
-	plan *runfile.KeyPlan
+	plan *runfile.Plan
 	seed uint64
 }
 
 // NewStableHasher returns K's stable hasher under the given seed. K
 // must pass CheckKey.
 func NewStableHasher[K comparable](seed uint64) StableHasher[K] {
-	return StableHasher[K]{plan: runfile.KeyPlanFor[K](), seed: seed}
+	return StableHasher[K]{plan: runfile.PlanFor[K](), seed: seed}
 }
 
 // Hash returns the key's stable 64-bit hash.
@@ -130,10 +131,20 @@ func (h StableHasher[K]) Hash(k K) uint64 {
 // CheckKey reports whether K can be a shuffle key — whether it has a
 // compiled key plan — with an error naming the type when it cannot.
 func CheckKey[K comparable]() error {
-	if runfile.KeyPlanFor[K]() == nil {
+	if runfile.PlanFor[K]() == nil {
 		return fmt.Errorf("shuffle: key type %v has no canonical order: keys must be made of bools, numbers and strings (no interface, pointer or channel)", reflect.TypeFor[K]())
 	}
 	return nil
+}
+
+// CheckTypes reports whether K and V can make a shuffle, with an error
+// naming the type that cannot: K must pass CheckKey and, when the
+// shuffle spills, V must have a run-file codec (runfile.CheckCodec).
+func CheckTypes[K comparable, V any](spill bool) error {
+	if err := CheckKey[K](); err != nil || !spill {
+		return err
+	}
+	return runfile.CheckCodec[V]()
 }
 
 // ErrNaNKey fails a round whose map emitted a key that is not == to
@@ -151,7 +162,7 @@ func orderOf[K comparable]() func(a, b K) int {
 			return strings.Compare(*(*string)(unsafe.Pointer(&a)), *(*string)(unsafe.Pointer(&b)))
 		}
 	}
-	plan := runfile.KeyPlanFor[K]()
+	plan := runfile.PlanFor[K]()
 	return func(a, b K) int {
 		return plan.Compare(unsafe.Pointer(&a), unsafe.Pointer(&b))
 	}
@@ -181,7 +192,7 @@ func pooledSort[T any](pool *sync.Pool, size int) *[]normKey[T] {
 
 // SortKeys sorts keys in the package's canonical order (see the
 // package comment of this file). A key with a normalized form
-// (runfile.KeyPlan.Norm) is sorted on its words: an LSD radix sort over
+// (runfile.Plan.Norm) is sorted on its words: an LSD radix sort over
 // only the bytes that vary among the keys, through one pooled scratch
 // buffer of twice the keys' length. Any other key (a string part, more
 // than two parts) is pdqsorted by orderOf, a plain []string by
@@ -191,7 +202,7 @@ func SortKeys[K comparable](keys []K) {
 		slices.Sort(ks)
 		return
 	}
-	plan := runfile.KeyPlanFor[K]()
+	plan := runfile.PlanFor[K]()
 	if !plan.Normalized() {
 		slices.SortFunc(keys, orderOf[K]())
 		return
@@ -224,7 +235,7 @@ func sortOrder[K comparable, V any](pairs []Pair[K, V]) (order []normKey[int], p
 	pooled = pooledSort[int](&orderScratch, 2*n)
 	buf := *pooled
 	order = buf[:n]
-	if plan := runfile.KeyPlanFor[K](); plan.Normalized() {
+	if plan := runfile.PlanFor[K](); plan.Normalized() {
 		var vary [2]uint64
 		for i := range pairs {
 			w0, w1 := plan.Norm(unsafe.Pointer(&pairs[i].Key))

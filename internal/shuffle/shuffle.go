@@ -166,23 +166,22 @@ type Pair[K comparable, V any] struct {
 // Shuffle is a P-way partitioned grouped exchange from map tasks to
 // reduce partitions.
 type Shuffle[K comparable, V any] struct {
-	hasher       Hasher[K]
-	floatKey     bool             // K has a float or complex part: Emit refuses NaN keys
-	partitioner  func(K) int      // optional override; used by tests and schemas
-	combiner     func(K, []V) []V // optional associative pre-aggregation, applied at seal time
-	sealSink     SealSink         // optional seal redirect (SetSealSink)
-	opts         Options
-	nparts       int
-	mask         uint64
-	tune         tuning // resolved
-	parts        []partitionState[K, V]
-	mu           sync.Mutex // guards closed and borrowed
-	closed       bool
-	spillTypeErr error               // non-nil when K or V cannot survive a disk round trip
-	fs           runfile.FS          // filesystem behind run files (OSFS unless injected)
-	diskSem      chan struct{}       // bounds concurrent multi-file disk reads (fd cap)
-	diskRead     atomic.Int64        // bytes read back from spill run files
-	borrowed     map[string]*runFile // adopted files by path (AdoptRun)
+	hasher      Hasher[K]
+	floatKey    bool             // K has a float or complex part: Emit refuses NaN keys
+	partitioner func(K) int      // optional override; used by tests and schemas
+	combiner    func(K, []V) []V // optional associative pre-aggregation, applied at seal time
+	sealSink    SealSink         // optional seal redirect (SetSealSink)
+	opts        Options
+	nparts      int
+	mask        uint64
+	tune        tuning // resolved
+	parts       []partitionState[K, V]
+	mu          sync.Mutex // guards closed and borrowed
+	closed      bool
+	fs          runfile.FS          // filesystem behind run files (OSFS unless injected)
+	diskSem     chan struct{}       // bounds concurrent multi-file disk reads (fd cap)
+	diskRead    atomic.Int64        // bytes read back from spill run files
+	borrowed    map[string]*runFile // adopted files by path (AdoptRun)
 
 	// Async compaction (see compact.go): partitions over their run-count
 	// bound are enqueued on compactCh (at most one entry per partition)
@@ -301,18 +300,18 @@ type partitionState[K comparable, V any] struct {
 // block-granularity livePairs change.
 func (st *partitionState[K, V]) syncLive() { st.liveApprox.Store(int64(st.livePairs)) }
 
-// New creates a shuffle with the given options. It panics on a K that
-// fails CheckKey, a programming error the executors rule out first.
+// New creates a shuffle with the given options. It panics on types that
+// fail CheckTypes, a programming error the executors rule out first.
 func New[K comparable, V any](opts Options) *Shuffle[K, V] { return newTuned[K, V](opts, tuning{}) }
 
 func newTuned[K comparable, V any](opts Options, tune tuning) *Shuffle[K, V] {
-	if err := CheckKey[K](); err != nil {
+	if err := CheckTypes[K, V](opts.SpillDir != ""); err != nil {
 		panic(err)
 	}
 	n := PartitionCount(opts.Partitions)
 	s := &Shuffle[K, V]{
 		hasher:   NewHasher[K](),
-		floatKey: runfile.KeyPlanFor[K]().HasFloat(),
+		floatKey: runfile.PlanFor[K]().HasFloat(),
 		opts:     opts,
 		tune:     tune.resolve(opts.MaxBufferedPairs),
 		nparts:   n,
@@ -330,16 +329,6 @@ func newTuned[K comparable, V any](opts Options, tune tuning) *Shuffle[K, V] {
 		s.fs = runfile.OSFS
 	}
 	if opts.SpillDir != "" {
-		// Keys grouped after a disk round trip are compared with ==, so
-		// types whose decoded copies break == (pointer fields, etc.)
-		// must fail the first seal loudly instead of splitting groups;
-		// values must survive without silent loss (gob drops unexported
-		// struct fields without error).
-		if err := runfile.CanRoundTripIdentity[K](); err != nil {
-			s.spillTypeErr = fmt.Errorf("key type: %w", err)
-		} else if err := runfile.CanRoundTripFidelity[V](); err != nil {
-			s.spillTypeErr = fmt.Errorf("value type: %w", err)
-		}
 		if s.swapImage = runfile.ImageSize[Pair[K, V]](); s.swapImage == 0 {
 			s.kc, s.vc = runfile.CodecFor[K](), runfile.CodecFor[V]()
 		}
@@ -620,9 +609,6 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 			return err
 		}
 	case s.opts.SpillDir != "":
-		if s.spillTypeErr != nil {
-			return fmt.Errorf("shuffle: cannot spill: %w", s.spillTypeErr)
-		}
 		if st.pspool == nil {
 			st.pspool = &spool[K, V]{s: s, pattern: "mr-spool-*.run", kind: "seal spool"}
 		}

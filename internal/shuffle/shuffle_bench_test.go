@@ -542,7 +542,7 @@ func BenchmarkReduceRangeSkew(b *testing.B) {
 
 // BenchmarkKeyPlan times the four things the data path does with a
 // key — place it (the WithSeed/ProcMode stable hash), normalize it
-// (runfile.KeyPlan.Norm, for the keys that have the form), sort it
+// (runfile.Plan.Norm, for the keys that have the form), sort it
 // (SortKeys at every seal), and advance a merge cursor past it (pop,
 // advance, push on mergeCursors' heap) — for an int key, the two-word
 // struct key the paper's problem families use, and a struct key with a
@@ -573,7 +573,7 @@ func benchKeyPlan[K comparable](b *testing.B, name string, key func(i int) K) {
 			keyPlanSink += h.Hash(keys[i%n])
 		}
 	})
-	if plan := runfile.KeyPlanFor[K](); plan.Normalized() {
+	if plan := runfile.PlanFor[K](); plan.Normalized() {
 		b.Run("norm/"+name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

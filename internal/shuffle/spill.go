@@ -646,14 +646,14 @@ func (c *groupCursor[K, V]) appendValues(dst []V) ([]V, error) {
 // (orderOf).
 type cursorHeap[K comparable, V any] struct {
 	cs   []*groupCursor[K, V]
-	plan *runfile.KeyPlan // non-nil when K has a normalized form
+	plan *runfile.Plan // non-nil when K has a normalized form
 	cmp  func(a, b K) int
 }
 
 // newCursorHeap returns an empty heap over K's canonical order cmp.
 func newCursorHeap[K comparable, V any](cmp func(a, b K) int) *cursorHeap[K, V] {
 	h := &cursorHeap[K, V]{cmp: cmp}
-	if plan := runfile.KeyPlanFor[K](); plan.Normalized() {
+	if plan := runfile.PlanFor[K](); plan.Normalized() {
 		h.plan = plan
 	}
 	return h

@@ -156,31 +156,60 @@ func TestSpillMatchesInMemorySealing(t *testing.T) {
 	}
 }
 
-// TestSpillStructKeysViaGob: non-native key and value types round-trip
-// through the gob fallback of the run-file codec.
-func TestSpillStructKeysViaGob(t *testing.T) {
+// TestSpillGroupsMatchMemory: struct keys and values take their
+// compiled plan through the run-file codec, so a spilling shuffle must
+// group exactly as an in-memory one — for fixed-width keys, keys with
+// strings, and values with an unexported field.
+func TestSpillGroupsMatchMemory(t *testing.T) {
 	type cell struct{ I, J int }
 	type payload struct{ X float64 }
-	s := New[cell, payload](Options{Partitions: 2, MaxBufferedPairs: 4, SpillDir: t.TempDir()})
-	defer s.Close()
-	var task []Pair[cell, payload]
-	want := make(map[cell][]payload)
-	for i := 0; i < 40; i++ {
-		k := cell{i % 5, i % 3}
-		v := payload{float64(i) / 2}
-		task = append(task, Pair[cell, payload]{k, v})
-		want[k] = append(want[k], v)
+	type k2 struct{ A, B string }
+	type hidden struct {
+		Pub  int
+		priv string
 	}
-	streamTasks(t, s, [][]Pair[cell, payload]{task}, 1)
-	st, err := s.Stats()
+	t.Run("cell", func(t *testing.T) {
+		checkSpillMatchesMemory(t, 40, func(i int) Pair[cell, payload] {
+			return Pair[cell, payload]{cell{i % 5, i % 3}, payload{float64(i) / 2}}
+		})
+	})
+	t.Run("string-key", func(t *testing.T) {
+		checkSpillMatchesMemory(t, 40, func(i int) Pair[k2, int] {
+			return Pair[k2, int]{k2{fmt.Sprint(i % 4), strings.Repeat("b", i%3)}, i}
+		})
+	})
+	t.Run("unexported-value", func(t *testing.T) {
+		checkSpillMatchesMemory(t, 40, func(i int) Pair[int, hidden] {
+			return Pair[int, hidden]{i % 6, hidden{i, fmt.Sprint("v", i)}}
+		})
+	})
+}
+
+// checkSpillMatchesMemory streams n generated pairs through an
+// in-memory shuffle and through one that spills, and requires equal
+// groups from both.
+func checkSpillMatchesMemory[K comparable, V any](t *testing.T, n int, gen func(i int) Pair[K, V]) {
+	t.Helper()
+	task := make([]Pair[K, V], n)
+	for i := range task {
+		task[i] = gen(i)
+	}
+	mem := New[K, V](Options{Partitions: 2})
+	defer mem.Close()
+	streamTasks(t, mem, [][]Pair[K, V]{task}, 1)
+	disk := New[K, V](Options{Partitions: 2, MaxBufferedPairs: 4, SpillDir: t.TempDir()})
+	defer disk.Close()
+	streamTasks(t, disk, [][]Pair[K, V]{task}, 1)
+	st, err := disk.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.BytesSpilled == 0 {
-		t.Fatal("struct-key workload never spilled")
+		t.Fatal("workload never spilled")
 	}
-	if got := collectGroups(t, s); !reflect.DeepEqual(got, want) {
-		t.Fatalf("gob round trip diverged: got %d keys, want %d", len(got), len(want))
+	want, got := collectGroups(t, mem), collectGroups(t, disk)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("spilled groups diverge from memory:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -360,52 +389,40 @@ func TestSpillRejectsPointerKeys(t *testing.T) {
 	New[pk, int](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
 }
 
-// TestSpillRejectsLossyValueTypes: gob silently zeroes unexported
-// struct fields, so spilled values would diverge from the in-memory
-// run — the first seal must fail loudly. Pointer values are fine
-// (fidelity, unlike key identity, survives fresh allocations).
-func TestSpillRejectsLossyValueTypes(t *testing.T) {
+// TestSpillValueTypes: a value with an unexported field spills with
+// that field intact, and a value type with no codec (*int) is refused
+// when the shuffle is made, before any task runs.
+func TestSpillValueTypes(t *testing.T) {
 	type lossy struct {
 		Pub  int
-		priv int //nolint:unused
+		priv int
 	}
 	s := New[int, lossy](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
 	defer s.Close()
 	task := make([]Pair[int, lossy], 8)
 	for i := range task {
-		task[i] = Pair[int, lossy]{i % 2, lossy{i, i}}
+		task[i] = Pair[int, lossy]{i % 2, lossy{i, i * 10}}
 	}
-	err := ingestTasksErr(s, [][]Pair[int, lossy]{task}, 1)
-	if err == nil || !strings.Contains(err.Error(), "cannot swap staged pairs: value type") {
-		t.Fatalf("ingest err = %v, want a value-type rejection", err)
-	}
-
-	// Pointer-valued payloads round-trip as faithful copies.
-	sp := New[int, *int](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
-	defer sp.Close()
-	vals := make([]int, 8)
-	ptrs := make([]Pair[int, *int], len(vals))
-	for i := range vals {
-		vals[i] = i * 10
-		ptrs[i] = Pair[int, *int]{i % 2, &vals[i]}
-	}
-	if err := ingestTasksErr(sp, [][]Pair[int, *int]{ptrs}, 1); err != nil {
-		t.Fatalf("pointer values should spill: %v", err)
-	}
+	streamTasks(t, s, [][]Pair[int, lossy]{task}, 1)
 	sum := 0
-	for p := 0; p < sp.NumPartitions(); p++ {
-		if err := sp.Partition(p).forEachGroup(func(_ int, vs []*int) error {
-			for _, v := range vs {
-				sum += *v
+	for _, vs := range collectGroups(t, s) {
+		for _, v := range vs {
+			if v.priv != 10*v.Pub {
+				t.Fatalf("value %+v lost its unexported field across the spill", v)
 			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+			sum += v.priv
 		}
 	}
 	if sum != 280 {
-		t.Errorf("pointer values lost data across spill: sum = %d, want 280", sum)
+		t.Errorf("unexported fields sum to %d after the spill, want 280", sum)
 	}
+
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "*int has no codec") {
+			t.Fatalf("New[int, *int] recovered %v, want a panic naming the value type", r)
+		}
+	}()
+	New[int, *int](Options{Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir()})
 }
 
 // TestSpillFailureSurfaces: an unusable spill directory must fail the

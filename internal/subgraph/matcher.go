@@ -2,7 +2,7 @@ package subgraph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graphs"
 	"repro/internal/mr"
@@ -85,7 +85,7 @@ func (m *Matcher) cellsForEdge(u, v int) []int {
 		addAll(map[int]int{se.U: m.hash(u), se.V: m.hash(v)})
 		addAll(map[int]int{se.U: m.hash(v), se.V: m.hash(u)})
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -211,15 +211,6 @@ func (m *Matcher) Run(data *graphs.Graph, cfg mr.Config) ([][]int, mr.Metrics, e
 	for i, o := range outs {
 		embs[i] = relation.FromKey(o)
 	}
-	sort.Slice(embs, func(i, j int) bool { return lessIntSlice(embs[i], embs[j]) })
+	slices.SortFunc(embs, slices.Compare)
 	return embs, met, nil
-}
-
-func lessIntSlice(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }
