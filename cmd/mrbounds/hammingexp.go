@@ -70,7 +70,7 @@ func runWeight() {
 			tc.b, tc.d, tc.k, st.ReplicationRate, s.ExpectedReplication(),
 			st.MaxReducerLoad, s.PredictedMaxCell(), math.Log2(float64(st.MaxReducerLoad)))
 	}
-	fmt.Println("\n(The paper's printed Stirling expression is ~2^d lower; see EXPERIMENTS.md.)")
+	fmt.Println("\n(The paper's printed Stirling expression is ~2^d lower: it takes C(n, n/2) as 2^n/sqrt(2 pi n), half of 2^n*sqrt(2/(pi n)), in each of the d dimensions.)")
 }
 
 // runHDD regenerates the Section 3.6 distance-d analysis: Ball-2's q and

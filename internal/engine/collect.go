@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"iter"
+	"slices"
 	"sync"
 	"unsafe"
 
 	"repro/internal/obs"
-	"repro/internal/shuffle"
+	"repro/internal/runfile"
 )
 
 // chunkBytes caps a Collector chunk. A unit's first chunk holds
@@ -32,8 +34,14 @@ func chunkCap[O any]() int {
 // grown per key. The zero value is ready to use; a Collector is not
 // safe for concurrent use.
 type Collector[K comparable, O any] struct {
-	keys   []K
-	ends   []int // ends[i]: outputs through keys[i], counted over the unit
+	keys []K
+	segments[O]
+}
+
+// segments is a Collector without its keys: the outputs in chunks and
+// where each key's outputs end. An Image keeps only this part.
+type segments[O any] struct {
+	ends   []int // ends[i]: outputs through key i, counted over the unit
 	full   [][]O // retired chunks, each ending on a key boundary
 	cur    []O   // the chunk being filled
 	start  int   // where the open key's outputs begin in cur
@@ -42,7 +50,7 @@ type Collector[K comparable, O any] struct {
 
 // Emit appends o to the open key's outputs. Bind it once per unit
 // (c.Emit) and pass that as the reduce function's emit.
-func (c *Collector[K, O]) Emit(o O) {
+func (c *segments[O]) Emit(o O) {
 	if len(c.cur) == cap(c.cur) {
 		c.grow()
 	}
@@ -52,7 +60,7 @@ func (c *Collector[K, O]) Emit(o O) {
 // grow retires the full chunk cur, keeping its closed keys, and moves
 // the open key's partial outputs into a new chunk: the next geometric
 // size, or twice the partial key if that is larger.
-func (c *Collector[K, O]) grow() {
+func (c *segments[O]) grow() {
 	partial := c.cur[c.start:]
 	size := max(min(max(2*cap(c.cur), firstChunk), chunkCap[O]()), 2*len(partial))
 	next := make([]O, len(partial), size)
@@ -74,87 +82,187 @@ func (c *Collector[K, O]) EndKey(k K) {
 }
 
 // Len is the number of outputs collected.
-func (c *Collector[K, O]) Len() int { return c.sealed + len(c.cur) }
+func (c *segments[O]) Len() int { return c.sealed + len(c.cur) }
 
 // ForEach yields every closed key in order with its outputs: one slice
 // into the collector's chunks, its capacity clipped to its length.
 func (c *Collector[K, O]) ForEach(fn func(k K, outs []O)) {
-	ci, off, prev := 0, 0, 0
-	chunk := c.chunk(0)
-	for i, k := range c.keys {
-		n := c.ends[i] - prev
-		prev = c.ends[i]
-		for off+n > len(chunk) { // k's outputs open the next chunk
-			ci, off = ci+1, 0
-			chunk = c.chunk(ci)
-		}
-		fn(k, chunk[off:off+n:off+n])
-		off += n
+	var at cursor
+	for _, k := range c.keys {
+		fn(k, c.next(&at))
 	}
 }
 
-func (c *Collector[K, O]) chunk(i int) []O {
+// cursor is a read position in one unit's segments: its next key, the
+// chunk that key's outputs are in or after, and the offset there.
+type cursor struct{ key, chunk, off int }
+
+// next returns the outputs of at's key, capacity clipped, and moves at
+// past them.
+func (c *segments[O]) next(at *cursor) []O {
+	lo := 0
+	if at.key > 0 {
+		lo = c.ends[at.key-1]
+	}
+	n := c.ends[at.key] - lo
+	chunk := c.chunk(at.chunk)
+	for at.off+n > len(chunk) { // the key's outputs open the next chunk
+		at.chunk, at.off = at.chunk+1, 0
+		chunk = c.chunk(at.chunk)
+	}
+	outs := chunk[at.off : at.off+n : at.off+n]
+	at.key, at.off = at.key+1, at.off+n
+	return outs
+}
+
+func (c *segments[O]) chunk(i int) []O {
 	if i < len(c.full) {
 		return c.full[i]
 	}
 	return c.cur
 }
 
-// assemble lays the units' outputs out in global key order — keys
-// ascending (shuffle.SortKeys order), each key's outputs in emission
-// order — in one allocation of the exact size. The sorted keys give
-// every key its destination offset; then workers goroutines copy the
-// keys' slices into place, each over a contiguous destination range.
-func assemble[K comparable, O any](units []partResult[K, O], workers int, lane *obs.Ring) (outs []O) {
-	nkeys, total := 0, 0
-	for u := range units {
-		nkeys += len(units[u].out.keys)
-		total += units[u].out.Len()
-	}
-	lane.Begin(obs.OpOutputAssemble, int64(nkeys), int64(total))
-	defer lane.End(obs.OpOutputAssemble, int64(nkeys), int64(total))
-
-	allKeys := make([]K, 0, nkeys)
-	for u := range units {
-		allKeys = append(allKeys, units[u].out.keys...)
-	}
-	shuffle.SortKeys(allKeys)
-	rank := make(map[K]int, nkeys)
-	for i, k := range allKeys {
-		rank[k] = i
-	}
-	srcs := make([][]O, nkeys)
-	for u := range units {
-		units[u].out.ForEach(func(k K, os []O) { srcs[rank[k]] = os })
-	}
-	if total > 0 {
-		outs = make([]O, total)
-		fill(outs, srcs, workers)
-	}
-	return outs
+// Image is a round's outputs left where its reduce units collected
+// them: each unit's segments, and the unit of every key in global key
+// order (keys ascending in shuffle.SortKeys order, no key in two
+// units). Read in that order, key by key, each key's outputs in
+// emission order, it is the sequence a round's output slice holds, at
+// a few bytes per key and no copy. A pipeline hands it to the next
+// in-process round as that round's input; SliceImage makes a plain
+// slice one.
+type Image[O any] struct {
+	units []segments[O]
+	order []uint32 // order[i]: the unit holding the i-th key
+	n     int      // outputs
 }
 
-// fill copies srcs back to back into dst, which is exactly their total
-// length, on up to workers goroutines: each takes a run of whole keys
-// of about len(dst)/workers outputs, so the destination ranges are
-// contiguous and disjoint.
-func fill[O any](dst []O, srcs [][]O, workers int) {
-	per := (len(dst) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo, off := 0, 0; lo < len(srcs); {
-		hi, n := lo, 0
-		for hi < len(srcs) && n < per {
-			n += len(srcs[hi])
-			hi++
+// SliceImage is s as an image: one unit holding one key. The image
+// reads s in place.
+func SliceImage[O any](s []O) *Image[O] {
+	return &Image[O]{units: []segments[O]{{ends: []int{len(s)}, cur: s}}, order: []uint32{0}, n: len(s)}
+}
+
+// newImage merges the reduce units' key lists — each sorted in
+// canonical key order, no key in two units — into the image's key
+// order. The units' keys are not kept.
+func newImage[K comparable, O any](results []partResult[K, O]) *Image[O] {
+	im := &Image[O]{units: make([]segments[O], len(results))}
+	var heap []uint32 // units with keys left, by their next key
+	nkeys := 0
+	for u := range results {
+		im.units[u] = results[u].out.segments
+		im.n += results[u].out.Len()
+		if n := len(results[u].out.keys); n > 0 {
+			heap = append(heap, uint32(u))
+			nkeys += n
 		}
-		wg.Add(1)
-		go func(srcs [][]O, dst []O) {
-			defer wg.Done()
-			for _, s := range srcs {
-				dst = dst[copy(dst, s):]
+	}
+	im.order = make([]uint32, 0, nkeys)
+	next := make([]int, len(results))
+	plan := runfile.PlanFor[K]()
+	less := func(a, b uint32) bool {
+		ka, kb := &results[a].out.keys[next[a]], &results[b].out.keys[next[b]]
+		return plan.Compare(unsafe.Pointer(ka), unsafe.Pointer(kb)) < 0
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heap) {
+				return
 			}
-		}(srcs[lo:hi], dst[off:off+n])
-		lo, off = hi, off+n
+			if c+1 < len(heap) && less(heap[c+1], heap[c]) {
+				c++
+			}
+			if !less(heap[c], heap[i]) {
+				return
+			}
+			heap[i], heap[c] = heap[c], heap[i]
+			i = c
+		}
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(heap) > 0 {
+		u := heap[0]
+		im.order = append(im.order, u)
+		if next[u]++; next[u] == len(results[u].out.keys) {
+			heap[0] = heap[len(heap)-1]
+			heap = heap[:len(heap)-1]
+		}
+		down(0)
+	}
+	return im
+}
+
+// span is a range of an image's outputs: where it starts — the next key
+// in order, the outputs of that key before the range, every unit's
+// cursor — and its length.
+type span struct {
+	key, skip, n int
+	units        []cursor
+}
+
+// seek returns the spans of ranges, which are ascending, in one pass
+// over the image's key order.
+func (im *Image[O]) seek(ranges []TaskRange) []span {
+	spans := make([]span, len(ranges))
+	at := make([]cursor, len(im.units))
+	key, done := 0, 0 // done: the outputs before key
+	for i, rg := range ranges {
+		for ; key < len(im.order); key++ {
+			u := im.order[key]
+			c := at[u]
+			n := len(im.units[u].next(&c))
+			if done+n > rg.Lo {
+				break
+			}
+			at[u], done = c, done+n
+		}
+		spans[i] = span{key, rg.Lo - done, rg.Hi - rg.Lo, slices.Clone(at)}
+	}
+	return spans
+}
+
+// read yields the outputs of sp in image order, one slice per key (the
+// first and last clipped to the span). Each range over it starts afresh.
+func (im *Image[O]) read(sp span) iter.Seq[[]O] {
+	return func(yield func([]O) bool) {
+		at := slices.Clone(sp.units)
+		skip := sp.skip
+		for key, left := sp.key, sp.n; left > 0; key++ {
+			u := im.order[key]
+			outs := im.units[u].next(&at[u])[skip:]
+			outs = outs[:min(len(outs), left)]
+			skip, left = 0, left-len(outs)
+			if len(outs) > 0 && !yield(outs) {
+				return
+			}
+		}
+	}
+}
+
+// assemble copies the image into one slice of its exact size, in image
+// order, on up to workers goroutines, each filling a contiguous range of
+// about Len/workers outputs.
+func (im *Image[O]) assemble(workers int, lane *obs.Ring) (outs []O) {
+	lane.Begin(obs.OpOutputAssemble, int64(len(im.order)), int64(im.n))
+	defer lane.End(obs.OpOutputAssemble, int64(len(im.order)), int64(im.n))
+	if im.n == 0 {
+		return nil
+	}
+	outs = make([]O, im.n)
+	var wg sync.WaitGroup
+	ranges := Plan{MapChunk: (im.n + workers - 1) / workers}.MapTasks(im.n)
+	for i, sp := range im.seek(ranges) {
+		wg.Add(1)
+		go func(dst []O) {
+			defer wg.Done()
+			for part := range im.read(sp) {
+				dst = dst[copy(dst, part):]
+			}
+		}(outs[ranges[i].Lo:ranges[i].Hi])
 	}
 	wg.Wait()
+	return outs
 }

@@ -110,7 +110,7 @@ func TestAssembleMatchesReference(t *testing.T) {
 		{"split-retry", 4, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := Run(Round[int, int, int, int64]{
+			res, err := runSlice(Round[int, int, int, int64]{
 				Name:   tc.name,
 				Map:    func(x int, emit func(int, int)) { emit(x, x) },
 				Reduce: reduce,
@@ -158,7 +158,7 @@ func TestOutputAllocsPerKey(t *testing.T) {
 			Config: Config{Plan: Plan{Workers: 2, Partitions: 4, MapChunk: 512}},
 		}
 		return testing.AllocsPerRun(5, func() {
-			if _, err := Run(r, inputs); err != nil {
+			if _, err := runSlice(r, inputs); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -175,7 +175,7 @@ func TestOutputAllocsPerKey(t *testing.T) {
 // balanced and valid.
 func TestOutputAssembleSpan(t *testing.T) {
 	rec := obs.NewRecorder(0)
-	res, err := Run(wordCountRound(Config{Plan: Plan{Workers: 2, Partitions: 4, Recorder: rec}}),
+	res, err := runSlice(wordCountRound(Config{Plan: Plan{Workers: 2, Partitions: 4, Recorder: rec}}),
 		[]string{"b a a", "c b a", "d"})
 	if err != nil {
 		t.Fatal(err)

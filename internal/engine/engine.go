@@ -10,13 +10,15 @@
 // The package is deliberately independent of internal/mr: mr's typed
 // Job API is a thin veneer over Run, and multi-round pipelines (the
 // paper's Section 6.3 two-phase matrix multiplication, the Section 7.1
-// join-then-aggregate workloads) execute as a DAG of rounds through
-// Graph.
+// join-then-aggregate workloads) run round after round through
+// mr.RunPipeline, each round reading the previous one's output Image.
 package engine
 
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -33,7 +35,8 @@ type MapFunc[I any, K comparable, V any] func(in I, emit func(K, V))
 type ReduceFunc[K comparable, V, O any] func(key K, values []V, emit func(O))
 
 // CombineFunc optionally pre-aggregates one key's values inside a map
-// task before shuffle.
+// task before shuffle. A map task folds each key's values as they come
+// (mapCombiner), so it sees prefixes and its own partial results.
 type CombineFunc[K comparable, V any] func(key K, values []V) []V
 
 // Config controls the execution of one round: the Plan both executors
@@ -202,23 +205,31 @@ func (m Metrics) PartitionSkew() float64 {
 	return float64(max) / (float64(m.PairsShuffled) / float64(len(m.Partitions)))
 }
 
-// Result is the outcome of one round.
+// Result is the outcome of one round. Its outputs are in global
+// deterministic order — keys ascending (shuffle.SortKeys order),
+// emission order within a key — in exactly one of two forms.
 type Result[K comparable, O any] struct {
-	// Outputs are the reduce outputs in global deterministic order:
-	// keys ascending (shuffle.SortKeys order), emission order within a
-	// key. The slice is allocated once at its exact size and filled in
-	// parallel from the reduce units' collectors.
+	// Outputs is the round's outputs copied into one slice, allocated
+	// once at its exact size and filled in parallel from the image.
+	// Set unless the round kept its image.
 	Outputs []O
+	// Image is the round's outputs left in the reduce units' collectors,
+	// set instead of Outputs when Run is asked to keep it: the next
+	// in-process round of a pipeline reads it as its input, and no
+	// slice of the outputs is ever built.
+	Image   *Image[O]
 	Metrics Metrics
 }
 
 // errInjected marks a deterministic injected task failure.
 var errInjected = errors.New("engine: injected task failure")
 
-// Run executes one round over inputs. On error the returned Result
+// Run executes one round over the records of in (SliceImage for a
+// slice). With keep the outputs stay an image (Result.Image); otherwise
+// they are copied into Result.Outputs. On error the returned Result
 // still carries the metrics accumulated up to the failure point.
-func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Result[K, O], retErr error) {
-	res.Metrics.MapInputs = int64(len(inputs))
+func Run[I any, K comparable, V, O any](r Round[I, K, V, O], in *Image[I], keep bool) (res Result[K, O], retErr error) {
+	res.Metrics.MapInputs = int64(in.n)
 	if err := shuffle.CheckTypes[K, V](r.Config.SpillDir != ""); err != nil {
 		return res, fmt.Errorf("engine: round %q: %w", r.Name, err)
 	}
@@ -253,7 +264,7 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Re
 		sh.SetCombiner(r.Combine)
 	}
 
-	if err := runMapPhase(r, inputs, sh, &res.Metrics); err != nil {
+	if err := runMapPhase(r, in, sh, &res.Metrics); err != nil {
 		return res, err
 	}
 
@@ -279,7 +290,7 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (res Re
 	st := sh.Totals()
 	setProfile(&res.Metrics, st)
 	rlane.Begin(obs.OpPhaseReduce, int64(st.Partitions), 0)
-	res, retErr = runReducePhase(r, sh, st, res)
+	res, retErr = runReducePhase(r, sh, st, res, keep)
 	rlane.End(obs.OpPhaseReduce, res.Metrics.Outputs, obs.ErrFlag(retErr))
 	res.Metrics.DiskBytesRead = sh.DiskBytesRead()
 	return res, retErr
@@ -317,13 +328,14 @@ func setProfile(m *Metrics, st shuffle.Stats) {
 	}
 }
 
-// runMapPhase executes map tasks in parallel. Each task streams its
-// output into the shuffle as it is produced (block-based ingestion:
-// full blocks flush to their partition, which absorbs, seals and spills
+// runMapPhase executes map tasks in parallel, each over a range of the
+// input image's records read in place. Each task streams its output
+// into the shuffle as it is produced (block-based ingestion: full
+// blocks flush to their partition, which absorbs, seals and spills
 // concurrently with still-running map tasks).
-func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I, sh *shuffle.Shuffle[K, V], met *Metrics) (retErr error) {
+func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], in *Image[I], sh *shuffle.Shuffle[K, V], met *Metrics) (retErr error) {
 	cfg := r.Config
-	tasks := cfg.MapTasks(len(inputs))
+	tasks := in.seek(cfg.MapTasks(in.n))
 	// The map-phase span covers mapping plus the Finish drain, so
 	// partition-lane seal/fence spans inside it that overlap worker
 	// map-task spans are exactly SpillOverlapNs.
@@ -344,11 +356,10 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I,
 			defer wg.Done()
 			wlane := cfg.Recorder.Lane(obs.LaneWorker, w)
 			for ti := range taskCh {
-				t := tasks[ti]
 				attempts := 0
 				for {
 					wlane.Begin(obs.OpMapTask, int64(ti), int64(attempts))
-					count, err, fatal := attemptMapTask(r, inputs[t.Lo:t.Hi], ing, ti, attempts)
+					count, err, fatal := attemptMapTask(r, in.read(tasks[ti]), ing, ti, attempts)
 					wlane.End(obs.OpMapTask, count, obs.ErrFlag(err))
 					if err == nil {
 						emitted[ti] = count
@@ -400,7 +411,7 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I,
 // (and flushed) its output, so the attempt's staged pairs must be
 // fenced off by Abort and re-emitted by the retry. fatal marks commit
 // errors, which must fail the round rather than retry the task.
-func attemptMapTask[I any, K comparable, V, O any](r Round[I, K, V, O], records []I, ing *shuffle.Ingester[K, V], taskIdx, attempt int) (n int64, err error, fatal bool) {
+func attemptMapTask[I any, K comparable, V, O any](r Round[I, K, V, O], records iter.Seq[[]I], ing *shuffle.Ingester[K, V], taskIdx, attempt int) (n int64, err error, fatal bool) {
 	tw := ing.Task(taskIdx, attempt)
 	count := runMapAttempt(r, records, tw.Emit)
 	if fe := r.Config.FailureEveryN; fe > 0 && attempt == 0 && taskIdx%fe == 0 {
@@ -414,35 +425,78 @@ func attemptMapTask[I any, K comparable, V, O any](r Round[I, K, V, O], records 
 }
 
 // runMapAttempt maps the records into emit, returning the pre-combine
-// emission count. With a combiner the task groups locally first,
-// combines each key's values, and only then emits the (smaller)
-// combined output.
-func runMapAttempt[I any, K comparable, V, O any](r Round[I, K, V, O], records []I, emit func(K, V)) int64 {
+// emission count. With a combiner the task folds each key's values
+// locally (mapCombiner) and emits the (smaller) combined output at its
+// end, keys in the order the task first emitted them.
+func runMapAttempt[I any, K comparable, V, O any](r Round[I, K, V, O], records iter.Seq[[]I], emit func(K, V)) int64 {
 	var count int64
-	if r.Combine == nil {
-		counted := func(k K, v V) {
-			emit(k, v)
-			count++
-		}
-		for _, rec := range records {
-			r.Map(rec, counted)
-		}
-		return count
+	var c *mapCombiner[K, V]
+	out := emit
+	if r.Combine != nil {
+		c = &mapCombiner[K, V]{combine: r.Combine, foldAt: foldAt, slot: map[K]int{}}
+		out = c.add
 	}
-	local := make(map[K][]V)
-	collect := func(k K, v V) {
-		local[k] = append(local[k], v)
+	counted := func(k K, v V) {
+		out(k, v)
 		count++
 	}
-	for _, rec := range records {
-		r.Map(rec, collect)
+	for recs := range records {
+		for _, rec := range recs {
+			r.Map(rec, counted)
+		}
 	}
-	for k, vs := range local {
-		for _, v := range r.Combine(k, vs) {
+	if c != nil {
+		c.flush(emit)
+	}
+	return count
+}
+
+// foldAt is how many values a key gathers in a map task before the
+// combiner folds them into a partial result.
+const foldAt = 16
+
+// mapCombiner is a map task's local combine: a slot per key, in the
+// order the task first emitted the keys, that buffers the key's values
+// and folds them with the combiner whenever its buffer is full and
+// holds at least foldAt of them, and once more at flush. A fold that
+// leaves the buffer over half full doubles it, so a combiner that
+// shrinks little still runs O(1) times per value. The combiner
+// contract allows it: a combiner may see any prefix of a key's values,
+// and its own partial results among them.
+type mapCombiner[K comparable, V any] struct {
+	combine CombineFunc[K, V]
+	foldAt  int
+	slot    map[K]int
+	keys    []K
+	vals    [][]V
+}
+
+func (c *mapCombiner[K, V]) add(k K, v V) {
+	i, ok := c.slot[k]
+	if !ok {
+		i = len(c.keys)
+		c.slot[k] = i
+		c.keys = append(c.keys, k)
+		c.vals = append(c.vals, nil)
+	}
+	vs := c.vals[i]
+	if len(vs) == cap(vs) && len(vs) >= c.foldAt {
+		vs = append(vs[:0], c.combine(k, vs)...)
+		if len(vs) > cap(vs)/2 {
+			vs = slices.Grow(vs, len(vs))
+		}
+	}
+	c.vals[i] = append(vs, v)
+}
+
+// flush combines every key's buffered values a last time and emits the
+// results, keys in first-emitted order.
+func (c *mapCombiner[K, V]) flush(emit func(K, V)) {
+	for i, k := range c.keys {
+		for _, v := range c.combine(k, c.vals[i]) {
 			emit(k, v)
 		}
 	}
-	return count
 }
 
 // partResult is one reduced unit: its outputs per key, keys in sorted
@@ -501,13 +555,14 @@ func (pr *partReader[K, V]) release() {
 // balancer — whole non-empty partitions by default; with
 // Config.ReduceSplitPairs, heavy partitions split into key-range
 // units weighted by indexed pair load — reduces each unit's
-// keys in sorted order into its own Collector, and assembles the
-// outputs in global key order (assemble). Every unit is one sorted key
-// run and assembly orders keys globally, so the output is
-// byte-identical whether or not a partition was split. The units count
-// the groups they reduce; their profiles complete st, the shuffle's
-// totals, into the round's metrics.
-func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuffle.Shuffle[K, V], st shuffle.Stats, res Result[K, O]) (Result[K, O], error) {
+// keys in sorted order into its own Collector, and merges the units'
+// keys into the output image's global key order (newImage), which it
+// copies into one slice unless keep. Every unit is one sorted key run
+// and the image orders keys globally, so the output is byte-identical
+// whether or not a partition was split. The units count the groups
+// they reduce; their profiles complete st, the shuffle's totals, into
+// the round's metrics.
+func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuffle.Shuffle[K, V], st shuffle.Stats, res Result[K, O], keep bool) (Result[K, O], error) {
 	cfg := r.Config
 	workers := cfg.Workers
 	P := sh.NumPartitions()
@@ -652,8 +707,13 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 	}
 	setProfile(&res.Metrics, st)
 
-	res.Outputs = assemble(results, workers, cfg.Recorder.Lane(obs.LaneRound, 0))
-	res.Metrics.Outputs = int64(len(res.Outputs))
+	im := newImage(results)
+	res.Metrics.Outputs = int64(im.n)
+	if keep {
+		res.Image = im
+	} else {
+		res.Outputs = im.assemble(workers, cfg.Recorder.Lane(obs.LaneRound, 0))
+	}
 	return res, nil
 }
 

@@ -29,6 +29,12 @@ func wordCountRound(cfg Config) Round[string, string, int, string] {
 	}
 }
 
+// runSlice runs r over a plain slice of inputs and copies its outputs
+// into Result.Outputs, as a single round does.
+func runSlice[I any, K comparable, V, O any](r Round[I, K, V, O], inputs []I) (Result[K, O], error) {
+	return Run(r, SliceImage(inputs), false)
+}
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
@@ -47,7 +53,7 @@ func TestRunDeterministicGlobalOrder(t *testing.T) {
 	docs := []string{"the quick brown fox", "the lazy dog", "the fox"}
 	want := []string{"brown=1", "dog=1", "fox=2", "lazy=1", "quick=1", "the=3"}
 	for trial := 0; trial < 5; trial++ {
-		res, err := Run(wordCountRound(Config{Plan: Plan{Workers: 4, MapChunk: 1, Partitions: 16}}), docs)
+		res, err := runSlice(wordCountRound(Config{Plan: Plan{Workers: 4, MapChunk: 1, Partitions: 16}}), docs)
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -59,7 +65,7 @@ func TestRunDeterministicGlobalOrder(t *testing.T) {
 
 func TestPerPartitionMetrics(t *testing.T) {
 	docs := []string{"a b c d e f g h"}
-	res, err := Run(wordCountRound(Config{Plan: Plan{Partitions: 4}}), docs)
+	res, err := runSlice(wordCountRound(Config{Plan: Plan{Partitions: 4}}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +111,7 @@ func TestLPTSchedulingBalancesPartitions(t *testing.T) {
 			inputs = append(inputs, k)
 		}
 	}
-	res, err := Run(r, inputs)
+	res, err := runSlice(r, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +139,7 @@ func TestOverflowSingleKeyAloneInPartition(t *testing.T) {
 		Config:      Config{Plan: Plan{Partitions: 2, MaxReducerInput: 3}},
 	}
 	inputs := []int{0, 0, 0, 0, 1} // key 0 has 4 values > limit 3; key 1 is fine
-	res, err := Run(r, inputs)
+	res, err := runSlice(r, inputs)
 	if !errors.Is(err, ErrReducerOverflow) {
 		t.Fatalf("err = %v, want ErrReducerOverflow", err)
 	}
@@ -148,18 +154,18 @@ func TestOverflowSingleKeyAloneInPartition(t *testing.T) {
 
 	// At exactly the limit the round succeeds.
 	r.Config.MaxReducerInput = 4
-	if _, err := Run(r, inputs); err != nil {
+	if _, err := runSlice(r, inputs); err != nil {
 		t.Fatalf("at limit: %v", err)
 	}
 }
 
 func TestFaultInjectionThroughPartitionedExecutor(t *testing.T) {
 	docs := []string{"a b", "b c", "c d", "d e", "e f", "f g"}
-	clean, err := Run(wordCountRound(Config{Plan: Plan{Workers: 3}}), docs)
+	clean, err := runSlice(wordCountRound(Config{Plan: Plan{Workers: 3}}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty, err := Run(wordCountRound(Config{
+	faulty, err := runSlice(wordCountRound(Config{
 		Plan:          Plan{Workers: 3, MapChunk: 1, Partitions: 8},
 		FailureEveryN: 2,
 		MaxRetries:    3,
@@ -186,7 +192,7 @@ func TestFaultInjectionThroughPartitionedExecutor(t *testing.T) {
 func TestFaultInjectionExhaustsRetries(t *testing.T) {
 	r := wordCountRound(Config{FailureEveryN: 1, MaxRetries: 0})
 	// MaxRetries defaults to 2 with injection on, so this recovers.
-	if _, err := Run(r, []string{"a"}); err != nil {
+	if _, err := runSlice(r, []string{"a"}); err != nil {
 		t.Fatalf("should recover: %v", err)
 	}
 	// An always-failing reduce exhausts retries and surfaces the error.
@@ -198,7 +204,7 @@ func TestFaultInjectionExhaustsRetries(t *testing.T) {
 	}
 	// FailureEveryN only fails attempt 0, so even MaxRetries 1 recovers;
 	// instead prove the retry counter reflects both phases.
-	res, err := Run(always, []int{1, 2, 3})
+	res, err := runSlice(always, []int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +238,7 @@ func TestCombinerShrinksShuffle(t *testing.T) {
 		},
 		Config: Config{Plan: Plan{Workers: 2}},
 	}
-	res, err := Run(r, []string{doc, doc})
+	res, err := runSlice(r, []string{doc, doc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +258,7 @@ func TestBoundedMemorySurfacesInMetrics(t *testing.T) {
 	for i := range docs {
 		docs[i] = "w w w w"
 	}
-	res, err := Run(wordCountRound(Config{Plan: Plan{Partitions: 2, MemoryBudget: 16}}), docs)
+	res, err := runSlice(wordCountRound(Config{Plan: Plan{Partitions: 2, MemoryBudget: 16}}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +291,11 @@ func TestDiskSpillThroughEngine(t *testing.T) {
 	for i := range docs {
 		docs[i] = "a b c d"
 	}
-	clean, err := Run(wordCountRound(Config{Plan: Plan{Partitions: 4, Workers: 2}}), docs)
+	clean, err := runSlice(wordCountRound(Config{Plan: Plan{Partitions: 4, Workers: 2}}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spill, err := Run(wordCountRound(Config{
+	spill, err := runSlice(wordCountRound(Config{
 		Plan:          Plan{Partitions: 4, Workers: 2, MemoryBudget: 8, MapChunk: 4},
 		SpillDir:      t.TempDir(),
 		FailureEveryN: 2,
@@ -332,7 +338,7 @@ func TestFailedReduceKeepsKeyMetrics(t *testing.T) {
 	cfg := func(dir string) Config {
 		return Config{Plan: Plan{Partitions: 4, Workers: 1, MemoryBudget: 8, MapChunk: 4}, SpillDir: dir}
 	}
-	clean, err := Run(wordCountRound(cfg(t.TempDir())), docs)
+	clean, err := runSlice(wordCountRound(cfg(t.TempDir())), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +356,7 @@ func TestFailedReduceKeepsKeyMetrics(t *testing.T) {
 		})
 		reduce(w, counts, emit)
 	}
-	res, err := Run(doomed, docs)
+	res, err := runSlice(doomed, docs)
 	if err == nil {
 		t.Fatal("Run succeeded with its spill runs removed")
 	}
@@ -372,7 +378,7 @@ func TestSpillDirWithoutBudgetRejected(t *testing.T) {
 	// SpillDir alone cannot spill anything (no budget means no seals);
 	// silently running fully in memory would defeat the point, so the
 	// misconfiguration is an error.
-	_, err := Run(wordCountRound(Config{SpillDir: t.TempDir()}), []string{"a b"})
+	_, err := runSlice(wordCountRound(Config{SpillDir: t.TempDir()}), []string{"a b"})
 	if err == nil || !strings.Contains(err.Error(), "SpillDir without a memory budget") {
 		t.Fatalf("err = %v, want the SpillDir-without-budget rejection", err)
 	}
@@ -395,7 +401,7 @@ func TestDiskSpillOverflowPathRecordsLoads(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = i
 	}
-	res, err := Run(r, inputs)
+	res, err := runSlice(r, inputs)
 	if !errors.Is(err, ErrReducerOverflow) {
 		t.Fatalf("err = %v, want ErrReducerOverflow", err)
 	}
@@ -409,7 +415,7 @@ func TestDiskSpillOverflowPathRecordsLoads(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	res, err := Run(wordCountRound(Config{}), nil)
+	res, err := runSlice(wordCountRound(Config{}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +432,7 @@ func TestOverflowDiagnosisIsMemoryOnly(t *testing.T) {
 	for i := range docs {
 		docs[i] = "hot a b"
 	}
-	res, err := Run(wordCountRound(Config{
+	res, err := runSlice(wordCountRound(Config{
 		Plan:     Plan{Partitions: 2, MemoryBudget: 8, MaxReducerInput: 10},
 		SpillDir: t.TempDir(),
 	}), docs)
@@ -469,11 +475,11 @@ func TestCombinerPushDownThroughEngine(t *testing.T) {
 		}
 		return r
 	}
-	raw, err := Run(mk(false, t.TempDir()), docs)
+	raw, err := runSlice(mk(false, t.TempDir()), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := Run(mk(true, t.TempDir()), docs)
+	combined, err := runSlice(mk(true, t.TempDir()), docs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,9 +104,9 @@ func (s *WeightSchema) ExpectedReplication() float64 {
 // (k · C(b/d, b/2d))^d ≈ k^d · 2^b · (2d/(πb))^{d/2} strings, using the
 // correct central-binomial asymptotic C(n, n/2) ≈ 2^n·√(2/(πn)). The
 // paper's Section 3.4 expression k²·2^b/(πb) uses 2^n/√(2πn) instead,
-// which drops a factor of 2 per dimension; see PaperPredictedMaxCell and
-// EXPERIMENTS.md. Border replicas add a further (1 + 1/k)^d factor not
-// included in either estimate.
+// which drops a factor of 2 per dimension (see PaperPredictedMaxCell):
+// the printed estimate is 2^d too small, as mrbounds notes under its
+// table. Border replicas add a further (1 + 1/k)^d factor not in either.
 func (s *WeightSchema) PredictedMaxCell() float64 {
 	b, d, k := float64(s.B), float64(s.D), float64(s.K)
 	return math.Pow(k, d) * math.Exp2(b) * math.Pow(2*d/(math.Pi*b), d/2)

@@ -134,8 +134,9 @@ func TestStarBoundsRelationship(t *testing.T) {
 	// p = (Nd0/eq)^N and f = pq(1-e), the upper bound's numerator
 	// simplifies to Nd0·(Nd0/eq)^{N-1}/e, which is e^{-N} times the lower
 	// bound's numerator Nd0·(Nd0/q)^{N-1}. (The paper prints the constant
-	// as e(1-e)/e^N — an algebra slip; see EXPERIMENTS.md.) For constant
-	// e this is a constant factor, which is the paper's claim.
+	// as e(1-e)/e^N — an algebra slip: the substitution above leaves no
+	// e(1-e) factor, and the loop below checks e^{-N} numerically.) For
+	// constant e this is a constant factor, which is the paper's claim.
 	d0 := 1e3
 	numDims := 3
 	for _, e := range []float64{0.2, 0.5, 0.8} {

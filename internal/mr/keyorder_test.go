@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/shuffle"
@@ -317,19 +318,19 @@ var procPointerValues = &Job[int, int, *int, int]{
 // runs or any worker is spawned.
 func TestUncodableValuesRefused(t *testing.T) {
 	inputs := []int{1, 2, 3}
-	mapped := 0
+	var mapped atomic.Int64 // map tasks run on several workers
 	j := *procPointerValues
-	j.Map = func(x int, emit func(int, *int)) { mapped++; procPointerValues.Map(x, emit) }
+	j.Map = func(x int, emit func(int, *int)) { mapped.Add(1); procPointerValues.Map(x, emit) }
 	if outs, _, err := j.Run(inputs); err != nil || len(outs) != 2 {
 		t.Fatalf("in memory: outputs %v, err %v; want 2 groups", outs, err)
 	}
-	mapped = 0
+	mapped.Store(0)
 	j.Config = Config{MemoryBudget: 2, SpillDir: t.TempDir()}
 	if _, _, err := j.Run(inputs); err == nil || !strings.Contains(err.Error(), "*int has no codec") {
 		t.Errorf("spilling: err %v, want one naming *int", err)
 	}
-	if mapped != 0 {
-		t.Errorf("spilling: %d map calls ran before the refusal", mapped)
+	if n := mapped.Load(); n != 0 {
+		t.Errorf("spilling: %d map calls ran before the refusal", n)
 	}
 	dir := t.TempDir()
 	pj := *procPointerValues

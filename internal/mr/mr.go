@@ -58,6 +58,11 @@ type ReduceFunc[K comparable, V, O any] func(key K, values []V, emit func(O))
 // CombineFunc optionally pre-aggregates the values for one key inside a
 // single map task before shuffle, reducing communication. It must be
 // semantically transparent: reduce(k, combine(vs)) == reduce(k, vs).
+// A map task folds a key's values as they arrive — it calls the
+// combiner on every few values gathered, again on those partial results
+// with later values, and once at the task's end — and the shuffle
+// re-combines at seal and compaction, so the combiner sees arbitrary
+// prefixes of a key's values and its own outputs among them.
 type CombineFunc[K comparable, V any] func(key K, values []V) []V
 
 // Config controls the execution of a Job. Its fields are flat for
@@ -395,23 +400,15 @@ var ErrReducerOverflow = errors.New("mr: reducer input exceeds configured maximu
 // Output order is deterministic: keys in canonical order (shuffle.SortKeys),
 // one group each, outputs in emission order.
 func (j *Job[I, K, V, O]) Run(inputs []I) ([]O, Metrics, error) {
-	run := j.runEngine
-	if j.Config.ProcMode {
-		run = j.runProc
-	}
-	outs, met, err := run(inputs)
-	if errors.Is(err, engine.ErrReducerOverflow) {
-		return nil, met, fmt.Errorf("%w: job %q saw reducer with %d inputs, limit %d",
-			ErrReducerOverflow, j.Name, met.MaxReducerInput, j.Config.MaxReducerInput)
-	}
-	if err != nil {
-		return nil, met, err
-	}
-	return outs, met, nil
+	out, met, err := jobRound[I, K, V, O]{j}.runAny(inputs, false)
+	outs, _ := out.([]O)
+	return outs, met, err
 }
 
-// runEngine executes the job in process on the shuffle engine.
-func (j *Job[I, K, V, O]) runEngine(inputs []I) ([]O, Metrics, error) {
+// runEngine executes the job in process on the shuffle engine over the
+// records of in. With keep its outputs stay where the reduce units
+// collected them, as a kept[O]; otherwise they are a []O.
+func (j *Job[I, K, V, O]) runEngine(in *engine.Image[I], keep bool) (any, Metrics, error) {
 	round := engine.Round[I, K, V, O]{
 		Name:        j.Name,
 		Map:         engine.MapFunc[I, K, V](j.Map),
@@ -431,8 +428,12 @@ func (j *Job[I, K, V, O]) runEngine(inputs []I) ([]O, Metrics, error) {
 		round.ReduceBatch = engine.ReduceFunc[K, V, O](j.ReduceBatch)
 	}
 
-	res, err := engine.Run(round, inputs)
-	return res.Outputs, Metrics{
+	res, err := engine.Run(round, in, keep)
+	var out any = res.Outputs
+	if keep {
+		out = kept[O]{res.Image}
+	}
+	return out, Metrics{
 		MapInputs:         res.Metrics.MapInputs,
 		PairsEmitted:      res.Metrics.PairsEmitted,
 		PairsShuffled:     res.Metrics.PairsShuffled,

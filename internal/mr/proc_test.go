@@ -25,6 +25,9 @@ func TestMain(m *testing.M) {
 	RegisterProc(procAnyKeys)
 	RegisterProc(procPointerKeys)
 	RegisterProc(procPointerValues)
+	RegisterProc(hPerNode)
+	RegisterProc(hSum)
+	RegisterProc(hAggregate)
 	MaybeProcWorker()
 	os.Exit(m.Run())
 }

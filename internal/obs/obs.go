@@ -129,9 +129,10 @@ const (
 	// Round lane. Begin A = partitions; End A = outputs, B = 1 on failure
 	// else 0.
 	OpProcOutputMerge
-	// OpOutputAssemble spans the in-process reduce phase's serial tail:
-	// ordering the reduce units' keys globally and copying their outputs
-	// into one exact-size slice. Round lane, inside OpPhaseReduce.
+	// OpOutputAssemble spans the in-process reduce phase's tail when the
+	// round's outputs leave as a slice (a single round, or a pipeline's
+	// last): copying the output image into one exact-size slice in
+	// global key order. Round lane, inside OpPhaseReduce.
 	// Begin and End A = keys, B = outputs.
 	OpOutputAssemble
 

@@ -2,10 +2,12 @@ package triangle
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graphs"
 	"repro/internal/mr"
+	"repro/internal/obs"
 )
 
 func TestCensusThreeRounds(t *testing.T) {
@@ -88,5 +90,40 @@ func TestCensusEmptyGraph(t *testing.T) {
 	}
 	if len(res.PerNode) != 0 || len(res.Bins) != 0 {
 		t.Errorf("empty graph census: %+v", res)
+	}
+}
+
+// TestCensusAssemblesLastRoundOnly: traced, the census copies outputs
+// into a slice only at the end of each of its two pipeline calls —
+// after rounds 2 and 3. Round 1's triangles go to round 2 in place, so
+// its reduce phase holds no output-assemble span.
+func TestCensusAssemblesLastRoundOnly(t *testing.T) {
+	g := graphs.GNM(40, 160, rand.New(rand.NewSource(36)))
+	schema, err := NewPartitionSchema(40, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(0)
+	if _, err := Census(schema, g, mr.Config{Workers: 2, Partitions: 4, Recorder: rec}); err != nil {
+		t.Fatal(err)
+	}
+	// Per reduce phase on the round lane, in order: whether it held an
+	// output-assemble span.
+	var assembled []bool
+	for _, ls := range rec.Snapshot() {
+		if ls.Kind != obs.LaneRound {
+			continue
+		}
+		for _, ev := range ls.Events {
+			switch {
+			case ev.Kind == obs.KindBegin && ev.Op == obs.OpPhaseReduce:
+				assembled = append(assembled, false)
+			case ev.Kind == obs.KindEnd && ev.Op == obs.OpOutputAssemble:
+				assembled[len(assembled)-1] = true
+			}
+		}
+	}
+	if want := []bool{false, true, true}; !slices.Equal(assembled, want) {
+		t.Errorf("output-assemble per round %v, want %v", assembled, want)
 	}
 }
