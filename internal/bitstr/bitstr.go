@@ -11,11 +11,6 @@ func Universe(b int) int {
 	return 1 << uint(b)
 }
 
-// Weight is the number of 1-bits of x (the paper's "weight of a string").
-func Weight(x uint64) int {
-	return bits.OnesCount64(x)
-}
-
 // Distance is the Hamming distance between x and y.
 func Distance(x, y uint64) int {
 	return bits.OnesCount64(x ^ y)

@@ -22,8 +22,8 @@ func TestWeightAndDistance(t *testing.T) {
 			t.Errorf("Distance(%b, %b) = %d, want %d", tc.x, tc.y, got, tc.d)
 		}
 	}
-	if Weight(0b10110) != 3 {
-		t.Errorf("Weight(10110) = %d, want 3", Weight(0b10110))
+	if w := bits.OnesCount64(0b10110); w != 3 {
+		t.Errorf("weight of 10110 = %d, want 3", w)
 	}
 }
 
@@ -204,7 +204,7 @@ func TestPropertyPieceWeightsSum(t *testing.T) {
 		for _, w := range PieceWeights(x, d, b) {
 			sum += w
 		}
-		return sum == Weight(x)
+		return sum == bits.OnesCount64(x)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

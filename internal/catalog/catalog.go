@@ -213,7 +213,7 @@ var Families = []Family{
 				return nil, err
 			}
 			g := graphs.GNM(p["nodes"], p["edges"], rand.New(rand.NewSource(seed)))
-			res, err := triangle.Run(s, g, triangle.Options{Config: cfg})
+			res, err := triangle.Run(s, g, cfg)
 			return []mr.RoundMetrics{{Name: "triangle-partition", Metrics: res.Metrics}}, err
 		},
 		Small:    Params{"nodes": 18, "edges": 18 * 17 / 2},

@@ -46,6 +46,21 @@ func BenchmarkBall2(b *testing.B) {
 	}
 }
 
+// BenchmarkSplittingD measures the generalized Splitting algorithm of
+// Section 3.6 for distance <= 2 (b = 10, c = 5 segments, d = 2 deleted).
+func BenchmarkSplittingD(b *testing.B) {
+	inputs := allStrings(10)
+	s, err := NewSplittingDSchema(10, 5, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		if _, _, err := RunSplittingD(s, inputs, mr.Config{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWeightRun measures the large-q weight-partition join.
 func BenchmarkWeightRun(b *testing.B) {
 	inputs := allStrings(12)

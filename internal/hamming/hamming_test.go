@@ -280,28 +280,35 @@ func TestWeightSchemaRejectsBadParams(t *testing.T) {
 	}
 }
 
+// TestRunWeightMatchesBruteForce runs Weight on the engine for several
+// schemas: the pairs must be the serial ones, and the engine's r and max
+// reducer input, which mrbounds' weight table prints, must equal the
+// schema's structural numbers from core.Measure.
 func TestRunWeightMatchesBruteForce(t *testing.T) {
 	const b = 10
 	inputs := allStrings(b)
 	want := BruteForcePairs(inputs, 1)
 	sortPairs(want)
-	s, err := NewWeightSchema(b, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, met, err := RunWeight(s, inputs, mr.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sortPairs(got)
-	if len(got) != len(want) {
-		t.Fatalf("found %d pairs, want %d", len(got), len(want))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("pair sets differ")
-	}
-	if met.ReplicationRate() >= 3.2 {
-		t.Errorf("replication %v too high for k=1,d=2 (want ≈ 1+2/1 = 3)", met.ReplicationRate())
+	for _, tc := range []struct{ k, d int }{{1, 2}, {5, 2}, {1, 5}, {2, 5}} {
+		s, err := NewWeightSchema(b, tc.k, tc.d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, met, err := RunWeight(s, inputs, mr.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortPairs(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("k=%d d=%d: found %d pairs, want %d; the sets differ", tc.k, tc.d, len(got), len(want))
+		}
+		st := core.Measure(NewProblem(b), s)
+		if met.ReplicationRate() != st.ReplicationRate {
+			t.Errorf("k=%d d=%d: engine r = %v, core.Measure r = %v", tc.k, tc.d, met.ReplicationRate(), st.ReplicationRate)
+		}
+		if met.MaxReducerInput != int64(st.MaxReducerLoad) {
+			t.Errorf("k=%d d=%d: engine max reducer input = %d, core.Measure = %d", tc.k, tc.d, met.MaxReducerInput, st.MaxReducerLoad)
+		}
 	}
 }
 

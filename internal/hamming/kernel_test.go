@@ -2,6 +2,7 @@ package hamming
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -189,7 +190,7 @@ func scanWeight(s *WeightSchema, inputs []uint64) ([]Pair, error) {
 		Reduce: func(cell int, xs []uint64, emit func(Pair)) {
 			scanPairs(xs, ^uint64(0), func(p Pair) {
 				lower := p.X
-				if bitstr.Weight(p.Y) < bitstr.Weight(p.X) {
+				if bits.OnesCount64(p.Y) < bits.OnesCount64(p.X) {
 					lower = p.Y
 				}
 				if primary(lower) == cell {

@@ -38,7 +38,7 @@ type CensusResult struct {
 // Census runs find-triangles, count-per-node, and histogram as an
 // N=3-round pipeline over the data graph.
 func Census(s *PartitionSchema, g *graphs.Graph, cfg mr.Config) (CensusResult, error) {
-	find := findTrianglesJob(s, cfg, false)
+	find := findTrianglesJob(s, cfg)
 
 	perNode := &mr.Job[Triangle, int, int64, NodeCount]{
 		Name: "triangles-per-node",
@@ -106,17 +106,17 @@ func Census(s *PartitionSchema, g *graphs.Graph, cfg mr.Config) (CensusResult, e
 }
 
 // findTrianglesJob is the Section 4 partition algorithm as a reusable
-// round, shared by Run and Census. With emitAll false each triangle is
-// produced exactly once, by the reducer whose bucket triple equals the
-// triangle's own bucket multiset.
-func findTrianglesJob(s *PartitionSchema, cfg mr.Config, emitAll bool) *mr.Job[graphs.Edge, int, graphs.Edge, Triangle] {
+// round, shared by Run and Census. Each triangle is produced exactly
+// once, by the reducer whose bucket triple equals the triangle's own
+// bucket multiset.
+func findTrianglesJob(s *PartitionSchema, cfg mr.Config) *mr.Job[graphs.Edge, int, graphs.Edge, Triangle] {
 	return &mr.Job[graphs.Edge, int, graphs.Edge, Triangle]{
 		Name: fmt.Sprintf("triangles-partition(n=%d,k=%d)", s.N, s.K),
 		Map: func(e graphs.Edge, emit func(int, graphs.Edge)) {
 			s.forEachCell(e.U, e.V, func(cell int) { emit(cell, e) })
 		},
 		Reduce: func(cell int, edges []graphs.Edge, emit func(Triangle)) {
-			s.localTriangles(cell, edges, emitAll, func(u, v, w int) { emit(Triangle{u, v, w}) })
+			s.localTriangles(cell, edges, func(u, v, w int) { emit(Triangle{u, v, w}) })
 		},
 		// The schema's reducer cells are an explicit layout: route each
 		// cell to the shuffle partition of its own index so partition

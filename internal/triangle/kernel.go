@@ -11,17 +11,16 @@ import (
 
 // localTriangles is the reducer kernel of Run, Census and Count: it calls
 // emit(u, v, w), u < v < w, for each triangle among one cell's edges that
-// the cell owns under the exactly-once rule, or for every one if emitAll.
-// It cleans the edges as graphs.New does and sorts them by (U, V) in
-// place, so u's forward list out(u) = {w > u} is a contiguous run; then
-// for each u it stamps out(u) and, for each v in out(u), emits the stamped
-// w of out(v). That is graphs.Graph.Triangles' order, and the same on a
+// the cell owns under the exactly-once rule. It cleans the edges as
+// graphs.New does and sorts them by (U, V) in place, so u's forward list
+// out(u) = {w > u} is a contiguous run; then for each u it stamps out(u)
+// and, for each v in out(u), emits the stamped w of out(v). That is graphs.Graph.Triangles' order, and the same on a
 // retried attempt. The serial counters in internal/graphs are not built
 // on this kernel: they stay the independent reference the distributed
 // runs are checked against.
-func (s *PartitionSchema) localTriangles(cell int, edges []graphs.Edge, emitAll bool, emit func(u, v, w int)) {
+func (s *PartitionSchema) localTriangles(cell int, edges []graphs.Edge, emit func(u, v, w int)) {
 	sc := scratchPool.Get().(*cellScratch)
-	sc.triangles(s, cell, edges, emitAll, emit)
+	sc.triangles(s, cell, edges, emit)
 	scratchPool.Put(sc)
 }
 
@@ -38,7 +37,7 @@ type nodeRun struct{ lo, hi, gen uint32 }
 
 var scratchPool = sync.Pool{New: func() any { return new(cellScratch) }}
 
-func (sc *cellScratch) triangles(s *PartitionSchema, cell int, edges []graphs.Edge, emitAll bool, emit func(u, v, w int)) {
+func (sc *cellScratch) triangles(s *PartitionSchema, cell int, edges []graphs.Edge, emit func(u, v, w int)) {
 	n := 0
 	for _, e := range edges {
 		if e = graphs.NewEdge(e.U, e.V); e.U != e.V && e.U >= 0 && e.V < s.N {
@@ -77,7 +76,7 @@ func (sc *cellScratch) triangles(s *PartitionSchema, cell int, edges []graphs.Ed
 				continue
 			}
 			for _, f := range edges[r.lo:r.hi] {
-				if sc.mark[f.V] == sc.gen && (emitAll || s.cellOf(bu, bv, s.Bucket(f.V)) == cell) {
+				if sc.mark[f.V] == sc.gen && s.cellOf(bu, bv, s.Bucket(f.V)) == cell {
 					emit(u, e.V, f.V)
 				}
 			}

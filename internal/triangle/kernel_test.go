@@ -14,12 +14,12 @@ import (
 // serial reference: graphs.New(n, edges).Triangles() filtered by the
 // exactly-once rule (the cell whose bucket triple is the triangle's own
 // bucket multiset).
-func referenceCell(s *PartitionSchema, cell int, edges []graphs.Edge, emitAll bool) [][3]int {
+func referenceCell(s *PartitionSchema, cell int, edges []graphs.Edge) [][3]int {
 	var out [][3]int
 	for _, tr := range graphs.New(s.N, edges).Triangles() {
 		t := [3]int{s.Bucket(tr[0]), s.Bucket(tr[1]), s.Bucket(tr[2])}
 		sort.Ints(t[:])
-		if emitAll || s.tripleID(t[0], t[1], t[2]) == cell {
+		if s.tripleID(t[0], t[1], t[2]) == cell {
 			out = append(out, tr)
 		}
 	}
@@ -35,14 +35,14 @@ func collect(run func(emit func(u, v, w int))) [][3]int {
 // checkCell compares the kernel's emission sequence for one cell with the
 // reference, then runs the kernel again on the slice it reordered, as a
 // retried reduce attempt would, and wants the same sequence.
-func checkCell(t *testing.T, s *PartitionSchema, cell int, edges []graphs.Edge, emitAll bool) {
+func checkCell(t *testing.T, s *PartitionSchema, cell int, edges []graphs.Edge) {
 	t.Helper()
-	want := referenceCell(s, cell, slices.Clone(edges), emitAll)
+	want := referenceCell(s, cell, slices.Clone(edges))
 	for attempt := 0; attempt < 2; attempt++ {
-		got := collect(func(emit func(u, v, w int)) { s.localTriangles(cell, edges, emitAll, emit) })
+		got := collect(func(emit func(u, v, w int)) { s.localTriangles(cell, edges, emit) })
 		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d k=%d cell=%d emitAll=%v attempt %d: kernel emitted %v, reference %v",
-				s.N, s.K, cell, emitAll, attempt, got, want)
+			t.Fatalf("n=%d k=%d cell=%d attempt %d: kernel emitted %v, reference %v",
+				s.N, s.K, cell, attempt, got, want)
 		}
 	}
 }
@@ -77,12 +77,10 @@ func TestLocalTrianglesMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		cells := routedCells(s, g, rng)
-		for _, emitAll := range []bool{false, true} {
-			for cell, es := range cells {
-				checkCell(t, s, cell, slices.Clone(es), emitAll)
-			}
-			checkCell(t, s, 0, nil, emitAll) // an empty cell
+		for cell, es := range cells {
+			checkCell(t, s, cell, slices.Clone(es))
 		}
+		checkCell(t, s, 0, nil) // an empty cell
 	}
 }
 
@@ -99,8 +97,8 @@ func TestLocalTrianglesStampWrap(t *testing.T) {
 	sc := new(cellScratch)
 	pass := func() {
 		for cell, es := range cells {
-			want := referenceCell(s, cell, slices.Clone(es), false)
-			got := collect(func(emit func(u, v, w int)) { sc.triangles(s, cell, slices.Clone(es), false, emit) })
+			want := referenceCell(s, cell, slices.Clone(es))
+			got := collect(func(emit func(u, v, w int)) { sc.triangles(s, cell, slices.Clone(es), emit) })
 			if !slices.Equal(got, want) {
 				t.Fatalf("cell %d (stamp %d): kernel emitted %v, reference %v", cell, sc.gen, got, want)
 			}
@@ -167,18 +165,18 @@ func TestLocalTrianglesAllocs(t *testing.T) {
 	s, cell, edges := largestCell(t)
 	var count int
 	emit := func(_, _, _ int) { count++ }
-	s.localTriangles(cell, edges, false, emit)
-	if allocs := testing.AllocsPerRun(20, func() { s.localTriangles(cell, edges, false, emit) }); allocs > 1 {
+	s.localTriangles(cell, edges, emit)
+	if allocs := testing.AllocsPerRun(20, func() { s.localTriangles(cell, edges, emit) }); allocs > 1 {
 		t.Errorf("kernel allocates %.1f times per warm cell, want at most 1", allocs)
 	}
 }
 
 func FuzzLocalTriangles(f *testing.F) {
-	f.Add(uint8(10), uint8(3), uint8(0), false, []byte{})
-	f.Add(uint8(10), uint8(1), uint8(0), false, []byte{2, 3, 3, 4, 4, 2, 3, 2, 5, 5, 0, 15})
-	f.Add(uint8(12), uint8(2), uint8(1), true, []byte{0, 1, 1, 2, 2, 0, 0, 2, 1, 3, 3, 0, 2, 3})
-	f.Add(uint8(20), uint8(4), uint8(7), false, []byte{7, 3, 3, 11, 11, 7, 7, 11, 2, 6, 6, 10, 10, 2, 1, 22})
-	f.Fuzz(func(t *testing.T, nRaw, kRaw, cellRaw uint8, emitAll bool, data []byte) {
+	f.Add(uint8(10), uint8(3), uint8(0), []byte{})
+	f.Add(uint8(10), uint8(1), uint8(0), []byte{2, 3, 3, 4, 4, 2, 3, 2, 5, 5, 0, 15})
+	f.Add(uint8(12), uint8(2), uint8(1), []byte{0, 1, 1, 2, 2, 0, 0, 2, 1, 3, 3, 0, 2, 3})
+	f.Add(uint8(20), uint8(4), uint8(7), []byte{7, 3, 3, 11, 11, 7, 7, 11, 2, 6, 6, 10, 10, 2, 1, 22})
+	f.Fuzz(func(t *testing.T, nRaw, kRaw, cellRaw uint8, data []byte) {
 		n, k := int(nRaw%40)+1, int(kRaw%6)+1
 		s, err := NewPartitionSchema(n, k)
 		if err != nil {
@@ -189,6 +187,6 @@ func FuzzLocalTriangles(f *testing.F) {
 		for i := 0; i+1 < len(data); i += 2 {
 			edges = append(edges, graphs.Edge{U: int(data[i])%(n+4) - 2, V: int(data[i+1])%(n+4) - 2})
 		}
-		checkCell(t, s, int(cellRaw)%s.NumReducers(), edges, emitAll)
+		checkCell(t, s, int(cellRaw)%s.NumReducers(), edges)
 	})
 }

@@ -229,29 +229,15 @@ type Result struct {
 	Metrics   mr.Metrics
 }
 
-// Options tunes the distributed run.
-type Options struct {
-	// EmitAll disables the exactly-once production rule, letting every
-	// covering reducer emit the triangle (the driver then deduplicates).
-	// Used by the ablation bench to measure the duplicate overhead.
-	EmitAll bool
-	Config  mr.Config
-}
-
 // Run executes the partition algorithm on a data graph, finding all
-// triangles. With Options.EmitAll false, each triangle is produced exactly
-// once: only the reducer whose bucket triple equals the triangle's own
-// bucket multiset emits it.
-func Run(s *PartitionSchema, g *graphs.Graph, opts Options) (Result, error) {
-	job := findTrianglesJob(s, opts.Config, opts.EmitAll)
-	tris, met, err := job.Run(g.Edges)
+// triangles. Each triangle is produced exactly once: only the reducer
+// whose bucket triple equals the triangle's own bucket multiset emits it.
+func Run(s *PartitionSchema, g *graphs.Graph, cfg mr.Config) (Result, error) {
+	tris, met, err := findTrianglesJob(s, cfg).Run(g.Edges)
 	if err != nil {
 		return Result{}, err
 	}
 	slices.SortFunc(tris, cmpTriangle)
-	if opts.EmitAll {
-		tris = slices.Compact(tris)
-	}
 	return Result{Triangles: tris, Metrics: met}, nil
 }
 
@@ -270,7 +256,7 @@ func Count(s *PartitionSchema, g *graphs.Graph, cfg mr.Config) (int64, mr.Metric
 		},
 		Reduce: func(cell int, edges []graphs.Edge, emit func(int64)) {
 			var count int64
-			s.localTriangles(cell, edges, false, func(_, _, _ int) { count++ })
+			s.localTriangles(cell, edges, func(_, _, _ int) { count++ })
 			emit(count)
 		},
 		Config: cfg,

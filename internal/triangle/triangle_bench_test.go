@@ -56,6 +56,6 @@ func BenchmarkLocalTriangles(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(buf, edges)
-		s.localTriangles(cell, buf, false, func(_, _, _ int) { count++ })
+		s.localTriangles(cell, buf, func(_, _, _ int) { count++ })
 	}
 }

@@ -62,7 +62,7 @@ import (
 
 // allowCeiling is the number of allowlist entries today. The list may
 // only shrink: lower this when an entry goes.
-const allowCeiling = 14
+const allowCeiling = 11
 
 func main() {
 	verbose := flag.Bool("v", false, "print every unreachable declaration, allowed or not")
