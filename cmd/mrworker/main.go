@@ -43,7 +43,7 @@ type wcOut struct {
 // the process), so both roles execute the same code — the registration
 // contract of the proc runtime.
 func registerJobs() {
-	proc.Register(proc.JobSpec[string, string, int, wcOut]{
+	proc.Register(engine.Round[string, string, int, wcOut]{
 		Name: "wordcount",
 		Map: func(line string, emit func(string, int)) {
 			for _, w := range strings.Fields(line) {
@@ -112,10 +112,10 @@ func main() {
 }
 
 // run executes one driver-side job and prints the summary to out.
-func run(o options, out io.Writer) ([]wcOut, proc.Metrics, error) {
+func run(o options, out io.Writer) ([]wcOut, engine.Metrics, error) {
 	lines, err := loadCorpus(o)
 	if err != nil {
-		return nil, proc.Metrics{}, err
+		return nil, engine.Metrics{}, err
 	}
 
 	popts := proc.Options{

@@ -35,8 +35,11 @@ type MapFunc[I any, K comparable, V any] func(in I, emit func(K, V))
 type ReduceFunc[K comparable, V, O any] func(key K, values []V, emit func(O))
 
 // CombineFunc optionally pre-aggregates one key's values inside a map
-// task before shuffle. A map task folds each key's values as they come
-// (mapCombiner), so it sees prefixes and its own partial results.
+// task before shuffle, reducing communication. It must be semantically
+// transparent: reduce(k, combine(vs)) == reduce(k, vs). A map task
+// folds each key's values as they come (mapCombiner), and the shuffle
+// re-combines at seal and compaction, so the combiner sees arbitrary
+// prefixes of a key's values and its own partial results among them.
 type CombineFunc[K comparable, V any] func(key K, values []V) []V
 
 // Config controls the execution of one round: the Plan both executors
@@ -74,7 +77,12 @@ func (c Config) maxRetries() int {
 	return 0
 }
 
-// Round is one typed map-reduce round.
+// Round is one typed map-reduce round: what Run executes in process,
+// and what internal/proc registers to execute across worker processes
+// (which take their plan from proc.Options, not from Config). Its
+// functions must be deterministic and side-effect free: both executors
+// re-execute tasks, and the outputs must not depend on which attempt
+// won.
 type Round[I any, K comparable, V, O any] struct {
 	Name    string
 	Map     MapFunc[I, K, V]
@@ -95,9 +103,22 @@ type Round[I any, K comparable, V, O any] struct {
 	// shuffle partitions (reduced modulo the effective power-of-two
 	// partition count). Schemas with an explicit reducer layout, and
 	// tests that need to corner a key in its own partition, use this.
+	// It must be a pure function of the key: across processes every
+	// worker computes it.
 	Partitioner func(K) int
 
 	Config Config
+}
+
+// Reducer is the round's reduce function and whether it runs under the
+// batch read contract (one value-section read and one batch decode per
+// group, values valid only during the call): ReduceBatch when set,
+// else Reduce. Both executors choose through it.
+func (r Round[I, K, V, O]) Reducer() (ReduceFunc[K, V, O], bool) {
+	if r.ReduceBatch != nil {
+		return r.ReduceBatch, true
+	}
+	return r.Reduce, false
 }
 
 // PartitionStat is the realized profile of one shuffle partition.
@@ -112,21 +133,65 @@ type PartitionStat struct {
 	Worker int
 }
 
-// Metrics is the communication profile of one executed round. The
-// scalar fields mirror the paper's quantities; Partitions carries the
-// per-partition breakdown from the real exchange.
+// Metrics is the communication profile of one executed round, the one
+// record both executors fill: Run in process, internal/proc across
+// worker processes. All counts refer to logical records, matching the
+// paper's convention that communication cost is measured in key-value
+// pairs.
+//
+// A multi-process round has no in-process exchange, so it leaves that
+// exchange's profile zero: Partitions, Makespan, IdealMakespan,
+// ReduceRangeSkew, ReducerInputLog2, the spill pressure (SpillEvents,
+// SpilledPairs, RunsMerged, SwapBytes, BytesReclaimed, MaxLivePairs)
+// and the overlap timings. There BytesSpilled, IndexBytesSpilled and
+// DiskBytesRead are real bytes over the process boundary — the spool
+// files that carried the shuffle, written by committed map attempts
+// and read back by accepted reduce attempts — and PeakResidentPairs is
+// the worst buffered-pair high-water mark any worker's task attempt
+// observed, the same bound Plan.MemoryBudget enforces in process.
 type Metrics struct {
-	MapInputs         int64
-	PairsEmitted      int64 // pre-combine: the paper's communication cost
-	PairsShuffled     int64 // post-combine pairs crossing the exchange
-	Reducers          int64 // distinct keys
-	MaxReducerInput   int64 // realized q
+	// MapInputs is the number of input records consumed by the map phase.
+	MapInputs int64
+	// PairsEmitted is the number of key-value pairs produced by map tasks
+	// before any combiner ran. This is the paper's communication cost.
+	PairsEmitted int64
+	// PairsShuffled is the number of pairs actually sent to the reduce
+	// phase, after combining. Equal to PairsEmitted without a combiner.
+	PairsShuffled int64
+	// Reducers is the number of distinct reduce keys ("reducers" in the
+	// paper's sense: a key plus its list of values).
+	Reducers int64
+	// MaxReducerInput is the largest number of values any one reduce key
+	// received — the realized reducer size q.
+	MaxReducerInput int64
+	// TotalReducerInput is the sum over reducers of their input sizes;
+	// equal to PairsShuffled.
 	TotalReducerInput int64
-	Outputs           int64
-	MapRetries        int64
-	ReduceRetries     int64
+	// Outputs is the number of records produced by the reduce phase.
+	Outputs int64
+	// MapRetries and ReduceRetries count task re-executions triggered by
+	// fault injection (in process) or by worker death, lease expiry and
+	// reported failures (across processes). TaskRetries is their sum —
+	// the round's total re-grants beyond each task's first attempt.
+	MapRetries    int64
+	ReduceRetries int64
+	TaskRetries   int64
+	// WorkerDeaths counts worker processes that exited without being
+	// asked to, and LeaseExpirations counts task leases the driver
+	// fenced after missed heartbeats. Both are multi-process
+	// fault-tolerance counters; in-process rounds leave them zero.
+	WorkerDeaths     int64
+	LeaseExpirations int64
+	// SalvagedTasks counts multi-process map tasks whose committed
+	// output was adopted from a dead worker's manifest instead of
+	// re-executed.
+	SalvagedTasks int64
 
-	// Partitions is the per-partition profile (length P).
+	// Partitions is the per-partition profile of the real exchange
+	// (length P): the pairs, distinct keys, largest key group, and
+	// assigned reduce worker of every shuffle partition. Under the
+	// default hash placement the profile varies with the per-process
+	// seed.
 	Partitions []PartitionStat
 	// Makespan is the LPT-scheduled heaviest worker load, in pairs;
 	// IdealMakespan is the load-balance floor. Their ratio is the
@@ -136,16 +201,20 @@ type Metrics struct {
 	Makespan      int64
 	IdealMakespan int64
 	// ReduceRanges is the number of key-range units that split
-	// partitions' reduce merges executed as (0 when no partition was
-	// split); ReduceRangeSkew is max/mean pair load across those units
+	// partitions' reduce merges executed as under Plan.ReduceSplitPairs
+	// (0 when splitting was off or no partition crossed the threshold);
+	// ReduceRangeSkew is max/mean pair load across those units
 	// (1 = perfectly balanced, 0 when unsplit) — the residual imbalance
 	// the index-driven split could not remove without splitting a
 	// group.
 	ReduceRanges    int64
 	ReduceRangeSkew float64
-	// SpillEvents and SpilledPairs report bounded-memory pressure;
-	// BytesSpilled and RunsMerged report the realized disk traffic and
-	// reduce-time merge width when a SpillDir made the spills real.
+	// SpillEvents and SpilledPairs report bounded-memory pressure when
+	// a memory budget was set. BytesSpilled and RunsMerged report the
+	// realized disk traffic and reduce-time merge width when a SpillDir
+	// made the spills real; with a combiner the spilled volume tracks
+	// the post-combine communication cost, since the combiner is also
+	// applied inside the shuffle whenever a run seals.
 	// DiskBytesRead is the total read back from spill run files over
 	// the whole round — the q gate (Stats) and overflow diagnosis merge
 	// resident run indexes in memory and contribute nothing to it, so
@@ -185,13 +254,24 @@ type Metrics struct {
 	SpillOverlapNs int64
 	FinishDrainNs  int64
 	// ReducerInputLog2 is the log2-bucketed distribution of reducer
-	// input sizes — the paper's q distribution. Bucket i counts the
-	// reducers whose input lies in [2^i, 2^(i+1)); trimmed after the
-	// last non-empty bucket.
+	// input sizes — the paper's q distribution as realized by this
+	// round. Bucket i counts the reducers whose input size lies in
+	// [2^i, 2^(i+1)); the slice is trimmed after the last non-empty
+	// bucket.
 	ReducerInputLog2 []int64
 }
 
-// PartitionSkew is max/mean partition pairs (1 = perfectly even).
+// ReplicationRate is the average number of key-value pairs created per map
+// input: the paper's replication rate r for this round.
+func (m Metrics) ReplicationRate() float64 {
+	if m.MapInputs == 0 {
+		return 0
+	}
+	return float64(m.PairsEmitted) / float64(m.MapInputs)
+}
+
+// PartitionSkew is the heaviest partition's pair count over the mean
+// (1 = perfectly even exchange, 0 = empty).
 func (m Metrics) PartitionSkew() float64 {
 	if len(m.Partitions) == 0 || m.PairsShuffled == 0 {
 		return 0
@@ -203,6 +283,77 @@ func (m Metrics) PartitionSkew() float64 {
 		}
 	}
 	return float64(max) / (float64(m.PairsShuffled) / float64(len(m.Partitions)))
+}
+
+// String renders a one-line summary suitable for harness output: the
+// logical quantities of LogicalString followed by the physical profile
+// of the round — partition skew, spilled and re-read disk bytes, the
+// resident-memory high-water mark, and how much spill work overlapped
+// mapping. The physical fields depend on the per-process hash seed and
+// on wall-clock timing; output that must be byte-reproducible across
+// runs (the examples, golden files) prints LogicalString instead.
+func (m Metrics) String() string {
+	return fmt.Sprintf(
+		"%s skew=%.2f spilled=%dB read=%dB peakResident=%d overlap=%dms retries=%d deaths=%d leasesExpired=%d",
+		m.LogicalString(), m.PartitionSkew(), m.BytesSpilled, m.DiskBytesRead,
+		m.PeakResidentPairs, m.SpillOverlapNs/1e6,
+		m.TaskRetries, m.WorkerDeaths, m.LeaseExpirations)
+}
+
+// LogicalString renders only the paper's logical quantities — inputs,
+// pairs emitted, reducers, realized q, replication rate — which are
+// identical on every run of the same job regardless of hash seed,
+// worker count, or timing.
+func (m Metrics) LogicalString() string {
+	return fmt.Sprintf("inputs=%d pairs=%d reducers=%d maxq=%d r=%.4f",
+		m.MapInputs, m.PairsEmitted, m.Reducers, m.MaxReducerInput, m.ReplicationRate())
+}
+
+// PublishTo folds the round's metrics into a metrics registry:
+// cumulative counters accumulate across rounds (counts, spilled and
+// re-read bytes, retries, overlap time), per-round gauges overwrite
+// with this round's profile (reducers, realized q, replication rate,
+// skew, makespan, resident peak), and the reducer-input histogram
+// receives the round's q distribution. Metric names are stable; see
+// the README's observability section for the full reference. Safe to
+// call once per round from the process that scrapes or serves reg
+// (obs.Serve mounts it on /metrics).
+func (m Metrics) PublishTo(reg *obs.Registry) {
+	reg.Counter("mr_rounds_total", "map-reduce rounds executed").Add(1)
+	reg.Counter("mr_map_inputs_total", "input records consumed by map phases").Add(m.MapInputs)
+	reg.Counter("mr_pairs_emitted_total", "key-value pairs emitted by map tasks (pre-combine communication cost)").Add(m.PairsEmitted)
+	reg.Counter("mr_pairs_shuffled_total", "pairs crossing the exchange post-combine").Add(m.PairsShuffled)
+	reg.Counter("mr_outputs_total", "records produced by reduce phases").Add(m.Outputs)
+	reg.Counter("mr_map_retries_total", "map task re-executions").Add(m.MapRetries)
+	reg.Counter("mr_reduce_retries_total", "reduce task re-executions").Add(m.ReduceRetries)
+	reg.Counter("mr_task_retries_total", "task re-grants beyond each task's first attempt").Add(m.TaskRetries)
+	reg.Counter("mr_worker_deaths_total", "worker processes that died mid-job (ProcMode)").Add(m.WorkerDeaths)
+	reg.Counter("mr_lease_expired_total", "task leases fenced after missed heartbeats (ProcMode)").Add(m.LeaseExpirations)
+	reg.Counter("mr_tasks_salvaged_total", "map tasks adopted from dead workers' manifests (ProcMode)").Add(m.SalvagedTasks)
+	reg.Counter("mr_spill_events_total", "shuffle runs sealed under memory pressure").Add(m.SpillEvents)
+	reg.Counter("mr_spilled_pairs_total", "pairs written to sealed runs").Add(m.SpilledPairs)
+	reg.Counter("mr_bytes_spilled_total", "run data bytes written to spill files").Add(m.BytesSpilled)
+	reg.Counter("mr_index_bytes_spilled_total", "footer-index bytes written to spill files").Add(m.IndexBytesSpilled)
+	reg.Counter("mr_disk_bytes_read_total", "bytes read back from spill files").Add(m.DiskBytesRead)
+	reg.Counter("mr_swap_bytes_total", "pressure-relief bytes staged to swap stash files").Add(m.SwapBytes)
+	reg.Counter("mr_bytes_reclaimed_total", "spill file bytes deleted while the job was still running").Add(m.BytesReclaimed)
+	reg.Counter("mr_spill_overlap_ns_total", "nanoseconds of spill work overlapped with mapping").Add(m.SpillOverlapNs)
+	reg.Counter("mr_finish_drain_ns_total", "nanoseconds spent in the post-map finish drain").Add(m.FinishDrainNs)
+
+	reg.Gauge("mr_round_reducers", "distinct reduce keys of the last round").Set(float64(m.Reducers))
+	reg.Gauge("mr_round_max_reducer_input", "largest reducer input of the last round (realized q)").Set(float64(m.MaxReducerInput))
+	reg.Gauge("mr_round_replication_rate", "pairs emitted per map input of the last round (the paper's r)").Set(m.ReplicationRate())
+	reg.Gauge("mr_round_partition_skew", "max/mean partition pairs of the last round").Set(m.PartitionSkew())
+	reg.Gauge("mr_round_makespan_pairs", "heaviest reduce worker load of the last round, in pairs").Set(float64(m.Makespan))
+	reg.Gauge("mr_round_peak_resident_pairs", "whole-round high-water mark of shuffle-resident pairs").Set(float64(m.PeakResidentPairs))
+	reg.Gauge("mr_round_max_live_pairs", "high-water mark of any partition's live buffer in the last round").Set(float64(m.MaxLivePairs))
+	reg.Gauge("mr_round_reduce_ranges", "key-range units split partitions were cut into in the last round").Set(float64(m.ReduceRanges))
+	reg.Gauge("mr_round_reduce_range_skew", "max/mean planned pair load across range units of the last round").Set(m.ReduceRangeSkew)
+
+	h := reg.Histogram("mr_reducer_input_size", "reducer input sizes (the paper's q distribution), log2 buckets", 32)
+	for i, n := range m.ReducerInputLog2 {
+		h.ObserveN(int64(1)<<i, n)
+	}
 }
 
 // Result is the outcome of one round. Its outputs are in global
@@ -280,10 +431,10 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], in *Image[I], keep 
 		if err != nil {
 			return res, fmt.Errorf("engine: profiling shuffle of round %q: %w", r.Name, err)
 		}
-		if qerr := cfg.CheckReducerInput(st.MaxGroup); qerr != nil {
+		if qerr := cfg.CheckReducerInput(r.Name, st.MaxGroup); qerr != nil {
 			setProfile(&res.Metrics, st)
 			res.Metrics.DiskBytesRead = sh.DiskBytesRead()
-			return res, fmt.Errorf("engine: round %q: %w", r.Name, qerr)
+			return res, qerr
 		}
 	}
 
@@ -397,6 +548,7 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], in *Image[I
 	for ti := range tasks {
 		met.PairsEmitted += emitted[ti]
 		met.MapRetries += retries[ti]
+		met.TaskRetries += retries[ti]
 	}
 	if err := ing.Finish(); err != nil {
 		return fmt.Errorf("engine: shuffle ingest of round %q: %w", r.Name, err)
@@ -703,6 +855,7 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 			return res, errs[u]
 		}
 		res.Metrics.ReduceRetries += retries[u]
+		res.Metrics.TaskRetries += retries[u]
 		st.AddGroups(units[u].part, &results[u].groups)
 	}
 	setProfile(&res.Metrics, st)
@@ -729,12 +882,7 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 // so a split round injects exactly as many failures as an unsplit one.
 func attemptReduce[I any, K comparable, V, O any](r Round[I, K, V, O], rr *shuffle.RangeReader[K, V], kr shuffle.KeyRange[K], first bool, taskOrdinal, attempt int) (partResult[K, O], error) {
 	var pr partResult[K, O]
-	reduce, batch := r.Reduce, false
-	if r.ReduceBatch != nil {
-		// The batch contract: one value-section read and one batch
-		// decode per group, values only valid during the call.
-		reduce, batch = r.ReduceBatch, true
-	}
+	reduce, batch := r.Reducer()
 	emit := pr.out.Emit
 	err := rr.ForEachGroupRange(kr, batch, func(k K, vs []V) error {
 		reduce(k, vs, emit)

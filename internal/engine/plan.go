@@ -102,11 +102,12 @@ func (p Plan) RangeFanout(pairs int64) int {
 // Plan.MaxReducerInput.
 var ErrReducerOverflow = errors.New("engine: reducer input exceeds configured maximum")
 
-// CheckReducerInput enforces MaxReducerInput against a round's largest
-// key group, returning an error wrapping ErrReducerOverflow.
-func (p Plan) CheckReducerInput(maxGroup int64) error {
+// CheckReducerInput enforces MaxReducerInput against the largest key
+// group of the named job's round, returning an error wrapping
+// ErrReducerOverflow that names the job, the group's size and the limit.
+func (p Plan) CheckReducerInput(job string, maxGroup int64) error {
 	if q := p.MaxReducerInput; q > 0 && maxGroup > int64(q) {
-		return fmt.Errorf("%w: saw reducer with %d inputs, limit %d", ErrReducerOverflow, maxGroup, q)
+		return fmt.Errorf("%w: job %q saw reducer with %d inputs, limit %d", ErrReducerOverflow, job, maxGroup, q)
 	}
 	return nil
 }

@@ -72,7 +72,7 @@ func TestPlanResolution(t *testing.T) {
 		maxGroup int64
 		over     bool
 	}{{0, 1 << 40, false}, {-1, 7, false}, {5, 5, false}, {5, 6, true}} {
-		err := Plan{MaxReducerInput: tc.q}.CheckReducerInput(tc.maxGroup)
+		err := Plan{MaxReducerInput: tc.q}.CheckReducerInput("j", tc.maxGroup)
 		if errors.Is(err, ErrReducerOverflow) != tc.over || (err != nil) != tc.over {
 			t.Errorf("q %d, group %d: err = %v, want overflow %v", tc.q, tc.maxGroup, err, tc.over)
 		}

@@ -2,6 +2,7 @@ package mr
 
 import (
 	"errors"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -368,6 +369,10 @@ func TestMetricsStringGolden(t *testing.T) {
 	}
 }
 
+// ErrReducerOverflow is the sentinel a round over its reducer limit
+// wraps, in process and in ProcMode alike.
+var ErrReducerOverflow = engine.ErrReducerOverflow
+
 func TestMetricsPublishTo(t *testing.T) {
 	m := Metrics{
 		MapInputs:        10,
@@ -414,6 +419,42 @@ func TestMetricsPublishTo(t *testing.T) {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("exposition missing %q in:\n%s", want, sb.String())
 		}
+	}
+}
+
+// TestREADMEMetricReference: every metric PublishTo registers is named
+// in the README's metric name reference, so the reference cannot fall
+// behind the registry.
+func TestREADMEMetricReference(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "### Metric name reference")
+	if !ok {
+		t.Fatal("README has no metric name reference section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	reg := obs.NewRegistry()
+	Metrics{}.PublishTo(reg)
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	names := 0
+	for _, line := range strings.Split(sb.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, "# HELP ")
+		if !ok {
+			continue
+		}
+		names++
+		name, _, _ := strings.Cut(rest, " ")
+		if !strings.Contains(section, "`"+name+"`") {
+			t.Errorf("README metric name reference does not list %s", name)
+		}
+	}
+	if names == 0 {
+		t.Fatal("PublishTo registered no metric")
 	}
 }
 

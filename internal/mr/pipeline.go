@@ -1,7 +1,6 @@
 package mr
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/engine"
@@ -85,10 +84,6 @@ func (r jobRound[I, K, V, O]) runAny(in any, keep bool) (any, Metrics, error) {
 		}
 		var want []I
 		return nil, Metrics{}, fmt.Errorf("mr: round %q expects %T, got %T", j.Name, want, in)
-	}
-	if errors.Is(err, engine.ErrReducerOverflow) {
-		err = fmt.Errorf("%w: job %q saw reducer with %d inputs, limit %d",
-			ErrReducerOverflow, j.Name, met.MaxReducerInput, j.Config.MaxReducerInput)
 	}
 	if err != nil {
 		return nil, met, err

@@ -21,6 +21,7 @@ func TestMain(m *testing.M) {
 	RegisterProc(procOrderKeys)
 	RegisterProc(procOrderKeysBatch)
 	RegisterProc(procWordcountBatch)
+	RegisterProc(procWordcountBoth)
 	RegisterProc(procNaNKeys)
 	RegisterProc(procAnyKeys)
 	RegisterProc(procPointerKeys)
@@ -110,6 +111,43 @@ func TestProcModeMatchesInProcess(t *testing.T) {
 	}
 	if met.TaskRetries != 0 || met.WorkerDeaths != 0 || met.LeaseExpirations != 0 {
 		t.Errorf("clean ProcMode run recorded faults: %+v", met)
+	}
+}
+
+// procWordcountBoth sets both reduce functions. Its ReduceBatch counts
+// every word twice, so the output shows which of the two ran.
+var procWordcountBoth = &Job[string, string, int, procWC]{
+	Name:    "mr-proc-wordcount-both",
+	Map:     procWordcount.Map,
+	Combine: procWordcount.Combine,
+	Reduce:  procWordcount.Reduce,
+	ReduceBatch: func(k string, vs []int, emit func(procWC)) {
+		procWordcount.Reduce(k, vs, func(o procWC) { emit(procWC{Word: o.Word, Count: 2 * o.Count}) })
+	},
+}
+
+// TestReduceBatchWinsInBothExecutors: a job that sets Reduce and
+// ReduceBatch runs ReduceBatch, in process and in ProcMode alike.
+func TestReduceBatchWinsInBothExecutors(t *testing.T) {
+	lines := procLines(30)
+	counts, _, err := procWordcount.Run(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]procWC, len(counts))
+	for i, c := range counts {
+		want[i] = procWC{Word: c.Word, Count: 2 * c.Count}
+	}
+	for _, procMode := range []bool{false, true} {
+		j := *procWordcountBoth
+		j.Config = Config{Workers: 2, Partitions: 2, ProcMode: procMode}
+		outs, _, err := j.Run(lines)
+		if err != nil {
+			t.Fatalf("ProcMode %v: %v", procMode, err)
+		}
+		if !reflect.DeepEqual(outs, want) {
+			t.Errorf("ProcMode %v: outputs are not ReduceBatch's:\n got %v\nwant %v", procMode, outs, want)
+		}
 	}
 }
 

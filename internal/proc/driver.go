@@ -73,7 +73,7 @@ type Driver struct {
 	lanes          map[string]*obs.Ring // survives worker death
 	spawnSeq       int
 	restarts       int
-	met            Metrics
+	met            engine.Metrics
 	failure        error
 	finished       bool
 	doneOnce       sync.Once
@@ -476,7 +476,7 @@ func (d *Driver) reduceDone(rep ReduceReport) bool {
 		// A worker refuses a partition whose largest group broke the q
 		// limit and reports that group's size; the verdict is the plan's.
 		d.met.MaxReducerInput = max(d.met.MaxReducerInput, rep.MaxGroup)
-		if err := d.opts.CheckReducerInput(rep.MaxGroup); err != nil {
+		if err := d.opts.CheckReducerInput(d.jobName, rep.MaxGroup); err != nil {
 			d.failLocked(fmt.Errorf("proc: reduce partition %d: %w", rep.Part, err))
 			return false
 		}
@@ -573,8 +573,8 @@ func (d *Driver) shutdown() {
 // a bare []byte (not for K). Run checks that before any worker is
 // spawned (shuffle.CheckKey, runfile.CheckCodec) and names a type that
 // breaks it.
-func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) ([]O, Metrics, error) {
-	var met Metrics
+func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) ([]O, engine.Metrics, error) {
+	var met engine.Metrics
 	j, err := lookup(name)
 	if err != nil {
 		return nil, met, err
@@ -642,8 +642,8 @@ func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) (
 	d.mu.Unlock()
 
 	met.MapInputs = int64(len(inputs))
-	met.MapTasks = int64(len(tasks))
-	met.ReduceTasks = int64(len(reps))
+	met.TotalReducerInput = met.PairsShuffled
+	met.TaskRetries = met.MapRetries + met.ReduceRetries
 	if failure != nil {
 		return nil, met, failure
 	}

@@ -45,7 +45,7 @@
 //
 // Because map and reduce run in different processes, key placement
 // cannot use the in-process maphash seed; partitioning uses
-// shuffle.StableHasher (or the job's explicit Partition func), which
+// shuffle.StableHasher (or the round's explicit Partitioner), which
 // every process computes identically.
 //
 // Jobs must be registered (Register) under a name in both the driver
@@ -61,35 +61,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/runfile"
-	"repro/internal/shuffle"
 )
-
-// JobSpec is one named map-reduce round, typed end to end. The
-// functions must be deterministic and side-effect free: the runtime
-// re-executes tasks after worker death and lease expiry, and the output
-// contract (byte-identical results no matter which attempts won)
-// depends on it.
-type JobSpec[I any, K comparable, V, O any] struct {
-	Name string
-	// Map transforms one input record into zero or more key-value pairs.
-	Map func(in I, emit func(K, V))
-	// Reduce processes one key with all its values (map task order).
-	Reduce func(key K, values []V, emit func(O))
-	// Combine optionally pre-aggregates one key's values inside a map
-	// task before the pairs cross the process boundary. Must satisfy
-	// reduce(k, combine(vs)) == reduce(k, vs), and under a MemoryBudget
-	// it is applied repeatedly (at every seal), so it must also tolerate
-	// combine(append(combine(a), b...)) — associative pre-aggregation.
-	Combine func(key K, values []V) []V
-	// Partition optionally overrides key placement onto partitions. It
-	// MUST be a pure function of the key (it runs in every worker
-	// process); the default is shuffle.StableHasher.
-	Partition func(K) int
-	// BatchReduce declares that Reduce does not retain the values slice
-	// after returning, letting reduce workers reuse one decode arena
-	// across keys instead of allocating a fresh slice per key.
-	BatchReduce bool
-}
 
 // Options configures a multi-process run: the engine.Plan both
 // executors honour — resolved once by Run and handed to every worker in
@@ -179,55 +151,6 @@ func (o Options) fs() runfile.FS {
 	return runfile.OSFS
 }
 
-// Metrics is the communication and fault-tolerance profile of one
-// multi-process run. The logical fields mirror mr.Metrics; the
-// robustness counters are specific to this mode.
-type Metrics struct {
-	MapInputs       int64
-	PairsEmitted    int64 // pre-combine communication cost
-	PairsShuffled   int64 // post-combine pairs that crossed the boundary
-	Reducers        int64
-	MaxReducerInput int64
-	Outputs         int64
-	MapTasks        int64
-	ReduceTasks     int64
-
-	// BytesSpilled is the run data written to the inter-process spool
-	// files by committed (accepted or salvaged) map attempts — genuinely
-	// bytes over the process boundary. IndexBytesSpilled is the footer
-	// metadata alongside it; a committed section occupies exactly
-	// BytesSpilled+IndexBytesSpilled bytes of spool file.
-	// DiskBytesRead is what accepted reduce attempts read back.
-	BytesSpilled      int64
-	IndexBytesSpilled int64
-	DiskBytesRead     int64
-
-	// PeakResidentPairs is the largest buffered-pair high-water mark any
-	// accepted (or salvaged) task attempt observed inside a worker: map
-	// attempts report their shuffle's resident peak, reduce attempts the
-	// largest single group the merge held decoded. With a MemoryBudget
-	// set this stays near P*MemoryBudget plus one ingestion block
-	// regardless of input size — the bound the paper's q-tradeoff needs enforced.
-	PeakResidentPairs int64
-
-	// ReduceRanges is the total key-range units accepted reduce attempts
-	// split their merges into under Options.ReduceSplitPairs (zero when
-	// splitting was off or no partition crossed the threshold).
-	ReduceRanges int64
-
-	// MapRetries and ReduceRetries count task re-grants beyond the
-	// first (lease expiry, worker death, reported failures).
-	// WorkerDeaths counts worker processes that exited without being
-	// told to. LeaseExpirations counts TTL sweeps that fenced a lease.
-	// SalvagedTasks counts map tasks adopted from a dead worker's
-	// manifest instead of re-executed.
-	MapRetries       int64
-	ReduceRetries    int64
-	WorkerDeaths     int64
-	LeaseExpirations int64
-	SalvagedTasks    int64
-}
-
 // runnable is the untyped face of a registered job: what a worker
 // process needs to execute tasks of any key/value types.
 type runnable interface {
@@ -247,17 +170,18 @@ var registry = struct {
 	jobs map[string]runnable
 }{jobs: make(map[string]runnable)}
 
-// Register makes the job runnable by name in this process. Both the
-// driver and its workers must register the same spec (normally the
-// same code path runs in both, since workers are the same binary).
-// Registering a name twice replaces the previous spec.
-func Register[I any, K comparable, V, O any](spec JobSpec[I, K, V, O]) {
-	if spec.Name == "" {
+// Register makes the round runnable by name (its Name) in this process.
+// Both the driver and its workers must register the same round
+// (normally the same code path runs in both, since workers are the same
+// binary). Its Config is not read: the plan arrives through Options.
+// Registering a name twice replaces the previous round.
+func Register[I any, K comparable, V, O any](r engine.Round[I, K, V, O]) {
+	if r.Name == "" {
 		panic("proc: Register with empty job name")
 	}
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
-	registry.jobs[spec.Name] = &jobImpl[I, K, V, O]{spec: spec}
+	registry.jobs[r.Name] = &jobImpl[I, K, V, O]{r: r}
 }
 
 // lookup returns the registered job by name.
@@ -271,20 +195,7 @@ func lookup(name string) (runnable, error) {
 	return j, nil
 }
 
-// jobImpl binds a typed spec to the untyped runnable interface.
+// jobImpl binds a typed round to the untyped runnable interface.
 type jobImpl[I any, K comparable, V, O any] struct {
-	spec JobSpec[I, K, V, O]
-}
-
-// partition places k on one of p partitions: the explicit Partition
-// func reduced modulo p, or the stable cross-process hash.
-func (j *jobImpl[I, K, V, O]) partition(h shuffle.StableHasher[K], k K, p int) int {
-	if j.spec.Partition != nil {
-		part := j.spec.Partition(k) % p
-		if part < 0 {
-			part += p
-		}
-		return part
-	}
-	return int(h.Hash(k) % uint64(p))
+	r engine.Round[I, K, V, O]
 }

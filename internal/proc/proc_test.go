@@ -33,7 +33,7 @@ type wcOut struct {
 }
 
 func registerTestJobs() {
-	Register(JobSpec[string, string, int, wcOut]{
+	Register(engine.Round[string, string, int, wcOut]{
 		Name: "wordcount",
 		Map: func(line string, emit func(string, int)) {
 			for _, w := range strings.Fields(line) {
@@ -57,7 +57,7 @@ func registerTestJobs() {
 	})
 	// Same job without a combiner: every emitted pair crosses the
 	// process boundary, which the skew/limit tests rely on.
-	Register(JobSpec[string, string, int, wcOut]{
+	Register(engine.Round[string, string, int, wcOut]{
 		Name: "wordcount-nocombine",
 		Map: func(line string, emit func(string, int)) {
 			for _, w := range strings.Fields(line) {
@@ -75,7 +75,7 @@ func registerTestJobs() {
 	registerOrderJob()
 	// Jobs whose input or output type has an unexported field: it must
 	// cross the process boundary intact.
-	Register(JobSpec[lossyLine, string, int, wcOut]{
+	Register(engine.Round[lossyLine, string, int, wcOut]{
 		Name: "lossy-input",
 		Map: func(l lossyLine, emit func(string, int)) {
 			for _, w := range strings.Fields(l.Text) {
@@ -84,7 +84,7 @@ func registerTestJobs() {
 		},
 		Reduce: sumCounts,
 	})
-	Register(JobSpec[string, string, int, lossyOut]{
+	Register(engine.Round[string, string, int, lossyOut]{
 		Name: "lossy-output",
 		Map: func(line string, emit func(string, int)) {
 			for _, w := range strings.Fields(line) {
@@ -200,7 +200,7 @@ func testSplitPairs(t *testing.T) int {
 func TestProcRangeSplit(t *testing.T) {
 	lines := genLines(150) // "common" dominates: a genuinely skewed hot key
 	const parts = 3
-	run := func(workers, splitPairs int) ([]wcOut, Metrics) {
+	run := func(workers, splitPairs int) ([]wcOut, engine.Metrics) {
 		outs, met, err := Run[string, string, int, wcOut]("wordcount-nocombine", lines, Options{
 			// A pinned chunk keeps the map tasks, and so their resident
 			// peaks, the same at every fleet size.
@@ -416,7 +416,7 @@ func TestProcEmptyInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 0 || met.MapTasks != 0 || met.Outputs != 0 {
+	if len(outs) != 0 || met.MapInputs != 0 || met.Outputs != 0 {
 		t.Fatalf("empty job produced %d outputs, %+v", len(outs), met)
 	}
 }

@@ -220,7 +220,7 @@ func TestWorkerStreamingFaultMarch(t *testing.T) {
 // attempts, seal splits under memory pressure) changes the output.
 // Registered from TestMain via registerTestJobs.
 func registerOrderJob() {
-	Register(JobSpec[string, string, string, wcOut]{
+	Register(engine.Round[string, string, string, wcOut]{
 		Name: "order-chain",
 		Map: func(line string, emit func(string, string)) {
 			for i, w := range strings.Fields(line) {
@@ -342,7 +342,7 @@ func TestSalvageNotCountedAsRetry(t *testing.T) {
 // pure function of the records.
 func TestMapChunkedCommits(t *testing.T) {
 	records := []string{"", "a b", "", "", strings.Repeat("hot ", 40) + "a", "b", "", "c a b", "", "hot"}
-	job := &jobImpl[string, string, string, wcOut]{spec: JobSpec[string, string, string, wcOut]{
+	job := &jobImpl[string, string, string, wcOut]{r: engine.Round[string, string, string, wcOut]{
 		Map: func(line string, emit func(string, string)) {
 			for i, w := range strings.Fields(line) {
 				emit(w, fmt.Sprintf("%s#%d", line, i))
@@ -351,7 +351,7 @@ func TestMapChunkedCommits(t *testing.T) {
 	}}
 	want := make(map[string][]string)
 	for _, line := range records {
-		job.spec.Map(line, func(k, v string) { want[k] = append(want[k], v) })
+		job.r.Map(line, func(k, v string) { want[k] = append(want[k], v) })
 	}
 	const parts = 4
 	for _, budget := range []int{0, 1, 8} {

@@ -430,10 +430,16 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 		Recorder:         ws.rec,
 	})
 	defer sh.Close()
-	hasher := shuffle.NewStableHasher[K](0)
-	sh.SetPartitioner(func(k K) int { return j.partition(hasher, k, ws.plan.Partitions) })
-	if j.spec.Combine != nil {
-		sh.SetCombiner(j.spec.Combine)
+	if part := j.r.Partitioner; part != nil {
+		sh.SetPartitioner(part)
+	} else {
+		// The shuffle reduces the hash modulo its power-of-two P, so a
+		// hash that wraps to a negative int lands where it would unwrapped.
+		hasher := shuffle.NewStableHasher[K](0)
+		sh.SetPartitioner(func(k K) int { return int(hasher.Hash(k)) })
+	}
+	if j.r.Combine != nil {
+		sh.SetCombiner(j.r.Combine)
 	}
 	sink := &sectionSink{ws: ws, task: t.ID, attempt: t.Attempt, seq: make(map[int]int)}
 	sh.SetSealSink(sink.write)
@@ -448,7 +454,7 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 		tw.Emit(k, v)
 	}
 	for i := range ins {
-		j.spec.Map(ins[i], emit)
+		j.r.Map(ins[i], emit)
 		if ws.plan.MemoryBudget > 0 && chunk >= ws.plan.MemoryBudget/2 {
 			if err := tw.Commit(); err != nil {
 				return MapReport{}, fmt.Errorf("proc: streaming map task %d: %w", t.ID, err)
@@ -513,7 +519,7 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 		if err != nil {
 			return ReduceReport{}, fmt.Errorf("proc: profiling partition %d: %w", t.ID, err)
 		}
-		if err := ws.plan.CheckReducerInput(st.MaxGroup); err != nil {
+		if err := ws.plan.CheckReducerInput(j.r.Name, st.MaxGroup); err != nil {
 			return ReduceReport{MaxGroup: st.MaxGroup}, fatal(err)
 		}
 	}
@@ -536,6 +542,7 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 	outs := make([]engine.Collector[K, O], len(ranges))
 	groups := make([]shuffle.GroupProfile, len(ranges))
 	errs := make([]error, len(ranges))
+	reduce, batch := j.r.Reducer()
 	var wg sync.WaitGroup
 	for r := range ranges {
 		wg.Add(1)
@@ -543,8 +550,8 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 			defer wg.Done()
 			c := &outs[r]
 			emit := c.Emit
-			errs[r] = rr.ForEachGroupRange(ranges[r], j.spec.BatchReduce, func(k K, vs []V) error {
-				j.spec.Reduce(k, vs, emit)
+			errs[r] = rr.ForEachGroupRange(ranges[r], batch, func(k K, vs []V) error {
+				reduce(k, vs, emit)
 				c.EndKey(k)
 				groups[r].Add(len(vs))
 				return nil
