@@ -141,14 +141,15 @@ type PartitionStat struct {
 //
 // A multi-process round has no in-process exchange, so it leaves that
 // exchange's profile zero: Partitions, Makespan, IdealMakespan,
-// ReduceRangeSkew, ReducerInputLog2, the spill pressure (SpillEvents,
-// SpilledPairs, RunsMerged, SwapBytes, BytesReclaimed, MaxLivePairs)
-// and the overlap timings. There BytesSpilled, IndexBytesSpilled and
-// DiskBytesRead are real bytes over the process boundary — the spool
-// files that carried the shuffle, written by committed map attempts
-// and read back by accepted reduce attempts — and PeakResidentPairs is
-// the worst buffered-pair high-water mark any worker's task attempt
-// observed, the same bound Plan.MemoryBudget enforces in process.
+// ReduceRangeSkew, the spill pressure (SpillEvents, SpilledPairs,
+// RunsMerged, SwapBytes, BytesReclaimed, MaxLivePairs) and the overlap
+// timings. There BytesSpilled, IndexBytesSpilled and DiskBytesRead are
+// real bytes over the process boundary — the spool files that carried
+// the shuffle, written by committed map attempts and read back by
+// accepted reduce attempts — and PeakResidentPairs is the worst
+// buffered-pair high-water mark any worker's task attempt observed, the
+// same bound Plan.MemoryBudget enforces in process. ReducerInputLog2
+// sums the accepted reduce attempts' group sizes.
 type Metrics struct {
 	// MapInputs is the number of input records consumed by the map phase.
 	MapInputs int64
@@ -220,7 +221,8 @@ type Metrics struct {
 	// resident run indexes in memory and contribute nothing to it, so
 	// it measures the reduce merge (plus compaction re-reads) alone.
 	// IndexBytesSpilled is the footer-index metadata written alongside
-	// BytesSpilled; total spill file bytes are the sum of the two.
+	// BytesSpilled; total spill file bytes are the sum of the two (0 in
+	// process, where runs end at their last group, their index resident).
 	SpillEvents       int64
 	SpilledPairs      int64
 	BytesSpilled      int64
@@ -333,7 +335,7 @@ func (m Metrics) PublishTo(reg *obs.Registry) {
 	reg.Counter("mr_spill_events_total", "shuffle runs sealed under memory pressure").Add(m.SpillEvents)
 	reg.Counter("mr_spilled_pairs_total", "pairs written to sealed runs").Add(m.SpilledPairs)
 	reg.Counter("mr_bytes_spilled_total", "run data bytes written to spill files").Add(m.BytesSpilled)
-	reg.Counter("mr_index_bytes_spilled_total", "footer-index bytes written to spill files").Add(m.IndexBytesSpilled)
+	reg.Counter("mr_index_bytes_spilled_total", "footer-index bytes written to spill files (0 in process: in-process runs have no footer)").Add(m.IndexBytesSpilled)
 	reg.Counter("mr_disk_bytes_read_total", "bytes read back from spill files").Add(m.DiskBytesRead)
 	reg.Counter("mr_swap_bytes_total", "pressure-relief bytes staged to swap stash files").Add(m.SwapBytes)
 	reg.Counter("mr_bytes_reclaimed_total", "spill file bytes deleted while the job was still running").Add(m.BytesReclaimed)
@@ -460,7 +462,6 @@ func setProfile(m *Metrics, st shuffle.Stats) {
 	m.SpillEvents = st.SpillEvents
 	m.SpilledPairs = st.SpilledPairs
 	m.BytesSpilled = st.BytesSpilled
-	m.IndexBytesSpilled = st.IndexBytesSpilled
 	m.RunsMerged = st.RunsMerged
 	m.SwapBytes = st.SwapBytes
 	m.BytesReclaimed = st.BytesReclaimed
@@ -862,6 +863,11 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 
 	im := newImage(results)
 	res.Metrics.Outputs = int64(im.n)
+	// The image holds its own chunks: free the shuffle's resident indexes
+	// before an output slice is made (Run's deferred Close is a no-op).
+	if err := sh.Close(); err != nil {
+		return res, fmt.Errorf("engine: removing spill files of round %q: %w", r.Name, err)
+	}
 	if keep {
 		res.Image = im
 	} else {

@@ -114,6 +114,28 @@ func TestProcModeMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestProcModeReportsGroupSizes: the q distribution a ProcMode round
+// reports is the one the in-process round counts.
+func TestProcModeReportsGroupSizes(t *testing.T) {
+	lines := procLines(90)
+	_, want, err := procWordcountNoCombine.Run(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.ReducerInputLog2) == 0 {
+		t.Fatal("in-process round reported no group sizes")
+	}
+	pj := *procWordcountNoCombine
+	pj.Config = Config{Workers: 3, Partitions: 4, ProcMode: true}
+	_, met, err := pj.Run(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(met.ReducerInputLog2, want.ReducerInputLog2) {
+		t.Errorf("ProcMode ReducerInputLog2 = %v, in process %v", met.ReducerInputLog2, want.ReducerInputLog2)
+	}
+}
+
 // procWordcountBoth sets both reduce functions. Its ReduceBatch counts
 // every word twice, so the output shows which of the two ran.
 var procWordcountBoth = &Job[string, string, int, procWC]{

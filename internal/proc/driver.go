@@ -499,6 +499,12 @@ func (d *Driver) reduceDone(rep ReduceReport) bool {
 	d.met.MaxReducerInput = max(d.met.MaxReducerInput, rep.MaxGroup)
 	d.met.DiskBytesRead += rep.BytesRead
 	d.met.ReduceRanges += rep.Ranges
+	for i, n := range rep.GroupSizeLog2 {
+		if i == len(d.met.ReducerInputLog2) {
+			d.met.ReducerInputLog2 = append(d.met.ReducerInputLog2, 0)
+		}
+		d.met.ReducerInputLog2[i] += n
+	}
 	if rep.PeakResident > d.met.PeakResidentPairs {
 		d.met.PeakResidentPairs = rep.PeakResident
 	}

@@ -31,7 +31,7 @@
 // shuffle's run encoder at the spool, and a reduce worker adopts its
 // partition's committed sections as borrowed disk runs and reads them
 // through the shuffle's range reader — the same index-planned ranges,
-// heap merge, shared mappings and batch decode an in-process round uses.
+// merge, shared mappings and batch decode an in-process round uses.
 //
 // The data plane is run files end to end, on both of its other edges
 // too. The driver writes the job's records once as an input image, one

@@ -153,8 +153,11 @@ type ReduceReport struct {
 	// Ranges is how many key-range units the attempt split its merge
 	// into (0 when it ran as one whole-partition merge).
 	Ranges int64
-	Err    string
-	Fatal  bool
+	// GroupSizeLog2 is the partition's group sizes, bucketed as
+	// shuffle.Stats.GroupSizeLog2.
+	GroupSizeLog2 []int64
+	Err           string
+	Fatal         bool
 }
 
 // Ack is the driver's answer to a report.

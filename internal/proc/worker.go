@@ -576,7 +576,7 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 		Worker: ws.id, Part: t.ID, Attempt: t.Attempt, OutPath: path, OutBytes: size,
 		Keys: st.Keys, Outputs: outputs, MaxGroup: st.MaxGroup,
 		BytesRead: sh.DiskBytesRead(), PeakResident: st.MaxGroup,
-		Ranges: nRanges,
+		Ranges: nRanges, GroupSizeLog2: st.GroupSizeLog2,
 	}, nil
 }
 

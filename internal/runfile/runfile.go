@@ -12,21 +12,25 @@
 // skip, and fuzz without a schema, while keeping the write path a
 // single buffered pass over each sealed run.
 //
-// The file ends in a footer index. After the last group the writer
-// emits an end-of-groups marker (a uvarint no legal key length can
-// reach), then one compact entry per group — key bytes, value count,
-// byte offset of the group, byte length of its value section — and
-// finally a fixed 12-byte trailer (little-endian offset of the marker
-// plus the magic "MRFI") so the index is locatable from the end of the
-// file without touching group bytes. Keys are already written in sorted
+// A run read by another process ends in a footer index (Finish); a run
+// whose reader keeps its index in memory — the shuffle's own seals and
+// compaction outputs — ends at its last group (Flush), the footerless
+// form, which costs the writer nothing beyond its groups. After the
+// last group of a finished run the writer emits an end-of-groups marker
+// (a uvarint no legal key length can reach), then one compact entry per
+// group — key bytes, value count, byte offset of the group, byte length
+// of its value section — and finally a fixed 12-byte trailer
+// (little-endian offset of the marker plus the magic "MRFI") so the
+// index is locatable from the end of the file without touching group
+// bytes. Keys are already written in sorted
 // order, so the index is free to build and compresses well: each footer
 // key is stored as (shared-prefix length with the previous key, suffix)
 // and each offset as a delta from the previous, SSTable-style, keeping
 // the footer a small fraction of the group data even for short values.
 // A reader holding the index can profile or plan merges over the file
-// with zero value reads; for a file whose writer died before the footer
-// landed, ScanIndex reconstructs the same index from a sequential
-// counting pass.
+// with zero value reads; for a footerless file, or one whose writer died
+// before the footer landed, ScanIndex reconstructs the same index from
+// a sequential counting pass.
 //
 // Keys and values are opaque byte strings at this layer; the typed
 // encoding of Go keys and values lives in codec.go.
@@ -99,12 +103,17 @@ func (e IndexEntry) ValueOffset() int64 {
 // uvarintLen is the encoded length of x as a uvarint.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// Writer streams key groups to a run file. It buffers internally; call
-// Finish (which flushes) before closing the underlying file, or Flush
-// alone to emit a footerless stream.
+// Writer streams key groups to a run file. It appends every prefix and
+// key to its own 64 KiB buffer and hands a full buffer to the
+// underlying writer in one Write; a slice longer than the buffer goes
+// straight through. Call Finish (which flushes) before closing the
+// underlying file, or Flush alone to end the run at its last group —
+// the footerless form, for a run whose reader keeps its index in
+// memory. The first write error latches: every later call returns it.
 type Writer struct {
-	bw       *bufio.Writer
-	bytes    int64
+	out      io.Writer
+	buf      []byte // pending bytes, up to writeBuf
+	flushed  int64  // bytes already handed to out
 	groups   int64
 	pairs    int64
 	err      error
@@ -114,62 +123,81 @@ type Writer struct {
 	curValStart int64 // file offset where the open group's values begin
 	footerStart int64 // where Finish started the footer; 0 until then
 
-	// uvbuf backs writeUvarint and Finish's trailer. A stack buffer
-	// would escape through the bufio.Writer's io.Writer parameter,
-	// costing one tiny heap allocation per varint — the single hottest
-	// allocation site on the spill path — and one per run.
-	uvbuf [max(binary.MaxVarintLen64, trailerLen)]byte
 	// keyArena backs the index entries' key copies for the current run;
 	// Reset truncates it, so a long-lived spool writer allocates key
 	// storage O(log runs) times instead of once per group.
 	keyArena []byte
 }
 
+// writeBuf is the Writer's buffer size.
+const writeBuf = 1 << 16
+
 // NewWriter starts a run file on w, writing the header immediately.
 func NewWriter(w io.Writer) *Writer {
-	rw := &Writer{bw: bufio.NewWriterSize(w, 1<<16)}
-	rw.write(magicPrefix[:])
-	rw.write([]byte{Version2})
+	rw := &Writer{buf: make([]byte, 0, writeBuf)}
+	rw.Reset(w)
 	return rw
 }
 
-// Reset discards w's state and starts a fresh run file on out, writing the header immediately. The internal buffer and index
-// storage are reused, so a long-lived writer — the spool's, which
-// appends many runs to one file — allocates per run only what the run's
-// keys need.
+// Reset discards w's state and starts a fresh run file on out, writing
+// the header immediately. The buffer and index storage are reused, so a
+// long-lived writer — the spool's, which appends many runs to one file —
+// allocates per run only what the run's keys need.
 func (w *Writer) Reset(out io.Writer) {
-	w.bw.Reset(out)
-	w.bytes = 0
-	w.groups = 0
-	w.pairs = 0
-	w.err = nil
-	w.finished = false
-	w.index = w.index[:0]
-	w.keyArena = w.keyArena[:0]
-	w.curValStart = 0
-	w.footerStart = 0
-	w.write(magicPrefix[:])
-	w.write([]byte{Version2})
+	*w = Writer{out: out, buf: append(w.buf[:0], magicPrefix[:]...), index: w.index[:0], keyArena: w.keyArena[:0]}
+	w.buf = append(w.buf, Version2)
 }
 
-func (w *Writer) write(p []byte) {
-	if w.err != nil {
+// offset is the file offset of the next byte written.
+func (w *Writer) offset() int64 { return w.flushed + int64(len(w.buf)) }
+
+// flush hands the buffered bytes to out.
+func (w *Writer) flush() {
+	if w.err != nil || len(w.buf) == 0 {
 		return
 	}
-	n, err := w.bw.Write(p)
-	w.bytes += int64(n)
+	w.write(w.buf)
+	w.buf = w.buf[:0]
+}
+
+// write hands p to out, latching the first error.
+func (w *Writer) write(p []byte) {
+	n, err := w.out.Write(p)
+	if err == nil && n < len(p) {
+		err = io.ErrShortWrite
+	}
+	w.flushed += int64(n)
 	w.err = err
 }
 
-func (w *Writer) writeUvarint(x uint64) {
-	w.write(w.uvbuf[:binary.PutUvarint(w.uvbuf[:], x)])
+// bytes appends p: to the buffer, or straight to out when p alone would
+// fill it.
+func (w *Writer) bytes(p []byte) {
+	if len(p) < writeBuf {
+		if len(w.buf)+len(p) > writeBuf {
+			w.flush()
+		}
+		w.buf = append(w.buf, p...)
+		return
+	}
+	w.flush()
+	if w.err == nil {
+		w.write(p)
+	}
+}
+
+func (w *Writer) uvarint(x uint64) {
+	if len(w.buf)+binary.MaxVarintLen64 > writeBuf {
+		w.flush()
+	}
+	w.buf = binary.AppendUvarint(w.buf, x)
 }
 
 // sealEntry records the finished byte length of the most recently
 // opened group's value section.
 func (w *Writer) sealEntry() {
 	if len(w.index) > 0 {
-		w.index[len(w.index)-1].ValueBytes = w.bytes - w.curValStart
+		w.index[len(w.index)-1].ValueBytes = w.offset() - w.curValStart
 	}
 }
 
@@ -179,6 +207,9 @@ func (w *Writer) sealEntry() {
 // encoded one at a time into a reused scratch buffer instead of a
 // [][]byte.
 func (w *Writer) BeginGroup(key []byte, n int) error {
+	if w.err != nil {
+		return w.err
+	}
 	if w.finished {
 		return fmt.Errorf("runfile: BeginGroup after Finish")
 	}
@@ -195,12 +226,12 @@ func (w *Writer) BeginGroup(key []byte, n int) error {
 	w.index = append(w.index, IndexEntry{
 		Key:    kcopy,
 		Count:  int64(n),
-		Offset: w.bytes,
+		Offset: w.offset(),
 	})
-	w.writeUvarint(uint64(len(key)))
-	w.write(key)
-	w.writeUvarint(uint64(n))
-	w.curValStart = w.bytes
+	w.uvarint(uint64(len(key)))
+	w.bytes(key)
+	w.uvarint(uint64(n))
+	w.curValStart = w.offset()
 	if w.err == nil {
 		w.groups++
 	}
@@ -209,8 +240,11 @@ func (w *Writer) BeginGroup(key []byte, n int) error {
 
 // AppendValue writes one value of the group opened by BeginGroup.
 func (w *Writer) AppendValue(v []byte) error {
-	w.writeUvarint(uint64(len(v)))
-	w.write(v)
+	if w.err != nil {
+		return w.err
+	}
+	w.uvarint(uint64(len(v)))
+	w.bytes(v)
 	if w.err == nil {
 		w.pairs++
 	}
@@ -226,7 +260,7 @@ func (w *Writer) AppendRawBytes(p []byte, n int) error {
 	if w.err != nil {
 		return w.err
 	}
-	w.write(p)
+	w.bytes(p)
 	if w.err == nil {
 		w.pairs += int64(n)
 	}
@@ -240,28 +274,30 @@ func (w *Writer) Finish() error {
 		return w.err
 	}
 	w.sealEntry()
-	footerOff := w.bytes
+	footerOff := w.offset()
 	w.footerStart = footerOff
-	w.writeUvarint(footerMarker)
-	w.writeUvarint(uint64(len(w.index)))
+	w.uvarint(footerMarker)
+	w.uvarint(uint64(len(w.index)))
 	var prevKey []byte
 	var prevOff int64
 	for _, e := range w.index {
 		lcp := commonPrefix(prevKey, e.Key)
-		w.writeUvarint(uint64(lcp))
-		w.writeUvarint(uint64(len(e.Key) - lcp))
-		w.write(e.Key[lcp:])
-		w.writeUvarint(uint64(e.Count))
-		w.writeUvarint(uint64(e.Offset - prevOff))
-		w.writeUvarint(uint64(e.ValueBytes))
+		w.uvarint(uint64(lcp))
+		w.uvarint(uint64(len(e.Key) - lcp))
+		w.bytes(e.Key[lcp:])
+		w.uvarint(uint64(e.Count))
+		w.uvarint(uint64(e.Offset - prevOff))
+		w.uvarint(uint64(e.ValueBytes))
 		prevKey, prevOff = e.Key, e.Offset
 	}
-	tr := w.uvbuf[:trailerLen]
-	binary.LittleEndian.PutUint64(tr[:8], uint64(footerOff))
-	copy(tr[8:], indexMagic[:])
-	w.write(tr)
+	if len(w.buf)+trailerLen > writeBuf {
+		w.flush()
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(footerOff))
+	w.buf = append(w.buf, indexMagic[:]...)
 	w.finished = true
-	return w.Flush()
+	w.flush()
+	return w.err
 }
 
 // commonPrefix is the length of the longest shared prefix of a and b.
@@ -274,12 +310,14 @@ func commonPrefix(a, b []byte) int {
 	return i
 }
 
-// Flush drains the buffer to the underlying writer.
+// Flush drains the buffer to the underlying writer. Ending a run with
+// Flush instead of Finish leaves it footerless: it ends at its last
+// group, and Index is complete as it stands.
 func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
+	if !w.finished {
+		w.sealEntry()
 	}
-	w.err = w.bw.Flush()
+	w.flush()
 	return w.err
 }
 
@@ -290,13 +328,13 @@ func (w *Writer) Err() error { return w.err }
 
 // Index returns the footer index accumulated so far, one entry per
 // group in write order. Entries are complete (ValueBytes included) only
-// after Finish. The slice and its keys are owned by the Writer; callers
-// must not mutate them.
+// after Finish or Flush. The slice and its keys are owned by the Writer;
+// callers must not mutate them.
 func (w *Writer) Index() []IndexEntry { return w.index }
 
 // BytesWritten is the number of bytes accepted so far, header included
 // (and footer, after Finish).
-func (w *Writer) BytesWritten() int64 { return w.bytes }
+func (w *Writer) BytesWritten() int64 { return w.offset() }
 
 // BodyBytes is the byte length of the header plus group section alone
 // — the encoded run data, excluding the footer index and trailer. It
@@ -307,7 +345,7 @@ func (w *Writer) BodyBytes() int64 {
 	if w.footerStart > 0 {
 		return w.footerStart
 	}
-	return w.bytes
+	return w.offset()
 }
 
 // Groups is the number of key groups written.

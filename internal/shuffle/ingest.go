@@ -22,7 +22,8 @@
 // every earlier task has finished (the Ingester's watermark). Within a
 // partition, absorption order therefore equals task order, which makes
 // seal order equal task order, which is exactly what the read-side
-// k-way merge's (key, run order) heap needs to reproduce the contract.
+// k-way merge's (key, run order) tree of losers needs to reproduce the
+// contract.
 //
 // Fencing. A failed task attempt may already have flushed blocks; its
 // pairs must never become visible. Staged runs are tagged with (task,
@@ -803,10 +804,12 @@ func (sp *spool[K, V]) ensure() error {
 
 // addRun appends one sorted, combined run of the given keys and pairs
 // to the spool — fill encodes its groups — reusing one runfile.Writer
-// (and its write buffer) across every run the spool ever writes.
-func (sp *spool[K, V]) addRun(keys []K, pairs int64, fill func(w *runfile.Writer) error) (dr diskRun[K], body, idx int64, retErr error) {
+// (and its write buffer) across every run the spool ever writes. The
+// run ends at its last group: its index stays resident (typedIndex),
+// and no reader of a spool looks for a footer.
+func (sp *spool[K, V]) addRun(keys []K, pairs int64, fill func(w *runfile.Writer) error) (dr diskRun[K], retErr error) {
 	if err := sp.ensure(); err != nil {
-		return dr, 0, 0, err
+		return dr, err
 	}
 	if sp.w == nil {
 		sp.w = runfile.NewWriter(sp.f)
@@ -816,11 +819,11 @@ func (sp *spool[K, V]) addRun(keys []K, pairs int64, fill func(w *runfile.Writer
 	w := sp.w
 	if err := fill(w); err != nil {
 		sp.broken = true
-		return dr, 0, 0, fmt.Errorf("shuffle: spilling to %s %s: %w", sp.kind, sp.f.Name(), err)
+		return dr, fmt.Errorf("shuffle: spilling to %s %s: %w", sp.kind, sp.f.Name(), err)
 	}
-	if err := w.Finish(); err != nil {
+	if err := w.Flush(); err != nil {
 		sp.broken = true
-		return dr, 0, 0, fmt.Errorf("shuffle: flushing %s %s: %w", sp.kind, sp.f.Name(), err)
+		return dr, fmt.Errorf("shuffle: flushing %s %s: %w", sp.kind, sp.f.Name(), err)
 	}
 	dr = diskRun[K]{
 		file: sp.rf, off: sp.off, size: w.BytesWritten(), pairs: pairs,
@@ -832,7 +835,7 @@ func (sp *spool[K, V]) addRun(keys []K, pairs int64, fill func(w *runfile.Writer
 	// Reference the run immediately: a compaction in the same step may
 	// release it long before the spool closes.
 	sp.rf.refs.Add(1)
-	return dr, w.BodyBytes(), w.BytesWritten() - w.BodyBytes(), nil
+	return dr, nil
 }
 
 // addSwap appends one staged task's blocks as a single raw section, in

@@ -18,9 +18,9 @@
 // a two-field struct of numbers), also has a normalized form
 // (runfile.Plan.Norm): two words whose lexicographic order is the key
 // order. SortKeys and a seal's sort of the live run (sortOrder)
-// radix-sort such keys on their words, and merge cursors cache them so
-// the merge heap compares words inline; every other key sorts and
-// merges by the plan's Compare (orderOf).
+// radix-sort such keys on their words, and the merge's tree of losers
+// holds them in its leaves and compares words inline; every other key
+// sorts and merges by the plan's Compare (orderOf).
 //
 // Placement is maphash with a per-process seed by default. Wherever it
 // must instead be reproducible — under WithSeed, and always across the
@@ -155,7 +155,7 @@ var ErrNaNKey = errors.New("shuffle: a key with a NaN in it is not == to itself"
 // exactly when the keys are ==. K must pass CheckKey. Resolve it once
 // per sort or merge, not per comparison — the lookup reflects on K.
 // Sorts and merges of a key with a normalized form compare its words
-// instead (SortKeys, cursorHeap); a string key skips the plan's loop.
+// instead (SortKeys, loserTree); a string key skips the plan's loop.
 func orderOf[K comparable]() func(a, b K) int {
 	if reflect.TypeFor[K]().Kind() == reflect.String {
 		return func(a, b K) int {

@@ -23,7 +23,7 @@
 // buffers in its live run: when the cap is reached the run is sealed
 // and, when a SpillDir is configured, encoded in sorted-key order to a
 // disk run file (internal/runfile). At read time each partition streams
-// its key groups through a k-way heap merge over the on-disk runs, the
+// its key groups through a k-way merge over the on-disk runs, the
 // in-memory sealed runs, and the live run, so a partition several times
 // larger than its budget is reduced without ever being resident at
 // once. Without a SpillDir, sealed runs stay in memory and only the
@@ -241,7 +241,6 @@ type partitionState[K comparable, V any] struct {
 	spillEvents  int64
 	spilledPairs int64
 	bytesSpilled int64
-	indexBytes   int64 // footer-index bytes written alongside run data
 
 	// staged holds flushed-but-uncommitted blocks per map task during
 	// streaming ingestion (see ingest.go); stagedPairs is the in-memory
@@ -612,14 +611,13 @@ func (st *partitionState[K, V]) seal(s *Shuffle[K, V], force bool) (err error) {
 		if st.pspool == nil {
 			st.pspool = &spool[K, V]{s: s, pattern: "mr-spool-*.run", kind: "seal spool"}
 		}
-		dr, body, idx, err := st.pspool.addRun(run.keys, sealing, func(w *runfile.Writer) error { return st.enc.run(w, run) })
+		dr, err := st.pspool.addRun(run.keys, sealing, func(w *runfile.Writer) error { return st.enc.run(w, run) })
 		if err != nil {
 			return err
 		}
 		st.disk = append(st.disk, dr)
 		st.spilledToDisk = true
-		st.bytesSpilled += body
-		st.indexBytes += idx
+		st.bytesSpilled += dr.size
 	default:
 		st.runs = append(st.runs, run.clone())
 	}
@@ -768,16 +766,13 @@ type Stats struct {
 	// many runs were sealed and how many pairs they held.
 	SpillEvents  int64
 	SpilledPairs int64
-	// BytesSpilled is the total encoded size of run data written to
-	// disk — header and key groups, not the footer indexes — so it
-	// tracks the communication volume the paper reasons about (zero
-	// without a SpillDir). With a combiner pushed down (SetCombiner) it
-	// tracks the post-combine communication cost rather than the raw
-	// emission volume. IndexBytesSpilled is the metadata written on
-	// top: the prefix-compressed footer indexes; total file bytes are
-	// the sum of the two.
-	BytesSpilled      int64
-	IndexBytesSpilled int64
+	// BytesSpilled is the total encoded size of the runs written to
+	// disk — header and key groups; the shuffle's runs end at their last
+	// group, their indexes resident — so it tracks the communication
+	// volume the paper reasons about (zero without a SpillDir). With a
+	// combiner pushed down (SetCombiner) it tracks the post-combine
+	// communication cost rather than the raw emission volume.
+	BytesSpilled int64
 	// DiskBytesRead is the cumulative number of bytes read back from
 	// spill run files, across reduce-time merges and compaction.
 	// Computing Stats itself adds nothing to it: the counting pass
@@ -897,7 +892,6 @@ func (s *Shuffle[K, V]) Totals() Stats {
 		st.SpillEvents += ps.spillEvents
 		st.SpilledPairs += ps.spilledPairs
 		st.BytesSpilled += ps.bytesSpilled
-		st.IndexBytesSpilled += ps.indexBytes
 		st.MaxLivePairs = max(st.MaxLivePairs, ps.maxLivePairs)
 		if nruns := len(ps.runs) + len(ps.disk) + min(ps.livePairs, 1); nruns > 1 {
 			st.RunsMerged += int64(nruns)

@@ -326,6 +326,8 @@ func BenchmarkExternalShuffle(b *testing.B) {
 // plus a few dozen fresh spool runs, in every process. (At a budget of
 // 1024 the partitions sit on the bound itself: whether one reads as 127
 // runs or as 1 is the hash seed's coin toss, and values/s follows it.)
+// The tiny-groups lane is another shape, where the merge's per-group
+// cost dominates; it reports ns/group.
 func BenchmarkReduceMergeDecode(b *testing.B) {
 	defer WithSeed(42)()
 	const (
@@ -390,6 +392,45 @@ func BenchmarkReduceMergeDecode(b *testing.B) {
 			b.ReportMetric(float64(streamed)/b.Elapsed().Seconds(), "values/s")
 		})
 	}
+
+	// tiny-groups is one partition of hamming_spill: 48 seals of 2 048
+	// pairs over 1 536 two-word struct keys, q = 64, so a group holds
+	// under two values per run and the merge's cost is per group.
+	b.Run("tiny-groups", func(b *testing.B) {
+		const runs, budget, keys = 48, 2048, 1536
+		stream := make([]Pair[splitKey, uint64], 0, runs*budget)
+		for _, i := range rand.New(rand.NewSource(1)).Perm(runs * budget) {
+			id := i % keys
+			stream = append(stream, Pair[splitKey, uint64]{splitKey{id % 3, id * 7919}, uint64(i)})
+		}
+		s := newTuned[splitKey, uint64](Options{Partitions: 1, MaxBufferedPairs: budget, SpillDir: b.TempDir()}, tuning{compactors: -1})
+		defer s.Close()
+		st := &s.parts[0]
+		for lo := 0; lo < len(stream); lo += 1024 {
+			if err := st.absorb(s, stream[lo:lo+1024]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if n := len(st.disk) + len(st.memRuns()); n != runs {
+			b.Fatalf("partition reads as %d runs, want %d", n, runs)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			groups := 0
+			err := s.Partition(0).ForEachGroupBatch(func(splitKey, []uint64) error {
+				groups++
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if groups != keys {
+				b.Fatalf("merged %d groups, want %d", groups, keys)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/group")
+	})
 }
 
 // BenchmarkReduceRangeSkew pits whole-partition LPT scheduling against
@@ -543,8 +584,9 @@ func BenchmarkReduceRangeSkew(b *testing.B) {
 // BenchmarkKeyPlan times the four things the data path does with a
 // key — place it (the WithSeed/ProcMode stable hash), normalize it
 // (runfile.Plan.Norm, for the keys that have the form), sort it
-// (SortKeys at every seal), and advance a merge cursor past it (pop,
-// advance, push on mergeCursors' heap) — for an int key, the two-word
+// (SortKeys at every seal), and advance a merge cursor past it (advance
+// the winner of mergeCursors' tree of losers and replay its leaf) — for
+// an int key, the two-word
 // struct key the paper's problem families use, and a struct key with a
 // string. The hash, norm and merge-advance lanes must not allocate at
 // all and a sort at most once per call; scripts/benchcmp holds
@@ -597,24 +639,25 @@ func benchKeyPlan[K comparable](b *testing.B, name string, key func(i int) K) {
 		const runs = 16
 		sorted := append([]K(nil), keys...)
 		SortKeys(sorted)
-		h := newCursorHeap[K, int](orderOf[K]())
-		for r := 0; r < runs; r++ {
-			c := &groupCursor[K, int]{runIdx: r}
+		cursors := make([]*groupCursor[K, int], runs)
+		for r := range cursors {
+			c := new(groupCursor[K, int])
 			for i := r; i < n; i += runs {
 				c.idx = append(c.idx, keyCount[K]{key: sorted[i], count: 1})
 			}
-			h.advance(c)
-			h.push(c)
+			c.end = len(c.idx)
+			cursors[r] = c
 		}
+		t := newLoserTree(cursors, orderOf[K]())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c := h.pop()
-			if !h.advance(c) {
-				c.pos = 0
-				h.advance(c)
+			w := t.nodes[0]
+			if t.advance(w); t.leaves[w].done {
+				cursors[w].pos = 0
+				t.advance(w)
 			}
-			h.push(c)
+			t.replay(w)
 		}
 	})
 }

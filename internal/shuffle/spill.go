@@ -2,17 +2,17 @@
 // back.
 //
 // A sealed run is written once, in canonical sorted key order, as an
-// internal/runfile run file (groups plus a footer index of key, count,
-// offset, value-bytes per group). The shuffle keeps each run's index
-// resident in typed form — the keys were in memory at seal time, so the
-// index costs no decode (an adopted run's are decoded once, see
-// adopt.go) — which splits the read path in two:
+// internal/runfile run file of groups alone, footerless: the shuffle
+// keeps each run's index (key, count, value-section offset and length
+// per group) resident in typed form — the keys were in memory at seal
+// time, so the index costs no decode (an adopted run's are decoded once,
+// see adopt.go) — which splits the read path in two:
 //
 //   - Counting reads (Stats, ForEachGroupCount, PlanReduceRanges, the
 //     engine's overflow diagnosis) merge the in-memory indexes and
 //     never open a run file at all: zero disk I/O.
 //   - Value reads (ForEachGroupBatch, the RangeReader) run the classic
-//     external-sort merge — one cursor per run driven by a heap on
+//     external-sort merge — one cursor per run, a tree of losers on
 //     (key, seal order) — but the indexes drive the key ordering, so
 //     the files supply only value bytes.
 //
@@ -54,11 +54,11 @@ const maxDiskRunFanIn = 64
 
 // maxDiskRunsPerPartition caps the total run count of one partition's
 // merge regardless of how the runs share files: every cursor costs a
-// read buffer and a heap slot even when its file handle is shared, so
-// a streaming round whose pressure writes all land in one spool file
-// must still compact once its run count (not file count) outgrows the
-// merge. Twice the file fan-in: spool sections are cheaper than files
-// but not free.
+// read buffer and a leaf of the merge even when its file handle is
+// shared, so a streaming round whose pressure writes all land in one
+// spool file must still compact once its run count (not file count)
+// outgrows the merge. Twice the file fan-in: spool sections are cheaper
+// than files but not free.
 const maxDiskRunsPerPartition = 2 * maxDiskRunFanIn
 
 // needsCompaction reports whether a partition's disk runs outgrew
@@ -153,20 +153,6 @@ type diskRun[K comparable] struct {
 	index []keyCount[K]
 }
 
-// countingReaderAt meters the positioned-read fallback into the
-// shuffle's DiskBytesRead counter: cursors share one handle with no
-// seek state, so every section read is a pread.
-type countingReaderAt struct {
-	ra io.ReaderAt
-	n  *atomic.Int64
-}
-
-func (c countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	n, err := c.ra.ReadAt(p, off)
-	c.n.Add(int64(n))
-	return n, err
-}
-
 // GroupEncoder is the one typed group encoder: every key group the
 // shuffle writes — a sealed run's (GroupEncoder.run, whatever spool or
 // seal sink the writer sits on) or a compacted one — is framed here,
@@ -224,8 +210,8 @@ func (e *GroupEncoder[K, V]) run(w *runfile.Writer, r *memRun[K, V]) error {
 }
 
 // typedIndex pairs a run image's index entries (complete — a writer's
-// after Finish, or loaded from the image) with the typed keys they
-// stand for, in write order.
+// after Finish or Flush, or loaded from the image) with the typed keys
+// they stand for, in write order.
 func typedIndex[K comparable](keys []K, entries []runfile.IndexEntry) []keyCount[K] {
 	index := make([]keyCount[K], len(keys))
 	for i, k := range keys {
@@ -306,8 +292,7 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 	}
 	tail := append([]diskRun[K]{merged}, st.disk[from+nIn:]...)
 	st.disk = append(st.disk[:from], tail...)
-	st.bytesSpilled += w.BodyBytes()
-	st.indexBytes += w.BytesWritten() - w.BodyBytes()
+	st.bytesSpilled += w.BytesWritten()
 	// A combiner can shrink the partition's held pairs during the
 	// rewrite; keep the partition totals equal to the sum of its group
 	// counts.
@@ -356,23 +341,24 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 	var enc GroupEncoder[K, V]
 	var vals []V // combiner scratch, reused across groups
 	cmp := orderOf[K]()
-	err = mergeCursors(rangeCursors(s, compacting, views, nil, cmp, KeyRange[K]{}), cmp, func(k K, srcs []*groupCursor[K, V]) error {
+	err = mergeCursors(rangeCursors(s, compacting, views, nil, cmp, KeyRange[K]{}), cmp, func(k K, srcs []groupRef[K, V]) error {
 		if s.combiner == nil {
 			total := 0
-			for _, c := range srcs {
-				total += c.count
+			for _, r := range srcs {
+				total += r.count
 			}
 			if err := enc.begin(w, k, total); err != nil {
 				return err
 			}
-			for _, c := range srcs {
+			for i := range srcs {
 				// One section load (mapped view or pread), one framed
 				// append: the group's values move as raw bytes, never
 				// parsed.
-				if err := c.loadSection(); err != nil {
+				r := &srcs[i]
+				if err := r.loadSection(); err != nil {
 					return err
 				}
-				if err := w.AppendRawBytes(c.batch.Raw(), c.count); err != nil {
+				if err := w.AppendRawBytes(r.c.batch.Raw(), r.count); err != nil {
 					return err
 				}
 			}
@@ -385,9 +371,9 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 		// touches it, so a combiner returning a sub-slice of its input is
 		// safe.
 		vals = vals[:0]
-		for _, c := range srcs {
+		for i := range srcs {
 			var err error
-			if vals, err = c.appendValues(vals); err != nil {
+			if vals, err = srcs[i].appendValues(vals); err != nil {
 				return err
 			}
 		}
@@ -401,7 +387,9 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 	if err != nil {
 		return "", nil, nil, fmt.Errorf("shuffle: compacting to %s: %w", out.Name(), err)
 	}
-	if err := w.Finish(); err != nil {
+	// The output, like a seal, ends at its last group: its index is
+	// resident (typedIndex) and nothing reads a footer.
+	if err := w.Flush(); err != nil {
 		return "", nil, nil, fmt.Errorf("shuffle: flushing compacted run: %w", err)
 	}
 	if err := out.Close(); err != nil {
@@ -474,7 +462,7 @@ func openRunViews[K comparable, V any](s *Shuffle[K, V], runs []diskRun[K]) ([]r
 		if of.mapped != nil {
 			v.img = of.mapped[dr.off : dr.off+dr.size]
 		} else {
-			v.ra = countingReaderAt{of.f, &s.diskRead}
+			v.ra = of.f
 			v.raOff = dr.off
 		}
 		views = append(views, v)
@@ -543,191 +531,210 @@ func (s *Shuffle[K, V]) Close() error {
 	return first
 }
 
-// groupCursor walks one run's groups in canonical key order: groups
-// [pos, end) of an in-memory run, or a spilled run driven by its
-// resident index — with the run's read surface attached only when
-// values are being read.
+// groupCursor walks one run's groups [pos, end) in canonical key order:
+// an in-memory run's, or a spilled run's driven by its resident index —
+// with the run's read surface attached only when values are being read.
+// key is the current group's key; the merge snapshots the rest of the
+// group (cursor.ref) when the cursor wins.
 type groupCursor[K comparable, V any] struct {
-	// w is the current key's normalized form when K has one
-	// (cursorHeap.advance fills it): what the merge heap compares.
-	w      [2]uint64
-	runIdx int // seal order; the live run is last
-
-	// in-memory source, and its current group's values
-	mem     *memRun[K, V]
-	end     int
-	memVals []V
+	mem *memRun[K, V] // in-memory source
 
 	// spilled source: the resident index drives keys, counts and value
 	// section locations; the view (zero on the counting path) supplies
 	// only section bytes.
 	idx []keyCount[K]
 	runView
-	meter *atomic.Int64      // DiskBytesRead, charged per mapped section load
 	batch runfile.ValueBatch // reused value-section arena or view
+	// read sums the section bytes this cursor loaded; the merge adds it
+	// to meter (DiskBytesRead) once, when it ends.
+	read  int64
+	meter *atomic.Int64
 
-	pos int
-
-	// current group
+	pos, end int
 	key      K
-	count    int
-	valBytes int64 // value-section length (spilled source)
-	valOff   int64 // value-section offset within the run (spilled source)
 }
 
 // next advances to the cursor's next group, returning false at the end
 // of the run. Purely in-memory: spilled cursors step their index; the
 // file is touched only when values are asked for.
 func (c *groupCursor[K, V]) next() bool {
+	if c.pos >= c.end {
+		return false
+	}
 	if c.mem != nil {
-		if c.pos >= c.end {
-			return false
-		}
-		c.key, c.memVals = c.mem.keys[c.pos], c.mem.group(c.pos)
-		c.count = len(c.memVals)
+		c.key = c.mem.keys[c.pos]
 	} else {
-		if c.pos >= len(c.idx) {
-			return false
-		}
-		e := c.idx[c.pos]
-		c.key, c.count, c.valBytes, c.valOff = e.key, int(e.count), e.valBytes, e.valOff
+		c.key = c.idx[c.pos].key
 	}
 	c.pos++
 	return true
 }
 
-// loadSection fills the cursor's batch with the current group's value
-// section: a zero-copy view when the run is mapped, one positioned read
-// into the reused arena otherwise. The resident index supplies the
-// location and the value count, so no framing is parsed from disk on
-// either path; the section's own internal framing is still validated as
-// the batch splits it (a length overrunning the section is ErrCorrupt).
-func (c *groupCursor[K, V]) loadSection() error {
+// ref snapshots the cursor's current group.
+func (c *groupCursor[K, V]) ref() groupRef[K, V] {
+	if c.mem != nil {
+		vs := c.mem.group(c.pos - 1)
+		return groupRef[K, V]{c: c, count: len(vs), vals: vs}
+	}
+	e := &c.idx[c.pos-1]
+	return groupRef[K, V]{c: c, count: int(e.count), off: e.valOff, n: e.valBytes}
+}
+
+// groupRef is one source's part of a merged group, snapshotted when its
+// cursor won: the value count, and the value section's offset and
+// length in the run or the in-memory values. The cursor has moved on
+// by the time a consumer reads the ref; only its read surface (view,
+// section buffer, read sum) is used.
+type groupRef[K comparable, V any] struct {
+	c      *groupCursor[K, V]
+	count  int
+	off, n int64 // value section within the run (spilled source)
+	vals   []V   // in-memory source
+}
+
+// loadSection fills the cursor's batch with the group's value section:
+// a zero-copy view when the run is mapped, one positioned read into the
+// reused arena otherwise. The resident index supplies the location and
+// the value count, so no framing is parsed from disk on either path;
+// the section's own internal framing is still validated as the batch
+// splits it (a length overrunning the section is ErrCorrupt).
+func (r *groupRef[K, V]) loadSection() error {
+	c := r.c
+	c.read += r.n
 	if c.img != nil {
-		if c.valOff < 0 || c.valBytes < 0 || c.valOff+c.valBytes > int64(len(c.img)) {
+		if r.off < 0 || r.n < 0 || r.off+r.n > int64(len(c.img)) {
 			return fmt.Errorf("shuffle: reading spill %s: %w: value section [%d,%d) outside run of %d bytes",
-				c.file.Name(), runfile.ErrCorrupt, c.valOff, c.valOff+c.valBytes, len(c.img))
+				c.file.Name(), runfile.ErrCorrupt, r.off, r.off+r.n, len(c.img))
 		}
-		c.meter.Add(c.valBytes)
-		if err := c.batch.SetView(c.img[c.valOff:c.valOff+c.valBytes], c.count); err != nil {
+		if err := c.batch.SetView(c.img[r.off:r.off+r.n], r.count); err != nil {
 			return fmt.Errorf("shuffle: reading spill %s: %w", c.file.Name(), err)
 		}
 		return nil
 	}
-	if err := c.batch.ReadSectionAt(c.ra, c.raOff+c.valOff, c.valBytes, c.count); err != nil {
+	if err := c.batch.ReadSectionAt(c.ra, c.raOff+r.off, r.n, r.count); err != nil {
 		return fmt.Errorf("shuffle: reading spill %s: %w", c.file.Name(), err)
 	}
 	return nil
 }
 
-// appendValues appends the current group's values to dst. For a spilled
-// run this is the only point the file is touched: loadSection brings the
+// appendValues appends the group's values to dst. For a spilled run
+// this is the only point the file is touched: loadSection brings the
 // value section in and the batch is decoded with a single type dispatch
 // (runfile.DecodeBatch) straight onto dst — no per-cursor copy.
-func (c *groupCursor[K, V]) appendValues(dst []V) ([]V, error) {
-	if c.mem != nil {
-		return append(dst, c.memVals...), nil
+func (r *groupRef[K, V]) appendValues(dst []V) ([]V, error) {
+	if r.c.mem != nil {
+		return append(dst, r.vals...), nil
 	}
-	if err := c.loadSection(); err != nil {
+	if err := r.loadSection(); err != nil {
 		return dst, err
 	}
-	dst, err := runfile.DecodeBatch[V](&c.batch, dst)
+	dst, err := runfile.DecodeBatch[V](&r.c.batch, dst)
 	if err != nil {
-		return dst, fmt.Errorf("shuffle: decoding spill value in %s: %w", c.file.Name(), err)
+		return dst, fmt.Errorf("shuffle: decoding spill value in %s: %w", r.c.file.Name(), err)
 	}
 	return dst, nil
 }
 
-// cursorHeap is a binary min-heap of cursors ordered by (current key,
-// seal order), so equal keys pop in seal order and the concatenated
-// values respect the package's value-order contract. A key with a
-// normalized form is ordered by the words its cursor cached when it
-// advanced, compared inline; any other key by cmp, K's canonical order
-// (orderOf).
-type cursorHeap[K comparable, V any] struct {
-	cs   []*groupCursor[K, V]
-	plan *runfile.Plan // non-nil when K has a normalized form
-	cmp  func(a, b K) int
+// loserTree is the merge's tree of losers (Graefe, "Implementing
+// Sorting in Database Systems", 2006): leaf i is cursor i, in seal
+// order, and holds its current key's normalized words inline when K has
+// that form; node 0 holds the winner and nodes 1..k-1 the loser of the
+// match played there (leaf i sits at node k+i, a node's parent at half
+// its number). Leaves order by (key, seal order) — words compared
+// inline, any other key through cmp, K's canonical order (orderOf) —
+// and an exhausted cursor loses to every live one, so equal keys win in
+// seal order and the concatenated values respect the package's
+// value-order contract. Replaying a leaf after its cursor advanced is
+// one match per level: log₂ k compares.
+type loserTree[K comparable, V any] struct {
+	cs     []*groupCursor[K, V]
+	leaves []mergeLeaf
+	nodes  []int
+	plan   *runfile.Plan // non-nil when K has a normalized form
+	cmp    func(a, b K) int
 }
 
-// newCursorHeap returns an empty heap over K's canonical order cmp.
-func newCursorHeap[K comparable, V any](cmp func(a, b K) int) *cursorHeap[K, V] {
-	h := &cursorHeap[K, V]{cmp: cmp}
+// mergeLeaf is one cursor's current key as the tree compares it.
+type mergeLeaf struct {
+	w    [2]uint64 // normalized key words (plan set)
+	done bool      // the cursor is exhausted
+}
+
+// newLoserTree steps every cursor to its first group and plays the
+// initial matches bottom up. cs must be non-empty.
+func newLoserTree[K comparable, V any](cs []*groupCursor[K, V], cmp func(a, b K) int) *loserTree[K, V] {
+	k := len(cs)
+	t := &loserTree[K, V]{cs: cs, leaves: make([]mergeLeaf, k), nodes: make([]int, k), cmp: cmp}
 	if plan := runfile.PlanFor[K](); plan.Normalized() {
-		h.plan = plan
+		t.plan = plan
 	}
-	return h
-}
-
-// advance steps c to its next group and caches the group key's words,
-// returning false at the end of c's run.
-func (h *cursorHeap[K, V]) advance(c *groupCursor[K, V]) bool {
-	if !c.next() {
-		return false
+	win := make([]int, 2*k) // win[n] is the winner of node n's match
+	for i := range cs {
+		t.advance(i)
+		win[k+i] = i
 	}
-	if h.plan != nil {
-		c.w[0], c.w[1] = h.plan.Norm(unsafe.Pointer(&c.key))
-	}
-	return true
-}
-
-// same reports whether a and b are at equal keys.
-func (h *cursorHeap[K, V]) same(a, b *groupCursor[K, V]) bool {
-	if h.plan != nil {
-		return a.w == b.w
-	}
-	return h.cmp(a.key, b.key) == 0
-}
-
-func (h *cursorHeap[K, V]) before(a, b *groupCursor[K, V]) bool {
-	if h.plan != nil {
-		if a.w[0] != b.w[0] {
-			return a.w[0] < b.w[0]
+	for n := k - 1; n >= 1; n-- {
+		a, b := win[2*n], win[2*n+1]
+		if t.less(b, a) {
+			a, b = b, a
 		}
-		if a.w[1] != b.w[1] {
-			return a.w[1] < b.w[1]
-		}
-	} else if c := h.cmp(a.key, b.key); c != 0 {
-		return c < 0
+		win[n], t.nodes[n] = a, b
 	}
-	return a.runIdx < b.runIdx
+	t.nodes[0] = win[1] // with one leaf, node 1 is leaf 0
+	return t
 }
 
-func (h *cursorHeap[K, V]) push(c *groupCursor[K, V]) {
-	h.cs = append(h.cs, c)
-	i := len(h.cs) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.before(h.cs[i], h.cs[parent]) {
-			break
-		}
-		h.cs[i], h.cs[parent] = h.cs[parent], h.cs[i]
-		i = parent
+// advance steps cursor i to its next group and refreshes its leaf.
+func (t *loserTree[K, V]) advance(i int) {
+	c, l := t.cs[i], &t.leaves[i]
+	switch l.done = !c.next(); {
+	case l.done:
+		l.w = [2]uint64{^uint64(0), ^uint64(0)}
+	case t.plan != nil:
+		l.w[0], l.w[1] = t.plan.Norm(unsafe.Pointer(&c.key))
 	}
 }
 
-func (h *cursorHeap[K, V]) pop() *groupCursor[K, V] {
-	top := h.cs[0]
-	last := len(h.cs) - 1
-	h.cs[0] = h.cs[last]
-	h.cs = h.cs[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(h.cs) && h.before(h.cs[l], h.cs[min]) {
-			min = l
+// less reports whether leaf a wins its match against leaf b. An
+// exhausted leaf's words are all ones (advance), so under a normalized
+// form words decide every match but a tie, where done is checked.
+func (t *loserTree[K, V]) less(a, b int) bool {
+	la, lb := &t.leaves[a], &t.leaves[b]
+	if t.plan != nil {
+		if la.w[0] != lb.w[0] {
+			return la.w[0] < lb.w[0]
 		}
-		if r < len(h.cs) && h.before(h.cs[r], h.cs[min]) {
-			min = r
+		if la.w[1] != lb.w[1] {
+			return la.w[1] < lb.w[1]
 		}
-		if min == i {
-			break
+	} else if !la.done && !lb.done {
+		if c := t.cmp(t.cs[a].key, t.cs[b].key); c != 0 {
+			return c < 0
 		}
-		h.cs[i], h.cs[min] = h.cs[min], h.cs[i]
-		i = min
 	}
-	return top
+	if la.done != lb.done {
+		return lb.done
+	}
+	return a < b
+}
+
+// replay plays leaf i's matches from its parent to the root, after its
+// cursor advanced, leaving the new winner in node 0.
+func (t *loserTree[K, V]) replay(i int) {
+	for n := (i + len(t.cs)) / 2; n > 0; n /= 2 {
+		if t.less(t.nodes[n], i) {
+			t.nodes[n], i = i, t.nodes[n]
+		}
+	}
+	t.nodes[0] = i
+}
+
+// holds reports whether live leaf i is at key k (words w).
+func (t *loserTree[K, V]) holds(i int, k K, w [2]uint64) bool {
+	if t.plan != nil {
+		return t.leaves[i].w == w
+	}
+	return t.cmp(t.cs[i].key, k) == 0
 }
 
 // memRuns returns the partition's in-memory runs in seal order: sealed
@@ -749,10 +756,10 @@ func mergeRuns[K comparable, V any](runs []*memRun[K, V]) *memRun[K, V] {
 	}
 	out := new(memRun[K, V])
 	cmp := orderOf[K]()
-	mergeCursors(rangeCursors(nil, nil, nil, runs, cmp, KeyRange[K]{}), cmp, func(k K, srcs []*groupCursor[K, V]) error {
+	mergeCursors(rangeCursors(nil, nil, nil, runs, cmp, KeyRange[K]{}), cmp, func(k K, srcs []groupRef[K, V]) error {
 		out.keys = append(out.keys, k)
-		for _, c := range srcs {
-			out.vals = append(out.vals, c.memVals...)
+		for _, r := range srcs {
+			out.vals = append(out.vals, r.vals...)
 		}
 		out.ends = append(out.ends, len(out.vals))
 		return nil
@@ -775,49 +782,59 @@ func rangeCursors[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K], view
 		if lo == hi {
 			continue
 		}
-		c := &groupCursor[K, V]{runIdx: i, idx: idx[lo:hi], meter: &s.diskRead}
+		c := &groupCursor[K, V]{idx: idx, pos: lo, end: hi, meter: &s.diskRead}
 		if views != nil {
 			c.runView = views[i]
 		}
 		cursors = append(cursors, c)
 	}
-	for i, run := range mem {
+	for _, run := range mem {
 		lo, hi := clampRange(len(run.keys), func(j int) K { return run.keys[j] }, cmp, r)
 		if lo == hi {
 			continue
 		}
-		cursors = append(cursors, &groupCursor[K, V]{runIdx: len(disk) + i, mem: run, pos: lo, end: hi})
+		cursors = append(cursors, &groupCursor[K, V]{mem: run, pos: lo, end: hi})
 	}
 	return cursors
 }
 
-// mergeCursors is the package's one k-way merge: a heap over the
-// cursors (which must be in runIdx order) yields each key, in canonical
-// order, together with the cursors currently holding it, in seal order.
-// What a group becomes is the consumer's business — countGroups sums
-// index counts, readGroups decodes and concatenates, compaction
-// (mergeDiskRuns) copies raw sections or re-combines. A consumer reads
-// its cursors' current group only; the loop advances them.
-func mergeCursors[K comparable, V any](cursors []*groupCursor[K, V], cmp func(a, b K) int, fn func(k K, srcs []*groupCursor[K, V]) error) error {
-	h := newCursorHeap[K, V](cmp)
-	for _, c := range cursors {
-		if h.advance(c) {
-			h.push(c)
-		}
-	}
-	var srcs []*groupCursor[K, V]
-	for len(h.cs) > 0 {
-		srcs = append(srcs[:0], h.pop())
-		for len(h.cs) > 0 && h.same(h.cs[0], srcs[0]) {
-			srcs = append(srcs, h.pop())
-		}
-		if err := fn(srcs[0].key, srcs); err != nil {
-			return err
-		}
-		for _, c := range srcs {
-			if h.advance(c) {
-				h.push(c)
+// mergeCursors is the package's one k-way merge: a tree of losers over
+// the cursors (which must be in seal order) yields each key, in
+// canonical order, together with its sources' groups in seal order. A
+// source's group is snapshotted as it wins and its cursor advanced and
+// replayed at once, so a group costs one leaf-to-root replay per
+// source. What a group becomes is the consumer's business — countGroups
+// sums counts, readGroups decodes and concatenates, compaction
+// (mergeDiskRuns) copies raw sections or re-combines. The section bytes
+// the consumers load are added to DiskBytesRead when the merge ends,
+// however it ends.
+func mergeCursors[K comparable, V any](cursors []*groupCursor[K, V], cmp func(a, b K) int, fn func(k K, srcs []groupRef[K, V]) error) error {
+	defer func() {
+		for _, c := range cursors {
+			if c.read > 0 {
+				c.meter.Add(c.read)
+				c.read = 0
 			}
+		}
+	}()
+	if len(cursors) == 0 {
+		return nil
+	}
+	t := newLoserTree(cursors, cmp)
+	var srcs []groupRef[K, V]
+	for w := t.nodes[0]; !t.leaves[w].done; {
+		k, kw := cursors[w].key, t.leaves[w].w
+		srcs = srcs[:0]
+		for {
+			srcs = append(srcs, cursors[w].ref())
+			t.advance(w)
+			t.replay(w)
+			if w = t.nodes[0]; t.leaves[w].done || !t.holds(w, k, kw) {
+				break
+			}
+		}
+		if err := fn(k, srcs); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -825,11 +842,11 @@ func mergeCursors[K comparable, V any](cursors []*groupCursor[K, V], cmp func(a,
 
 // countGroups is the merge's counting consumer: a group's size is the
 // sum of its sources' index counts — no value is read.
-func countGroups[K comparable, V any](fn func(k K, count int) error) func(K, []*groupCursor[K, V]) error {
-	return func(k K, srcs []*groupCursor[K, V]) error {
+func countGroups[K comparable, V any](fn func(k K, count int) error) func(K, []groupRef[K, V]) error {
+	return func(k K, srcs []groupRef[K, V]) error {
 		n := 0
-		for _, c := range srcs {
-			n += c.count
+		for _, r := range srcs {
+			n += r.count
 		}
 		return fn(k, n)
 	}
@@ -842,20 +859,20 @@ func countGroups[K comparable, V any](fn func(k K, count int) error) func(K, []*
 // later group of this merge overwrites. A group held in memory is copied
 // too: fn may change its slice, and a retried reduce must find the
 // values the shuffle holds, not the ones a failed attempt left.
-func readGroups[K comparable, V any](reuse bool, fn func(k K, vs []V) error) func(K, []*groupCursor[K, V]) error {
+func readGroups[K comparable, V any](reuse bool, fn func(k K, vs []V) error) func(K, []groupRef[K, V]) error {
 	var scratch []V
-	return func(k K, srcs []*groupCursor[K, V]) error {
+	return func(k K, srcs []groupRef[K, V]) error {
 		vs := scratch[:0]
 		if !reuse {
 			total := 0
-			for _, c := range srcs {
-				total += c.count
+			for _, r := range srcs {
+				total += r.count
 			}
 			vs = make([]V, 0, total)
 		}
-		for _, c := range srcs {
+		for i := range srcs {
 			var err error
-			if vs, err = c.appendValues(vs); err != nil {
+			if vs, err = srcs[i].appendValues(vs); err != nil {
 				return err
 			}
 		}
