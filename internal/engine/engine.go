@@ -5,7 +5,9 @@
 // footnote 4 describes (core.BalanceLoads), and reports per-partition
 // metrics, so the skew and replication-rate numbers the paper reasons
 // about are measured on the real data path rather than reconstructed
-// afterwards.
+// afterwards. Its task bodies (task.go: RunMapAttempt, PlanReduce,
+// RunReduceAttempt) are the only ones: internal/proc's workers run them
+// too, and its worker.go names where the two executors differ on purpose.
 //
 // The package is deliberately independent of internal/mr: mr's typed
 // Job API is a thin veneer over Run, and multi-round pipelines (the
@@ -17,8 +19,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"iter"
-	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -67,14 +67,26 @@ type Config struct {
 	MaxRetries    int
 }
 
-func (c Config) maxRetries() int {
-	if c.MaxRetries > 0 {
-		return c.MaxRetries
+// retry runs attempt 0, 1, ... until one succeeds, one fails with stop
+// set, or the attempt after MaxRetries retries fails too. It returns
+// how many attempts failed before the last one, and the last one's
+// error.
+func (c Config) retry(attempt func(a int) (err error, stop bool)) (int64, error) {
+	maxRetries := c.MaxRetries
+	if maxRetries <= 0 && c.FailureEveryN > 0 {
+		maxRetries = 2
 	}
-	if c.FailureEveryN > 0 {
-		return 2
+	for a := 0; ; a++ {
+		if err, stop := attempt(a); err == nil || stop || a >= maxRetries {
+			return int64(a), err
+		}
 	}
-	return 0
+}
+
+// injects reports whether fault injection fails this attempt of the
+// task with this ordinal.
+func (c Config) injects(ordinal, attempt int) bool {
+	return c.FailureEveryN > 0 && attempt == 0 && ordinal%c.FailureEveryN == 0
 }
 
 // Round is one typed map-reduce round: what Run executes in process,
@@ -421,32 +433,16 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], in *Image[I], keep 
 		return res, err
 	}
 
-	// The q gate: with a reducer limit set, one counting merge of the
-	// resident indexes fails an overflowing round before any reducer
-	// runs. Without one there is no pre-pass; the reduce units count
-	// the groups their merges yield.
-	rlane := cfg.Recorder.Lane(obs.LaneRound, 0)
-	if cfg.MaxReducerInput > 0 {
-		rlane.Begin(obs.OpPhaseProfile, 0, 0)
-		st, err := sh.Stats()
-		rlane.End(obs.OpPhaseProfile, 0, obs.ErrFlag(err))
-		if err != nil {
-			return res, fmt.Errorf("engine: profiling shuffle of round %q: %w", r.Name, err)
-		}
-		if qerr := cfg.CheckReducerInput(r.Name, st.MaxGroup); qerr != nil {
-			setProfile(&res.Metrics, st)
-			res.Metrics.DiskBytesRead = sh.DiskBytesRead()
-			return res, qerr
-		}
-	}
-
-	st := sh.Totals()
+	st, ranges, err := PlanReduce(cfg.Plan, r.Name, sh)
 	setProfile(&res.Metrics, st)
-	rlane.Begin(obs.OpPhaseReduce, int64(st.Partitions), 0)
-	res, retErr = runReducePhase(r, sh, st, res, keep)
-	rlane.End(obs.OpPhaseReduce, res.Metrics.Outputs, obs.ErrFlag(retErr))
+	if err == nil {
+		rlane := cfg.Recorder.Lane(obs.LaneRound, 0)
+		rlane.Begin(obs.OpPhaseReduce, int64(st.Partitions), 0)
+		res, err = runReducePhase(r, sh, st, ranges, res, keep)
+		rlane.End(obs.OpPhaseReduce, res.Metrics.Outputs, obs.ErrFlag(err))
+	}
 	res.Metrics.DiskBytesRead = sh.DiskBytesRead()
-	return res, retErr
+	return res, err
 }
 
 // setProfile copies a shuffle profile into the round's metrics: the
@@ -508,29 +504,32 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], in *Image[I
 			defer wg.Done()
 			wlane := cfg.Recorder.Lane(obs.LaneWorker, w)
 			for ti := range taskCh {
-				attempts := 0
-				for {
-					wlane.Begin(obs.OpMapTask, int64(ti), int64(attempts))
-					count, err, fatal := attemptMapTask(r, in.read(tasks[ti]), ing, ti, attempts)
-					wlane.End(obs.OpMapTask, count, obs.ErrFlag(err))
-					if err == nil {
-						emitted[ti] = count
-						break
+				var fatal bool
+				retries[ti], errs[ti] = cfg.retry(func(a int) (err error, _ bool) {
+					wlane.Begin(obs.OpMapTask, int64(ti), int64(a))
+					tw := ing.Task(ti, a)
+					n := RunMapAttempt(r, in.read(tasks[ti]), tw.Emit)
+					if cfg.injects(ti, a) {
+						// Injected after the task emitted (and flushed) its
+						// output: Abort fences the staged pairs off, and the
+						// retry re-emits them.
+						tw.Abort()
+						n, err = 0, errInjected
+					} else if err = tw.Commit(); err != nil {
+						n, fatal = 0, true
 					}
-					if fatal {
-						// A commit error means the shuffle's absorption or
-						// spill failed with the attempt's pairs possibly
-						// already folded in; retrying would double them.
-						errs[ti] = fmt.Errorf("engine: shuffle ingest of round %q: %w", r.Name, err)
-						break
-					}
-					attempts++
-					retries[ti]++
-					if attempts > cfg.maxRetries() {
-						errs[ti] = fmt.Errorf("engine: map task %d of round %q failed after %d attempts: %w",
-							ti, r.Name, attempts, err)
-						break
-					}
+					emitted[ti] = n
+					wlane.End(obs.OpMapTask, n, obs.ErrFlag(err))
+					return err, fatal
+				})
+				if fatal {
+					// A commit error means the shuffle's absorption or
+					// spill failed with the attempt's pairs possibly
+					// already folded in; retrying would double them.
+					errs[ti] = fmt.Errorf("engine: shuffle ingest of round %q: %w", r.Name, errs[ti])
+				} else if errs[ti] != nil {
+					errs[ti] = fmt.Errorf("engine: map task %d of round %q failed after %d attempts: %w",
+						ti, r.Name, retries[ti]+1, errs[ti])
 				}
 			}
 		}(w)
@@ -557,99 +556,6 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], in *Image[I
 	met.SpillOverlapNs = ing.OverlapNs()
 	met.FinishDrainNs = ing.FinishNs()
 	return nil
-}
-
-// attemptMapTask runs one attempt of a map task against the streaming
-// ingester. Injected failures fire after the task emitted
-// (and flushed) its output, so the attempt's staged pairs must be
-// fenced off by Abort and re-emitted by the retry. fatal marks commit
-// errors, which must fail the round rather than retry the task.
-func attemptMapTask[I any, K comparable, V, O any](r Round[I, K, V, O], records iter.Seq[[]I], ing *shuffle.Ingester[K, V], taskIdx, attempt int) (n int64, err error, fatal bool) {
-	tw := ing.Task(taskIdx, attempt)
-	count := runMapAttempt(r, records, tw.Emit)
-	if fe := r.Config.FailureEveryN; fe > 0 && attempt == 0 && taskIdx%fe == 0 {
-		tw.Abort()
-		return 0, errInjected, false
-	}
-	if err := tw.Commit(); err != nil {
-		return 0, err, true
-	}
-	return count, nil, false
-}
-
-// runMapAttempt maps the records into emit, returning the pre-combine
-// emission count. With a combiner the task folds each key's values
-// locally (mapCombiner) and emits the (smaller) combined output at its
-// end, keys in the order the task first emitted them.
-func runMapAttempt[I any, K comparable, V, O any](r Round[I, K, V, O], records iter.Seq[[]I], emit func(K, V)) int64 {
-	var count int64
-	var c *mapCombiner[K, V]
-	out := emit
-	if r.Combine != nil {
-		c = &mapCombiner[K, V]{combine: r.Combine, foldAt: foldAt, slot: map[K]int{}}
-		out = c.add
-	}
-	counted := func(k K, v V) {
-		out(k, v)
-		count++
-	}
-	for recs := range records {
-		for _, rec := range recs {
-			r.Map(rec, counted)
-		}
-	}
-	if c != nil {
-		c.flush(emit)
-	}
-	return count
-}
-
-// foldAt is how many values a key gathers in a map task before the
-// combiner folds them into a partial result.
-const foldAt = 16
-
-// mapCombiner is a map task's local combine: a slot per key, in the
-// order the task first emitted the keys, that buffers the key's values
-// and folds them with the combiner whenever its buffer is full and
-// holds at least foldAt of them, and once more at flush. A fold that
-// leaves the buffer over half full doubles it, so a combiner that
-// shrinks little still runs O(1) times per value. The combiner
-// contract allows it: a combiner may see any prefix of a key's values,
-// and its own partial results among them.
-type mapCombiner[K comparable, V any] struct {
-	combine CombineFunc[K, V]
-	foldAt  int
-	slot    map[K]int
-	keys    []K
-	vals    [][]V
-}
-
-func (c *mapCombiner[K, V]) add(k K, v V) {
-	i, ok := c.slot[k]
-	if !ok {
-		i = len(c.keys)
-		c.slot[k] = i
-		c.keys = append(c.keys, k)
-		c.vals = append(c.vals, nil)
-	}
-	vs := c.vals[i]
-	if len(vs) == cap(vs) && len(vs) >= c.foldAt {
-		vs = append(vs[:0], c.combine(k, vs)...)
-		if len(vs) > cap(vs)/2 {
-			vs = slices.Grow(vs, len(vs))
-		}
-	}
-	c.vals[i] = append(vs, v)
-}
-
-// flush combines every key's buffered values a last time and emits the
-// results, keys in first-emitted order.
-func (c *mapCombiner[K, V]) flush(emit func(K, V)) {
-	for i, k := range c.keys {
-		for _, v := range c.combine(k, c.vals[i]) {
-			emit(k, v)
-		}
-	}
 }
 
 // partResult is one reduced unit: its outputs per key, keys in sorted
@@ -705,9 +611,8 @@ func (pr *partReader[K, V]) release() {
 }
 
 // runReducePhase schedules reduce units onto workers with the LPT
-// balancer — whole non-empty partitions by default; with
-// Config.ReduceSplitPairs, heavy partitions split into key-range
-// units weighted by indexed pair load — reduces each unit's
+// balancer — whole non-empty partitions, or the key ranges PlanReduce
+// cut a heavy one into, weighted by indexed pair load — reduces each unit's
 // keys in sorted order into its own Collector, and merges the units'
 // keys into the output image's global key order (newImage), which it
 // copies into one slice unless keep. Every unit is one sorted key run
@@ -715,20 +620,10 @@ func (pr *partReader[K, V]) release() {
 // whether or not a partition was split. The units count the groups
 // they reduce; their profiles complete st, the shuffle's totals, into
 // the round's metrics.
-func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuffle.Shuffle[K, V], st shuffle.Stats, res Result[K, O], keep bool) (Result[K, O], error) {
+func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuffle.Shuffle[K, V], st shuffle.Stats, ranges [][]shuffle.KeyRange[K], res Result[K, O], keep bool) (Result[K, O], error) {
 	cfg := r.Config
 	workers := cfg.Workers
 	P := sh.NumPartitions()
-
-	// Plan key-range splits for partitions heavier than the target.
-	// Planning is a counting merge over the resident indexes — no disk
-	// read — and never splits a key group.
-	ranges := make([][]shuffle.KeyRange[K], P)
-	for p := 0; p < P; p++ {
-		if n := cfg.RangeFanout(st.PartitionPairs[p]); n > 0 {
-			ranges[p] = sh.Partition(p).PlanReduceRanges(int64(cfg.ReduceSplitPairs), n)
-		}
-	}
 
 	// One schedulable unit per partition — or per planned range —
 	// weighted by indexed pair load, LPT-assigned to workers. With no
@@ -758,11 +653,8 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 		}
 		if units[u].rng >= 0 {
 			rangeUnits++
-			l := int64(loads[u])
-			sumRangeLoad += l
-			if l > maxRangeLoad {
-				maxRangeLoad = l
-			}
+			sumRangeLoad += int64(loads[u])
+			maxRangeLoad = max(maxRangeLoad, int64(loads[u]))
 		}
 		perWorker[assignment[u]] = append(perWorker[assignment[u]], u)
 	}
@@ -775,14 +667,11 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 	// fault injection is independent of key placement. A split
 	// partition's injection fires on its first range unit only, keeping
 	// the injected-failure count identical to the unsplit round.
-	ordinal := make([]int, P)
-	next := 0
-	for p := 0; p < P; p++ {
+	ordinal, next := make([]int, P), 0
+	for p := range ordinal {
+		ordinal[p] = -1
 		if st.PartitionPairs[p] > 0 {
-			ordinal[p] = next
-			next++
-		} else {
-			ordinal[p] = -1
+			ordinal[p], next = next, next+1
 		}
 	}
 
@@ -820,24 +709,25 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 					errs[u] = fmt.Errorf("engine: opening partition %d for reduce of round %q: %w", p, r.Name, err)
 					continue
 				}
-				attempts := 0
-				for {
-					wlane.Begin(obs.OpReduceTask, int64(p), int64(attempts))
+				retries[u], errs[u] = cfg.retry(func(a int) (err error, _ bool) {
+					wlane.Begin(obs.OpReduceTask, int64(p), int64(a))
 					rlane.Begin(obs.OpReduceRange, int64(p), int64(rng))
-					pr, err := attemptReduce(r, rr, kr, rng <= 0, ordinal[p], attempts)
-					rlane.End(obs.OpReduceRange, int64(len(pr.out.keys)), obs.ErrFlag(err))
-					wlane.End(obs.OpReduceTask, int64(len(pr.out.keys)), obs.ErrFlag(err))
-					if err == nil {
-						results[u] = pr
-						break
+					results[u] = partResult[K, O]{}
+					results[u].groups, err = RunReduceAttempt(r, rr, kr, &results[u].out)
+					// Injection fires after the unit reduced, so the retry
+					// starts from a fresh collector, and on a partition's
+					// first unit only, so a split round injects exactly as
+					// many failures as an unsplit one.
+					if err == nil && rng <= 0 && cfg.injects(ordinal[p], a) {
+						err = errInjected
 					}
-					attempts++
-					retries[u]++
-					if attempts > cfg.maxRetries() {
-						errs[u] = fmt.Errorf("engine: reduce partition %d (range %d) of round %q failed after %d attempts: %w",
-							p, rng, r.Name, attempts, err)
-						break
-					}
+					rlane.End(obs.OpReduceRange, int64(len(results[u].out.keys)), obs.ErrFlag(err))
+					wlane.End(obs.OpReduceTask, int64(len(results[u].out.keys)), obs.ErrFlag(err))
+					return err, false
+				})
+				if errs[u] != nil {
+					errs[u] = fmt.Errorf("engine: reduce partition %d (range %d) of round %q failed after %d attempts: %w",
+						p, rng, r.Name, retries[u]+1, errs[u])
 				}
 				readers[p].release()
 			}
@@ -874,33 +764,4 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 		res.Outputs = im.assemble(workers, cfg.Recorder.Lane(obs.LaneRound, 0))
 	}
 	return res, nil
-}
-
-// attemptReduce runs one attempt of a reduce unit — the key range kr of
-// a partition (the unbounded range: the whole partition) — streaming its
-// key groups in sorted order through the partition's RangeReader: the
-// shuffle's k-way merge holds only one group's values at a time, so a
-// spilled partition reduces within the memory budget. Each group's
-// outputs go straight into the unit's Collector; no slice is grown per
-// key. Fault injection fires after the unit reduced, so a retry starts
-// from a fresh collector and the failed attempt's chunks are dropped
-// with it; it fires only on a partition's first unit (first == true),
-// so a split round injects exactly as many failures as an unsplit one.
-func attemptReduce[I any, K comparable, V, O any](r Round[I, K, V, O], rr *shuffle.RangeReader[K, V], kr shuffle.KeyRange[K], first bool, taskOrdinal, attempt int) (partResult[K, O], error) {
-	var pr partResult[K, O]
-	reduce, batch := r.Reducer()
-	emit := pr.out.Emit
-	err := rr.ForEachGroupRange(kr, batch, func(k K, vs []V) error {
-		reduce(k, vs, emit)
-		pr.out.EndKey(k)
-		pr.groups.Add(len(vs))
-		return nil
-	})
-	if err != nil {
-		return partResult[K, O]{}, err
-	}
-	if fe := r.Config.FailureEveryN; fe > 0 && first && attempt == 0 && taskOrdinal%fe == 0 {
-		return partResult[K, O]{}, errInjected
-	}
-	return pr, nil
 }

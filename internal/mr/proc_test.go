@@ -251,3 +251,31 @@ func TestProcModeRejectsInProcessSettings(t *testing.T) {
 		}
 	}
 }
+
+// TestProcModeFoldsEachMapTask: a ProcMode map task folds its combiner
+// round's values as the in-process one does (engine.RunMapAttempt), so
+// every map task ships one value per distinct key whatever the budget
+// its shuffle seals under: PairsShuffled is the sum over Plan.MapTasks
+// of each task's distinct keys.
+func TestProcModeFoldsEachMapTask(t *testing.T) {
+	lines := procLines(150)
+	for _, budget := range []int{0, 8, 16} {
+		pj := *procWordcount
+		pj.Config = Config{Workers: 2, Partitions: 4, MemoryBudget: budget, ProcMode: true}
+		var want int64
+		for _, task := range pj.Config.plan().MapTasks(len(lines)) {
+			keys := map[string]bool{}
+			for _, line := range lines[task.Lo:task.Hi] {
+				pj.Map(line, func(k string, _ int) { keys[k] = true })
+			}
+			want += int64(len(keys))
+		}
+		_, met, err := pj.Run(lines)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if met.PairsShuffled != want {
+			t.Errorf("budget %d: PairsShuffled = %d, want %d (each map task's distinct keys)", budget, met.PairsShuffled, want)
+		}
+	}
+}

@@ -25,13 +25,15 @@
 // re-executed; map functions are required to be deterministic, so the
 // job's output is byte-identical either way.
 //
-// Both sides of that exchange are the in-process shuffle
-// (internal/shuffle), not a second implementation of it: a map worker
-// streams its task through an Ingester whose seal sink points the
-// shuffle's run encoder at the spool, and a reduce worker adopts its
-// partition's committed sections as borrowed disk runs and reads them
-// through the shuffle's range reader — the same index-planned ranges,
-// merge, shared mappings and batch decode an in-process round uses.
+// Both sides of that exchange are the in-process engine's task bodies
+// over the in-process shuffle (internal/shuffle), not a second
+// implementation of them: a map worker runs engine.RunMapAttempt into
+// an Ingester whose seal sink points the shuffle's run encoder at the
+// spool, and a reduce worker adopts its partition's committed sections
+// as borrowed disk runs and reduces them with engine.PlanReduce and
+// engine.RunReduceAttempt — the same index-planned ranges, merge,
+// shared mappings and batch decode an in-process round uses. Where the
+// executors differ on purpose is named once, in worker.go.
 //
 // The data plane is run files end to end, on both of its other edges
 // too. The driver writes the job's records once as an input image, one
@@ -42,11 +44,6 @@
 // into a one-partition shuffle, whose k-way merge yields the job's
 // output in global canonical key order. The RPC control plane carries
 // file coordinates, never a typed record, key, value or output.
-//
-// Because map and reduce run in different processes, key placement
-// cannot use the in-process maphash seed; partitioning uses
-// shuffle.StableHasher (or the round's explicit Partitioner), which
-// every process computes identically.
 //
 // Jobs must be registered (Register) under a name in both the driver
 // and the worker binary — normally the same binary, with the role
@@ -154,14 +151,7 @@ func (o Options) fs() runfile.FS {
 // runnable is the untyped face of a registered job: what a worker
 // process needs to execute tasks of any key/value types.
 type runnable interface {
-	// runMapTask reads the task's records from the input image and maps
-	// them through a streaming shuffle under the task's MemoryBudget,
-	// appending each sealed run to the worker's spools as one fenced
-	// section.
 	runMapTask(ws *workerState, t Task) (MapReport, error)
-	// runReduceTask adopts the task's sections into a shuffle, reduces
-	// every group its reader surfaces, and writes the partition's output
-	// run file.
 	runReduceTask(ws *workerState, t Task) (ReduceReport, error)
 }
 

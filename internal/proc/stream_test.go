@@ -335,11 +335,15 @@ func TestSalvageNotCountedAsRetry(t *testing.T) {
 // TestMapChunkedCommits drives runMapTask directly over records built to
 // stress its ingester sub-task cuts — records that emit nothing, and one
 // that emits many chunks' worth on its own — under MemoryBudget 0
-// (one sub-task), 1 (a cut after every record) and 8 (a cut every four
+// (one sub-task), 1 (a cut after every pair) and 8 (a cut every four
 // pairs). Every budget must deliver each key's values in record order
 // and stay inside the resident bound, and a second attempt of the task
 // on another worker must write byte-identical sections: the cuts are a
-// pure function of the records.
+// pure function of the records. The combine cases run a combiner round
+// over the same records plus one line of many distinct words: the task
+// folds (engine.RunMapAttempt), so its cuts fall in its combined output,
+// and the sections hold one value per key, the key's values joined in
+// record order.
 func TestMapChunkedCommits(t *testing.T) {
 	records := []string{"", "a b", "", "", strings.Repeat("hot ", 40) + "a", "b", "", "c a b", "", "hot"}
 	job := &jobImpl[string, string, string, wcOut]{r: engine.Round[string, string, string, wcOut]{
@@ -353,9 +357,32 @@ func TestMapChunkedCommits(t *testing.T) {
 	for _, line := range records {
 		job.r.Map(line, func(k, v string) { want[k] = append(want[k], v) })
 	}
+	checkMapChunkedCommits(t, "", job, records, want, 48)
+
+	wide := make([]string, 40)
+	for i := range wide {
+		wide[i] = fmt.Sprintf("k%02d", i)
+	}
+	records = append(records, strings.Join(wide, " "))
+	combined := *job
+	combined.r.Combine = func(_ string, vs []string) []string { return []string{strings.Join(vs, ",")} }
+	want = make(map[string][]string)
+	for _, line := range records {
+		job.r.Map(line, func(k, v string) { want[k] = append(want[k], v) })
+	}
+	for k, vs := range want {
+		want[k] = []string{strings.Join(vs, ",")}
+	}
+	checkMapChunkedCommits(t, "combine/", &combined, records, want, 88)
+}
+
+// checkMapChunkedCommits runs one TestMapChunkedCommits job as subtests
+// prefix+"budget<n>": want is what its sections regroup to, wantPairs
+// the pairs its map emits.
+func checkMapChunkedCommits(t *testing.T, prefix string, job *jobImpl[string, string, string, wcOut], records []string, want map[string][]string, wantPairs int64) {
 	const parts = 4
 	for _, budget := range []int{0, 1, 8} {
-		t.Run(fmt.Sprintf("budget%d", budget), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%sbudget%d", prefix, budget), func(t *testing.T) {
 			dir := t.TempDir()
 			tasks := []mapTaskSpec{{lo: 0, hi: len(records)}}
 			if _, err := writeInputs(filepath.Join(dir, inputsFile), records, tasks); err != nil {
@@ -421,7 +448,7 @@ func TestMapChunkedCommits(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if !reflect.DeepEqual(got, want) || rep0.PairsEmitted != 48 {
+			if !reflect.DeepEqual(got, want) || rep0.PairsEmitted != wantPairs {
 				t.Fatalf("sections regroup to %v (%d pairs emitted), want %v", got, rep0.PairsEmitted, want)
 			}
 		})

@@ -2,12 +2,27 @@
 // heartbeat the lease while executing, map a task's section of the input
 // image into fenced spool sections committed through the manifest,
 // reduce a partition by adopting its sections into the shuffle's reader
-// into an output run file, and report. Both task kinds are clients of
-// internal/shuffle; there is no merge, range planner or run encoder in
-// this package. Workers are the same binary as the driver — the role
-// travels in the environment, so MaybeWorker at the top of main (or
-// TestMain) turns any process into a worker when the driver spawned it
-// as one.
+// into an output run file, and report. The task bodies are the
+// in-process engine's: a map task runs engine.RunMapAttempt (with its
+// combiner fold), a reduce task engine.PlanReduce and then
+// engine.RunReduceAttempt per key range, both over internal/shuffle;
+// there is no map loop, merge, range planner or run encoder in this
+// package. The two executors differ on purpose in three places only:
+//   - The sub-task cut. A worker's map task feeds its own shuffle as
+//     sub-tasks committed every MemoryBudget/2 pairs, so absorption and
+//     its seals overlap mapping; in process each of Plan.MapTasks is
+//     one ingester task of the one shuffle all tasks share.
+//   - Key placement. Across processes keys are placed by
+//     shuffle.StableHasher (or the round's Partitioner), which every
+//     process computes alike; in process by the per-process maphash seed.
+//   - Reduce scheduling. A worker runs one goroutine per planned key
+//     range of its partition; in process partitions and ranges are
+//     units LPT-balanced onto Plan.Workers goroutines, with fault
+//     injection and retries.
+//
+// Workers are the same binary as the driver — the role travels in the
+// environment, so MaybeWorker at the top of main (or TestMain) turns
+// any process into a worker when the driver spawned it as one.
 package proc
 
 import (
@@ -389,24 +404,22 @@ func (sk *sectionSink) write(part int, fill func(w *runfile.Writer) error) error
 }
 
 // runMapTask maps records [Lo, Hi) — read from the task's own value
-// section of the input image, nothing else of it — through a
-// worker-local streaming shuffle: pairs route through an Ingester under
-// the job's MemoryBudget, so pressure relief, combiner push-down, and
-// spill-as-sorted-sections all happen inside the worker, mid-task —
-// resident pairs stay bounded by P*MemoryBudget plus one ingestion
-// block instead of the task's output size. Every sealed run lands in
+// section of the input image, nothing else of it — with
+// engine.RunMapAttempt into a worker-local streaming shuffle: pairs
+// route through an Ingester under the job's MemoryBudget, so pressure
+// relief, combiner push-down, and spill-as-sorted-sections all happen
+// inside the worker, mid-task. A combiner's fold holds one slot per
+// distinct key of the task, as in process. Every sealed run lands in
 // the spools as one fenced section via sectionSink; the task then
 // commits all its sections with one manifest record before reporting
 // (the manifest write is still the task's durability point, and with
 // MemoryBudget zero the layout degenerates to one section per non-empty
 // partition).
 //
-// The records enter the ingester as sub-tasks committed in order, each
-// cut at the first record boundary after MemoryBudget/2 emitted pairs
-// (no budget: one sub-task), so absorption and its seals overlap mapping
-// at one commit per half budget, not per record. Cuts depend only on the
-// records and seals only on the committed pair stream, so a re-executed
-// attempt writes byte-identical sections.
+// The sub-task cut falls after every MemoryBudget/2 pairs the map body
+// emits (no budget: one sub-task). The body's output depends only on
+// the records, and seals only on the committed pair stream, so a
+// re-executed attempt writes byte-identical sections.
 func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, error) {
 	ins, err := readInputs[I](filepath.Join(ws.dir, inputsFile), t.InputOffset, t.InputBytes, t.Hi-t.Lo)
 	if err != nil {
@@ -447,24 +460,23 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 	in := sh.NewIngester()
 	sub, chunk := 0, 0 // current sub-task, and the pairs it holds
 	tw := in.Task(sub, 0)
-	var pairsEmitted int64
-	emit := func(k K, v V) {
-		pairsEmitted++
-		chunk++
+	var cerr error
+	pairsEmitted := engine.RunMapAttempt(j.r, slices.Values([][]I{ins}), func(k K, v V) {
+		if cerr != nil {
+			return
+		}
 		tw.Emit(k, v)
-	}
-	for i := range ins {
-		j.r.Map(ins[i], emit)
-		if ws.plan.MemoryBudget > 0 && chunk >= ws.plan.MemoryBudget/2 {
-			if err := tw.Commit(); err != nil {
-				return MapReport{}, fmt.Errorf("proc: streaming map task %d: %w", t.ID, err)
-			}
+		if chunk++; ws.plan.MemoryBudget > 0 && chunk >= max(ws.plan.MemoryBudget/2, 1) {
+			cerr = tw.Commit()
 			sub, chunk = sub+1, 0
 			tw = in.Task(sub, 0)
 		}
+	})
+	if cerr == nil {
+		cerr = tw.Commit()
 	}
-	if err := tw.Commit(); err != nil {
-		return MapReport{}, fmt.Errorf("proc: streaming map task %d: %w", t.ID, err)
+	if cerr != nil {
+		return MapReport{}, fmt.Errorf("proc: streaming map task %d: %w", t.ID, cerr)
 	}
 	if err := in.Finish(); err != nil {
 		return MapReport{}, fmt.Errorf("proc: draining map task %d: %w", t.ID, err)
@@ -489,22 +501,20 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 	}, nil
 }
 
-// runReduceTask reduces one partition the way the in-process engine
-// does: the committed sections — each a sorted run, in sortSections
-// order from the driver — are adopted into a one-partition shuffle
-// as borrowed disk runs, and everything after that is the shuffle's own
-// read side. With a MaxReducerInput set, Stats (a counting merge of the
-// adopted indexes, no value read) enforces it first; PlanReduceRanges
-// cuts key ranges when the plan's range rule asks for them;
-// one RangeReader holds the spools open (shared handles and mappings)
-// while the ranges run the k-way merge concurrently, reducing every
-// group in canonical key order as it surfaces and counting the groups
-// for the report. The outputs, range after range, go to the partition's
-// output run file (writeOutputs) — byte-identical whether or not the
-// merge was split. Only the indexes, one decoded group per
-// running range and the partition's outputs are resident: the input
-// side's memory bound is the largest single group times the range
-// concurrency, not the partition size.
+// runReduceTask reduces one partition with the in-process engine's
+// reduce bodies: the committed sections — each a sorted run, in
+// sortSections order from the driver — are adopted into a one-partition
+// shuffle as borrowed disk runs; engine.PlanReduce enforces
+// MaxReducerInput (a counting merge of the adopted indexes, no value
+// read) and cuts the key ranges; one RangeReader holds the spools open
+// (shared handles and mappings) while engine.RunReduceAttempt reduces
+// the ranges concurrently, counting their groups for the report. The
+// outputs, range after range, go to the partition's output run file
+// (writeOutputs) — byte-identical whether or not the merge was split.
+// Only the indexes, one decoded group per running range and the
+// partition's outputs are resident: the input side's memory bound is
+// the largest single group times the range concurrency, not the
+// partition size.
 func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceReport, error) {
 	ws.crashPoint("reduce", t.ID, nil)
 	sh := shuffle.New[K, V](shuffle.Options{Partitions: 1, Recorder: ws.rec})
@@ -514,58 +524,41 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 			return ReduceReport{}, fmt.Errorf("proc: partition %d: %w", t.ID, err)
 		}
 	}
-	if ws.plan.MaxReducerInput > 0 {
-		st, err := sh.Stats()
-		if err != nil {
-			return ReduceReport{}, fmt.Errorf("proc: profiling partition %d: %w", t.ID, err)
-		}
-		if err := ws.plan.CheckReducerInput(j.r.Name, st.MaxGroup); err != nil {
-			return ReduceReport{MaxGroup: st.MaxGroup}, fatal(err)
-		}
+	st, ranges, err := engine.PlanReduce(ws.plan, j.r.Name, sh)
+	if errors.Is(err, engine.ErrReducerOverflow) {
+		return ReduceReport{MaxGroup: st.MaxGroup}, fatal(err)
+	} else if err != nil {
+		return ReduceReport{}, fmt.Errorf("proc: partition %d: %w", t.ID, err)
 	}
-
-	st := sh.Totals()
-	part := sh.Partition(0)
-	var ranges []shuffle.KeyRange[K]
-	if n := ws.plan.RangeFanout(st.Pairs); n > 0 {
-		ranges = part.PlanReduceRanges(int64(ws.plan.ReduceSplitPairs), n)
+	units := ranges[0]
+	nRanges := int64(len(units))
+	if units == nil {
+		units = []shuffle.KeyRange[K]{{}} // the unbounded range: the whole partition
 	}
-	nRanges := int64(len(ranges))
-	if ranges == nil {
-		ranges = []shuffle.KeyRange[K]{{}} // the unbounded range: the whole partition
-	}
-	rr, err := part.OpenRangeReader()
+	rr, err := sh.Partition(0).OpenRangeReader()
 	if err != nil {
 		return ReduceReport{}, fmt.Errorf("proc: opening partition %d: %w", t.ID, err)
 	}
 	defer rr.Close()
-	outs := make([]engine.Collector[K, O], len(ranges))
-	groups := make([]shuffle.GroupProfile, len(ranges))
-	errs := make([]error, len(ranges))
-	reduce, batch := j.r.Reducer()
+	outs := make([]engine.Collector[K, O], len(units))
+	groups := make([]shuffle.GroupProfile, len(units))
+	errs := make([]error, len(units))
 	var wg sync.WaitGroup
-	for r := range ranges {
+	for u := range units {
 		wg.Add(1)
-		go func(r int) {
+		go func(u int) {
 			defer wg.Done()
-			c := &outs[r]
-			emit := c.Emit
-			errs[r] = rr.ForEachGroupRange(ranges[r], batch, func(k K, vs []V) error {
-				reduce(k, vs, emit)
-				c.EndKey(k)
-				groups[r].Add(len(vs))
-				return nil
-			})
-		}(r)
+			groups[u], errs[u] = engine.RunReduceAttempt(j.r, rr, units[u], &outs[u])
+		}(u)
 	}
 	wg.Wait()
 	var outputs int64
-	for r := range ranges {
-		if errs[r] != nil {
-			return ReduceReport{}, fmt.Errorf("proc: reducing partition %d: %w", t.ID, errs[r])
+	for u := range units {
+		if errs[u] != nil {
+			return ReduceReport{}, fmt.Errorf("proc: reducing partition %d: %w", t.ID, errs[u])
 		}
-		outputs += int64(outs[r].Len())
-		st.AddGroups(0, &groups[r])
+		outputs += int64(outs[u].Len())
+		st.AddGroups(0, &groups[u])
 	}
 	path := outPath(ws.dir, t.ID, t.Attempt)
 	size, err := writeOutputs(path, outs)
