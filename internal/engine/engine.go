@@ -653,8 +653,11 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 		}
 		if units[u].rng >= 0 {
 			rangeUnits++
-			sumRangeLoad += int64(loads[u])
-			maxRangeLoad = max(maxRangeLoad, int64(loads[u]))
+			l := int64(loads[u])
+			sumRangeLoad += l
+			if l > maxRangeLoad {
+				maxRangeLoad = l
+			}
 		}
 		perWorker[assignment[u]] = append(perWorker[assignment[u]], u)
 	}
@@ -667,11 +670,14 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 	// fault injection is independent of key placement. A split
 	// partition's injection fires on its first range unit only, keeping
 	// the injected-failure count identical to the unsplit round.
-	ordinal, next := make([]int, P), 0
-	for p := range ordinal {
-		ordinal[p] = -1
+	ordinal := make([]int, P)
+	next := 0
+	for p := 0; p < P; p++ {
 		if st.PartitionPairs[p] > 0 {
-			ordinal[p], next = next, next+1
+			ordinal[p] = next
+			next++
+		} else {
+			ordinal[p] = -1
 		}
 	}
 

@@ -237,9 +237,10 @@ func checkExecutorsAgree(t *testing.T, trial string, proc, inproc Metrics, combi
 // under a tiny budget, reduce workers reading whole partitions
 // (splitPairs 0) or range-split ones — must equal the in-process
 // engine's spilled run of the same job on the same inputs, output for
-// output and in every metric both fill (checkExecutorsAgree). It returns the proc run's range
-// count and whether some map task committed a second section of one
-// partition (Seq >= 1: a mid-task spill).
+// output and in every metric both fill (checkExecutorsAgree). It
+// returns the proc run's range count and whether some map task
+// committed a second section of one partition (Seq >= 1: a mid-task
+// spill).
 func checkProcDifferential[I any, K comparable, V, O any](t *testing.T, job *Job[I, K, V, O], inputs []I, splitPairs int) (ranges int64, midTaskSpill bool) {
 	t.Helper()
 	trial := fmt.Sprintf("%s/split%d", job.Name, splitPairs)
@@ -283,7 +284,9 @@ func checkProcDifferential[I any, K comparable, V, O any](t *testing.T, job *Job
 
 // TestDifferentialProcMode: ProcMode ≡ in-process, across spill ×
 // range-split (MRPROC_SPLITPAIRS's two CI values) × batch reduce ×
-// combiner, with map tasks that spill mid-task.
+// combiner, with map tasks that spill mid-task: every registered
+// differential job, in outputs and in every engine.Metrics field both
+// executors fill.
 func TestDifferentialProcMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	ints := make([]int, 400)

@@ -168,8 +168,10 @@ func TestKill9MidSectionReexecutes(t *testing.T) {
 	}
 }
 
-// TestKill9UnderSpill runs with a MemoryBudget small enough that every
-// map task spills multiple sections per partition, and kills a worker
+// TestKill9UnderSpill runs with a MemoryBudget small enough that map
+// tasks spill multiple sections per partition — tasks of 30 lines, whose
+// folded output (one pair per distinct word, ~84) exceeds the budget at
+// every fleet size — and kills a worker
 // inside the third task's spill sequence — after earlier sections of
 // the same attempt already hit the spool. The retry must supersede ALL
 // of the fenced attempt's sections (committed and torn alike) and the
@@ -178,6 +180,7 @@ func TestKill9UnderSpill(t *testing.T) {
 	lines := genLines(120)
 	opts := crashOptions(t, "MR_PROC_KILL=map-torn:2")
 	opts.MemoryBudget = 8
+	opts.MapChunk = 30
 	opts.Dir = t.TempDir()
 	outs, met, err := Run[string, string, int, wcOut]("wordcount", lines, opts)
 	if err != nil {

@@ -234,8 +234,11 @@ func TestProcRangeSplit(t *testing.T) {
 
 func TestProcRunClean(t *testing.T) {
 	t.Run("unbounded", func(t *testing.T) { testProcRunClean(t, 0) })
-	// Inputs (480 pairs) far exceed the budget: every map task must
-	// spill mid-task, and the resident high-water mark stays bounded.
+	// Inputs (480 pairs) far exceed the budget: map tasks must spill
+	// mid-task, and the resident high-water mark stays bounded. A task
+	// folds its combiner round's values and ships one pair per distinct
+	// word, so tasks are 30 lines (~84 distinct words over 8 partitions)
+	// at every fleet size, not the automatic ~4 per worker.
 	t.Run("budget8", func(t *testing.T) { testProcRunClean(t, 8) })
 }
 
@@ -244,7 +247,7 @@ func testProcRunClean(t *testing.T, budget int) {
 	const parts = 5
 	dir := t.TempDir()
 	outs, met, err := Run[string, string, int, wcOut]("wordcount", lines, Options{
-		Plan:    engine.Plan{Workers: testWorkers(t), Partitions: parts, MemoryBudget: budget},
+		Plan:    engine.Plan{Workers: testWorkers(t), Partitions: parts, MapChunk: 30, MemoryBudget: budget},
 		Dir:     dir,
 		Timeout: 90 * time.Second,
 	})
