@@ -718,8 +718,8 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 				retries[u], errs[u] = cfg.retry(func(a int) (err error, _ bool) {
 					wlane.Begin(obs.OpReduceTask, int64(p), int64(a))
 					rlane.Begin(obs.OpReduceRange, int64(p), int64(rng))
-					results[u] = partResult[K, O]{}
-					results[u].groups, err = RunReduceAttempt(r, rr, kr, &results[u].out)
+					var pr partResult[K, O]
+					pr.groups, err = RunReduceAttempt(r, rr, kr, &pr.out)
 					// Injection fires after the unit reduced, so the retry
 					// starts from a fresh collector, and on a partition's
 					// first unit only, so a split round injects exactly as
@@ -727,8 +727,9 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 					if err == nil && rng <= 0 && cfg.injects(ordinal[p], a) {
 						err = errInjected
 					}
-					rlane.End(obs.OpReduceRange, int64(len(results[u].out.keys)), obs.ErrFlag(err))
-					wlane.End(obs.OpReduceTask, int64(len(results[u].out.keys)), obs.ErrFlag(err))
+					rlane.End(obs.OpReduceRange, int64(len(pr.out.keys)), obs.ErrFlag(err))
+					wlane.End(obs.OpReduceTask, int64(len(pr.out.keys)), obs.ErrFlag(err))
+					results[u] = pr
 					return err, false
 				})
 				if errs[u] != nil {

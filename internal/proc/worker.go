@@ -12,9 +12,9 @@
 //     sub-tasks committed every MemoryBudget/2 pairs, so absorption and
 //     its seals overlap mapping; in process each of Plan.MapTasks is
 //     one ingester task of the one shuffle all tasks share.
-//   - Key placement. Across processes keys are placed by
-//     shuffle.StableHasher (or the round's Partitioner), which every
-//     process computes alike; in process by the per-process maphash seed.
+//   - Key placement. Without a Partitioner, keys are placed across
+//     processes by shuffle.StableHasher, which every process computes
+//     alike; in process by the per-process maphash seed.
 //   - Reduce scheduling. A worker runs one goroutine per planned key
 //     range of its partition; in process partitions and ranges are
 //     units LPT-balanced onto Plan.Workers goroutines, with fault
