@@ -18,7 +18,7 @@ import (
 	"repro/internal/runfile"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/writer.golden from the current writer")
+var update = flag.Bool("update", false, "rewrite the testdata/*.golden files of the tests run from the current code")
 
 // writerCases are the byte shapes the writer must keep: each writes one
 // run to out and returns the writer that wrote it. The golden holds
