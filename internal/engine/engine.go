@@ -255,10 +255,10 @@ type Metrics struct {
 	// PeakResidentPairs is the whole-round high-water mark of pairs
 	// resident in shuffle memory (live runs, staged streaming blocks,
 	// in-memory sealed runs). On the streaming path with a SpillDir it
-	// stays under P*MemoryBudget + workers*block, the block being half
-	// the budget (clamped to [16, 8192]) — the runtime's
-	// whole-round bounded-memory guarantee, as opposed to
-	// MaxLivePairs's per-partition one.
+	// stays under P*MemoryBudget + workers*block, the block half the
+	// budget (clamped to [16, 8192]): the shuffle's whole-round bound.
+	// A combiner map task's fold table (a slot per distinct key of the
+	// task, mapCombiner) is outside it and outside MemoryBudget.
 	PeakResidentPairs int64
 	// SpillOverlapNs is the time the streaming path spent absorbing,
 	// sealing and spilling while map tasks were still running — work a

@@ -88,23 +88,24 @@ func writeInputs[I any](path string, inputs []I, tasks []mapTaskSpec) (int64, er
 
 // readInputs reads one map task's records: the value section at
 // [off, off+length) of the input image at path, in one positioned read
-// and one batch decode. The section must frame exactly n values — a
-// section that holds any other count is an error naming the path, never
-// a short task. Nothing else of the image (its footer, other tasks'
-// groups) is on this path.
+// and one walk that checks its framing and decodes. The section must
+// frame exactly n values — a section that holds any other count is an
+// error naming the path, never a short task. Nothing else of the image
+// (its footer, other tasks' groups) is on this path.
 func readInputs[I any](path string, off, length int64, n int) ([]I, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("proc: opening input image: %w", err)
 	}
 	defer f.Close()
-	var b runfile.ValueBatch
-	if err := b.ReadSectionAt(f, off, length, n); err != nil {
-		return nil, fmt.Errorf("proc: input image %s: section [%d,%d) of %d records: %w", path, off, off+length, n, err)
+	sec, err := runfile.ReadSectionAt(f, off, length, nil)
+	var ins []I
+	if err == nil {
+		// A frame is at least one byte: a forged n cannot oversize ins.
+		ins, err = runfile.CodecFor[I]().DecodeSection(sec, n, make([]I, 0, min(n, len(sec))))
 	}
-	ins, err := runfile.DecodeBatch(&b, make([]I, 0, n))
 	if err != nil {
-		return nil, fmt.Errorf("proc: decoding input image %s: %w", path, err)
+		return nil, fmt.Errorf("proc: input image %s: section [%d,%d) of %d records: %w", path, off, off+length, n, err)
 	}
 	return ins, nil
 }

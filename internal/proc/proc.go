@@ -32,13 +32,13 @@
 // spool, and a reduce worker adopts its partition's committed sections
 // as borrowed disk runs and reduces them with engine.PlanReduce and
 // engine.RunReduceAttempt — the same index-planned ranges, merge,
-// shared mappings and batch decode an in-process round uses. Where the
-// executors differ on purpose is named once, in worker.go.
+// shared mappings and section decode an in-process round uses. Where
+// the executors differ on purpose is named once, in worker.go.
 //
 // The data plane is run files end to end, on both of its other edges
 // too. The driver writes the job's records once as an input image, one
 // run-file group per map task, and a map worker reads only its own
-// group's value section (one positioned read, one batch decode). A
+// group's value section (one positioned read, one decoding walk). A
 // reduce worker writes its partition's outputs as a run file through
 // the shuffle's group encoder; the driver adopts every accepted output
 // into a one-partition shuffle, whose k-way merge yields the job's

@@ -1,29 +1,27 @@
-// Batch reads of run-file value sections.
+// Value sections: the framed values of one key group.
 //
-// The per-value Reader API (Value/ValueAppend) issues one framing read
-// and one typed decode per value, which makes the reduce-side merge's
-// cost linear in decoder dispatches rather than in bytes. The batch
-// path reads a whole group's value section in a single io.ReadFull
-// into a reused arena (ValueBatch), splits the framing in memory, and
-// hands the payload slices to a decoder that dispatches on the value
-// type once per batch (DecodeBatch) — the row-group read pattern of
-// columnar engines, applied to the value section of one key group.
+// A group's values are written as one section, n frames of a uvarint
+// length and a payload. Codec.DecodeSection (codec.go) decodes a
+// section in one walk, checking each frame as it goes, and CheckSection
+// checks one that is copied raw; the reduce merge and the proc input
+// reader take a section straight out of a mapped run or read it with
+// one positioned read (ReadSectionAt). ValueBatch and GroupBatch keep
+// each payload's bounds for readers that take the payloads one by one
+// (Value(i)), the row-group read pattern of columnar engines applied to
+// the value section of one key group.
 //
 // Arena-reuse contract: a ValueBatch's payload slices, and anything
 // that aliases them, are valid only until the next batch is read into
-// the same ValueBatch. DecodeBatch therefore copies the payload for
-// reference types ([]byte) exactly as the per-value Decode does; the
-// contract bites only callers holding raw Value(i) slices across
-// reads.
+// the same ValueBatch. Decoded values own their bytes ([]byte values
+// are copied), so the contract bites only callers holding raw Value(i)
+// slices across reads.
 package runfile
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"reflect"
-	"unsafe"
+	"slices"
 )
 
 // ValueBatch holds one group's value section: the raw framed bytes in
@@ -48,10 +46,10 @@ func (b *ValueBatch) Value(i int) []byte {
 }
 
 // Raw returns the group's framed value section, aliasing the arena; it
-// replays through Writer.AppendRawBytes. On the
-// indexed read path these are the file's bytes verbatim; on the
-// index-free path the framing is rebuilt with canonical varint
-// lengths (byte-identical for any Writer-produced file).
+// replays through Writer.AppendRawBytes. On the indexed read path these
+// are the file's bytes verbatim; on the index-free path the framing is
+// rebuilt with canonical varint lengths (byte-identical for any
+// Writer-produced file).
 func (b *ValueBatch) Raw() []byte { return b.arena }
 
 func (b *ValueBatch) reset() {
@@ -66,23 +64,53 @@ func (b *ValueBatch) reset() {
 	b.bounds = b.bounds[:0]
 }
 
-// split computes the payload bounds of the n values framed in b.arena,
-// requiring the framing to consume the arena exactly.
-func (b *ValueBatch) split(n int) error {
-	raw := b.arena
+// frame records the payload bounds of the n frames at the start of
+// b.arena and returns the bytes they span (the arena may run past them).
+func (b *ValueBatch) frame(n int) (int, error) {
 	pos := 0
 	for i := 0; i < n; i++ {
-		vlen, m := binary.Uvarint(raw[pos:])
-		if m <= 0 || vlen > maxLen || int64(vlen) > int64(len(raw)-pos-m) {
-			return fmt.Errorf("%w: truncated raw value section", ErrCorrupt)
+		start, end, err := nextFrame(b.arena, pos)
+		if err != nil {
+			return 0, err
 		}
-		b.bounds = append(b.bounds, pos+m, pos+m+int(vlen))
-		pos += m + int(vlen)
+		b.bounds = append(b.bounds, start, end)
+		pos = end
 	}
-	if pos != len(raw) {
-		return fmt.Errorf("%w: %d trailing bytes in raw value section", ErrCorrupt, len(raw)-pos)
+	return pos, nil
+}
+
+// nextFrame reads the length prefix of the frame at sec[pos:] and
+// returns its payload's bounds, which must lie inside sec.
+func nextFrame(sec []byte, pos int) (start, end int, err error) {
+	vlen, m := binary.Uvarint(sec[pos:])
+	if m <= 0 || vlen > maxLen || vlen > uint64(len(sec)-pos-m) {
+		return 0, 0, fmt.Errorf("%w: truncated raw value section", ErrCorrupt)
+	}
+	start = pos + m
+	return start, start + int(vlen), nil
+}
+
+// sectionEnd requires a section's frames, ending at pos, to use sec up.
+func sectionEnd(sec []byte, pos int) error {
+	if pos != len(sec) {
+		return fmt.Errorf("%w: %d trailing bytes in raw value section", ErrCorrupt, len(sec)-pos)
 	}
 	return nil
+}
+
+// CheckSection requires sec to be exactly n framed values, as
+// Codec.DecodeSection does, without decoding them: the check a section
+// passes before Writer.AppendRawBytes copies it verbatim.
+func CheckSection(sec []byte, n int) error {
+	pos := 0
+	for i := 0; i < n; i++ {
+		_, end, err := nextFrame(sec, pos)
+		if err != nil {
+			return err
+		}
+		pos = end
+	}
+	return sectionEnd(sec, pos)
 }
 
 // SetView makes b a zero-copy view over sec, a framed value section of
@@ -92,57 +120,45 @@ func (b *ValueBatch) split(n int) error {
 // is unmapped or reused, and (like every batch) once the next section
 // is installed into b.
 func (b *ValueBatch) SetView(sec []byte, n int) error {
-	consumed, err := b.viewSection(sec, n)
+	pos, err := b.viewPrefix(sec, n)
+	if err == nil {
+		err = sectionEnd(sec, pos)
+	}
 	if err != nil {
-		return err
-	}
-	if consumed != len(sec) {
 		b.reset()
-		return fmt.Errorf("%w: %d trailing bytes in raw value section", ErrCorrupt, len(sec)-consumed)
 	}
-	return nil
+	return err
 }
 
-// viewSection installs a zero-copy view of the n-value framed section
-// at the start of data, returning how many bytes the framing consumed
+// viewPrefix installs a zero-copy view of the n-value framed section at
+// the start of data, returning how many bytes the framing consumed
 // (data may extend past the section).
-func (b *ValueBatch) viewSection(data []byte, n int) (int, error) {
+func (b *ValueBatch) viewPrefix(data []byte, n int) (int, error) {
 	b.reset()
-	pos := 0
-	for i := 0; i < n; i++ {
-		vlen, m := binary.Uvarint(data[pos:])
-		if m <= 0 || vlen > maxLen || int64(vlen) > int64(len(data)-pos-m) {
-			return 0, fmt.Errorf("%w: truncated raw value section", ErrCorrupt)
-		}
-		b.bounds = append(b.bounds, pos+m, pos+m+int(vlen))
-		pos += m + int(vlen)
-	}
+	b.arena, b.view = data, true
+	pos, err := b.frame(n)
 	b.arena = data[:pos]
-	b.view = true
-	return pos, nil
+	return pos, err
 }
 
-// ReadSectionAt fills b with the n-value framed section at
-// [off, off+byteLen) of ra using a single positioned read into b's
-// reused arena — the fallback read mode when a run file cannot be
-// memory-mapped. It needs no seek state, so many cursors can share one
-// file handle.
-func (b *ValueBatch) ReadSectionAt(ra io.ReaderAt, off, byteLen int64, n int) error {
-	b.reset()
+// ReadSectionAt reads the value section at [off, off+byteLen) of ra
+// with a single positioned read into buf's memory, grown when it is too
+// small, and returns it — the fallback read mode when a run file cannot
+// be memory-mapped. It needs no seek state, so many cursors can share
+// one file handle. A short read is ErrCorrupt; the section's framing is
+// its consumer's to check (Codec.DecodeSection, CheckSection).
+func ReadSectionAt(ra io.ReaderAt, off, byteLen int64, buf []byte) ([]byte, error) {
 	if byteLen < 0 || byteLen > maxLen {
-		return fmt.Errorf("%w: value section of %d bytes", ErrCorrupt, byteLen)
+		return nil, fmt.Errorf("%w: value section of %d bytes", ErrCorrupt, byteLen)
 	}
-	if cap(b.arena) < int(byteLen) {
-		b.arena = make([]byte, byteLen)
-	}
-	b.arena = b.arena[:byteLen]
-	if m, err := ra.ReadAt(b.arena, off); m < int(byteLen) {
+	buf = slices.Grow(buf[:0], int(byteLen))[:byteLen]
+	if m, err := ra.ReadAt(buf, off); m < int(byteLen) {
 		if err == nil || err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return corrupt(err)
+		return nil, corrupt(err)
 	}
-	return b.split(n)
+	return buf, nil
 }
 
 // ReadValueBatch consumes every pending value of the current group
@@ -192,7 +208,11 @@ func (r *Reader) ReadValueBatch(b *ValueBatch, byteLen int64) error {
 		return err
 	}
 	b.arena = raw
-	return b.split(n)
+	pos, err := b.frame(n)
+	if err == nil {
+		err = sectionEnd(raw, pos)
+	}
+	return err
 }
 
 // GroupBatch streams a run file group by group, reading each group's
@@ -249,30 +269,39 @@ func (g *GroupBatch) Next() ([]byte, *ValueBatch, error) {
 		return g.nextMapped()
 	}
 	key, n, err := g.r.NextAppend(g.key[:0])
+	if err == io.EOF {
+		return g.eof()
+	}
 	if err != nil {
-		if err == io.EOF && g.index != nil && g.pos != len(g.index) {
-			return nil, nil, fmt.Errorf("%w: file has %d groups, index says %d",
-				ErrCorrupt, g.pos, len(g.index))
-		}
 		return nil, nil, err
 	}
 	g.key = key
-	byteLen := int64(-1)
-	if g.index != nil {
-		if g.pos >= len(g.index) {
-			return nil, nil, fmt.Errorf("%w: file has more groups than its index", ErrCorrupt)
-		}
-		e := g.index[g.pos]
-		if e.Count != int64(n) {
-			return nil, nil, fmt.Errorf("%w: group has %d values, index says %d", ErrCorrupt, n, e.Count)
-		}
-		byteLen = e.ValueBytes
-		g.pos++
+	byteLen, err := g.indexed(n)
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := g.r.ReadValueBatch(&g.batch, byteLen); err != nil {
 		return nil, nil, err
 	}
 	return key, &g.batch, nil
+}
+
+// indexed cross-checks the next group's value count against the index,
+// when there is one, and returns its value-section length (-1 without
+// an index).
+func (g *GroupBatch) indexed(n int) (int64, error) {
+	if g.index == nil {
+		return -1, nil
+	}
+	if g.pos >= len(g.index) {
+		return 0, fmt.Errorf("%w: file has more groups than its index", ErrCorrupt)
+	}
+	e := g.index[g.pos]
+	if e.Count != int64(n) {
+		return 0, fmt.Errorf("%w: group has %d values, index says %d", ErrCorrupt, n, e.Count)
+	}
+	g.pos++
+	return e.ValueBytes, nil
 }
 
 // nextMapped is Next over an in-memory file image: framing is parsed in
@@ -281,14 +310,14 @@ func (g *GroupBatch) nextMapped() ([]byte, *ValueBatch, error) {
 	rem := g.data[g.doff:]
 	if len(rem) == 0 {
 		// An unfinished image simply ends; a finished one ends at the marker.
-		return g.mappedEOF()
+		return g.eof()
 	}
 	klen, m := binary.Uvarint(rem)
 	if m <= 0 {
 		return nil, nil, fmt.Errorf("%w: bad key length", ErrCorrupt)
 	}
 	if klen == footerMarker {
-		return g.mappedEOF()
+		return g.eof()
 	}
 	if klen > maxLen || int64(klen) > int64(len(rem)-m) {
 		return nil, nil, fmt.Errorf("%w: key of %d bytes", ErrCorrupt, klen)
@@ -300,18 +329,10 @@ func (g *GroupBatch) nextMapped() ([]byte, *ValueBatch, error) {
 		return nil, nil, fmt.Errorf("%w: bad value count", ErrCorrupt)
 	}
 	n := int(n64)
-	sec := rest[m2:]
-	if g.index != nil {
-		if g.pos >= len(g.index) {
-			return nil, nil, fmt.Errorf("%w: file has more groups than its index", ErrCorrupt)
-		}
-		e := g.index[g.pos]
-		if e.Count != int64(n) {
-			return nil, nil, fmt.Errorf("%w: group has %d values, index says %d", ErrCorrupt, n, e.Count)
-		}
-		g.pos++
+	if _, err := g.indexed(n); err != nil {
+		return nil, nil, err
 	}
-	consumed, err := g.batch.viewSection(sec, n)
+	consumed, err := g.batch.viewPrefix(rest[m2:], n)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -319,7 +340,9 @@ func (g *GroupBatch) nextMapped() ([]byte, *ValueBatch, error) {
 	return key, &g.batch, nil
 }
 
-func (g *GroupBatch) mappedEOF() ([]byte, *ValueBatch, error) {
+// eof ends the group section: cleanly, unless an index promised more
+// groups.
+func (g *GroupBatch) eof() ([]byte, *ValueBatch, error) {
 	if g.index != nil && g.pos != len(g.index) {
 		return nil, nil, fmt.Errorf("%w: file has %d groups, index says %d",
 			ErrCorrupt, g.pos, len(g.index))
@@ -327,171 +350,8 @@ func (g *GroupBatch) mappedEOF() ([]byte, *ValueBatch, error) {
 	return nil, nil, io.EOF
 }
 
-// DecodeBatch decodes every value of b, appending to dst, with a
-// single type dispatch for the whole batch: the typed kinds decode in
-// tight loops and every other type with a codec replays its compiled
-// plan, looked up once. The returned slice's
-// elements are fully owned copies (reference payloads are copied out
-// of the arena), so only the slice header itself is subject to the
-// caller's reuse discipline.
-//
-// The cases below deliberately mirror Decode's typed switch in
-// codec.go (closure-per-element indirection would defeat the tight
-// loops); any layout change there must land here too —
-// TestDecodeBatchKinds pins the two paths payload-by-payload for
-// every fast-path kind.
+// DecodeBatch decodes every value of b onto dst, CodecFor[V]'s
+// DecodeSection over b's section. The decoded values own their bytes.
 func DecodeBatch[V any](b *ValueBatch, dst []V) ([]V, error) {
-	n := b.Len()
-	switch xs := any(dst).(type) {
-	case []int:
-		for i := 0; i < n; i++ {
-			x, err := decodeVarint(b.Value(i))
-			if err != nil {
-				return dst, err
-			}
-			xs = append(xs, int(x))
-		}
-		return any(xs).([]V), nil
-	case []int8:
-		for i := 0; i < n; i++ {
-			x, err := decodeVarint(b.Value(i))
-			if err != nil {
-				return dst, err
-			}
-			xs = append(xs, int8(x))
-		}
-		return any(xs).([]V), nil
-	case []int16:
-		for i := 0; i < n; i++ {
-			x, err := decodeVarint(b.Value(i))
-			if err != nil {
-				return dst, err
-			}
-			xs = append(xs, int16(x))
-		}
-		return any(xs).([]V), nil
-	case []int32:
-		for i := 0; i < n; i++ {
-			x, err := decodeVarint(b.Value(i))
-			if err != nil {
-				return dst, err
-			}
-			xs = append(xs, int32(x))
-		}
-		return any(xs).([]V), nil
-	case []int64:
-		for i := 0; i < n; i++ {
-			x, err := decodeVarint(b.Value(i))
-			if err != nil {
-				return dst, err
-			}
-			xs = append(xs, x)
-		}
-		return any(xs).([]V), nil
-	case []uint:
-		for i := 0; i < n; i++ {
-			x, err := decodeUvarint(b.Value(i))
-			if err != nil {
-				return dst, err
-			}
-			xs = append(xs, uint(x))
-		}
-		return any(xs).([]V), nil
-	case []uint8:
-		for i := 0; i < n; i++ {
-			x, err := decodeUvarint(b.Value(i))
-			if err != nil {
-				return dst, err
-			}
-			xs = append(xs, uint8(x))
-		}
-		return any(xs).([]V), nil
-	case []uint16:
-		for i := 0; i < n; i++ {
-			x, err := decodeUvarint(b.Value(i))
-			if err != nil {
-				return dst, err
-			}
-			xs = append(xs, uint16(x))
-		}
-		return any(xs).([]V), nil
-	case []uint32:
-		for i := 0; i < n; i++ {
-			x, err := decodeUvarint(b.Value(i))
-			if err != nil {
-				return dst, err
-			}
-			xs = append(xs, uint32(x))
-		}
-		return any(xs).([]V), nil
-	case []uint64:
-		for i := 0; i < n; i++ {
-			x, err := decodeUvarint(b.Value(i))
-			if err != nil {
-				return dst, err
-			}
-			xs = append(xs, x)
-		}
-		return any(xs).([]V), nil
-	case []uintptr:
-		for i := 0; i < n; i++ {
-			x, err := decodeUvarint(b.Value(i))
-			if err != nil {
-				return dst, err
-			}
-			xs = append(xs, uintptr(x))
-		}
-		return any(xs).([]V), nil
-	case []float32:
-		for i := 0; i < n; i++ {
-			v := b.Value(i)
-			if len(v) != 4 {
-				return dst, fmt.Errorf("runfile: float32 needs 4 bytes, got %d", len(v))
-			}
-			xs = append(xs, math.Float32frombits(binary.LittleEndian.Uint32(v)))
-		}
-		return any(xs).([]V), nil
-	case []float64:
-		for i := 0; i < n; i++ {
-			v := b.Value(i)
-			if len(v) != 8 {
-				return dst, fmt.Errorf("runfile: float64 needs 8 bytes, got %d", len(v))
-			}
-			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(v)))
-		}
-		return any(xs).([]V), nil
-	case []bool:
-		for i := 0; i < n; i++ {
-			v := b.Value(i)
-			if len(v) != 1 {
-				return dst, fmt.Errorf("runfile: bool needs 1 byte, got %d", len(v))
-			}
-			xs = append(xs, v[0] != 0)
-		}
-		return any(xs).([]V), nil
-	case []string:
-		for i := 0; i < n; i++ {
-			xs = append(xs, string(b.Value(i)))
-		}
-		return any(xs).([]V), nil
-	case [][]byte:
-		for i := 0; i < n; i++ {
-			// Copy out of the arena: Decode's ownership contract.
-			xs = append(xs, append([]byte(nil), b.Value(i)...))
-		}
-		return any(xs).([]V), nil
-	default:
-		plan := PlanFor[V]()
-		if plan == nil {
-			return dst, errNoCodec(reflect.TypeFor[V]())
-		}
-		for i := 0; i < n; i++ {
-			var v V
-			if err := plan.decodeInto(b.Value(i), unsafe.Pointer(&v)); err != nil {
-				return dst, err
-			}
-			dst = append(dst, v)
-		}
-		return dst, nil
-	}
+	return CodecFor[V]().DecodeSection(b.Raw(), b.Len(), dst)
 }

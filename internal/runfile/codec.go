@@ -1,15 +1,17 @@
 // Typed encoding of Go keys and values onto run-file byte strings.
 //
-// The codec has a fast path for every kind the shuffle sorts natively
-// (the unnamed integer kinds, floats, bools, strings and byte slices):
-// varint, fixed little-endian or raw-byte layouts with no per-item
-// framing, since the run-file layer already length-prefixes each item.
-// Every other type is coded by replaying its compiled plan (keyplan.go,
-// fixed.go) — bools, numbers and strings, through structs (unexported
-// fields included) and arrays, named or not. Those and a bare []byte
-// are the types with a codec; CheckCodec names any other type (a
-// pointer, interface, channel, map or slice in it) so callers refuse it
-// before any task runs, and Append and Decode fail on it.
+// CodecFor is the one place a type's wire form is chosen. Every unnamed
+// kind the shuffle sorts natively (the integer kinds, floats, bools,
+// strings and byte slices) takes a varint, fixed little-endian or
+// raw-byte layout with no per-item framing, since the run-file layer
+// already length-prefixes each item. Every other type is coded by
+// replaying its compiled plan (keyplan.go, fixed.go) — bools, numbers
+// and strings, through structs (unexported fields included) and arrays,
+// named or not, so a named int is 8 little-endian bytes where an int is
+// a varint. Those and a bare []byte are the types with a codec;
+// CheckCodec names any other type (a pointer, interface, channel, map
+// or slice in it) so callers refuse it before any task runs, and its
+// codec fails on every value. testdata/codec.golden pins the bytes.
 package runfile
 
 import (
@@ -17,88 +19,100 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"unsafe"
 )
 
 // CheckCodec reports whether T has a codec, with an error naming the
-// type when it has none.
+// type when it has none: CodecFor's verdict, read off its Append of
+// T's zero value.
 func CheckCodec[T any]() error {
-	if _, ok := any((*T)(nil)).(*[]byte); ok || PlanFor[T]() != nil {
-		return nil
-	}
-	return errNoCodec(reflect.TypeFor[T]())
-}
-
-func errNoCodec(t reflect.Type) error {
-	return fmt.Errorf("runfile: type %v has no codec: values must be made of bools, numbers and strings, through structs and arrays, or be a bare []byte", t)
+	_, err := CodecFor[T]().Append(nil, *new(T))
+	return err
 }
 
 // Append encodes v and appends its byte representation to dst.
-func Append[T any](dst []byte, v T) ([]byte, error) {
-	switch x := any(v).(type) {
-	case int:
-		return binary.AppendVarint(dst, int64(x)), nil
-	case int8:
-		return binary.AppendVarint(dst, int64(x)), nil
-	case int16:
-		return binary.AppendVarint(dst, int64(x)), nil
-	case int32:
-		return binary.AppendVarint(dst, int64(x)), nil
-	case int64:
-		return binary.AppendVarint(dst, x), nil
-	case uint:
-		return binary.AppendUvarint(dst, uint64(x)), nil
-	case uint8:
-		return binary.AppendUvarint(dst, uint64(x)), nil
-	case uint16:
-		return binary.AppendUvarint(dst, uint64(x)), nil
-	case uint32:
-		return binary.AppendUvarint(dst, uint64(x)), nil
-	case uint64:
-		return binary.AppendUvarint(dst, x), nil
-	case uintptr:
-		return binary.AppendUvarint(dst, uint64(x)), nil
-	case float32:
-		return binary.LittleEndian.AppendUint32(dst, math.Float32bits(x)), nil
-	case float64:
-		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(x)), nil
-	case bool:
-		if x {
-			return append(dst, 1), nil
-		}
-		return append(dst, 0), nil
-	case string:
-		return append(dst, x...), nil
-	case []byte:
-		return append(dst, x...), nil
-	default:
-		if plan := PlanFor[T](); plan != nil {
-			return plan.appendTo(dst, unsafe.Pointer(&v)), nil
-		}
-		return nil, errNoCodec(reflect.TypeFor[T]())
-	}
-}
+func Append[T any](dst []byte, v T) ([]byte, error) { return CodecFor[T]().Append(dst, v) }
 
-// Codec is T's Append and Decode resolved once. For a type outside
-// their typed switch, Append and Decode look T's compiled plan up
-// (reflection and a cache load) on every call; a Codec binds the plan
-// when it is made, so a caller coding many values pays the lookup once.
-// Its bytes are Append's exactly.
+// Decode reconstructs a value of type T from bytes produced by Append.
+func Decode[T any](data []byte) (T, error) { return CodecFor[T]().Decode(data) }
+
+// Codec is T's wire form: Append encodes one value onto dst, Decode
+// reads exactly one value's bytes back (a string or []byte is copied out
+// of them), and DecodeSection reads a framed value section. CodecFor
+// resolves it once, so a caller coding many values pays the choice once.
 type Codec[T any] struct {
 	Append func(dst []byte, v T) ([]byte, error)
 	Decode func(data []byte) (T, error)
 }
 
-// CodecFor resolves T's Codec.
+// planCodecs caches the Codec of every type CodecFor codes by its plan
+// (or refuses), so resolving one binds no closures after the first.
+var planCodecs sync.Map // reflect.Type -> Codec of that type
+
+// CodecFor resolves T's Codec: a specialised pair for each unnamed
+// scalar kind, matched on the exact type, and the compiled plan's
+// replay for any other type that has one.
 func CodecFor[T any]() Codec[T] {
 	switch any((*T)(nil)).(type) {
-	case *int, *int8, *int16, *int32, *int64, *uint, *uint8, *uint16, *uint32, *uint64, *uintptr,
-		*float32, *float64, *bool, *string, *[]byte:
-		return Codec[T]{Append[T], Decode[T]} // the typed switch
+	case *int:
+		return scalar[T](appendSigned[int], decodeSigned[int])
+	case *int8:
+		return scalar[T](appendSigned[int8], decodeSigned[int8])
+	case *int16:
+		return scalar[T](appendSigned[int16], decodeSigned[int16])
+	case *int32:
+		return scalar[T](appendSigned[int32], decodeSigned[int32])
+	case *int64:
+		return scalar[T](appendSigned[int64], decodeSigned[int64])
+	case *uint:
+		return scalar[T](appendUnsigned[uint], decodeUnsigned[uint])
+	case *uint8:
+		return scalar[T](appendUnsigned[uint8], decodeUnsigned[uint8])
+	case *uint16:
+		return scalar[T](appendUnsigned[uint16], decodeUnsigned[uint16])
+	case *uint32:
+		return scalar[T](appendUnsigned[uint32], decodeUnsigned[uint32])
+	case *uint64:
+		return scalar[T](appendUnsigned[uint64], decodeUnsigned[uint64])
+	case *uintptr:
+		return scalar[T](appendUnsigned[uintptr], decodeUnsigned[uintptr])
+	case *float32:
+		return scalar[T](appendFloat32, decodeFloat32)
+	case *float64:
+		return scalar[T](appendFloat64, decodeFloat64)
+	case *bool:
+		return scalar[T](appendBool, decodeBool)
+	case *string:
+		return scalar[T](appendString, decodeString)
+	case *[]byte:
+		return scalar[T](appendBytes, decodeBytes)
 	}
-	plan := PlanFor[T]()
+	t := reflect.TypeFor[T]()
+	if c, ok := planCodecs.Load(t); ok {
+		return c.(Codec[T])
+	}
+	c := planCodec[T](t)
+	planCodecs.Store(t, c)
+	return c
+}
+
+// scalar retypes the codec of the scalar kind U as T's; CodecFor's
+// switch has matched T to U exactly.
+func scalar[T, U any](enc func([]byte, U) ([]byte, error), dec func([]byte) (U, error)) Codec[T] {
+	return Codec[T]{any(enc).(func([]byte, T) ([]byte, error)), any(dec).(func([]byte) (T, error))}
+}
+
+// planCodec binds T's compiled plan, or, for a T with none, a codec
+// whose every call fails naming T.
+func planCodec[T any](t reflect.Type) Codec[T] {
+	plan := planOf(t)
 	if plan == nil {
-		return Codec[T]{Append[T], Decode[T]} // both fail: T has no codec
+		err := fmt.Errorf("runfile: type %v has no codec: values must be made of bools, numbers and strings, through structs and arrays, or be a bare []byte", t)
+		return Codec[T]{
+			Append: func([]byte, T) ([]byte, error) { return nil, err },
+			Decode: func([]byte) (T, error) { return *new(T), err },
+		}
 	}
 	return Codec[T]{
 		Append: func(dst []byte, v T) ([]byte, error) { return plan.appendTo(dst, unsafe.Pointer(&v)), nil },
@@ -110,99 +124,98 @@ func CodecFor[T any]() Codec[T] {
 	}
 }
 
-// Decode reconstructs a value of type T from bytes produced by Append.
-// Its typed switch is mirrored by DecodeBatch in batch.go (one
-// dispatch per batch instead of per value); layout changes must land
-// in both — TestDecodeBatchKinds pins their agreement.
-func Decode[T any](data []byte) (T, error) {
-	// The fast paths dispatch on (*T)(nil) and build their result in a
-	// case-local value reinterpreted by castTo: a type switch on
-	// any(&out) would force out — and so every decoded key and value on
-	// the merge and swap-readback paths — through the heap.
-	switch any((*T)(nil)).(type) {
-	case *int:
-		x, err := decodeVarint(data)
-		return castTo[T](int(x)), err
-	case *int8:
-		x, err := decodeVarint(data)
-		return castTo[T](int8(x)), err
-	case *int16:
-		x, err := decodeVarint(data)
-		return castTo[T](int16(x)), err
-	case *int32:
-		x, err := decodeVarint(data)
-		return castTo[T](int32(x)), err
-	case *int64:
-		x, err := decodeVarint(data)
-		return castTo[T](x), err
-	case *uint:
-		x, err := decodeUvarint(data)
-		return castTo[T](uint(x)), err
-	case *uint8:
-		x, err := decodeUvarint(data)
-		return castTo[T](uint8(x)), err
-	case *uint16:
-		x, err := decodeUvarint(data)
-		return castTo[T](uint16(x)), err
-	case *uint32:
-		x, err := decodeUvarint(data)
-		return castTo[T](uint32(x)), err
-	case *uint64:
-		x, err := decodeUvarint(data)
-		return castTo[T](x), err
-	case *uintptr:
-		x, err := decodeUvarint(data)
-		return castTo[T](uintptr(x)), err
-	case *float32:
-		if len(data) != 4 {
-			var out T
-			return out, fmt.Errorf("runfile: float32 needs 4 bytes, got %d", len(data))
+// DecodeSection decodes the framed value section sec — n values, each
+// its uvarint length and then its bytes — onto dst in one walk. Each
+// length must stay inside sec and the n frames must use sec up exactly;
+// a framing fault wraps ErrCorrupt, a payload the codec rejects returns
+// the codec's error. The decoded values own their bytes.
+func (c Codec[T]) DecodeSection(sec []byte, n int, dst []T) ([]T, error) {
+	pos := 0
+	for i := 0; i < n; i++ {
+		start, end, err := nextFrame(sec, pos)
+		if err != nil {
+			return dst, err
 		}
-		return castTo[T](math.Float32frombits(binary.LittleEndian.Uint32(data))), nil
-	case *float64:
-		if len(data) != 8 {
-			var out T
-			return out, fmt.Errorf("runfile: float64 needs 8 bytes, got %d", len(data))
+		v, err := c.Decode(sec[start:end])
+		if err != nil {
+			return dst, err
 		}
-		return castTo[T](math.Float64frombits(binary.LittleEndian.Uint64(data))), nil
-	case *bool:
-		if len(data) != 1 {
-			var out T
-			return out, fmt.Errorf("runfile: bool needs 1 byte, got %d", len(data))
-		}
-		return castTo[T](data[0] != 0), nil
-	case *string:
-		return castTo[T](string(data)), nil
-	case *[]byte:
-		return castTo[T](append([]byte(nil), data...)), nil
-	default:
-		var out T
-		plan := PlanFor[T]()
-		if plan == nil {
-			return out, errNoCodec(reflect.TypeFor[T]())
-		}
-		err := plan.decodeInto(data, unsafe.Pointer(&out))
-		return out, err
+		dst = append(dst, v)
+		pos = end
 	}
+	return dst, sectionEnd(sec, pos)
 }
 
-// castTo reinterprets a fast-path case's concrete value as T. Sound
-// only when U is exactly T (each switch case guarantees it); the copy
-// through unsafe keeps the value out of the heap.
-func castTo[T, U any](u U) T { return *(*T)(unsafe.Pointer(&u)) }
+// appendSigned and the pairs below it are the scalar kinds' wire forms:
+// a varint for the integers, the IEEE bits little-endian for the floats,
+// one byte 0 or 1 for a bool and the bytes themselves for a string or a
+// []byte.
+func appendSigned[U int | int8 | int16 | int32 | int64](dst []byte, v U) ([]byte, error) {
+	return binary.AppendVarint(dst, int64(v)), nil
+}
 
-func decodeVarint(data []byte) (int64, error) {
+func decodeSigned[U int | int8 | int16 | int32 | int64](data []byte) (U, error) {
 	x, n := binary.Varint(data)
 	if n <= 0 || n != len(data) {
 		return 0, fmt.Errorf("runfile: invalid varint")
 	}
-	return x, nil
+	return U(x), nil
 }
 
-func decodeUvarint(data []byte) (uint64, error) {
+func appendUnsigned[U uint | uint8 | uint16 | uint32 | uint64 | uintptr](dst []byte, v U) ([]byte, error) {
+	return binary.AppendUvarint(dst, uint64(v)), nil
+}
+
+func decodeUnsigned[U uint | uint8 | uint16 | uint32 | uint64 | uintptr](data []byte) (U, error) {
 	x, n := binary.Uvarint(data)
 	if n <= 0 || n != len(data) {
 		return 0, fmt.Errorf("runfile: invalid uvarint")
 	}
-	return x, nil
+	return U(x), nil
 }
+
+func appendFloat32(dst []byte, v float32) ([]byte, error) {
+	return binary.LittleEndian.AppendUint32(dst, math.Float32bits(v)), nil
+}
+
+func decodeFloat32(data []byte) (float32, error) {
+	if len(data) != 4 {
+		return 0, fmt.Errorf("runfile: float32 needs 4 bytes, got %d", len(data))
+	}
+	return math.Float32frombits(binary.LittleEndian.Uint32(data)), nil
+}
+
+func appendFloat64(dst []byte, v float64) ([]byte, error) {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v)), nil
+}
+
+func decodeFloat64(data []byte) (float64, error) {
+	if len(data) != 8 {
+		return 0, fmt.Errorf("runfile: float64 needs 8 bytes, got %d", len(data))
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(data)), nil
+}
+
+func appendBool(dst []byte, v bool) ([]byte, error) {
+	if v {
+		return append(dst, 1), nil
+	}
+	return append(dst, 0), nil
+}
+
+// decodeBool accepts only the bytes appendBool writes, as a plan's bool
+// part does (fixed.go).
+func decodeBool(data []byte) (bool, error) {
+	if len(data) != 1 || data[0] > 1 {
+		return false, fmt.Errorf("runfile: bool needs one byte 0 or 1, got % x", data)
+	}
+	return data[0] == 1, nil
+}
+
+func appendString(dst []byte, v string) ([]byte, error) { return append(dst, v...), nil }
+
+func decodeString(data []byte) (string, error) { return string(data), nil }
+
+func appendBytes(dst []byte, v []byte) ([]byte, error) { return append(dst, v...), nil }
+
+func decodeBytes(data []byte) ([]byte, error) { return append([]byte(nil), data...), nil }

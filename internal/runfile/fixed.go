@@ -1,8 +1,8 @@
 // The codec's replay of a type's compiled plan (keyplan.go).
 //
-// Every type outside codec.go's typed switch that has a plan is coded by
-// replaying it: no per-value reflection and no type descriptors on the
-// wire. Each part takes a canonical little-endian form of its kind's
+// Every type with a plan that CodecFor does not match to an unnamed
+// scalar kind is coded by replaying the plan: no per-value reflection
+// and no type descriptors on the wire. Each part takes a canonical little-endian form of its kind's
 // width (an int, uint or uintptr 8 bytes, a complex number its two
 // floats, a bool one byte), and a string a uvarint length and then its
 // bytes. A plan without a string part therefore has one wire size,

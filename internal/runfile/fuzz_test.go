@@ -3,6 +3,7 @@ package runfile
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -233,11 +234,15 @@ func checkPlanBytes[T any](t *testing.T, data []byte) {
 // Reader: for fuzzer-chosen v2 run files the two must agree
 // byte-for-byte on every key and payload (with the footer index driving
 // the batch reads, and without it), and arbitrary input bytes must fail
-// with ErrCorrupt or clean EOF — never panic.
+// with ErrCorrupt or clean EOF — never panic. The fuzzed bytes are also
+// hostile value sections for the one-walk decode (checkDecodeSection).
 func FuzzValueBatch(f *testing.F) {
 	f.Add([]byte("key"), []byte("v1"), []byte("v2"), uint8(3))
 	f.Add([]byte(""), []byte(""), []byte{0xff, 0x00}, uint8(0))
 	f.Add([]byte{'M', 'R', 'R', 'F', 2}, []byte("x"), bytes.Repeat([]byte("y"), 300), uint8(9))
+	// v2 as a section: two uint64 frames, one fuzzFixed frame.
+	f.Add([]byte{}, []byte{}, []byte{1, 7, 2, 0x80, 1}, uint8(2))
+	f.Add([]byte{}, []byte{}, []byte{7, 0xfe, 0xff, 1, 0, 0, 0x80, 0x3f}, uint8(1))
 
 	f.Fuzz(func(t *testing.T, key, v1, v2 []byte, n uint8) {
 		// Build a v2 file: a group of n%8 alternating values, a group
@@ -323,6 +328,11 @@ func FuzzValueBatch(f *testing.F) {
 
 		// Arbitrary bytes must fail cleanly through the batch reader.
 		raw := append(append([]byte{}, key...), v1...)
+		for _, sec := range [][]byte{raw, v2} {
+			checkDecodeSection[uint64](t, sec, int(n%16))
+			checkDecodeSection[fuzzFixed](t, sec, int(n%16))
+			checkDecodeSection[fuzzTwo](t, sec, int(n%16))
+		}
 		gb := NewGroupBatch(bytes.NewReader(raw), nil)
 		for {
 			_, _, err := gb.Next()
@@ -348,4 +358,50 @@ func FuzzValueBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzFixed is a plan with one wire size and a bool part.
+type fuzzFixed struct {
+	A  int16
+	On bool
+	X  float32
+}
+
+// checkDecodeSection hands sec to T's one-walk DecodeSection as n
+// values and holds it to the separate walks: SetView frames sec, then
+// Decode reads each payload. Both fail or neither does, with the same
+// values; on a section whose framing holds, the first payload Decode
+// rejects is the one-walk's error too. A framing fault wraps ErrCorrupt.
+func checkDecodeSection[T any](t *testing.T, sec []byte, n int) {
+	t.Helper()
+	got, err := CodecFor[T]().DecodeSection(sec, n, nil)
+	var b ValueBatch
+	frameErr := b.SetView(sec, n)
+	var want []T
+	var decodeErr error
+	for i := 0; frameErr == nil && i < b.Len(); i++ {
+		v, err := Decode[T](b.Value(i))
+		if err != nil {
+			decodeErr = err
+			break
+		}
+		want = append(want, v)
+	}
+	// Values compare by their bytes: a NaN is not == to itself.
+	same := len(got) == len(want)
+	for i := 0; same && i < len(got); i++ {
+		a, _ := Append(nil, got[i])
+		b, _ := Append(nil, want[i])
+		same = bytes.Equal(a, b)
+	}
+	switch {
+	case frameErr != nil && err == nil:
+		t.Fatalf("DecodeSection[%T](% x, %d) = %v, SetView: %v", *new(T), sec, n, got, frameErr)
+	case frameErr != nil && !errors.Is(frameErr, ErrCorrupt):
+		t.Fatalf("SetView(% x, %d): %v does not wrap ErrCorrupt", sec, n, frameErr)
+	case decodeErr != nil && fmt.Sprint(err) != decodeErr.Error():
+		t.Fatalf("DecodeSection[%T](% x, %d) err = %v, Decode: %v", *new(T), sec, n, err, decodeErr)
+	case frameErr == nil && decodeErr == nil && (err != nil || !same):
+		t.Fatalf("DecodeSection[%T](% x, %d) = %v (%v), SetView+Decode = %v", *new(T), sec, n, got, err, want)
+	}
 }

@@ -6,13 +6,13 @@
 // data that is already resident in memory. The mapping seam below lets
 // a reader decode value sections directly out of the mapped page cache
 // instead: Map returns a read-only []byte over the file's body, and
-// ValueBatch.SetView / NewGroupBatchMapped frame groups in place with
-// zero intermediate copies.
+// Codec.DecodeSection, ValueBatch.SetView and NewGroupBatchMapped read
+// sections in place with zero intermediate copies.
 //
 // Mapping is strictly optional. Map fails cleanly (ErrNoMmap, or the
 // platform error) when the File does not support it — a non-OS FS, a
 // fault-injection wrapper told to refuse, or a platform without mmap —
-// and callers fall back to positioned reads (ValueBatch.ReadSectionAt)
+// and callers fall back to positioned reads (ReadSectionAt)
 // through the same FS seam, so every byte still crosses an injectable
 // boundary in tests.
 package runfile

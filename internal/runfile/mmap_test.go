@@ -238,8 +238,9 @@ func TestSetViewZeroCopyAndReset(t *testing.T) {
 	}
 }
 
-// TestReadSectionAt: the pread fallback yields the same batch as the
-// sequential indexed read, straight from a ReaderAt with no seek state.
+// TestReadSectionAt: the pread fallback yields the same section as the
+// sequential indexed read, straight from a ReaderAt with no seek state,
+// reusing the buffer it is handed.
 func TestReadSectionAt(t *testing.T) {
 	data, idx := buildFile(t, mmapGroups, mmapOrder)
 	ra := bytes.NewReader(data)
@@ -247,6 +248,7 @@ func TestReadSectionAt(t *testing.T) {
 	// Walk the file once sequentially to learn each value-section
 	// offset, then re-read each section positioned.
 	r := NewReader(bytes.NewReader(data))
+	buf := make([]byte, 0, 64)
 	for _, e := range idx {
 		key, n, err := r.NextAppend(nil)
 		if err != nil {
@@ -260,9 +262,17 @@ func TestReadSectionAt(t *testing.T) {
 			t.Fatal(err)
 		}
 		secOff := r.pos - e.ValueBytes
-		var got ValueBatch
-		if err := got.ReadSectionAt(ra, secOff, e.ValueBytes, n); err != nil {
+		sec, err := ReadSectionAt(ra, secOff, e.ValueBytes, buf)
+		if err != nil {
 			t.Fatalf("ReadSectionAt(%q): %v", e.Key, err)
+		}
+		if len(sec) > 0 && cap(buf) >= len(sec) && &sec[0] != &buf[:1][0] {
+			t.Fatalf("%q: ReadSectionAt did not reuse a large enough buffer", e.Key)
+		}
+		buf = sec
+		var got ValueBatch
+		if err := got.SetView(sec, n); err != nil {
+			t.Fatalf("SetView(%q): %v", e.Key, err)
 		}
 		if got.Len() != want.Len() {
 			t.Fatalf("%q: Len %d, want %d", e.Key, got.Len(), want.Len())
@@ -275,9 +285,8 @@ func TestReadSectionAt(t *testing.T) {
 	}
 
 	// Short section: loud, not silent.
-	var b ValueBatch
-	if err := b.ReadSectionAt(ra, int64(len(data))-2, 10, 1); err == nil {
-		t.Fatal("ReadSectionAt past EOF succeeded")
+	if _, err := ReadSectionAt(ra, int64(len(data))-2, 10, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ReadSectionAt past EOF: err = %v, want ErrCorrupt", err)
 	}
 }
 

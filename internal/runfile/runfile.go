@@ -252,7 +252,8 @@ func (w *Writer) AppendValue(v []byte) error {
 }
 
 // AppendRawBytes appends n already-framed values held in memory (a raw
-// value section: ValueBatch.Raw, Reader.RawValues) to the group opened
+// value section: a mapped slice, ReadSectionAt, ValueBatch.Raw,
+// Reader.RawValues) to the group opened
 // by BeginGroup, without parsing or re-encoding them. This is the
 // compaction fast path: a whole group moves between run files as one
 // byte copy.

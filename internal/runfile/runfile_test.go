@@ -273,6 +273,14 @@ func TestCodecDecodeErrors(t *testing.T) {
 	if _, err := Decode[bool]([]byte{}); err == nil {
 		t.Error("empty bool should fail")
 	}
+	// Append writes a bool as 0 or 1; any other byte is not a bool, on
+	// its own as in a plan's bool part, value by value as in a section.
+	if v, err := Decode[bool]([]byte{2}); err == nil {
+		t.Errorf("Decode[bool](02) = %v, want an error", v)
+	}
+	if v, err := CodecFor[bool]().DecodeSection([]byte{1, 1, 1, 2}, 2, nil); err == nil {
+		t.Errorf("DecodeSection[bool](01 01 01 02) = %v, want an error", v)
+	}
 	type cell struct{ I, J int }
 	if _, err := Decode[cell]([]byte("not a cell")); err == nil {
 		t.Error("wrong-length struct should fail")
@@ -292,6 +300,30 @@ func TestCodecDecodeErrors(t *testing.T) {
 		if v, err := Decode[named](bad); err == nil {
 			t.Errorf("Decode(% x) = %+v, want an error", bad, v)
 		}
+	}
+}
+
+// TestCodecDoesNotAllocate: Append and Decode resolve T's codec per
+// call, and must allocate no more than the bytes they return — nothing
+// for a scalar, a fixed struct or a one-byte string — and neither must
+// a section decode onto a slice with room.
+func TestCodecDoesNotAllocate(t *testing.T) {
+	type two struct{ A, B int }
+	type short struct{ S string }
+	buf := make([]byte, 0, 64)
+	for name, run := range map[string]func(){
+		"uint64": func() { b, _ := Append(buf[:0], uint64(77)); _, _ = Decode[uint64](b) },
+		"two":    func() { b, _ := Append(buf[:0], two{1, -2}); _, _ = Decode[two](b) },
+		"short":  func() { b, _ := Append(buf[:0], short{"a"}); _, _ = Decode[short](b) },
+	} {
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Errorf("%s: Append+Decode allocate %v times per call, want 0", name, n)
+		}
+	}
+	sec := []byte{1, 5, 2, 0x80, 1, 1, 0}
+	dst := make([]uint64, 0, 3)
+	if n := testing.AllocsPerRun(100, func() { dst, _ = CodecFor[uint64]().DecodeSection(sec, 3, dst[:0]) }); n != 0 {
+		t.Errorf("DecodeSection allocates %v times per call, want 0", n)
 	}
 }
 

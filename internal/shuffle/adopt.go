@@ -43,10 +43,9 @@ func (s *Shuffle[K, V]) AdoptRun(part int, path string, off, length int64) error
 	}
 	keys := make([]K, len(entries))
 	var pairs int64
-	decode := runfile.CodecFor[K]().Decode
 	cmp := orderOf[K]()
 	for i, e := range entries {
-		if keys[i], err = decode(e.Key); err != nil {
+		if keys[i], err = s.kc.Decode(e.Key); err != nil {
 			return corrupt(i, "undecodable key: "+err.Error())
 		}
 		if i > 0 && cmp(keys[i-1], keys[i]) >= 0 {

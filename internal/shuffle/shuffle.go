@@ -199,7 +199,8 @@ type Shuffle[K comparable, V any] struct {
 
 	// swapImage is Pair[K, V]'s runfile.ImageSize: when nonzero a swap
 	// section is the staged pairs' memory image; otherwise it frames
-	// each pair through kc and vc, K's and V's codecs resolved once.
+	// each pair through kc and vc, K's and V's codecs resolved once
+	// (the merge cursors decode spilled values through vc too).
 	swapImage int
 	kc        runfile.Codec[K]
 	vc        runfile.Codec[V]
@@ -328,10 +329,9 @@ func newTuned[K comparable, V any](opts Options, tune tuning) *Shuffle[K, V] {
 		s.fs = runfile.OSFS
 	}
 	if opts.SpillDir != "" {
-		if s.swapImage = runfile.ImageSize[Pair[K, V]](); s.swapImage == 0 {
-			s.kc, s.vc = runfile.CodecFor[K](), runfile.CodecFor[V]()
-		}
+		s.swapImage = runfile.ImageSize[Pair[K, V]]()
 	}
+	s.kc, s.vc = runfile.CodecFor[K](), runfile.CodecFor[V]()
 	return s
 }
 

@@ -312,8 +312,8 @@ func BenchmarkExternalShuffle(b *testing.B) {
 }
 
 // BenchmarkReduceMergeDecode times the reduce-side read paths on a
-// one-million-pair spilled workload: the batch decode behind
-// forEachGroup (one value-section read and one type dispatch per group
+// one-million-pair spilled workload: the section decode behind
+// forEachGroup (one value-section read and one decoding walk per group
 // and run) and the full batch contract (ForEachGroupBatch, which
 // additionally reuses the decoded slice). Build and spill are identical
 // untimed setup; only the streaming k-way merge is measured, so

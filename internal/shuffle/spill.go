@@ -351,14 +351,18 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 				return err
 			}
 			for i := range srcs {
-				// One section load (mapped view or pread), one framed
-				// append: the group's values move as raw bytes, never
-				// parsed.
+				// One section load (mapped view or pread), one framing
+				// check, one append: the group's values move as raw
+				// bytes, never decoded.
 				r := &srcs[i]
-				if err := r.loadSection(); err != nil {
+				sec, err := r.section()
+				if err != nil {
 					return err
 				}
-				if err := w.AppendRawBytes(r.c.batch.Raw(), r.count); err != nil {
+				if err := runfile.CheckSection(sec, r.count); err != nil {
+					return fmt.Errorf("shuffle: reading spill %s: %w", r.c.file.Name(), err)
+				}
+				if err := w.AppendRawBytes(sec, r.count); err != nil {
 					return err
 				}
 			}
@@ -544,7 +548,8 @@ type groupCursor[K comparable, V any] struct {
 	// only section bytes.
 	idx []keyCount[K]
 	runView
-	batch runfile.ValueBatch // reused value-section arena or view
+	vc  runfile.Codec[V]
+	buf []byte // reused section buffer of the pread path
 	// read sums the section bytes this cursor loaded; the merge adds it
 	// to meter (DiskBytesRead) once, when it ends.
 	read  int64
@@ -592,45 +597,43 @@ type groupRef[K comparable, V any] struct {
 	vals   []V   // in-memory source
 }
 
-// loadSection fills the cursor's batch with the group's value section:
-// a zero-copy view when the run is mapped, one positioned read into the
-// reused arena otherwise. The resident index supplies the location and
-// the value count, so no framing is parsed from disk on either path;
-// the section's own internal framing is still validated as the batch
-// splits it (a length overrunning the section is ErrCorrupt).
-func (r *groupRef[K, V]) loadSection() error {
+// section returns the group's value section: a slice of the mapped
+// run, or one positioned read into the cursor's reused buffer. The
+// resident index supplies its location and value count, so no framing
+// is parsed on the way; the consumer checks the section's own framing
+// as it walks it (DecodeSection, CheckSection).
+func (r *groupRef[K, V]) section() ([]byte, error) {
 	c := r.c
 	c.read += r.n
 	if c.img != nil {
 		if r.off < 0 || r.n < 0 || r.off+r.n > int64(len(c.img)) {
-			return fmt.Errorf("shuffle: reading spill %s: %w: value section [%d,%d) outside run of %d bytes",
+			return nil, fmt.Errorf("shuffle: reading spill %s: %w: value section [%d,%d) outside run of %d bytes",
 				c.file.Name(), runfile.ErrCorrupt, r.off, r.off+r.n, len(c.img))
 		}
-		if err := c.batch.SetView(c.img[r.off:r.off+r.n], r.count); err != nil {
-			return fmt.Errorf("shuffle: reading spill %s: %w", c.file.Name(), err)
-		}
-		return nil
+		return c.img[r.off : r.off+r.n], nil
 	}
-	if err := c.batch.ReadSectionAt(c.ra, c.raOff+r.off, r.n, r.count); err != nil {
-		return fmt.Errorf("shuffle: reading spill %s: %w", c.file.Name(), err)
+	sec, err := runfile.ReadSectionAt(c.ra, c.raOff+r.off, r.n, c.buf)
+	if err != nil {
+		return nil, fmt.Errorf("shuffle: reading spill %s: %w", c.file.Name(), err)
 	}
-	return nil
+	c.buf = sec
+	return sec, nil
 }
 
 // appendValues appends the group's values to dst. For a spilled run
-// this is the only point the file is touched: loadSection brings the
-// value section in and the batch is decoded with a single type dispatch
-// (runfile.DecodeBatch) straight onto dst — no per-cursor copy.
+// this is the only point the file is touched: the section is decoded
+// in one walk (runfile.Codec.DecodeSection) straight onto dst — no
+// per-cursor copy.
 func (r *groupRef[K, V]) appendValues(dst []V) ([]V, error) {
 	if r.c.mem != nil {
 		return append(dst, r.vals...), nil
 	}
-	if err := r.loadSection(); err != nil {
+	sec, err := r.section()
+	if err != nil {
 		return dst, err
 	}
-	dst, err := runfile.DecodeBatch[V](&r.c.batch, dst)
-	if err != nil {
-		return dst, fmt.Errorf("shuffle: decoding spill value in %s: %w", r.c.file.Name(), err)
+	if dst, err = r.c.vc.DecodeSection(sec, r.count, dst); err != nil {
+		return dst, fmt.Errorf("shuffle: decoding spill values in %s: %w", r.c.file.Name(), err)
 	}
 	return dst, nil
 }
@@ -784,7 +787,7 @@ func rangeCursors[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K], view
 		}
 		c := &groupCursor[K, V]{idx: idx, pos: lo, end: hi, meter: &s.diskRead}
 		if views != nil {
-			c.runView = views[i]
+			c.runView, c.vc = views[i], s.vc
 		}
 		cursors = append(cursors, c)
 	}
