@@ -133,53 +133,40 @@ func (r Round[I, K, V, O]) Reducer() (ReduceFunc[K, V, O], bool) {
 	return r.Reduce, false
 }
 
-// PartitionStat is the realized profile of one shuffle partition.
-type PartitionStat struct {
-	// Pairs and Keys are the partition's share of the shuffle.
-	Pairs int64
-	Keys  int64
-	// MaxGroup is the partition's largest key group (its local q).
-	MaxGroup int64
-	// Worker is the reduce worker the LPT scheduler placed the
-	// partition on (-1 when the round failed before scheduling).
-	Worker int
-}
-
-// Metrics is the communication profile of one executed round, the one
-// record both executors fill: Run in process, internal/proc across
-// worker processes. All counts refer to logical records, matching the
-// paper's convention that communication cost is measured in key-value
-// pairs.
+// Metrics is the profile of one executed round, the one record both
+// executors fill: Run in process, internal/proc across worker
+// processes. Its exchange profile — pairs shuffled, reducers, the
+// realized q and its distribution, the partitions, and the spill,
+// swap and residency counters — is the embedded shuffle.Stats, which
+// documents each field. All counts refer to logical records, matching
+// the paper's convention that communication cost is measured in
+// key-value pairs.
 //
 // A multi-process round has no in-process exchange, so it leaves that
-// exchange's profile zero: Partitions, Makespan, IdealMakespan,
-// ReduceRangeSkew, the spill pressure (SpillEvents, SpilledPairs,
-// RunsMerged, SwapBytes, BytesReclaimed, MaxLivePairs) and the overlap
-// timings. There BytesSpilled, IndexBytesSpilled and DiskBytesRead are
-// real bytes over the process boundary — the spool files that carried
-// the shuffle, written by committed map attempts and read back by
-// accepted reduce attempts — and PeakResidentPairs is the worst
-// buffered-pair high-water mark any worker's task attempt observed, the
-// same bound Plan.MemoryBudget enforces in process. ReducerInputLog2
-// sums the accepted reduce attempts' group sizes.
+// exchange's profile zero: Makespan, IdealMakespan, ReduceRangeSkew,
+// the spill pressure (SpillEvents, SpilledPairs, RunsMerged, SwapBytes,
+// BytesReclaimed, MaxLivePairs) and the overlap timings. Its Partitions
+// count each partition's pairs from the accepted map sections and fold
+// its groups from the accepted reduce attempts (Worker stays -1), as
+// ReducerInputLog2 does. There BytesSpilled, IndexBytesSpilled and
+// DiskBytesRead are real bytes over the process boundary — the spool
+// files that carried the shuffle, written by committed map attempts and
+// read back by accepted reduce attempts — and PeakResidentPairs is the
+// worst buffered-pair high-water mark any worker's task attempt
+// observed, the same bound Plan.MemoryBudget enforces in process. In
+// either executor a combiner map task's fold table (a slot per distinct
+// key of the task, mapCombiner) is outside PeakResidentPairs and
+// outside MemoryBudget.
 type Metrics struct {
 	// MapInputs is the number of input records consumed by the map phase.
 	MapInputs int64
 	// PairsEmitted is the number of key-value pairs produced by map tasks
-	// before any combiner ran. This is the paper's communication cost.
+	// before any combiner ran. This is the paper's communication cost;
+	// PairsShuffled equals it without a combiner.
 	PairsEmitted int64
-	// PairsShuffled is the number of pairs actually sent to the reduce
-	// phase, after combining. Equal to PairsEmitted without a combiner.
-	PairsShuffled int64
-	// Reducers is the number of distinct reduce keys ("reducers" in the
-	// paper's sense: a key plus its list of values).
-	Reducers int64
-	// MaxReducerInput is the largest number of values any one reduce key
-	// received — the realized reducer size q.
-	MaxReducerInput int64
-	// TotalReducerInput is the sum over reducers of their input sizes;
-	// equal to PairsShuffled.
-	TotalReducerInput int64
+
+	shuffle.Stats
+
 	// Outputs is the number of records produced by the reduce phase.
 	Outputs int64
 	// MapRetries and ReduceRetries count task re-executions triggered by
@@ -200,12 +187,6 @@ type Metrics struct {
 	// re-executed.
 	SalvagedTasks int64
 
-	// Partitions is the per-partition profile of the real exchange
-	// (length P): the pairs, distinct keys, largest key group, and
-	// assigned reduce worker of every shuffle partition. Under the
-	// default hash placement the profile varies with the per-process
-	// seed.
-	Partitions []PartitionStat
 	// Makespan is the LPT-scheduled heaviest worker load, in pairs;
 	// IdealMakespan is the load-balance floor. Their ratio is the
 	// residual skew the partitioning did not resolve. With
@@ -222,44 +203,11 @@ type Metrics struct {
 	// group.
 	ReduceRanges    int64
 	ReduceRangeSkew float64
-	// SpillEvents and SpilledPairs report bounded-memory pressure when
-	// a memory budget was set. BytesSpilled and RunsMerged report the
-	// realized disk traffic and reduce-time merge width when a SpillDir
-	// made the spills real; with a combiner the spilled volume tracks
-	// the post-combine communication cost, since the combiner is also
-	// applied inside the shuffle whenever a run seals.
-	// DiskBytesRead is the total read back from spill run files over
-	// the whole round — the q gate (Stats) and overflow diagnosis merge
-	// resident run indexes in memory and contribute nothing to it, so
-	// it measures the reduce merge (plus compaction re-reads) alone.
 	// IndexBytesSpilled is the footer-index metadata written alongside
 	// BytesSpilled; total spill file bytes are the sum of the two (0 in
-	// process, where runs end at their last group, their index resident).
-	SpillEvents       int64
-	SpilledPairs      int64
-	BytesSpilled      int64
+	// process, where runs end at their last group, their index
+	// resident).
 	IndexBytesSpilled int64
-	RunsMerged        int64
-	DiskBytesRead     int64
-	// SwapBytes is the raw bytes the streaming path's pressure relief
-	// swapped to stash files and read back — bookkeeping traffic, kept
-	// out of BytesSpilled so spilled volume stays the deterministic
-	// communication cost. BytesReclaimed is the total size of spill
-	// files deleted while the round was still running (spool rotation,
-	// compaction retiring its inputs): disk handed back before Close.
-	SwapBytes      int64
-	BytesReclaimed int64
-	// MaxLivePairs is the high-water mark of any shuffle partition's
-	// live buffer; under a memory budget it never exceeds the budget.
-	MaxLivePairs int
-	// PeakResidentPairs is the whole-round high-water mark of pairs
-	// resident in shuffle memory (live runs, staged streaming blocks,
-	// in-memory sealed runs). On the streaming path with a SpillDir it
-	// stays under P*MemoryBudget + workers*block, the block half the
-	// budget (clamped to [16, 8192]): the shuffle's whole-round bound.
-	// A combiner map task's fold table (a slot per distinct key of the
-	// task, mapCombiner) is outside it and outside MemoryBudget.
-	PeakResidentPairs int64
 	// SpillOverlapNs is the time the streaming path spent absorbing,
 	// sealing and spilling while map tasks were still running — work a
 	// collect-then-merge barrier would serialize after the map phase.
@@ -267,12 +215,6 @@ type Metrics struct {
 	// remains.
 	SpillOverlapNs int64
 	FinishDrainNs  int64
-	// ReducerInputLog2 is the log2-bucketed distribution of reducer
-	// input sizes — the paper's q distribution as realized by this
-	// round. Bucket i counts the reducers whose input size lies in
-	// [2^i, 2^(i+1)); the slice is trimmed after the last non-empty
-	// bucket.
-	ReducerInputLog2 []int64
 }
 
 // ReplicationRate is the average number of key-value pairs created per map
@@ -303,9 +245,10 @@ func (m Metrics) PartitionSkew() float64 {
 // logical quantities of LogicalString followed by the physical profile
 // of the round — partition skew, spilled and re-read disk bytes, the
 // resident-memory high-water mark, and how much spill work overlapped
-// mapping. The physical fields depend on the per-process hash seed and
-// on wall-clock timing; output that must be byte-reproducible across
-// runs (the examples, golden files) prints LogicalString instead.
+// mapping. The physical fields depend on the executor, the placement
+// seed (shuffle.WithSeed) and wall-clock timing; output that must be
+// byte-reproducible across runs (the examples, golden files) prints
+// LogicalString instead.
 func (m Metrics) String() string {
 	return fmt.Sprintf(
 		"%s skew=%.2f spilled=%dB read=%dB peakResident=%d overlap=%dms retries=%d deaths=%d leasesExpired=%d",
@@ -434,46 +377,15 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], in *Image[I], keep 
 	}
 
 	st, ranges, err := PlanReduce(cfg.Plan, r.Name, sh)
-	setProfile(&res.Metrics, st)
+	res.Metrics.Stats = st
 	if err == nil {
 		rlane := cfg.Recorder.Lane(obs.LaneRound, 0)
-		rlane.Begin(obs.OpPhaseReduce, int64(st.Partitions), 0)
-		res, err = runReducePhase(r, sh, st, ranges, res, keep)
+		rlane.Begin(obs.OpPhaseReduce, int64(len(st.Partitions)), 0)
+		res, err = runReducePhase(r, sh, ranges, res, keep)
 		rlane.End(obs.OpPhaseReduce, res.Metrics.Outputs, obs.ErrFlag(err))
 	}
 	res.Metrics.DiskBytesRead = sh.DiskBytesRead()
 	return res, err
-}
-
-// setProfile copies a shuffle profile into the round's metrics: the
-// merge-free totals (shuffle.Totals) and the per-key part, counted by
-// Stats or folded in from the reduce units (Stats.AddGroups). Each
-// partition's Worker survives a second call.
-func setProfile(m *Metrics, st shuffle.Stats) {
-	m.PairsShuffled = st.Pairs
-	m.TotalReducerInput = st.Pairs
-	m.Reducers = st.Keys
-	m.MaxReducerInput = st.MaxGroup
-	m.ReducerInputLog2 = st.GroupSizeLog2
-	m.SpillEvents = st.SpillEvents
-	m.SpilledPairs = st.SpilledPairs
-	m.BytesSpilled = st.BytesSpilled
-	m.RunsMerged = st.RunsMerged
-	m.SwapBytes = st.SwapBytes
-	m.BytesReclaimed = st.BytesReclaimed
-	m.MaxLivePairs = st.MaxLivePairs
-	m.PeakResidentPairs = st.PeakResidentPairs
-	if m.Partitions == nil {
-		m.Partitions = make([]PartitionStat, st.Partitions)
-		for p := range m.Partitions {
-			m.Partitions[p].Worker = -1
-		}
-	}
-	for p := range m.Partitions {
-		m.Partitions[p].Pairs = st.PartitionPairs[p]
-		m.Partitions[p].Keys = st.PartitionKeys[p]
-		m.Partitions[p].MaxGroup = st.PartitionMaxGroup[p]
-	}
 }
 
 // runMapPhase executes map tasks in parallel, each over a range of the
@@ -618,9 +530,9 @@ func (pr *partReader[K, V]) release() {
 // copies into one slice unless keep. Every unit is one sorted key run
 // and the image orders keys globally, so the output is byte-identical
 // whether or not a partition was split. The units count the groups
-// they reduce; their profiles complete st, the shuffle's totals, into
-// the round's metrics.
-func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuffle.Shuffle[K, V], st shuffle.Stats, ranges [][]shuffle.KeyRange[K], res Result[K, O], keep bool) (Result[K, O], error) {
+// they reduce, and their profiles fold into the round's metrics, which
+// hold the shuffle's totals (PlanReduce).
+func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuffle.Shuffle[K, V], ranges [][]shuffle.KeyRange[K], res Result[K, O], keep bool) (Result[K, O], error) {
 	cfg := r.Config
 	workers := cfg.Workers
 	P := sh.NumPartitions()
@@ -638,7 +550,7 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 			}
 		} else {
 			units = append(units, reduceUnit{p, -1})
-			loads = append(loads, int(st.PartitionPairs[p]))
+			loads = append(loads, int(res.Metrics.Partitions[p].Pairs))
 		}
 	}
 	assignment, makespan := core.BalanceLoads(loads, workers)
@@ -673,7 +585,7 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 	ordinal := make([]int, P)
 	next := 0
 	for p := 0; p < P; p++ {
-		if st.PartitionPairs[p] > 0 {
+		if res.Metrics.Partitions[p].Pairs > 0 {
 			ordinal[p] = next
 			next++
 		} else {
@@ -746,17 +658,20 @@ func runReducePhase[I any, K comparable, V, O any](r Round[I, K, V, O], sh *shuf
 		if errs[u] != nil {
 			// A failed unit counted nothing, so the per-key metrics of a
 			// failed round come from the counting merge, as under the q
-			// gate: resident indexes only, no run-file read.
+			// gate: resident indexes only, no run-file read. The
+			// partitions stay where the schedule placed them.
 			if full, err := sh.Stats(); err == nil {
-				setProfile(&res.Metrics, full)
+				for p := range full.Partitions {
+					full.Partitions[p].Worker = res.Metrics.Partitions[p].Worker
+				}
+				res.Metrics.Stats = full
 			}
 			return res, errs[u]
 		}
 		res.Metrics.ReduceRetries += retries[u]
 		res.Metrics.TaskRetries += retries[u]
-		st.AddGroups(units[u].part, &results[u].groups)
+		res.Metrics.AddGroups(units[u].part, &results[u].groups)
 	}
-	setProfile(&res.Metrics, st)
 
 	im := newImage(results)
 	res.Metrics.Outputs = int64(im.n)

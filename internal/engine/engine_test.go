@@ -405,9 +405,9 @@ func TestDiskSpillOverflowPathRecordsLoads(t *testing.T) {
 	if !errors.Is(err, ErrReducerOverflow) {
 		t.Fatalf("err = %v, want ErrReducerOverflow", err)
 	}
-	if m := res.Metrics; m.Reducers != 3 || m.MaxReducerInput != 12 || m.TotalReducerInput != 36 {
+	if m := res.Metrics; m.Reducers != 3 || m.MaxReducerInput != 12 || m.PairsShuffled != 36 {
 		t.Errorf("profile at failure: %d reducers, max %d, total %d; want 3, 12, 36",
-			m.Reducers, m.MaxReducerInput, m.TotalReducerInput)
+			m.Reducers, m.MaxReducerInput, m.PairsShuffled)
 	}
 	if res.Metrics.BytesSpilled == 0 {
 		t.Error("expected disk spills before the overflow was detected")

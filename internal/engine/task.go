@@ -92,9 +92,10 @@ func (c *mapCombiner[K, V]) flush(emit func(K, V)) {
 // resident indexes (Stats, span phase:profile) fails an overflowing
 // round before any reducer runs, returning that profile and an error
 // wrapping ErrReducerOverflow. Otherwise st is the merge-free Totals,
-// which the reduce units' group profiles complete (Stats.AddGroups),
-// and ranges[p] is partition p's key ranges under RangeFanout, nil to
-// reduce it whole. No run file is read and no key group is split.
+// into which the reduce units fold their group profiles
+// (Stats.AddGroups), and ranges[p] is partition p's key ranges under
+// RangeFanout, nil to reduce it whole. No run file is read and no key
+// group is split.
 func PlanReduce[K comparable, V any](p Plan, job string, sh *shuffle.Shuffle[K, V]) (st shuffle.Stats, ranges [][]shuffle.KeyRange[K], err error) {
 	if p.MaxReducerInput > 0 {
 		lane := p.Recorder.Lane(obs.LaneRound, 0)
@@ -104,14 +105,14 @@ func PlanReduce[K comparable, V any](p Plan, job string, sh *shuffle.Shuffle[K, 
 		if err != nil {
 			return st, nil, fmt.Errorf("engine: profiling shuffle of round %q: %w", job, err)
 		}
-		if err := p.CheckReducerInput(job, st.MaxGroup); err != nil {
+		if err := p.CheckReducerInput(job, st.MaxReducerInput); err != nil {
 			return st, nil, err
 		}
 	}
 	st = sh.Totals()
-	ranges = make([][]shuffle.KeyRange[K], st.Partitions)
-	for i := range ranges {
-		if n := p.RangeFanout(st.PartitionPairs[i]); n > 0 {
+	ranges = make([][]shuffle.KeyRange[K], len(st.Partitions))
+	for i, part := range st.Partitions {
+		if n := p.RangeFanout(part.Pairs); n > 0 {
 			ranges[i] = sh.Partition(i).PlanReduceRanges(int64(p.ReduceSplitPairs), n)
 		}
 	}

@@ -178,7 +178,7 @@ var (
 // zero, as the engine.Metrics doc lists them: the profile of the
 // in-process exchange, which a multi-process round does not have.
 var procZeroFields = []string{
-	"Partitions", "Makespan", "IdealMakespan", "ReduceRangeSkew",
+	"Makespan", "IdealMakespan", "ReduceRangeSkew",
 	"SpillEvents", "SpilledPairs", "RunsMerged", "SwapBytes", "BytesReclaimed", "MaxLivePairs",
 	"SpillOverlapNs", "FinishDrainNs",
 }
@@ -190,23 +190,26 @@ var procPhysicalFields = map[string]string{
 	"IndexBytesSpilled": "0 in process, whose runs keep their index resident; spool sections carry a footer",
 	"DiskBytesRead":     "read back from each executor's own runs",
 	"PeakResidentPairs": "the whole round's peak in process, the worst map or reduce attempt's across processes",
-	"ReduceRanges":      "cut per partition, and keys land in partitions by the per-process seed in process, by the stable hasher across processes",
 }
 
 // procCombineFields depend on where seals fall when the round has a
 // combiner, so they are compared only without one; each with its reason.
 var procCombineFields = map[string]string{
-	"PairsShuffled":     "in process a seal combines the values of every map task sharing the run; a worker's shuffle holds one task's",
-	"TotalReducerInput": "equal to PairsShuffled",
-	"MaxReducerInput":   "a key's group holds one value per combined run, and runs are cut by seals",
-	"ReducerInputLog2":  "the distribution of those group sizes",
+	"PairsShuffled":    "in process a seal combines the values of every map task sharing the run; a worker's shuffle holds one task's",
+	"MaxReducerInput":  "a key's group holds one value per combined run, and runs are cut by seals",
+	"ReducerInputLog2": "the distribution of those group sizes",
+	"Partitions":       "each partition's pairs and largest group, as above",
+	"ReduceRanges":     "cut by the partitions' indexed pair loads, which the combined runs set",
 }
 
 // checkExecutorsAgree compares every engine.Metrics field of a ProcMode
-// round (proc) with the in-process round of the same job (inproc): the
-// ProcMode-zero fields must be zero, the physical fields are skipped,
-// the combiner-dependent ones are compared only without a combiner, and
-// every other field — a new one included — must be equal.
+// round (proc) with the in-process round of the same job (inproc),
+// shuffle.Stats' promoted fields included: the ProcMode-zero fields
+// must be zero, the physical fields are skipped, the combiner-dependent
+// ones are compared only without a combiner, and every other field — a
+// new one included — must be equal. Only the in-process schedule places
+// partitions on workers, so ProcMode's Partitions must hold Worker -1
+// and are compared with the in-process ones at that Worker.
 func checkExecutorsAgree(t *testing.T, trial string, proc, inproc Metrics, combiner bool) {
 	t.Helper()
 	typ := reflect.TypeOf(proc)
@@ -216,13 +219,20 @@ func checkExecutorsAgree(t *testing.T, trial string, proc, inproc Metrics, combi
 			t.Fatalf("engine.Metrics has no field %s", name)
 		}
 	}
+	inproc.Partitions = slices.Clone(inproc.Partitions)
+	for p := range inproc.Partitions {
+		inproc.Partitions[p].Worker = -1
+	}
 	pv, iv := reflect.ValueOf(proc), reflect.ValueOf(inproc)
-	for i := range typ.NumField() {
-		name := typ.Field(i).Name
-		p, q := pv.Field(i).Interface(), iv.Field(i).Interface()
+	for _, f := range reflect.VisibleFields(typ) {
+		if f.Anonymous {
+			continue // shuffle.Stats: its fields are visited one by one
+		}
+		name := f.Name
+		p, q := pv.FieldByIndex(f.Index).Interface(), iv.FieldByIndex(f.Index).Interface()
 		switch {
 		case slices.Contains(procZeroFields, name):
-			if !pv.Field(i).IsZero() {
+			if !pv.FieldByIndex(f.Index).IsZero() {
 				t.Errorf("%s: ProcMode fills %s = %v, which it leaves zero", trial, name, p)
 			}
 		case procPhysicalFields[name] != "", combiner && procCombineFields[name] != "":

@@ -195,7 +195,8 @@ func TestPinnedSeedMakesPhysicalProfileDeterministic(t *testing.T) {
 	// Under shuffle.WithSeed the *physical* profile — which partition
 	// every key lands in, and therefore Partitions, Makespan and spill
 	// counts — is reproducible: identical across runs, and equal to a
-	// placement replayed with an independently created pinned hasher.
+	// placement replayed with an independently created hasher of the
+	// seed.
 	restore := shuffle.WithSeed(7)
 	defer restore()
 
@@ -217,9 +218,9 @@ func TestPinnedSeedMakesPhysicalProfileDeterministic(t *testing.T) {
 		t.Errorf("pinned-seed physical metrics differ:\n%+v\n%+v", met1, met2)
 	}
 
-	// Replay placement with a fresh pinned hasher: per-partition pair
-	// counts must match the executor's reported profile exactly.
-	h := shuffle.NewHasher[string]()
+	// Replay placement with a fresh hasher of the seed: per-partition
+	// pair counts must match the executor's reported profile exactly.
+	h := shuffle.NewStableHasher[string](7)
 	wantPairs := make([]int64, 4)
 	for _, doc := range docs {
 		for _, w := range strings.Fields(doc) {

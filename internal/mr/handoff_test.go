@@ -259,11 +259,12 @@ func toyPipelines(cfg func(round int) Config) map[string]func() (any, []stage) {
 func metricsDiff(a, b Metrics) string {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	var d string
-	for i := range va.NumField() {
-		switch name := va.Type().Field(i).Name; name {
+	for _, f := range reflect.VisibleFields(va.Type()) {
+		switch name := f.Name; name {
+		case "Stats": // embedded: its fields are visited one by one
 		case "SpillOverlapNs", "FinishDrainNs", "PeakResidentPairs", "SwapBytes", "BytesReclaimed":
 		default:
-			if x, y := va.Field(i).Interface(), vb.Field(i).Interface(); !reflect.DeepEqual(x, y) {
+			if x, y := va.FieldByIndex(f.Index).Interface(), vb.FieldByIndex(f.Index).Interface(); !reflect.DeepEqual(x, y) {
 				d += fmt.Sprintf("\n%s: %v, %v", name, x, y)
 			}
 		}

@@ -29,12 +29,12 @@
 //
 // Reproducibility contract: outputs and the paper's logical quantities
 // (pairs emitted/shuffled, reducers, max q, replication rate, reducer
-// loads) are identical across runs. The *physical* profile — which key
-// lands in which partition, and therefore Metrics.Partitions, Makespan,
-// and retry counts under fault injection — depends on the shuffle's
-// per-process hash seed, as in a real cluster. Pin ShufflePartition for
-// a fully reproducible exchange, or shuffle.WithSeed in tests that
-// assert on the physical profile.
+// loads) are identical across runs. So is the *physical* profile —
+// which key lands in which partition, and therefore Metrics.Partitions,
+// Makespan, and retry counts under fault injection: placement is the
+// shuffle's stable key hash under seed 0 (shuffle.WithSeed sets another
+// in tests), the same in every process. Pin ShufflePartition for an
+// explicit layout.
 package mr
 
 import (

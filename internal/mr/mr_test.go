@@ -347,19 +347,21 @@ func TestMetricsStringGolden(t *testing.T) {
 	// The one-line summary is what operators grep out of logs; pin the
 	// exact format so fields cannot silently drop out of it again.
 	m := Metrics{
-		MapInputs:         100,
-		PairsEmitted:      400,
-		PairsShuffled:     400,
-		Reducers:          7,
-		MaxReducerInput:   9,
-		Partitions:        []engine.PartitionStat{{Pairs: 300}, {Pairs: 100}},
-		BytesSpilled:      2048,
-		DiskBytesRead:     1024,
-		PeakResidentPairs: 256,
-		SpillOverlapNs:    7_500_000,
-		TaskRetries:       3,
-		WorkerDeaths:      1,
-		LeaseExpirations:  2,
+		MapInputs:    100,
+		PairsEmitted: 400,
+		Stats: shuffle.Stats{
+			PairsShuffled:     400,
+			Reducers:          7,
+			MaxReducerInput:   9,
+			Partitions:        []shuffle.PartitionStat{{Pairs: 300}, {Pairs: 100}},
+			BytesSpilled:      2048,
+			DiskBytesRead:     1024,
+			PeakResidentPairs: 256,
+		},
+		SpillOverlapNs:   7_500_000,
+		TaskRetries:      3,
+		WorkerDeaths:     1,
+		LeaseExpirations: 2,
 	}
 	want := "inputs=100 pairs=400 reducers=7 maxq=9 r=4.0000 skew=1.50 " +
 		"spilled=2048B read=1024B peakResident=256 overlap=7ms " +
@@ -375,17 +377,19 @@ var ErrReducerOverflow = engine.ErrReducerOverflow
 
 func TestMetricsPublishTo(t *testing.T) {
 	m := Metrics{
-		MapInputs:        10,
-		PairsEmitted:     40,
-		PairsShuffled:    30,
-		Reducers:         4,
-		MaxReducerInput:  16,
-		BytesSpilled:     512,
+		MapInputs:    10,
+		PairsEmitted: 40,
+		Stats: shuffle.Stats{
+			PairsShuffled:    30,
+			Reducers:         4,
+			MaxReducerInput:  16,
+			BytesSpilled:     512,
+			ReducerInputLog2: []int64{1, 2, 0, 0, 1}, // 1×[1,2), 2×[2,4), 1×[16,32)
+		},
 		TaskRetries:      5,
 		WorkerDeaths:     2,
 		LeaseExpirations: 3,
 		SalvagedTasks:    1,
-		ReducerInputLog2: []int64{1, 2, 0, 0, 1}, // 1×[1,2), 2×[2,4), 1×[16,32)
 	}
 	reg := obs.NewRegistry()
 	m.PublishTo(reg)

@@ -82,6 +82,10 @@ type Driver struct {
 
 func newDriver(jobName string, opts Options, dir string, tasks []mapTaskSpec) *Driver {
 	ttl := opts.leaseTTL()
+	parts := make([]shuffle.PartitionStat, opts.Partitions)
+	for p := range parts {
+		parts[p].Worker = -1 // workers pull partitions: none is placed
+	}
 	return &Driver{
 		opts:           opts,
 		jobName:        jobName,
@@ -100,6 +104,7 @@ func newDriver(jobName string, opts Options, dir string, tasks []mapTaskSpec) *D
 		workers:        make(map[string]*workerProc),
 		lanes:          make(map[string]*obs.Ring),
 		done:           make(chan struct{}),
+		met:            engine.Metrics{Stats: shuffle.Stats{Partitions: parts}},
 	}
 }
 
@@ -432,6 +437,7 @@ func (d *Driver) acceptMapLocked(task, attempt int, worker string, secs []Sectio
 		d.met.BytesSpilled += sec.DataBytes
 		d.met.IndexBytesSpilled += sec.IndexBytes
 		d.met.PairsShuffled += sec.Pairs
+		d.met.Partitions[sec.Part].Pairs += sec.Pairs
 	}
 	d.mapsDone++
 	if d.opts.Hooks.OnMapCommitted != nil {
@@ -475,8 +481,10 @@ func (d *Driver) reduceDone(rep ReduceReport) bool {
 		lane.End(obs.OpProcReduceTask, int64(rep.Part), 1)
 		// A worker refuses a partition whose largest group broke the q
 		// limit and reports that group's size; the verdict is the plan's.
-		d.met.MaxReducerInput = max(d.met.MaxReducerInput, rep.MaxGroup)
-		if err := d.opts.CheckReducerInput(d.jobName, rep.MaxGroup); err != nil {
+		for i := range rep.Groups {
+			d.met.AddGroups(rep.Part, &rep.Groups[i])
+		}
+		if err := d.opts.CheckReducerInput(d.jobName, d.met.Partitions[rep.Part].MaxGroup); err != nil {
 			d.failLocked(fmt.Errorf("proc: reduce partition %d: %w", rep.Part, err))
 			return false
 		}
@@ -494,20 +502,15 @@ func (d *Driver) reduceDone(rep ReduceReport) bool {
 	}
 	lane.End(obs.OpProcReduceTask, int64(rep.Part), 0)
 	d.reduceOut[rep.Part] = rep
-	d.met.Reducers += rep.Keys
 	d.met.Outputs += rep.Outputs
-	d.met.MaxReducerInput = max(d.met.MaxReducerInput, rep.MaxGroup)
 	d.met.DiskBytesRead += rep.BytesRead
 	d.met.ReduceRanges += rep.Ranges
-	for i, n := range rep.GroupSizeLog2 {
-		if i == len(d.met.ReducerInputLog2) {
-			d.met.ReducerInputLog2 = append(d.met.ReducerInputLog2, 0)
-		}
-		d.met.ReducerInputLog2[i] += n
+	for i := range rep.Groups {
+		d.met.AddGroups(rep.Part, &rep.Groups[i])
 	}
-	if rep.PeakResident > d.met.PeakResidentPairs {
-		d.met.PeakResidentPairs = rep.PeakResident
-	}
+	// A reduce attempt's resident peak is the largest group its merges
+	// held decoded: its partition's largest.
+	d.met.PeakResidentPairs = max(d.met.PeakResidentPairs, d.met.Partitions[rep.Part].MaxGroup)
 	d.reducesDone++
 	if d.reducesDone == len(d.reduceParts) {
 		d.finishLocked()
@@ -648,7 +651,6 @@ func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) (
 	d.mu.Unlock()
 
 	met.MapInputs = int64(len(inputs))
-	met.TotalReducerInput = met.PairsShuffled
 	met.TaskRetries = met.MapRetries + met.ReduceRetries
 	if failure != nil {
 		return nil, met, failure

@@ -361,7 +361,7 @@ func writeTestOutput(t *testing.T) ReduceReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ReduceReport{OutPath: path, OutBytes: size, Keys: 3, Outputs: 5}
+	return ReduceReport{OutPath: path, OutBytes: size, Outputs: 5}
 }
 
 // TestInputImageRoundTrip: every task reads back exactly its own

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/shuffle"
 )
 
 // TaskKind discriminates the driver's replies to a polling worker.
@@ -135,7 +136,7 @@ type MapReport struct {
 
 // ReduceReport commits a finished reduce attempt: the partition's
 // output run file (OutPath, OutBytes long; Outputs values in groups of
-// its reduced keys) plus its group profile. Err carries a failed
+// its reduced keys) plus its group profiles. Err carries a failed
 // attempt.
 type ReduceReport struct {
 	Worker    string
@@ -143,21 +144,18 @@ type ReduceReport struct {
 	Attempt   int
 	OutPath   string
 	OutBytes  int64
-	Keys      int64
 	Outputs   int64
-	MaxGroup  int64
 	BytesRead int64
-	// PeakResident is the attempt's high-water resident pair count: the
-	// largest single group the k-way merge held decoded at once.
-	PeakResident int64
 	// Ranges is how many key-range units the attempt split its merge
 	// into (0 when it ran as one whole-partition merge).
 	Ranges int64
-	// GroupSizeLog2 is the partition's group sizes, bucketed as
-	// shuffle.Stats.GroupSizeLog2.
-	GroupSizeLog2 []int64
-	Err           string
-	Fatal         bool
+	// Groups is the profile of the groups each key range reduced, one
+	// per range (one for a whole-partition merge), which the driver
+	// folds with shuffle.Stats.AddGroups. An attempt the q gate refused
+	// reports one profile holding only the largest group it found.
+	Groups []shuffle.GroupProfile
+	Err    string
+	Fatal  bool
 }
 
 // Ack is the driver's answer to a report.

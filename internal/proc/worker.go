@@ -7,14 +7,11 @@
 // combiner fold), a reduce task engine.PlanReduce and then
 // engine.RunReduceAttempt per key range, both over internal/shuffle;
 // there is no map loop, merge, range planner or run encoder in this
-// package. The two executors differ on purpose in three places only:
+// package. The two executors differ on purpose in two places only:
 //   - The sub-task cut. A worker's map task feeds its own shuffle as
 //     sub-tasks committed every MemoryBudget/2 pairs, so absorption and
 //     its seals overlap mapping; in process each of Plan.MapTasks is
 //     one ingester task of the one shuffle all tasks share.
-//   - Key placement. Without a Partitioner, keys are placed across
-//     processes by shuffle.StableHasher, which every process computes
-//     alike; in process by the per-process maphash seed.
 //   - Reduce scheduling. A worker runs one goroutine per planned key
 //     range of its partition; in process partitions and ranges are
 //     units LPT-balanced onto Plan.Workers goroutines, with fault
@@ -295,7 +292,7 @@ func (ws *workerState) runTask(kind TaskKind, t Task, run func() (any, error)) a
 	}
 	// A failed reduce keeps the group size it measured: the driver judges
 	// the q limit by it.
-	return ReduceReport{Worker: ws.id, Part: t.ID, Attempt: t.Attempt, MaxGroup: rep.(ReduceReport).MaxGroup,
+	return ReduceReport{Worker: ws.id, Part: t.ID, Attempt: t.Attempt, Groups: rep.(ReduceReport).Groups,
 		Err: err.Error(), Fatal: isFatal(err)}
 }
 
@@ -445,11 +442,6 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 	defer sh.Close()
 	if part := j.r.Partitioner; part != nil {
 		sh.SetPartitioner(part)
-	} else {
-		// The shuffle reduces the hash modulo its power-of-two P, so a
-		// hash that wraps to a negative int lands where it would unwrapped.
-		hasher := shuffle.NewStableHasher[K](0)
-		sh.SetPartitioner(func(k K) int { return int(hasher.Hash(k)) })
 	}
 	if j.r.Combine != nil {
 		sh.SetCombiner(j.r.Combine)
@@ -526,7 +518,7 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 	}
 	st, ranges, err := engine.PlanReduce(ws.plan, j.r.Name, sh)
 	if errors.Is(err, engine.ErrReducerOverflow) {
-		return ReduceReport{MaxGroup: st.MaxGroup}, fatal(err)
+		return ReduceReport{Groups: []shuffle.GroupProfile{{MaxGroup: st.MaxReducerInput}}}, fatal(err)
 	} else if err != nil {
 		return ReduceReport{}, fmt.Errorf("proc: partition %d: %w", t.ID, err)
 	}
@@ -558,7 +550,6 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 			return ReduceReport{}, fmt.Errorf("proc: reducing partition %d: %w", t.ID, errs[u])
 		}
 		outputs += int64(outs[u].Len())
-		st.AddGroups(0, &groups[u])
 	}
 	path := outPath(ws.dir, t.ID, t.Attempt)
 	size, err := writeOutputs(path, outs)
@@ -567,9 +558,7 @@ func (j *jobImpl[I, K, V, O]) runReduceTask(ws *workerState, t Task) (ReduceRepo
 	}
 	return ReduceReport{
 		Worker: ws.id, Part: t.ID, Attempt: t.Attempt, OutPath: path, OutBytes: size,
-		Keys: st.Keys, Outputs: outputs, MaxGroup: st.MaxGroup,
-		BytesRead: sh.DiskBytesRead(), PeakResident: st.MaxGroup,
-		Ranges: nRanges, GroupSizeLog2: st.GroupSizeLog2,
+		Outputs: outputs, BytesRead: sh.DiskBytesRead(), Ranges: nRanges, Groups: groups,
 	}, nil
 }
 

@@ -357,9 +357,10 @@ func (w *Writer) Pairs() int64 { return w.pairs }
 
 // Reader streams key groups back from a run file.
 //
-// The cursor protocol: Next returns the next group's key and value
-// count, after which Value may be called up to that many times. Values
-// left unread when Next is called again are skipped without allocation.
+// The cursor protocol: NextAppend returns the next group's key and
+// value count, after which the group's values may be read (RawValues,
+// ReadValueBatch). Values left unread when NextAppend is called again
+// are skipped without allocation.
 // The group stream ends cleanly (io.EOF) at the footer marker — or, for
 // a file that was never Finished, at the end of its last whole group;
 // the footer itself is never surfaced as groups.
@@ -371,7 +372,7 @@ type Reader struct {
 	pos     int64 // bytes consumed from the underlying stream
 }
 
-// NewReader wraps r. The header is validated on the first Next.
+// NewReader wraps r. The header is validated on the first NextAppend.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
 }
@@ -442,17 +443,11 @@ func (r *Reader) readHeader() error {
 	return nil
 }
 
-// Next advances to the next group, returning its key and value count.
+// NextAppend advances to the next group, returning its key appended to
+// dst (which may be nil or a truncated scratch buffer, so a streaming
+// consumer reuses one key buffer across groups) and its value count.
 // It returns io.EOF at a clean end of the group section and ErrCorrupt
-// (wrapped) on a truncated or invalid stream. The key is freshly
-// allocated; NextAppend is the reuse path.
-func (r *Reader) Next() ([]byte, int, error) {
-	return r.NextAppend(nil)
-}
-
-// NextAppend is Next with the key appended to dst (which may be nil or
-// a truncated scratch buffer), so a streaming consumer reuses one key
-// buffer across groups instead of allocating per group.
+// (wrapped) on a truncated or invalid stream.
 func (r *Reader) NextAppend(dst []byte) ([]byte, int, error) {
 	if r.done {
 		return nil, 0, io.EOF
@@ -496,39 +491,6 @@ func (r *Reader) NextAppend(dst []byte) ([]byte, int, error) {
 	}
 	r.pending = n
 	return dst[:len(dst)+klen], n, nil
-}
-
-// Value reads the next value of the current group into a fresh buffer.
-func (r *Reader) Value() ([]byte, error) {
-	v, err := r.ValueAppend(nil)
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// ValueAppend is Value with the payload appended to dst, the
-// allocation-free path for consumers that decode each value before
-// reading the next.
-func (r *Reader) ValueAppend(dst []byte) ([]byte, error) {
-	if r.pending <= 0 {
-		return nil, fmt.Errorf("%w: no pending values", ErrCorrupt)
-	}
-	vlen, err := r.readLen()
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	if cap(dst) < len(dst)+vlen {
-		grown := make([]byte, len(dst), len(dst)+vlen)
-		copy(grown, dst)
-		dst = grown
-	}
-	v := dst[len(dst) : len(dst)+vlen]
-	if err := r.readFull(v); err != nil {
-		return nil, corrupt(err)
-	}
-	r.pending--
-	return dst[:len(dst)+vlen], nil
 }
 
 // RawValues reads the current group's entire value section — byteLen

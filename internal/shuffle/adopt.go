@@ -81,6 +81,5 @@ func (s *Shuffle[K, V]) AdoptRun(part int, path string, off, length int64) error
 	st.disk = append(st.disk, diskRun[K]{file: rf, off: off, size: length, pairs: pairs, index: typedIndex(keys, entries)})
 	st.spilledToDisk = true
 	st.pairs += pairs
-	s.invalidateStats()
 	return nil
 }

@@ -109,7 +109,7 @@ func TestAdoptRunReadsLikeSealedRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Pairs != 12 || st.Keys != 5 || st.MaxGroup != 4 || st.RunsMerged != 3 {
+	if st.PairsShuffled != 12 || st.Reducers != 5 || st.MaxReducerInput != 4 || st.RunsMerged != 3 {
 		t.Fatalf("Stats over adopted runs = %+v", st)
 	}
 	ranges := s.Partition(0).PlanReduceRanges(4, 8)

@@ -84,42 +84,3 @@ func TestForEachGroupBatchArenaAliasing(t *testing.T) {
 			"the read path is copying per group instead of reusing scratch")
 	}
 }
-
-// TestSetCombinerInvalidatesStatsMemo is the regression test for the
-// memoization bug: Stats results were invalidated only by ingestion, so
-// a SetCombiner between a Stats call and the next round could serve a
-// profile that no longer described the shuffle's sealing behavior.
-func TestSetCombinerInvalidatesStatsMemo(t *testing.T) {
-	s := New[int, int](Options{Partitions: 2})
-	streamTasks(t, s, [][]Pair[int, int]{modPairs(20, 3)}, 1)
-	st, err := s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Pairs != 20 {
-		t.Fatalf("Stats.Pairs = %d, want 20", st.Pairs)
-	}
-	s.statsMu.Lock()
-	memoized := s.statsMemo != nil
-	s.statsMu.Unlock()
-	if !memoized {
-		t.Fatal("Stats result was not memoized")
-	}
-
-	s.SetCombiner(func(_ int, vs []int) []int { return vs })
-
-	s.statsMu.Lock()
-	stale := s.statsMemo != nil
-	s.statsMu.Unlock()
-	if stale {
-		t.Fatal("SetCombiner left a stale Stats memo in place")
-	}
-	// And Stats still recomputes correctly afterwards.
-	st, err = s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Pairs != 20 || st.Keys != 3 {
-		t.Fatalf("recomputed Stats = pairs %d keys %d, want 20 and 3", st.Pairs, st.Keys)
-	}
-}

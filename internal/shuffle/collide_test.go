@@ -32,8 +32,8 @@ func collidingKeys[K comparable](t *testing.T, s *Shuffle[K, int], colliders [2]
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Keys != int64(len(want)) {
-		t.Errorf("Stats.Keys = %d, want %d", st.Keys, len(want))
+	if st.Reducers != int64(len(want)) {
+		t.Errorf("Stats.Reducers = %d, want %d", st.Reducers, len(want))
 	}
 	if got := partitionGroups(t, s.Partition(0)); !reflect.DeepEqual(got, want) {
 		t.Fatal("grouped values diverge from reference for keys that format alike")

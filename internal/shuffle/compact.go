@@ -65,7 +65,6 @@ func (s *Shuffle[K, V]) compactor(lane *obs.Ring) {
 		var err error
 		if needsCompaction(st.disk) {
 			err = st.compactDiskRuns(s, lane, true)
-			s.invalidateStats()
 		}
 		switch {
 		case err != nil:

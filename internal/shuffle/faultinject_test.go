@@ -345,8 +345,8 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Stats with armed %s failure: %v", tc.op, err)
 			}
-			if st.Pairs != pairs || st.Keys != keys {
-				t.Fatalf("Stats = pairs %d keys %d, want %d and %d", st.Pairs, st.Keys, pairs, keys)
+			if st.PairsShuffled != pairs || st.Reducers != keys {
+				t.Fatalf("Stats = pairs %d keys %d, want %d and %d", st.PairsShuffled, st.Reducers, pairs, keys)
 			}
 			n := 0
 			if err := s.Partition(0).ForEachGroupCount(func(int, int) error { n++; return nil }); err != nil || n != keys {

@@ -48,8 +48,8 @@ func TestCountingPassIsMemoryOnly(t *testing.T) {
 	if st.BytesSpilled == 0 || st.SpillEvents == 0 {
 		t.Fatalf("workload never spilled: %+v", st)
 	}
-	if st.Pairs != 400 || st.Keys != 23 {
-		t.Fatalf("stats = pairs %d keys %d, want 400 and 23", st.Pairs, st.Keys)
+	if st.PairsShuffled != 400 || st.Reducers != 23 {
+		t.Fatalf("stats = pairs %d keys %d, want 400 and 23", st.PairsShuffled, st.Reducers)
 	}
 	part := s.Partition(0)
 	var counted, keys int
@@ -93,69 +93,8 @@ func TestCountingPassIsMemoryOnly(t *testing.T) {
 	if st2.DiskBytesRead != read {
 		t.Errorf("Stats.DiskBytesRead = %d, want %d", st2.DiskBytesRead, read)
 	}
-	if st2.Pairs != st.Pairs || st2.Keys != st.Keys || st2.BytesSpilled != st.BytesSpilled {
+	if st2.PairsShuffled != st.PairsShuffled || st2.Reducers != st.Reducers || st2.BytesSpilled != st.BytesSpilled {
 		t.Errorf("memoized stats diverge: %+v vs %+v", st2, st)
-	}
-}
-
-// TestStatsMemoized: repeat Stats calls are served from the memo until
-// a new ingestion round invalidates it.
-func TestStatsMemoized(t *testing.T) {
-	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 4, SpillDir: t.TempDir()})
-	defer s.Close()
-	streamTasks(t, s, [][]Pair[int, int]{modPairs(20, 3)}, 1)
-	if s.statsMemo != nil {
-		t.Fatal("memo set before Stats was ever computed")
-	}
-	st, err := s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.statsMemo == nil {
-		t.Fatal("Stats did not memoize")
-	}
-	st2, err := s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.Pairs != st.Pairs || st2.Keys != st.Keys {
-		t.Fatalf("memoized Stats diverges: %+v vs %+v", st2, st)
-	}
-	// Mutating a returned profile must not corrupt the memo.
-	for i := range st2.PartitionPairs {
-		st2.PartitionPairs[i] = -1
-		st2.PartitionKeys[i] = -1
-		st2.PartitionMaxGroup[i] = -1
-	}
-	clean, err := s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range clean.PartitionPairs {
-		if clean.PartitionPairs[i] < 0 || clean.PartitionKeys[i] < 0 || clean.PartitionMaxGroup[i] < 0 {
-			t.Fatal("memoized Stats shares per-partition slices with callers")
-		}
-	}
-
-	ing := s.NewIngester()
-	if s.statsMemo != nil {
-		t.Fatal("NewIngester did not invalidate the Stats memo")
-	}
-	tw := ing.Task(0, 0)
-	tw.Emit(100, 1)
-	if err := tw.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ing.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	st3, err := s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3.Pairs != st.Pairs+1 || st3.Keys != st.Keys+1 {
-		t.Fatalf("second-round Stats = pairs %d keys %d, want %d and %d",
-			st3.Pairs, st3.Keys, st.Pairs+1, st.Keys+1)
 	}
 }
 
@@ -186,7 +125,7 @@ func TestCompactionFanInBoundaries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.SpillEvents != int64(seals) || st.Pairs != int64(n) || st.Keys != 7 {
+		if st.SpillEvents != int64(seals) || st.PairsShuffled != int64(n) || st.Reducers != 7 {
 			t.Errorf("%d seals: stats = %+v", seals, st)
 		}
 		checkModGroups(t, s.Partition(0), n, 7)
@@ -226,8 +165,8 @@ func TestCombinerPushDownShrinksSpill(t *testing.T) {
 	if combSt.SpilledPairs >= rawSt.SpilledPairs {
 		t.Errorf("SpilledPairs with combiner = %d, want < %d", combSt.SpilledPairs, rawSt.SpilledPairs)
 	}
-	if combSt.Keys != int64(nKeys) {
-		t.Errorf("combiner changed the key count: %d, want %d", combSt.Keys, nKeys)
+	if combSt.Reducers != int64(nKeys) {
+		t.Errorf("combiner changed the key count: %d, want %d", combSt.Reducers, nKeys)
 	}
 
 	// The combined groups must sum to the raw groups' sums, and the
@@ -253,12 +192,12 @@ func TestCombinerPushDownShrinksSpill(t *testing.T) {
 	if !reflect.DeepEqual(rawSums, combSums) {
 		t.Fatalf("per-key sums diverge:\nraw  %v\ncomb %v", rawSums, combSums)
 	}
-	if rawPairs != rawSt.Pairs || combPairs != combSt.Pairs {
-		t.Errorf("Stats.Pairs out of sync with streamed groups: raw %d/%d, combined %d/%d",
-			rawSt.Pairs, rawPairs, combSt.Pairs, combPairs)
+	if rawPairs != rawSt.PairsShuffled || combPairs != combSt.PairsShuffled {
+		t.Errorf("Stats.PairsShuffled out of sync with streamed groups: raw %d/%d, combined %d/%d",
+			rawSt.PairsShuffled, rawPairs, combSt.PairsShuffled, combPairs)
 	}
-	if combSt.Pairs >= rawSt.Pairs {
-		t.Errorf("combined partition holds %d pairs, want < %d", combSt.Pairs, rawSt.Pairs)
+	if combSt.PairsShuffled >= rawSt.PairsShuffled {
+		t.Errorf("combined partition holds %d pairs, want < %d", combSt.PairsShuffled, rawSt.PairsShuffled)
 	}
 }
 
@@ -282,8 +221,8 @@ func TestCombinerSkipsSealWhenCombineFrees(t *testing.T) {
 	}
 	// The live run holds the 3 combined partials plus whatever raw
 	// pairs arrived after the last combine — never more than the budget.
-	if st.Keys != 3 || st.Pairs < 3 || st.Pairs > budget {
-		t.Fatalf("stats = pairs %d keys %d, want 3 keys and <= %d pairs", st.Pairs, st.Keys, budget)
+	if st.Reducers != 3 || st.PairsShuffled < 3 || st.PairsShuffled > budget {
+		t.Fatalf("stats = pairs %d keys %d, want 3 keys and <= %d pairs", st.PairsShuffled, st.Reducers, budget)
 	}
 	var total int
 	if err := s.Partition(0).forEachGroup(func(_ int, vs []int) error {
@@ -344,8 +283,8 @@ func TestCombinerRecombinesAcrossCompaction(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if pairs != st.Pairs {
-		t.Errorf("Stats.Pairs = %d but streaming saw %d (compaction must keep totals in sync)", st.Pairs, pairs)
+	if pairs != st.PairsShuffled {
+		t.Errorf("Stats.PairsShuffled = %d but streaming saw %d (compaction must keep totals in sync)", st.PairsShuffled, pairs)
 	}
 	want := make(map[int]int)
 	for i := 0; i < n; i++ {

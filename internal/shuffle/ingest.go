@@ -125,7 +125,6 @@ type Ingester[K comparable, V any] struct {
 // NewIngester starts an ingestion round on the shuffle. It must not run
 // concurrently with another round, reads, AdoptRun, or Close.
 func (s *Shuffle[K, V]) NewIngester() *Ingester[K, V] {
-	s.invalidateStats() // the profile is about to change
 	return &Ingester[K, V]{s: s, done: make(map[int]bool)}
 }
 
@@ -356,7 +355,6 @@ func (in *Ingester[K, V]) discard(task, attempt int) {
 				sec.rf.release(s.fs, &s.bytesReclaimed)
 			}
 			delete(st.staged, task)
-			s.invalidateStats()
 		}
 		st.stageMu.Unlock()
 		st.mu.Unlock()
@@ -412,10 +410,6 @@ func (in *Ingester[K, V]) ingestStep(st *partitionState[K, V], allowSwap bool) e
 	begin := func() {
 		if !started {
 			started, start = true, time.Now()
-			// The step is about to change the partition's profile
-			// (absorbs move pairs, swaps move residency); a Stats memo
-			// taken mid-round must not survive it.
-			in.s.invalidateStats()
 		}
 	}
 	defer func() {

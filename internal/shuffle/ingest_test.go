@@ -237,8 +237,8 @@ func TestStreamingAbortFencesFlushedPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Pairs != 128 {
-		t.Fatalf("Pairs = %d, want 128 (64 from each committed task)", st.Pairs)
+	if st.PairsShuffled != 128 {
+		t.Fatalf("PairsShuffled = %d, want 128 (64 from each committed task)", st.PairsShuffled)
 	}
 	got := collectGroups(t, s)
 	total := 0
@@ -297,8 +297,8 @@ func TestStreamingPeakResidentBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Pairs != nTasks*perTask {
-		t.Fatalf("Pairs = %d, want %d", st.Pairs, nTasks*perTask)
+	if st.PairsShuffled != nTasks*perTask {
+		t.Fatalf("PairsShuffled = %d, want %d", st.PairsShuffled, nTasks*perTask)
 	}
 	if st.MaxLivePairs > budget {
 		t.Errorf("MaxLivePairs = %d exceeds budget %d", st.MaxLivePairs, budget)
@@ -648,13 +648,10 @@ func TestSpoolRotationFaultTolerance(t *testing.T) {
 	}
 }
 
-// TestStreamingStatsInvalidation pins the memoized-Stats contract
-// under streaming ingestion: a Stats call mid-round memoizes the
-// profile, and every later mutation — absorbed blocks, seals,
-// background compactions, swap-section adds and releases — must
-// invalidate that memo so the post-Finish Stats reflects the whole
-// round. (Same regression shape as the SetCombiner staleness fix: a
-// mutation path that forgets to invalidate serves the stale profile.)
+// TestStreamingStatsInvalidation: Stats calls mid-round do not stale a
+// later one — after absorbed blocks, seals, background compactions and
+// swap-section adds and releases, the post-Finish Stats reflects the
+// whole round.
 func TestStreamingStatsInvalidation(t *testing.T) {
 	const perTask = 64
 	s := newTuned[int, int](Options{
@@ -672,8 +669,7 @@ func TestStreamingStatsInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Memoize mid-round, twice: the second call must hit the memo path,
-	// so whatever the third call sees went through invalidation.
+	// Profile mid-round, twice.
 	st1, err := s.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -697,14 +693,14 @@ func TestStreamingStatsInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Pairs != 2*perTask {
-		t.Fatalf("stale Stats memo: post-Finish Pairs = %d, want %d (mid-round memo saw %d)",
-			st2.Pairs, 2*perTask, st1.Pairs)
+	if st2.PairsShuffled != 2*perTask {
+		t.Fatalf("stale Stats: post-Finish Pairs = %d, want %d (mid-round memo saw %d)",
+			st2.PairsShuffled, 2*perTask, st1.PairsShuffled)
 	}
 	// The whole round is 8x the total budget, so the second half must
 	// have added spill volume on top of whatever the memo captured.
 	if st2.BytesSpilled <= st1.BytesSpilled {
-		t.Fatalf("stale Stats memo: BytesSpilled %d not above mid-round %d",
+		t.Fatalf("stale Stats: BytesSpilled %d not above mid-round %d",
 			st2.BytesSpilled, st1.BytesSpilled)
 	}
 	got := collectGroups(t, s)
@@ -746,8 +742,8 @@ func TestStreamingEmptyAndSingleTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Pairs != n {
-		t.Fatalf("Pairs = %d, want %d", st.Pairs, n)
+	if st.PairsShuffled != n {
+		t.Fatalf("PairsShuffled = %d, want %d", st.PairsShuffled, n)
 	}
 	// One giant task: the bound still holds because staged data fences
 	// to disk under pressure instead of accumulating in memory.

@@ -22,96 +22,44 @@
 // holds them in its leaves and compares words inline; every other key
 // sorts and merges by the plan's Compare (orderOf).
 //
-// Placement is maphash with a per-process seed by default. Wherever it
-// must instead be reproducible — under WithSeed, and always across the
-// processes of internal/proc — it is StableHasher: a pure function of
-// the seed and the key's value.
+// Placement is StableHasher: a pure function of the seed (0 unless
+// WithSeed sets it) and the key's value, so every process — and every
+// run — places a key alike.
 package shuffle
 
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"reflect"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/runfile"
 )
 
-// sharedSeed makes every Hasher in the process agree on key placement,
-// so that independently created hashers (for example one per job round)
-// route the same key to the same partition.
-var sharedSeed = maphash.MakeSeed()
+// placementSeed is the seed every Shuffle created from now on hashes
+// its keys under; 0 unless WithSeed sets it.
+var placementSeed atomic.Uint64
 
-// pinnedHash is the WithSeed test hook: when armed, new Hashers place
-// keys with a StableHasher under the given seed instead of the
-// process-random maphash seed, so partition-placement-dependent
-// observations (per-partition profiles, makespan, spill counts) are
-// reproducible across runs and processes.
-var pinnedHash struct {
-	mu   sync.Mutex
-	on   bool
-	seed uint64
-}
-
-// WithSeed pins key placement to a deterministic seed and returns a
-// restore func. Hashers (and therefore Shuffles and engine rounds)
-// created between WithSeed and restore place every key as a pure
-// function of the seed and the key's value — identical in every
-// process. Intended for tests; do not leave pinned in production paths.
+// WithSeed sets the seed of key placement and returns a restore func.
+// Shuffles (and therefore engine rounds) created between WithSeed and
+// restore place every key under that seed; without it they place under
+// seed 0, as proc's workers always do.
 func WithSeed(seed uint64) (restore func()) {
-	pinnedHash.mu.Lock()
-	prevOn, prevSeed := pinnedHash.on, pinnedHash.seed
-	pinnedHash.on, pinnedHash.seed = true, seed
-	pinnedHash.mu.Unlock()
-	return func() {
-		pinnedHash.mu.Lock()
-		pinnedHash.on, pinnedHash.seed = prevOn, prevSeed
-		pinnedHash.mu.Unlock()
-	}
+	prev := placementSeed.Swap(seed)
+	return func() { placementSeed.Store(prev) }
 }
 
-// Hasher hashes comparable keys with the runtime's typed hash, or with
-// a StableHasher when created under WithSeed.
-type Hasher[K comparable] struct {
-	seed   maphash.Seed
-	pinned bool
-	stable StableHasher[K]
-}
-
-// NewHasher returns a Hasher using the process-wide seed, or the
-// deterministic pinned hasher when WithSeed is in effect.
-func NewHasher[K comparable]() Hasher[K] {
-	pinnedHash.mu.Lock()
-	on, ps := pinnedHash.on, pinnedHash.seed
-	pinnedHash.mu.Unlock()
-	if on {
-		return Hasher[K]{pinned: true, stable: NewStableHasher[K](ps)}
-	}
-	return Hasher[K]{seed: sharedSeed}
-}
-
-// Hash returns a 64-bit hash of the key. By default this is the typed
-// fast path: maphash.Comparable dispatches to the runtime's native hash
-// for K's memory layout with no formatting, boxing, or reflection. A
-// pinned Hasher returns the StableHasher's hash.
-func (h Hasher[K]) Hash(k K) uint64 {
-	if h.pinned {
-		return h.stable.Hash(k)
-	}
-	return maphash.Comparable(h.seed, k)
-}
-
-// StableHasher hashes keys to the same value in every process, which
-// the default Hasher's per-process maphash seed cannot: the
-// multi-process runtime (internal/proc) partitions map output in worker
-// processes and merges it in reduce processes, so placement must be a
-// function of the key's value and nothing else. It is the key plan's
-// hash (runfile.Plan.Hash — no encoding, no allocation), so equal
-// keys hash equal. Safe for concurrent use.
+// StableHasher is the shuffle's one key hash: it hashes a key to the
+// same value in every process, as the multi-process runtime
+// (internal/proc) needs — it partitions map output in worker processes
+// and merges it in reduce processes, so placement must be a function of
+// the seed and the key's value and nothing else. It is the key plan's
+// hash (runfile.Plan.Hash — no encoding, no allocation), so equal keys
+// hash equal. Safe for concurrent use.
 type StableHasher[K comparable] struct {
 	plan *runfile.Plan
 	seed uint64

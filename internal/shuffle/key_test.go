@@ -159,10 +159,9 @@ func TestStableHashEqualKeysHashEqual(t *testing.T) {
 	if a, b := hs.Hash(fk{1, 0}), hs.Hash(fk{1, float32(negZero)}); a != b {
 		t.Errorf("struct +0/-0 hash %#x vs %#x", a, b)
 	}
-	restore := WithSeed(5)
-	defer restore()
-	if h := NewHasher[float64](); h.Hash(0) != h.Hash(negZero) {
-		t.Error("pinned Hasher places +0 and -0 apart")
+	defer WithSeed(5)()
+	if s := New[float64, int](Options{Partitions: 64}); s.PartitionOf(0) != s.PartitionOf(negZero) {
+		t.Error("a seeded shuffle places +0 and -0 apart")
 	}
 }
 
@@ -212,18 +211,17 @@ func TestStableHashSpreadsPartitions(t *testing.T) {
 	}
 }
 
-// TestKeyPathDoesNotAllocate: the pinned hash and the comparison behind
+// TestKeyPathDoesNotAllocate: the placement hash and the comparison behind
 // a struct-key SortKeys and every merge sit on the per-pair data path;
 // neither may allocate.
 func TestKeyPathDoesNotAllocate(t *testing.T) {
-	defer WithSeed(1)()
-	hp, hn := NewHasher[keyPair](), NewHasher[keyNamed]()
+	hp, hn, hi := NewStableHasher[keyPair](1), NewStableHasher[keyNamed](1), NewStableHasher[int](1)
 	cp, cn := orderOf[keyPair](), orderOf[keyNamed]()
 	p1, p2 := keyPair{3, 1 << 40}, keyPair{3, 1 << 41}
 	n1, n2 := keyNamed{S: "a string key", T: 1}, keyNamed{S: "a string key", T: 2}
 	var sink uint64
 	if n := testing.AllocsPerRun(100, func() {
-		sink += hp.Hash(p1) + hn.Hash(n1) + NewHasher[int]().Hash(7)
+		sink += hp.Hash(p1) + hn.Hash(n1) + hi.Hash(7)
 		if cp(p1, p2) < 0 && cn(n1, n2) < 0 {
 			sink++
 		}

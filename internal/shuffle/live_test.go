@@ -170,7 +170,7 @@ func checkLiveRun[K comparable](t *testing.T, mode, budgetSel uint8, stream []by
 	if !combine && pairs != len(stream) {
 		t.Fatalf("mode %d budget %d: read %d pairs, want %d", mode, budget, pairs, len(stream))
 	}
-	if got := s.Totals().Pairs; got != int64(pairs) {
+	if got := s.Totals().PairsShuffled; got != int64(pairs) {
 		t.Fatalf("mode %d budget %d: Totals counts %d pairs, read %d", mode, budget, got, pairs)
 	}
 }

@@ -136,12 +136,12 @@ func TestStatsGroupSizeLog2(t *testing.T) {
 		}
 		// 1 → bucket 0; 3 → bucket 1; 4 → bucket 2; 9 → bucket 3.
 		want := []int64{1, 1, 1, 1}
-		if len(st.GroupSizeLog2) != len(want) {
-			t.Fatalf("GroupSizeLog2 = %v, want %v", st.GroupSizeLog2, want)
+		if len(st.ReducerInputLog2) != len(want) {
+			t.Fatalf("ReducerInputLog2 = %v, want %v", st.ReducerInputLog2, want)
 		}
 		for i, n := range want {
-			if st.GroupSizeLog2[i] != n {
-				t.Fatalf("GroupSizeLog2 = %v, want %v", st.GroupSizeLog2, want)
+			if st.ReducerInputLog2[i] != n {
+				t.Fatalf("ReducerInputLog2 = %v, want %v", st.ReducerInputLog2, want)
 			}
 		}
 	}

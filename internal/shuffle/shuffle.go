@@ -14,10 +14,10 @@
 // that the package reports are therefore properties of an actual
 // execution, not post-hoc accounting.
 //
-// Keys are hashed with hash/maphash's typed fast path
-// (maphash.Comparable compiles down to the runtime's native memhash for
-// fixed-size keys and strhash for strings) rather than by formatting
-// the key with fmt and hashing the string, which the seed did.
+// Keys are placed by their compiled key plan's hash (StableHasher), a
+// pure function of the key's value and the placement seed (WithSeed),
+// rather than by formatting the key with fmt and hashing the string,
+// which the seed runtime did.
 //
 // An optional bounded-memory mode caps the number of pairs a partition
 // buffers in its live run: when the cap is reached the run is sealed
@@ -31,7 +31,6 @@
 package shuffle
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -166,7 +165,7 @@ type Pair[K comparable, V any] struct {
 // Shuffle is a P-way partitioned grouped exchange from map tasks to
 // reduce partitions.
 type Shuffle[K comparable, V any] struct {
-	hasher      Hasher[K]
+	hasher      StableHasher[K]
 	floatKey    bool             // K has a float or complex part: Emit refuses NaN keys
 	partitioner func(K) int      // optional override; used by tests and schemas
 	combiner    func(K, []V) []V // optional associative pre-aggregation, applied at seal time
@@ -216,9 +215,6 @@ type Shuffle[K comparable, V any] struct {
 	// promises to keep under P*MemoryBudget + writers*blockPairs.
 	resident     atomic.Int64
 	peakResident atomic.Int64
-
-	statsMu   sync.Mutex
-	statsMemo *Stats // memoized Stats (see invalidateStats)
 }
 
 // partitionState is one partition's runs and counters, shared during
@@ -310,7 +306,7 @@ func newTuned[K comparable, V any](opts Options, tune tuning) *Shuffle[K, V] {
 	}
 	n := PartitionCount(opts.Partitions)
 	s := &Shuffle[K, V]{
-		hasher:   NewHasher[K](),
+		hasher:   NewStableHasher[K](placementSeed.Load()),
 		floatKey: runfile.PlanFor[K]().HasFloat(),
 		opts:     opts,
 		tune:     tune.resolve(opts.MaxBufferedPairs),
@@ -383,16 +379,6 @@ func (s *Shuffle[K, V]) SetPartitioner(fn func(K) int) {
 	s.partitioner = fn
 }
 
-// invalidateStats drops the memoized Stats profile. Every mutation of
-// a partition's runs — absorbs, seals, swaps, compaction installs,
-// aborts, adoptions — must route through this so a profile memoized
-// mid-round is never served after the state it described has changed.
-func (s *Shuffle[K, V]) invalidateStats() {
-	s.statsMu.Lock()
-	s.statsMemo = nil
-	s.statsMu.Unlock()
-}
-
 // SetCombiner pushes an associative pre-aggregation down into the
 // shuffle's sealing path: whenever a partition's live run reaches the
 // memory budget, each key's buffered values are combined before the
@@ -406,9 +392,6 @@ func (s *Shuffle[K, V]) invalidateStats() {
 // re-apply it to already-combined partials. It must be called before
 // ingestion starts.
 func (s *Shuffle[K, V]) SetCombiner(fn func(key K, values []V) []V) {
-	// The combiner changes what future seals spill, so a Stats profile
-	// memoized before this call must not survive it.
-	s.invalidateStats()
 	s.combiner = fn
 }
 
@@ -435,7 +418,6 @@ type SealSink func(part int, fill func(w *runfile.Writer) error) error
 // SpillDir when pressure swaps should relieve staged memory; the sealed
 // runs themselves never touch the SpillDir.
 func (s *Shuffle[K, V]) SetSealSink(fn SealSink) {
-	s.invalidateStats()
 	s.sealSink = fn
 }
 
@@ -740,28 +722,40 @@ func (p Partition[K, V]) ForEachGroupBatch(fn func(k K, vs []V) error) error {
 	return rr.ForEachGroupRange(KeyRange[K]{}, true, fn)
 }
 
-// Stats is the realized communication profile of the shuffle.
-type Stats struct {
-	// Partitions is the effective partition count P.
-	Partitions int
-	// Pairs is the total number of pairs shuffled (post-combine when the
-	// caller combined before buffering).
+// PartitionStat is the realized profile of one shuffle partition.
+type PartitionStat struct {
+	// Pairs and Keys are the partition's share of the exchange.
 	Pairs int64
-	// Keys is the total number of distinct keys across partitions —
-	// the number of reducers in the paper's sense.
-	Keys int64
-	// PartitionPairs, PartitionKeys and PartitionMaxGroup are the
-	// per-partition profiles (pairs held, distinct keys, largest single
-	// key group).
-	PartitionPairs    []int64
-	PartitionKeys     []int64
-	PartitionMaxGroup []int64
-	// MaxPartitionPairs is the heaviest partition's pair count; with
-	// MeanPartitionPairs it quantifies partition skew.
-	MaxPartitionPairs int64
-	// MaxGroup is the largest single key group — the realized reducer
-	// size q.
+	Keys  int64
+	// MaxGroup is the partition's largest key group (its local q).
 	MaxGroup int64
+	// Worker is the reduce worker the executor placed the partition on;
+	// -1 until it places it (and when the round failed before).
+	Worker int
+}
+
+// Stats is the realized communication profile of an exchange, in the
+// paper's terms: the one record of it, which engine.Metrics embeds and
+// both executors fill. All counts are key-value pairs.
+type Stats struct {
+	// PairsShuffled is the number of pairs sent to the reduce phase,
+	// after combining (a combiner's seals shrink it).
+	PairsShuffled int64
+	// Reducers is the number of distinct reduce keys ("reducers" in the
+	// paper's sense: a key plus its list of values).
+	Reducers int64
+	// MaxReducerInput is the largest number of values any one reduce key
+	// received — the realized reducer size q.
+	MaxReducerInput int64
+	// ReducerInputLog2 is the log2-bucketed distribution of reducer
+	// input sizes — the paper's q distribution as realized. Bucket i
+	// counts the reducers whose input size lies in [2^i, 2^(i+1)); the
+	// slice is trimmed after the last non-empty bucket (nil when the
+	// exchange is empty).
+	ReducerInputLog2 []int64
+	// Partitions is the per-partition profile of the exchange (length
+	// P).
+	Partitions []PartitionStat
 	// SpillEvents and SpilledPairs report bounded-memory pressure: how
 	// many runs were sealed and how many pairs they held.
 	SpillEvents  int64
@@ -795,12 +789,6 @@ type Stats struct {
 	// that the reduce-time k-way merges combine, summed over the
 	// partitions that sealed at least once.
 	RunsMerged int64
-	// GroupSizeLog2 is the log2-bucketed distribution of key-group
-	// sizes — the realized reducer-input (q) distribution the paper's
-	// bounds are stated over. Bucket i counts the keys whose group size
-	// lies in [2^i, 2^(i+1)); the slice is trimmed after the last
-	// non-empty bucket (nil when the shuffle is empty).
-	GroupSizeLog2 []int64
 	// MaxLivePairs is the high-water mark of any partition's live
 	// buffer. Under a memory budget it never exceeds MaxBufferedPairs:
 	// the proof that execution stayed within budget.
@@ -809,104 +797,19 @@ type Stats struct {
 	// held in shuffle memory at once: live runs, staged streaming
 	// blocks, and in-memory sealed runs, summed over partitions. With a
 	// SpillDir the streaming ingestion path keeps it under
-	// P*MaxBufferedPairs + writers*blockPairs — the bound that makes
-	// the communication cost, not the dataset size, the limit on
-	// resident memory.
+	// P*MaxBufferedPairs + writers*blockPairs, the block half the budget
+	// (clamped to [16, 8192]) — the bound that makes the communication
+	// cost, not the dataset size, the limit on resident memory.
 	PeakResidentPairs int64
 }
 
-// Skew is max/mean partition load, 1 for a perfectly even exchange and
-// 0 for an empty one.
-func (st Stats) Skew() float64 {
-	if st.Pairs == 0 || st.Partitions == 0 {
-		return 0
-	}
-	mean := float64(st.Pairs) / float64(st.Partitions)
-	return float64(st.MaxPartitionPairs) / mean
-}
-
-// String renders a one-line summary.
-func (st Stats) String() string {
-	return fmt.Sprintf("P=%d pairs=%d keys=%d maxq=%d skew=%.2f spills=%d",
-		st.Partitions, st.Pairs, st.Keys, st.MaxGroup, st.Skew(), st.SpillEvents)
-}
-
-// Stats computes the shuffle's realized profile. The walk is pure
-// memory even for spilled partitions — each disk run's (key, count)
-// index is resident, so no run file is read. The result is memoized:
-// repeat calls return the cached profile (with the cumulative I/O
-// counters — DiskBytesRead, SwapBytes, BytesReclaimed — and the
-// resident peak refreshed, since those keep accruing after the
-// profile stabilizes) until the next mutation invalidates it. The error is non-nil only when the shuffle's
-// spilled state is unreadable (for example after Close).
+// Stats computes the shuffle's realized profile: Totals plus the
+// per-key part, counted by one counting merge per partition, in
+// parallel. The walk is pure memory even for spilled partitions — each
+// disk run's (key, count) index is resident, so no run file is read.
+// The error is non-nil only when the shuffle's spilled state is
+// unreadable (for example after Close).
 func (s *Shuffle[K, V]) Stats() (Stats, error) {
-	s.statsMu.Lock()
-	if s.statsMemo != nil {
-		st := *s.statsMemo
-		s.statsMu.Unlock()
-		// Fresh per-partition slices, as a computed Stats would return:
-		// a caller sorting or scaling its result must not corrupt the
-		// memo for later calls.
-		st.PartitionPairs = append([]int64(nil), st.PartitionPairs...)
-		st.PartitionKeys = append([]int64(nil), st.PartitionKeys...)
-		st.PartitionMaxGroup = append([]int64(nil), st.PartitionMaxGroup...)
-		st.GroupSizeLog2 = append([]int64(nil), st.GroupSizeLog2...)
-		st.DiskBytesRead = s.diskRead.Load()
-		st.SwapBytes = s.swapBytes.Load()
-		st.BytesReclaimed = s.bytesReclaimed.Load()
-		st.PeakResidentPairs = s.peakResident.Load()
-		return st, nil
-	}
-	s.statsMu.Unlock()
-	st, err := s.computeStats()
-	if err != nil {
-		return st, err
-	}
-	memo := st
-	s.statsMu.Lock()
-	s.statsMemo = &memo
-	s.statsMu.Unlock()
-	return st, nil
-}
-
-// DiskBytesRead is the cumulative number of bytes read back from spill
-// run files so far (see Stats.DiskBytesRead).
-func (s *Shuffle[K, V]) DiskBytesRead() int64 { return s.diskRead.Load() }
-
-// Totals is the shuffle's profile without its per-key part: Keys,
-// MaxGroup, PartitionKeys, PartitionMaxGroup and GroupSizeLog2 stay
-// zero, so it costs no merge. A caller whose own merge yields every
-// group counts them (GroupProfile) and folds them in (AddGroups).
-func (s *Shuffle[K, V]) Totals() Stats {
-	st := Stats{
-		Partitions:        s.nparts,
-		PartitionPairs:    make([]int64, s.nparts),
-		PartitionKeys:     make([]int64, s.nparts),
-		PartitionMaxGroup: make([]int64, s.nparts),
-	}
-	for p := range s.parts {
-		ps := &s.parts[p]
-		st.PartitionPairs[p] = ps.pairs
-		st.Pairs += ps.pairs
-		st.MaxPartitionPairs = max(st.MaxPartitionPairs, ps.pairs)
-		st.SpillEvents += ps.spillEvents
-		st.SpilledPairs += ps.spilledPairs
-		st.BytesSpilled += ps.bytesSpilled
-		st.MaxLivePairs = max(st.MaxLivePairs, ps.maxLivePairs)
-		if nruns := len(ps.runs) + len(ps.disk) + min(ps.livePairs, 1); nruns > 1 {
-			st.RunsMerged += int64(nruns)
-		}
-	}
-	st.DiskBytesRead = s.diskRead.Load()
-	st.SwapBytes = s.swapBytes.Load()
-	st.BytesReclaimed = s.bytesReclaimed.Load()
-	st.PeakResidentPairs = s.peakResident.Load()
-	return st
-}
-
-// computeStats is Totals plus the per-key profile, counted by one
-// counting merge per partition, in parallel.
-func (s *Shuffle[K, V]) computeStats() (Stats, error) {
 	st := s.Totals()
 	profiles := make([]GroupProfile, s.nparts)
 	errs := make([]error, s.nparts)
@@ -915,8 +818,6 @@ func (s *Shuffle[K, V]) computeStats() (Stats, error) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			// Spilled runs count from their resident indexes, so the
-			// pass is pure memory.
 			errs[p] = s.Partition(p).ForEachGroupCount(func(_ K, count int) error {
 				profiles[p].Add(count)
 				return nil
@@ -931,6 +832,36 @@ func (s *Shuffle[K, V]) computeStats() (Stats, error) {
 		st.AddGroups(p, &profiles[p])
 	}
 	return st, nil
+}
+
+// DiskBytesRead is the cumulative number of bytes read back from spill
+// run files so far (see Stats.DiskBytesRead).
+func (s *Shuffle[K, V]) DiskBytesRead() int64 { return s.diskRead.Load() }
+
+// Totals is the shuffle's profile without its per-key part: Reducers,
+// MaxReducerInput, ReducerInputLog2 and each partition's Keys and
+// MaxGroup stay zero, so it costs no merge. A caller whose own merge
+// yields every group counts them (GroupProfile) and folds them in
+// (AddGroups).
+func (s *Shuffle[K, V]) Totals() Stats {
+	st := Stats{Partitions: make([]PartitionStat, s.nparts)}
+	for p := range s.parts {
+		ps := &s.parts[p]
+		st.Partitions[p] = PartitionStat{Pairs: ps.pairs, Worker: -1}
+		st.PairsShuffled += ps.pairs
+		st.SpillEvents += ps.spillEvents
+		st.SpilledPairs += ps.spilledPairs
+		st.BytesSpilled += ps.bytesSpilled
+		st.MaxLivePairs = max(st.MaxLivePairs, ps.maxLivePairs)
+		if nruns := len(ps.runs) + len(ps.disk) + min(ps.livePairs, 1); nruns > 1 {
+			st.RunsMerged += int64(nruns)
+		}
+	}
+	st.DiskBytesRead = s.diskRead.Load()
+	st.SwapBytes = s.swapBytes.Load()
+	st.BytesReclaimed = s.bytesReclaimed.Load()
+	st.PeakResidentPairs = s.peakResident.Load()
+	return st
 }
 
 // GroupProfile tallies key groups as a merge yields them: how many,
@@ -950,26 +881,28 @@ func (g *GroupProfile) Add(n int) {
 }
 
 // AddGroups folds partition p's group profile into st's per-key fields
-// (Keys, MaxGroup, PartitionKeys, PartitionMaxGroup, GroupSizeLog2,
-// which stays trimmed after its last non-empty bucket). A partition's
-// groups may arrive as several profiles, one per key range.
+// (Reducers, MaxReducerInput, ReducerInputLog2, which stays trimmed
+// after its last non-empty bucket, and the partition's Keys and
+// MaxGroup). A partition's groups may arrive as several profiles, one
+// per key range.
 func (st *Stats) AddGroups(p int, g *GroupProfile) {
-	st.Keys += g.Keys
-	st.PartitionKeys[p] += g.Keys
-	st.PartitionMaxGroup[p] = max(st.PartitionMaxGroup[p], g.MaxGroup)
-	st.MaxGroup = max(st.MaxGroup, g.MaxGroup)
+	part := &st.Partitions[p]
+	part.Keys += g.Keys
+	part.MaxGroup = max(part.MaxGroup, g.MaxGroup)
+	st.Reducers += g.Keys
+	st.MaxReducerInput = max(st.MaxReducerInput, g.MaxGroup)
 	for i, n := range g.Log2 {
 		if n == 0 {
 			continue
 		}
-		if len(st.GroupSizeLog2) <= i {
-			st.GroupSizeLog2 = append(st.GroupSizeLog2, make([]int64, i+1-len(st.GroupSizeLog2))...)
+		if len(st.ReducerInputLog2) <= i {
+			st.ReducerInputLog2 = append(st.ReducerInputLog2, make([]int64, i+1-len(st.ReducerInputLog2))...)
 		}
-		st.GroupSizeLog2[i] += n
+		st.ReducerInputLog2[i] += n
 	}
 }
 
-// log2Bucket maps a group size to its GroupSizeLog2 bucket:
+// log2Bucket maps a group size to its ReducerInputLog2 bucket:
 // floor(log2(n)), with sizes < 1 folded into bucket 0.
 func log2Bucket(n int) int {
 	if n < 2 {

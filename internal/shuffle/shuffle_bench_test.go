@@ -40,12 +40,9 @@ func benchPairs(total, nTasks, nKeys int) [][]Pair[string, int] {
 // iteration, and the values/s floor scripts/benchcmp holds. The disk
 // story: spilled-MB is run bytes written, swap-MB the pressure-relief
 // bookkeeping, disk-read-MB bytes read back by the merge. The lanes
-// stay on the default hasher: their values/s floor is a comparison
-// against maphash-placed history, and the seeded FNV fallback costs
-// ~10% of exactly the ingest throughput being gated (spilled-MB is
-// already seal-point-deterministic, and benchcmp's 10% gate absorbs its
-// small cross-seed spread). Whole jobs in memory, spilling and with a
-// combiner are the repository benchmark's (bench/) business.
+// place keys with the shuffle's one hasher under seed 0, so placement,
+// and with it spilled-MB, is the same in every run. Whole jobs in memory, spilling and with a combiner
+// are the repository benchmark's (bench/) business.
 func BenchmarkExternalShuffle(b *testing.B) {
 	const (
 		parts  = 8
@@ -582,7 +579,7 @@ func BenchmarkReduceRangeSkew(b *testing.B) {
 }
 
 // BenchmarkKeyPlan times the four things the data path does with a
-// key — place it (the WithSeed/ProcMode stable hash), normalize it
+// key — place it (StableHasher, the shuffle's one hash), normalize it
 // (runfile.Plan.Norm, for the keys that have the form), sort it
 // (SortKeys at every seal), and advance a merge cursor past it (advance
 // the winner of mergeCursors' tree of losers and replay its leaf) — for
@@ -608,8 +605,7 @@ func benchKeyPlan[K comparable](b *testing.B, name string, key func(i int) K) {
 		keys[i] = key(i)
 	}
 	b.Run("hash/"+name, func(b *testing.B) {
-		defer WithSeed(42)()
-		h := NewHasher[K]()
+		h := NewStableHasher[K](42)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			keyPlanSink += h.Hash(keys[i%n])

@@ -100,11 +100,11 @@ func TestGroupingMatchesNaiveMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Pairs != int64(len(pairs)) || st.Keys != 37 {
+	if st.PairsShuffled != int64(len(pairs)) || st.Reducers != 37 {
 		t.Fatalf("stats = %+v, want pairs=%d keys=37", st, len(pairs))
 	}
-	if st.MaxGroup < int64(len(pairs))/37 {
-		t.Fatalf("MaxGroup = %d, too small", st.MaxGroup)
+	if st.MaxReducerInput < int64(len(pairs))/37 {
+		t.Fatalf("MaxReducerInput = %d, too small", st.MaxReducerInput)
 	}
 }
 
@@ -119,8 +119,8 @@ func TestPartitionCountRoundsToPowerOfTwo(t *testing.T) {
 }
 
 func TestHasherIsStableAndSpreads(t *testing.T) {
-	h1 := NewHasher[string]()
-	h2 := NewHasher[string]()
+	h1 := NewStableHasher[string](0)
+	h2 := NewStableHasher[string](0)
 	if h1.Hash("afrati") != h2.Hash("afrati") {
 		t.Fatal("hashers disagree within one process")
 	}
@@ -146,8 +146,8 @@ func TestStructKeysHashAndSort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Keys != 6 {
-		t.Fatalf("Keys = %d, want 6 distinct cells", st.Keys)
+	if st.Reducers != 6 {
+		t.Fatalf("Reducers = %d, want 6 distinct cells", st.Reducers)
 	}
 	keys := []cell{{2, 0}, {0, 1}, {1, 0}, {0, 0}}
 	SortKeys(keys)
@@ -204,7 +204,7 @@ func TestBoundedMemorySpillPressure(t *testing.T) {
 	if st.RunsMerged != 10 {
 		t.Errorf("RunsMerged = %d, want 10 (9 sealed + live)", st.RunsMerged)
 	}
-	if st.Pairs != n || st.Keys != 7 {
+	if st.PairsShuffled != n || st.Reducers != 7 {
 		t.Errorf("stats = %+v, want pairs=%d keys=7", st, n)
 	}
 
@@ -235,30 +235,6 @@ func TestSetPartitionerRouting(t *testing.T) {
 	}
 }
 
-func TestStatsSkewAndString(t *testing.T) {
-	s := New[int, int](Options{Partitions: 2})
-	s.SetPartitioner(func(k int) int { return k % 2 })
-	var task []Pair[int, int]
-	for i := 0; i < 9; i++ {
-		task = append(task, Pair[int, int]{0, i}) // all on partition 0
-	}
-	task = append(task, Pair[int, int]{1, 1})
-	streamTasks(t, s, [][]Pair[int, int]{task}, 1)
-	st, err := s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Skew() <= 1 {
-		t.Errorf("Skew = %v, want > 1 for a lopsided exchange", st.Skew())
-	}
-	if s := st.String(); s == "" {
-		t.Error("empty Stats.String()")
-	}
-	if (Stats{}).Skew() != 0 {
-		t.Error("empty stats should have zero skew")
-	}
-}
-
 func TestEmptyShuffle(t *testing.T) {
 	s := New[string, int](Options{})
 	streamTasks[string, int](t, s, nil, 1)
@@ -266,7 +242,7 @@ func TestEmptyShuffle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Pairs != 0 || st.Keys != 0 || st.MaxGroup != 0 {
+	if st.PairsShuffled != 0 || st.Reducers != 0 || st.MaxReducerInput != 0 {
 		t.Fatalf("empty shuffle stats = %+v", st)
 	}
 	if got := partitionGroups(t, s.Partition(0)); len(got) != 0 {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,8 +38,8 @@ func TestSpillDatasetLargerThanBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Pairs != total || st.Keys != keys {
-		t.Fatalf("stats = pairs %d keys %d, want %d and %d", st.Pairs, st.Keys, total, keys)
+	if st.PairsShuffled != total || st.Reducers != keys {
+		t.Fatalf("stats = pairs %d keys %d, want %d and %d", st.PairsShuffled, st.Reducers, total, keys)
 	}
 	if st.BytesSpilled == 0 {
 		t.Fatal("BytesSpilled = 0: dataset 4x the budget never touched disk")
@@ -120,8 +121,8 @@ func TestSpillMatchesInMemorySealing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if memStats.Pairs != diskStats.Pairs || memStats.Keys != diskStats.Keys ||
-		memStats.MaxGroup != diskStats.MaxGroup ||
+	if memStats.PairsShuffled != diskStats.PairsShuffled || memStats.Reducers != diskStats.Reducers ||
+		memStats.MaxReducerInput != diskStats.MaxReducerInput ||
 		memStats.SpillEvents != diskStats.SpillEvents ||
 		memStats.SpilledPairs != diskStats.SpilledPairs {
 		t.Fatalf("logical stats diverge:\nmem  %+v\ndisk %+v", memStats, diskStats)
@@ -251,8 +252,8 @@ func TestCompactionBoundsRunFanIn(t *testing.T) {
 	if st.SpillEvents != n/2 {
 		t.Errorf("SpillEvents = %d, want %d (compaction must not change seal accounting)", st.SpillEvents, n/2)
 	}
-	if st.Keys != 11 || st.Pairs != n {
-		t.Errorf("stats = keys %d pairs %d, want 11 and %d", st.Keys, st.Pairs, n)
+	if st.Reducers != 11 || st.PairsShuffled != n {
+		t.Errorf("stats = keys %d pairs %d, want 11 and %d", st.Reducers, st.PairsShuffled, n)
 	}
 	// Value order must survive compaction.
 	checkModGroups(t, s.Partition(0), n, 11)
@@ -294,7 +295,7 @@ func TestCompactionBoundsFileFanIn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.SpillEvents != int64(seals) || st.Pairs != int64(seals) || st.Keys != 11 {
+		if st.SpillEvents != int64(seals) || st.PairsShuffled != int64(seals) || st.Reducers != 11 {
 			t.Errorf("%d seals: stats = %+v", seals, st)
 		}
 		checkModGroups(t, s.Partition(0), seals, 11)
@@ -342,8 +343,8 @@ func TestMergeCollidingFormattedKeys(t *testing.T) {
 		if st.SpillEvents == 0 {
 			t.Fatal("workload never sealed; test is vacuous")
 		}
-		if st.Keys != int64(len(want)) {
-			t.Errorf("spillDir=%q: Stats.Keys = %d, want %d", spillDir, st.Keys, len(want))
+		if st.Reducers != int64(len(want)) {
+			t.Errorf("spillDir=%q: Stats.Reducers = %d, want %d", spillDir, st.Reducers, len(want))
 		}
 		if got := partitionGroups(t, s.Partition(0)); !reflect.DeepEqual(got, want) {
 			t.Errorf("spillDir=%q: grouped values diverge\ngot  %v\nwant %v", spillDir, got, want)
@@ -456,51 +457,50 @@ func unwrapAll(err error) error {
 	}
 }
 
-// TestWithSeedDeterministicPlacement: under a pinned seed, placement —
-// and everything derived from it — is identical across hashers and
-// matches a freshly computed expectation.
+// TestWithSeedDeterministicPlacement: a shuffle places keys under the
+// seed WithSeed set when it was created — alike in every shuffle of
+// that seed, differently under another — and under seed 0, the seed
+// of every proc worker, once restore runs.
 func TestWithSeedDeterministicPlacement(t *testing.T) {
+	const parts = 64
+	placement := func() []int {
+		s := New[string, int](Options{Partitions: parts})
+		var ps []int
+		for i := 0; i < 1000; i++ {
+			ps = append(ps, s.PartitionOf(fmt.Sprintf("key-%d", i)))
+		}
+		return ps
+	}
+	unseeded := placement()
+	h := NewStableHasher[string](0)
+	for i, p := range unseeded {
+		if want := int(h.Hash(fmt.Sprintf("key-%d", i)) % parts); p != want {
+			t.Fatalf("key-%d placed on %d, want %d: the stable hash under seed 0", i, p, want)
+		}
+	}
+
 	restore := WithSeed(42)
-	defer restore()
-
-	h1 := NewHasher[string]()
-	h2 := NewHasher[string]()
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if h1.Hash(k) != h2.Hash(k) {
-			t.Fatalf("pinned hashers disagree on %q", k)
-		}
-	}
-
-	// Different seeds give different placements (else the hook is a
-	// constant function).
+	p42, again := placement(), placement()
 	restore2 := WithSeed(43)
-	h3 := NewHasher[string]()
+	p43 := placement()
 	restore2()
-	diff := 0
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("key-%d", i)
-		if h1.Hash(k) != h3.Hash(k) {
-			diff++
-		}
+	if !slices.Equal(p42, again) {
+		t.Fatal("two shuffles of seed 42 place keys apart")
 	}
-	if diff == 0 {
-		t.Fatal("seeds 42 and 43 hash identically")
+	if slices.Equal(p42, p43) {
+		t.Fatal("seeds 42 and 43 place every key alike")
 	}
-
-	// The pinned hash still spreads keys.
-	seen := make(map[uint64]bool)
-	for i := 0; i < 1000; i++ {
-		seen[h1.Hash(fmt.Sprintf("key-%d", i))] = true
+	// The seeded placement still spreads keys.
+	count := make([]int, parts)
+	for _, p := range p42 {
+		count[p]++
 	}
-	if len(seen) < 990 {
-		t.Fatalf("only %d distinct pinned hashes over 1000 keys", len(seen))
+	if slices.Contains(count, 0) {
+		t.Fatalf("seed 42 leaves a partition empty: %v", count)
 	}
 
-	// Restoring un-pins: new hashers return to the process seed.
 	restore()
-	h4 := NewHasher[string]()
-	if h4.pinned {
-		t.Fatal("restore did not un-pin the hasher mode")
+	if !slices.Equal(placement(), unseeded) {
+		t.Fatal("restore did not return placement to seed 0")
 	}
 }
