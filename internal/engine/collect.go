@@ -147,22 +147,35 @@ func SliceImage[O any](s []O) *Image[O] {
 // order. The units' keys are not kept.
 func newImage[K comparable, O any](results []partResult[K, O]) *Image[O] {
 	im := &Image[O]{units: make([]segments[O], len(results))}
-	var heap []uint32 // units with keys left, by their next key
-	nkeys := 0
+	keys := make([][]K, len(results))
 	for u := range results {
 		im.units[u] = results[u].out.segments
 		im.n += results[u].out.Len()
-		if n := len(results[u].out.keys); n > 0 {
+		keys[u] = results[u].out.keys
+	}
+	im.order = KeyOrder(keys)
+	return im
+}
+
+// KeyOrder merges key lists, each strictly ascending in canonical key
+// order, into one: the i-th entry of the result is the list that holds
+// the i-th key of the merge. A key held by several lists comes from each
+// in list order.
+func KeyOrder[K comparable](lists [][]K) []uint32 {
+	var heap []uint32 // lists with keys left, by their next key
+	nkeys := 0
+	for u, l := range lists {
+		if len(l) > 0 {
 			heap = append(heap, uint32(u))
-			nkeys += n
+			nkeys += len(l)
 		}
 	}
-	im.order = make([]uint32, 0, nkeys)
-	next := make([]int, len(results))
+	order := make([]uint32, 0, nkeys)
+	next := make([]int, len(lists))
 	plan := runfile.PlanFor[K]()
 	less := func(a, b uint32) bool {
-		ka, kb := &results[a].out.keys[next[a]], &results[b].out.keys[next[b]]
-		return plan.Compare(unsafe.Pointer(ka), unsafe.Pointer(kb)) < 0
+		c := plan.Compare(unsafe.Pointer(&lists[a][next[a]]), unsafe.Pointer(&lists[b][next[b]]))
+		return c < 0 || c == 0 && a < b
 	}
 	down := func(i int) {
 		for {
@@ -185,14 +198,14 @@ func newImage[K comparable, O any](results []partResult[K, O]) *Image[O] {
 	}
 	for len(heap) > 0 {
 		u := heap[0]
-		im.order = append(im.order, u)
-		if next[u]++; next[u] == len(results[u].out.keys) {
+		order = append(order, u)
+		if next[u]++; next[u] == len(lists[u]) {
 			heap[0] = heap[len(heap)-1]
 			heap = heap[:len(heap)-1]
 		}
 		down(0)
 	}
-	return im
+	return order
 }
 
 // span is a range of an image's outputs: where it starts — the next key

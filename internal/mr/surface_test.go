@@ -27,7 +27,7 @@ func TestConfigSurface(t *testing.T) {
 		{plan, 7, false},
 		{reflect.TypeOf(engine.Config{}), 4, true}, // Plan + 3 in-process-only
 		{reflect.TypeOf(proc.Options{}), 9, true},  // Plan + 8 process lifecycle
-		{reflect.TypeOf(proc.Task{}), 10, false},   // per-task only: no job-wide setting
+		{reflect.TypeOf(proc.Task{}), 9, false},    // per-task only: no job-wide setting
 		{reflect.TypeOf(shuffle.Options{}), 5, false},
 	} {
 		n := c.typ.NumField()
@@ -42,7 +42,7 @@ func TestConfigSurface(t *testing.T) {
 		}
 		total += n
 	}
-	if total != 45 {
-		t.Errorf("%d independently settable configuration values, pinned at 45", total)
+	if total != 44 {
+		t.Errorf("%d independently settable configuration values, pinned at 44", total)
 	}
 }

@@ -124,8 +124,9 @@ const (
 	// A = records, B = map tasks; End A = image bytes, B = 1 on failure
 	// else 0.
 	OpProcInputs
-	// OpProcOutputMerge spans the multi-process driver adopting the
-	// accepted reduce outputs and merging them into global key order.
+	// OpProcOutputMerge spans the multi-process driver loading the
+	// accepted reduce outputs' indexes, merging their keys into global
+	// key order and decoding their values into their slots.
 	// Round lane. Begin A = partitions; End A = outputs, B = 1 on failure
 	// else 0.
 	OpProcOutputMerge

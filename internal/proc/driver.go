@@ -2,7 +2,7 @@
 // worker processes, serves the task RPC, runs every assignment through
 // lease tables so crashed or stalled executions are fenced and
 // re-granted, salvages committed work from dead workers' manifests, and
-// merges the accepted reduce outputs into the job's output.
+// decodes the accepted reduce outputs into the job's output.
 package proc
 
 import (
@@ -12,7 +12,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -78,6 +80,10 @@ type Driver struct {
 	finished       bool
 	doneOnce       sync.Once
 	done           chan struct{}
+	// wake is closed and replaced (wakeLocked) on every change that can
+	// make a grant, an exit or the end of shutdown possible; parked polls
+	// and shutdown wait on it.
+	wake chan struct{}
 }
 
 func newDriver(jobName string, opts Options, dir string, tasks []mapTaskSpec) *Driver {
@@ -104,6 +110,7 @@ func newDriver(jobName string, opts Options, dir string, tasks []mapTaskSpec) *D
 		workers:        make(map[string]*workerProc),
 		lanes:          make(map[string]*obs.Ring),
 		done:           make(chan struct{}),
+		wake:           make(chan struct{}),
 		met:            engine.Metrics{Stats: shuffle.Stats{Partitions: parts}},
 	}
 }
@@ -188,6 +195,7 @@ func (d *Driver) sweepLoop() {
 			for _, e := range expR {
 				d.lanes[e.Owner].Instant(obs.OpLeaseExpire, int64(-1-e.Task), int64(e.Attempt))
 			}
+			d.wakeLocked()
 			d.mu.Unlock()
 		}
 	}
@@ -247,6 +255,7 @@ func (d *Driver) supervise(wp *workerProc) {
 
 	d.mu.Lock()
 	delete(d.workers, wp.id)
+	d.wakeLocked() // shutdown waits for the reaps; a dead worker frees its leases
 	if d.finished {
 		wp.lane.End(obs.OpWorkerLife, int64(wp.pid), 0)
 		d.mu.Unlock()
@@ -315,42 +324,64 @@ func (d *Driver) salvageLocked(wp *workerProc) {
 	}
 }
 
+// pollPark is the longest a poll with nothing to grant waits for a
+// change before it answers TaskWait; the worker then polls again.
+const pollPark = 20 * time.Millisecond
+
 // poll hands the worker its next assignment: the first unleased map
-// task, then (map phase done) the first unleased reduce partition.
+// task, then (map phase done) the first unleased reduce partition. With
+// nothing to grant it parks on the driver's broadcast and tries again on
+// every change, for up to pollPark, so a grant or an exit reaches an
+// idle worker as soon as it is possible.
 func (d *Driver) poll(worker string) Task {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	park := time.NewTimer(pollPark)
+	defer park.Stop()
+	for {
+		d.mu.Lock()
+		t, ok := d.grantLocked(worker)
+		wake := d.wake
+		d.mu.Unlock()
+		if ok {
+			return t
+		}
+		select {
+		case <-wake:
+		case <-park.C:
+			return Task{Kind: TaskWait}
+		}
+	}
+}
+
+// grantLocked is poll's one try: a grant or an exit, or false when
+// nothing can be granted now. Called with d.mu held.
+func (d *Driver) grantLocked(worker string) (Task, bool) {
 	if d.finished {
-		return Task{Kind: TaskExit}
+		return Task{Kind: TaskExit}, true
 	}
 	if d.mapsDone < d.nMap {
 		for id := range d.tasks {
-			_, active, done := d.mapLeases.Current(id)
-			if active || done {
-				continue
+			if _, active, done := d.mapLeases.Current(id); !active && !done {
+				return d.grantMapLocked(id, worker)
 			}
-			return d.grantMapLocked(id, worker)
 		}
-		return Task{Kind: TaskWait, PollAfter: 20 * time.Millisecond}
+		return Task{}, false
 	}
 	for _, p := range d.reduceParts {
-		_, active, done := d.reduceLeases.Current(p)
-		if active || done {
-			continue
+		if _, active, done := d.reduceLeases.Current(p); !active && !done {
+			return d.grantReduceLocked(p, worker)
 		}
-		return d.grantReduceLocked(p, worker)
 	}
-	return Task{Kind: TaskWait, PollAfter: 20 * time.Millisecond}
+	return Task{}, false
 }
 
-func (d *Driver) grantMapLocked(id int, worker string) Task {
+func (d *Driver) grantMapLocked(id int, worker string) (Task, bool) {
 	attempt, ok := d.mapLeases.Grant(id, worker)
 	if !ok {
-		return Task{Kind: TaskWait, PollAfter: 20 * time.Millisecond}
+		return Task{}, false
 	}
 	if n := d.mapLeases.Attempts(id); n > maxTaskAttempts {
 		d.failLocked(fmt.Errorf("proc: map task %d failed after %d attempts", id, n-1))
-		return Task{Kind: TaskExit}
+		return Task{Kind: TaskExit}, true
 	}
 	if attempt > 0 {
 		d.met.MapRetries++
@@ -361,17 +392,17 @@ func (d *Driver) grantMapLocked(id int, worker string) Task {
 		Kind: TaskMap, ID: id, Attempt: attempt,
 		Lo: spec.lo, Hi: spec.hi, InputOffset: spec.off, InputBytes: spec.bytes,
 		HeartbeatEvery: d.hbEvery,
-	}
+	}, true
 }
 
-func (d *Driver) grantReduceLocked(p int, worker string) Task {
+func (d *Driver) grantReduceLocked(p int, worker string) (Task, bool) {
 	attempt, ok := d.reduceLeases.Grant(p, worker)
 	if !ok {
-		return Task{Kind: TaskWait, PollAfter: 20 * time.Millisecond}
+		return Task{}, false
 	}
 	if n := d.reduceLeases.Attempts(p); n > maxTaskAttempts {
 		d.failLocked(fmt.Errorf("proc: reduce partition %d failed after %d attempts", p, n-1))
-		return Task{Kind: TaskExit}
+		return Task{Kind: TaskExit}, true
 	}
 	if attempt > 0 {
 		d.met.ReduceRetries++
@@ -383,7 +414,7 @@ func (d *Driver) grantReduceLocked(p int, worker string) Task {
 	return Task{
 		Kind: TaskReduce, ID: p, Attempt: attempt,
 		Sections: d.reduceSections[p], HeartbeatEvery: d.hbEvery,
-	}
+	}, true
 }
 
 // heartbeat renews the lease; false tells the worker it is fenced.
@@ -411,6 +442,7 @@ func (d *Driver) mapDone(rep MapReport) bool {
 			return false
 		}
 		d.mapLeases.Release(rep.Task, rep.Attempt)
+		d.wakeLocked()
 		return false
 	}
 	if !d.mapLeases.Complete(rep.Task, rep.Attempt) {
@@ -446,6 +478,7 @@ func (d *Driver) acceptMapLocked(task, attempt int, worker string, secs []Sectio
 	if d.mapsDone == d.nMap {
 		d.beginReduceLocked()
 	}
+	d.wakeLocked()
 }
 
 // beginReduceLocked freezes the map output into per-partition section
@@ -493,6 +526,7 @@ func (d *Driver) reduceDone(rep ReduceReport) bool {
 			return false
 		}
 		d.reduceLeases.Release(rep.Part, rep.Attempt)
+		d.wakeLocked()
 		return false
 	}
 	if !d.reduceLeases.Complete(rep.Part, rep.Attempt) {
@@ -521,6 +555,14 @@ func (d *Driver) reduceDone(rep ReduceReport) bool {
 func (d *Driver) finishLocked() {
 	d.finished = true
 	d.doneOnce.Do(func() { close(d.done) })
+	d.wakeLocked()
+}
+
+// wakeLocked wakes every parked poll and a waiting shutdown. Called with
+// d.mu held.
+func (d *Driver) wakeLocked() {
+	close(d.wake)
+	d.wake = make(chan struct{})
 }
 
 func (d *Driver) failLocked(err error) {
@@ -537,35 +579,29 @@ func (d *Driver) fail(err error) {
 }
 
 // shutdown winds the run down: workers learn TaskExit from their next
-// poll; stragglers are killed after a grace period; the listener and
-// sweeper stop; every supervisor is reaped.
+// (or parked) poll; it waits for the supervisors to reap them, killing
+// stragglers after a grace period; then the listener and sweeper stop
+// and every supervisor is reaped.
 func (d *Driver) shutdown() {
+	grace := time.NewTimer(3 * time.Second)
+	defer grace.Stop()
 	d.mu.Lock()
 	d.finished = true
-	d.mu.Unlock()
-
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		d.mu.Lock()
-		n := len(d.workers)
-		var rest []*workerProc
-		if time.Now().After(deadline) {
-			for _, wp := range d.workers {
-				rest = append(rest, wp)
-			}
-		}
+	for len(d.workers) > 0 {
+		wake := d.wake
 		d.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		if rest != nil {
-			for _, wp := range rest {
+		select {
+		case <-wake:
+		case <-grace.C:
+			d.mu.Lock()
+			for _, wp := range d.workers {
 				wp.cmd.Process.Kill()
 			}
-			break
+			d.mu.Unlock()
 		}
-		time.Sleep(10 * time.Millisecond)
+		d.mu.Lock()
 	}
+	d.mu.Unlock()
 	close(d.stop)
 	d.listener.Close()
 	d.wg.Wait()
@@ -639,54 +675,147 @@ func Run[I any, K comparable, V, O any](name string, inputs []I, opts Options) (
 		d.fail(fmt.Errorf("proc: job %q timed out after %v", name, opts.Timeout))
 		<-d.done
 	}
-	d.shutdown()
-
+	// The outputs are decoded while the fleet winds down; a failure
+	// raised during shutdown still fails the run.
 	d.mu.Lock()
-	met = d.met
 	failure := d.failure
 	var reps []ReduceReport
 	for _, p := range d.reduceParts {
 		reps = append(reps, d.reduceOut[p])
 	}
+	outputs := d.met.Outputs
 	d.mu.Unlock()
+	var outs []O
+	merged := make(chan error, 1)
+	if failure == nil {
+		go func() {
+			lane.Begin(obs.OpProcOutputMerge, int64(len(reps)), 0)
+			var err error
+			outs, err = mergeOutputs[K, O](opts.fs(), reps, outputs)
+			lane.End(obs.OpProcOutputMerge, int64(len(outs)), obs.ErrFlag(err))
+			merged <- err
+		}()
+	} else {
+		merged <- nil
+	}
+	d.shutdown()
+	err = <-merged
 
+	d.mu.Lock()
+	met = d.met
+	failure = d.failure
+	d.mu.Unlock()
 	met.MapInputs = int64(len(inputs))
 	met.TaskRetries = met.MapRetries + met.ReduceRetries
 	if failure != nil {
 		return nil, met, failure
 	}
-	lane.Begin(obs.OpProcOutputMerge, int64(len(reps)), 0)
-	outs, err := mergeOutputs[K, O](opts.fs(), reps, met.Outputs)
-	lane.End(obs.OpProcOutputMerge, int64(len(outs)), obs.ErrFlag(err))
 	return outs, met, err
 }
 
-// mergeOutputs adopts the accepted reduce outputs — one sorted run file
-// per partition — into a one-partition shuffle whose k-way merge yields
-// them in global canonical key order. Each file's value count must
-// equal its accepted report's before any value is read or the result
-// sized (outputs, the reports' total); a file that disagrees, or does
-// not read back, is an error naming it.
+// mergeOutputs reads the accepted reduce outputs — one sorted run file
+// per partition, in partition order — into one slice in global canonical
+// key order, a key held by two files taking the earlier file's outputs
+// first. Each file's index is loaded and checked (shuffle.LoadRun), and
+// its value count must equal its accepted report's, before any value is
+// read or the result sized (outputs, the reports' total). The files' key
+// lists are merged (engine.KeyOrder) to give each group its slot by
+// prefix sum, and then every group's value section is decoded straight
+// into its slot, a file per goroutine on at most GOMAXPROCS, each file
+// mapped (or read whole) and released before the goroutine takes the
+// next. A file that disagrees, or does not read back, is an error naming
+// it.
 func mergeOutputs[K comparable, O any](fs runfile.FS, reps []ReduceReport, outputs int64) ([]O, error) {
-	sh := shuffle.New[K, O](shuffle.Options{Partitions: 1, FS: fs})
-	defer sh.Close()
-	part := sh.Partition(0)
-	for _, rep := range reps {
-		before := part.Pairs()
-		if err := sh.AdoptRun(0, rep.OutPath, 0, rep.OutBytes); err != nil {
-			return nil, fmt.Errorf("proc: reduce output of partition %d: %w", rep.Part, err)
+	keys := make([][]K, len(reps))
+	index := make([][]runfile.IndexEntry, len(reps))
+	err := eachRun(len(reps), func(r int, _ *[]byte) error {
+		rep := reps[r]
+		ks, idx, n, err := shuffle.LoadRun[K](fs, rep.OutPath, 0, rep.OutBytes)
+		if err != nil {
+			return fmt.Errorf("proc: reduce output of partition %d: %w", rep.Part, err)
 		}
-		if got := part.Pairs() - before; got != rep.Outputs {
-			return nil, fmt.Errorf("proc: reduce output %s holds %d outputs, its accepted report says %d", rep.OutPath, got, rep.Outputs)
+		if n != rep.Outputs {
+			return fmt.Errorf("proc: reduce output %s holds %d outputs, its accepted report says %d", rep.OutPath, n, rep.Outputs)
 		}
-	}
-	outs := make([]O, 0, outputs)
-	err := part.ForEachGroupBatch(func(_ K, vs []O) error {
-		outs = append(outs, vs...)
+		keys[r], index[r] = ks, idx
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("proc: merging reduce outputs: %w", err)
+		return nil, err
+	}
+	slots := make([][]int64, len(reps))
+	for r := range reps {
+		slots[r] = make([]int64, len(index[r]))
+	}
+	next := make([]int, len(reps))
+	var at int64
+	for _, r := range engine.KeyOrder(keys) {
+		slots[r][next[r]] = at
+		at += index[r][next[r]].Count
+		next[r]++
+	}
+	if at != outputs {
+		return nil, fmt.Errorf("proc: reduce outputs hold %d values, their accepted reports %d", at, outputs)
+	}
+	outs := make([]O, outputs)
+	err = eachRun(len(reps), func(r int, buf *[]byte) error {
+		return decodeOutput(fs, reps[r], index[r], slots[r], outs, buf)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return outs, nil
+}
+
+// decodeOutput decodes every group of rep's output file into outs, group
+// i's values at slots[i], reading the file in place (runfile.View, with
+// *buf as its read buffer) and releasing it on return.
+func decodeOutput[O any](fs runfile.FS, rep ReduceReport, index []runfile.IndexEntry, slots []int64, outs []O, buf *[]byte) error {
+	if len(index) == 0 {
+		return nil
+	}
+	f, err := fs.Open(rep.OutPath)
+	if err != nil {
+		return fmt.Errorf("proc: reduce output %s: %w", rep.OutPath, err)
+	}
+	defer f.Close()
+	img, release, err := runfile.View(f, rep.OutBytes, buf)
+	if err != nil {
+		return fmt.Errorf("proc: reduce output %s: %w", rep.OutPath, err)
+	}
+	defer release()
+	vc := runfile.CodecFor[O]()
+	for i, e := range index {
+		at, n, off := slots[i], e.Count, e.ValueOffset()
+		if _, err := vc.DecodeSection(img[off:off+e.ValueBytes], int(n), outs[at:at:at+n]); err != nil {
+			return fmt.Errorf("proc: reduce output %s: group %d: %w", rep.OutPath, i, err)
+		}
+	}
+	return nil
+}
+
+// eachRun calls fn(i, buf) for every i in [0, n) on at most GOMAXPROCS
+// goroutines, each taking the next i as it finishes one and passing fn
+// its own reused buffer, and returns the error of the lowest failed i.
+func eachRun(n int, fn func(i int, buf *[]byte) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []byte
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				errs[i] = fn(i, &buf)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -626,3 +626,217 @@ func FuzzProcInputSection(f *testing.F) {
 		}
 	})
 }
+
+// outGroup is one group of a hand-written reduce output: its key, its
+// outputs, and the value count its framing and footer declare.
+type outGroup struct {
+	key   string
+	outs  []wcOut
+	count int
+}
+
+// writeForgedOutput writes a reduce output run file of groups, in the
+// order given, each declaring its count, and returns the report that
+// accepts it: Outputs is the declared total, so only the file's own
+// bytes disagree.
+func writeForgedOutput(t *testing.T, part int, groups []outGroup) ReduceReport {
+	t.Helper()
+	path := outPath(t.TempDir(), part, 0)
+	var total int64
+	w, err := writeRun(path, func(w *runfile.Writer) error {
+		for _, g := range groups {
+			key, _ := runfile.Append(nil, g.key)
+			if err := w.BeginGroup(key, g.count); err != nil {
+				return err
+			}
+			for _, o := range g.outs {
+				v, _ := runfile.Append(nil, o)
+				if err := w.AppendValue(v); err != nil {
+					return err
+				}
+			}
+			total += int64(g.count)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ReduceReport{Part: part, OutPath: path, OutBytes: w.BytesWritten(), Outputs: total}
+}
+
+// outsOf builds outputs of word, one per count.
+func outsOf(word string, counts ...int) []wcOut {
+	var outs []wcOut
+	for _, c := range counts {
+		outs = append(outs, wcOut{word, c})
+	}
+	return outs
+}
+
+// TestForgedOutputCountsAreErrors: a group whose declared count is not
+// the values its section holds — one more, which would run into the
+// next key's slot (another file's), or one fewer — is an error naming
+// the file, though the file's total agrees with its report.
+func TestForgedOutputCountsAreErrors(t *testing.T) {
+	for _, delta := range []int{1, -1} {
+		a := writeForgedOutput(t, 0, []outGroup{
+			{"alpha", outsOf("alpha", 1, 2), 2 + delta},
+			{"gamma", outsOf("gamma", 3), 1},
+		})
+		b := writeForgedOutput(t, 1, []outGroup{{"beta", outsOf("beta", 4), 1}})
+		outs, err := mergeOutputs[string, wcOut](runfile.OSFS, []ReduceReport{a, b}, a.Outputs+b.Outputs)
+		if err == nil || !strings.Contains(err.Error(), a.OutPath) {
+			t.Errorf("alpha declaring %d of 2 values: %v %v, want an error naming %s", 2+delta, outs, err, a.OutPath)
+		}
+	}
+}
+
+// TestForgedOutputOrderIsError: a reduce output whose keys are out of
+// order is an error naming the file.
+func TestForgedOutputOrderIsError(t *testing.T) {
+	a := writeForgedOutput(t, 0, []outGroup{
+		{"gamma", outsOf("gamma", 1), 1},
+		{"alpha", outsOf("alpha", 2), 1},
+	})
+	outs, err := mergeOutputs[string, wcOut](runfile.OSFS, []ReduceReport{a}, a.Outputs)
+	if err == nil || !strings.Contains(err.Error(), a.OutPath) {
+		t.Errorf("keys out of order: %v %v, want an error naming %s", outs, err, a.OutPath)
+	}
+}
+
+// TestOutputKeyInTwoPartitions: a key two reduce outputs both hold —
+// which a partitioner never produces — merges as the one-partition
+// shuffle merge did: the earlier partition's outputs of it first, then
+// the later's, in global key order with the rest.
+func TestOutputKeyInTwoPartitions(t *testing.T) {
+	a := writeForgedOutput(t, 0, []outGroup{
+		{"alpha", outsOf("alpha", 1, 2), 2},
+		{"delta", outsOf("delta", 3), 1},
+	})
+	b := writeForgedOutput(t, 1, []outGroup{
+		{"alpha", outsOf("alpha", 4), 1},
+		{"beta", outsOf("beta", 5, 6), 2},
+		{"delta", outsOf("delta", 7), 1},
+	})
+	got, err := mergeOutputs[string, wcOut](runfile.OSFS, []ReduceReport{a, b}, a.Outputs+b.Outputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []wcOut{{"alpha", 1}, {"alpha", 2}, {"alpha", 4}, {"beta", 5}, {"beta", 6}, {"delta", 3}, {"delta", 7}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged %v, want %v", got, want)
+	}
+}
+
+// noMapFS opens files that cannot be memory-mapped.
+type noMapFS struct{ runfile.FS }
+
+func (fs noMapFS) Open(name string) (runfile.File, error) {
+	f, err := fs.FS.Open(name)
+	return struct{ runfile.File }{f}, err
+}
+
+// TestOutputDecodeFaults: reduce outputs decode the same when no file
+// can be mapped (each is read whole instead) or when one mapping fails,
+// and a failing read or open at any call is an error that keeps the
+// injected fault and names the file.
+func TestOutputDecodeFaults(t *testing.T) {
+	reps := []ReduceReport{
+		writeForgedOutput(t, 0, []outGroup{{"alpha", outsOf("alpha", 1, 2), 2}, {"delta", outsOf("delta", 3), 1}}),
+		writeForgedOutput(t, 1, []outGroup{{"beta", outsOf("beta", 4), 1}, {"omega", outsOf("omega", 5, 6, 7), 3}}),
+	}
+	want, err := mergeOutputs[string, wcOut](runfile.OSFS, reps, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mmapFails := errfs.New(nil)
+	mmapFails.FailAt(errfs.OpMmap, 2, nil)
+	for name, fs := range map[string]runfile.FS{"no mapping": noMapFS{runfile.OSFS}, "second mapping fails": mmapFails} {
+		if got, err := mergeOutputs[string, wcOut](fs, reps, 7); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: merged %v (%v), want %v", name, got, err, want)
+		}
+	}
+	for _, op := range []errfs.Op{errfs.OpOpen, errfs.OpReadAt} {
+		probe := errfs.New(noMapFS{runfile.OSFS})
+		if _, err := mergeOutputs[string, wcOut](probe, reps, 7); err != nil {
+			t.Fatal(err)
+		}
+		for nth := 1; nth <= probe.Calls(op); nth++ {
+			fs := errfs.New(noMapFS{runfile.OSFS})
+			fs.FailAt(op, nth, nil)
+			got, err := mergeOutputs[string, wcOut](fs, reps, 7)
+			if err == nil {
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s call %d absorbed, but merged %v", op, nth, got)
+				}
+				continue // the footer's scan fallback absorbed it
+			}
+			if !errors.Is(err, errfs.ErrInjected) || !strings.Contains(err.Error(), "out-p") {
+				t.Errorf("%s call %d: %v, want the injected fault and the file's name", op, nth, err)
+			}
+		}
+	}
+}
+
+// FuzzProcOutputMerge forges reduce outputs — one byte of one file
+// overwritten, or the file cut short — and merges them under their
+// honest reports. The merge may fail, but only with an error naming a
+// file; it never panics, never returns a result of another length, and
+// returns the honest result when the forgery left the bytes unchanged.
+func FuzzProcOutputMerge(f *testing.F) {
+	f.Add(uint8(0), uint16(7), byte(0xff), false)
+	f.Add(uint8(1), uint16(40), byte(0), true)
+	f.Add(uint8(0), uint16(60), byte(3), false)
+	f.Add(uint8(1), uint16(500), byte(0x80), false)
+	f.Fuzz(func(t *testing.T, which uint8, pos uint16, b byte, cut bool) {
+		reps := []ReduceReport{
+			writeForgedOutput(t, 0, []outGroup{
+				{"alpha", outsOf("alpha", 1, 2), 2},
+				{"delta", outsOf("delta", 3), 1},
+				{"omega", outsOf("omega", -1, 1<<40, 5), 3},
+			}),
+			writeForgedOutput(t, 1, []outGroup{
+				{"beta", outsOf("beta", 4), 1},
+				{"delta", outsOf("delta", 6, 7), 2},
+			}),
+		}
+		var total int64
+		for _, r := range reps {
+			total += r.Outputs
+		}
+		want, err := mergeOutputs[string, wcOut](runfile.OSFS, reps, total)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := reps[int(which)%len(reps)].OutPath
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := int(pos) % len(data)
+		same := !cut && data[at] == b
+		if cut {
+			data = data[:at]
+		} else {
+			data[at] = b
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := mergeOutputs[string, wcOut](runfile.OSFS, reps, total)
+		switch {
+		case err != nil:
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("forged %s: error does not name it: %v", path, err)
+			}
+			if same {
+				t.Fatalf("unchanged bytes: %v", err)
+			}
+		case int64(len(got)) != total:
+			t.Fatalf("forged output merged into %d values, want %d", len(got), total)
+		case same && !reflect.DeepEqual(got, want):
+			t.Fatalf("unchanged bytes merged into %v, want %v", got, want)
+		}
+	})
+}

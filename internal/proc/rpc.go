@@ -17,8 +17,8 @@ import (
 type TaskKind int
 
 const (
-	// TaskWait tells the worker nothing is assignable right now; poll
-	// again shortly.
+	// TaskWait tells the worker nothing became assignable while its poll
+	// was parked; poll again.
 	TaskWait TaskKind = iota
 	// TaskMap assigns a map task over inputs [Lo, Hi).
 	TaskMap
@@ -77,9 +77,6 @@ type Task struct {
 	// this task (the driver sets a fraction of the lease TTL). Zero means
 	// no heartbeating.
 	HeartbeatEvery time.Duration
-
-	// Wait fields.
-	PollAfter time.Duration
 }
 
 // RegisterArgs announces a worker to the driver.
@@ -177,7 +174,8 @@ func (c *Coord) Register(args RegisterArgs, reply *RegisterReply) error {
 	return nil
 }
 
-// Poll hands out the next task (or Wait/Exit).
+// Poll hands out the next task (or Exit), parking while nothing can be
+// granted; a poll that parked for pollPark with no change gets Wait.
 func (c *Coord) Poll(args PollArgs, reply *Task) error {
 	*reply = c.d.poll(args.Worker)
 	return nil

@@ -220,8 +220,10 @@ func (ws *workerState) crashPoint(point string, id int, pre func()) {
 	select {} // SIGKILL is not instantaneous; never execute past this point
 }
 
-// loop polls for tasks until exit. Transient RPC failures are retried
-// with backoff; a driver that stays unreachable ends the worker.
+// loop polls for tasks until exit; a TaskWait (the driver parked the
+// poll and nothing came) is answered by polling again at once. Transient
+// RPC failures are retried with backoff; a driver that stays unreachable
+// ends the worker.
 func (ws *workerState) loop(job runnable) error {
 	for {
 		var t Task
@@ -235,12 +237,6 @@ func (ws *workerState) loop(job runnable) error {
 		switch t.Kind {
 		case TaskExit:
 			return nil
-		case TaskWait:
-			d := t.PollAfter
-			if d <= 0 {
-				d = 20 * time.Millisecond
-			}
-			time.Sleep(d)
 		case TaskMap:
 			rep := ws.runTask(TaskMap, t, func() (any, error) { return job.runMapTask(ws, t) })
 			ws.report("Coord.MapDone", &Ack{}, rep.(MapReport))

@@ -12,6 +12,13 @@
 // CheckCodec names any other type (a pointer, interface, channel, map
 // or slice in it) so callers refuse it before any task runs, and its
 // codec fails on every value. testdata/codec.golden pins the bytes.
+//
+// Where a plan's wire form is byte for byte its memory image (wireImage:
+// no bool or string part, every part at its wire offset, the wire size
+// the memory size, a little-endian host), its codec copies that image:
+// Append appends the value's bytes, Decode checks the length and copies
+// them back, and DecodeSection copies a section of n canonical one-byte
+// frames without a walk. The bytes are the plan's either way.
 package runfile
 
 import (
@@ -19,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"unsafe"
 )
@@ -44,6 +52,8 @@ func Decode[T any](data []byte) (T, error) { return CodecFor[T]().Decode(data) }
 type Codec[T any] struct {
 	Append func(dst []byte, v T) ([]byte, error)
 	Decode func(data []byte) (T, error)
+	// image is T's size when its wire form is its memory image, else 0.
+	image int
 }
 
 // planCodecs caches the Codec of every type CodecFor codes by its plan
@@ -100,7 +110,7 @@ func CodecFor[T any]() Codec[T] {
 // scalar retypes the codec of the scalar kind U as T's; CodecFor's
 // switch has matched T to U exactly.
 func scalar[T, U any](enc func([]byte, U) ([]byte, error), dec func([]byte) (U, error)) Codec[T] {
-	return Codec[T]{any(enc).(func([]byte, T) ([]byte, error)), any(dec).(func([]byte) (T, error))}
+	return Codec[T]{Append: any(enc).(func([]byte, T) ([]byte, error)), Decode: any(dec).(func([]byte) (T, error))}
 }
 
 // planCodec binds T's compiled plan, or, for a T with none, a codec
@@ -112,6 +122,22 @@ func planCodec[T any](t reflect.Type) Codec[T] {
 		return Codec[T]{
 			Append: func([]byte, T) ([]byte, error) { return nil, err },
 			Decode: func([]byte) (T, error) { return *new(T), err },
+		}
+	}
+	if w := plan.wireImage(); w > 0 {
+		return Codec[T]{
+			Append: func(dst []byte, v T) ([]byte, error) {
+				return append(dst, unsafe.Slice((*byte)(unsafe.Pointer(&v)), w)...), nil
+			},
+			Decode: func(data []byte) (T, error) {
+				var out T
+				if len(data) != w {
+					return out, fmt.Errorf("runfile: fixed-width value needs %d bytes, got %d", w, len(data))
+				}
+				copy(unsafe.Slice((*byte)(unsafe.Pointer(&out)), w), data)
+				return out, nil
+			},
+			image: w,
 		}
 	}
 	return Codec[T]{
@@ -128,8 +154,14 @@ func planCodec[T any](t reflect.Type) Codec[T] {
 // its uvarint length and then its bytes — onto dst in one walk. Each
 // length must stay inside sec and the n frames must use sec up exactly;
 // a framing fault wraps ErrCorrupt, a payload the codec rejects returns
-// the codec's error. The decoded values own their bytes.
+// the codec's error. The decoded values own their bytes. A wire-image
+// codec copies a section of exactly n frames, each the canonical
+// one-byte length and an image, without the walk; any other section
+// takes the walk and its verdict.
 func (c Codec[T]) DecodeSection(sec []byte, n int, dst []T) ([]T, error) {
+	if out, ok := c.copySection(sec, n, dst); ok {
+		return out, nil
+	}
 	pos := 0
 	for i := 0; i < n; i++ {
 		start, end, err := nextFrame(sec, pos)
@@ -144,6 +176,27 @@ func (c Codec[T]) DecodeSection(sec []byte, n int, dst []T) ([]T, error) {
 		pos = end
 	}
 	return dst, sectionEnd(sec, pos)
+}
+
+// copySection appends the n images of sec onto dst when sec is exactly
+// n frames of the canonical one-byte length w and a w-byte image, and
+// reports whether it was.
+func (c Codec[T]) copySection(sec []byte, n int, dst []T) ([]T, bool) {
+	w := c.image
+	if w == 0 || w >= 0x80 || len(sec) != n*(w+1) {
+		return dst, false
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, n)[:base+n]
+	img := ImageBytes(dst[base:])
+	for i := 0; i < n; i++ {
+		f := sec[i*(w+1):]
+		if f[0] != byte(w) {
+			return dst[:base], false
+		}
+		copy(img[i*w:(i+1)*w], f[1:w+1])
+	}
+	return dst, true
 }
 
 // appendSigned and the pairs below it are the scalar kinds' wire forms:

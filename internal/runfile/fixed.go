@@ -57,6 +57,28 @@ func ImageBytes[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(*new(T))))
 }
 
+// littleEndian is whether this host stores numbers low byte first, as
+// the wire does.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wireImage reports the plan's memory size when its wire form is its
+// memory image, byte for byte: an ImageSize type (no bool or string part)
+// whose every part sits at its wire offset, with the wire size equal to
+// the memory size (no padding), on a little-endian host. Otherwise 0.
+func (p *Plan) wireImage() int {
+	if p.image == 0 || p.size != p.image || !littleEndian {
+		return 0
+	}
+	off := uintptr(0)
+	for _, op := range p.ops {
+		if op.off != off {
+			return 0
+		}
+		off += uintptr(scalarWidth(op.kind))
+	}
+	return p.image
+}
+
 // appendTo encodes the value at src (the address of a value of the
 // plan's type) onto dst in its wire form.
 func (p *Plan) appendTo(dst []byte, src unsafe.Pointer) []byte {

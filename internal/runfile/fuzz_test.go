@@ -243,6 +243,9 @@ func FuzzValueBatch(f *testing.F) {
 	// v2 as a section: two uint64 frames, one fuzzFixed frame.
 	f.Add([]byte{}, []byte{}, []byte{1, 7, 2, 0x80, 1}, uint8(2))
 	f.Add([]byte{}, []byte{}, []byte{7, 0xfe, 0xff, 1, 0, 0, 0x80, 0x3f}, uint8(1))
+	// v2 as one fuzzImage frame whose length 16 is overlong (two bytes):
+	// the copy path declines it and the walk decodes it.
+	f.Add([]byte{}, []byte{}, append([]byte{0x90, 0x00}, bytes.Repeat([]byte{0xa5}, 16)...), uint8(1))
 
 	f.Fuzz(func(t *testing.T, key, v1, v2 []byte, n uint8) {
 		// Build a v2 file: a group of n%8 alternating values, a group
@@ -332,6 +335,7 @@ func FuzzValueBatch(f *testing.F) {
 			checkDecodeSection[uint64](t, sec, int(n%16))
 			checkDecodeSection[fuzzFixed](t, sec, int(n%16))
 			checkDecodeSection[fuzzTwo](t, sec, int(n%16))
+			checkDecodeSection[fuzzImage](t, sec, int(n%16))
 		}
 		gb := NewGroupBatch(bytes.NewReader(raw), nil)
 		for {
@@ -365,6 +369,14 @@ type fuzzFixed struct {
 	A  int16
 	On bool
 	X  float32
+}
+
+// fuzzImage is a plan whose wire form is its memory image: its codec
+// copies canonical sections instead of walking them.
+type fuzzImage struct {
+	A int32
+	B uint32
+	X float64
 }
 
 // checkDecodeSection hands sec to T's one-walk DecodeSection as n

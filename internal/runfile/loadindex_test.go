@@ -2,6 +2,7 @@ package runfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -128,5 +129,37 @@ func TestLoadIndexFailureKeepsBothCauses(t *testing.T) {
 	}
 	if !errors.Is(err, ErrNoIndex) {
 		t.Fatalf("footer cause (ErrNoIndex) lost: %v", err)
+	}
+}
+
+// TestReadIndexAllocs: ReadIndex allocates per footer, not per entry —
+// the footer buffer, the presized entries and the key arena — and its
+// keys are capacity-clipped, so appending to one cannot overwrite the
+// next.
+func TestReadIndexAllocs(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := 0; i < 1000; i++ {
+		key := binary.BigEndian.AppendUint32([]byte("group-"), uint32(i))
+		if err := writeGroup(w, key, [][]byte{{byte(i)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	ra := bytes.NewReader(data)
+	idx, err := ReadIndex(ra, int64(len(data)))
+	if err != nil || len(idx) != 1000 {
+		t.Fatalf("ReadIndex: %d entries, %v", len(idx), err)
+	}
+	for i, e := range idx {
+		if !bytes.Equal(e.Key, w.Index()[i].Key) || cap(e.Key) != len(e.Key) {
+			t.Fatalf("entry %d: key %q (cap %d), want %q capacity-clipped", i, e.Key, cap(e.Key), w.Index()[i].Key)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { ReadIndex(ra, int64(len(data))) }); n > 8 {
+		t.Errorf("ReadIndex of a 1000-entry footer allocates %v times, want at most 8", n)
 	}
 }

@@ -76,3 +76,19 @@ func Unmap(f File, data []byte) error {
 	}
 	return m.Munmap(data)
 }
+
+// View returns f's first length bytes to read in place and a release to
+// call when done with them: a mapping (Map) when f can be mapped, else
+// one positioned read (ReadSectionAt) into *buf, which keeps the grown
+// buffer for the caller's next View.
+func View(f File, length int64, buf *[]byte) ([]byte, func(), error) {
+	if m, err := Map(f, length); err == nil {
+		return m, func() { Unmap(f, m) }, nil
+	}
+	data, err := ReadSectionAt(f, 0, length, *buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	*buf = data
+	return data, func() {}, nil
+}

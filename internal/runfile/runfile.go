@@ -581,7 +581,12 @@ func ReadIndex(ra io.ReaderAt, size int64) ([]IndexEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	var entries []IndexEntry
+	// Every entry takes at least five footer bytes, so a forged count
+	// cannot size the slice past the footer. The keys are cut from one
+	// arena, each capacity-clipped; earlier keys keep an outgrown arena's
+	// backing array alive.
+	entries := make([]IndexEntry, 0, min(count, uint64(len(footer)/5)))
+	arena := make([]byte, 0, len(footer))
 	var prevKey []byte
 	var prevOff int64
 	for i := uint64(0); i < count; i++ {
@@ -601,9 +606,9 @@ func ReadIndex(ra io.ReaderAt, size int64) ([]IndexEntry, error) {
 		}
 		var key []byte // nil for an empty key, like the writer's copy
 		if lcp+slen > 0 {
-			key = make([]byte, 0, lcp+slen)
-			key = append(key, prevKey[:lcp]...)
-			key = append(key, footer[:slen]...)
+			start := len(arena)
+			arena = append(append(arena, prevKey[:lcp]...), footer[:slen]...)
+			key = arena[start:len(arena):len(arena)]
 		}
 		footer = footer[slen:]
 		e := IndexEntry{Key: key}

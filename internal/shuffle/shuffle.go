@@ -701,9 +701,6 @@ func (s *Shuffle[K, V]) Partition(p int) Partition[K, V] {
 	return Partition[K, V]{s: s, idx: p}
 }
 
-// Pairs is the number of pairs the partition holds.
-func (p Partition[K, V]) Pairs() int64 { return p.s.parts[p.idx].pairs }
-
 // ForEachGroupBatch streams the partition's key groups in canonical
 // sorted key order through fn, k-way merging the partition's on-disk
 // runs, in-memory sealed runs and live run without materializing the

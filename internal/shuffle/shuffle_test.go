@@ -249,3 +249,6 @@ func TestEmptyShuffle(t *testing.T) {
 		t.Fatalf("groups on empty partition = %v", got)
 	}
 }
+
+// Pairs is the number of pairs the partition holds.
+func (p Partition[K, V]) Pairs() int64 { return p.s.parts[p.idx].pairs }
