@@ -57,8 +57,8 @@ type Config struct {
 	// whenever the task ordinal is divisible by FailureEveryN; failed
 	// tasks retry up to MaxRetries times (default 2 when injection is
 	// on). Map tasks fail *after* emitting their output, so injection
-	// exercises the streaming path's attempt fencing (flushed pairs of
-	// the failed attempt are discarded, the retry re-emits); reduce
+	// exercises the map side's attempt fencing (the failed attempt's
+	// sealed runs are released, the retry re-emits); reduce
 	// tasks fail after collecting theirs, which the retry drops. Reduce
 	// tasks are partitions; their ordinal counts non-empty partitions
 	// in ascending order, so injection always hits at least one reduce
@@ -136,15 +136,15 @@ func (r Round[I, K, V, O]) Reducer() (ReduceFunc[K, V, O], bool) {
 // Metrics is the profile of one executed round, the one record both
 // executors fill: Run in process, internal/proc across worker
 // processes. Its exchange profile — pairs shuffled, reducers, the
-// realized q and its distribution, the partitions, and the spill,
-// swap and residency counters — is the embedded shuffle.Stats, which
+// realized q and its distribution, the partitions, and the spill and
+// residency counters — is the embedded shuffle.Stats, which
 // documents each field. All counts refer to logical records, matching
 // the paper's convention that communication cost is measured in
 // key-value pairs.
 //
 // A multi-process round has no in-process exchange, so it leaves that
 // exchange's profile zero: Makespan, IdealMakespan, ReduceRangeSkew,
-// the spill pressure (SpillEvents, SpilledPairs, RunsMerged, SwapBytes,
+// the spill pressure (SpillEvents, SpilledPairs, RunsMerged,
 // BytesReclaimed, MaxLivePairs) and the overlap timings. Its Partitions
 // count each partition's pairs from the accepted map sections and fold
 // its groups from the accepted reduce attempts (Worker stays -1), as
@@ -208,11 +208,11 @@ type Metrics struct {
 	// process, where runs end at their last group, their index
 	// resident).
 	IndexBytesSpilled int64
-	// SpillOverlapNs is the time the streaming path spent absorbing,
-	// sealing and spilling while map tasks were still running — work a
-	// collect-then-merge barrier would serialize after the map phase.
-	// FinishDrainNs is the residual post-map drain: the barrier that
-	// remains.
+	// SpillOverlapNs is the time map tasks' writers spent sealing runs
+	// — sorting, combining, encoding and writing them — while map tasks
+	// were running: work a collect-then-merge barrier would serialize
+	// after the map phase. FinishDrainNs is the residual post-map
+	// barrier: closing the spools and compacting.
 	SpillOverlapNs int64
 	FinishDrainNs  int64
 }
@@ -292,7 +292,6 @@ func (m Metrics) PublishTo(reg *obs.Registry) {
 	reg.Counter("mr_bytes_spilled_total", "run data bytes written to spill files").Add(m.BytesSpilled)
 	reg.Counter("mr_index_bytes_spilled_total", "footer-index bytes written to spill files (0 in process: in-process runs have no footer)").Add(m.IndexBytesSpilled)
 	reg.Counter("mr_disk_bytes_read_total", "bytes read back from spill files").Add(m.DiskBytesRead)
-	reg.Counter("mr_swap_bytes_total", "pressure-relief bytes staged to swap stash files").Add(m.SwapBytes)
 	reg.Counter("mr_bytes_reclaimed_total", "spill file bytes deleted while the job was still running").Add(m.BytesReclaimed)
 	reg.Counter("mr_spill_overlap_ns_total", "nanoseconds of spill work overlapped with mapping").Add(m.SpillOverlapNs)
 	reg.Counter("mr_finish_drain_ns_total", "nanoseconds spent in the post-map finish drain").Add(m.FinishDrainNs)
@@ -303,7 +302,7 @@ func (m Metrics) PublishTo(reg *obs.Registry) {
 	reg.Gauge("mr_round_partition_skew", "max/mean partition pairs of the last round").Set(m.PartitionSkew())
 	reg.Gauge("mr_round_makespan_pairs", "heaviest reduce worker load of the last round, in pairs").Set(float64(m.Makespan))
 	reg.Gauge("mr_round_peak_resident_pairs", "whole-round high-water mark of shuffle-resident pairs").Set(float64(m.PeakResidentPairs))
-	reg.Gauge("mr_round_max_live_pairs", "high-water mark of any partition's live buffer in the last round").Set(float64(m.MaxLivePairs))
+	reg.Gauge("mr_round_max_live_pairs", "largest buffer a map task held for one partition in the last round").Set(float64(m.MaxLivePairs))
 	reg.Gauge("mr_round_reduce_ranges", "key-range units split partitions were cut into in the last round").Set(float64(m.ReduceRanges))
 	reg.Gauge("mr_round_reduce_range_skew", "max/mean planned pair load across range units of the last round").Set(m.ReduceRangeSkew)
 
@@ -389,21 +388,19 @@ func Run[I any, K comparable, V, O any](r Round[I, K, V, O], in *Image[I], keep 
 }
 
 // runMapPhase executes map tasks in parallel, each over a range of the
-// input image's records read in place. Each task streams its output
-// into the shuffle as it is produced (block-based ingestion: full
-// blocks flush to their partition, which absorbs, seals and spills
-// concurrently with still-running map tasks).
+// input image's records read in place. Each task attempt writes its
+// output through its own shuffle writer, which seals sorted runs as its
+// share of the budget fills, concurrently with the other tasks' mapping.
 func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], in *Image[I], sh *shuffle.Shuffle[K, V], met *Metrics) (retErr error) {
 	cfg := r.Config
 	tasks := in.seek(cfg.MapTasks(in.n))
-	// The map-phase span covers mapping plus the Finish drain, so
-	// partition-lane seal/fence spans inside it that overlap worker
-	// map-task spans are exactly SpillOverlapNs.
+	// The map-phase span covers mapping plus Finish, so the
+	// partition-lane seal spans inside it overlap worker map-task spans.
 	rlane := cfg.Recorder.Lane(obs.LaneRound, 0)
 	rlane.Begin(obs.OpPhaseMap, int64(len(tasks)), 0)
 	defer func() { rlane.End(obs.OpPhaseMap, met.PairsEmitted, obs.ErrFlag(retErr)) }()
 
-	ing := sh.NewIngester()
+	ing := sh.NewIngester(cfg.Workers)
 	emitted := make([]int64, len(tasks))
 	retries := make([]int64, len(tasks))
 	errs := make([]error, len(tasks))
@@ -422,9 +419,9 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], in *Image[I
 					tw := ing.Task(ti, a)
 					n := RunMapAttempt(r, in.read(tasks[ti]), tw.Emit)
 					if cfg.injects(ti, a) {
-						// Injected after the task emitted (and flushed) its
-						// output: Abort fences the staged pairs off, and the
-						// retry re-emits them.
+						// Injected after the task emitted (and sealed) its
+						// output: Abort releases its runs, and the retry
+						// re-emits them.
 						tw.Abort()
 						n, err = 0, errInjected
 					} else if err = tw.Commit(); err != nil {
@@ -435,9 +432,8 @@ func runMapPhase[I any, K comparable, V, O any](r Round[I, K, V, O], in *Image[I
 					return err, fatal
 				})
 				if fatal {
-					// A commit error means the shuffle's absorption or
-					// spill failed with the attempt's pairs possibly
-					// already folded in; retrying would double them.
+					// A commit error is the round's ingestion failing (a
+					// seal or a NaN key), which no retry mends.
 					errs[ti] = fmt.Errorf("engine: shuffle ingest of round %q: %w", r.Name, errs[ti])
 				} else if errs[ti] != nil {
 					errs[ti] = fmt.Errorf("engine: map task %d of round %q failed after %d attempts: %w",

@@ -258,15 +258,16 @@ func TestBoundedMemorySurfacesInMetrics(t *testing.T) {
 	for i := range docs {
 		docs[i] = "w w w w"
 	}
-	res, err := runSlice(wordCountRound(Config{Plan: Plan{Partitions: 2, MemoryBudget: 16}}), docs)
+	res, err := runSlice(wordCountRound(Config{Plan: Plan{Partitions: 2, MemoryBudget: 16, MapChunk: len(docs)}}), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A single key means a single partition regardless of the hash
-	// seed, so the spill profile is exact: 200 pairs against a 16-pair
-	// budget seal 12 runs of 16, leaving 8 live.
-	if res.Metrics.SpillEvents != 12 || res.Metrics.SpilledPairs != 192 {
-		t.Errorf("spill profile = %d events, %d pairs; want 12 and 192: %+v",
+	// seed, and a single map task seals where its own stream says, so
+	// the spill profile is exact: the task's 200 pairs against a 16-pair
+	// budget seal 12 runs of 16, and its commit seals the last 8.
+	if res.Metrics.SpillEvents != 13 || res.Metrics.SpilledPairs != 200 {
+		t.Errorf("spill profile = %d events, %d pairs; want 13 and 200: %+v",
 			res.Metrics.SpillEvents, res.Metrics.SpilledPairs, res.Metrics)
 	}
 	if res.Metrics.MaxLivePairs != 16 {

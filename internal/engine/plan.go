@@ -30,9 +30,10 @@ type Plan struct {
 	MapChunk int
 
 	// MemoryBudget is the per-partition memory budget in buffered
-	// pairs: a shuffle partition whose live buffer reaches the budget
-	// seals its run (in process: to disk with a SpillDir, else in
-	// memory; in a proc map worker: to its spool, mid-task).
+	// pairs: a map task's buffer for one partition seals as a run on
+	// reaching it, and the round's map tasks buffer at most Partitions
+	// times it together (in process: runs go to disk with a SpillDir,
+	// else stay in memory; in a proc map worker: to its spool, mid-task).
 	MemoryBudget int
 
 	// MaxReducerInput, when positive, fails the round before any key is

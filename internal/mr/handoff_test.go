@@ -254,8 +254,8 @@ func toyPipelines(cfg func(round int) Config) map[string]func() (any, []stage) {
 
 // metricsDiff names the fields in which a and b differ, with both
 // values, leaving out the ones that depend on timing: the overlap and
-// drain times, the resident high-water mark, and the pressure swaps'
-// bytes and the spill bytes deleted mid-round.
+// drain times, the resident high-water mark, the spill bytes deleted
+// mid-round, and SwapBytes (0 since the map side stopped swapping).
 func metricsDiff(a, b Metrics) string {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	var d string

@@ -79,8 +79,9 @@ type Config struct {
 	Partitions int
 
 	// MemoryBudget is the per-partition memory budget, in buffered
-	// pairs: a shuffle partition whose live buffer reaches the budget
-	// seals its run, so live buffered pairs never exceed the budget.
+	// pairs: a map task's buffer for one partition seals as a run on
+	// reaching it, and the round's map tasks buffer at most Partitions
+	// times it together.
 	// Together with SpillDir this makes datasets much larger than
 	// memory executable; alone it reports spill pressure with sealed
 	// runs kept in memory. In ProcMode each map worker seals to its
@@ -90,7 +91,7 @@ type Config struct {
 	// SpillDir, when set together with MemoryBudget, directs sealed
 	// runs to temp run files under this directory (deleted when the
 	// job finishes). Reduce partitions then stream a k-way merge over
-	// disk and live runs instead of materializing the partition.
+	// their runs instead of materializing the partition.
 	// SpillDir without a budget is a configuration error, and spilling
 	// requires a key type whose equality survives an encode/decode
 	// round trip (no unexported fields).

@@ -68,19 +68,15 @@ const (
 	// failure else 0.
 	OpReduceTask
 
-	// OpBlockFlush marks one streaming block staged into a partition.
-	// Partition lane, instant. A = task, B = pairs in the block.
-	OpBlockFlush
-	// OpSeal spans closing a partition's live run (to disk or to the
-	// in-memory run list). Partition lane. Begin A = live pairs; End
-	// A = pairs sealed, B = 1 on failure else 0.
+	// OpSeal spans a map task writer's sorted run entering its
+	// partition: encoded to the seal spool or seal sink, or kept in
+	// memory. Partition lane. Begin A = pairs; End A = pairs sealed,
+	// B = 1 on failure else 0.
 	OpSeal
-	// OpFence spans pressure-relief fencing of staged runs to the spool.
-	// Partition lane. End A = pairs fenced, B = 1 on failure else 0.
+	// OpFence is no longer emitted: the shuffle stages and swaps
+	// nothing. It stays declared while the benchmark's fence lane
+	// reads it.
 	OpFence
-	// OpFenceAbort marks a task attempt's staged data being discarded.
-	// Partition lane, instant. A = task, B = attempt.
-	OpFenceAbort
 	// OpCompact spans a disk-run compaction. Partition lane. Begin
 	// A = input runs; End A = output pairs, B = 1 on failure else 0.
 	OpCompact
@@ -149,10 +145,8 @@ var opNames = [numOps]struct{ name, a, b string }{
 	OpPhaseReduce:  {"phase:reduce", "partitions", ""},
 	OpMapTask:      {"map-task", "task", "attempt"},
 	OpReduceTask:   {"reduce-task", "partition", "attempt"},
-	OpBlockFlush:   {"block-flush", "task", "pairs"},
 	OpSeal:         {"seal", "pairs", "err"},
 	OpFence:        {"fence", "pairs", "err"},
-	OpFenceAbort:   {"fence-abort", "task", "attempt"},
 	OpCompact:      {"compact", "runs", "err"},
 	OpReduceMerge:  {"reduce-merge", "runs", "err"},
 	OpReduceRange:  {"reduce-range", "partition", "range"},

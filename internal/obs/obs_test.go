@@ -19,7 +19,7 @@ func TestNilRecorderNoops(t *testing.T) {
 	// All of these must be safe no-ops.
 	lane.Begin(OpMapTask, 1, 2)
 	lane.End(OpMapTask, 0, 0)
-	lane.Instant(OpBlockFlush, 3, 4)
+	lane.Instant(OpLeaseExpire, 3, 4)
 	if got := rec.Dropped(); got != 0 {
 		t.Fatalf("nil recorder Dropped() = %d", got)
 	}
@@ -45,7 +45,7 @@ func TestRingWrapCountsDrops(t *testing.T) {
 	rec := NewRecorder(cap)
 	lane := rec.Lane(LaneWorker, 0)
 	for i := 0; i < cap+5; i++ {
-		lane.Instant(OpBlockFlush, int64(i), 0)
+		lane.Instant(OpLeaseExpire, int64(i), 0)
 	}
 	if got := rec.Dropped(); got != 5 {
 		t.Fatalf("recorder Dropped() = %d, want 5", got)
@@ -68,7 +68,7 @@ func TestConcurrentEmitRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				lane.Begin(OpMapTask, int64(i), 0)
-				lane.Instant(OpBlockFlush, int64(i), 1)
+				lane.Instant(OpLeaseExpire, int64(i), 1)
 				lane.End(OpMapTask, int64(i), 0)
 			}
 		}(lane, w)
@@ -88,10 +88,10 @@ func TestConcurrentEmitRace(t *testing.T) {
 
 func TestSnapshotOrdersLanes(t *testing.T) {
 	rec := NewRecorder(8)
-	rec.Lane(LanePartition, 1).Instant(OpBlockFlush, 0, 0)
-	rec.Lane(LaneWorker, 2).Instant(OpBlockFlush, 0, 0)
-	rec.Lane(LaneRound, 0).Instant(OpBlockFlush, 0, 0)
-	rec.Lane(LaneWorker, 0).Instant(OpBlockFlush, 0, 0)
+	rec.Lane(LanePartition, 1).Instant(OpLeaseExpire, 0, 0)
+	rec.Lane(LaneWorker, 2).Instant(OpLeaseExpire, 0, 0)
+	rec.Lane(LaneRound, 0).Instant(OpLeaseExpire, 0, 0)
+	rec.Lane(LaneWorker, 0).Instant(OpLeaseExpire, 0, 0)
 	snap := rec.Snapshot()
 	var got []string
 	for _, ls := range snap {
@@ -111,7 +111,7 @@ func TestWriteTraceValidates(t *testing.T) {
 
 	round.Begin(OpPhaseMap, 4, 0)
 	w0.Begin(OpMapTask, 0, 1)
-	p0.Instant(OpBlockFlush, 0, 256)
+	p0.Instant(OpLeaseExpire, 0, 256)
 	p0.Begin(OpSeal, 256, 0)
 	p0.End(OpSeal, 256, 0)
 	w0.End(OpMapTask, 256, 0)
@@ -125,7 +125,7 @@ func TestWriteTraceValidates(t *testing.T) {
 		t.Fatalf("ValidateTrace: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{`"map-task"`, `"seal"`, `"block-flush"`, `"phase:map"`, `"process_name"`, `"thread_name"`} {
+	for _, want := range []string{`"map-task"`, `"seal"`, `"lease-expire"`, `"phase:map"`, `"process_name"`, `"thread_name"`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %s", want)
 		}

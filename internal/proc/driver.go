@@ -542,9 +542,14 @@ func (d *Driver) reduceDone(rep ReduceReport) bool {
 	for i := range rep.Groups {
 		d.met.AddGroups(rep.Part, &rep.Groups[i])
 	}
-	// A reduce attempt's resident peak is the largest group its merges
-	// held decoded: its partition's largest.
-	d.met.PeakResidentPairs = max(d.met.PeakResidentPairs, d.met.Partitions[rep.Part].MaxGroup)
+	// A reduce attempt runs its key ranges at once, each merge holding
+	// one group decoded: its resident peak is the sum of its ranges'
+	// largest groups (a whole partition's largest when it is one range).
+	var held int64
+	for i := range rep.Groups {
+		held += rep.Groups[i].MaxGroup
+	}
+	d.met.PeakResidentPairs = max(d.met.PeakResidentPairs, held)
 	d.reducesDone++
 	if d.reducesDone == len(d.reduceParts) {
 		d.finishLocked()

@@ -28,8 +28,8 @@
 // Both sides of that exchange are the in-process engine's task bodies
 // over the in-process shuffle (internal/shuffle), not a second
 // implementation of them: a map worker runs engine.RunMapAttempt into
-// an Ingester whose seal sink points the shuffle's run encoder at the
-// spool, and a reduce worker adopts its partition's committed sections
+// a shuffle task writer whose seal sink points the shuffle's run
+// encoder at the spool, and a reduce worker adopts its partition's committed sections
 // as borrowed disk runs and reduces them with engine.PlanReduce and
 // engine.RunReduceAttempt — the same index-planned ranges, merge,
 // shared mappings and section decode an in-process round uses. Where

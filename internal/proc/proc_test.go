@@ -196,16 +196,24 @@ func testSplitPairs(t *testing.T) int {
 // key-range units must produce output files byte-identical to the
 // whole-partition merge — same records, same order — and report the
 // ranges they cut, whatever fan-out the plan's range rule derives from
-// the fleet size (one worker still splits in two).
+// the fleet size (one worker still splits in two). A split attempt runs
+// its ranges at once, each holding one group decoded, so its resident
+// peak is the sum of its ranges' largest groups: the run's
+// PeakResidentPairs must be the larger of its map tasks' peaks and the
+// largest such sum, both replayed from the run's own manifests and
+// sections, and at least the whole-partition run's.
 func TestProcRangeSplit(t *testing.T) {
 	lines := genLines(150) // "common" dominates: a genuinely skewed hot key
 	const parts = 3
-	run := func(workers, splitPairs int) ([]wcOut, engine.Metrics) {
+	plan := func(workers, splitPairs int) engine.Plan {
+		// A pinned chunk keeps the map tasks, and so their resident
+		// peaks, the same at every fleet size.
+		return engine.Plan{Workers: workers, Partitions: parts, MapChunk: 40, ReduceSplitPairs: splitPairs}
+	}
+	run := func(p engine.Plan, dir string) ([]wcOut, engine.Metrics) {
 		outs, met, err := Run[string, string, int, wcOut]("wordcount-nocombine", lines, Options{
-			// A pinned chunk keeps the map tasks, and so their resident
-			// peaks, the same at every fleet size.
-			Plan:    engine.Plan{Workers: workers, Partitions: parts, MapChunk: 40, ReduceSplitPairs: splitPairs},
-			Dir:     t.TempDir(),
+			Plan:    p,
+			Dir:     dir,
 			Timeout: 90 * time.Second,
 		})
 		if err != nil {
@@ -213,23 +221,90 @@ func TestProcRangeSplit(t *testing.T) {
 		}
 		return outs, met
 	}
-	want, wantMet := run(2, 0)
+	want, wantMet := run(plan(2, 0), t.TempDir())
 	if !reflect.DeepEqual(want, refWordCount(lines, parts)) {
 		t.Fatal("unsplit run diverges from reference")
 	}
 	for _, workers := range []int{1, 3} {
-		got, met := run(workers, 8)
+		dir := t.TempDir()
+		got, met := run(plan(workers, 8), dir)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("range-split outputs (workers=%d) diverge from whole-partition merge", workers)
 		}
 		if met.ReduceRanges == 0 {
 			t.Fatalf("ReduceRanges = 0 with split target 8 over %d shuffled pairs", met.PairsShuffled)
 		}
-		if met.Reducers != wantMet.Reducers || met.MaxReducerInput != wantMet.MaxReducerInput ||
-			met.PeakResidentPairs != wantMet.PeakResidentPairs {
+		if met.Reducers != wantMet.Reducers || met.MaxReducerInput != wantMet.MaxReducerInput {
 			t.Fatalf("range-split metrics diverge:\nsplit %+v\nwhole %+v", met, wantMet)
 		}
+		peak := replayPeak(t, dir, plan(workers, 8).Resolve())
+		if met.PeakResidentPairs != peak || peak < wantMet.PeakResidentPairs {
+			t.Fatalf("workers=%d: PeakResidentPairs = %d, replayed %d; whole-partition run %d",
+				workers, met.PeakResidentPairs, peak, wantMet.PeakResidentPairs)
+		}
 	}
+}
+
+// replayPeak is a finished wordcount run's resident peak, replayed from
+// its job dir: the largest map attempt's PeakResident in the manifests,
+// or the largest sum, over partitions, of the largest group of each key
+// range the plan cuts the partition's committed sections into.
+func replayPeak(t *testing.T, dir string, plan engine.Plan) int64 {
+	t.Helper()
+	logs, err := filepath.Glob(filepath.Join(dir, "manifest-*.log"))
+	if err != nil || len(logs) == 0 {
+		t.Fatalf("no manifests in %s (err %v)", dir, err)
+	}
+	var peak int64
+	var secs []Section
+	for _, path := range logs {
+		entries, err := readManifest(runfile.OSFS, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			peak = max(peak, e.PeakResident)
+			secs = append(secs, e.Sections...)
+		}
+	}
+	sortSections(secs)
+	for p := 0; p < plan.Partitions; p++ {
+		sh := shuffle.New[string, int](shuffle.Options{Partitions: 1})
+		for _, sec := range secs {
+			if sec.Part == p {
+				if err := sh.AdoptRun(0, sec.Path, sec.Offset, sec.Length); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		_, ranges, err := engine.PlanReduce(plan, "replay", sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units := ranges[0]
+		if units == nil {
+			units = []shuffle.KeyRange[string]{{}}
+		}
+		rr, err := sh.Partition(0).OpenRangeReader()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held int64
+		for _, kr := range units {
+			var largest int64
+			if err := rr.ForEachGroupRange(kr, true, func(_ string, vs []int) error {
+				largest = max(largest, int64(len(vs)))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			held += largest
+		}
+		rr.Close()
+		sh.Close()
+		peak = max(peak, held)
+	}
+	return peak
 }
 
 func TestProcRunClean(t *testing.T) {

@@ -133,32 +133,29 @@ func TestRunTaskStopsHeartbeatOnErrorPath(t *testing.T) {
 	}
 }
 
-// TestWorkerStreamingFaultMarch marches an injected I/O failure through
-// every filesystem call the worker-side streaming path makes under
-// memory pressure — the stash swaps and absorb read-backs between a map
-// task's emissions and its sealed spool sections. One long-running
-// sub-task (nothing absorbable until the end) forces the pressure path
-// through the injected FS; every outcome must be either success (the
-// fault was absorbable) or an error with ErrInjected still in the
-// chain. The sealed sections themselves go through the real filesystem
-// — exactly as in a worker process, where section faults are injected
-// by kill -9 instead.
+// TestWorkerStreamingFaultMarch marches an injected failure through
+// every seal a worker's map side hands its spool: one task writer under
+// a small MemoryBudget seals runs mid-task and at commit, each through
+// the section sink, and the worker touches no other file. A clean run
+// must deliver every pair to the sections; failing the n-th section
+// write must surface from the task's Commit with the injected cause
+// still in the chain.
 func TestWorkerStreamingFaultMarch(t *testing.T) {
 	lines := genLines(40)
-	run := func(fs runfile.FS) (int64, error) {
+	run := func(failAt int) (pairs int64, sections int, err error) {
 		dir := t.TempDir()
 		ws := &workerState{id: "w0", dir: dir, spools: newSpoolSet(dir, "w0")}
 		defer ws.spools.closeAll()
 		sink := &sectionSink{ws: ws, task: 0, attempt: 0, seq: make(map[int]int)}
-		sh := shuffle.New[string, int](shuffle.Options{
-			Partitions:       4,
-			MaxBufferedPairs: 8,
-			SpillDir:         t.TempDir(),
-			FS:               fs,
-		})
+		sh := shuffle.New[string, int](shuffle.Options{Partitions: 4, MaxBufferedPairs: 8})
 		defer sh.Close()
-		sh.SetSealSink(sink.write)
-		in := sh.NewIngester()
+		sh.SetSealSink(func(part int, fill func(w *runfile.Writer) error) error {
+			if sections++; sections == failAt {
+				return fmt.Errorf("section %d: %w", sections, errfs.ErrInjected)
+			}
+			return sink.write(part, fill)
+		})
+		in := sh.NewIngester(1)
 		tw := in.Task(0, 0)
 		for _, line := range lines {
 			for _, w := range strings.Fields(line) {
@@ -166,50 +163,27 @@ func TestWorkerStreamingFaultMarch(t *testing.T) {
 			}
 		}
 		if err := tw.Commit(); err != nil {
-			return 0, err
+			return 0, sections, err
 		}
 		if err := in.Finish(); err != nil {
-			return 0, err
+			return 0, sections, err
 		}
-		if err := sh.SealAllLive(); err != nil {
-			return 0, err
-		}
-		var pairs int64
 		for _, sec := range sink.secs {
 			pairs += sec.Pairs
 		}
-		return pairs, nil
+		return pairs, sections, nil
 	}
 
-	// Counting pass: the pressure path must actually run, or the march
-	// below is vacuous.
-	probe := errfs.New(nil)
-	wantPairs, err := run(probe)
+	wantPairs, sections, err := run(0)
 	if err != nil {
-		t.Fatalf("fault-free streaming round failed: %v", err)
+		t.Fatalf("fault-free map side failed: %v", err)
 	}
-	if wantPairs <= 0 {
-		t.Fatal("no pairs reached the spool sections")
+	if wantPairs <= 0 || sections <= 4 {
+		t.Fatalf("%d pairs in %d sections: no partition sealed mid-task, the march would be vacuous", wantPairs, sections)
 	}
-	if probe.Calls(errfs.OpCreate) == 0 || probe.Calls(errfs.OpWrite) == 0 {
-		t.Fatal("pressure path never touched the injected FS; the march would be vacuous")
-	}
-
-	for _, op := range []errfs.Op{errfs.OpCreate, errfs.OpWrite, errfs.OpRead, errfs.OpReadAt, errfs.OpClose, errfs.OpRemove} {
-		total := probe.Calls(op)
-		for nth := 1; nth <= total; nth++ {
-			fs := errfs.New(nil)
-			fs.FailAt(op, nth, nil)
-			pairs, err := run(fs)
-			if err == nil {
-				if pairs != wantPairs {
-					t.Errorf("%s call %d: fault silently lost data: %d pairs, want %d", op, nth, pairs, wantPairs)
-				}
-				continue
-			}
-			if !errors.Is(err, errfs.ErrInjected) {
-				t.Errorf("%s call %d: injected fault lost from chain: %v", op, nth, err)
-			}
+	for nth := 1; nth <= sections; nth++ {
+		if _, _, err := run(nth); !errors.Is(err, errfs.ErrInjected) {
+			t.Errorf("section %d: err = %v, want the injected failure in the chain", nth, err)
 		}
 	}
 }

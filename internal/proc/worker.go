@@ -7,15 +7,13 @@
 // combiner fold), a reduce task engine.PlanReduce and then
 // engine.RunReduceAttempt per key range, both over internal/shuffle;
 // there is no map loop, merge, range planner or run encoder in this
-// package. The two executors differ on purpose in two places only:
-//   - The sub-task cut. A worker's map task feeds its own shuffle as
-//     sub-tasks committed every MemoryBudget/2 pairs, so absorption and
-//     its seals overlap mapping; in process each of Plan.MapTasks is
-//     one ingester task of the one shuffle all tasks share.
-//   - Reduce scheduling. A worker runs one goroutine per planned key
-//     range of its partition; in process partitions and ranges are
-//     units LPT-balanced onto Plan.Workers goroutines, with fault
-//     injection and retries.
+// package. A worker's map task is the in-process one — one shuffle
+// writer sealing sorted runs under the budget — with its runs sent to
+// spool sections and committed through the manifest. The executors
+// differ on purpose in one place only, reduce scheduling: a worker runs
+// one goroutine per planned key range of its partition, while in
+// process partitions and ranges are units LPT-balanced onto
+// Plan.Workers goroutines, with fault injection and retries.
 //
 // Workers are the same binary as the driver — the role travels in the
 // environment, so MaybeWorker at the top of main (or TestMain) turns
@@ -351,15 +349,11 @@ func isFatal(err error) bool {
 }
 
 // sectionSink is a map task's shuffle.SealSink: every sealed run becomes
-// one fenced spool section — the seam that marries the streaming data
-// path's pressure relief to the per-task section + manifest commit
-// protocol. The shuffle encodes; the sink only supplies the spool's
-// writer and records the section. Seals arrive single-threaded while the
-// task is mapping, but Ingester.Finish drains partitions on parallel
-// workers, so writes are serialized under mu (the spool set shares one
-// runfile.Writer).
+// one fenced spool section — the seam between the shuffle's map side
+// and the per-task section + manifest commit protocol. The shuffle
+// encodes; the sink only supplies the spool's writer and records the
+// section. Seals arrive on the task's one writer, in seal order.
 type sectionSink struct {
-	mu      sync.Mutex
 	ws      *workerState
 	task    int
 	attempt int
@@ -373,8 +367,6 @@ type sectionSink struct {
 // fires between its body and its footer: the spool gets a flushed group
 // section with no index and no manifest record.
 func (sk *sectionSink) write(part int, fill func(w *runfile.Writer) error) error {
-	sk.mu.Lock()
-	defer sk.mu.Unlock()
 	arm := len(sk.secs) == 0
 	sec, err := sk.ws.spools.appendSection(sk.task, sk.attempt, part, sk.seq[part], func(w *runfile.Writer) error {
 		if err := fill(w); err != nil {
@@ -398,21 +390,19 @@ func (sk *sectionSink) write(part int, fill func(w *runfile.Writer) error) error
 
 // runMapTask maps records [Lo, Hi) — read from the task's own value
 // section of the input image, nothing else of it — with
-// engine.RunMapAttempt into a worker-local streaming shuffle: pairs
-// route through an Ingester under the job's MemoryBudget, so pressure
-// relief, combiner push-down, and spill-as-sorted-sections all happen
-// inside the worker, mid-task. A combiner's fold holds one slot per
-// distinct key of the task, as in process. Every sealed run lands in
-// the spools as one fenced section via sectionSink; the task then
-// commits all its sections with one manifest record before reporting
-// (the manifest write is still the task's durability point, and with
-// MemoryBudget zero the layout degenerates to one section per non-empty
-// partition).
+// engine.RunMapAttempt into one writer of a worker-local shuffle, the
+// in-process map side: under the job's MemoryBudget the writer seals
+// sorted, combined runs mid-task, and Commit seals the rest. A
+// combiner's fold holds one slot per distinct key of the task, as in
+// process. Every sealed run lands in the spools as one fenced section
+// via sectionSink; the task then commits all its sections with one
+// manifest record before reporting (the manifest write is still the
+// task's durability point, and with MemoryBudget zero the layout is one
+// section per chunk of a non-empty partition).
 //
-// The sub-task cut falls after every MemoryBudget/2 pairs the map body
-// emits (no budget: one sub-task). The body's output depends only on
-// the records, and seals only on the committed pair stream, so a
-// re-executed attempt writes byte-identical sections.
+// The body's output depends only on the records, and the seals only on
+// that pair stream, so a re-executed attempt writes byte-identical
+// sections.
 func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, error) {
 	ins, err := readInputs[I](filepath.Join(ws.dir, inputsFile), t.InputOffset, t.InputBytes, t.Hi-t.Lo)
 	if err != nil {
@@ -422,17 +412,9 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 	if err := ws.ensureManifest(); err != nil {
 		return MapReport{}, err
 	}
-	// The scratch dir holds only the shuffle's transient pressure-swap
-	// stash files, never committed sections — keeping it out of the job
-	// dir's spool namespace keeps spool accounting literal.
-	scratch := filepath.Join(ws.dir, "scratch-"+ws.id)
-	if err := os.MkdirAll(scratch, 0o755); err != nil {
-		return MapReport{}, fmt.Errorf("proc: creating worker scratch dir: %w", err)
-	}
 	sh := shuffle.New[K, V](shuffle.Options{
 		Partitions:       ws.plan.Partitions,
 		MaxBufferedPairs: ws.plan.MemoryBudget,
-		SpillDir:         scratch,
 		Recorder:         ws.rec,
 	})
 	defer sh.Close()
@@ -445,32 +427,14 @@ func (j *jobImpl[I, K, V, O]) runMapTask(ws *workerState, t Task) (MapReport, er
 	sink := &sectionSink{ws: ws, task: t.ID, attempt: t.Attempt, seq: make(map[int]int)}
 	sh.SetSealSink(sink.write)
 
-	in := sh.NewIngester()
-	sub, chunk := 0, 0 // current sub-task, and the pairs it holds
-	tw := in.Task(sub, 0)
-	var cerr error
-	pairsEmitted := engine.RunMapAttempt(j.r, slices.Values([][]I{ins}), func(k K, v V) {
-		if cerr != nil {
-			return
-		}
-		tw.Emit(k, v)
-		if chunk++; ws.plan.MemoryBudget > 0 && chunk >= max(ws.plan.MemoryBudget/2, 1) {
-			cerr = tw.Commit()
-			sub, chunk = sub+1, 0
-			tw = in.Task(sub, 0)
-		}
-	})
-	if cerr == nil {
-		cerr = tw.Commit()
-	}
-	if cerr != nil {
-		return MapReport{}, fmt.Errorf("proc: streaming map task %d: %w", t.ID, cerr)
+	in := sh.NewIngester(1)
+	tw := in.Task(t.ID, t.Attempt)
+	pairsEmitted := engine.RunMapAttempt(j.r, slices.Values([][]I{ins}), tw.Emit)
+	if err := tw.Commit(); err != nil {
+		return MapReport{}, fmt.Errorf("proc: streaming map task %d: %w", t.ID, err)
 	}
 	if err := in.Finish(); err != nil {
-		return MapReport{}, fmt.Errorf("proc: draining map task %d: %w", t.ID, err)
-	}
-	if err := sh.SealAllLive(); err != nil {
-		return MapReport{}, fmt.Errorf("proc: final seal of map task %d: %w", t.ID, err)
+		return MapReport{}, fmt.Errorf("proc: finishing map task %d: %w", t.ID, err)
 	}
 	secs := sink.secs
 	sortSections(secs)
@@ -581,9 +545,9 @@ func writeOutputs[K comparable, O any](path string, cs []engine.Collector[K, O])
 }
 
 // sortSections orders sections by (Part, Task, Attempt, Seq): one map
-// attempt's by partition, then seal order (the parallel Finish drain
-// interleaves partitions, so the manifest must not record arrival
-// order); one partition's reduce inputs in the value-order contract —
+// attempt's by partition, then seal order (a writer seals partitions in
+// whatever order their buckets fill, so the manifest must not record
+// arrival order); one partition's reduce inputs in the value-order contract —
 // map-task order, and within a task its winning attempt's seal order.
 // Attempt breaks the tie when a salvaged and a re-executed attempt's
 // sections coexist for one task.

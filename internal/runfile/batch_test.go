@@ -501,6 +501,16 @@ func TestCodecForMatchesAppend(t *testing.T) {
 	}
 }
 
+// ImageSize reports T's Plan.image: its memory size when a []T can be
+// stored as its memory (ImageBytes) and read back by copying bytes, 0
+// for any other T.
+func ImageSize[T any]() int {
+	if p := PlanFor[T](); p != nil {
+		return p.image
+	}
+	return 0
+}
+
 // TestImageSize pins which types may travel as a memory image: numeric
 // kinds and arrays and structs of them, at their memory size; nothing
 // with a bool, a pointer or a reference, and nothing of size zero.

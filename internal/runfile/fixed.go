@@ -36,23 +36,8 @@ func scalarWidth(k reflect.Kind) int {
 	}
 }
 
-// ImageSize reports T's memory size when every bit pattern of that many
-// bytes is a valid T — T is made only of integers, floats and complex
-// numbers, through arrays and structs with no blank field — so a []T can
-// be stored as its memory (ImageBytes) and read back by copying bytes
-// into a []T. It reports 0 for any other T: bools (only 0 and 1 are
-// valid), pointers, strings and other references, and size zero. An
-// image is this process's layout, padding included, for this process to
-// read back.
-func ImageSize[T any]() int {
-	if p := PlanFor[T](); p != nil {
-		return p.image
-	}
-	return 0
-}
-
 // ImageBytes views s's elements as their memory image, without a copy.
-// T must have a nonzero ImageSize.
+// T must be made only of numbers (Plan.image nonzero).
 func ImageBytes[T any](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(*new(T))))
 }
@@ -62,7 +47,8 @@ func ImageBytes[T any](s []T) []byte {
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 // wireImage reports the plan's memory size when its wire form is its
-// memory image, byte for byte: an ImageSize type (no bool or string part)
+// memory image, byte for byte: a type whose every bit pattern is valid
+// (no bool or string part)
 // whose every part sits at its wire offset, with the wire size equal to
 // the memory size (no padding), on a little-endian host. Otherwise 0.
 func (p *Plan) wireImage() int {

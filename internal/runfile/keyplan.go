@@ -39,7 +39,11 @@ type Plan struct {
 	// size is a value's wire length in bytes (fixed.go), or -1 when a
 	// string part makes it vary.
 	size int
-	// image is the type's ImageSize.
+	// image is a value's memory size when every bit pattern of that many
+	// bytes is a valid value — the type is made only of integers, floats
+	// and complex numbers, through arrays and structs with no blank
+	// field — so values can be stored as their memory (ImageBytes) and
+	// read back by copying bytes; 0 for any other type.
 	image int
 }
 

@@ -13,7 +13,7 @@ import (
 // file at path, written by someone else (internal/proc's map workers
 // commit such images as spool sections) — to partition part as a
 // borrowed, read-only disk run, after the partition's current runs in
-// seal order. The image is loaded and checked by LoadRun, its keys
+// run order. The image is loaded and checked by LoadRun, its keys
 // decoded once into the typed resident index. From then on the run is
 // one of the partition's own: counting reads (Stats, PlanReduceRanges)
 // touch no file, and value reads go through the merge's shared handles

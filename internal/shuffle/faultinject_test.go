@@ -3,6 +3,7 @@ package shuffle
 import (
 	"errors"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -55,6 +56,43 @@ func spillWorkload(t *testing.T, fs *errfs.FS, budget, pairs, keys int, mod ...f
 	return s, ingestTasksErr(s, [][]Pair[int, int]{modPairs(pairs, keys)}, 1)
 }
 
+// rotatedWorkload ingests one-pair runs (budget 1) into a
+// one-partition shuffle over fs: task t holds sizes[t] pairs of key
+// i%keys, i numbered on across the tasks, and every task after the
+// first follows an aborted attempt of it that leaves a dead run in the
+// seal spool. With rotation at every dead byte, each task's runs land
+// in a spool file of their own. Compaction is inline, so the round's
+// filesystem calls come in one fixed order.
+func rotatedWorkload(t *testing.T, fs *errfs.FS, sizes []int, keys int, mod ...func(*Options)) (*Shuffle[int, int], error) {
+	t.Helper()
+	opts := Options{
+		Partitions: 1, MaxBufferedPairs: 1,
+		SpillDir: t.TempDir(), FS: fs,
+	}
+	for _, m := range mod {
+		m(&opts)
+	}
+	s := newTuned[int, int](opts, tuning{compactors: -1, rotateBytes: 1})
+	in := s.NewIngester(1)
+	i := 0
+	for task, n := range sizes {
+		if task > 0 {
+			tw := in.Task(task, 0)
+			tw.Emit(0, -1)
+			tw.Abort()
+		}
+		tw := in.Task(task, 1)
+		for range n {
+			tw.Emit(i%keys, i)
+			i++
+		}
+		if err := tw.Commit(); err != nil {
+			return s, err
+		}
+	}
+	return s, in.Finish()
+}
+
 // groupCounts streams the partition and returns per-key value counts.
 func groupCounts(t *testing.T, s *Shuffle[int, int]) map[int]int {
 	t.Helper()
@@ -78,11 +116,9 @@ func wantCounts(pairs, keys int) map[int]int {
 }
 
 // TestFaultInjectionSpill fails each operation of the ingest-to-disk
-// path — the swap stash and the seal spool: create, write, the swap
-// read-back, close — and requires the round to surface the injected
-// error wrapped. The workload's one task outgrows the budget before it
-// commits, so its first flush swaps (stash create and write come
-// first); the commit reads the swap back and seals as it absorbs.
+// path — the seal spool's create, writes and close — and requires the
+// round to surface the injected error wrapped. The workload's one task
+// seals a run every second pair, each flushed by one write.
 func TestFaultInjectionSpill(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -90,14 +126,10 @@ func TestFaultInjectionSpill(t *testing.T) {
 		nth     int
 		wantMsg string
 	}{
-		{"create-swap-stash", errfs.OpCreate, 1, "creating swap spool"},
-		{"create-seal-spool", errfs.OpCreate, 2, "creating seal spool"},
-		{"write-swap-section", errfs.OpWrite, 1, "writing swap spool"},
-		{"write-first-seal", errfs.OpWrite, 2, "flushing seal spool"},
+		{"create-seal-spool", errfs.OpCreate, 1, "creating seal spool"},
+		{"write-first-seal", errfs.OpWrite, 1, "flushing seal spool"},
 		{"write-later-seal", errfs.OpWrite, 4, "flushing seal spool"},
-		{"pread-swap-readback", errfs.OpReadAt, 1, "reading swap spool"},
 		{"close-seal-spool", errfs.OpClose, 1, "closing seal spool"},
-		{"close-swap-stash", errfs.OpClose, 2, "closing swap spool"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -135,21 +167,19 @@ func TestFaultInjectionSpill(t *testing.T) {
 }
 
 // TestFaultInjectionCompaction drives a partition to
-// maxDiskRunsPerPartition seals so compaction runs mid-round, then
-// fails each of its operations: reopening the seal spool, the
-// positioned section reads, the output create, and the output flush.
-// A second, longer round reaches the file fan-in bound, where the
-// compaction's inputs span maxDiskRunFanIn files, and fails the first
-// and the last of their opens. The pread fallback is forced so the read
-// ordinals are deterministic; mapping faults get their own fallback
-// test below.
+// maxDiskRunsPerPartition seals so Finish compacts it, then fails each
+// of the compaction's operations: reopening the seal spool, the
+// positioned section reads, the output create, and the output flush. A
+// second round reaches the file fan-in bound, where the compaction's
+// inputs span maxDiskRunFanIn files, and fails the first and the last
+// of their opens. The pread fallback is forced so the read ordinals are
+// deterministic; mapping faults get their own fallback test below.
 func TestFaultInjectionCompaction(t *testing.T) {
-	const pairs = maxDiskRunsPerPartition // budget 1: one seal per pair, compaction at the last
+	const pairs = maxDiskRunsPerPartition // budget 1: one seal per pair
 	// Discovery pass: count the clean run's operations so the injections
-	// can target the compaction (the last create and write; the last
-	// `pairs` positioned reads, one per one-group input run — the earlier
-	// ones are swap read-backs) without hard-coding buffer-dependent
-	// ordinals.
+	// can target the compaction (the last create and write; the
+	// positioned reads, one per one-group input run) without
+	// hard-coding buffer-dependent ordinals.
 	probe := errfs.New(nil)
 	s, err := spillWorkload(t, probe, 1, pairs, 7, noMmap)
 	if err != nil {
@@ -157,14 +187,14 @@ func TestFaultInjectionCompaction(t *testing.T) {
 	}
 	s.Close()
 	creates, writes, preads := probe.Calls(errfs.OpCreate), probe.Calls(errfs.OpWrite), probe.Calls(errfs.OpReadAt)
-	if creates != 3 {
-		t.Fatalf("clean run created %d files, want 3: swap stash, seal spool, compaction output", creates)
+	if creates != 2 {
+		t.Fatalf("clean run created %d files, want 2: seal spool, compaction output", creates)
 	}
 	if opens := probe.Calls(errfs.OpOpen); opens != 1 {
 		t.Fatalf("clean run opened %d files, want 1: every input run shares the seal spool", opens)
 	}
-	if preads <= pairs {
-		t.Fatalf("clean run issued %d positioned reads, want swap read-backs plus %d compaction sections", preads, pairs)
+	if preads != pairs {
+		t.Fatalf("clean run issued %d positioned reads, want one per compacted section, %d", preads, pairs)
 	}
 
 	cases := []struct {
@@ -198,34 +228,34 @@ func TestFaultInjectionCompaction(t *testing.T) {
 		})
 	}
 
-	// A compaction over several files: the round's last seal makes the
-	// spool file number maxDiskRunFanIn, and the higher-tier merge it
-	// triggers opens every tier-1 output and then the spool. Failing the
-	// first of those opens, and the last — after maxDiskRunFanIn-1
-	// handles are already taken and must be released — fails the round
-	// wrapped, and closing the failed round leaves the spill dir empty.
+	// A compaction over several files: the round's tasks leave their
+	// runs in maxDiskRunFanIn spool files, and the compaction opens every
+	// one. Failing the first of those opens, and the last — after
+	// maxDiskRunFanIn-1 handles are already taken and must be released —
+	// fails the round wrapped, and closing the failed round leaves the
+	// spill dir empty.
+	files := slices.Repeat([]int{1}, maxDiskRunFanIn)
 	probe = errfs.New(nil)
-	s, err = spillWorkload(t, probe, 1, sealsToFileFanIn, 7, noMmap)
+	s, err = rotatedWorkload(t, probe, files, 7, noMmap)
 	if err != nil {
-		t.Fatalf("clean higher-tier run failed: %v", err)
+		t.Fatalf("clean file fan-in run failed: %v", err)
 	}
 	s.Close()
 	opens := probe.Calls(errfs.OpOpen)
-	if want := maxDiskRunFanIn - 1 + maxDiskRunFanIn; opens != want {
-		t.Fatalf("clean higher-tier run opened %d files, want %d: the spool once per tier-1 compaction, then %d inputs",
-			opens, want, maxDiskRunFanIn)
+	if opens != maxDiskRunFanIn {
+		t.Fatalf("clean file fan-in run opened %d files, want its %d inputs", opens, maxDiskRunFanIn)
 	}
 	for _, tc := range []struct {
 		name string
 		nth  int
 	}{
-		{"open-first-input", opens - maxDiskRunFanIn + 1},
+		{"open-first-input", 1},
 		{"open-last-input", opens},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := errfs.New(nil)
 			fs.FailAt(errfs.OpOpen, tc.nth, nil)
-			s, err := spillWorkload(t, fs, 1, sealsToFileFanIn, 7, noMmap)
+			s, err := rotatedWorkload(t, fs, files, 7, noMmap)
 			if !errors.Is(err, errfs.ErrInjected) || !strings.Contains(err.Error(), "compacting") {
 				t.Fatalf("err = %v, want the injected open failure wrapped by the compaction", err)
 			}
@@ -297,9 +327,10 @@ func TestFaultInjectionMmapFallback(t *testing.T) {
 // yield the full dataset — the files were never corrupted. An injected
 // mmap fault, by contrast, must not surface at all.
 func TestFaultInjectionReduceMerge(t *testing.T) {
-	const budget, pairs, keys = 1, maxDiskRunsPerPartition + 3, 5
+	const half, keys = 60, 5
+	const pairs = 2 * half
 	build := func(fs *errfs.FS, mod ...func(*Options)) *Shuffle[int, int] {
-		s, err := spillWorkload(t, fs, budget, pairs, keys, mod...)
+		s, err := rotatedWorkload(t, fs, []int{half, half}, keys, mod...)
 		if err != nil {
 			t.Fatalf("spill phase: %v", err)
 		}
@@ -308,8 +339,8 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 	}
 
 	// Discovery: how many opens and section preads does a clean streaming
-	// pass issue under the fallback? (One open per file, not per run: the
-	// fresh seals share their spool.)
+	// pass issue under the fallback? (One open per file, not per run: a
+	// task's seals share their spool.)
 	probe := errfs.New(nil)
 	s := build(probe, noMmap)
 	if err := s.Partition(0).forEachGroup(func(int, []int) error { return nil }); err != nil {
@@ -317,7 +348,7 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 	}
 	opens, preads, runs := probe.Calls(errfs.OpOpen), probe.Calls(errfs.OpReadAt), len(s.parts[0].disk)
 	if opens != 2 || runs <= opens || preads < runs {
-		t.Fatalf("clean merge used %d opens / %d preads over %d runs; expected a merge of the compacted run and several spool runs", opens, preads, runs)
+		t.Fatalf("clean merge used %d opens / %d preads over %d runs; expected a merge of many runs in two spool files", opens, preads, runs)
 	}
 	s.Close()
 
@@ -413,9 +444,10 @@ func TestFaultInjectionReduceMerge(t *testing.T) {
 // semaphore slot released — proven by reopening and re-reading the full
 // dataset — and the concurrent merges must join without leaks (-race).
 func TestFaultInjectionRangeMerge(t *testing.T) {
-	const budget, pairs, keys = 1, maxDiskRunsPerPartition + 3, 5 // two files, as in the reduce-merge march
+	const half, keys = 60, 5 // two files, as in the reduce-merge march
+	const pairs = 2 * half
 	build := func(fs *errfs.FS, mod ...func(*Options)) *Shuffle[int, int] {
-		s, err := spillWorkload(t, fs, budget, pairs, keys, mod...)
+		s, err := rotatedWorkload(t, fs, []int{half, half}, keys, mod...)
 		if err != nil {
 			t.Fatalf("spill phase: %v", err)
 		}
@@ -470,7 +502,7 @@ func TestFaultInjectionRangeMerge(t *testing.T) {
 	rr.Close()
 	opens, preads := probe.Calls(errfs.OpOpen), probe.Calls(errfs.OpReadAt)
 	if runs := len(s.parts[0].disk); opens != 2 || runs <= opens || preads < runs {
-		t.Fatalf("clean ranged pass used %d opens / %d preads over %d runs; expected a merge of the compacted run and several spool runs", opens, preads, runs)
+		t.Fatalf("clean ranged pass used %d opens / %d preads over %d runs; expected a merge of many runs in two spool files", opens, preads, runs)
 	}
 	s.Close()
 

@@ -100,26 +100,25 @@ func TestCountingPassIsMemoryOnly(t *testing.T) {
 
 // TestCompactionFanInBoundaries pins the compaction trigger at the
 // run-count bound (a partition's seals share one spool, so the bound
-// that fires is maxDiskRunsPerPartition): exactly that many seals
-// collapse to one run, one more seal starts the next tier at two runs —
-// and both shapes stream back the reference grouping.
+// that fires is maxDiskRunsPerPartition): one seal under it Finish
+// leaves as it is, and exactly that many collapse to one run — and both
+// shapes stream back the reference grouping.
 func TestCompactionFanInBoundaries(t *testing.T) {
 	const bound = maxDiskRunsPerPartition
-	for _, seals := range []int{bound, bound + 1} {
+	for _, seals := range []int{bound - 1, bound} {
 		const budget = 2
 		n := seals * budget
 		s := buildSpilled(t, budget, n, 7, nil)
 		disk := s.parts[0].disk
-		wantRuns := 1
-		if seals > bound {
-			wantRuns = 2
+		wantRuns := seals
+		if seals == bound {
+			wantRuns = 1
 		}
 		if len(disk) != wantRuns {
 			t.Fatalf("%d seals: %d disk runs, want %d", seals, len(disk), wantRuns)
 		}
-		if disk[0].pairs != int64(bound*budget) {
-			t.Errorf("%d seals: first run holds %d pairs, want %d",
-				seals, disk[0].pairs, bound*budget)
+		if seals == bound && disk[0].pairs != int64(bound*budget) {
+			t.Errorf("%d seals: the compacted run holds %d pairs, want %d", seals, disk[0].pairs, bound*budget)
 		}
 		st, err := s.Stats()
 		if err != nil {
@@ -201,10 +200,11 @@ func TestCombinerPushDownShrinksSpill(t *testing.T) {
 	}
 }
 
-// TestCombinerSkipsSealWhenCombineFrees: when combining collapses the
-// live run well under the budget, the seal is cancelled — a workload
-// whose combined footprint fits in memory never touches disk at all,
-// no matter how many raw pairs stream through.
+// TestCombinerSkipsSealWhenCombineFrees: when combining collapses a
+// writer's bucket well under the budget, the seal is cancelled and the
+// folded pairs stay buffered — a task whose combined footprint fits in
+// its buffer seals once, at commit, its combined partials alone, no
+// matter how many raw pairs stream through.
 func TestCombinerSkipsSealWhenCombineFrees(t *testing.T) {
 	const budget = 16
 	s := buildSpilled(t, budget, 5000, 3, sumCombiner) // 3 combined pairs << budget/2
@@ -213,16 +213,15 @@ func TestCombinerSkipsSealWhenCombineFrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.SpillEvents != 0 || st.BytesSpilled != 0 {
-		t.Fatalf("combined-in-memory workload spilled: %+v", st)
+	if st.SpillEvents != 1 || st.SpilledPairs != 3 {
+		t.Fatalf("combine-friendly task sealed %d runs of %d pairs, want its commit's one run of 3 partials: %+v",
+			st.SpillEvents, st.SpilledPairs, st)
 	}
 	if st.MaxLivePairs > budget {
 		t.Fatalf("MaxLivePairs = %d exceeds budget %d", st.MaxLivePairs, budget)
 	}
-	// The live run holds the 3 combined partials plus whatever raw
-	// pairs arrived after the last combine — never more than the budget.
-	if st.Reducers != 3 || st.PairsShuffled < 3 || st.PairsShuffled > budget {
-		t.Fatalf("stats = pairs %d keys %d, want 3 keys and <= %d pairs", st.PairsShuffled, st.Reducers, budget)
+	if st.Reducers != 3 || st.PairsShuffled != 3 {
+		t.Fatalf("stats = pairs %d keys %d, want 3 keys of one partial each", st.PairsShuffled, st.Reducers)
 	}
 	var total int
 	if err := s.Partition(0).forEachGroup(func(_ int, vs []int) error {

@@ -37,7 +37,7 @@ func ingestTasks(nTasks, perTask, keys int) [][]Pair[int, int] {
 // filesystem calls happen in one deterministic order — what the
 // fault-injection marches count ordinals over.
 func ingestTasksErr[K comparable, V any](s *Shuffle[K, V], tasks [][]Pair[K, V], workers int) error {
-	ing := s.NewIngester()
+	ing := s.NewIngester(workers)
 	var wg sync.WaitGroup
 	taskCh := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -74,8 +74,7 @@ func streamTasks[K comparable, V any](t testing.TB, s *Shuffle[K, V], tasks [][]
 
 // checkSpillFiles requires a finished round's spill directory to hold
 // exactly the files its partitions' disk runs live in: per partition at
-// most one seal spool plus compaction outputs — no file per seal, no
-// leftover swap stash.
+// most one seal spool plus compaction outputs — no file per seal.
 func checkSpillFiles[K comparable, V any](t testing.TB, s *Shuffle[K, V]) {
 	t.Helper()
 	if s.opts.SpillDir == "" {
@@ -91,7 +90,9 @@ func checkSpillFiles[K comparable, V any](t testing.TB, s *Shuffle[K, V]) {
 			}
 			want[name] = true
 		}
-		if spools > 1 {
+		// Rotation at every dead byte, which tests set, leaves a
+		// partition's surviving runs in the spools it retired.
+		if spools > 1 && s.tune.rotateBytes != 1 {
 			t.Errorf("partition %d's runs live in %d seal spools, want at most 1", p, spools)
 		}
 	}
@@ -152,7 +153,7 @@ func TestStreamingMatchesNaiveReference(t *testing.T) {
 			if tc.spill {
 				opts.SpillDir = t.TempDir()
 			}
-			streamed := newTuned[int, int](opts, tuning{blockPairs: 16})
+			streamed := New[int, int](opts)
 			if tc.combine {
 				streamed.SetCombiner(sumCombiner)
 			}
@@ -184,23 +185,22 @@ func TestStreamingMatchesNaiveReference(t *testing.T) {
 
 // TestStreamingAbortFencesFlushedPairs emits a full task through the
 // ingester, aborts it, retries under a new attempt, and requires that
-// none of the aborted attempt's pairs — staged blocks and fenced spill
-// runs alike — are visible, while the retry's pairs all are, and that
-// no spill file outlives Close.
+// none of the aborted attempt's pairs — runs it had already sealed to
+// disk included — are visible, while the retry's pairs all are, in task
+// order although task 1 committed first, and that no spill file
+// outlives Close.
 func TestStreamingAbortFencesFlushedPairs(t *testing.T) {
-	const budget, blockPairs = 8, 16
+	const budget = 8
 	fs := errfs.New(nil)
 	spillDir := t.TempDir()
-	s := newTuned[int, int](Options{
+	s := New[int, int](Options{
 		Partitions: 1, MaxBufferedPairs: budget,
 		SpillDir: spillDir, FS: fs,
-	}, tuning{blockPairs: blockPairs})
+	})
 	defer s.Close()
-	ing := s.NewIngester()
+	ing := s.NewIngester(1)
 
-	// Task 1 commits first but stays above the watermark (task 0 is
-	// unfinished), so its blocks stage and, with the budget this small,
-	// fence to disk — uncommitted-spill machinery in action.
+	// Task 1 commits first, while task 0 is unfinished.
 	tw1 := ing.Task(1, 0)
 	for i := 0; i < 64; i++ {
 		tw1.Emit(i%5, 1000+i)
@@ -209,19 +209,20 @@ func TestStreamingAbortFencesFlushedPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Task 0 attempt 0: emits everything (flushing along the way, which
-	// fences under this tiny budget), then fails. Its flushed pairs
-	// must be fenced off.
+	// Task 0 attempt 0: emits everything (sealing runs to disk along the
+	// way under this tiny budget), then fails. Its sealed runs must be
+	// fenced off.
+	writes := fs.Calls(errfs.OpWrite)
 	tw0 := ing.Task(0, 0)
 	for i := 0; i < 64; i++ {
 		tw0.Emit(i%5, -1) // poison values: must never appear
 	}
-	if fs.Calls(errfs.OpCreate) == 0 {
+	if fs.Calls(errfs.OpWrite) == writes {
 		t.Fatal("attempt never spilled; the fencing path is not exercised")
 	}
 	tw0.Abort()
 
-	// Retry commits clean data; the watermark then passes both tasks.
+	// Retry commits clean data, which must read before task 1's.
 	tw0r := ing.Task(0, 1)
 	for i := 0; i < 64; i++ {
 		tw0r.Emit(i%5, i)
@@ -275,21 +276,21 @@ func TestStreamingAbortFencesFlushedPairs(t *testing.T) {
 
 // TestStreamingPeakResidentBound is the whole-round memory assertion:
 // a dataset many times the total budget, streamed by concurrent
-// workers, must keep peak resident pairs within
-// P*MemoryBudget + workers*blockPairs.
+// workers, must keep peak resident pairs within P*MemoryBudget — the
+// writers' shares together — and every writer's buffer for one
+// partition within MemoryBudget.
 func TestStreamingPeakResidentBound(t *testing.T) {
 	const (
-		parts      = 4
-		budget     = 256
-		blockPairs = 64
-		workers    = 4
-		nTasks     = 32
-		perTask    = 1024 // 32k pairs ~ 32x the total budget
+		parts   = 4
+		budget  = 256
+		workers = 4
+		nTasks  = 32
+		perTask = 1024 // 32k pairs ~ 32x the total budget
 	)
 	tasks := ingestTasks(nTasks, perTask, 301)
-	s := newTuned[int, int](Options{
+	s := New[int, int](Options{
 		Partitions: parts, MaxBufferedPairs: budget, SpillDir: t.TempDir(),
-	}, tuning{blockPairs: blockPairs})
+	})
 	defer s.Close()
 	streamTasks(t, s, tasks, workers)
 
@@ -303,10 +304,9 @@ func TestStreamingPeakResidentBound(t *testing.T) {
 	if st.MaxLivePairs > budget {
 		t.Errorf("MaxLivePairs = %d exceeds budget %d", st.MaxLivePairs, budget)
 	}
-	bound := int64(parts*budget + workers*blockPairs)
-	if st.PeakResidentPairs > bound {
-		t.Errorf("PeakResidentPairs = %d exceeds bound %d (= %d*%d + %d*%d)",
-			st.PeakResidentPairs, bound, parts, budget, workers, blockPairs)
+	if bound := int64(parts * budget); st.PeakResidentPairs > bound {
+		t.Errorf("PeakResidentPairs = %d exceeds bound %d (= %d*%d)",
+			st.PeakResidentPairs, bound, parts, budget)
 	}
 	if st.PeakResidentPairs <= 0 {
 		t.Error("PeakResidentPairs = 0: metric never measured anything")
@@ -327,71 +327,17 @@ func TestStreamingPeakResidentBound(t *testing.T) {
 	}
 }
 
-// TestSwapReadBackStaysUnderBound is TestStreamingPeakResidentBound's
-// failure made deterministic — one goroutine, one partition. Task 0
-// outgrows the budget several times over before it commits, so most of
-// it is swapped out while its last flushes (sized here to just miss the
-// next relief) stay in memory. When it commits, reading the swapped
-// sections back raises the live run to the full budget; the blocks
-// staged beside it must be shed first, or the partition holds a live
-// run plus most of a budget of staged pairs.
-func TestSwapReadBackStaysUnderBound(t *testing.T) {
-	const budget, blockPairs = 256, 64
-	s := newTuned[int, int](Options{
-		Partitions: 1, MaxBufferedPairs: budget, SpillDir: t.TempDir(),
-	}, tuning{blockPairs: blockPairs})
-	defer s.Close()
-	ing := s.NewIngester()
-	older, newer := ing.Task(0, 0), ing.Task(1, 0)
-	want := make(map[int][]int)
-	emit := func(tw *TaskWriter[int, int], n, base int) {
-		for i := 0; i < n; i++ {
-			tw.Emit(i%37, base+i)
-		}
-	}
-	// Task 1's one flushed block shifts the relief points: task 0's
-	// flushes 3, 7, 11 and 15 each swap everything staged, and 16-18
-	// plus the commit's remainder stay in memory.
-	const olderPairs = 18*blockPairs + 40
-	emit(newer, 100, 10000)
-	emit(older, olderPairs, 0)
-	for i := 0; i < olderPairs; i++ {
-		want[i%37] = append(want[i%37], i)
-	}
-	for i := 0; i < 100; i++ {
-		want[i%37] = append(want[i%37], 10000+i)
-	}
-	if s.swapBytes.Load() == 0 {
-		t.Fatal("nothing was swapped; the test exercises nothing")
-	}
-	for _, tw := range []*TaskWriter[int, int]{older, newer} {
-		if err := tw.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ing.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if peak, bound := s.PeakResidentPairs(), int64(budget+blockPairs); peak > bound {
-		t.Errorf("PeakResidentPairs = %d exceeds bound %d (= 1*%d + 1*%d)", peak, bound, budget, blockPairs)
-	}
-	if got := collectGroups(t, s); !reflect.DeepEqual(got, want) {
-		t.Error("grouped values diverge from the emitted stream after swap read-back")
-	}
-}
-
-// TestStreamingStress is the -race workout: many workers flushing
-// concurrently into few partitions with a tiny budget (constant
-// swapping, sealing and compaction), injected aborts with retries, and
-// a final exact comparison of every key's value sequence against the
+// TestStreamingStress is the -race workout: many workers sealing
+// concurrently into few partitions with a tiny budget (constant sealing,
+// out-of-order commits and compaction), injected aborts with retries,
+// and a final exact comparison of every key's value sequence against the
 // single-threaded expectation.
 func TestStreamingStress(t *testing.T) {
 	streamingStress(t, func(v int) int { return v })
 }
 
 // TestStreamingStressPaddedValue is the same workout with a padded
-// struct value (matmul's shape), whose swaps are memory images that
-// carry padding bytes.
+// struct value (matmul's shape), whose memory carries padding bytes.
 func TestStreamingStressPaddedValue(t *testing.T) {
 	streamingStress(t, cellOf)
 }
@@ -404,13 +350,13 @@ func streamingStress[V any](t *testing.T, val func(int) V) {
 		workers               = 8
 	)
 	tasks := ingestTasks(nTasks, perTask, keys)
-	s := newTuned[int, V](Options{
+	s := New[int, V](Options{
 		Partitions: 2, MaxBufferedPairs: 16,
 		SpillDir: t.TempDir(),
-	}, tuning{blockPairs: 16})
+	})
 	defer s.Close()
 
-	ing := s.NewIngester()
+	ing := s.NewIngester(workers)
 	rng := rand.New(rand.NewSource(42))
 	abortFirst := make([]bool, nTasks) // decided up front; workers read only
 	for i := range abortFirst {
@@ -426,7 +372,7 @@ func streamingStress[V any](t *testing.T, val func(int) V) {
 				attempt := 0
 				if abortFirst[ti] {
 					tw := ing.Task(ti, attempt)
-					// Emit a prefix (flushing some blocks), then abort.
+					// Emit a prefix (sealing some runs), then abort.
 					for _, p := range tasks[ti][:perTask/2] {
 						tw.Emit(p.Key, val(-p.Value-1)) // poison
 					}
@@ -452,8 +398,8 @@ func streamingStress[V any](t *testing.T, val func(int) V) {
 	if err := ing.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if s.swapBytes.Load() == 0 {
-		t.Fatal("nothing was swapped; the workout exercises no swap path")
+	if st := s.Totals(); st.SpillEvents == 0 || st.BytesReclaimed == 0 {
+		t.Fatalf("%d seals, %d bytes reclaimed: the workout sealed no run or released none", st.SpillEvents, st.BytesReclaimed)
 	}
 
 	want := make(map[int][]V)
@@ -474,17 +420,19 @@ func streamingStress[V any](t *testing.T, val func(int) V) {
 }
 
 // TestStreamingFaultInjection marches errfs failures through the
-// streaming path's disk surface — fence-spill creates and writes, seal
-// writes, closes — and requires the injected cause to surface wrapped
-// from Commit or Finish, with Close still cleaning up.
+// ingestion path's disk surface — the seal spool's create, its writes,
+// and the compaction output Finish creates, since one seal per pair
+// takes the partition past the run-count bound; and their closes — and
+// requires the injected cause to surface wrapped from Commit or Finish,
+// with Close still cleaning up.
 func TestStreamingFaultInjection(t *testing.T) {
 	workload := func(fs *errfs.FS) error {
-		s := newTuned[int, int](Options{
-			Partitions: 1, MaxBufferedPairs: 4,
+		s := New[int, int](Options{
+			Partitions: 1, MaxBufferedPairs: 1,
 			SpillDir: t.TempDir(), FS: fs,
-		}, tuning{blockPairs: 16})
+		})
 		defer s.Close()
-		ing := s.NewIngester()
+		ing := s.NewIngester(1)
 		var firstErr error
 		for ti := 0; ti < 6; ti++ {
 			tw := ing.Task(ti, 0)
@@ -502,14 +450,14 @@ func TestStreamingFaultInjection(t *testing.T) {
 	}
 
 	// Probe: count a clean run's operations. (Creates are few by
-	// design: the partition's pressure spool batches every fence and
-	// early seal into one file.)
+	// design: the partition's seal spool batches every seal into one
+	// file.)
 	probe := errfs.New(nil)
 	if err := workload(probe); err != nil {
 		t.Fatalf("clean streaming run failed: %v", err)
 	}
 	creates, writes, closes := probe.Calls(errfs.OpCreate), probe.Calls(errfs.OpWrite), probe.Calls(errfs.OpClose)
-	if creates < 1 || writes < 3 || closes < 1 {
+	if creates < 2 || writes < 3 || closes < 2 {
 		t.Fatalf("clean run did %d creates / %d writes / %d closes; spill path never engaged",
 			creates, writes, closes)
 	}
@@ -553,14 +501,16 @@ func TestStreamingFaultInjection(t *testing.T) {
 }
 
 // TestSpoolRotationFaultTolerance marches an injected create failure
-// over every file-create a rotating streaming round performs. Spool
-// rotation creates the replacement file before retiring the old one,
-// and a failed rotation create is opportunistic — the round keeps the
-// old spool and carries on. So each ordinal must end one of two ways:
-// the round fails with the injected cause wrapped (a mandatory create
-// — first spool, swap stash, compaction output), or it succeeds with
-// byte-identical output (a rotation create). At least one ordinal must
-// take the survivable path, proving rotation actually engaged.
+// over every file-create a rotating streaming round performs; each
+// task's first attempt is aborted after sealing its runs, which leaves
+// dead bytes in the seal spool. Spool rotation creates the replacement
+// file before retiring the old one, and a failed rotation create is
+// opportunistic — the round keeps the old spool and carries on. So each
+// ordinal must end one of two ways: the round fails with the injected
+// cause wrapped (a mandatory create — first spool, compaction output),
+// or it succeeds with byte-identical output (a rotation create). At
+// least one ordinal must take the survivable path, proving rotation
+// actually engaged.
 func TestSpoolRotationFaultTolerance(t *testing.T) {
 	const nTasks, perTask, keys = 12, 48, 7
 	tasks := ingestTasks(nTasks, perTask, keys)
@@ -577,12 +527,17 @@ func TestSpoolRotationFaultTolerance(t *testing.T) {
 		s := newTuned[int, int](Options{
 			Partitions: 1, MaxBufferedPairs: 8,
 			SpillDir: t.TempDir(), FS: fs,
-		}, tuning{blockPairs: 8, rotateBytes: rotate, compactors: -1})
+		}, tuning{rotateBytes: rotate, compactors: -1})
 		defer s.Close()
-		ing := s.NewIngester()
+		ing := s.NewIngester(1)
 		var firstErr error
 		for ti := range tasks {
 			tw := ing.Task(ti, 0)
+			for _, p := range tasks[ti] {
+				tw.Emit(p.Key, -1)
+			}
+			tw.Abort()
+			tw = ing.Task(ti, 1)
 			for _, p := range tasks[ti] {
 				tw.Emit(p.Key, p.Value)
 			}
@@ -649,17 +604,16 @@ func TestSpoolRotationFaultTolerance(t *testing.T) {
 }
 
 // TestStreamingStatsInvalidation: Stats calls mid-round do not stale a
-// later one — after absorbed blocks, seals, background compactions and
-// swap-section adds and releases, the post-Finish Stats reflects the
-// whole round.
+// later one — after seals and commits, the post-Finish Stats reflects
+// the whole round.
 func TestStreamingStatsInvalidation(t *testing.T) {
 	const perTask = 64
-	s := newTuned[int, int](Options{
+	s := New[int, int](Options{
 		Partitions: 2, MaxBufferedPairs: 8,
 		SpillDir: t.TempDir(),
-	}, tuning{blockPairs: 4})
+	})
 	defer s.Close()
-	ing := s.NewIngester()
+	ing := s.NewIngester(1)
 
 	tw := ing.Task(0, 0)
 	for i := 0; i < perTask; i++ {
@@ -714,19 +668,19 @@ func TestStreamingStatsInvalidation(t *testing.T) {
 }
 
 // TestStreamingEmptyAndSingleTask covers the degenerate shapes: no
-// tasks at all, and one task owning every pair (the watermark cannot
-// advance until the very end, so everything stages and fences).
+// tasks at all, and one task owning every pair (its writer seals to
+// disk as its share fills, long before it commits).
 func TestStreamingEmptyAndSingleTask(t *testing.T) {
 	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 8, SpillDir: t.TempDir()})
 	defer s.Close()
-	ing := s.NewIngester()
+	ing := s.NewIngester(1)
 	if err := ing.Finish(); err != nil {
 		t.Fatalf("empty ingestion: %v", err)
 	}
 
-	s2 := newTuned[int, int](Options{Partitions: 2, MaxBufferedPairs: 8, SpillDir: t.TempDir()}, tuning{blockPairs: 16})
+	s2 := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 8, SpillDir: t.TempDir()})
 	defer s2.Close()
-	ing2 := s2.NewIngester()
+	ing2 := s2.NewIngester(1)
 	tw := ing2.Task(0, 0)
 	const n = 512
 	for i := 0; i < n; i++ {
@@ -745,9 +699,9 @@ func TestStreamingEmptyAndSingleTask(t *testing.T) {
 	if st.PairsShuffled != n {
 		t.Fatalf("PairsShuffled = %d, want %d", st.PairsShuffled, n)
 	}
-	// One giant task: the bound still holds because staged data fences
-	// to disk under pressure instead of accumulating in memory.
-	bound := int64(2*8 + 1*16)
+	// One giant task: the bound still holds because its writer seals to
+	// disk at its share, P*budget, instead of accumulating in memory.
+	bound := int64(2 * 8)
 	if st.PeakResidentPairs > bound {
 		t.Errorf("single-task PeakResidentPairs = %d exceeds bound %d", st.PeakResidentPairs, bound)
 	}
@@ -763,5 +717,56 @@ func TestStreamingEmptyAndSingleTask(t *testing.T) {
 	}
 	if total != n {
 		t.Fatalf("streamed %d pairs, want %d", total, n)
+	}
+}
+
+// TestOutOfOrderCommitsKeepValueOrder: tasks that commit in reverse
+// order still read back in task order. Every task's writer seals runs
+// before any task commits; the partition places each commit's runs
+// after those of every earlier task, and Finish compacts the partition
+// (inline) once its runs reach the run-count bound — so the compaction
+// merges runs in task order, not commit order.
+func TestOutOfOrderCommitsKeepValueOrder(t *testing.T) {
+	const nTasks, perTask, keys, budget = 10, 30, 7, 2
+	tasks := ingestTasks(nTasks, perTask, keys)
+	want := make(map[int][]int)
+	for _, ps := range tasks {
+		for _, p := range ps {
+			want[p.Key] = append(want[p.Key], p.Value)
+		}
+	}
+	s := newTuned[int, int](Options{
+		Partitions: 1, MaxBufferedPairs: budget, SpillDir: t.TempDir(),
+	}, tuning{compactors: -1})
+	defer s.Close()
+	ing := s.NewIngester(nTasks)
+	writers := make([]*TaskWriter[int, int], nTasks)
+	for ti, ps := range tasks {
+		writers[ti] = ing.Task(ti, 0)
+		for _, p := range ps {
+			writers[ti].Emit(p.Key, p.Value)
+		}
+	}
+	for ti := nTasks - 1; ti >= 0; ti-- {
+		if err := writers[ti].Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if runs := len(s.parts[0].disk); runs < maxDiskRunsPerPartition {
+		t.Fatalf("the round sealed %d runs, under the run-count bound %d: nothing to compact", runs, maxDiskRunsPerPartition)
+	}
+	if err := ing.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if runs := len(s.parts[0].disk); runs != 1 {
+		t.Fatalf("%d runs after Finish, want the compaction's one", runs)
+	}
+	if got := collectGroups(t, s); !reflect.DeepEqual(got, want) {
+		for k := range want {
+			if !reflect.DeepEqual(got[k], want[k]) {
+				t.Fatalf("key %d: %v, want the task-order %v", k, got[k], want[k])
+			}
+		}
+		t.Fatal("group sets diverge")
 	}
 }

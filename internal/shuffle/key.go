@@ -17,7 +17,7 @@
 // A key of at most two parts, all numbers or bools (an int, a float64,
 // a two-field struct of numbers), also has a normalized form
 // (runfile.Plan.Norm): two words whose lexicographic order is the key
-// order. SortKeys and a seal's sort of the live run (sortOrder)
+// order. SortKeys and a seal's sort of a writer's bucket (sortOrder)
 // radix-sort such keys on their words, and the merge's tree of losers
 // holds them in its leaves and compares words inline; every other key
 // sorts and merges by the plan's Compare (orderOf).

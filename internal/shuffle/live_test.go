@@ -12,12 +12,12 @@ import (
 	"repro/internal/runfile"
 )
 
-// FuzzLiveRun is the live run's differential target: a stream with
-// heavy key repeats goes through the shuffle — under a budget of 1, 2,
-// a random one, one past the stream, or none; with and without a
-// combiner; in memory, with a SpillDir, or through a SealSink — and
-// forEachGroup must equal a serial stable group-by, for a key with a
-// normalized form and for a string key.
+// FuzzLiveRun is the map side's differential target: a stream with
+// heavy key repeats goes through the shuffle's task writers — under a
+// budget of 1, 2, a random one, one past the stream, or none; with and
+// without a combiner; in memory, with a SpillDir, or through a SealSink
+// — and forEachGroup must equal a serial stable group-by, for a key
+// with a normalized form and for a string key.
 func FuzzLiveRun(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte("aabbaacc"))
 	f.Add(uint8(13), uint8(7), []byte("the quick brown fox jumps over the lazy dog"))
@@ -25,37 +25,40 @@ func FuzzLiveRun(f *testing.F) {
 	f.Fuzz(func(t *testing.T, mode, budgetSel uint8, stream []byte) {
 		// A budget of 1 seals once per pair: keep long inputs fast.
 		stream = stream[:min(len(stream), 2048)]
-		checkLiveRun(t, mode, budgetSel, stream, func(b byte) splitKey { return splitKey{int(b % 3), int(b % 5)} })
-		checkLiveRun(t, mode, budgetSel, stream, func(b byte) string { return strconv.Itoa(int(b % 11)) })
+		perTask := int(mode>>3)%13 + 1
+		checkLiveRun(t, mode, budgetSel, perTask, stream, func(b byte) splitKey { return splitKey{int(b % 3), int(b % 5)} })
+		checkLiveRun(t, mode, budgetSel, perTask, stream, func(b byte) string { return strconv.Itoa(int(b % 11)) })
 	})
 }
 
-// TestLiveRunChunks runs the differential check over streams longer than
-// liveChunk, so the live run is sorted in chunks: read as several runs,
-// and merged into one when it seals (no budget through a seal sink, or a
-// budget above liveChunk).
+// TestLiveRunChunks runs the differential check over one task longer
+// than chunkPairs, so with no budget its writer seals its buckets in
+// chunks: one task's several in-memory runs (or seal-sink sections),
+// read back in seal order; with a budget above the stream, one run.
 func TestLiveRunChunks(t *testing.T) {
-	stream := make([]byte, 2*liveChunk+500)
+	stream := make([]byte, 2*chunkPairs+500)
 	for i := range stream {
 		stream[i] = byte(i*i + i/7)
 	}
 	for mode := uint8(0); mode < 6; mode++ {
 		for _, budgetSel := range []uint8{4, 3} { // none, one past the stream
-			checkLiveRun(t, mode, budgetSel, stream, func(b byte) splitKey { return splitKey{int(b % 7), int(b)} })
+			checkLiveRun(t, mode, budgetSel, len(stream), stream, func(b byte) splitKey { return splitKey{int(b % 7), int(b)} })
 		}
 	}
 }
 
 // checkLiveRun streams stream's bytes as pairs (key(b), position) in
-// tasks of a few pairs each, on two concurrent writers, through a
+// tasks of perTask pairs each, on two concurrent writers, through a
 // two-partition shuffle. mode%3 picks memory, SpillDir or seal sink,
-// mode&4 a summing combiner, mode>>3 the task length; budgetSel%5 the
-// budget. Without the combiner each key's values must be its positions
-// in order; with it, their sum. Totals must count every pair read.
-func checkLiveRun[K comparable](t *testing.T, mode, budgetSel uint8, stream []byte, key func(byte) K) {
+// mode&4 a summing combiner; budgetSel%5 the budget. A seal sink has no
+// task order of its own — its sections arrive in seal order, which is
+// why a proc map worker's shuffle holds one task — so the sink case runs
+// the tasks one after another. Without the combiner each key's values
+// must be its positions in order; with it, their sum. Totals must count
+// every pair read.
+func checkLiveRun[K comparable](t *testing.T, mode, budgetSel uint8, perTask int, stream []byte, key func(byte) K) {
 	budget := []int{1, 2, 3 + int(budgetSel>>3), len(stream) + 1, 0}[budgetSel%5]
 	combine := mode&4 != 0
-	perTask := int(mode>>3)%13 + 1
 	var tasks [][]Pair[K, int]
 	want := make(map[K][]int)
 	for i, b := range stream {
@@ -70,7 +73,7 @@ func checkLiveRun[K comparable](t *testing.T, mode, budgetSel uint8, stream []by
 	if mode%3 != 0 && budget > 0 {
 		opts.SpillDir = t.TempDir()
 	}
-	s := newTuned[K, int](opts, tuning{blockPairs: 16})
+	s := New[K, int](opts)
 	defer s.Close()
 	if combine {
 		s.SetCombiner(func(_ K, vs []int) []int {
@@ -112,14 +115,15 @@ func checkLiveRun[K comparable](t *testing.T, mode, budgetSel uint8, stream []by
 			return nil
 		})
 	}
-	if err := ingestTasksErr(s, tasks, 2); err != nil {
+	writers := 2
+	if mode%3 == 2 {
+		writers = 1
+	}
+	if err := ingestTasksErr(s, tasks, writers); err != nil {
 		t.Fatal(err)
 	}
 	read := s
 	if mode%3 == 2 {
-		if err := s.SealAllLive(); err != nil {
-			t.Fatal(err)
-		}
 		read = New[K, int](Options{Partitions: 2})
 		defer read.Close()
 		for _, sec := range secs {

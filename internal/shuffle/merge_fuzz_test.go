@@ -14,12 +14,12 @@ import (
 
 // FuzzMergeCursors is the differential check of the package's one k-way
 // merge (mergeCursors over rangeCursors): disk runs (spool sections
-// written by addRun, empty ones included) and in-memory runs, in seal
+// written by addRun, empty ones included) and in-memory runs, in run
 // order, under a random KeyRange clamp. Every consumer must equal a
-// naive reference that concatenates each key's values in seal order —
+// naive reference that concatenates each key's values in run order —
 // countGroups, readGroups with and without a reused slice (and the
-// DiskBytesRead it meters), compaction (mergeDiskRuns) with and without
-// a combiner, and mergeRuns over the in-memory runs. kind picks an int,
+// DiskBytesRead it meters), and compaction (mergeDiskRuns) with and
+// without a combiner. kind picks an int,
 // a two-word struct or a string key; run r holds pairs pairs of random
 // keys among keys distinct ones, none when bit r%64 of empty is set;
 // lo and hi pick the clamp's bounds (0: unbounded).
@@ -83,14 +83,14 @@ func checkMerge[K comparable](t *testing.T, sh mergeShape, key func(id int) K) {
 
 	s := newTuned[K, int](Options{Partitions: 1, MaxBufferedPairs: 1, SpillDir: t.TempDir()}, tuning{compactors: -1})
 	defer s.Close()
-	sp := &spool[K, int]{s: s, pattern: "mr-spool-*.run", kind: "seal spool"}
+	sp := &spool[K, int]{s: s}
 	defer sp.close(nil)
 	var enc GroupEncoder[K, int]
 	var disk []diskRun[K]
 	var mem []*memRun[K, int]
-	// The references: each key's values in seal order, over every run,
-	// over the disk runs alone and over the in-memory runs alone.
-	all, onDisk, inMem := map[K][]int{}, map[K][]int{}, map[K][]int{}
+	// The references: each key's values in run order, over every run
+	// and over the disk runs alone.
+	all, onDisk := map[K][]int{}, map[K][]int{}
 	var diskRead int64 // value-section bytes of the disk groups in kr
 	rng := rand.New(rand.NewSource(sh.seed))
 	v := 0
@@ -107,8 +107,6 @@ func checkMerge[K comparable](t *testing.T, sh mergeShape, key func(id int) K) {
 			all[k] = append(all[k], ps[i].Value)
 			if r < sh.disk {
 				onDisk[k] = append(onDisk[k], ps[i].Value)
-			} else {
-				inMem[k] = append(inMem[k], ps[i].Value)
 			}
 		}
 		run := new(memRun[K, int])
@@ -232,13 +230,4 @@ func checkMerge[K comparable](t *testing.T, sh mergeShape, key func(id int) K) {
 		}
 	}
 	s.combiner = nil
-
-	if len(mem) > 0 {
-		m := mergeRuns(mem)
-		var gs []mergeGroup[K]
-		for g, k := range m.keys {
-			gs = append(gs, mergeGroup[K]{k, m.group(g)})
-		}
-		check("mergeRuns", gs, want(inMem, everyKey, nil))
-	}
 }

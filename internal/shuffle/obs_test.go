@@ -51,19 +51,19 @@ func TestTracingUnderFaultInjection(t *testing.T) {
 
 // TestRecorderConcurrentStress streams many tasks through concurrent
 // workers into a spilling shuffle with a deliberately tiny ring: the
-// map workers, pressure-relief fences and compactions all emit
+// map workers' seals and the compactions all emit
 // concurrently, the rings wrap, and the recorder must count drops
 // instead of blocking or corrupting. Run under -race in CI.
 func TestRecorderConcurrentStress(t *testing.T) {
 	rec := obs.NewRecorder(16) // tiny: guarantees wrap under load
-	s := newTuned[int, int](Options{
+	s := New[int, int](Options{
 		Partitions: 4, MaxBufferedPairs: 8,
 		SpillDir: t.TempDir(), Recorder: rec,
-	}, tuning{blockPairs: 4})
+	})
 	defer s.Close()
 
 	const workers, tasks, pairs = 8, 32, 200
-	ing := s.NewIngester()
+	ing := s.NewIngester(workers)
 	var wg sync.WaitGroup
 	taskCh := make(chan int)
 	for w := 0; w < workers; w++ {

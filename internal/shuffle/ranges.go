@@ -129,7 +129,7 @@ type RangeReader[K comparable, V any] struct {
 	views    []runView // one per disk run, sharing per-spool handles/mmaps
 	closeAll func()    // non-nil when disk runs are held open
 
-	mem []*memRun[K, V] // sealed in-memory runs, then the live run
+	mem []*memRun[K, V] // sealed in-memory runs, in task order
 
 	closeOnce sync.Once
 }

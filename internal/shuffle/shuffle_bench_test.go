@@ -30,16 +30,16 @@ func benchPairs(total, nTasks, nKeys int) [][]Pair[string, int] {
 
 // BenchmarkExternalShuffle is the acceptance benchmark for the
 // disk-backed data path: a dataset 8x the total memory budget is
-// streamed in by concurrent workers through an Ingester — flushing
-// blocks into the exchange while mapping, so sort+encode+spill overlap
-// emission — and read back range-split, the production reduce shape.
-// The gates: whole-round peak resident pairs within
-// P*budget + workers*blockPairs (asserted in-benchmark and exported as
-// peak-resident-pairs; compare with the total pair count — residency
-// tracks the budget, not the dataset), spilled-MB identical on every
-// iteration, and the values/s floor scripts/benchcmp holds. The disk
-// story: spilled-MB is run bytes written, swap-MB the pressure-relief
-// bookkeeping, disk-read-MB bytes read back by the merge. The lanes
+// streamed in by concurrent workers through an Ingester — each task's
+// writer sealing sorted runs while the others map, so sort+encode+spill
+// overlap emission — and read back range-split, the production reduce
+// shape. The gates: whole-round peak resident pairs within P*budget
+// (asserted in-benchmark and exported as peak-resident-pairs; compare
+// with the total pair count — residency tracks the budget, not the
+// dataset), spilled-MB identical on every iteration, and the values/s
+// floor scripts/benchcmp holds. The disk story: spilled-MB is run bytes
+// written (compaction included), disk-read-MB bytes read back by the
+// merge. The lanes
 // place keys with the shuffle's one hasher under seed 0, so placement,
 // and with it spilled-MB, is the same in every run. Whole jobs in memory, spilling and with a combiner
 // are the repository benchmark's (bench/) business.
@@ -52,32 +52,27 @@ func BenchmarkExternalShuffle(b *testing.B) {
 	)
 
 	// untracedSpilled carries the streaming lane's spilled bytes into
-	// the streaming-traced lane: with swap-based relief the seal points
-	// are a pure function of the committed pair stream, so attaching the
-	// recorder must not move a single spilled byte. The cross-lane
-	// assert pins that invariant (the old fence-valve relief was
-	// timing-sensitive and the recorder's overhead shifted it).
+	// the streaming-traced lane: the seal points are a pure function of
+	// each task's pair stream, so attaching the recorder must not move a
+	// single spilled byte. The cross-lane assert pins that invariant.
 	var untracedSpilled int64
 	streamBench := func(b *testing.B, traced bool) {
 		const (
-			workers    = 8
-			blockPairs = 256
-			nStream    = 128
+			workers = 8
+			nStream = 128
 		)
-		// Task granularity is the pipeline's scheduling knob: it sets how
-		// much uncommitted in-flight output the ordering watermark keeps
-		// staged.
+		// Task granularity is the pipeline's scheduling knob: a task's
+		// output per partition bounds its runs' size.
 		streamTasks := benchPairs(total, nStream, nKeys)
 		b.ReportAllocs()
-		var spilledMB, diskReadMB, swapMB, reclaimedMB, overlapMs, finishMs float64
+		var spilledMB, diskReadMB, reclaimedMB, overlapMs, finishMs float64
 		var reduceRanges, rangeSkew float64
 		var peakResident int64
 		var streamed, wantSpilled int64
 		// One recorder for the whole run: the rings are allocated here,
 		// once, so the measured rounds see the recording cost alone, not
-		// the allocation churn of fresh buffers (whose GC stalls the
-		// fence pressure valve reads as absorption lag). Event rings are
-		// pointer-free, so the live buffers are GC-noscan. The default
+		// the allocation churn of fresh buffers. Event rings are
+		// pointer-free, so the buffers are GC-noscan. The default
 		// capacity holds every event of a default benchtime run; a long
 		// -benchtime wraps the rings, which only trips the drop counter.
 		var rec *obs.Recorder
@@ -87,21 +82,16 @@ func BenchmarkExternalShuffle(b *testing.B) {
 		for i := -1; i < b.N; i++ {
 			if i == 0 {
 				// Rounds before this one (i = -1) are untimed warmup: a
-				// fresh heap's tiny GC target makes the first round's
-				// collection stalls read as absorption lag, which the
-				// fence pressure valve can amplify into real (measured)
-				// spill I/O. The warmup gets the timed rounds to the
+				// fresh heap's tiny GC target stalls the first round's
+				// collections. The warmup gets the timed rounds to the
 				// steady-state heap directly.
 				b.ResetTimer()
 			}
-			// A small rotation threshold so long rounds exercise spool
-			// rotation (dead swap/compacted sections reclaimed mid-round)
-			// under the measured workload.
-			s := newTuned[string, int](Options{
+			s := New[string, int](Options{
 				Partitions: parts, MaxBufferedPairs: budget, SpillDir: b.TempDir(),
 				Recorder: rec,
-			}, tuning{blockPairs: blockPairs, rotateBytes: 64 << 10})
-			ing := s.NewIngester()
+			})
+			ing := s.NewIngester(workers)
 			var wg sync.WaitGroup
 			taskCh := make(chan int)
 			for w := 0; w < workers; w++ {
@@ -136,17 +126,16 @@ func BenchmarkExternalShuffle(b *testing.B) {
 			if st.MaxLivePairs > budget {
 				b.Fatalf("live pairs %d exceeded budget %d", st.MaxLivePairs, budget)
 			}
-			bound := int64(parts*budget + workers*blockPairs)
-			if st.PeakResidentPairs > bound {
-				b.Fatalf("peak resident pairs %d exceeded bound %d (= P*budget + workers*blockPairs)",
-					st.PeakResidentPairs, bound)
+			if bound := int64(parts * budget); st.PeakResidentPairs > bound {
+				b.Fatalf("peak resident pairs %d exceeded bound %d (= P*budget)", st.PeakResidentPairs, bound)
 			}
 			if st.BytesSpilled == 0 {
 				b.Fatal("streaming mode never spilled")
 			}
 			// Spilled bytes are deterministic: seal points depend only on
-			// the committed pair stream, never on relief timing, so every
-			// iteration of this workload must spill the same bytes.
+			// each task's pair stream and compaction runs once every task
+			// committed, so every iteration of this workload must spill
+			// the same bytes.
 			if wantSpilled == 0 {
 				wantSpilled = st.BytesSpilled
 			} else if st.BytesSpilled != wantSpilled {
@@ -154,7 +143,6 @@ func BenchmarkExternalShuffle(b *testing.B) {
 			}
 			peakResident = st.PeakResidentPairs
 			spilledMB = float64(st.BytesSpilled) / (1 << 20)
-			swapMB = float64(st.SwapBytes) / (1 << 20)
 			reclaimedMB = float64(st.BytesReclaimed) / (1 << 20)
 			overlapMs = float64(ing.OverlapNs()) / 1e6
 			finishMs = float64(ing.FinishNs()) / 1e6
@@ -281,7 +269,6 @@ func BenchmarkExternalShuffle(b *testing.B) {
 		}
 		b.ReportMetric(float64(peakResident), "peak-resident-pairs")
 		b.ReportMetric(spilledMB, "spilled-MB")
-		b.ReportMetric(swapMB, "swap-MB")
 		b.ReportMetric(reclaimedMB, "reclaimed-MB")
 		b.ReportMetric(diskReadMB, "disk-read-MB")
 		b.ReportMetric(overlapMs, "overlap-ms")
@@ -316,13 +303,10 @@ func BenchmarkExternalShuffle(b *testing.B) {
 // untimed setup; only the streaming k-way merge is measured, so
 // values/s compares the two directly.
 //
-// The set-up pins what the merge reads: placement is seeded and
-// compaction inline, and the budget puts every partition (~131k pairs)
-// some 170 seals deep — well past the run-count bound, well short of a
-// second compaction — so each one is read as one compacted tier-1 run
-// plus a few dozen fresh spool runs, in every process. (At a budget of
-// 1024 the partitions sit on the bound itself: whether one reads as 127
-// runs or as 1 is the hash seed's coin toss, and values/s follows it.)
+// The set-up pins what the merge reads: placement is seeded, and the
+// budget seals every partition (~131k pairs) into a few hundred runs — far
+// past the run-count bound — so Finish compacts each into the one run
+// the merge then reads, in every process.
 // The tiny-groups lane is another shape, where the merge's per-group
 // cost dominates; it reports ns/group.
 func BenchmarkReduceMergeDecode(b *testing.B) {
@@ -343,9 +327,8 @@ func BenchmarkReduceMergeDecode(b *testing.B) {
 		}, tuning{compactors: -1})
 		streamTasks(b, s, tasks, 4)
 		for p := range s.parts {
-			if disk := s.parts[p].disk; diskFanIn(disk) != 2 || len(disk) < 16 || len(disk) > 80 {
-				b.Fatalf("partition %d reads as %d runs in %d files; the lane wants one compacted run plus a few dozen spool runs",
-					p, len(disk), diskFanIn(disk))
+			if disk := s.parts[p].disk; len(disk) != 1 {
+				b.Fatalf("partition %d reads as %d runs; the lane wants its one compacted run", p, len(disk))
 			}
 		}
 		return s
@@ -402,13 +385,8 @@ func BenchmarkReduceMergeDecode(b *testing.B) {
 		}
 		s := newTuned[splitKey, uint64](Options{Partitions: 1, MaxBufferedPairs: budget, SpillDir: b.TempDir()}, tuning{compactors: -1})
 		defer s.Close()
-		st := &s.parts[0]
-		for lo := 0; lo < len(stream); lo += 1024 {
-			if err := st.absorb(s, stream[lo:lo+1024]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if n := len(st.disk) + len(st.memRuns()); n != runs {
+		streamTasks(b, s, [][]Pair[splitKey, uint64]{stream}, 1)
+		if n := len(s.parts[0].disk); n != runs {
 			b.Fatalf("partition reads as %d runs, want %d", n, runs)
 		}
 		b.ReportAllocs()
@@ -665,10 +643,10 @@ type sealEntry struct {
 	Val      float64
 }
 
-// BenchmarkSeal times one partition's absorb and seal path alone, on
+// BenchmarkSeal times one partition's emit and seal path alone, on
 // the partition-0 share (of 8) of two benchmark workloads' round-1
-// streams, absorbed in 1 024-pair blocks into a shuffle that seals to
-// its spool:
+// streams, emitted by one task writer into a one-partition shuffle that
+// seals to its spool:
 //   - hamming: Hamming Splitting at b = 18, c = 3 over a shuffled
 //     input, struct keys, 2 048-pair seals of about 1 100 keys each;
 //   - matmul: the two-phase multiply at n = 256, s = t = 16, int keys,
@@ -721,13 +699,16 @@ func benchSeal[K comparable, V any](b *testing.B, stream []Pair[K, V], budget in
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		s := newTuned[K, V](Options{Partitions: 1, MaxBufferedPairs: budget, SpillDir: b.TempDir()}, tuning{compactors: -1})
+		s.SetPartitioner(func(K) int { return 0 }) // the stream is one partition's: no placement hash
 		st := &s.parts[0]
+		tw := s.NewIngester(1).Task(0, 0)
 		runtime.ReadMemStats(&m0)
 		b.StartTimer()
-		for lo := 0; lo < len(stream); lo += 1024 {
-			if err := st.absorb(s, stream[lo:min(lo+1024, len(stream))]); err != nil {
-				b.Fatal(err)
-			}
+		for _, p := range stream {
+			tw.Emit(p.Key, p.Value)
+		}
+		if err := tw.Commit(); err != nil {
+			b.Fatal(err)
 		}
 		b.StopTimer()
 		runtime.ReadMemStats(&m1)

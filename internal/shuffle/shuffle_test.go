@@ -190,19 +190,17 @@ func TestBoundedMemorySpillPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Sealing at the budget is deterministic: 95 pairs against a
-	// 10-pair budget seal exactly 9 runs of 10, leaving 5 live.
-	if st.SpillEvents != 9 {
-		t.Errorf("SpillEvents = %d, want exactly 9 runs of 10", st.SpillEvents)
-	}
-	if st.SpilledPairs != 90 || s.parts[0].livePairs != 5 {
-		t.Errorf("spilled %d, live %d; want 90 and 5", st.SpilledPairs, s.parts[0].livePairs)
+	// Sealing at the budget is deterministic: the task's 95 pairs seal
+	// exactly 9 runs of 10 as its buffer reaches the budget, and its
+	// commit seals the last 5.
+	if st.SpillEvents != 10 || st.SpilledPairs != n {
+		t.Errorf("%d runs of %d pairs, want exactly 10 runs (9 of 10, 1 of 5) of %d", st.SpillEvents, st.SpilledPairs, n)
 	}
 	if st.MaxLivePairs != 10 {
 		t.Errorf("MaxLivePairs = %d, want exactly the 10-pair budget", st.MaxLivePairs)
 	}
 	if st.RunsMerged != 10 {
-		t.Errorf("RunsMerged = %d, want 10 (9 sealed + live)", st.RunsMerged)
+		t.Errorf("RunsMerged = %d, want 10", st.RunsMerged)
 	}
 	if st.PairsShuffled != n || st.Reducers != 7 {
 		t.Errorf("stats = %+v, want pairs=%d keys=7", st, n)

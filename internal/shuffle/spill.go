@@ -13,7 +13,7 @@
 //     never open a run file at all: zero disk I/O.
 //   - Value reads (ForEachGroupBatch, the RangeReader) run the classic
 //     external-sort merge — one cursor per run, a tree of losers on
-//     (key, seal order) — but the indexes drive the key ordering, so
+//     (key, run order) — but the indexes drive the key ordering, so
 //     the files supply only value bytes.
 //
 // Both are the same loop (mergeCursors) over the same cursors
@@ -23,8 +23,8 @@
 // Because every run is internally sorted, one pass produces the
 // partition's groups in global sorted order with the package's
 // value-order contract intact — values of a key concatenate across
-// runs in seal order, live run last — while holding only one group per
-// run in memory. All run-file reads are metered into the shuffle's
+// runs in run order, which is task order — while holding only one group
+// per run in memory. All run-file reads are metered into the shuffle's
 // DiskBytesRead counter, which is how tests assert the counting path
 // stayed memory-only.
 package shuffle
@@ -41,24 +41,22 @@ import (
 )
 
 // maxDiskRunFanIn caps how many distinct run *files* one partition's
-// merge opens at once. A seal or adoption that would grow a partition
-// past the cap first compacts its existing disk runs into a single run
-// — the classic multi-pass external merge — so open file descriptors
-// stay bounded no matter how far a dataset outgrows the budget, at the
-// cost of logarithmically rewriting spilled bytes. Runs sharing a
-// spool file (a partition's sealed runs) count once: the merge
-// reads them through sections of a single handle, so dozens of small
-// sealed runs do not trigger the compaction avalanche their count
-// alone would suggest.
+// merge opens at once. A partition past the cap when its round finishes
+// compacts its disk runs into a single run — the external merge's
+// second pass — so the reduce merge's open file descriptors stay
+// bounded no matter how far a dataset outgrows the budget, at the cost
+// of rewriting the partition's spilled bytes once. Runs sharing a spool file (a partition's
+// sealed runs) count once: the merge reads them through sections of a
+// single handle, so dozens of small sealed runs do not trigger the
+// compaction avalanche their count alone would suggest.
 const maxDiskRunFanIn = 64
 
 // maxDiskRunsPerPartition caps the total run count of one partition's
 // merge regardless of how the runs share files: every cursor costs a
 // read buffer and a leaf of the merge even when its file handle is
-// shared, so a streaming round whose pressure writes all land in one
-// spool file must still compact once its run count (not file count)
-// outgrows the merge. Twice the file fan-in: spool sections are cheaper
-// than files but not free.
+// shared, so a round whose seals all land in one spool file must still
+// compact once its run count (not file count) outgrows the merge. Twice
+// the file fan-in: spool sections are cheaper than files but not free.
 const maxDiskRunsPerPartition = 2 * maxDiskRunFanIn
 
 // needsCompaction reports whether a partition's disk runs outgrew
@@ -111,17 +109,16 @@ type keyCount[K comparable] struct {
 
 // runFile is one spill temp file, shared by every diskRun it embeds
 // and deleted when the last of them is released. A compacted run
-// owns its whole file (refs = 1); a spool writes several sections —
-// a partition's sealed runs, or its swapped staged tasks — into a
-// single file, so a seal or a pressure event costs no create/close/open
-// of its own, while each section stays independently releasable (abort
-// of one task must not delete another's swapped data).
+// owns its whole file (refs = 1); a spool writes a partition's sealed
+// runs into a single file, so a seal costs no create/close/open of its
+// own, while each run stays independently releasable (abort of one
+// task must not delete another's runs).
 type runFile struct {
 	path     string
 	borrowed bool // adopted from its owner (AdoptRun): released like any other, never removed
 	refs     atomic.Int32
 	size     atomic.Int64 // bytes written into the file
-	dead     atomic.Int64 // bytes of sections already released (rotation trigger)
+	dead     atomic.Int64 // bytes of runs already released (rotation trigger)
 }
 
 // release drops one reference, removing the file when none remain.
@@ -143,14 +140,15 @@ func (rf *runFile) release(fs runfile.FS, reclaimed *atomic.Int64) error {
 
 // diskRun is one sealed run — a complete, self-contained run-file
 // image embedded in a (possibly shared) temp file at [off, off+size) —
-// together with its resident index; pairs drives the tiered compaction
-// policy (small fresh seals vs large compacted runs).
+// together with its resident index and its value count; task is the map
+// task the run came from, its place in the partition's run order.
 type diskRun[K comparable] struct {
 	file  *runFile
 	off   int64
 	size  int64
 	pairs int64
 	index []keyCount[K]
+	task  int
 }
 
 // GroupEncoder is the one typed group encoder: every key group the
@@ -221,58 +219,21 @@ func typedIndex[K comparable](keys []K, entries []runfile.IndexEntry) []keyCount
 	return index
 }
 
-// compactionSuffix picks which runs to compact when the fan-in cap is
-// hit: the contiguous suffix of "small" runs (fresh budget-sized
-// seals), leaving earlier already-compacted large runs untouched so
-// each pair is rewritten once per tier rather than on every
-// compaction. When the suffix holds fewer than two runs the list is
-// all large runs — a higher-tier merge — and everything is compacted.
-// Each tier is ~maxDiskRunFanIn/2 times larger than the last, so total
-// rewrite amplification is logarithmic in the spilled volume.
-func compactionSuffix[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K]) int {
-	large := int64(s.opts.MaxBufferedPairs) * (maxDiskRunFanIn / 2)
-	from := 0
-	for i := len(disk) - 1; i >= 0; i-- {
-		if disk[i].pairs >= large {
-			from = i + 1
-			break
-		}
-	}
-	if len(disk)-from < 2 {
-		return 0
-	}
-	return from
-}
-
-// compactDiskRuns merges the suffix of disk runs chosen by
-// compactionSuffix into one new run file and splices it into st.disk.
-// The caller holds st.mu. With concurrent set — the async compaction
-// workers — the merge I/O runs with st.mu released: the input runs are
-// immutable once sealed and concurrent seals only append to st.disk,
-// so the planned [from, from+n) window is still the same runs at
-// install time, and the splice simply carries any newer seals along.
-// The span is recorded on lane: the partition's own lane inline, a
-// compactor lane when concurrent (spans of different partitions then
-// interleave freely without breaking per-lane LIFO).
-func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring, concurrent bool) (retErr error) {
-	from := compactionSuffix(s, st.disk)
-	compacting := append([]diskRun[K](nil), st.disk[from:]...)
-	nIn := len(compacting)
-	lane.Begin(obs.OpCompact, int64(nIn), 0)
+// compactDiskRuns merges the partition's disk runs into one new run
+// file that takes their place. It runs in Ingester.Finish, once every
+// task has committed, so no run can later land between them; the run
+// order is the merge's value order, so the output keeps every key's
+// values in task order. The caller holds st.mu.
+func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V]) (retErr error) {
+	compacting := st.disk
+	st.lane.Begin(obs.OpCompact, int64(len(compacting)), 0)
 	var outPairs int64
-	defer func() { lane.End(obs.OpCompact, outPairs, obs.ErrFlag(retErr)) }()
+	defer func() { st.lane.End(obs.OpCompact, outPairs, obs.ErrFlag(retErr)) }()
 	var inPairs int64
 	for _, dr := range compacting {
 		inPairs += dr.pairs
 	}
-
-	if concurrent {
-		st.mu.Unlock()
-	}
 	path, w, keysWritten, err := mergeDiskRuns(s, compacting)
-	if concurrent {
-		st.mu.Lock()
-	}
 	if err != nil {
 		return err
 	}
@@ -284,14 +245,13 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 	outRef := &runFile{path: path}
 	outRef.refs.Store(1)
 	outRef.size.Store(w.BytesWritten())
-	merged := diskRun[K]{
+	st.disk = []diskRun[K]{{
 		file:  outRef,
 		size:  w.BytesWritten(),
 		pairs: w.Pairs(),
 		index: typedIndex(keysWritten, w.Index()),
-	}
-	tail := append([]diskRun[K]{merged}, st.disk[from+nIn:]...)
-	st.disk = append(st.disk[:from], tail...)
+		task:  compacting[len(compacting)-1].task,
+	}}
 	st.bytesSpilled += w.BytesWritten()
 	// A combiner can shrink the partition's held pairs during the
 	// rewrite; keep the partition totals equal to the sum of its group
@@ -304,11 +264,10 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V], lane *obs.Ring
 // mergeDiskRuns merges the given sealed runs into one new run file,
 // returning its path, the writer (whose index and counters describe
 // the output), and the keys in write order. Pure I/O over immutable
-// inputs — no partition state is read or written, which is what lets
-// the async compactor run it without the partition lock.
+// inputs: no partition state is read or written.
 //
 // It is the merge loop's compaction consumer: mergeCursors delivers each
-// key with the cursors that hold it, in seal order, and they fold into a
+// key with the cursors that hold it, in run order, and they fold into a
 // single output group whose values concatenate in that order, preserving
 // the value-order contract. The merge order comes entirely from the
 // runs' resident indexes — no key is decoded from disk — and value
@@ -369,7 +328,7 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 			keysWritten = append(keysWritten, k)
 			return nil
 		}
-		// Combiner path: decode the folded group's values in seal order,
+		// Combiner path: decode the folded group's values in run order,
 		// re-combine, re-encode. The scratch slice is reused across
 		// groups; the combined values are encoded before the next group
 		// touches it, so a combiner returning a sub-slice of its input is
@@ -417,7 +376,7 @@ type runView struct {
 	raOff int64       // run's offset within the file (ra path)
 }
 
-// openRunViews opens one view per disk run, in seal order. Each spool
+// openRunViews opens one view per disk run, in run order. Each spool
 // file is opened once and mapped once (up to the end of its
 // furthest-reaching run) when possible; any mapping failure — no
 // platform support, an injected fault, address-space pressure —
@@ -486,14 +445,6 @@ func (s *Shuffle[K, V]) Close() error {
 	if s.closed {
 		return nil
 	}
-	// Quiesce the async compaction workers first: an in-flight merge
-	// holds run files open and would install its output into the
-	// partitions being torn down. Errors they hit surface through
-	// Ingester.Finish; Close only waits.
-	s.compactWG.Wait()
-	if s.compactCh != nil {
-		close(s.compactCh)
-	}
 	// Releases below pass a nil reclaimed counter: deleting spill files
 	// because the round is over is teardown, not space coming back to a
 	// running round.
@@ -506,29 +457,13 @@ func (s *Shuffle[K, V]) Close() error {
 			}
 		}
 		st.disk = nil
-		// Swapped sections of tasks that never committed (the round
-		// failed mid-ingestion) still hold references to their stash
-		// files; release them too, and the spools' write handles when a
-		// failed round never reached Ingester.Finish.
-		for _, sr := range st.staged {
-			for _, sec := range sr.swapped {
-				if err := sec.rf.release(s.fs, nil); err != nil && first == nil {
-					first = err
-				}
-			}
-		}
-		st.staged = nil
+		// The spool's write handle, when a failed round never reached
+		// Ingester.Finish.
 		if st.pspool != nil {
 			if err := st.pspool.close(nil); err != nil && first == nil {
 				first = err
 			}
 			st.pspool = nil
-		}
-		if st.stash != nil {
-			if err := st.stash.close(nil); err != nil && first == nil {
-				first = err
-			}
-			st.stash = nil
 		}
 	}
 	s.closed = true
@@ -639,14 +574,14 @@ func (r *groupRef[K, V]) appendValues(dst []V) ([]V, error) {
 }
 
 // loserTree is the merge's tree of losers (Graefe, "Implementing
-// Sorting in Database Systems", 2006): leaf i is cursor i, in seal
+// Sorting in Database Systems", 2006): leaf i is cursor i, in run
 // order, and holds its current key's normalized words inline when K has
 // that form; node 0 holds the winner and nodes 1..k-1 the loser of the
 // match played there (leaf i sits at node k+i, a node's parent at half
-// its number). Leaves order by (key, seal order) — words compared
+// its number). Leaves order by (key, run order) — words compared
 // inline, any other key through cmp, K's canonical order (orderOf) —
 // and an exhausted cursor loses to every live one, so equal keys win in
-// seal order and the concatenated values respect the package's
+// run order and the concatenated values respect the package's
 // value-order contract. Replaying a leaf after its cursor advanced is
 // one match per level: log₂ k compares.
 type loserTree[K comparable, V any] struct {
@@ -740,39 +675,17 @@ func (t *loserTree[K, V]) holds(i int, k K, w [2]uint64) bool {
 	return t.cmp(t.cs[i].key, k) == 0
 }
 
-// memRuns returns the partition's in-memory runs in seal order: sealed
-// runs, then the live run's chunks, the arena sorted into the last and
-// dropped (reads come after ingestion; a later absorb regrows it).
+// memRuns returns the partition's in-memory runs in task order.
 func (st *partitionState[K, V]) memRuns() []*memRun[K, V] {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.chunk()
-	st.live = nil
-	return append(st.runs[:len(st.runs):len(st.runs)], st.chunks...)
-}
-
-// mergeRuns merges sorted runs into one, a key's values concatenated in
-// run order.
-func mergeRuns[K comparable, V any](runs []*memRun[K, V]) *memRun[K, V] {
-	if len(runs) == 1 {
-		return runs[0]
-	}
-	out := new(memRun[K, V])
-	cmp := orderOf[K]()
-	mergeCursors(rangeCursors(nil, nil, nil, runs, cmp, KeyRange[K]{}), cmp, func(k K, srcs []groupRef[K, V]) error {
-		out.keys = append(out.keys, k)
-		for _, r := range srcs {
-			out.vals = append(out.vals, r.vals...)
-		}
-		out.ends = append(out.ends, len(out.vals))
-		return nil
-	})
-	return out
+	return st.runs[:len(st.runs):len(st.runs)]
 }
 
 // rangeCursors is the one place runs become merge cursors: one cursor
-// per disk run, then one per in-memory run — seal order, the live run
-// last, which is what the value-order contract needs — each clamped to
+// per disk run, then one per in-memory run, each list in task order —
+// a partition holds runs of one kind, so that is the run order the
+// value-order contract needs — each clamped to
 // r by binary search over its sorted keys (the unbounded KeyRange is
 // the whole run). views are the disk runs' opened read surfaces
 // (openRunViews); nil views build index-only cursors, the counting
@@ -802,8 +715,8 @@ func rangeCursors[K comparable, V any](s *Shuffle[K, V], disk []diskRun[K], view
 }
 
 // mergeCursors is the package's one k-way merge: a tree of losers over
-// the cursors (which must be in seal order) yields each key, in
-// canonical order, together with its sources' groups in seal order. A
+// the cursors (which must be in run order) yields each key, in
+// canonical order, together with its sources' groups in run order. A
 // source's group is snapshotted as it wins and its cursor advanced and
 // replayed at once, so a group costs one leaf-to-root replay per
 // source. What a group becomes is the consumer's business — countGroups
@@ -856,7 +769,7 @@ func countGroups[K comparable, V any](fn func(k K, count int) error) func(K, []g
 }
 
 // readGroups is the merge's reduce consumer: fn receives each key's
-// values concatenated across its source runs in seal order, copied or
+// values concatenated across its source runs in run order, copied or
 // decoded source by source into one slice — freshly allocated, or with
 // reuse set (the ForEachGroupBatch contract) a scratch slice that every
 // later group of this merge overwrites. A group held in memory is copied

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/errfs"
 )
 
 // TestSpillDatasetLargerThanBudget is the acceptance test for the
@@ -215,12 +217,12 @@ func checkSpillMatchesMemory[K comparable, V any](t *testing.T, n int, gen func(
 }
 
 // TestCompactionBoundsRunFanIn: a workload sealing far more than
-// maxDiskRunsPerPartition runs must keep each partition's disk-run
-// count (and therefore the merge's width) bounded via compaction, with
-// grouping and value order intact. Every seal lands in the partition's
-// one spool, so at this size the run-count bound — not the file fan-in,
-// which TestCompactionBoundsFileFanIn reaches — is what fires; inline
-// compaction makes the resulting shape exact.
+// maxDiskRunsPerPartition runs must leave each partition's disk-run
+// count (and therefore the merge's width) bounded: Finish compacts the
+// partition into one run, with grouping and value order intact and the
+// seal accounting unchanged. Every seal lands in the partition's one
+// spool, so at this size the run-count bound — not the file fan-in,
+// which TestCompactionBoundsFileFanIn reaches — is what fires.
 func TestCompactionBoundsRunFanIn(t *testing.T) {
 	s := newTuned[int, int](Options{
 		Partitions: 2, MaxBufferedPairs: 2, SpillDir: t.TempDir(),
@@ -228,22 +230,10 @@ func TestCompactionBoundsRunFanIn(t *testing.T) {
 	defer s.Close()
 	s.SetPartitioner(func(int) int { return 0 })
 	const bound = maxDiskRunsPerPartition
-	const n = 2 * 2 * bound // 2*bound seals of 2: compacts twice
+	const n = 2 * 2 * bound // 2*bound seals of 2
 	streamTasks(t, s, [][]Pair[int, int]{modPairs(n, 11)}, 1)
-	// 2*bound seals of 2 pairs: seal number bound compacts everything
-	// into a 2*bound-pair tier-1 run; the next bound-1 seals accumulate
-	// small runs beside it and compact into a second tier-1 run WITHOUT
-	// rewriting the first (tiered policy); the last seal remains small.
-	disk := s.parts[0].disk
-	if len(disk) >= bound {
-		t.Fatalf("partition holds %d disk runs; compaction should cap below %d", len(disk), bound)
-	}
-	if len(disk) != 3 || disk[0].pairs != 2*bound || disk[1].pairs != 2*bound-2 || disk[2].pairs != 2 {
-		sizes := make([]int64, len(disk))
-		for i, dr := range disk {
-			sizes[i] = dr.pairs
-		}
-		t.Fatalf("disk run sizes = %v, want [%d %d 2] (earlier tiers must not be rewritten)", sizes, 2*bound, 2*bound-2)
+	if disk := s.parts[0].disk; len(disk) != 1 || disk[0].pairs != n {
+		t.Fatalf("partition holds %d disk runs; Finish should compact its %d seals into one of %d pairs", len(disk), n/2, n)
 	}
 	st, err := s.Stats()
 	if err != nil {
@@ -259,52 +249,39 @@ func TestCompactionBoundsRunFanIn(t *testing.T) {
 	checkModGroups(t, s.Partition(0), n, 11)
 }
 
-// sealsToFileFanIn is how many budget-1 seals of one partition, under
-// inline compaction, bring its disk runs to maxDiskRunFanIn distinct
-// files. Every compaction output is a file of its own and tier-1
-// outputs are not rewritten, so the k-th run-count compaction fires
-// after maxDiskRunsPerPartition+1-k fresh seals (k-1 slots hold earlier
-// outputs); maxDiskRunFanIn-1 of them leave that many files and no
-// spool run, and one more seal adds the spool as the last file.
-const sealsToFileFanIn = (maxDiskRunFanIn-1)*(maxDiskRunsPerPartition+1) - (maxDiskRunFanIn-1)*maxDiskRunFanIn/2 + 1
-
 // TestCompactionBoundsFileFanIn pins the other arm of needsCompaction:
-// a round long enough to pile up maxDiskRunFanIn-1 tier-1 files keeps
-// them until the next seal's spool would be file number maxDiskRunFanIn,
-// and that seal runs the higher-tier merge — no small suffix to pick,
-// so everything collapses into one run — with grouping and value order
-// intact on both sides of the boundary.
+// a round whose tasks leave their runs in maxDiskRunFanIn-1 spool files
+// keeps them, and one whose runs span maxDiskRunFanIn files compacts
+// into one run, with grouping and value order intact on both sides of
+// the boundary.
 func TestCompactionBoundsFileFanIn(t *testing.T) {
-	for _, seals := range []int{sealsToFileFanIn - 1, sealsToFileFanIn} {
-		s := buildSpilled(t, 1, seals, 11, nil)
+	for _, files := range []int{maxDiskRunFanIn - 1, maxDiskRunFanIn} {
+		s, err := rotatedWorkload(t, errfs.New(nil), slices.Repeat([]int{1}, files), 11)
+		if err != nil {
+			t.Fatal(err)
+		}
 		disk := s.parts[0].disk
-		if seals < sealsToFileFanIn {
-			if len(disk) != maxDiskRunFanIn-1 || diskFanIn(disk) != maxDiskRunFanIn-1 {
-				t.Fatalf("%d seals: %d runs in %d files, want %d tier-1 files and nothing else",
-					seals, len(disk), diskFanIn(disk), maxDiskRunFanIn-1)
+		if files < maxDiskRunFanIn {
+			if len(disk) != files || diskFanIn(disk) != files {
+				t.Fatalf("%d tasks: %d runs in %d files, want each task's run in its own file", files, len(disk), diskFanIn(disk))
 			}
-			if disk[0].pairs != maxDiskRunsPerPartition {
-				t.Errorf("%d seals: first tier-1 run holds %d pairs, want %d (earlier tiers must not be rewritten)",
-					seals, disk[0].pairs, maxDiskRunsPerPartition)
-			}
-		} else if len(disk) != 1 || disk[0].pairs != int64(seals) {
-			t.Fatalf("%d seals: %d runs in %d files, first of %d pairs; want the higher-tier merge's one run of %d",
-				seals, len(disk), diskFanIn(disk), disk[0].pairs, seals)
+		} else if len(disk) != 1 || disk[0].pairs != int64(files) {
+			t.Fatalf("%d tasks: %d runs in %d files; want the compaction's one run of %d", files, len(disk), diskFanIn(disk), files)
 		}
 		st, err := s.Stats()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.SpillEvents != int64(seals) || st.PairsShuffled != int64(seals) || st.Reducers != 11 {
-			t.Errorf("%d seals: stats = %+v", seals, st)
+		if st.SpillEvents != int64(files) || st.PairsShuffled != int64(files) || st.Reducers != 11 {
+			t.Errorf("%d tasks: stats = %+v", files, st)
 		}
-		checkModGroups(t, s.Partition(0), seals, 11)
+		checkModGroups(t, s.Partition(0), files, 11)
 		s.Close()
 	}
 }
 
 // TestSpillValueOrderAcrossRuns: a key present in several spilled runs
-// and the live run must see its values concatenated in seal order.
+// must see its values concatenated in seal order.
 func TestSpillValueOrderAcrossRuns(t *testing.T) {
 	s := New[int, int](Options{Partitions: 2, MaxBufferedPairs: 10, SpillDir: t.TempDir()})
 	defer s.Close()

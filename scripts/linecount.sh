@@ -12,9 +12,8 @@
 set -eu
 
 cd "$(dirname "$0")/.."
-# The data plane includes the memory-image pressure swap and the codecs
-# resolved once per encoder (runfile.ImageSize/ImageBytes/CodecFor and
-# the read-back in shuffle/ingest.go). Lowered 8 027 -> 7 941 when every
+# The data plane includes the codecs resolved once per encoder
+# (runfile.ImageBytes/CodecFor). Lowered 8 027 -> 7 941 when every
 # shuffle key got one compiled order (shuffle.CheckKey): the fmt.Sprint
 # order, the tie-class regrouping merge, the range planner's class
 # alignment and the codec-bytes stable hash went, the NaN-key check came.
@@ -98,7 +97,22 @@ cd "$(dirname "$0")/.."
 # Task.PollAfter and Partition.Pairs (only tests call it; moved into a
 # test file). hamming_proc's peak_rss_mb median fell 161 -> 129 MB and
 # its wall_s 0.42 -> 0.35 s (10 alternating pairs, 2 cores).
-CEILING=7717
+# Lowered 7 717 -> 6 751 when each map task attempt's writer began
+# sealing its own sorted runs (the map side of Dean and Ghemawat's
+# MapReduce), published in task order at commit: the staging area and
+# its watermark (stagedRun, stage, finishTask, drainAll, ingestStep,
+# minStagedBelow, the partition's stageMu, staged and stagedPairs), the
+# pressure swap and its read-back (swapSec, swapStaged, absorbSwapped,
+# nextFrame, decodeSwappedKey, spool.addSwap, the stash spool,
+# Shuffle.swapImage, swapBuf, intern), the partition's live run (take,
+# absorb, chunk, refill, seal, liveApprox, SealAllLive, mergeRuns), the
+# block pool, tuning.blockPairs, the background compaction pool
+# (compact.go: compaction runs once, in Finish, over all of a
+# partition's runs, so compactionSuffix's tiers went too), and the proc
+# worker's sub-task cut and scratch stash directory went; the task
+# writer's buckets, seal and publish came. runfile.ImageSize, which only
+# a test calls now, moved into a test file.
+CEILING=6751
 # engine+mr includes the reduce output collector both executors share
 # (internal/engine/collect.go, with the exact-size output assembly).
 # Lowered 1 890 -> 1 889 with the key check: engine.SortKeys went.
@@ -152,7 +166,9 @@ CEILING=7717
 # Raised 1 824 -> 1 837 when newImage's heap merge of the units' key
 # lists became engine.KeyOrder, the one key merge the ProcMode driver's
 # output decode shares (ties in list order).
-RELAY_CEILING=1837
+# Lowered 1 837 -> 1 835 with the map side's task-local runs: the
+# mr_swap_bytes_total counter left PublishTo.
+RELAY_CEILING=1835
 # The paper side: one family catalogue (internal/catalog) that mrplan,
 # mrtrace and mrbounds iterate, and core.CostModel as the one model of
 # Section 1.2. It also holds the triangle reducer kernel
