@@ -68,8 +68,11 @@ type Ingester[K comparable, V any] struct {
 // NewIngester starts an ingestion round on the shuffle, for at most
 // writers concurrent TaskWriters (one when omitted): each buffers at
 // most its share of the round's memory, P*MaxBufferedPairs/writers
-// pairs. It must not run concurrently with another round, reads,
-// AdoptRun, or Close.
+// pairs. The count decides the bound, so a caller running n writers
+// must pass n: under the default of one, n writers buffer n times the
+// round's memory. (The count is optional only until the benchmark's
+// one caller passes it; it is then to become required.) It must not
+// run concurrently with another round, reads, AdoptRun, or Close.
 func (s *Shuffle[K, V]) NewIngester(writers ...int) *Ingester[K, V] {
 	in := &Ingester[K, V]{s: s, bucketCap: chunkPairs}
 	if b := s.opts.MaxBufferedPairs; b > 0 {
@@ -267,12 +270,12 @@ func (st *partitionState[K, V]) write(s *Shuffle[K, V], run *memRun[K, V], keep 
 		h.mem = run
 	case s.sealSink != nil:
 		sunk := run // the sink keeps fill: let only this copy escape
-		err = s.sealSink(st.idx, func(w *runfile.Writer) error { return st.enc.run(w, sunk) })
+		err = s.sealSink(st.idx, func(w *runfile.Writer) error { return st.enc.run(w, sunk, true) })
 	default:
 		if st.pspool == nil {
 			st.pspool = &spool[K, V]{s: s}
 		}
-		h.disk, err = st.pspool.addRun(run.keys, h.pairs, func(w *runfile.Writer) error { return st.enc.run(w, run) })
+		h.disk, err = st.pspool.addRun(run.keys, h.pairs, func(w *runfile.Writer) error { return st.enc.run(w, run, false) })
 		h.disk.task = run.task
 	}
 	if err == nil {
@@ -502,7 +505,8 @@ func (sp *spool[K, V]) close(reclaimed *atomic.Int64) error {
 }
 
 // Finish ends the round once every task has committed: it compacts the
-// partitions whose disk runs outgrew the merge's bounds and closes each
+// partitions whose disk runs outgrew the merge's bounds, a pass at a
+// time until they fit (compactDiskRuns), and closes each
 // partition's seal spool — tune.compactors partitions at a time,
 // one at a time and in partition order when it is negative — and
 // returns the ingestion's first error. The shuffle is then ready for
@@ -529,14 +533,18 @@ func (in *Ingester[K, V]) Finish() error {
 	return in.Err()
 }
 
-// finish, with compact, compacts the partition's disk runs into one
-// when they outgrow a merge bound, and then closes its seal spool.
+// finish, with compact, compacts the partition's disk runs while they
+// outgrow a merge bound, and then closes its seal spool. Each pass
+// merges every chunk of two or more runs, so the run count falls until
+// the bounds hold.
 func (st *partitionState[K, V]) finish(s *Shuffle[K, V], compact bool) (err error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if compact && needsCompaction(st.disk) {
 		s.diskSem <- struct{}{}
-		err = st.compactDiskRuns(s)
+		for err == nil && needsCompaction(st.disk) {
+			err = st.compactDiskRuns(s)
+		}
 		<-s.diskSem
 	}
 	if st.pspool != nil {

@@ -115,7 +115,7 @@ func checkMerge[K comparable](t *testing.T, sh mergeShape, key func(id int) K) {
 			mem = append(mem, run)
 			continue
 		}
-		dr, err := sp.addRun(run.keys, int64(n), func(w *runfile.Writer) error { return enc.run(w, run) })
+		dr, err := sp.addRun(run.keys, int64(n), func(w *runfile.Writer) error { return enc.run(w, run, false) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,11 +2,13 @@
 // back.
 //
 // A sealed run is written once, in canonical sorted key order, as an
-// internal/runfile run file of groups alone, footerless: the shuffle
-// keeps each run's index (key, count, value-section offset and length
-// per group) resident in typed form — the keys were in memory at seal
-// time, so the index costs no decode (an adopted run's are decoded once,
-// see adopt.go) — which splits the read path in two:
+// internal/runfile run file of groups alone, footerless and keyless:
+// the shuffle keeps each run's index (key, count, value-section offset
+// and length per group) resident in typed form — the keys were in
+// memory at seal time, so the index costs no decode (an adopted run's
+// are decoded once, see adopt.go) and is the keys' only copy; the file
+// holds each group's count and value section behind an empty key, and
+// nothing reads a key back from it. That splits the read path in two:
 //
 //   - Counting reads (Stats, ForEachGroupCount, PlanReduceRanges, the
 //     engine's overflow diagnosis) merge the in-memory indexes and
@@ -40,15 +42,17 @@ import (
 	"repro/internal/runfile"
 )
 
-// maxDiskRunFanIn caps how many distinct run *files* one partition's
-// merge opens at once. A partition past the cap when its round finishes
-// compacts its disk runs into a single run — the external merge's
-// second pass — so the reduce merge's open file descriptors stay
-// bounded no matter how far a dataset outgrows the budget, at the cost
-// of rewriting the partition's spilled bytes once. Runs sharing a spool file (a partition's
-// sealed runs) count once: the merge reads them through sections of a
-// single handle, so dozens of small sealed runs do not trigger the
-// compaction avalanche their count alone would suggest.
+// maxDiskRunFanIn caps how many distinct run *files* one merge opens at
+// once. A partition past the cap when its round finishes compacts its
+// disk runs — the external merge's second pass, in chunks of adjacent
+// runs spanning at most this many files each (compactionChunk) — so
+// every merge's open file descriptors stay bounded no matter how far a
+// dataset outgrows the budget or how often aborted attempts rotated the
+// seal spool, at the cost of rewriting the partition's spilled bytes
+// once per pass. Runs sharing a spool file (a partition's sealed runs)
+// count once: the merge reads them through sections of a single
+// handle, so dozens of small sealed runs do not trigger the compaction
+// avalanche their count alone would suggest.
 const maxDiskRunFanIn = 64
 
 // maxDiskRunsPerPartition caps the total run count of one partition's
@@ -165,10 +169,14 @@ type GroupEncoder[K comparable, V any] struct {
 	vc         runfile.Codec[V]
 }
 
-// begin encodes k and opens its group of n values on w.
-func (e *GroupEncoder[K, V]) begin(w *runfile.Writer, k K, n int) error {
+// begin opens a group of n values on w: under k's encoding when keyed,
+// else behind an empty key (a run whose index stays resident).
+func (e *GroupEncoder[K, V]) begin(w *runfile.Writer, k K, n int, keyed bool) error {
 	if e.kc.Append == nil {
 		e.kc, e.vc = runfile.CodecFor[K](), runfile.CodecFor[V]()
+	}
+	if !keyed {
+		return w.BeginGroup(nil, n)
 	}
 	var err error
 	if e.kbuf, err = e.kc.Append(e.kbuf[:0], k); err != nil {
@@ -177,13 +185,19 @@ func (e *GroupEncoder[K, V]) begin(w *runfile.Writer, k K, n int) error {
 	return w.BeginGroup(e.kbuf, n)
 }
 
-// Group writes k's whole group. Its values are framed into one buffer —
-// each its length, then its encoding, as Writer.AppendValue frames one —
-// and handed to the writer as one raw section. Groups must come in K's
-// canonical order (SortKeys) for the image to be adoptable; an error
-// that is not w's own (runfile.Writer.Err) is an encoding failure.
+// Group writes k's whole group. Groups must come in K's canonical order
+// (SortKeys) for the image to be adoptable; an error that is not w's
+// own (runfile.Writer.Err) is an encoding failure.
 func (e *GroupEncoder[K, V]) Group(w *runfile.Writer, k K, vs []V) error {
-	if err := e.begin(w, k, len(vs)); err != nil {
+	return e.group(w, k, vs, true)
+}
+
+// group writes one group, keyed or not (begin). Its values are framed
+// into one buffer — each its length, then its encoding, as
+// Writer.AppendValue frames one — and handed to the writer as one raw
+// section.
+func (e *GroupEncoder[K, V]) group(w *runfile.Writer, k K, vs []V, keyed bool) error {
+	if err := e.begin(w, k, len(vs), keyed); err != nil {
 		return err
 	}
 	e.vbuf = e.vbuf[:0]
@@ -197,10 +211,11 @@ func (e *GroupEncoder[K, V]) Group(w *runfile.Writer, k K, vs []V) error {
 	return w.AppendRawBytes(e.vbuf, len(vs))
 }
 
-// run writes a sorted run's groups, in its key order.
-func (e *GroupEncoder[K, V]) run(w *runfile.Writer, r *memRun[K, V]) error {
+// run writes a sorted run's groups, in its key order, keyed or not
+// (begin).
+func (e *GroupEncoder[K, V]) run(w *runfile.Writer, r *memRun[K, V], keyed bool) error {
 	for g, k := range r.keys {
-		if err := e.Group(w, k, r.group(g)); err != nil {
+		if err := e.group(w, k, r.group(g), keyed); err != nil {
 			return err
 		}
 	}
@@ -219,13 +234,59 @@ func typedIndex[K comparable](keys []K, entries []runfile.IndexEntry) []keyCount
 	return index
 }
 
-// compactDiskRuns merges the partition's disk runs into one new run
-// file that takes their place. It runs in Ingester.Finish, once every
-// task has committed, so no run can later land between them; the run
-// order is the merge's value order, so the output keeps every key's
-// values in task order. The caller holds st.mu.
-func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V]) (retErr error) {
-	compacting := st.disk
+// compactDiskRuns is one compaction pass over the partition's disk
+// runs: it cuts them into chunks of adjacent runs (compactionChunk) and
+// merges each chunk of two or more into one new run file that takes its
+// place. It runs in Ingester.Finish, once every task has committed, so
+// no run can later land inside a chunk; a chunk's run order is the
+// merge's value order, so the output keeps every key's values in task
+// order. A failed merge leaves the chunks before it compacted and the
+// rest as they were. The caller holds st.mu.
+func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V]) error {
+	var out []diskRun[K]
+	for lo := 0; lo < len(st.disk); {
+		hi := compactionChunk(st.disk, lo)
+		if hi-lo == 1 {
+			out = append(out, st.disk[lo])
+			lo = hi
+			continue
+		}
+		dr, err := st.compactChunk(s, st.disk[lo:hi])
+		if err != nil {
+			st.disk = append(out, st.disk[lo:]...)
+			return err
+		}
+		out = append(out, dr)
+		lo = hi
+	}
+	st.disk = out
+	return nil
+}
+
+// compactionChunk returns the end of the chunk of disk runs that starts
+// at lo: the most adjacent runs whose files number at most
+// maxDiskRunFanIn, so one compaction merge opens no more files than the
+// bound it restores. Its run count is not capped: a merge of runs
+// sharing a spool file costs one descriptor, and compaction merges a
+// partition once, where the reduce merge runs once per key range.
+func compactionChunk[K comparable](disk []diskRun[K], lo int) int {
+	files := make(map[*runFile]struct{}, maxDiskRunFanIn)
+	hi := lo
+	for ; hi < len(disk); hi++ {
+		if _, ok := files[disk[hi].file]; !ok {
+			if len(files) == maxDiskRunFanIn {
+				break
+			}
+			files[disk[hi].file] = struct{}{}
+		}
+	}
+	return hi
+}
+
+// compactChunk merges adjacent disk runs into one new run file and
+// returns it, releasing the inputs and counting the output's bytes as
+// spilled. The caller holds st.mu.
+func (st *partitionState[K, V]) compactChunk(s *Shuffle[K, V], compacting []diskRun[K]) (out diskRun[K], retErr error) {
 	st.lane.Begin(obs.OpCompact, int64(len(compacting)), 0)
 	var outPairs int64
 	defer func() { st.lane.End(obs.OpCompact, outPairs, obs.ErrFlag(retErr)) }()
@@ -235,7 +296,7 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V]) (retErr error)
 	}
 	path, w, keysWritten, err := mergeDiskRuns(s, compacting)
 	if err != nil {
-		return err
+		return out, err
 	}
 
 	for _, dr := range compacting {
@@ -245,20 +306,19 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V]) (retErr error)
 	outRef := &runFile{path: path}
 	outRef.refs.Store(1)
 	outRef.size.Store(w.BytesWritten())
-	st.disk = []diskRun[K]{{
-		file:  outRef,
-		size:  w.BytesWritten(),
-		pairs: w.Pairs(),
-		index: typedIndex(keysWritten, w.Index()),
-		task:  compacting[len(compacting)-1].task,
-	}}
 	st.bytesSpilled += w.BytesWritten()
 	// A combiner can shrink the partition's held pairs during the
 	// rewrite; keep the partition totals equal to the sum of its group
 	// counts.
 	st.pairs -= inPairs - w.Pairs()
 	outPairs = w.Pairs()
-	return nil
+	return diskRun[K]{
+		file:  outRef,
+		size:  w.BytesWritten(),
+		pairs: w.Pairs(),
+		index: typedIndex(keysWritten, w.Index()),
+		task:  compacting[len(compacting)-1].task,
+	}, nil
 }
 
 // mergeDiskRuns merges the given sealed runs into one new run file,
@@ -276,7 +336,8 @@ func (st *partitionState[K, V]) compactDiskRuns(s *Shuffle[K, V]) (retErr error)
 // parsed, while with a combiner the folded values are decoded,
 // re-combined, and re-encoded, shrinking the rewritten bytes toward the
 // post-combine communication cost. Peak memory is one group; peak
-// descriptors maxDiskRunFanIn plus the output file.
+// descriptors the inputs' files (at most maxDiskRunFanIn, see
+// compactionChunk) plus the output file.
 func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K]) (path string, w *runfile.Writer, keysWritten []K, retErr error) {
 	views, closeAll, err := openRunViews(s, compacting)
 	defer closeAll()
@@ -306,7 +367,7 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 			for _, r := range srcs {
 				total += r.count
 			}
-			if err := enc.begin(w, k, total); err != nil {
+			if err := enc.begin(w, k, total, false); err != nil {
 				return err
 			}
 			for i := range srcs {
@@ -345,7 +406,7 @@ func mergeDiskRuns[K comparable, V any](s *Shuffle[K, V], compacting []diskRun[K
 			return nil // combiner dropped the group entirely
 		}
 		keysWritten = append(keysWritten, k)
-		return enc.Group(w, k, combined)
+		return enc.group(w, k, combined, false)
 	})
 	if err != nil {
 		return "", nil, nil, fmt.Errorf("shuffle: compacting to %s: %w", out.Name(), err)

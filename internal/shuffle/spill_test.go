@@ -251,22 +251,37 @@ func TestCompactionBoundsRunFanIn(t *testing.T) {
 
 // TestCompactionBoundsFileFanIn pins the other arm of needsCompaction:
 // a round whose tasks leave their runs in maxDiskRunFanIn-1 spool files
-// keeps them, and one whose runs span maxDiskRunFanIn files compacts
-// into one run, with grouping and value order intact on both sides of
-// the boundary.
+// keeps them, one whose runs span maxDiskRunFanIn files compacts into
+// one run, and one whose aborted attempts rotated the spool past twice
+// that compacts in chunks of at most maxDiskRunFanIn files, so no merge
+// opens more — with grouping and value order intact on every side.
 func TestCompactionBoundsFileFanIn(t *testing.T) {
-	for _, files := range []int{maxDiskRunFanIn - 1, maxDiskRunFanIn} {
+	for _, tc := range []struct {
+		files int
+		want  []int64 // pairs of each run after Finish; nil: uncompacted
+	}{
+		{maxDiskRunFanIn - 1, nil},
+		{maxDiskRunFanIn, []int64{maxDiskRunFanIn}},
+		{2*maxDiskRunFanIn + 1, []int64{maxDiskRunFanIn, maxDiskRunFanIn, 1}},
+	} {
+		files := tc.files
 		s, err := rotatedWorkload(t, errfs.New(nil), slices.Repeat([]int{1}, files), 11)
 		if err != nil {
 			t.Fatal(err)
 		}
 		disk := s.parts[0].disk
-		if files < maxDiskRunFanIn {
+		if tc.want == nil {
 			if len(disk) != files || diskFanIn(disk) != files {
 				t.Fatalf("%d tasks: %d runs in %d files, want each task's run in its own file", files, len(disk), diskFanIn(disk))
 			}
-		} else if len(disk) != 1 || disk[0].pairs != int64(files) {
-			t.Fatalf("%d tasks: %d runs in %d files; want the compaction's one run of %d", files, len(disk), diskFanIn(disk), files)
+		} else {
+			var got []int64
+			for _, dr := range disk {
+				got = append(got, dr.pairs)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("%d tasks: runs of %v pairs in %d files; want the compaction's %v", files, got, diskFanIn(disk), tc.want)
+			}
 		}
 		st, err := s.Stats()
 		if err != nil {
