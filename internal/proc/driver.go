@@ -1,8 +1,8 @@
 // The driver process: writes the input image, spawns and supervises
-// worker processes, serves the task RPC, runs every assignment through
-// lease tables so crashed or stalled executions are fenced and
-// re-granted, salvages committed work from dead workers' manifests, and
-// decodes the accepted reduce outputs into the job's output.
+// worker processes, serves the task RPC, leases every task so crashed
+// or stalled executions are fenced and re-granted, salvages committed
+// work from dead workers' manifests, and decodes the accepted reduce
+// outputs into the job's output.
 package proc
 
 import (
@@ -31,10 +31,23 @@ type mapTaskSpec struct {
 	off, bytes int64
 }
 
+// lease is the driver's record of one map task or reduce partition.
+// Every grant bumps the attempt, which fences the execution: a renewal
+// or report from any other attempt is refused.
+type lease struct {
+	grants  int // the current attempt is grants-1
+	owner   string
+	expires time.Time
+	active  bool // owner holds it: not yet reported, expired or dead
+	done    bool // an attempt was accepted or salvaged
+}
+
+// current reports whether attempt is the lease's latest grant.
+func (l *lease) current(attempt int) bool { return l.grants > 0 && attempt == l.grants-1 }
+
 // workerProc is one spawned worker process under supervision.
 type workerProc struct {
 	id   string
-	seq  int
 	pid  int
 	cmd  *exec.Cmd
 	lane *obs.Ring
@@ -50,20 +63,18 @@ type Driver struct {
 	sockDir string
 	fs      runfile.FS
 
-	tasks   []mapTaskSpec
-	nMap    int
-	parts   int
-	hbEvery time.Duration
+	tasks []mapTaskSpec
+	ttl   time.Duration
 
 	listener net.Listener
 	server   *rpc.Server
 	wg       sync.WaitGroup
 	stop     chan struct{} // closed to stop the sweeper
 
-	mapLeases    *engine.LeaseTable
-	reduceLeases *engine.LeaseTable
-
 	mu             sync.Mutex
+	now            func() time.Time  // every lease decision's clock
+	mapLeases      []lease           // one per map task
+	reduceLeases   []lease           // one per partition
 	mapSections    map[int][]Section // accepted (or salvaged) map output
 	mapsDone       int
 	reduceReady    bool
@@ -87,7 +98,6 @@ type Driver struct {
 }
 
 func newDriver(jobName string, opts Options, dir string, tasks []mapTaskSpec) *Driver {
-	ttl := opts.leaseTTL()
 	parts := make([]shuffle.PartitionStat, opts.Partitions)
 	for p := range parts {
 		parts[p].Worker = -1 // workers pull partitions: none is placed
@@ -98,12 +108,11 @@ func newDriver(jobName string, opts Options, dir string, tasks []mapTaskSpec) *D
 		dir:            dir,
 		fs:             opts.fs(),
 		tasks:          tasks,
-		nMap:           len(tasks),
-		parts:          opts.Partitions,
-		hbEvery:        ttl / 3,
+		ttl:            opts.leaseTTL(),
 		stop:           make(chan struct{}),
-		mapLeases:      engine.NewLeaseTable(ttl, nil),
-		reduceLeases:   engine.NewLeaseTable(ttl, nil),
+		now:            time.Now,
+		mapLeases:      make([]lease, len(tasks)),
+		reduceLeases:   make([]lease, opts.Partitions),
 		mapSections:    make(map[int][]Section),
 		reduceSections: make(map[int][]Section),
 		reduceOut:      make(map[int]ReduceReport),
@@ -141,7 +150,7 @@ func (d *Driver) start() error {
 	d.wg.Add(1)
 	go d.sweepLoop()
 
-	if d.nMap == 0 {
+	if len(d.tasks) == 0 {
 		d.mu.Lock()
 		d.beginReduceLocked()
 		d.mu.Unlock()
@@ -166,39 +175,65 @@ func (d *Driver) acceptLoop() {
 	}
 }
 
-// sweepLoop fences leases whose TTL lapsed — the recovery path for
-// workers that stall without dying (death itself is handled faster by
-// the supervisor's ExpireOwner).
+// sweepLoop runs sweepLocked on a ticker.
 func (d *Driver) sweepLoop() {
 	defer d.wg.Done()
-	every := d.opts.leaseTTL() / 2
-	if every < 5*time.Millisecond {
-		every = 5 * time.Millisecond
-	}
-	tick := time.NewTicker(every)
+	tick := time.NewTicker(max(d.ttl/2, 5*time.Millisecond))
 	defer tick.Stop()
 	for {
 		select {
 		case <-d.stop:
 			return
 		case <-tick.C:
-			expM := d.mapLeases.Sweep()
-			expR := d.reduceLeases.Sweep()
-			if len(expM)+len(expR) == 0 {
-				continue
-			}
 			d.mu.Lock()
-			d.met.LeaseExpirations += int64(len(expM) + len(expR))
-			for _, e := range expM {
-				d.lanes[e.Owner].Instant(obs.OpLeaseExpire, int64(e.Task), int64(e.Attempt))
-			}
-			for _, e := range expR {
-				d.lanes[e.Owner].Instant(obs.OpLeaseExpire, int64(-1-e.Task), int64(e.Attempt))
-			}
-			d.wakeLocked()
+			d.sweepLocked()
 			d.mu.Unlock()
 		}
 	}
+}
+
+// sweepLocked fences every lease whose TTL lapsed: the recovery path
+// for workers that stall without dying. Called with d.mu held.
+func (d *Driver) sweepLocked() {
+	now, fenced := d.now(), false
+	d.eachActiveLocked(func(id int, l *lease) {
+		if now.After(l.expires) {
+			l.active, fenced = false, true
+			d.met.LeaseExpirations++
+			d.lanes[l.owner].Instant(obs.OpLeaseExpire, int64(id), int64(l.grants-1))
+		}
+	})
+	if fenced {
+		d.wakeLocked()
+	}
+}
+
+// eachActiveLocked calls fn on every held lease with its trace id: the
+// map task's, or -1-p for partition p. Called with d.mu held.
+func (d *Driver) eachActiveLocked(fn func(id int, l *lease)) {
+	for i := range d.mapLeases {
+		if d.mapLeases[i].active {
+			fn(i, &d.mapLeases[i])
+		}
+	}
+	for p := range d.reduceLeases {
+		if d.reduceLeases[p].active {
+			fn(-1-p, &d.reduceLeases[p])
+		}
+	}
+}
+
+// leaseOf is the lease of a map task or a reduce partition, or nil for
+// an id the job has not: ids arrive off the socket.
+func (d *Driver) leaseOf(kind TaskKind, id int) *lease {
+	ls := d.mapLeases
+	if kind == TaskReduce {
+		ls = d.reduceLeases
+	}
+	if kind != TaskMap && kind != TaskReduce || id < 0 || id >= len(ls) {
+		return nil
+	}
+	return &ls[id]
 }
 
 // spawnWorker starts one worker process and its supervisor.
@@ -230,7 +265,7 @@ func (d *Driver) spawnWorker() error {
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("proc: spawning worker %s: %w", id, err)
 	}
-	wp := &workerProc{id: id, seq: seq, pid: cmd.Process.Pid, cmd: cmd,
+	wp := &workerProc{id: id, pid: cmd.Process.Pid, cmd: cmd,
 		lane: d.opts.Recorder.Lane(obs.LaneProc, seq)}
 	wp.lane.Begin(obs.OpWorkerLife, int64(wp.pid), 0)
 	d.mu.Lock()
@@ -245,41 +280,14 @@ func (d *Driver) spawnWorker() error {
 	return nil
 }
 
-// supervise reaps one worker process. An unexpected exit fences the
-// worker's leases immediately, salvages its committed-but-unreported
-// map tasks from its manifest, and spawns a replacement while the
-// restart budget lasts.
+// supervise reaps one worker process, books its exit (exitLocked) and
+// spawns the replacement that asks for.
 func (d *Driver) supervise(wp *workerProc) {
 	defer d.wg.Done()
 	waitErr := wp.cmd.Wait()
-
 	d.mu.Lock()
-	delete(d.workers, wp.id)
-	d.wakeLocked() // shutdown waits for the reaps; a dead worker frees its leases
-	if d.finished {
-		wp.lane.End(obs.OpWorkerLife, int64(wp.pid), 0)
-		d.mu.Unlock()
-		if d.opts.Hooks.OnWorkerExit != nil {
-			d.opts.Hooks.OnWorkerExit(wp.id, wp.pid, waitErr)
-		}
-		return
-	}
-	d.met.WorkerDeaths++
-	expired := append(d.mapLeases.ExpireOwner(wp.id), d.reduceLeases.ExpireOwner(wp.id)...)
-	wp.lane.Instant(obs.OpWorkerDeath, int64(wp.pid), int64(len(expired)))
-	wp.lane.End(obs.OpWorkerLife, int64(wp.pid), 1)
-	d.salvageLocked(wp)
-	respawn := false
-	if !d.finished { // salvage may have completed the job
-		if budget := workerRestartsPerWorker * d.opts.Workers; d.restarts < budget {
-			d.restarts++
-			respawn = true
-		} else if len(d.workers) == 0 {
-			d.failLocked(fmt.Errorf("proc: all workers dead and restart budget (%d) spent", budget))
-		}
-	}
+	respawn := d.exitLocked(wp)
 	d.mu.Unlock()
-
 	if d.opts.Hooks.OnWorkerExit != nil {
 		d.opts.Hooks.OnWorkerExit(wp.id, wp.pid, waitErr)
 	}
@@ -290,11 +298,44 @@ func (d *Driver) supervise(wp *workerProc) {
 	}
 }
 
+// exitLocked books a worker's exit. An unexpected one fences its leases
+// at once, salvages its committed map tasks (salvageLocked) and asks for
+// a replacement (true) while the restart budget lasts. Called with d.mu held.
+func (d *Driver) exitLocked(wp *workerProc) (respawn bool) {
+	delete(d.workers, wp.id)
+	d.wakeLocked() // shutdown waits for the reaps; a dead worker frees its leases
+	if d.finished {
+		wp.lane.End(obs.OpWorkerLife, int64(wp.pid), 0)
+		return false
+	}
+	d.met.WorkerDeaths++
+	fenced := 0
+	d.eachActiveLocked(func(_ int, l *lease) {
+		if l.owner == wp.id {
+			l.active = false
+			fenced++
+		}
+	})
+	wp.lane.Instant(obs.OpWorkerDeath, int64(wp.pid), int64(fenced))
+	wp.lane.End(obs.OpWorkerLife, int64(wp.pid), 1)
+	d.salvageLocked(wp)
+	if d.finished { // salvage may have completed the job
+		return false
+	}
+	if budget := workerRestartsPerWorker * d.opts.Workers; d.restarts < budget {
+		d.restarts++
+		return true
+	} else if len(d.workers) == 0 {
+		d.failLocked(fmt.Errorf("proc: all workers dead and restart budget (%d) spent", budget))
+	}
+	return false
+}
+
 // salvageLocked adopts a dead worker's completed-but-unreported map
 // tasks: replay its manifest, validate every committed section through
 // the crash-reopen gate, and complete tasks whose output fully
-// survived. Anything torn, missing, or already done is skipped — those
-// tasks simply re-run. Called with d.mu held.
+// survived. Anything torn, missing, mistagged or already done is
+// skipped — those tasks simply re-run. Called with d.mu held.
 func (d *Driver) salvageLocked(wp *workerProc) {
 	entries, err := readManifest(d.fs, ManifestPath(d.dir, wp.id))
 	if err != nil {
@@ -304,18 +345,19 @@ func (d *Driver) salvageLocked(wp *workerProc) {
 		return
 	}
 	for _, e := range entries {
-		if _, _, done := d.mapLeases.Current(e.Task); done {
+		l := d.leaseOf(TaskMap, e.Task)
+		if l != nil && l.done {
 			continue
 		}
-		ok := true
-		for _, sec := range e.Sections {
-			if verr := validateSection(d.fs, sec); verr != nil {
-				fmt.Fprintf(os.Stderr, "proc: not salvaging task %d from %s: %v\n", e.Task, wp.id, verr)
-				ok = false
-				break
-			}
+		err := d.checkSections(e.Task, e.Attempt, e.Sections)
+		if l == nil || e.Attempt < 0 || e.Attempt >= l.grants {
+			err = fmt.Errorf("proc: map task %d attempt %d was never granted", e.Task, e.Attempt)
 		}
-		if !ok || !d.mapLeases.CompleteSalvaged(e.Task) {
+		for i := 0; err == nil && i < len(e.Sections); i++ {
+			err = validateSection(d.fs, e.Sections[i])
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "proc: not salvaging task %d from %s: %v\n", e.Task, wp.id, err)
 			continue
 		}
 		d.met.SalvagedTasks++
@@ -358,29 +400,37 @@ func (d *Driver) grantLocked(worker string) (Task, bool) {
 	if d.finished {
 		return Task{Kind: TaskExit}, true
 	}
-	if d.mapsDone < d.nMap {
-		for id := range d.tasks {
-			if _, active, done := d.mapLeases.Current(id); !active && !done {
+	if d.mapsDone < len(d.tasks) {
+		for id, l := range d.mapLeases {
+			if !l.active && !l.done {
 				return d.grantMapLocked(id, worker)
 			}
 		}
 		return Task{}, false
 	}
 	for _, p := range d.reduceParts {
-		if _, active, done := d.reduceLeases.Current(p); !active && !done {
+		if l := d.reduceLeases[p]; !l.active && !l.done {
 			return d.grantReduceLocked(p, worker)
 		}
 	}
 	return Task{}, false
 }
 
-func (d *Driver) grantMapLocked(id int, worker string) (Task, bool) {
-	attempt, ok := d.mapLeases.Grant(id, worker)
-	if !ok {
-		return Task{}, false
+// leaseLocked grants l to worker under its next attempt, or fails the
+// job (false) when its task has had maxTaskAttempts grants already.
+func (d *Driver) leaseLocked(l *lease, worker, what string, id int) (int, bool) {
+	if l.grants == maxTaskAttempts {
+		d.failLocked(fmt.Errorf("proc: %s %d failed after %d attempts", what, id, l.grants))
+		return 0, false
 	}
-	if n := d.mapLeases.Attempts(id); n > maxTaskAttempts {
-		d.failLocked(fmt.Errorf("proc: map task %d failed after %d attempts", id, n-1))
+	l.grants++
+	l.owner, l.expires, l.active = worker, d.now().Add(d.ttl), true
+	return l.grants - 1, true
+}
+
+func (d *Driver) grantMapLocked(id int, worker string) (Task, bool) {
+	attempt, ok := d.leaseLocked(&d.mapLeases[id], worker, "map task", id)
+	if !ok {
 		return Task{Kind: TaskExit}, true
 	}
 	if attempt > 0 {
@@ -391,17 +441,13 @@ func (d *Driver) grantMapLocked(id int, worker string) (Task, bool) {
 	return Task{
 		Kind: TaskMap, ID: id, Attempt: attempt,
 		Lo: spec.lo, Hi: spec.hi, InputOffset: spec.off, InputBytes: spec.bytes,
-		HeartbeatEvery: d.hbEvery,
+		HeartbeatEvery: d.ttl / 3,
 	}, true
 }
 
 func (d *Driver) grantReduceLocked(p int, worker string) (Task, bool) {
-	attempt, ok := d.reduceLeases.Grant(p, worker)
+	attempt, ok := d.leaseLocked(&d.reduceLeases[p], worker, "reduce partition", p)
 	if !ok {
-		return Task{}, false
-	}
-	if n := d.reduceLeases.Attempts(p); n > maxTaskAttempts {
-		d.failLocked(fmt.Errorf("proc: reduce partition %d failed after %d attempts", p, n-1))
 		return Task{Kind: TaskExit}, true
 	}
 	if attempt > 0 {
@@ -413,39 +459,60 @@ func (d *Driver) grantReduceLocked(p int, worker string) (Task, bool) {
 	}
 	return Task{
 		Kind: TaskReduce, ID: p, Attempt: attempt,
-		Sections: d.reduceSections[p], HeartbeatEvery: d.hbEvery,
+		Sections: d.reduceSections[p], HeartbeatEvery: d.ttl / 3,
 	}, true
 }
 
 // heartbeat renews the lease; false tells the worker it is fenced.
 func (d *Driver) heartbeat(args HeartbeatArgs) bool {
-	switch args.Kind {
-	case TaskMap:
-		return d.mapLeases.Renew(args.ID, args.Attempt, args.Worker)
-	case TaskReduce:
-		return d.reduceLeases.Renew(args.ID, args.Attempt, args.Worker)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	l := d.leaseOf(args.Kind, args.ID)
+	if l == nil || !l.active || l.owner != args.Worker || !l.current(args.Attempt) {
+		return false
 	}
-	return false
+	l.expires = d.now().Add(d.ttl)
+	return true
 }
 
-// mapDone accepts or refuses a map attempt's report. Only the lease
-// table's verdict matters: a fenced attempt's sections are never
+// checkSections refuses sections tagged with another task or attempt
+// than the one that commits them, or with a partition the job has not:
+// they arrive off the socket and off disk.
+func (d *Driver) checkSections(task, attempt int, secs []Section) error {
+	for _, s := range secs {
+		if s.Task != task || s.Attempt != attempt || s.Part < 0 || s.Part >= len(d.reduceLeases) {
+			return fmt.Errorf("proc: map task %d attempt %d committed a section tagged task %d attempt %d partition %d of %d",
+				task, attempt, s.Task, s.Attempt, s.Part, len(d.reduceLeases))
+		}
+	}
+	return nil
+}
+
+// mapDone accepts or refuses a map attempt's report. Only its lease's
+// verdict matters: a fenced or mistagged attempt's sections are never
 // adopted, no matter how complete they are on disk.
 func (d *Driver) mapDone(rep MapReport) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	l := d.leaseOf(TaskMap, rep.Task)
+	if l == nil {
+		return false
+	}
 	lane := d.lanes[rep.Worker]
+	if err := d.checkSections(rep.Task, rep.Attempt, rep.Sections); rep.Err == "" && err != nil {
+		fmt.Fprintf(os.Stderr, "proc: refusing the report of %s: %v\n", rep.Worker, err)
+		rep.Err = err.Error()
+	}
 	if rep.Err != "" {
 		lane.End(obs.OpProcMapTask, int64(rep.Task), 1)
 		if rep.Fatal {
 			d.failLocked(fmt.Errorf("proc: map task %d: %s", rep.Task, rep.Err))
 			return false
 		}
-		d.mapLeases.Release(rep.Task, rep.Attempt)
-		d.wakeLocked()
+		d.releaseLocked(l, rep.Attempt)
 		return false
 	}
-	if !d.mapLeases.Complete(rep.Task, rep.Attempt) {
+	if l.done || !l.current(rep.Attempt) {
 		lane.End(obs.OpProcMapTask, int64(rep.Task), 1)
 		lane.Instant(obs.OpStaleReport, int64(rep.Task), int64(rep.Attempt))
 		return false
@@ -457,9 +524,10 @@ func (d *Driver) mapDone(rep MapReport) bool {
 
 // acceptMapLocked books one completed map task (reported or salvaged):
 // its sections become reduce input and the spill accounting — the bytes
-// that actually crossed the process boundary. Called with d.mu held,
-// after the lease table accepted the completion.
+// that actually crossed the process boundary — and marks its lease done.
+// Called with d.mu held.
 func (d *Driver) acceptMapLocked(task, attempt int, worker string, secs []Section, pairsEmitted, peakResident int64) {
+	d.mapLeases[task].done, d.mapLeases[task].active = true, false
 	d.mapSections[task] = secs
 	d.met.PairsEmitted += pairsEmitted
 	if peakResident > d.met.PeakResidentPairs {
@@ -475,7 +543,7 @@ func (d *Driver) acceptMapLocked(task, attempt int, worker string, secs []Sectio
 	if d.opts.Hooks.OnMapCommitted != nil {
 		d.opts.Hooks.OnMapCommitted(task, attempt, worker)
 	}
-	if d.mapsDone == d.nMap {
+	if d.mapsDone == len(d.tasks) {
 		d.beginReduceLocked()
 	}
 	d.wakeLocked()
@@ -489,12 +557,12 @@ func (d *Driver) beginReduceLocked() {
 		return
 	}
 	d.reduceReady = true
-	for task := 0; task < d.nMap; task++ {
+	for task := range d.tasks {
 		for _, sec := range d.mapSections[task] {
 			d.reduceSections[sec.Part] = append(d.reduceSections[sec.Part], sec)
 		}
 	}
-	for p := 0; p < d.parts; p++ {
+	for p := range d.reduceLeases {
 		if len(d.reduceSections[p]) > 0 {
 			sortSections(d.reduceSections[p])
 			d.reduceParts = append(d.reduceParts, p)
@@ -509,6 +577,10 @@ func (d *Driver) beginReduceLocked() {
 func (d *Driver) reduceDone(rep ReduceReport) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	l := d.leaseOf(TaskReduce, rep.Part)
+	if l == nil {
+		return false
+	}
 	lane := d.lanes[rep.Worker]
 	if rep.Err != "" {
 		lane.End(obs.OpProcReduceTask, int64(rep.Part), 1)
@@ -525,15 +597,15 @@ func (d *Driver) reduceDone(rep ReduceReport) bool {
 			d.failLocked(fmt.Errorf("proc: reduce partition %d: %s", rep.Part, rep.Err))
 			return false
 		}
-		d.reduceLeases.Release(rep.Part, rep.Attempt)
-		d.wakeLocked()
+		d.releaseLocked(l, rep.Attempt)
 		return false
 	}
-	if !d.reduceLeases.Complete(rep.Part, rep.Attempt) {
+	if l.done || !l.current(rep.Attempt) {
 		lane.End(obs.OpProcReduceTask, int64(rep.Part), 1)
 		lane.Instant(obs.OpStaleReport, int64(-1-rep.Part), int64(rep.Attempt))
 		return false
 	}
+	l.done, l.active = true, false
 	lane.End(obs.OpProcReduceTask, int64(rep.Part), 0)
 	d.reduceOut[rep.Part] = rep
 	d.met.Outputs += rep.Outputs
@@ -555,6 +627,15 @@ func (d *Driver) reduceDone(rep ReduceReport) bool {
 		d.finishLocked()
 	}
 	return true
+}
+
+// releaseLocked frees a lease whose current attempt reported a failure,
+// so the task is granted again without waiting out the TTL.
+func (d *Driver) releaseLocked(l *lease, attempt int) {
+	if l.active && l.current(attempt) {
+		l.active = false
+		d.wakeLocked()
+	}
 }
 
 func (d *Driver) finishLocked() {

@@ -6,9 +6,9 @@
 //
 // The control plane is a unix-socket RPC seam (net/rpc): workers poll
 // the driver for tasks, heartbeat their leases while executing, and
-// report completions. The driver runs every assignment through an
-// engine.LeaseTable, so each execution is fenced by its (task, attempt)
-// pair: a worker that stalls past its lease TTL, or dies outright, is
+// report completions. The driver holds a lease on every map task and
+// partition under its one lock, so each execution is fenced by its
+// (task, attempt) pair: a worker that stalls past its lease TTL, or dies outright, is
 // superseded by a re-grant with a bumped attempt, and any late report
 // from the fenced attempt is refused.
 //
@@ -40,10 +40,10 @@
 // run-file group per map task, and a map worker reads only its own
 // group's value section (one positioned read, one decoding walk). A
 // reduce worker writes its partition's outputs as a run file through
-// the shuffle's group encoder; the driver adopts every accepted output
-// into a one-partition shuffle, whose k-way merge yields the job's
-// output in global canonical key order. The RPC control plane carries
-// file coordinates, never a typed record, key, value or output.
+// the shuffle's group encoder; the driver decodes every accepted file
+// in place, each group straight into its slot of the job's output in
+// global canonical key order (mergeOutputs). The RPC control plane
+// carries file coordinates, never a typed record, key, value or output.
 //
 // Jobs must be registered (Register) under a name in both the driver
 // and the worker binary — normally the same binary, with the role

@@ -1,10 +1,8 @@
-// Capped exponential backoff with jitter: the retry policy behind every
-// control-plane interaction a worker has with the driver (dialing the
-// socket, reporting task completion, heartbeating) and behind the
-// driver's own worker respawns. Data-plane work is never retried here —
-// task re-execution is the lease table's job, with attempt fencing; this
-// helper only covers transient transport failures where the operation
-// itself is idempotent.
+// Capped exponential backoff with jitter: the retry policy behind a
+// worker's dial, polls and reports to the driver. Data-plane work is
+// never retried here — task re-execution is the driver's leases' job,
+// with attempt fencing; this helper only covers transient transport
+// failures where the operation itself is idempotent.
 package proc
 
 import (

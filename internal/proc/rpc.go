@@ -162,8 +162,8 @@ type Ack struct {
 	Accepted bool
 }
 
-// Coord is the driver's RPC service. Workers call its methods; every
-// method body just forwards into the Driver under its lock.
+// Coord is the driver's RPC service. Workers call its methods; each but
+// Register (the immutable plan) forwards into the Driver under its lock.
 type Coord struct{ d *Driver }
 
 // Register implements the worker hello: the RPC-level liveness signal
